@@ -5,6 +5,10 @@ Runs the paper's two-job on-off workload (Figure 1's shape) through
 timelines are identical, and guards the speedup the vector engine
 (span advancement + idle fast-forward, see docs/PERF.md) must deliver.
 CI runs this as its perf smoke leg and fails on any divergence.
+
+A second bench records both engines' seconds at the bank sizes at the
+ends of the range — two long-lived senders and 32 — without a floor,
+so the history shows where the vector engine's lead comes from.
 """
 
 import time
@@ -14,6 +18,7 @@ import numpy as np
 from conftest import print_report
 
 from repro.cc.dcqcn import (
+    AGGRESSIVE_TIMER,
     DEFAULT_TIMER,
     DcqcnFluidSimulator,
     DcqcnParams,
@@ -89,3 +94,49 @@ def test_sender_bank_speedup(benchmark):
         f"speedup: {speedup:.2f}x (floor {MIN_SPEEDUP}x)",
     )
     assert speedup >= MIN_SPEEDUP
+
+
+#: Bank sizes recorded by :func:`test_sender_bank_sizes`: name ->
+#: (long-lived senders, simulated seconds).
+_SIZES = {"long2": (2, 0.3), "long32": (32, 0.05)}
+
+
+def _run_long(engine: str, n_senders: int, duration: float):
+    sim = DcqcnFluidSimulator(capacity=gbps(50), dt=10e-6, engine=engine)
+    params = DcqcnParams(line_rate=gbps(50))
+    for index in range(n_senders):
+        timer = AGGRESSIVE_TIMER if index % 2 == 0 else DEFAULT_TIMER
+        sim.add_sender(
+            f"s{index:02d}",
+            params.with_timer(timer),
+            np.random.default_rng(100 + index),
+        )
+    start = time.perf_counter()
+    result = sim.run(duration)
+    return result, time.perf_counter() - start
+
+
+def test_sender_bank_sizes(benchmark):
+    """Both engines' seconds for a 2-sender and a 32-sender bank."""
+    lines = []
+    for name, (n_senders, duration) in _SIZES.items():
+        result_s, scalar_time = _run_long("scalar", n_senders, duration)
+        result_v, vector_time = _run_long("vector", n_senders, duration)
+        vector_time = min(
+            vector_time, _run_long("vector", n_senders, duration)[1]
+        )
+        for series in result_s.rate_series:
+            assert np.array_equal(
+                result_s.rate_series[series].values,
+                result_v.rate_series[series].values,
+            ), series
+        benchmark.extra_info[f"{name}_scalar_seconds"] = scalar_time
+        benchmark.extra_info[f"{name}_vector_seconds"] = vector_time
+        lines.append(
+            f"{name}: scalar {scalar_time:.3f}s, vector {vector_time:.3f}s "
+            f"({scalar_time / vector_time:.2f}x)"
+        )
+    benchmark.pedantic(
+        lambda: _run_long("vector", *_SIZES["long2"]), iterations=1, rounds=1
+    )
+    print_report("DCQCN sender bank — bank sizes", "\n".join(lines))

@@ -380,14 +380,12 @@ class AimdFluidSimulator:
                 () if self.faults is None
                 else tuple(self.faults.link_names())
             )
-            self.fabric = LinkFabric(
+            self.fabric = LinkFabric.from_topology(
                 self.topology, routes, extra_links=extra,
                 max_occupancy=self.buffer_bytes,
             )
         fabric = self.fabric
-        index_routes = [
-            tuple(fabric.index[name] for name in route) for route in routes
-        ]
+        index_routes = fabric.resolve(routes)
         n_senders = len(self._senders)
         queues = fabric.queues
         modes = fabric.modes

@@ -22,6 +22,12 @@ job's servers versus the default 125 µs yields a ~30 vs 15 Gbps split on
 the shared link (Figure 1c). :func:`calibrate_timer_weights` measures the
 steady-state share each timer value achieves, which the phase-level
 simulator uses as static weights.
+
+:class:`DcqcnFluidSimulator` runs these senders over links: a dumbbell
+is the 1-link fabric, a ``topology=`` run the links its routes name.
+Both engines live beside this module — the scalar reference
+:func:`repro.cc.link_engine.run_scalar_fabric` and the vectorized
+:class:`repro.cc.sender_bank.SenderBank` — so each is written once.
 """
 
 from __future__ import annotations
@@ -36,19 +42,17 @@ from ..core.timeline import JobTimeline
 from ..errors import ConfigError, SimulationError
 from ..faults.events import InjectionSchedule  # simlint: disable=ARCH001 - CC tiers execute fault warps inline for bit-equivalence; shared types pending a layer move
 from ..faults.runtime import (  # simlint: disable=ARCH001 - same inversion as above
-    MODE_FREEZE,
-    MODE_NORMAL,
     build_warp,
-    capacity_windows,
     emit_fault_events,
     single_link,
 )
+from ..net.topology import BOTTLENECK
 from ..sim.trace import TimeSeries
 from ..switches.ecn import RedEcnMarker
 from ..switches.queues import FluidQueue
 from ..telemetry import session as _telemetry_session
-from ..telemetry.trace import KIND_CC_RATE
 from ..units import gbps, mbps
+from .link_engine import LinkFabric, build_fabric, run_scalar_fabric
 
 if TYPE_CHECKING:
     from ..net.topology import Topology
@@ -260,44 +264,6 @@ class OnOffDcqcnJob(OnOffSource):
         )
 
 
-class _SampleBuffer:
-    """Buffered sample rows flushed into a result after the run.
-
-    The fixed-step loop appends ``(time, per-sender rates, queue)`` rows
-    and materializes the :class:`TimeSeries` objects (and any telemetry
-    events) once at the end, so disabled-telemetry runs pay no
-    per-sample branch in the inner loop.
-    """
-
-    def __init__(self) -> None:
-        self.rows: List[tuple] = []
-
-    def snapshot(self, time: float, senders, occupancy: float) -> None:
-        """Capture one sample row from live sender objects."""
-        self.rows.append((
-            time,
-            [0.0 if sender.done else sender.rate for sender in senders],
-            occupancy,
-        ))
-
-    def flush(self, result: "DcqcnResult", names, telemetry) -> None:
-        """Materialize the buffered rows into ``result``."""
-        times = [row[0] for row in self.rows]
-        for column, name in enumerate(names):
-            result.rate_series[name] = TimeSeries.from_arrays(
-                name, times, [row[1][column] for row in self.rows]
-            )
-        result.queue_series = TimeSeries.from_arrays(
-            "queue", times, [row[2] for row in self.rows]
-        )
-        if telemetry.enabled:
-            for time, rates, _ in self.rows:
-                for name, rate in zip(names, rates):
-                    telemetry.event(
-                        KIND_CC_RATE, t=time, sender=name, rate=rate
-                    )
-
-
 @dataclass
 class DcqcnResult:
     """Output of a fine-grained DCQCN run.
@@ -348,23 +314,27 @@ class DcqcnResult:
 
 
 class DcqcnFluidSimulator:
-    """Fixed-step fluid simulation of DCQCN senders at one bottleneck.
+    """Fixed-step fluid simulation of DCQCN senders over links.
+
+    Without ``topology`` the simulator is a **dumbbell**: one bottleneck
+    link of ``capacity`` shared by every sender, whose queue is
+    ``self.queue``. The link takes the name of the link the fault
+    schedule addresses, or :data:`repro.net.topology.BOTTLENECK`.
+
+    Passing ``topology`` makes it a **multi-link fabric**: every sender
+    must then carry a ``route`` — a tuple of link names resolved against
+    the topology (e.g. from :meth:`repro.net.topology.Topology.fat_tree`)
+    — and fault schedules may target any named link. Either way each
+    link runs its own queue, marker and PFC state, and a sender reacts
+    to the most congested hop on its route: the dumbbell is simply the
+    1-link fabric (see :mod:`repro.cc.link_engine`).
 
     Optionally models **PFC** (priority flow control), RDMA's lossless
-    backstop: when the queue exceeds ``pfc_pause_threshold`` the switch
-    pauses all upstream senders; transmission resumes once it drains
-    below ``pfc_resume_threshold``. DCQCN's whole purpose is to keep the
-    queue short enough that PFC rarely fires; the ``pfc_pause_seconds``
-    counter measures how well it succeeds.
-
-    Passing ``topology`` switches the simulator to **multi-link fabric
-    mode**: every sender must then carry a ``route`` — a tuple of link
-    names resolved against the topology (e.g. from
-    :meth:`repro.net.topology.Topology.fat_tree`) — each link runs its
-    own queue, marker and PFC state, and a sender reacts to the most
-    congested hop on its route (see :mod:`repro.cc.link_engine`). Fault
-    schedules may then target any named fabric link instead of just the
-    single bottleneck.
+    backstop: when a link's queue exceeds ``pfc_pause_threshold`` the
+    switch pauses every sender routed across it; transmission resumes
+    once it drains below ``pfc_resume_threshold``. DCQCN's whole purpose
+    is to keep the queue short enough that PFC rarely fires; the
+    ``pfc_pause_seconds`` counter measures how well it succeeds.
     """
 
     def __init__(
@@ -391,15 +361,17 @@ class DcqcnFluidSimulator:
         self._fault_warps_installed = False
         self.topology = topology
         self.routes: List[Tuple[str, ...]] = []
-        self.fabric = None
-        if topology is None:
-            single_link(faults)  # reject multi-link schedules up front
         self.telemetry = _telemetry_session.resolve(telemetry)
         self.capacity = capacity
         self.marker = marker if marker is not None else RedEcnMarker()
         self.dt = dt
         self.sample_interval = sample_interval
         self.queue = FluidQueue(capacity)
+        self.fabric: Optional[LinkFabric] = None
+        if topology is None:
+            # Rejects multi-link schedules up front.
+            link = single_link(faults) or BOTTLENECK
+            self.fabric = LinkFabric([link], [self.queue])
         self.senders: List[DcqcnSender] = []
         if pfc_pause_threshold is not None:
             if pfc_pause_threshold <= 0:
@@ -412,7 +384,6 @@ class DcqcnFluidSimulator:
                 )
         self.pfc_pause_threshold = pfc_pause_threshold
         self.pfc_resume_threshold = pfc_resume_threshold
-        self.pfc_paused = False
         self.pfc_pause_seconds = 0.0
 
     def add_sender(
@@ -425,7 +396,7 @@ class DcqcnFluidSimulator:
     ) -> DcqcnSender:
         """Register a sender whose traffic crosses the bottleneck.
 
-        In fabric mode ``route`` names the links the sender's traffic
+        With a topology ``route`` names the links the sender's traffic
         traverses, in order, resolved against the simulator's topology.
         """
         sender = DcqcnSender(name, params, rng, data_bytes)
@@ -435,7 +406,7 @@ class DcqcnFluidSimulator:
     def add_source(self, source, route: Sequence[str] = ()) -> None:
         """Register any traffic source implementing the sender protocol
         (``name``, ``rate``, ``done``, ``step(now, dt, p)``) — e.g. an
-        :class:`OnOffDcqcnJob`. In fabric mode ``route`` names the links
+        :class:`OnOffDcqcnJob`. With a topology ``route`` names the links
         the source's traffic traverses."""
         self._register(source, route)
 
@@ -448,6 +419,7 @@ class DcqcnFluidSimulator:
                     "simulator has no topology; pass topology= to "
                     "DcqcnFluidSimulator to enable multi-link routes"
                 )
+            route = (self.fabric.names[0],)
         else:
             if not route:
                 raise ConfigError(
@@ -468,173 +440,38 @@ class DcqcnFluidSimulator:
         """Simulate ``duration`` seconds and return sampled traces.
 
         With ``engine="vector"`` (the default) the run goes through the
-        :class:`repro.cc.sender_bank.SenderBank` fast path — batched
-        sender updates, deterministic span advancement and idle/PFC
+        :class:`repro.cc.sender_bank.SenderBank` — batched sender
+        updates, deterministic span advancement and idle/PFC/fault
         fast-forward — which produces bit-identical traces. Source types
         the bank does not recognize fall back to the scalar reference
-        loop automatically; ``engine="scalar"`` forces it.
+        :func:`repro.cc.link_engine.run_scalar_fabric` automatically;
+        ``engine="scalar"`` forces it.
         """
         if not self.senders:
             raise SimulationError("add at least one sender before run()")
         self._install_fault_warps()
         emit_fault_events(self.telemetry, self.faults)
-        if self.topology is not None:
-            from .link_engine import (
-                LinkSenderBank,
-                build_fabric,
-                run_scalar_fabric,
-            )
-
-            if self.fabric is None:
-                self.fabric = build_fabric(self)
-            if self.engine == "vector":
-                bank = LinkSenderBank.build(self)
-                if bank is not None:
-                    return bank.run(duration)
-            return run_scalar_fabric(self, duration)
+        if self.fabric is None:
+            self.fabric = build_fabric(self)
         if self.engine == "vector":
             from .sender_bank import SenderBank
 
             bank = SenderBank.build(self)
             if bank is not None:
                 return bank.run(duration)
-        return self._run_scalar(duration)
+        return run_scalar_fabric(self, duration)
 
     def _install_fault_warps(self) -> None:
-        """Attach per-job warps (stragglers, skew, latency spikes) once.
-
-        On the single bottleneck the schedule's one link (if any)
-        applies to every on-off job; on a fabric each job sees exactly
-        the links its route traverses.
-        """
+        """Attach per-job warps (stragglers, skew, latency spikes) once;
+        each job sees exactly the links its route traverses."""
         if self.faults is None or self._fault_warps_installed:
             return
         self._fault_warps_installed = True
-        if self.topology is None:
-            link = single_link(self.faults)
-            default_links = (link,) if link is not None else ()
-            routes = [default_links] * len(self.senders)
-        else:
-            routes = self.routes
-        for sender, links in zip(self.senders, routes):
+        for sender, links in zip(self.senders, self.routes):
             if isinstance(sender, OnOffSource):
                 warp = build_warp(self.faults, sender.name, links)
                 if warp is not None:
                     sender.install_warp(warp)
-
-    def _set_capacity(self, capacity: float) -> None:
-        """Point both capacity views at the window's effective value."""
-        self.capacity = capacity
-        self.queue.capacity = capacity
-
-    def _run_scalar(self, duration: float) -> DcqcnResult:
-        """The dt-by-dt reference loop (``engine="scalar"``)."""
-        result = DcqcnResult(duration=duration)
-        steps = int(round(duration / self.dt))
-        samples_every = max(1, int(round(self.sample_interval / self.dt)))
-        samples = _SampleBuffer()
-        base_capacity = self.capacity
-        for window in capacity_windows(
-            self.faults, steps, self.dt, base_capacity
-        ):
-            if window.mode == MODE_NORMAL:
-                self._set_capacity(window.capacity)
-                self._scalar_span(
-                    window.start, window.end, samples_every, samples
-                )
-            elif window.mode == MODE_FREEZE:
-                # Link failed: nothing behind it moves — senders, queue
-                # and activation clockwork all hold their state.
-                self._scalar_freeze(
-                    window.start, window.end, samples_every, samples
-                )
-            else:
-                # PFC storm: forced pause-step semantics regardless of
-                # queue thresholds; the queue drains at base capacity.
-                self._set_capacity(window.capacity)
-                self._scalar_storm(
-                    window.start, window.end, samples_every, samples
-                )
-        self._set_capacity(base_capacity)
-        samples.flush(
-            result, [s.name for s in self.senders], self.telemetry
-        )
-        if self.telemetry.enabled:
-            steps_counter = self.telemetry.counter("cc.steps")
-            steps_counter.inc(steps)
-            cnp_counter = self.telemetry.counter("cc.cnps")
-            for sender in self.senders:
-                cnp_counter.inc(getattr(sender, "cnps_received", 0))
-        result.timelines = {
-            sender.name: sender.timeline
-            for sender in self.senders
-            if isinstance(sender, OnOffSource)
-        }
-        return result
-
-    def _scalar_span(
-        self, start: int, end: int, samples_every: int, samples: _SampleBuffer
-    ) -> None:
-        """The regular per-tick loop over ticks ``[start, end)``."""
-        for step_index in range(start, end):
-            now = step_index * self.dt
-            self._update_pfc()
-            p_mark = self.marker.marking_probability(self.queue.occupancy)
-            arrival = 0.0
-            if self.pfc_paused:
-                # Upstream is paused; the queue only drains. Sender rate
-                # machines idle (no bytes, no marks) for the step.
-                self.pfc_pause_seconds += self.dt
-            else:
-                for sender in self.senders:
-                    arrival += sender.step(now, self.dt, p_mark)
-            self.queue.step(arrival / self.dt if self.dt > 0 else 0.0, self.dt)
-            if (step_index + 1) % samples_every == 0:
-                # Samples land on the sample_interval grid: the state
-                # after tick k covers simulated time (k+1) * dt.
-                samples.snapshot(
-                    (step_index + 1) * self.dt,
-                    self.senders,
-                    self.queue.occupancy,
-                )
-
-    def _scalar_freeze(
-        self, start: int, end: int, samples_every: int, samples: _SampleBuffer
-    ) -> None:
-        """Failed-link ticks: state holds, only sample rows are emitted."""
-        for step_index in range(start, end):
-            if (step_index + 1) % samples_every == 0:
-                samples.snapshot(
-                    (step_index + 1) * self.dt,
-                    self.senders,
-                    self.queue.occupancy,
-                )
-
-    def _scalar_storm(
-        self, start: int, end: int, samples_every: int, samples: _SampleBuffer
-    ) -> None:
-        """PFC-storm ticks: senders idle while the queue drains."""
-        for step_index in range(start, end):
-            self.pfc_pause_seconds += self.dt
-            self.queue.step(0.0, self.dt)
-            if (step_index + 1) % samples_every == 0:
-                samples.snapshot(
-                    (step_index + 1) * self.dt,
-                    self.senders,
-                    self.queue.occupancy,
-                )
-
-    def _update_pfc(self) -> None:
-        if self.pfc_pause_threshold is None:
-            return
-        if not self.pfc_paused and (
-            self.queue.occupancy >= self.pfc_pause_threshold
-        ):
-            self.pfc_paused = True
-        elif self.pfc_paused and (
-            self.queue.occupancy <= self.pfc_resume_threshold
-        ):
-            self.pfc_paused = False
 
 
 def calibrate_timer_weights(

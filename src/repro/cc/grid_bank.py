@@ -5,10 +5,10 @@
 seeds x timers x workloads — into one structure-of-arrays simulation
 with state shaped ``(runs, senders)``. Each run keeps its own
 :class:`repro.cc.sender_bank.SenderBank` (the within-run vector
-engine), and the grid reuses that machinery wholesale: the shared
-:class:`TimerCache` wrap schedules, the deterministic span
-fast-forward, the idle/fault-window bulk advances, and the chunked
-:class:`UniformChunks` RNG draws.
+engine over the run's one link), and the grid reuses that machinery
+wholesale: the shared :class:`TimerCache` wrap schedules, the
+deterministic span fast-forward, the idle/fault-window bulk advances,
+and the chunked :class:`UniformChunks` RNG draws.
 
 The contract is the same as the sender bank's, one level up: every
 run's observable output — rate/queue series, ``timelines()``, final
@@ -16,13 +16,13 @@ sender state, RNG stream positions — is **bit-identical** to executing
 that simulator alone through ``engine="vector"``. Three properties
 make that possible:
 
-* **Per-run lane control flow.** Each lane owns a generator that
-  replays ``SenderBank.run`` exactly — fault-window partitioning, the
-  idle fast-forward, the span probe with its retry backoff — but with
-  the per-tick stretch (``_tick_run``) replaced by a *yield* into the
-  shared kernel. Spans, bulk idles and fault windows still execute on
-  the lane's own bank; only the stochastic tick-by-tick stretches are
-  stacked. Span/probe boundaries are pure cost decisions in the sender
+* **Per-run lane control flow.** Each lane runs its bank's own
+  control loop (:meth:`SenderBank.drive`) — fault-window partitioning,
+  the idle fast-forward, the span probe with its retry backoff — which
+  yields every stochastic stretch; a solo run serves those with
+  ``_tick_run``, the grid serves them with the shared kernel. Spans,
+  bulk idles and fault windows still execute on the lane's own bank;
+  only the stochastic tick-by-tick stretches are stacked. Span/probe boundaries are pure cost decisions in the sender
   bank (every committed quantity is bit-identical to per-tick
   stepping), so the grid is free to cut them differently.
 * **Masked per-tick kernel.** The stacked tick replays the per-slot
@@ -59,16 +59,11 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SimulationError
-from ..faults.runtime import (  # simlint: disable=ARCH001 - the grid engine replays fault windows inline, same inversion as sender_bank
-    MODE_FREEZE,
-    MODE_NORMAL,
-    capacity_windows,
-    emit_fault_events,
-)
-from .dcqcn import DcqcnFluidSimulator, DcqcnResult, _SampleBuffer
+from ..faults.runtime import emit_fault_events  # simlint: disable=ARCH001 - the grid engine emits fault events inline, same inversion as sender_bank
+from .dcqcn import DcqcnFluidSimulator, DcqcnResult
 from .sender_bank import (
-    TICK_RETRY,
     SenderBank,
+    TickRequest,
     TimerCache,
     activation_tick,
 )
@@ -76,18 +71,14 @@ from .sender_bank import (
 #: Tick sentinel meaning "this lane never reaches that event".
 _NEVER = 1 << 62
 
-#: Request yielded by a lane generator to the kernel:
-#: ``(tick, window_end, retry_at)``.
-_TickRequest = Tuple[int, int, int]
-
 
 def grid_compatible(sim) -> bool:
     """Whether ``sim`` can ride in a :class:`GridBank` lane.
 
     The batchability rules: a plain :class:`DcqcnFluidSimulator`
-    (no subclass), single bottleneck (no topology), no PFC, the
-    vector engine not overridden, at least one sender, and every
-    source/marker/queue type inside the sender bank's fast-path set.
+    (no subclass), single bottleneck (no topology, so one link), no
+    PFC, the vector engine not overridden, at least one sender, and
+    every source and marker type inside the sender bank's fast-path set.
     """
     return _lane_bank(sim) is not None
 
@@ -98,7 +89,7 @@ def _lane_bank(sim) -> Optional[SenderBank]:
     it never mutates the simulator — so probing is side-effect free."""
     if type(sim) is not DcqcnFluidSimulator:
         return None
-    if sim.topology is not None or sim.fabric is not None:
+    if sim.topology is not None:
         return None
     if sim.pfc_pause_threshold is not None:
         return None
@@ -109,7 +100,7 @@ def _lane_bank(sim) -> Optional[SenderBank]:
     bank = SenderBank.build(sim)
     if bank is None:
         return None
-    if not bank._red_marker or not bank._inline_queue or bank._has_pfc:
+    if not bank._red_marker:
         return None
     # The grid clamps rates with maximum-then-minimum, which matches
     # the scalar if/elif only while the floor sits at or below the
@@ -128,12 +119,16 @@ def run_grid(sims: Sequence, duration: float) -> List[DcqcnResult]:
     order, bit-identical to ``[sim.run(duration) for sim in sims]``."""
     sims = list(sims)
     results: List[Optional[DcqcnResult]] = [None] * len(sims)
-    by_dt: Dict[float, List[int]] = {}
+    by_dt: Dict[float, List[Tuple[int, SenderBank]]] = {}
     for index, sim in enumerate(sims):
-        if grid_compatible(sim):
-            by_dt.setdefault(sim.dt, []).append(index)
-    for indices in by_dt.values():
-        grid = GridBank.build([sims[i] for i in indices])
+        bank = _lane_bank(sim)
+        if bank is not None:
+            by_dt.setdefault(sim.dt, []).append((index, bank))
+    for lanes in by_dt.values():
+        indices = [index for index, _bank in lanes]
+        grid = GridBank._stack(
+            [sims[i] for i in indices], [bank for _i, bank in lanes]
+        )
         if grid is None:
             continue
         for i, trace in zip(indices, grid.run(duration)):
@@ -145,12 +140,12 @@ def run_grid(sims: Sequence, duration: float) -> List[DcqcnResult]:
 
 
 class _Lane:
-    """One run's slice of the grid: its simulator, bank, sample buffer
-    and the control-flow generator that replays ``SenderBank.run``."""
+    """One run's slice of the grid: its simulator, bank, link queue and
+    the bank's control loop (:meth:`SenderBank.drive`)."""
 
     __slots__ = (
-        "r", "n", "sim", "bank", "samples", "samples_every", "steps",
-        "gen", "job_lifec", "p_floor", "p_line", "done",
+        "r", "n", "sim", "bank", "queue", "gen", "job_lifec", "p_floor",
+        "p_line", "done",
     )
 
     def __init__(self, r: int, sim, bank: SenderBank) -> None:
@@ -158,10 +153,8 @@ class _Lane:
         self.n = len(bank.objs)
         self.sim = sim
         self.bank = bank
-        self.samples = _SampleBuffer()
-        self.samples_every = 1
-        self.steps = 0
-        self.gen: Optional[Generator] = None
+        self.queue = bank.fabric.queues[0]
+        self.gen: Optional[Generator[TickRequest, int, None]] = None
         self.job_lifec = list(bank.lifec)
         self.p_floor = np.array(bank.min_rate, dtype=float)
         self.p_line = np.array(bank.line, dtype=float)
@@ -239,12 +232,9 @@ class GridBank:
         self._mspan = np.ones(R)
         self._ticking = np.zeros(R, dtype=bool)
         self._n_ticking = 0
-        # Chunked RNG stream per slot, for the CNP draw loop, and the
-        # static per-slot MTU as plain Python floats (the draw loop is
-        # scalar by necessity — vectorized ``**`` is not bit-identical
-        # — so keep its operands out of numpy).
-        self._slot_stream: List[List[Optional[object]]] = []
-        self._mtu_l: List[List[float]] = []
+        # Chunked RNG stream per slot in row-major (lane, slot) order,
+        # for the scalar CNP draw loop.
+        self._slot_stream: List[Optional[object]] = []
         self._lanes: List[_Lane] = []
         for r, (sim, bank) in enumerate(zip(sims, banks)):
             n = len(bank.objs)
@@ -266,13 +256,7 @@ class GridBank:
             self._kmax[r] = bank._kmax
             self._pmax[r] = bank._pmax
             self._mspan[r] = bank._mspan
-            stream_row: List[Optional[object]] = [None] * S
-            for s in range(n):
-                stream_row[s] = bank.stream[s]
-            self._slot_stream.append(stream_row)
-            mtu_row = [1.0] * S
-            mtu_row[:n] = [float(m) for m in bank.mtu]
-            self._mtu_l.append(mtu_row)
+            self._slot_stream += bank.stream + [None] * (S - n)
 
     # ------------------------------------------------------------------
     # Construction
@@ -284,16 +268,20 @@ class GridBank:
         batchability rule (see :func:`grid_compatible`), the time steps
         differ, or two lanes share a numpy generator."""
         sims = list(sims)
-        if not sims:
+        return cls._stack(sims, [_lane_bank(sim) for sim in sims])
+
+    @classmethod
+    def _stack(
+        cls, sims: Sequence, banks: Sequence[Optional[SenderBank]]
+    ) -> Optional["GridBank"]:
+        """:meth:`build` over lane banks already built by
+        ``_lane_bank`` (``None`` marks an incompatible simulator)."""
+        if not sims or any(bank is None for bank in banks):
             return None
-        banks: List[SenderBank] = []
         dt0 = sims[0].dt
         seen_rngs: set = set()
-        for sim in sims:
+        for sim, bank in zip(sims, banks):
             if sim.dt != dt0:
-                return None
-            bank = _lane_bank(sim)
-            if bank is None:
                 return None
             lane_rngs = set(bank._streams_by_rng)
             if lane_rngs & seen_rngs:
@@ -302,7 +290,6 @@ class GridBank:
                 # solo execution.
                 return None
             seen_rngs |= lane_rngs
-            banks.append(bank)
         # One TimerCache per (timer, dt) for the whole grid: the
         # trajectory is a pure function of the key, so lanes share the
         # lazily-extended wrap schedules instead of rebuilding them.
@@ -314,7 +301,7 @@ class GridBank:
                 bank._tcaches[(bank.timer[k], dt0)]
                 for k in range(len(bank.objs))
             ]
-        return cls(sims, banks)
+        return cls(list(sims), list(banks))
 
     # ------------------------------------------------------------------
     # Run loop
@@ -325,8 +312,6 @@ class GridBank:
         as ``[sim.run(duration) for sim in sims]`` with the vector
         engine, including the fault-event emission and final sender
         writeback each solo run performs."""
-        dt = self.dt
-        steps = int(round(duration / dt))
         self._lanes = []
         for r, (sim, bank) in enumerate(zip(self.sims, self.banks)):
             if not sim.senders:
@@ -336,12 +321,8 @@ class GridBank:
             sim._install_fault_warps()
             emit_fault_events(sim.telemetry, sim.faults)
             lane = _Lane(r, sim, bank)
-            lane.steps = steps
-            lane.samples_every = max(
-                1, int(round(sim.sample_interval / dt))
-            )
-            self._sev[r] = lane.samples_every
-            lane.gen = self._drive(lane)
+            lane.gen = bank.drive(duration)
+            self._sev[r] = bank.samples_every
             self._lanes.append(lane)
         for lane in self._lanes:
             self._advance(lane, first=True)
@@ -349,82 +330,17 @@ class GridBank:
         # The kernel appends sample rows as array views to keep the hot
         # loop cheap; normalize them to the plain lists the bank's
         # bulk/span paths append before handing off to _finish.
-        for lane in self._lanes:
-            rows = lane.samples.rows
+        for bank in self.banks:
+            rows = bank.samples.rows
             for idx, row in enumerate(rows):
                 rates = row[1]
                 if isinstance(rates, np.ndarray):
                     rows[idx] = (row[0], rates.tolist(), row[2])
-        return [
-            bank._finish(duration, steps, lane.samples)
-            for lane, bank in zip(self._lanes, self.banks)
-        ]
+        return [bank._finish(duration) for bank in self.banks]
 
     # ------------------------------------------------------------------
-    # Lane control flow (replays SenderBank.run / _run_span)
+    # Lane control flow
     # ------------------------------------------------------------------
-
-    def _drive(self, lane: _Lane) -> Generator[_TickRequest, int, None]:
-        """Replay of :meth:`SenderBank.run`'s window loop for one lane;
-        stochastic stretches yield tick requests into the kernel."""
-        sim = lane.sim
-        bank = lane.bank
-        base_capacity = sim.capacity
-        for window in capacity_windows(
-            sim.faults, lane.steps, self.dt, base_capacity
-        ):
-            if window.mode == MODE_NORMAL:
-                sim._set_capacity(window.capacity)
-                yield from self._drive_span(lane, window.start, window.end)
-            elif window.mode == MODE_FREEZE:
-                bank._bulk_freeze(
-                    window.start, window.end, lane.samples_every,
-                    lane.samples,
-                )
-            else:
-                sim._set_capacity(window.capacity)
-                bank._bulk_storm(
-                    window.start, window.end, lane.samples_every,
-                    lane.samples,
-                )
-        sim._set_capacity(base_capacity)
-
-    def _drive_span(
-        self, lane: _Lane, start: int, steps: int
-    ) -> Generator[_TickRequest, int, None]:
-        """Replay of :meth:`SenderBank._run_span` (PFC branch excluded
-        by the batchability rules) with ``_tick_run`` replaced by a
-        yield. The kernel resumes the generator with the lane's current
-        tick whenever the lane hits the window end, goes fully idle, or
-        passes ``retry_at`` with a span-friendly gate — at which point
-        the original probe/backoff logic runs unchanged on the bank."""
-        bank = lane.bank
-        i = start
-        retry_at = start
-        retry_gap = TICK_RETRY
-        while i < steps:
-            if bank._n_active == 0:
-                nxt = bank._next_activation()
-                if nxt is None or nxt > i:
-                    end = steps if nxt is None else min(nxt, steps)
-                    bank._bulk_idle(
-                        i, end, lane.samples_every, lane.samples
-                    )
-                    i = end
-                    retry_gap = TICK_RETRY
-                    continue
-            elif i >= retry_at:
-                advanced = bank._try_span(
-                    i, steps, lane.samples_every, lane.samples
-                )
-                if advanced:
-                    i += advanced
-                    retry_gap = TICK_RETRY
-                    continue
-                retry_at = i + retry_gap
-                if retry_gap < 8 * TICK_RETRY:
-                    retry_gap *= 2
-            i = yield (i, steps, retry_at)
 
     def _advance(
         self, lane: _Lane, value: Optional[int] = None,
@@ -488,9 +404,8 @@ class GridBank:
         for s, lifecycle in enumerate(lane.job_lifec):
             if lifecycle is not None:
                 self._cs[r, s] = lifecycle.comm_sent
-        sim = lane.sim
-        self._occ[r] = sim.queue.occupancy
-        self._cap[r] = sim.queue.capacity
+        self._occ[r] = lane.queue.occupancy
+        self._cap[r] = lane.queue.capacity
         self._nact[r] = bank._n_active
         nxt = bank._next_activation() if bank._idle_live else None
         self._act_min[r] = _NEVER if nxt is None else nxt
@@ -521,7 +436,7 @@ class GridBank:
             if lifecycle is not None:
                 lifecycle.comm_sent = float(self._cs[r, s])
         bank._n_active = int(self._nact[r])
-        lane.sim.queue.occupancy = float(self._occ[r])
+        lane.queue.occupancy = float(self._occ[r])
 
     def _retire_row(self, r: int) -> None:
         """Neutralize a finished lane so full-grid ops ignore it."""
@@ -677,10 +592,10 @@ class GridBank:
                 rates_now = np.where(act, rate, 0.0)
                 for r in np.nonzero(due)[0].tolist():
                     lane = self._lanes[r]
-                    lane.samples.rows.append((
+                    lane.bank.samples.rows.append((
                         int(iarr[r]) * dt,
                         rates_now[r, : lane.n],
-                        float(occ_arr[r]),
+                        [float(occ_arr[r])],
                     ))
             # Lane exits: window end, full idle, or a span-friendly
             # probe gate past retry_at. The gate is a pure cost filter
@@ -718,109 +633,98 @@ class GridBank:
         the coin itself uses Python-float ``**`` — the vectorized power
         op is *not* bit-identical to the scalar one — and the inlined
         chunk draw, in row-major order, exactly as ``_tick_run`` does.
-        The slots whose coin lands then update in one fancy-indexed
-        batch of elementwise ops (same op sequence per slot).
+        The packet counts ``sent / mtu`` are elementwise divisions (IEEE,
+        so bit-identical to the scalar ones). The slots whose coin lands
+        then update as masked elementwise ops (same op sequence per
+        slot).
         """
-        el_r, el_s = np.nonzero(elig)
-        rows = el_r.tolist()
-        cols = el_s.tolist()
-        sent_l = self._sent[el_r, el_s].tolist()
-        q_mark_l = (1.0 - p_mark)[el_r].tolist()
+        flat = np.flatnonzero(elig)
+        q_mark_l = (1.0 - p_mark)[flat // self._S].tolist()
+        packets_l = (
+            self._sent.ravel()[flat] / self._p_mtu.ravel()[flat]
+        ).tolist()
         slot_stream = self._slot_stream
-        mtu_l = self._mtu_l
         hits: List[int] = []
         append_hit = hits.append
-        for j, (r, c, sent_b, q_mark) in enumerate(
-            zip(rows, cols, sent_l, q_mark_l)
-        ):
-            p_hit = 1.0 - q_mark ** (sent_b / mtu_l[r][c])
-            stream = slot_stream[r][c]
+        for f, q_mark, packets in zip(flat.tolist(), q_mark_l, packets_l):
+            p_hit = 1.0 - q_mark ** packets
+            stream = slot_stream[f]
             pos = stream._pos
             buf = stream._buf
             if pos >= len(buf):
-                if stream._state0 is None:
-                    stream._state0 = stream._rng.bit_generator.state
-                buf = stream._rng.random(stream._chunk).tolist()
-                stream._buf = buf
+                buf = stream.refill()
                 pos = 0
             stream._pos = pos + 1
             stream._consumed += 1
             if buf[pos] < p_hit:
-                append_hit(j)
+                append_hit(f)
         if not hits:
             return
-        hr = el_r[hits]
-        hs = el_s[hits]
-        alpha = self._alpha
-        rate = self._rate
-        # a = (1 - g) * alpha + g; rate cut to max(r * (1 - a/2), floor)
-        # with target parked at the pre-cut rate — all elementwise.
-        a_new = self._p_omg[hr, hs] * alpha[hr, hs] + self._p_g[hr, hs]
-        alpha[hr, hs] = a_new
-        r_now = rate[hr, hs]
-        self._target[hr, hs] = r_now
-        cut = r_now * (1.0 - a_new / 2.0)
-        rate[hr, hs] = np.maximum(cut, self._p_minrate[hr, hs])
-        self._bacc[hr, hs] = 0.0
-        self._tacc[hr, hs] = 0.0
-        self._bst[hr, hs] = 0
-        self._tst[hr, hs] = 0
-        now_sel = now[hr]
-        self._ncnp[hr, hs] = now_sel + self._p_cnpint[hr, hs]
-        self._ndecay[hr, hs] = now_sel + self._p_alphat[hr, hs]
-        self._cnps[hr, hs] += 1
-        self._tph[hr, hs] = 0
+        # Flat views: every state array is C-contiguous (runs, senders).
+        hf = np.asarray(hits)
+        alpha = self._alpha.ravel()
+        rate = self._rate.ravel()
+        # a = (1 - g) * alpha + g; target parks at the pre-cut rate,
+        # which is cut to max(r * (1 - a/2), floor).
+        a_new = self._p_omg.ravel()[hf] * alpha[hf] + self._p_g.ravel()[hf]
+        alpha[hf] = a_new
+        r_now = rate[hf]
+        self._target.ravel()[hf] = r_now
+        rate[hf] = np.maximum(
+            r_now * (1.0 - a_new / 2.0), self._p_minrate.ravel()[hf]
+        )
+        for state in (self._bacc, self._tacc, self._bst, self._tst, self._tph):
+            state.ravel()[hf] = 0
+        now_sel = now[hf // self._S]
+        self._ncnp.ravel()[hf] = now_sel + self._p_cnpint.ravel()[hf]
+        self._ndecay.ravel()[hf] = now_sel + self._p_alphat.ravel()[hf]
+        self._cnps.ravel()[hf] += 1
 
     def _wrap_pass(self, wrap: np.ndarray, byte: bool) -> None:
         """Byte/timer wrap loops with increase events, vectorized one
-        wrap round at a time (per-slot op order matches the scalar
-        while-loop; slots are independent across rounds)."""
-        accum = self._bacc if byte else self._tacc
-        stage = self._bst if byte else self._tst
-        limit = self._p_B if byte else self._p_T
-        bst = self._bst
-        tst = self._tst
-        rate = self._rate
-        target = self._target
-        fast = self._p_fast
-        while True:
-            w_r, w_s = np.nonzero(wrap)
-            if not w_r.size:
-                return
-            accum[w_r, w_s] -= limit[w_r, w_s]
-            stage[w_r, w_s] += 1
+        wrap round at a time over the wrapped slots (per-slot op order
+        matches the scalar while-loop; slots are independent across
+        rounds)."""
+        accum = (self._bacc if byte else self._tacc).ravel()
+        stage = (self._bst if byte else self._tst).ravel()
+        limit = (self._p_B if byte else self._p_T).ravel()
+        bst = self._bst.ravel()
+        tst = self._tst.ravel()
+        rate = self._rate.ravel()
+        target = self._target.ravel()
+        idx = np.flatnonzero(wrap)
+        while idx.size:
+            accum[idx] -= limit[idx]
+            stage[idx] += 1
             # _increase_event on the wrapped slots: the in-fast branch
             # adds exactly 0.0 (a no-op on positive targets), matching
             # the scalar "pass"; the clamp applies unconditionally.
-            f = fast[w_r, w_s]
-            b = bst[w_r, w_s]
-            t = tst[w_r, w_s]
-            in_fast = (b < f) & (t < f)
-            past_both = (b >= f) & (t >= f)
+            f = self._p_fast.ravel()[idx]
+            b = bst[idx]
+            t = tst[idx]
             bump = np.where(
-                in_fast,
+                (b < f) & (t < f),
                 0.0,
                 np.where(
-                    past_both, self._p_rhai[w_r, w_s],
-                    self._p_rai[w_r, w_s],
+                    (b >= f) & (t >= f),
+                    self._p_rhai.ravel()[idx],
+                    self._p_rai.ravel()[idx],
                 ),
             )
-            tgt = target[w_r, w_s] + bump
-            np.minimum(tgt, self._p_line[w_r, w_s], out=tgt)
-            target[w_r, w_s] = tgt
-            rate[w_r, w_s] = (tgt + rate[w_r, w_s]) / 2.0
-            wrap[w_r, w_s] = accum[w_r, w_s] >= limit[w_r, w_s]
+            tgt = np.minimum(target[idx] + bump, self._p_line.ravel()[idx])
+            target[idx] = tgt
+            rate[idx] = (tgt + rate[idx]) / 2.0
+            idx = idx[accum[idx] >= limit[idx]]
 
     def _decay_pass(self, decay: np.ndarray, now: np.ndarray) -> None:
-        """Alpha-decay while-loops, vectorized one round at a time."""
-        alpha = self._alpha
-        ndecay = self._ndecay
-        omg = self._p_omg
-        period = self._p_alphat
-        while True:
-            d_r, d_s = np.nonzero(decay)
-            if not d_r.size:
-                return
-            alpha[d_r, d_s] *= omg[d_r, d_s]
-            ndecay[d_r, d_s] += period[d_r, d_s]
-            decay[d_r, d_s] = now[d_r] >= ndecay[d_r, d_s]
+        """Alpha-decay while-loops, vectorized one round at a time over
+        the decaying slots."""
+        alpha = self._alpha.ravel()
+        ndecay = self._ndecay.ravel()
+        omg = self._p_omg.ravel()
+        period = self._p_alphat.ravel()
+        idx = np.flatnonzero(decay)
+        while idx.size:
+            alpha[idx] *= omg[idx]
+            ndecay[idx] += period[idx]
+            idx = idx[now[idx // self._S] >= ndecay[idx]]

@@ -1,47 +1,36 @@
-"""Multi-link fabric engine for the fixed-step DCQCN fluid tier.
+"""Links of the fixed-step DCQCN fluid tier, and its scalar oracle.
 
-Generalizes the single-bottleneck model of
-:class:`repro.cc.dcqcn.DcqcnFluidSimulator` to *a vector of links per
-sender*: every sender carries a route (a tuple of named
-:class:`repro.net.topology.Link` instances resolved through a
-:class:`~repro.net.topology.Topology`), each link runs its own fluid
-queue with RED/ECN marking and PFC hysteresis, and a sender reacts to
-its **most congested hop** — the maximum marking probability along its
-route, and a full stop while any route link is PFC-paused, failed or
-storming.
+Every :class:`repro.cc.dcqcn.DcqcnFluidSimulator` run is a fabric: a
+:class:`LinkFabric` of named links, each running its own fluid queue
+with RED/ECN marking and PFC hysteresis, plus one route (a tuple of
+links) per sender. A sender reacts to its **most congested hop** — the
+maximum marking probability along its route, and a full stop while any
+route link is PFC-paused, failed or storming.
 
-Two engines share one contract, exactly as in the single-link tier:
+The single-bottleneck dumbbell is the 1-link case: one link, named
+after the link its fault schedule addresses (or
+:data:`repro.net.topology.BOTTLENECK` when the schedule names none),
+whose queue is the simulator's ``queue``, crossed by every sender. A
+``topology=`` simulator instead interns the links its senders' routes
+name (resolved through a :class:`~repro.net.topology.Topology`).
 
-* :func:`run_scalar_fabric` — the dt-by-dt reference loop over live
-  sender objects. This defines the semantics.
-* :class:`LinkSenderBank` — the vectorized engine, a subclass of
-  :class:`repro.cc.sender_bank.SenderBank` that keeps the per-sender
-  structure-of-arrays kernel, the :class:`~repro.cc.sender_bank.TimerCache`
-  wrap schedules and the chunked RNG, and extends the deterministic span
-  fast-forward to a links x senders incidence: per-link arrival folds
-  (slot order, ``np.cumsum``) with the single clamp-at-empty episode per
-  link, and the span cut taken at the earliest violation across *all*
-  links (queue above ``kmin`` once a sender is CNP-eligible, or any
-  start-of-tick occupancy at the PFC pause threshold). Span boundaries
-  remain a pure cost decision — every committed quantity is
-  bit-identical to the reference loop, which
-  ``tests/test_fattree_equivalence.py`` pins (series, per-link queue
-  series, timelines and RNG stream positions).
+:func:`run_scalar_fabric` is the dt-by-dt reference loop over live
+sender objects. It defines the semantics and is the oracle the
+vectorized :class:`repro.cc.sender_bank.SenderBank` is pinned against
+bit-for-bit (series, per-link queue series, timelines and RNG stream
+positions; see ``tests/test_fattree_equivalence.py``).
 
-Fault schedules may target any named fabric link:
+Fault schedules may target any named link:
 :func:`repro.faults.runtime.link_capacity_windows` merges the per-link
-windows, faulted windows run the per-tick kernel (no span fast-forward
-— fault windows are short and correctness is trivially preserved), and
-per-job warps see exactly the links on the job's route.
+windows, and per-job warps see exactly the links on the job's route.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
+from ..core.lifecycle import OnOffSource
 from ..errors import ConfigError
 from ..faults.runtime import (  # simlint: disable=ARCH001 - CC tiers execute fault windows inline for bit-equivalence; shared types pending a layer move
     MODE_FREEZE,
@@ -52,67 +41,55 @@ from ..faults.runtime import (  # simlint: disable=ARCH001 - CC tiers execute fa
 from ..sim.trace import TimeSeries
 from ..switches.queues import FluidQueue
 from ..telemetry.trace import KIND_CC_RATE
-from .sender_bank import (
-    MAX_HORIZON,
-    MIN_SPAN,
-    SPAN_MARGIN,
-    TICK_RETRY,
-    SenderBank,
-    activation_tick,
-    clamp_drain,
-    fold_traj,
-    sample_ticks,
-)
 
 
 class LinkFabric:
-    """Per-link queues, PFC state and route incidence for one simulator.
-
-    Links are collected in first-use order over the senders' routes
-    (plus any extra links a fault schedule names), so the fabric only
-    carries the links traffic or faults can actually touch — a fat tree
-    has ``5k^3/4`` directed links but a handful of jobs cross far fewer.
-    """
+    """Per-link queues, PFC state and fault modes for one simulator."""
 
     def __init__(
-        self,
+        self, names: Sequence[str], queues: Sequence[FluidQueue]
+    ) -> None:
+        if not names:
+            raise ConfigError("fabric needs at least one routed link")
+        self.names: List[str] = list(names)
+        self.index: Dict[str, int] = {
+            name: link for link, name in enumerate(self.names)
+        }
+        self.queues: List[FluidQueue] = list(queues)
+        self.base_caps: List[float] = [queue.capacity for queue in queues]
+        n = len(self.names)
+        self.paused: List[bool] = [False] * n
+        #: Per-fault-window mode of each link.
+        self.modes: List[str] = [MODE_NORMAL] * n
+
+    @classmethod
+    def from_topology(
+        cls,
         topology,
         routes: Sequence[Tuple[str, ...]],
         extra_links: Sequence[str] = (),
         max_occupancy: float = math.inf,
-    ) -> None:
-        self.names: List[str] = []
-        self.index: Dict[str, int] = {}
-        self.links: List[object] = []
+    ) -> "LinkFabric":
+        """The links ``routes`` (plus ``extra_links``) name, in first-use
+        order — a fat tree has ``5k^3/4`` directed links but a handful
+        of jobs cross far fewer."""
+        names: Dict[str, None] = {}
         for route in routes:
-            for name in route:
-                self._intern(topology, name)
-        for name in extra_links:
-            self._intern(topology, name)
-        if not self.names:
-            raise ConfigError("fabric needs at least one routed link")
-        self.base_caps: List[float] = [link.capacity for link in self.links]
-        self.queues: List[FluidQueue] = [
-            FluidQueue(capacity, max_occupancy=max_occupancy)
-            for capacity in self.base_caps
-        ]
-        #: Routes as tuples of link indices, one per sender slot.
-        self.routes: List[Tuple[int, ...]] = [
-            tuple(self.index[name] for name in route) for route in routes
-        ]
-        n = len(self.names)
-        self.paused: List[bool] = [False] * n
-        self.pause_seconds: List[float] = [0.0] * n
-        # Per-fault-window effective state (mode + capacity per link).
-        self.modes: List[str] = [MODE_NORMAL] * n
-        self.eff_caps: List[float] = list(self.base_caps)
+            names.update(dict.fromkeys(route))
+        names.update(dict.fromkeys(extra_links))
+        return cls(list(names), [
+            FluidQueue(
+                topology.link_by_name(name).capacity,
+                max_occupancy=max_occupancy,
+            )
+            for name in names
+        ])
 
-    def _intern(self, topology, name: str) -> None:
-        if name not in self.index:
-            link = topology.link_by_name(name)
-            self.index[name] = len(self.names)
-            self.names.append(name)
-            self.links.append(link)
+    def resolve(
+        self, routes: Sequence[Tuple[str, ...]]
+    ) -> List[Tuple[int, ...]]:
+        """Routes of link names as tuples of link indices."""
+        return [tuple(self.index[name] for name in route) for route in routes]
 
     def base_capacities(self) -> Dict[str, float]:
         """Link name -> base capacity, for the fault-window segmentation."""
@@ -125,7 +102,6 @@ class LinkFabric:
                 name, (MODE_NORMAL, self.base_caps[index])
             )
             self.modes[index] = mode
-            self.eff_caps[index] = capacity
             if mode != MODE_FREEZE:
                 self.queues[index].capacity = capacity
 
@@ -133,39 +109,25 @@ class LinkFabric:
         """Reset every link to its base capacity and normal mode."""
         for index, capacity in enumerate(self.base_caps):
             self.modes[index] = MODE_NORMAL
-            self.eff_caps[index] = capacity
             self.queues[index].capacity = capacity
 
-    def all_normal(self, modes: Dict[str, Tuple[str, float]]) -> bool:
-        """Whether a window leaves every link in ``MODE_NORMAL``."""
-        for mode, _capacity in modes.values():
-            if mode != MODE_NORMAL:
-                return False
-        return True
 
-
-class _LinkSampleBuffer:
+class _SampleBuffer:
     """Sample rows ``(time, per-sender rates, per-link occupancies)``.
 
-    The multi-link sibling of :class:`repro.cc.dcqcn._SampleBuffer`:
-    same flush contract (``flush(result, names, telemetry)``), but each
-    row carries the whole occupancy vector and the flush materializes
-    one queue series per link plus the cross-link elementwise maximum as
-    the headline ``queue_series`` (the most congested hop at each
-    sample, mirroring what the senders react to).
+    The loops append rows and the :class:`TimeSeries` objects (and any
+    telemetry events) materialize once at the end, so disabled-telemetry
+    runs pay no per-sample branch in the inner loop. The headline
+    ``queue_series`` is the cross-link elementwise maximum — the most
+    congested hop at each sample, mirroring what the senders react to.
+    Per-link series are emitted only when ``per_link`` is set (topology
+    runs; a dumbbell result carries none).
     """
 
-    def __init__(self, link_names: Sequence[str]) -> None:
+    def __init__(self, link_names: Sequence[str], per_link: bool) -> None:
         self.link_names = list(link_names)
+        self.per_link = per_link
         self.rows: List[tuple] = []
-
-    def snapshot(self, time: float, senders, fabric: LinkFabric) -> None:
-        """Capture one sample row from live sender objects."""
-        self.rows.append((
-            time,
-            [0.0 if sender.done else sender.rate for sender in senders],
-            [queue.occupancy for queue in fabric.queues],
-        ))
 
     def flush(self, result, names, telemetry) -> None:
         """Materialize the buffered rows into ``result``."""
@@ -174,17 +136,15 @@ class _LinkSampleBuffer:
             result.rate_series[name] = TimeSeries.from_arrays(
                 name, times, [row[1][column] for row in self.rows]
             )
-        occ_columns = []
-        for column, link_name in enumerate(self.link_names):
-            values = [row[2][column] for row in self.rows]
-            occ_columns.append(values)
-            result.link_queue_series[link_name] = TimeSeries.from_arrays(
-                f"queue:{link_name}", times, values
-            )
-        worst = [
-            max(row[2]) for row in self.rows
-        ]
-        result.queue_series = TimeSeries.from_arrays("queue", times, worst)
+        if self.per_link:
+            for column, link_name in enumerate(self.link_names):
+                result.link_queue_series[link_name] = TimeSeries.from_arrays(
+                    f"queue:{link_name}", times,
+                    [row[2][column] for row in self.rows],
+                )
+        result.queue_series = TimeSeries.from_arrays(
+            "queue", times, [max(row[2]) for row in self.rows]
+        )
         if telemetry.enabled:
             for time, rates, _occs in self.rows:
                 for name, rate in zip(names, rates):
@@ -194,17 +154,13 @@ class _LinkSampleBuffer:
 
 
 def build_fabric(sim) -> LinkFabric:
-    """Resolve a simulator's routes against its topology into a fabric."""
+    """Resolve a topology simulator's routes into a fabric."""
     extra = () if sim.faults is None else tuple(sim.faults.link_names())
-    return LinkFabric(sim.topology, sim.routes, extra_links=extra)
+    return LinkFabric.from_topology(sim.topology, sim.routes, extra_links=extra)
 
-
-# ---------------------------------------------------------------------------
-# Scalar reference
-# ---------------------------------------------------------------------------
 
 def run_scalar_fabric(sim, duration: float):
-    """The dt-by-dt multi-link reference loop; defines the semantics.
+    """The dt-by-dt reference loop; defines the semantics.
 
     Per tick, in order: (1) per-link PFC hysteresis on normal-mode
     links; (2) per-link marking probability; (3) senders in insertion
@@ -221,14 +177,13 @@ def run_scalar_fabric(sim, duration: float):
     dt = sim.dt
     steps = int(round(duration / dt))
     samples_every = max(1, int(round(sim.sample_interval / dt)))
-    samples = _LinkSampleBuffer(fabric.names)
+    samples = _SampleBuffer(fabric.names, sim.topology is not None)
     result = DcqcnResult(duration=duration)
     marker = sim.marker
     queues = fabric.queues
     modes = fabric.modes
-    routes = fabric.routes
+    routes = fabric.resolve(sim.routes)
     paused = fabric.paused
-    pause_seconds = fabric.pause_seconds
     n_links = len(queues)
     has_pfc = sim.pfc_pause_threshold is not None
     pause_threshold = sim.pfc_pause_threshold
@@ -276,13 +231,18 @@ def run_scalar_fabric(sim, duration: float):
                 if mode == MODE_FREEZE:
                     continue
                 if mode == MODE_STORM or paused[link]:
-                    pause_seconds[link] += dt
                     sim.pfc_pause_seconds += dt
                 queues[link].step(
                     arrivals[link] / dt if dt > 0 else 0.0, dt
                 )
             if (step_index + 1) % samples_every == 0:
-                samples.snapshot((step_index + 1) * dt, sim.senders, fabric)
+                # Samples land on the sample_interval grid: the state
+                # after tick k covers simulated time (k+1) * dt.
+                samples.rows.append((
+                    (step_index + 1) * dt,
+                    [0.0 if s.done else s.rate for s in sim.senders],
+                    [queue.occupancy for queue in queues],
+                ))
     fabric.restore()
     samples.flush(result, [s.name for s in sim.senders], sim.telemetry)
     if sim.telemetry.enabled:
@@ -290,560 +250,9 @@ def run_scalar_fabric(sim, duration: float):
         cnp_counter = sim.telemetry.counter("cc.cnps")
         for sender in sim.senders:
             cnp_counter.inc(getattr(sender, "cnps_received", 0))
-    from ..core.lifecycle import OnOffSource
-
     result.timelines = {
         sender.name: sender.timeline
         for sender in sim.senders
         if isinstance(sender, OnOffSource)
     }
     return result
-
-
-# ---------------------------------------------------------------------------
-# Vector engine
-# ---------------------------------------------------------------------------
-
-class LinkSenderBank(SenderBank):
-    """Structure-of-arrays engine over a links x senders incidence.
-
-    Inherits the per-sender machinery unchanged — slot layout, CNP-free
-    span planning (:meth:`SenderBank._plan_sender` and the
-    :class:`~repro.cc.sender_bank.TimerCache`), exact state write-back
-    (:meth:`SenderBank._commit_sender`), activation/completion
-    bookkeeping and the chunked-RNG write-back in
-    :meth:`SenderBank._finish` — and replaces everything that touches
-    *the* queue with per-link folds driven by the fabric's incidence
-    lists (ascending slot order per link, matching the reference loop's
-    accumulation order bit-for-bit).
-    """
-
-    @classmethod
-    def build(cls, sim) -> Optional["LinkSenderBank"]:
-        bank = super().build(sim)
-        if bank is None:
-            return None
-        fabric = sim.fabric
-        bank.fabric = fabric
-        # Fabric queues are plain infinite FluidQueues by construction.
-        bank._inline_queue = True
-        bank._link_slots = [[] for _ in fabric.names]
-        for slot, route in enumerate(fabric.routes):
-            for link in route:
-                bank._link_slots[link].append(slot)
-        return bank
-
-    def run(self, duration: float):
-        sim = self.sim
-        dt = sim.dt
-        steps = int(round(duration / dt))
-        samples_every = max(1, int(round(sim.sample_interval / dt)))
-        fabric = self.fabric
-        samples = _LinkSampleBuffer(fabric.names)
-        for window in link_capacity_windows(
-            sim.faults, steps, dt, fabric.base_capacities()
-        ):
-            fabric.apply_window(window.modes)
-            if fabric.all_normal(window.modes):
-                self._run_span(
-                    window.start, window.end, samples_every, samples
-                )
-            else:
-                # Faulted windows run per-tick: blocking is per-route,
-                # so span planning would be invalid anyway, and fault
-                # windows are short relative to the run.
-                i = window.start
-                while i < window.end:
-                    i = self._tick_run(
-                        i, window.end, samples_every, samples,
-                        fast_exit=False,
-                    )
-        fabric.restore()
-        return self._finish(duration, steps, samples)
-
-    def _update_pfc_all(self) -> None:
-        """Idempotent start-of-tick PFC hysteresis on every normal link."""
-        sim = self.sim
-        pause_threshold = sim.pfc_pause_threshold
-        resume_threshold = sim.pfc_resume_threshold
-        fabric = self.fabric
-        paused = fabric.paused
-        modes = fabric.modes
-        for link, queue in enumerate(fabric.queues):
-            if modes[link] != MODE_NORMAL:
-                continue
-            occupancy = queue.occupancy
-            if not paused[link] and occupancy >= pause_threshold:
-                paused[link] = True
-            elif paused[link] and occupancy <= resume_threshold:
-                paused[link] = False
-
-    def _run_span(
-        self, start: int, steps: int, samples_every: int, samples
-    ) -> None:
-        """The all-links-normal engine loop over ticks ``[start, steps)``."""
-        i = start
-        retry_at = start
-        retry_gap = TICK_RETRY
-        while i < steps:
-            if self._has_pfc:
-                self._update_pfc_all()
-                if True in self.fabric.paused:
-                    # Some routes are blocked: the per-tick kernel owns
-                    # pause accrual and resume; probe again shortly.
-                    end = i + 4 * TICK_RETRY
-                    if end > steps:
-                        end = steps
-                    i = self._tick_run(
-                        i, end, samples_every, samples, fast_exit=False
-                    )
-                    retry_gap = TICK_RETRY
-                    continue
-            if self._n_active == 0:
-                nxt = self._next_activation()
-                if nxt is None or nxt > i:
-                    end = steps if nxt is None else min(nxt, steps)
-                    self._bulk_idle(i, end, samples_every, samples)
-                    i = end
-                    retry_gap = TICK_RETRY
-                    continue
-            elif i >= retry_at:
-                advanced = self._try_span(i, steps, samples_every, samples)
-                if advanced:
-                    i += advanced
-                    retry_gap = TICK_RETRY
-                    continue
-                retry_at = i + retry_gap
-                if retry_gap < 8 * TICK_RETRY:
-                    retry_gap *= 2
-            end = retry_at if i < retry_at else i + 1
-            if end > steps:
-                end = steps
-            i = self._tick_run(i, end, samples_every, samples)
-
-    def _bulk_idle(
-        self, i: int, end: int, samples_every: int, samples
-    ) -> None:
-        """Fast-forward ticks where every source computes or is done.
-
-        No link is PFC-paused on entry (checked by the caller after the
-        hysteresis update) and occupancies only fall while draining, so
-        no pause can begin mid-stretch and every queue's trajectory is
-        the closed-form drain fold.
-        """
-        sim = self.sim
-        dt = sim.dt
-        span = end - i
-        if span <= 0:
-            return
-        fabric = self.fabric
-        wanted = sample_ticks(i, end, samples_every)
-        need_rows = len(wanted) > 0
-        trajs: List[Optional[np.ndarray]] = []
-        for link, queue in enumerate(fabric.queues):
-            occ0 = queue.occupancy
-            delta = (0.0 / dt - fabric.eff_caps[link]) * dt
-            if occ0 > 0.0 or need_rows:
-                traj = clamp_drain(fold_traj(occ0, delta, span))
-                queue.occupancy = float(traj[span])
-                trajs.append(traj)
-            else:
-                trajs.append(None)
-        if need_rows:
-            zeros = [0.0] * len(self.objs)
-            for j in wanted:
-                samples.rows.append((
-                    (j + 1) * dt,
-                    list(zeros),
-                    [float(traj[j - i + 1]) for traj in trajs],
-                ))
-
-    def _try_span(
-        self, i: int, steps: int, samples_every: int, samples
-    ) -> int:
-        """Advance as many deterministic ticks as possible in one jump.
-
-        The single-link logic generalized over the incidence: per-sender
-        plans are unchanged; the queue fold, clamp episode, kmin cut and
-        PFC cut run per link and the committed span is the minimum cut
-        across all of them. Returns 0 when no profitable span exists.
-        """
-        if not self._red_marker:
-            return 0
-        sim = self.sim
-        dt = sim.dt
-        kmin = self._kmin
-        fabric = self.fabric
-        active = self.active
-        n = len(self.objs)
-        n_links = len(fabric.queues)
-        link_slots = self._link_slots
-        occ0s = [queue.occupancy for queue in fabric.queues]
-        # Earliest tick offset at which any active sender becomes
-        # CNP-eligible (identical to the single-link computation).
-        elig = steps
-        for k in range(n):
-            if not active[k]:
-                continue
-            nc = self.next_cnp[k]
-            m = 0
-            if i * dt < nc:
-                est = int(math.ceil(nc / dt)) - i - (SPAN_MARGIN + 1)
-                m = est if est > 0 else 0
-                while (i + m) * dt < nc:
-                    m += 1
-            if m < elig:
-                elig = m
-        if elig < MIN_SPAN:
-            # Doomed screen, per link: a congested link that cannot
-            # drain below kmin before an eligible tick kills the span.
-            for link in range(n_links):
-                occ0 = occ0s[link]
-                if occ0 <= kmin:
-                    continue
-                arrival0 = 0.0
-                for k in link_slots[link]:
-                    if active[k]:
-                        arrival0 += self.rate[k] * dt
-                drain = fabric.eff_caps[link] * dt - arrival0
-                if drain <= 0.0 or elig < int((occ0 - kmin) / drain):
-                    return 0
-        H = steps - i
-        if H > MAX_HORIZON:
-            H = MAX_HORIZON
-        nxt = self._next_activation()
-        if nxt is not None and nxt - i < H:
-            H = nxt - i
-        if H < MIN_SPAN:
-            return 0
-        # Trim the horizon to the earliest estimated cut across links.
-        e_est = H
-        for link in range(n_links):
-            occ0 = occ0s[link]
-            if occ0 > kmin:
-                est_l = elig + 2 * SPAN_MARGIN
-            else:
-                arrival0 = 0.0
-                for k in link_slots[link]:
-                    if active[k]:
-                        arrival0 += self.rate[k] * dt
-                delta0 = arrival0 - fabric.eff_caps[link] * dt
-                if delta0 > 0.0:
-                    est_l = int((kmin - occ0) / delta0) + 1
-                    if est_l < elig:
-                        est_l = elig
-                else:
-                    est_l = H
-            if est_l < e_est:
-                e_est = est_l
-        e_est += 4 * SPAN_MARGIN
-        if MIN_SPAN <= e_est < H:
-            H = e_est
-        plans: List[Optional[object]] = [None] * n
-        cap = H
-        for k in range(n):
-            if not active[k]:
-                continue
-            plan = self._plan_sender(k, H, dt)
-            if plan is None:
-                return 0
-            plans[k] = plan
-            if plan.cap < cap:
-                cap = plan.cap
-                if cap < MIN_SPAN:
-                    return 0
-        # Exact per-link queue trajectories: arrivals folded in slot
-        # order, then the net-delta fold with its single clamp episode
-        # (arrivals are nondecreasing between CNPs on every link).
-        occs: List[np.ndarray] = []
-        for link in range(n_links):
-            acc = None
-            for k in link_slots[link]:
-                plan = plans[k]
-                if plan is None:
-                    continue
-                if acc is None:
-                    acc = plan.sent[:cap].copy()
-                else:
-                    acc += plan.sent[:cap]
-            if acc is None:
-                acc = np.zeros(cap)
-            deltas = (acc / dt - fabric.eff_caps[link]) * dt
-            occ = np.empty(cap + 1)
-            occ[0] = occ0s[link]
-            occ[1:] = deltas
-            occ = occ.cumsum()
-            if deltas[0] < 0.0:
-                nonneg = np.nonzero(deltas >= 0.0)[0]
-                jstar = int(nonneg[0]) if nonneg.size else cap
-                below = np.nonzero(occ[1:jstar + 1] < 0.0)[0]
-                if below.size:
-                    kstar = 1 + int(below[0])
-                    occ[kstar:jstar + 1] = 0.0
-                    if jstar < cap:
-                        tail = np.empty(cap - jstar + 1)
-                        tail[0] = 0.0
-                        tail[1:] = deltas[jstar:]
-                        occ[jstar:] = tail.cumsum()
-            occs.append(occ)
-        e = cap
-        for occ in occs:
-            if elig < e:
-                viol = np.nonzero(occ[elig:e] > kmin)[0]
-                if viol.size:
-                    e = elig + int(viol[0])
-            if self._has_pfc and e > 1:
-                hits = np.nonzero(occ[1:e] >= sim.pfc_pause_threshold)[0]
-                if hits.size:
-                    e = 1 + int(hits[0])
-        if e < MIN_SPAN:
-            return 0
-        now_last = (i + e - 1) * dt
-        for k in range(n):
-            if plans[k] is not None:
-                self._commit_sender(k, plans[k], e, dt, now_last)
-        for link in range(n_links):
-            fabric.queues[link].occupancy = float(occs[link][e])
-        for j in sample_ticks(i, i + e, samples_every):
-            u = j - i
-            samples.rows.append((
-                (j + 1) * dt,
-                [
-                    float(plans[k].rates[u + 1])
-                    if plans[k] is not None
-                    else 0.0
-                    for k in range(n)
-                ],
-                [float(occs[link][u + 1]) for link in range(n_links)],
-            ))
-        return e
-
-    def _tick_run(
-        self, start: int, stop: int, samples_every: int, samples,
-        fast_exit: bool = True,
-    ) -> int:
-        """Per-tick kernel mirroring :func:`run_scalar_fabric` exactly.
-
-        ``fast_exit`` returns control early when the bank goes fully
-        idle (normal windows only — faulted windows must keep stepping
-        the queues and pause accounting)."""
-        sim = self.sim
-        dt = sim.dt
-        fabric = self.fabric
-        queues = fabric.queues
-        modes = fabric.modes
-        paused = fabric.paused
-        pause_seconds = fabric.pause_seconds
-        routes = fabric.routes
-        n_links = len(queues)
-        has_pfc = self._has_pfc
-        pause_threshold = sim.pfc_pause_threshold
-        resume_threshold = sim.pfc_resume_threshold
-        red = self._red_marker
-        kmin = self._kmin
-        kmax = self._kmax
-        pmax = self._pmax
-        mspan = self._mspan
-        marker = sim.marker
-        n = len(self.objs)
-        active = self.active
-        rate = self.rate
-        finite = self.finite
-        is_job = self.is_job
-        remaining = self.remaining
-        bytes_sent = self.bytes_sent
-        b_acc = self.b_acc
-        t_acc = self.t_acc
-        b_st = self.b_st
-        t_st = self.t_st
-        next_cnp = self.next_cnp
-        next_decay = self.next_decay
-        min_rate = self.min_rate
-        line = self.line
-        target = self.target
-        objs = self.objs
-        t_ph = self.t_ph
-        byte_counter = self.byte_counter
-        timer = self.timer
-        mtu = self.mtu
-        stream = self.stream
-        one_minus_g = self.one_minus_g
-        g = self.g
-        alpha = self.alpha
-        cnp_interval = self.cnp_interval
-        alpha_timer = self.alpha_timer
-        cnps = self.cnps
-        idle_live = self._idle_live
-        lifec = self.lifec
-        blocked = [False] * n_links
-        p_link = [0.0] * n_links
-        arrivals = [0.0] * n_links
-        i = start
-        while i < stop:
-            now = i * dt
-            for link in range(n_links):
-                if modes[link] == MODE_NORMAL:
-                    occq = queues[link].occupancy
-                    if has_pfc:
-                        if not paused[link] and occq >= pause_threshold:
-                            paused[link] = True
-                        elif paused[link] and occq <= resume_threshold:
-                            paused[link] = False
-                    blocked[link] = paused[link]
-                    if red:
-                        if occq <= kmin:
-                            p_link[link] = 0.0
-                        elif occq >= kmax:
-                            p_link[link] = 1.0
-                        else:
-                            p_link[link] = pmax * (occq - kmin) / mspan
-                    else:
-                        p_link[link] = marker.marking_probability(occq)
-                else:
-                    blocked[link] = True
-                arrivals[link] = 0.0
-            if idle_live:
-                am = self._act_min
-                if am < 0:
-                    nxt = self._next_activation()
-                    am = nxt if nxt is not None else (1 << 60)
-                    self._act_min = am
-                if i >= am:
-                    for k in tuple(idle_live):
-                        tick = self._act_tick[k]
-                        if tick is None:
-                            tick = activation_tick(objs[k]._deadline, dt)
-                            self._act_tick[k] = tick
-                        if i >= tick:
-                            clear = True
-                            for link in routes[k]:
-                                if blocked[link]:
-                                    clear = False
-                                    break
-                            # A blocked route defers activation exactly
-                            # as the reference loop's skipped step().
-                            if clear:
-                                self._activate(k, now)
-            for k in range(n):
-                if not active[k]:
-                    continue
-                route = routes[k]
-                skip = False
-                for link in route:
-                    if blocked[link]:
-                        skip = True
-                        break
-                if skip:
-                    continue
-                p_mark = 0.0
-                for link in route:
-                    if p_link[link] > p_mark:
-                        p_mark = p_link[link]
-                r = rate[k]
-                sent = r * dt
-                fin = finite[k]
-                if fin:
-                    rem = remaining[k]
-                    if rem < sent:
-                        sent = rem
-                    remaining[k] = rem - sent
-                bytes_sent[k] += sent
-                if p_mark > 0.0 and now >= next_cnp[k] and sent > 0.0:
-                    packets = sent / mtu[k]
-                    p_any = 1.0 - (1.0 - p_mark) ** packets
-                    st = stream[k]
-                    pos = st._pos
-                    buf = st._buf
-                    if pos >= len(buf):
-                        if st._state0 is None:
-                            st._state0 = st._rng.bit_generator.state
-                        buf = st._rng.random(st._chunk).tolist()
-                        st._buf = buf
-                        pos = 0
-                    st._pos = pos + 1
-                    st._consumed += 1
-                    if buf[pos] < p_any:
-                        a = one_minus_g[k] * alpha[k] + g[k]
-                        alpha[k] = a
-                        target[k] = r
-                        cut = r * (1.0 - a / 2.0)
-                        floor = min_rate[k]
-                        rate[k] = cut if cut > floor else floor
-                        b_acc[k] = 0.0
-                        t_acc[k] = 0.0
-                        b_st[k] = 0
-                        t_st[k] = 0
-                        next_cnp[k] = now + cnp_interval[k]
-                        next_decay[k] = now + alpha_timer[k]
-                        cnps[k] += 1
-                        t_ph[k] = 0
-                ba = b_acc[k] + sent
-                limit = byte_counter[k]
-                if ba >= limit:
-                    while ba >= limit:
-                        ba -= limit
-                        b_st[k] += 1
-                        self._increase_event(k)
-                b_acc[k] = ba
-                ta = t_acc[k] + dt
-                limit = timer[k]
-                if ta >= limit:
-                    while ta >= limit:
-                        ta -= limit
-                        t_st[k] += 1
-                        self._increase_event(k)
-                t_acc[k] = ta
-                t_ph[k] += 1
-                nd = next_decay[k]
-                if now >= nd:
-                    a = alpha[k]
-                    shrink = one_minus_g[k]
-                    period = alpha_timer[k]
-                    while now >= nd:
-                        a *= shrink
-                        nd += period
-                    alpha[k] = a
-                    next_decay[k] = nd
-                r = rate[k]
-                floor = min_rate[k]
-                ln = line[k]
-                if r < floor:
-                    rate[k] = floor
-                elif r > ln:
-                    rate[k] = ln
-                if target[k] > ln:
-                    target[k] = ln
-                for link in route:
-                    arrivals[link] += sent
-                if is_job[k]:
-                    lifec[k].comm_sent += sent
-                    if remaining[k] <= 0.0:
-                        self._complete(k, now, dt)
-                elif fin and remaining[k] <= 0.0:
-                    active[k] = False
-                    self._n_active -= 1
-            for link in range(n_links):
-                mode = modes[link]
-                if mode == MODE_FREEZE:
-                    continue
-                if mode == MODE_STORM or paused[link]:
-                    pause_seconds[link] += dt
-                    sim.pfc_pause_seconds += dt
-                queue = queues[link]
-                net = (
-                    arrivals[link] / dt if dt > 0 else 0.0
-                ) - queue.capacity
-                occq = queue.occupancy + net * dt
-                if net < 0.0 and occq <= 0.0:
-                    occq = 0.0
-                queue.occupancy = occq
-            i += 1
-            if i % samples_every == 0:
-                samples.rows.append((
-                    i * dt,
-                    [rate[k] if active[k] else 0.0 for k in range(n)],
-                    [queue.occupancy for queue in queues],
-                ))
-            if fast_exit and self._n_active == 0:
-                return i
-        return i

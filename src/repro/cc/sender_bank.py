@@ -1,43 +1,53 @@
 """Vectorized sender bank for the fixed-step DCQCN engine.
 
-:class:`SenderBank` is the ``engine="vector"`` fast path of
+:class:`SenderBank` is the ``engine="vector"`` engine of
 :class:`repro.cc.dcqcn.DcqcnFluidSimulator`. It holds every sender's
 DCQCN rate-machine state (current/target rate, alpha, byte/timer
 accumulators, increase-stage counters, CNP gating clocks) in
-structure-of-arrays form and advances the whole bank per tick, with the
-marking randomness pre-drawn in chunks from each sender's generator
-(:class:`UniformChunks`). Three mechanisms make it fast while keeping
-every observable output (rate series, queue series, job timelines,
-bytes/remaining, CNP counts, RNG stream position) *bit-identical* to
-the scalar reference loop:
+structure-of-arrays form and advances the whole bank over the
+simulator's :class:`repro.cc.link_engine.LinkFabric` — a links x
+senders incidence, of which the single-bottleneck dumbbell is the
+1-link case. Marking randomness is pre-drawn in chunks from each
+sender's generator (:class:`UniformChunks`). Four mechanisms make it
+fast while keeping every observable output (rate series, queue series,
+job timelines, bytes/remaining, CNP counts, RNG stream position)
+*bit-identical* to the scalar reference
+:func:`repro.cc.link_engine.run_scalar_fabric`:
 
 * **Deterministic span advancement** — a tick is deterministic when no
-  CNP can possibly arrive on it: either the queue sits at or below the
-  marker's ``kmin`` (marking probability exactly zero) or every active
-  sender is still inside its CNP gating window (``now`` before
-  ``_next_cnp_time``, so the scalar sender early-outs before drawing).
-  Over a run of such ticks each sender evolves as a piecewise-constant
-  left fold punctuated by byte/timer increase events at exactly
-  computable ticks. :meth:`_plan_sender` walks that evolution segment
-  by segment — ``np.cumsum`` evaluates the folds sequentially in C,
-  bit-identical to the per-tick ``+=``, and the event while-loops run
-  in exact scalar order at the crossing tick — so one span can jump
-  hundreds of ticks *through* increase events, not just up to the next
-  one. The queue trajectory is the exact elementwise fold of the
-  planned per-tick arrivals with the single drain-clamp episode applied
-  in closed form (arrivals are nondecreasing between CNPs, so at most
-  one clamp episode exists).
-* **Idle / PFC fast-forward** — when every source is computing (or
-  done) the clock jumps to the earliest next burst start exposed by
-  :class:`repro.core.lifecycle.OnOffSource` deadlines; PFC-paused
-  intervals jump straight to the resume tick on the closed-form queue
-  drain. Both synthesize the skipped sample rows exactly.
-* **Flat/batched tick kernels** — stochastic ticks (queue above
-  ``kmin`` with a CNP-eligible sender) run a single flat pass over the
-  bank with hoisted locals and an inlined queue/marker update; above
-  ``BATCH_THRESHOLD`` active senders the update runs as numpy array
-  operations (IEEE-754 elementwise ops match the scalar ops
-  bit-for-bit).
+  CNP can possibly arrive on it: either every link's queue sits at or
+  below the marker's ``kmin`` (marking probability exactly zero) or
+  every active sender is still inside its CNP gating window (``now``
+  before ``_next_cnp_time``, so the scalar sender early-outs before
+  drawing). Over a run of such ticks each sender evolves as a
+  piecewise-constant left fold punctuated by byte/timer increase events
+  at exactly computable ticks. :meth:`_plan_sender` walks that
+  evolution segment by segment — ``np.cumsum`` evaluates the folds
+  sequentially in C, bit-identical to the per-tick ``+=``, and the
+  event while-loops run in exact scalar order at the crossing tick — so
+  one span can jump hundreds of ticks *through* increase events, not
+  just up to the next one. Each link's queue trajectory is the exact
+  fold of its senders' planned arrivals (slot order) with the single
+  drain-clamp episode applied in closed form (arrivals are
+  nondecreasing between CNPs, so at most one clamp episode exists), and
+  the span is cut at the earliest violation across all links.
+* **Idle / PFC / fault-window fast-forward** — when every source is
+  computing (or done) the clock jumps to the earliest next burst start
+  exposed by :class:`repro.core.lifecycle.OnOffSource` deadlines; when
+  every link is PFC-paused it jumps to the earliest resume tick on the
+  closed-form queue drains; a fault window in which every link is
+  failed or storming is one closed-form bulk advance. All synthesize
+  the skipped sample rows exactly.
+* **One per-tick kernel** — stochastic ticks (a queue above ``kmin``
+  with a CNP-eligible sender) run a single flat pass over the bank with
+  hoisted locals and an inlined queue/marker update. Blocking and the
+  marking maximum of each distinct multi-link route are computed once
+  per tick, not per sender; a 1-link route reads its link directly.
+* **One control loop, two servers** — :meth:`SenderBank.drive` is the
+  window/span loop as a generator that yields each stochastic stretch:
+  a solo :meth:`SenderBank.run` serves it with :meth:`_tick_run`, and
+  :class:`repro.cc.grid_bank.GridBank` serves it with its stacked
+  multi-run kernel.
 
 Randomness stays DET001-clean: chunks are drawn from the same
 generators the scalar engine would use, and :meth:`UniformChunks.rewind`
@@ -61,7 +71,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,20 +79,16 @@ from ..core.lifecycle import OnOffSource
 from ..faults.runtime import (  # simlint: disable=ARCH001 - vectorized bank replays fault warps inline for bit-equivalence with the scalar tiers
     MODE_FREEZE,
     MODE_NORMAL,
-    capacity_windows,
+    MODE_STORM,
+    link_capacity_windows,
 )
 from ..switches.ecn import RedEcnMarker
-from ..switches.queues import FluidQueue
-from .dcqcn import (
-    DcqcnResult,
-    DcqcnSender,
-    OnOffDcqcnJob,
-    _SampleBuffer,
-)
+from .dcqcn import DcqcnResult, DcqcnSender, OnOffDcqcnJob
+from .link_engine import _SampleBuffer
 
-#: Active-sender count at which the per-tick kernel switches from the
-#: flat Python loop (fastest for a handful of senders) to numpy arrays.
-BATCH_THRESHOLD = 32
+#: Request a :meth:`SenderBank.drive` loop yields for one stochastic
+#: stretch: ``(tick, stop, retry_at)``.
+TickRequest = Tuple[int, int, int]
 
 #: Minimum profitable deterministic span, ticks. Shorter spans fall back
 #: to the per-tick kernel: planning a span costs more than stepping a
@@ -106,15 +112,23 @@ SPAN_MARGIN = 2
 class UniformChunks:
     """Chunked uniform draws from one generator, exactly replayable.
 
-    ``next()`` returns the same sequence as repeated ``rng.random()``
-    calls (numpy fills ``random(n)`` with the identical stream), but
-    amortizes the generator call overhead over ``chunk`` draws.
-    :meth:`rewind` restores the generator to the state the equivalent
-    number of scalar draws would have produced, discarding the unused
-    tail of the final chunk.
+    The kernels read ``_buf[_pos]`` and bump ``_pos``/``_consumed``
+    inline, calling :meth:`refill` when the buffer runs out: the buffers
+    concatenate to the same sequence as repeated ``rng.random()`` calls
+    (numpy fills ``random(n)`` with the identical stream), but the
+    generator call overhead is amortized over whole chunks. Chunks start
+    small and double up to :attr:`MAX_CHUNK`, so a stream that draws a
+    few dozen times does not pay for thousands. :meth:`rewind` restores the
+    generator to the state the equivalent number of scalar draws would
+    have produced, discarding the unused tail of the final chunk.
     """
 
-    def __init__(self, rng: np.random.Generator, chunk: int = 4096) -> None:
+    __slots__ = ("_rng", "_chunk", "_buf", "_pos", "_consumed", "_state0")
+
+    #: Largest chunk drawn at once.
+    MAX_CHUNK = 4096
+
+    def __init__(self, rng: np.random.Generator, chunk: int = 64) -> None:
         self._rng = rng
         self._chunk = chunk
         self._buf: List[float] = []
@@ -122,17 +136,15 @@ class UniformChunks:
         self._consumed = 0
         self._state0 = None
 
-    def next(self) -> float:
-        """The next uniform in [0, 1), identical to ``rng.random()``."""
-        if self._pos >= len(self._buf):
-            if self._state0 is None:
-                self._state0 = self._rng.bit_generator.state
-            self._buf = self._rng.random(self._chunk).tolist()
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        self._consumed += 1
-        return value
+    def refill(self) -> List[float]:
+        """Draw the next chunk into ``_buf`` (with ``_pos`` reset)."""
+        if self._state0 is None:
+            self._state0 = self._rng.bit_generator.state
+        self._buf = self._rng.random(self._chunk).tolist()
+        self._pos = 0
+        if self._chunk < UniformChunks.MAX_CHUNK:
+            self._chunk *= 2
+        return self._buf
 
     def rewind(self) -> None:
         """Leave the generator exactly ``consumed`` scalar draws ahead."""
@@ -361,10 +373,45 @@ class _Plan:
 
 
 class SenderBank:
-    """Structure-of-arrays state for every sender at one bottleneck."""
+    """Structure-of-arrays state for every sender of one simulator,
+    advanced over the simulator's links."""
 
     def __init__(self, sim) -> None:
         self.sim = sim
+        fabric = sim.fabric
+        self.fabric = fabric
+        #: Per-slot routes as tuples of link indices.
+        self.routes: List[Tuple[int, ...]] = fabric.resolve(sim.routes)
+        #: Each slot's *gate*: its index into the kernel's per-tick gate
+        #: table (marking probability, or ``None`` while blocked).
+        #: Entries ``[0, links)`` are the links' own, so a 1-link route
+        #: reads its link directly; each distinct multi-link route gets
+        #: one entry after them, computed once per tick rather than per
+        #: sender.
+        n_links = len(fabric.names)
+        multi: Dict[Tuple[int, ...], int] = {}
+        self._gate_of: List[int] = [
+            route[0] if len(route) == 1
+            else n_links + multi.setdefault(route, len(multi))
+            for route in self.routes
+        ]
+        self._multi: List[Tuple[int, Tuple[int, ...]]] = [
+            (n_links + index, route) for index, route in enumerate(multi)
+        ]
+        # Per-tick scratch of the kernel, indexed by gate / link.
+        self._p_gate: List[Optional[float]] = [0.0] * (n_links + len(multi))
+        self._arrivals = [0.0] * n_links
+        #: Ascending slots crossing each link (the arrival fold order).
+        self._link_slots: List[List[int]] = [[] for _ in fabric.names]
+        for slot, route in enumerate(self.routes):
+            for link in route:
+                self._link_slots[link].append(slot)
+        # Run geometry, set by drive().
+        self.steps = 0
+        self.samples_every = 1
+        self.samples = _SampleBuffer(
+            fabric.names, sim.topology is not None
+        )
         self.objs: List[object] = []
         self.is_job: List[bool] = []
         self.lifec: List[object] = []
@@ -398,7 +445,6 @@ class SenderBank:
         self.stream: List[UniformChunks] = []
         self._streams_by_rng: Dict[int, UniformChunks] = {}
         self._act_tick: List[Optional[int]] = []
-        self._param_arrays: Optional[Dict[str, np.ndarray]] = None
         self._n_active = 0
         self._idle_live: List[int] = []
         # Timer phase bookkeeping for span planning.
@@ -414,7 +460,6 @@ class SenderBank:
         self._pmax = 0.0
         self._mspan = 0.0
         self._has_pfc = False
-        self._inline_queue = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -422,9 +467,9 @@ class SenderBank:
 
     @classmethod
     def build(cls, sim) -> Optional["SenderBank"]:
-        """A bank for ``sim``'s sources, or ``None`` if any source type
-        is outside the vector engine's supported set (custom sources
-        fall back to the scalar reference loop)."""
+        """A bank for ``sim``'s sources over ``sim.fabric``, or ``None``
+        if any source type is outside the vector engine's supported set
+        (custom sources fall back to the scalar reference loop)."""
         for source in sim.senders:
             if type(source) is not DcqcnSender and (
                 type(source) is not OnOffDcqcnJob
@@ -451,9 +496,6 @@ class SenderBank:
             # marking_probability, so the cached span is bit-identical.
             bank._mspan = marker.kmax - marker.kmin
         bank._has_pfc = sim.pfc_pause_threshold is not None
-        bank._inline_queue = type(sim.queue) is FluidQueue and math.isinf(
-            sim.queue.max_occupancy
-        )
         return bank
 
     def _stream_for(self, rng: np.random.Generator) -> UniformChunks:
@@ -542,125 +584,130 @@ class SenderBank:
     # ------------------------------------------------------------------
 
     def run(self, duration: float) -> DcqcnResult:
-        """Simulate ``duration`` seconds; same contract as the scalar
-        :meth:`DcqcnFluidSimulator.run` loop."""
-        sim = self.sim
-        dt = sim.dt
-        steps = int(round(duration / dt))
-        samples_every = max(1, int(round(sim.sample_interval / dt)))
-        samples = _SampleBuffer()
-        base_capacity = sim.capacity
-        # Fault windows partition the run; span fast-forward truncates
-        # at every boundary because each window's end is the bound the
-        # inner loop sees. An empty schedule is one normal window, i.e.
-        # exactly the historical single-loop run.
-        for window in capacity_windows(sim.faults, steps, dt, base_capacity):
-            if window.mode == MODE_NORMAL:
-                sim._set_capacity(window.capacity)
-                self._run_span(
-                    window.start, window.end, samples_every, samples
-                )
-            elif window.mode == MODE_FREEZE:
-                self._bulk_freeze(
-                    window.start, window.end, samples_every, samples
-                )
-            else:
-                sim._set_capacity(window.capacity)
-                self._bulk_storm(
-                    window.start, window.end, samples_every, samples
-                )
-        sim._set_capacity(base_capacity)
-        return self._finish(duration, steps, samples)
+        """Simulate ``duration`` seconds; same contract as
+        :func:`repro.cc.link_engine.run_scalar_fabric`. Every stochastic
+        stretch :meth:`drive` yields runs through :meth:`_tick_run`."""
+        loop = self.drive(duration)
+        try:
+            request = next(loop)
+            while True:
+                i, stop, retry_at = request
+                end = retry_at if i < retry_at else i + 1
+                if end > stop:
+                    end = stop
+                request = loop.send(self._tick_run(i, end))
+        except StopIteration:
+            pass
+        return self._finish(duration)
 
-    def _run_span(
-        self, start: int, steps: int, samples_every: int,
-        samples: _SampleBuffer,
-    ) -> None:
-        """The regular engine loop over ticks ``[start, steps)``."""
+    def drive(self, duration: float) -> Generator[TickRequest, int, None]:
+        """Set up a ``duration``-second run and return its control loop.
+
+        The loop partitions the run into fault windows and advances
+        each by span fast-forward and the closed-form bulk advances. It
+        yields ``(tick, stop, retry_at)`` for every stochastic stretch:
+        the caller steps ticks from ``tick`` (at least one, at most up
+        to ``stop``; stopping before ``retry_at`` wastes no span probe)
+        and resumes the loop with the first tick not stepped. Span and
+        stretch boundaries are pure cost decisions — every committed
+        quantity is bit-identical to per-tick stepping.
+        """
         sim = self.sim
-        has_pfc = self._has_pfc
+        self.steps = int(round(duration / sim.dt))
+        self.samples_every = max(
+            1, int(round(sim.sample_interval / sim.dt))
+        )
+        return self._windows()
+
+    def _windows(self) -> Generator[TickRequest, int, None]:
+        """:meth:`drive`'s loop over the fault windows."""
+        sim = self.sim
+        fabric = self.fabric
+        # Span fast-forward truncates at every window boundary because
+        # each window's end is the bound the inner loops see. An empty
+        # schedule is one normal window.
+        for window in link_capacity_windows(
+            sim.faults, self.steps, sim.dt, fabric.base_capacities()
+        ):
+            fabric.apply_window(window.modes)
+            if MODE_FREEZE not in fabric.modes and (
+                MODE_STORM not in fabric.modes
+            ):
+                yield from self._normal_window(window.start, window.end)
+            elif MODE_NORMAL not in fabric.modes:
+                self._bulk_blocked(window.start, window.end)
+            else:
+                # Some links blocked, some not: blocking is per route,
+                # so spans would be invalid; fault windows are short.
+                self._tick_run(window.start, window.end, fast_exit=False)
+        fabric.restore()
+
+    def _normal_window(
+        self, start: int, steps: int
+    ) -> Generator[TickRequest, int, None]:
+        """Ticks ``[start, steps)`` with every link in normal mode."""
         i = start
         retry_at = start
         retry_gap = TICK_RETRY
+        n_links = len(self.fabric.queues)
         while i < steps:
-            if has_pfc:
-                sim._update_pfc()
-                if sim.pfc_paused:
-                    i = self._bulk_pause(i, steps, samples_every, samples)
+            if self._has_pfc:
+                n_paused = self._pfc_hysteresis()
+                if n_paused == n_links:
+                    i = self._bulk_pause(i, steps)
+                    retry_gap = TICK_RETRY
+                    continue
+                if n_paused:
+                    # Some routes are blocked: the per-tick kernel owns
+                    # pause accrual and resume; probe again shortly.
+                    end = i + 4 * TICK_RETRY
+                    if end > steps:
+                        end = steps
+                    i = self._tick_run(i, end, fast_exit=False)
                     retry_gap = TICK_RETRY
                     continue
             if self._n_active == 0:
                 nxt = self._next_activation()
                 if nxt is None or nxt > i:
                     end = steps if nxt is None else min(nxt, steps)
-                    self._bulk_idle(i, end, samples_every, samples)
+                    self._bulk_idle(i, end)
                     i = end
                     retry_gap = TICK_RETRY
                     continue
             elif i >= retry_at:
-                advanced = self._try_span(i, steps, samples_every, samples)
+                advanced = self._try_span(i, steps)
                 if advanced:
                     i += advanced
                     retry_gap = TICK_RETRY
                     continue
                 # Exponential backoff: sustained stochastic stretches
                 # (queue pinned above kmin) reject every attempt, so
-                # probing less often is pure saved work — span
-                # boundaries never affect results.
+                # probing less often is pure saved work.
                 retry_at = i + retry_gap
                 if retry_gap < 8 * TICK_RETRY:
                     retry_gap *= 2
-            end = retry_at if i < retry_at else i + 1
-            if end > steps:
-                end = steps
-            i = self._tick_run(i, end, samples_every, samples)
+            i = yield (i, steps, retry_at)
 
-    def _bulk_freeze(
-        self, i: int, end: int, samples_every: int, samples: _SampleBuffer
-    ) -> None:
-        """Failed-link ticks: all state holds; emit sample rows only."""
-        dt = self.sim.dt
-        wanted = sample_ticks(i, end, samples_every)
-        if not len(wanted):
-            return
-        occupancy = float(self.sim.queue.occupancy)
-        row = [
-            self.rate[k] if self.active[k] else 0.0
-            for k in range(len(self.objs))
-        ]
-        for j in wanted:
-            samples.rows.append(((j + 1) * dt, list(row), occupancy))
-
-    def _bulk_storm(
-        self, i: int, end: int, samples_every: int, samples: _SampleBuffer
-    ) -> None:
-        """PFC-storm ticks: senders frozen while the queue drains.
-
-        Same closed-form drain as :meth:`_bulk_pause`, but the span is
-        the whole window — no resume-threshold crossing to search for —
-        and the simulator's PFC hysteresis state is left untouched.
-        """
+    def _pfc_hysteresis(self) -> int:
+        """Idempotent start-of-tick PFC hysteresis on every (normal)
+        link; returns how many links are paused."""
         sim = self.sim
-        dt = sim.dt
-        span = end - i
-        if span <= 0:
-            return
-        occ0 = sim.queue.occupancy
-        delta = (0.0 - sim.capacity) * dt
-        traj = clamp_drain(fold_traj(occ0, delta, span))
-        sim.pfc_pause_seconds = fold_last(sim.pfc_pause_seconds, dt, span)
-        sim.queue.occupancy = float(traj[span])
-        row = [
-            self.rate[k] if self.active[k] else 0.0
-            for k in range(len(self.objs))
-        ]
-        for j in sample_ticks(i, end, samples_every):
-            samples.rows.append(
-                ((j + 1) * dt, list(row), float(traj[j - i + 1]))
-            )
+        pause_threshold = sim.pfc_pause_threshold
+        resume_threshold = sim.pfc_resume_threshold
+        paused = self.fabric.paused
+        n_paused = 0
+        for link, queue in enumerate(self.fabric.queues):
+            occupancy = queue.occupancy
+            if not paused[link] and occupancy >= pause_threshold:
+                paused[link] = True
+            elif paused[link] and occupancy <= resume_threshold:
+                paused[link] = False
+            if paused[link]:
+                n_paused += 1
+        return n_paused
 
     # ------------------------------------------------------------------
-    # Idle / PFC fast-forward
+    # Idle / PFC / fault-window fast-forward
     # ------------------------------------------------------------------
 
     def _next_activation(self) -> Optional[int]:
@@ -676,59 +723,100 @@ class SenderBank:
                 best = tick
         return best
 
-    def _bulk_pause(
-        self, i: int, steps: int, samples_every: int, samples: _SampleBuffer
-    ) -> int:
-        """Fast-forward a PFC-paused stretch; returns the resume tick.
+    def _drain_trajs(self, span: int) -> List[np.ndarray]:
+        """Every link's occupancy over ``span`` ticks without arrivals:
+        the closed-form clamped drain, held flat on a failed link."""
+        dt = self.sim.dt
+        trajs = []
+        for link, queue in enumerate(self.fabric.queues):
+            if self.fabric.modes[link] == MODE_FREEZE:
+                trajs.append(np.full(span + 1, queue.occupancy))
+            else:
+                trajs.append(clamp_drain(fold_traj(
+                    queue.occupancy, (0.0 - queue.capacity) * dt, span
+                )))
+        return trajs
 
-        While paused the senders are frozen (no bytes, no marks, no
-        clock advance in their state machines) and the queue drains at
-        capacity, so the resume tick sits on a closed-form trajectory.
-        """
-        sim = self.sim
-        dt = sim.dt
-        occ0 = sim.queue.occupancy
-        delta = (0.0 - sim.capacity) * dt
-        resume = sim.pfc_resume_threshold
-        estimate = int((occ0 - resume) / (-delta)) + 2 * (SPAN_MARGIN + 2)
-        horizon = min(steps - i, max(estimate, 1))
-        traj = clamp_drain(fold_traj(occ0, delta, horizon))
-        crossing = np.nonzero(traj[1:] <= resume)[0]
-        span = int(crossing[0]) + 1 if crossing.size else horizon
-        span = min(span, steps - i)
-        sim.pfc_pause_seconds = fold_last(sim.pfc_pause_seconds, dt, span)
-        sim.queue.occupancy = float(traj[span])
-        row = [
+    def _commit_drain(
+        self, i: int, span: int, trajs: Sequence[np.ndarray],
+        rates: List[float],
+    ) -> None:
+        """Land every queue at ``trajs[.][span]`` and synthesize the
+        sample rows of ticks ``[i, i + span)`` with senders at ``rates``."""
+        dt = self.sim.dt
+        for queue, traj in zip(self.fabric.queues, trajs):
+            queue.occupancy = float(traj[span])
+        rows = self.samples.rows
+        for j in sample_ticks(i, i + span, self.samples_every):
+            u = j - i + 1
+            rows.append((
+                (j + 1) * dt, list(rates), [float(t[u]) for t in trajs]
+            ))
+
+    def _held_rates(self) -> List[float]:
+        """The sample row of senders that hold their rates."""
+        return [
             self.rate[k] if self.active[k] else 0.0
             for k in range(len(self.objs))
         ]
-        for j in sample_ticks(i, i + span, samples_every):
-            samples.rows.append(
-                ((j + 1) * dt, list(row), float(traj[j - i + 1]))
+
+    def _accrue_pause(self, n_links: int, span: int) -> None:
+        """``span`` ticks of pause time on ``n_links`` links: the
+        per-tick ``+= dt`` of every such link, folded in order."""
+        sim = self.sim
+        sim.pfc_pause_seconds = fold_last(
+            sim.pfc_pause_seconds, sim.dt, n_links * span
+        )
+
+    def _bulk_idle(self, i: int, end: int) -> None:
+        """Fast-forward ticks where every source computes or is done.
+
+        No link is PFC-paused on entry (checked by the caller after the
+        hysteresis update) and occupancies only fall while draining, so
+        no pause can begin mid-stretch.
+        """
+        span = end - i
+        if span > 0:
+            self._commit_drain(
+                i, span, self._drain_trajs(span), [0.0] * len(self.objs)
             )
+
+    def _bulk_pause(self, i: int, steps: int) -> int:
+        """Fast-forward a stretch where every link is PFC-paused;
+        returns the first tick at which some link resumes.
+
+        Every sender is blocked (no bytes, no marks, no clock advance in
+        its state machine, activations deferred) and every queue drains
+        at capacity, so each resume tick sits on a closed-form
+        trajectory.
+        """
+        dt = self.sim.dt
+        resume = self.sim.pfc_resume_threshold
+        horizon = steps - i
+        for queue in self.fabric.queues:
+            estimate = int(
+                (queue.occupancy - resume) / (queue.capacity * dt)
+            ) + 2 * (SPAN_MARGIN + 2)
+            horizon = min(horizon, max(estimate, 1))
+        trajs = self._drain_trajs(horizon)
+        span = horizon
+        for traj in trajs:
+            crossing = np.nonzero(traj[1:span + 1] <= resume)[0]
+            if crossing.size:
+                span = int(crossing[0]) + 1
+        self._accrue_pause(len(trajs), span)
+        self._commit_drain(i, span, trajs, self._held_rates())
         return i + span
 
-    def _bulk_idle(
-        self, i: int, end: int, samples_every: int, samples: _SampleBuffer
-    ) -> None:
-        """Fast-forward ticks where every source computes or is done."""
-        sim = self.sim
-        dt = sim.dt
+    def _bulk_blocked(self, i: int, end: int) -> None:
+        """A fault window in which every link is failed or storming:
+        senders hold, storming queues drain and accrue pause time,
+        failed queues hold."""
         span = end - i
-        if span <= 0:
-            return
-        # The scalar loop still steps the queue on 0.0 arrival.
-        delta = (0.0 / dt - sim.capacity) * dt
-        occ0 = sim.queue.occupancy
-        wanted = sample_ticks(i, end, samples_every)
-        if occ0 > 0.0 or len(wanted):
-            traj = clamp_drain(fold_traj(occ0, delta, span))
-            sim.queue.occupancy = float(traj[span])
-            zeros = [0.0] * len(self.objs)
-            for j in wanted:
-                samples.rows.append(
-                    ((j + 1) * dt, list(zeros), float(traj[j - i + 1]))
-                )
+        self._accrue_pause(self.fabric.modes.count(MODE_STORM), span)
+        self._commit_drain(
+            i, span, self._drain_trajs(span), self._held_rates()
+        )
 
     # ------------------------------------------------------------------
     # Deterministic spans
@@ -918,14 +1006,14 @@ class SenderBank:
         rates[cap] = r
         return _Plan(cap, sent, rates, segments, anchors, False, 0.0, ph0)
 
-    def _try_span(
-        self, i: int, steps: int, samples_every: int, samples: _SampleBuffer
-    ) -> int:
+    def _try_span(self, i: int, steps: int) -> int:
         """Advance as many deterministic ticks as possible in one jump.
 
-        Returns the number of ticks advanced (0 if no profitable span
-        exists). Span boundaries are a pure cost decision — every
-        committed quantity is bit-identical to per-tick stepping.
+        Per-sender plans come from :meth:`_plan_sender`; each link's
+        queue fold, clamp episode, kmin cut and PFC cut run over the
+        senders crossing it, and the committed span is the minimum cut
+        across all links. Returns the number of ticks advanced (0 if no
+        profitable span exists).
         """
         if not self._red_marker:
             # Unknown marker shape: we cannot bound where its
@@ -934,19 +1022,26 @@ class SenderBank:
         sim = self.sim
         dt = sim.dt
         kmin = self._kmin
-        occ0 = sim.queue.occupancy
+        queues = self.fabric.queues
         active = self.active
         n = len(self.objs)
+        link_slots = self._link_slots
+        occ0s = [queue.occupancy for queue in queues]
+        arrival0s = []
+        for slots in link_slots:
+            arrival0 = 0.0
+            for k in slots:
+                if active[k]:
+                    arrival0 += self.rate[k] * dt
+            arrival0s.append(arrival0)
         # Earliest tick offset at which any active sender becomes
         # CNP-eligible; every tick before it is deterministic even with
         # a positive marking probability (the scalar sender early-outs
         # on ``now < _next_cnp_time`` without drawing).
         elig = steps
-        arrival0 = 0.0
         for k in range(n):
             if not active[k]:
                 continue
-            arrival0 += self.rate[k] * dt
             nc = self.next_cnp[k]
             m = 0
             if i * dt < nc:
@@ -956,13 +1051,18 @@ class SenderBank:
                     m += 1
             if m < elig:
                 elig = m
-        if occ0 > kmin and elig < MIN_SPAN:
-            # Arrivals are nondecreasing over a CNP-free span, so the
-            # queue cannot dip below kmin before ``need / drain`` ticks;
-            # if an eligible tick lands first the span is doomed.
-            drain = sim.capacity * dt - arrival0
-            if drain <= 0.0 or elig < int((occ0 - kmin) / drain):
-                return 0
+        if elig < MIN_SPAN:
+            # Arrivals are nondecreasing over a CNP-free span, so a
+            # congested queue cannot dip below kmin before
+            # ``need / drain`` ticks; if an eligible tick lands first
+            # the span is doomed.
+            for link, queue in enumerate(queues):
+                occ0 = occ0s[link]
+                if occ0 <= kmin:
+                    continue
+                drain = queue.capacity * dt - arrival0s[link]
+                if drain <= 0.0 or elig < int((occ0 - kmin) / drain):
+                    return 0
         H = steps - i
         if H > MAX_HORIZON:
             H = MAX_HORIZON
@@ -971,18 +1071,24 @@ class SenderBank:
             H = nxt - i
         if H < MIN_SPAN:
             return 0
-        # Trim the horizon to the estimated span end so planning work
-        # is not thrown away: a span chained short is still exact.
-        if occ0 > kmin:
-            e_est = elig + 2 * SPAN_MARGIN
-        else:
-            delta0 = arrival0 - sim.capacity * dt
-            if delta0 > 0.0:
-                e_est = int((kmin - occ0) / delta0) + 1
-                if e_est < elig:
-                    e_est = elig
+        # Trim the horizon to the earliest estimated cut across links so
+        # planning work is not thrown away: a span chained short is
+        # still exact.
+        e_est = H
+        for link, queue in enumerate(queues):
+            occ0 = occ0s[link]
+            if occ0 > kmin:
+                est_l = elig + 2 * SPAN_MARGIN
             else:
-                e_est = H
+                delta0 = arrival0s[link] - queue.capacity * dt
+                if delta0 > 0.0:
+                    est_l = int((kmin - occ0) / delta0) + 1
+                    if est_l < elig:
+                        est_l = elig
+                else:
+                    est_l = H
+            if est_l < e_est:
+                e_est = est_l
         e_est += 4 * SPAN_MARGIN
         if MIN_SPAN <= e_est < H:
             H = e_est
@@ -1000,64 +1106,69 @@ class SenderBank:
                 cap = plan.cap
                 if cap < MIN_SPAN:
                     return 0
-        # Exact queue trajectory: arrivals folded in slot order, then
-        # the per-tick net-delta fold with its single clamp episode.
-        acc = None
-        for k in range(n):
-            plan = plans[k]
-            if plan is None:
-                continue
+        # Exact per-link queue trajectories: arrivals folded in slot
+        # order, then the per-tick net-delta fold with its single clamp
+        # episode.
+        occs: List[np.ndarray] = []
+        for link, queue in enumerate(queues):
+            acc = None
+            for k in link_slots[link]:
+                plan = plans[k]
+                if plan is None:
+                    continue
+                if acc is None:
+                    acc = plan.sent[:cap].copy()
+                else:
+                    acc += plan.sent[:cap]
             if acc is None:
-                acc = plan.sent[:cap].copy()
-            else:
-                acc += plan.sent[:cap]
-        deltas = (acc / dt - sim.capacity) * dt
-        occ = np.empty(cap + 1)
-        occ[0] = occ0
-        occ[1:] = deltas
-        occ = occ.cumsum()
-        if deltas[0] < 0.0:
-            nonneg = np.nonzero(deltas >= 0.0)[0]
-            jstar = int(nonneg[0]) if nonneg.size else cap
-            below = np.nonzero(occ[1:jstar + 1] < 0.0)[0]
-            if below.size:
-                kstar = 1 + int(below[0])
-                occ[kstar:jstar + 1] = 0.0
-                if jstar < cap:
-                    tail = np.empty(cap - jstar + 1)
-                    tail[0] = 0.0
-                    tail[1:] = deltas[jstar:]
-                    occ[jstar:] = tail.cumsum()
+                acc = np.zeros(cap)
+            deltas = (acc / dt - queue.capacity) * dt
+            occ = np.empty(cap + 1)
+            occ[0] = occ0s[link]
+            occ[1:] = deltas
+            occ = occ.cumsum()
+            if deltas[0] < 0.0:
+                nonneg = np.nonzero(deltas >= 0.0)[0]
+                jstar = int(nonneg[0]) if nonneg.size else cap
+                below = np.nonzero(occ[1:jstar + 1] < 0.0)[0]
+                if below.size:
+                    kstar = 1 + int(below[0])
+                    occ[kstar:jstar + 1] = 0.0
+                    if jstar < cap:
+                        tail = np.empty(cap - jstar + 1)
+                        tail[0] = 0.0
+                        tail[1:] = deltas[jstar:]
+                        occ[jstar:] = tail.cumsum()
+            occs.append(occ)
         e = cap
-        if elig < e:
-            viol = np.nonzero(occ[elig:e] > kmin)[0]
-            if viol.size:
-                e = elig + int(viol[0])
-        if self._has_pfc and e > 1:
-            hits = np.nonzero(occ[1:e] >= sim.pfc_pause_threshold)[0]
-            if hits.size:
-                e = 1 + int(hits[0])
+        for occ in occs:
+            if elig < e:
+                viol = np.nonzero(occ[elig:e] > kmin)[0]
+                if viol.size:
+                    e = elig + int(viol[0])
+            if self._has_pfc and e > 1:
+                hits = np.nonzero(occ[1:e] >= sim.pfc_pause_threshold)[0]
+                if hits.size:
+                    e = 1 + int(hits[0])
         if e < MIN_SPAN:
             return 0
         now_last = (i + e - 1) * dt
         for k in range(n):
             if plans[k] is not None:
                 self._commit_sender(k, plans[k], e, dt, now_last)
-        sim.queue.occupancy = float(occ[e])
-        wanted = sample_ticks(i, i + e, samples_every)
-        if len(wanted):
-            for j in wanted:
-                u = j - i
-                samples.rows.append((
-                    (j + 1) * dt,
-                    [
-                        float(plans[k].rates[u + 1])
-                        if plans[k] is not None
-                        else 0.0
-                        for k in range(n)
-                    ],
-                    float(occ[u + 1]),
-                ))
+        for queue, occ in zip(queues, occs):
+            queue.occupancy = float(occ[e])
+        rows = self.samples.rows
+        for j in sample_ticks(i, i + e, self.samples_every):
+            u = j - i + 1
+            rows.append((
+                (j + 1) * dt,
+                [
+                    float(plan.rates[u]) if plan is not None else 0.0
+                    for plan in plans
+                ],
+                [float(occ[u]) for occ in occs],
+            ))
         return e
 
     def _commit_sender(
@@ -1188,26 +1299,38 @@ class SenderBank:
         self.target[k] = target
         self.rate[k] = (target + self.rate[k]) / 2.0
 
-    def _tick_run(
-        self, start: int, stop: int, samples_every: int,
-        samples: _SampleBuffer
-    ) -> int:
-        """Step ticks ``[start, stop)`` through the exact scalar-
-        equivalent per-tick kernel, hoisting state lookups once for the
-        whole run. Returns the first tick *not* stepped — early when a
-        PFC pause begins or the bank goes fully idle, so the caller's
-        fast-forwards take over."""
+    def _tick_run(self, start: int, stop: int, fast_exit: bool = True) -> int:
+        """Step ticks ``[start, stop)`` through the exact per-tick
+        kernel of :func:`repro.cc.link_engine.run_scalar_fabric`,
+        hoisting state lookups once for the whole run. Returns the first
+        tick *not* stepped.
+
+        ``fast_exit`` (normal windows only) returns control early when
+        the bank goes fully idle or every link is PFC-paused, so the
+        caller's fast-forwards take over; faulted windows must keep
+        stepping the queues and pause accounting.
+        """
         sim = self.sim
         dt = sim.dt
-        queue = sim.queue
+        samples_every = self.samples_every
+        rows = self.samples.rows
+        fabric = self.fabric
+        queues = fabric.queues
+        modes = fabric.modes
+        paused = fabric.paused
+        routes = self.routes
+        gate_of = self._gate_of
+        multi = self._multi
+        n_links = len(queues)
         has_pfc = self._has_pfc
+        pause_threshold = sim.pfc_pause_threshold
+        resume_threshold = sim.pfc_resume_threshold
         red = self._red_marker
         kmin = self._kmin
         kmax = self._kmax
         pmax = self._pmax
         mspan = self._mspan
         marker = sim.marker
-        inline_queue = self._inline_queue
         n = len(self.objs)
         active = self.active
         rate = self.rate
@@ -1238,23 +1361,51 @@ class SenderBank:
         cnps = self.cnps
         idle_live = self._idle_live
         lifec = self.lifec
+        p_gate = self._p_gate
+        arrivals = self._arrivals
         i = start
         while i < stop:
-            if has_pfc and i > start:
-                sim._update_pfc()
-                if sim.pfc_paused:
-                    return i
             now = i * dt
-            occq = queue.occupancy
-            if red:
-                if occq <= kmin:
-                    p_mark = 0.0
-                elif occq >= kmax:
-                    p_mark = 1.0
+            # Gate table: a link's marking probability, or None while
+            # it blocks its senders (failed, storming or PFC-paused).
+            n_blocked = 0
+            for link in range(n_links):
+                arrivals[link] = 0.0
+                if modes[link] != MODE_NORMAL:
+                    p_gate[link] = None
+                    n_blocked += 1
+                    continue
+                occq = queues[link].occupancy
+                if has_pfc:
+                    if not paused[link] and occq >= pause_threshold:
+                        paused[link] = True
+                    elif paused[link] and occq <= resume_threshold:
+                        paused[link] = False
+                    if paused[link]:
+                        p_gate[link] = None
+                        n_blocked += 1
+                        continue
+                if red:
+                    if occq <= kmin:
+                        p_gate[link] = 0.0
+                    elif occq >= kmax:
+                        p_gate[link] = 1.0
+                    else:
+                        p_gate[link] = pmax * (occq - kmin) / mspan
                 else:
-                    p_mark = pmax * (occq - kmin) / mspan
-            else:
-                p_mark = marker.marking_probability(occq)
+                    p_gate[link] = marker.marking_probability(occq)
+            if n_blocked == n_links and fast_exit and i > start:
+                return i
+            for gate, route in multi:
+                p_mark = 0.0
+                for link in route:
+                    p = p_gate[link]
+                    if p is None:
+                        p_mark = None
+                        break
+                    if p > p_mark:
+                        p_mark = p
+                p_gate[gate] = p_mark
             if idle_live:
                 am = self._act_min
                 if am < 0:
@@ -1267,248 +1418,140 @@ class SenderBank:
                         if tick is None:
                             tick = activation_tick(objs[k]._deadline, dt)
                             self._act_tick[k] = tick
-                        if i >= tick:
+                        # A blocked route defers activation exactly as
+                        # the reference loop's skipped step().
+                        if i >= tick and p_gate[gate_of[k]] is not None:
                             self._activate(k, now)
-            if self._n_active >= BATCH_THRESHOLD:
-                arrival = self._step_batched(now, dt, p_mark)
-            else:
-                arrival = 0.0
-                for k in range(n):
-                    if not active[k]:
-                        continue
-                    r = rate[k]
-                    sent = r * dt
-                    fin = finite[k]
-                    if fin:
-                        rem = remaining[k]
-                        if rem < sent:
-                            sent = rem
-                        remaining[k] = rem - sent
-                    bytes_sent[k] += sent
-                    if p_mark > 0.0 and now >= next_cnp[k] and sent > 0.0:
-                        packets = sent / mtu[k]
-                        p_any = 1.0 - (1.0 - p_mark) ** packets
-                        # Inlined UniformChunks.next(): identical draw
-                        # sequence, minus the call overhead.
-                        st = stream[k]
-                        pos = st._pos
-                        buf = st._buf
-                        if pos >= len(buf):
-                            if st._state0 is None:
-                                st._state0 = st._rng.bit_generator.state
-                            buf = st._rng.random(st._chunk).tolist()
-                            st._buf = buf
-                            pos = 0
-                        st._pos = pos + 1
-                        st._consumed += 1
-                        if buf[pos] < p_any:
-                            a = one_minus_g[k] * alpha[k] + g[k]
-                            alpha[k] = a
-                            target[k] = r
-                            cut = r * (1.0 - a / 2.0)
-                            floor = min_rate[k]
-                            rate[k] = cut if cut > floor else floor
-                            b_acc[k] = 0.0
-                            t_acc[k] = 0.0
-                            b_st[k] = 0
-                            t_st[k] = 0
-                            next_cnp[k] = now + cnp_interval[k]
-                            next_decay[k] = now + alpha_timer[k]
-                            cnps[k] += 1
-                            # Accumulator reset to exact 0.0: this
-                            # tick's timer stage advances it to phase 1.
-                            t_ph[k] = 0
-                    ba = b_acc[k] + sent
-                    limit = byte_counter[k]
-                    if ba >= limit:
-                        while ba >= limit:
-                            ba -= limit
-                            b_st[k] += 1
-                            self._increase_event(k)
-                    b_acc[k] = ba
-                    ta = t_acc[k] + dt
-                    limit = timer[k]
-                    if ta >= limit:
-                        while ta >= limit:
-                            ta -= limit
-                            t_st[k] += 1
-                            self._increase_event(k)
-                    t_acc[k] = ta
-                    t_ph[k] += 1
-                    nd = next_decay[k]
-                    if now >= nd:
-                        a = alpha[k]
-                        shrink = one_minus_g[k]
-                        period = alpha_timer[k]
-                        while now >= nd:
-                            a *= shrink
-                            nd += period
+            for k in range(n):
+                if not active[k]:
+                    continue
+                gate = gate_of[k]
+                p_mark = p_gate[gate]
+                if p_mark is None:
+                    continue
+                r = rate[k]
+                sent = r * dt
+                fin = finite[k]
+                if fin:
+                    rem = remaining[k]
+                    if rem < sent:
+                        sent = rem
+                    remaining[k] = rem - sent
+                bytes_sent[k] += sent
+                if p_mark > 0.0 and now >= next_cnp[k] and sent > 0.0:
+                    packets = sent / mtu[k]
+                    p_any = 1.0 - (1.0 - p_mark) ** packets
+                    # Inlined chunk draw (see UniformChunks).
+                    st = stream[k]
+                    pos = st._pos
+                    buf = st._buf
+                    if pos >= len(buf):
+                        buf = st.refill()
+                        pos = 0
+                    st._pos = pos + 1
+                    st._consumed += 1
+                    if buf[pos] < p_any:
+                        a = one_minus_g[k] * alpha[k] + g[k]
                         alpha[k] = a
-                        next_decay[k] = nd
-                    r = rate[k]
-                    floor = min_rate[k]
-                    ln = line[k]
-                    if r < floor:
-                        rate[k] = floor
-                    elif r > ln:
-                        rate[k] = ln
-                    if target[k] > ln:
-                        target[k] = ln
-                    arrival += sent
-                    if is_job[k]:
-                        lifec[k].comm_sent += sent
-                        if remaining[k] <= 0.0:
-                            self._complete(k, now, dt)
-                    elif fin and remaining[k] <= 0.0:
-                        active[k] = False
-                        self._n_active -= 1
-            if inline_queue:
-                net = (arrival / dt if dt > 0 else 0.0) - queue.capacity
+                        target[k] = r
+                        cut = r * (1.0 - a / 2.0)
+                        floor = min_rate[k]
+                        rate[k] = cut if cut > floor else floor
+                        b_acc[k] = 0.0
+                        t_acc[k] = 0.0
+                        b_st[k] = 0
+                        t_st[k] = 0
+                        next_cnp[k] = now + cnp_interval[k]
+                        next_decay[k] = now + alpha_timer[k]
+                        cnps[k] += 1
+                        # Accumulator reset to exact 0.0: this tick's
+                        # timer stage advances it to phase 1.
+                        t_ph[k] = 0
+                ba = b_acc[k] + sent
+                limit = byte_counter[k]
+                if ba >= limit:
+                    while ba >= limit:
+                        ba -= limit
+                        b_st[k] += 1
+                        self._increase_event(k)
+                b_acc[k] = ba
+                ta = t_acc[k] + dt
+                limit = timer[k]
+                if ta >= limit:
+                    while ta >= limit:
+                        ta -= limit
+                        t_st[k] += 1
+                        self._increase_event(k)
+                t_acc[k] = ta
+                t_ph[k] += 1
+                nd = next_decay[k]
+                if now >= nd:
+                    a = alpha[k]
+                    shrink = one_minus_g[k]
+                    period = alpha_timer[k]
+                    while now >= nd:
+                        a *= shrink
+                        nd += period
+                    alpha[k] = a
+                    next_decay[k] = nd
+                r = rate[k]
+                floor = min_rate[k]
+                ln = line[k]
+                if r < floor:
+                    rate[k] = floor
+                elif r > ln:
+                    rate[k] = ln
+                if target[k] > ln:
+                    target[k] = ln
+                # Arrivals fold per link in slot order, as in the
+                # reference loop.
+                if gate < n_links:
+                    arrivals[gate] += sent
+                else:
+                    for link in routes[k]:
+                        arrivals[link] += sent
+                if is_job[k]:
+                    lifec[k].comm_sent += sent
+                    if remaining[k] <= 0.0:
+                        self._complete(k, now, dt)
+                elif fin and remaining[k] <= 0.0:
+                    active[k] = False
+                    self._n_active -= 1
+            for link in range(n_links):
+                if p_gate[link] is None:
+                    if modes[link] == MODE_FREEZE:
+                        continue
+                    sim.pfc_pause_seconds += dt
+                queue = queues[link]
+                net = arrivals[link] / dt - queue.capacity
                 occq = queue.occupancy + net * dt
                 if net < 0.0 and occq <= 0.0:
                     occq = 0.0
                 queue.occupancy = occq
-            else:
-                queue.step(arrival / dt if dt > 0 else 0.0, dt)
             i += 1
             if i % samples_every == 0:
-                samples.rows.append((
+                rows.append((
                     i * dt,
                     [rate[k] if active[k] else 0.0 for k in range(n)],
-                    queue.occupancy,
+                    [queue.occupancy for queue in queues],
                 ))
-            if self._n_active == 0:
+            if self._n_active == 0 and fast_exit:
                 return i
         return i
-
-    def _step_batched(self, now: float, dt: float, p_mark: float) -> float:
-        """Numpy per-tick update of every active slot (large banks)."""
-        act = [k for k in range(len(self.objs)) if self.active[k]]
-        if self._param_arrays is None:
-            self._param_arrays = {
-                "line": np.array(self.line),
-                "min_rate": np.array(self.min_rate),
-                "byte_counter": np.array(self.byte_counter),
-                "timer": np.array(self.timer),
-            }
-        idx = np.array(act, dtype=np.intp)
-        pa = self._param_arrays
-        line = pa["line"][idx]
-        floor = pa["min_rate"][idx]
-        byte_counter = pa["byte_counter"][idx]
-        timer = pa["timer"][idx]
-        r = np.array([self.rate[k] for k in act])
-        sent = r * dt
-        finite = np.array([self.finite[k] for k in act])
-        rem = np.array(
-            [self.remaining[k] if self.finite[k] else 0.0 for k in act]
-        )
-        if finite.any():
-            capped = np.minimum(sent, rem)
-            sent = np.where(finite, capped, sent)
-            rem = rem - np.where(finite, sent, 0.0)
-        bs = np.array([self.bytes_sent[k] for k in act]) + sent
-        arrival = float(sent.cumsum()[-1]) if len(act) else 0.0
-        if p_mark > 0.0:
-            ncnp = np.array([self.next_cnp[k] for k in act])
-            eligible = np.nonzero((now >= ncnp) & (sent > 0.0))[0]
-            for pos in eligible:
-                k = act[pos]
-                packets = float(sent[pos]) / self.mtu[k]
-                p_any = 1.0 - (1.0 - p_mark) ** packets
-                if self.stream[k].next() < p_any:
-                    a = self.one_minus_g[k] * self.alpha[k] + self.g[k]
-                    self.alpha[k] = a
-                    rk = float(r[pos])
-                    self.target[k] = rk
-                    cut = rk * (1.0 - a / 2.0)
-                    mr = self.min_rate[k]
-                    r[pos] = cut if cut > mr else mr
-                    self.b_acc[k] = 0.0
-                    self.t_acc[k] = 0.0
-                    self.b_st[k] = 0
-                    self.t_st[k] = 0
-                    self.next_cnp[k] = now + self.cnp_interval[k]
-                    self.next_decay[k] = now + self.alpha_timer[k]
-                    self.cnps[k] += 1
-                    self.t_ph[k] = 0
-        # The scalar step resets accumulators before the increase stage
-        # on a CNP tick, so re-read them after the CNP pass.
-        ba = np.array([self.b_acc[k] for k in act]) + sent
-        for pos in np.nonzero(ba >= byte_counter)[0]:
-            k = act[pos]
-            value = float(ba[pos])
-            limit = self.byte_counter[k]
-            self.rate[k] = float(r[pos])
-            while value >= limit:
-                value -= limit
-                self.b_st[k] += 1
-                self._increase_event(k)
-            ba[pos] = value
-            r[pos] = self.rate[k]
-        ta = np.array([self.t_acc[k] for k in act]) + dt
-        for pos in np.nonzero(ta >= timer)[0]:
-            k = act[pos]
-            value = float(ta[pos])
-            limit = self.timer[k]
-            self.rate[k] = float(r[pos])
-            while value >= limit:
-                value -= limit
-                self.t_st[k] += 1
-                self._increase_event(k)
-            ta[pos] = value
-            r[pos] = self.rate[k]
-        ndecay = np.array([self.next_decay[k] for k in act])
-        for pos in np.nonzero(now >= ndecay)[0]:
-            k = act[pos]
-            a = self.alpha[k]
-            nd = self.next_decay[k]
-            shrink = self.one_minus_g[k]
-            period = self.alpha_timer[k]
-            while now >= nd:
-                a *= shrink
-                nd += period
-            self.alpha[k] = a
-            self.next_decay[k] = nd
-        r = np.minimum(np.maximum(r, floor), line)
-        rate_out = r.tolist()
-        rem_out = rem.tolist()
-        bs_out = bs.tolist()
-        ba_out = ba.tolist()
-        ta_out = ta.tolist()
-        sent_out = sent.tolist()
-        for pos, k in enumerate(act):
-            self.rate[k] = rate_out[pos]
-            self.bytes_sent[k] = bs_out[pos]
-            self.b_acc[k] = ba_out[pos]
-            self.t_acc[k] = ta_out[pos]
-            self.t_ph[k] += 1
-            if self.target[k] > self.line[k]:
-                self.target[k] = self.line[k]
-            if self.finite[k]:
-                self.remaining[k] = rem_out[pos]
-            if self.is_job[k]:
-                self.objs[k].lifecycle.comm_sent += sent_out[pos]
-                if self.remaining[k] <= 0.0:
-                    self._complete(k, now, dt)
-            elif self.finite[k] and self.remaining[k] <= 0.0:
-                self.active[k] = False
-                self._n_active -= 1
-        return arrival
 
     # ------------------------------------------------------------------
     # Result assembly and write-back
     # ------------------------------------------------------------------
 
-    def _finish(
-        self, duration: float, steps: int, samples: _SampleBuffer
-    ) -> DcqcnResult:
+    def _finish(self, duration: float) -> DcqcnResult:
+        """The result of the run :meth:`drive` set up, with every
+        sender object and generator written back."""
         sim = self.sim
         result = DcqcnResult(duration=duration)
         names = [obj.name for obj in self.objs]
-        samples.flush(result, names, sim.telemetry)
+        self.samples.flush(result, names, sim.telemetry)
         if sim.telemetry.enabled:
-            sim.telemetry.counter("cc.steps").inc(steps)
+            sim.telemetry.counter("cc.steps").inc(self.steps)
             cnp_counter = sim.telemetry.counter("cc.cnps")
             for k, obj in enumerate(self.objs):
                 cnp_counter.inc(0 if self.is_job[k] else self.cnps[k])

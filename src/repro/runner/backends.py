@@ -48,11 +48,6 @@ from .spec import (
     safe_content_hash,
 )
 
-#: Name of the shared bottleneck link in generated dumbbells — the
-#: canonical constant lives in :mod:`repro.net.topology`.
-BOTTLENECK_LINK = BOTTLENECK
-
-
 def _reject_fabric_faults(spec: RunSpec, backend: str, remedy: str) -> None:
     """Refuse fault schedules that address links a single-bottleneck run
     does not have, naming the offending links and the multi-link path.
@@ -65,12 +60,12 @@ def _reject_fabric_faults(spec: RunSpec, backend: str, remedy: str) -> None:
         return
     bad = [
         name for name in spec.faults.link_names()
-        if name != BOTTLENECK_LINK
+        if name != BOTTLENECK
     ]
     if bad:
         raise ConfigError(
             f"{backend} backend without a topology models a single "
-            f"bottleneck named {BOTTLENECK_LINK!r}, but the fault "
+            f"bottleneck named {BOTTLENECK!r}, but the fault "
             f"schedule targets link(s) {bad}; set RunSpec.topology "
             f"(e.g. Topology.fat_tree) and {remedy} to run multi-link "
             "fault schedules"
@@ -132,14 +127,14 @@ def execute(spec: RunSpec) -> RunResult:
 
 def dumbbell_topology(n_jobs: int, capacity: float) -> Topology:
     """The default phase-backend topology: one host pair per job,
-    all pairs sharing the bottleneck :data:`BOTTLENECK_LINK`."""
+    all pairs sharing the bottleneck :data:`repro.net.topology.BOTTLENECK`."""
     if n_jobs < 1:
         raise ConfigError("need at least one job")
     return Topology.dumbbell(
         hosts_per_side=n_jobs,
         host_capacity=capacity,
         bottleneck_capacity=capacity,
-        bottleneck_name=BOTTLENECK_LINK,
+        bottleneck_name=BOTTLENECK,
     )
 
 
@@ -403,11 +398,11 @@ class EngineBackend:
         cap = [capacity]
         streams = RandomStreams(spec.seed)
         sim = Simulator()
-        load = StepFunction(0.0, name=f"load:{BOTTLENECK_LINK}")
+        load = StepFunction(0.0, name=f"load:{BOTTLENECK}")
         jobs = self._build_jobs(
             spec,
             streams,
-            {job.job_id: (BOTTLENECK_LINK,) for job in spec.jobs},
+            {job.job_id: (BOTTLENECK,) for job in spec.jobs},
         )
 
         active: List[_EngineJob] = []
@@ -483,7 +478,7 @@ class EngineBackend:
             emit_fault_events(
                 _telemetry_session.resolve(None), spec.faults
             )
-            for event in spec.faults.capacity_events(BOTTLENECK_LINK):
+            for event in spec.faults.capacity_events(BOTTLENECK):
                 if isinstance(event, RateChange):
                     faulted = capacity * event.factor
                 else:
@@ -505,7 +500,7 @@ class EngineBackend:
 
         result = SimulationResult(
             jobs={job.run.job_id: job.run for job in jobs},
-            link_loads={BOTTLENECK_LINK: load},
+            link_loads={BOTTLENECK: load},
             duration=end_time,
         )
         return RunResult(

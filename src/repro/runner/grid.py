@@ -55,8 +55,10 @@ def batchable_spec(spec: RunSpec) -> bool:
     """Whether ``spec`` is a candidate for grid batching.
 
     This is the cheap declarative screen; the engine-level authority is
-    :func:`repro.cc.grid_bank.grid_compatible` on the built simulator,
-    and :func:`execute_batched` still falls back when that rejects.
+    :meth:`repro.cc.grid_bank.GridBank.build` (the
+    :func:`~repro.cc.grid_bank.grid_compatible` rules) on the built
+    simulators, and :func:`execute_batched` still falls back when that
+    rejects.
     """
     if spec.backend != "fluid":
         return False
@@ -119,7 +121,7 @@ def execute_batched(
     safe, just slower).
     """
     from ..cc.dcqcn import DcqcnParams
-    from ..cc.grid_bank import GridBank, grid_compatible
+    from ..cc.grid_bank import GridBank
 
     specs = list(specs)
     sessions = [
@@ -155,8 +157,6 @@ def execute_batched(
                     spec, scenario, ctx["params"], ctx["streams"],
                     ctx["capacity"],
                 )
-            if not grid_compatible(sim):
-                return None
             entries.append((i, scenario, sim, jobs))
         grid = GridBank.build([entry[2] for entry in entries])
         if grid is None:

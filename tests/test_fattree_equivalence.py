@@ -1,12 +1,12 @@
 """Cross-engine bit-equivalence of the multi-link fabric tier.
 
-The fat-tree generalization adds a whole new engine pair — the
-per-link scalar reference (:func:`repro.cc.link_engine.run_scalar_fabric`)
-and the vectorized :class:`repro.cc.link_engine.LinkSenderBank` — and
-the single-link guarantee must carry over verbatim: same sampled rate
-series, same per-link queue series, same timelines and the same number
-of random draws, on clean runs and under fault schedules that now
-target *different* links of the same fabric.
+The fabric tier's two engines — the scalar reference
+(:func:`repro.cc.link_engine.run_scalar_fabric`) and the vectorized
+:class:`repro.cc.sender_bank.SenderBank` — must agree exactly: same
+sampled rate series, same per-link queue series, same timelines and the
+same number of random draws, on clean runs and under fault schedules
+that target *different* links of the same fabric. The dumbbell must
+also be exactly the 1-link fabric, since both run on these engines.
 """
 
 import numpy as np
@@ -210,6 +210,111 @@ class TestDcqcnFabricEquivalence:
         # shared hops must queue, private host uplinks must not.
         assert result.link_queue_series["core_1_0_0_rev"].values.max() > 0
         assert result.link_queue_series["h0_0_0->edge0_0"].values.max() == 0
+
+
+#: Single-link schedules for the dumbbell ≡ 1-link-fabric check. Every
+#: window mode plus job warps; ``{link}`` is the bottleneck's name.
+ONE_LINK_SCHEDULES = {
+    "clean": lambda link: None,
+    "rate-dip": lambda link: InjectionSchedule(events=(
+        RateChange(link, 0.0052, 0.0095, 0.35),
+        RateChange(link, 0.0134, 0.0171, 1.6),
+    )),
+    "link-failure": lambda link: InjectionSchedule(events=(
+        LinkFailure(link, 0.0061, 0.0113),
+    )),
+    "pfc-storm": lambda link: InjectionSchedule(events=(
+        PfcStorm(link, 0.0077, 0.0121),
+    )),
+    "straggler": lambda link: InjectionSchedule(events=(
+        Straggler("J1", 0.0, 0.02, 1.7),
+        LatencySpike(link, 0.008, 0.016, 0.0003),
+    )),
+}
+
+
+def _one_link(engine, schedule, link, fabric, pfc, onoff, n_senders):
+    """The same DCQCN run as a dumbbell or as a 1-link fabric."""
+    faults = ONE_LINK_SCHEDULES[schedule](link)
+    sim = DcqcnFluidSimulator(
+        capacity=gbps(50),
+        dt=10e-6,
+        engine=engine,
+        faults=faults,
+        topology=(
+            Topology.dumbbell(bottleneck_name=link) if fabric else None
+        ),
+        pfc_pause_threshold=150 * kib(1) if pfc else None,
+        pfc_resume_threshold=100 * kib(1) if pfc else None,
+    )
+    route = (link,) if fabric else ()
+    params = DcqcnParams(line_rate=gbps(50))
+    jobs, rngs = [], []
+    for index in range(n_senders):
+        name = f"J{index + 1}"
+        timer = AGGRESSIVE_TIMER if index == 0 else DEFAULT_TIMER
+        rng = np.random.default_rng(70 + index)
+        rngs.append(rng)
+        if onoff:
+            job = OnOffDcqcnJob(
+                name,
+                params.with_timer(timer),
+                rng,
+                compute_time=0.0011,
+                comm_bytes=0.0013 * gbps(50),
+                start_offset=index * 0.0003,
+            )
+            sim.add_source(job, route=route)
+            jobs.append(job)
+        else:
+            sim.add_sender(name, params.with_timer(timer), rng, route=route)
+    return sim, jobs, rngs
+
+
+class TestDumbbellIsOneLinkFabric:
+    """A dumbbell run equals the same run over a 1-link ``Topology``:
+    series, timelines, pause time and RNG stream positions, in both
+    engines — the equivalence that lets one engine serve both."""
+
+    @pytest.mark.parametrize("n_senders", [2, 5])
+    @pytest.mark.parametrize("onoff", [True, False], ids=["onoff", "long"])
+    @pytest.mark.parametrize("pfc", [False, True], ids=["nopfc", "pfc"])
+    @pytest.mark.parametrize("schedule", sorted(ONE_LINK_SCHEDULES))
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_bit_identical(self, engine, schedule, pfc, onoff, n_senders):
+        self._check(engine, schedule, "L1", pfc, onoff, n_senders)
+
+    @pytest.mark.parametrize("schedule", ["rate-dip", "pfc-storm"])
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_link_not_named_l1(self, engine, schedule):
+        self._check(engine, schedule, "spine", True, True, 2)
+
+    def _check(self, engine, schedule, link, pfc, onoff, n_senders):
+        args = (engine, schedule, link)
+        bell, bell_jobs, bell_rngs = _one_link(
+            *args, False, pfc, onoff, n_senders
+        )
+        fab, fab_jobs, fab_rngs = _one_link(
+            *args, True, pfc, onoff, n_senders
+        )
+        left = bell.run(0.025)
+        right = fab.run(0.025)
+        assert not left.link_queue_series
+        assert list(right.link_queue_series) == [link]
+        assert np.array_equal(
+            right.link_queue_series[link].values, right.queue_series.values
+        )
+        right.link_queue_series = {}
+        _series_equal(left, right)
+        assert left.timelines.keys() == right.timelines.keys()
+        for job_b, job_f in zip(bell_jobs, fab_jobs):
+            assert (
+                repr(job_b.timeline.__dict__)
+                == repr(job_f.timeline.__dict__)
+            )
+        assert bell.pfc_pause_seconds == fab.pfc_pause_seconds
+        for rng_b, rng_f in zip(bell_rngs, fab_rngs):
+            assert rng_b.random() == rng_f.random()
 
 
 class TestAimdFabricEquivalence:

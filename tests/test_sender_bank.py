@@ -138,8 +138,8 @@ class TestDcqcnEquivalence:
         )
 
     def test_many_senders_batched_path(self):
-        # 40 senders crosses BATCH_THRESHOLD, exercising the numpy
-        # batched tick kernel rather than the flat per-sender loop.
+        # A large bank (40 senders on one link) checked against the
+        # scalar oracle.
         results = {}
         for engine in ("scalar", "vector"):
             sim = DcqcnFluidSimulator(capacity=gbps(50), engine=engine)
