@@ -147,22 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the on-disk result cache (always execute)",
     )
-    batch_group = run.add_mutually_exclusive_group()
-    batch_group.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=None,
-        help="force batched grid execution of compatible run specs "
-        "(bit-identical to per-spec runs)",
-    )
-    batch_group.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        help="disable batched grid execution even where the driver "
-        "requests it",
-    )
 
     cache = subparsers.add_parser(
         "cache", help="inspect or clear the on-disk result cache"
@@ -226,20 +210,9 @@ def _runner_summary(telemetry) -> Optional[str]:
 
 
 def _run_artifact(
-    name: str,
-    record: bool,
-    runs_dir: str,
-    jobs: int = 1,
-    use_cache: bool = True,
-    batch_override: Optional[bool] = None,
+    name: str, record: bool, runs_dir: str, config: RunnerConfig
 ) -> None:
     runner = EXPERIMENTS[name][1]
-    config = RunnerConfig(
-        jobs=jobs,
-        cache=use_cache,
-        cache_dir=Path(runs_dir) / "cache",
-        batch_override=batch_override,
-    )
     if not record:
         with using(config):
             runner()
@@ -277,21 +250,17 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         record = not args.no_record
-        jobs = max(1, args.jobs)
-        use_cache = not args.no_cache
-        batch_override = args.batch
+        config = RunnerConfig(
+            jobs=max(1, args.jobs),
+            cache=not args.no_cache,
+            cache_dir=Path(runs_dir) / "cache",
+        )
         if args.artifact == "all":
             for name in sorted(EXPERIMENTS):
                 print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-                _run_artifact(
-                    name, record, runs_dir, jobs, use_cache,
-                    batch_override,
-                )
+                _run_artifact(name, record, runs_dir, config)
             return 0
-        _run_artifact(
-            args.artifact, record, runs_dir, jobs, use_cache,
-            batch_override,
-        )
+        _run_artifact(args.artifact, record, runs_dir, config)
         return 0
 
     if args.command == "cache":

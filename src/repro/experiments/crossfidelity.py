@@ -144,9 +144,7 @@ def run(
     engine: str = "vector",
 ) -> CrossFidelityResult:
     """Run both scenarios at fine granularity and summarize."""
-    [result] = run_many(
-        [_spec(duration, dt, seed, engine=engine)], batch=True
-    )
+    [result] = run_many([_spec(duration, dt, seed, engine=engine)])
     return _summarize(result, skip)
 
 
@@ -179,7 +177,7 @@ def dt_sweep(
         )
         for dt in dts
     ]
-    results = run_many(specs, batch=True)
+    results = run_many(specs)
     return [
         DtSweepPoint(dt=dt, result=_summarize(result, skip))
         for dt, result in zip(dts, results)

@@ -102,7 +102,7 @@ def bandwidth_experiment(
             ),
         ),
     )
-    [result] = run_many([spec], batch=True)
+    [result] = run_many([spec])
     fair_trace = result.scenario("fair").trace
     unfair_trace = result.scenario("unfair").trace
     return BandwidthResult(
@@ -189,7 +189,6 @@ def cdf_experiment(
                 label="figure1-cdf-unfair",
             ),
         ],
-        batch=True,
     )
     fair, unfair = fair_result.phase, unfair_result.phase
     paired = PairedRun(fair=fair, unfair=unfair, job_ids=job_ids)

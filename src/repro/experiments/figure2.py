@@ -169,7 +169,6 @@ def run(
                 label="figure2-unfair",
             ),
         ],
-        batch=True,
     )
     return Figure2Result(
         fair=fair_result.phase,

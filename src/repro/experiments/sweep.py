@@ -166,8 +166,7 @@ def run(
 ) -> List[SweepPoint]:
     """Sweep communication fraction and sample pair compatibility."""
     results = run_many(
-        point_specs(fractions, pairs_per_point, same_period, seed),
-        batch=True,
+        point_specs(fractions, pairs_per_point, same_period, seed)
     )
     return [
         SweepPoint(
@@ -207,8 +206,11 @@ def fluid_grid_specs(
     """One fluid spec per replication seed: a fair/unfair DCQCN pair.
 
     Every spec shares the default ``dt`` and the given duration, so the
-    whole grid is one batchable group for ``run_many(batch=True)`` —
-    the stacked execution is bit-identical to running each spec alone.
+    whole grid is one group for the runner's grid tier. At two sender
+    slots per spec it stays below
+    :data:`~repro.runner.grid.MIN_GROUP_SLOTS` and runs spec by spec,
+    where span fast-forward wins; only a grid of at least half that
+    many seeds stacks, bit-identically.
     """
     def lineup(name: str, timer_j1: float) -> ScenarioSpec:
         return ScenarioSpec(
@@ -242,13 +244,11 @@ def fluid_grid(
 ) -> List[FluidGridPoint]:
     """Validate the sweep's payoff direction on the DCQCN fluid tier.
 
-    Runs a seeds-replicated fair/unfair grid through
-    ``run_many(batch=True)`` and reports the aggressive sender's
+    Runs a seeds-replicated fair/unfair grid (:func:`fluid_grid_specs`)
+    through ``run_many`` and reports the aggressive sender's
     bandwidth-share gain per seed.
     """
-    results = run_many(
-        fluid_grid_specs(seeds, duration, seed), batch=True
-    )
+    results = run_many(fluid_grid_specs(seeds, duration, seed))
     points: List[FluidGridPoint] = []
     for replication, result in zip(seeds, results):
         shares = {}
@@ -286,7 +286,7 @@ def fluid_report(points: Sequence[FluidGridPoint]) -> str:
         rows,
         title=(
             "Fluid validation grid — aggressive-timer bandwidth gain "
-            "per replication seed (batched DCQCN runs)"
+            "per replication seed (DCQCN fluid runs)"
         ),
     )
 

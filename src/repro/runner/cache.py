@@ -14,7 +14,9 @@ simply never cached — the runner executes it every time.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -31,6 +33,12 @@ from .spec import RunResult, RunSpec
 #: fluid results; pre-fabric entries lack the link series and must not
 #: be replayed for topology-backed specs.
 CACHE_VERSION = 4
+
+#: Staging files are ``<entry>.<pid>.<n>.tmp``, ``n`` counting writes
+#: across every cache in the process: unique per write, so writers
+#: sharing a cache that miss one spec never rename each other's staging
+#: file away (the last rename wins, with the same bytes).
+_staging = itertools.count()
 
 
 @dataclass
@@ -100,7 +108,9 @@ class ResultCache:
             return False
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(content_hash)
-        tmp = path.with_suffix(".tmp")
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{next(_staging)}.tmp"
+        )
         tmp.write_text(payload, encoding="utf-8")
         tmp.replace(path)
         return True
@@ -120,10 +130,12 @@ class ResultCache:
         }
 
     def clear(self) -> int:
-        """Delete all cache entries; returns how many were removed."""
+        """Delete all entries and staging files; returns the entry count."""
         removed = 0
         if self.root.is_dir():
             for path in self.root.glob("*.json"):
                 path.unlink(missing_ok=True)
                 removed += 1
+            for path in self.root.glob("*.tmp"):
+                path.unlink(missing_ok=True)
         return removed

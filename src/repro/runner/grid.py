@@ -1,9 +1,12 @@
 """The batched grid tier: stack compatible fluid specs into one run.
 
-``run_many(..., batch=True)`` partitions its cache misses into groups
-that one :class:`repro.cc.grid_bank.GridBank` can execute together —
-same backend, same ``dt``, same duration, single-bottleneck topology —
-and simulates each group as one structure-of-arrays run. Per-spec
+``run_many`` partitions its cache misses into groups that one
+:class:`repro.cc.grid_bank.GridBank` can execute together — same
+backend, same ``dt``, same duration, single-bottleneck topology — and
+simulates each group as one structure-of-arrays run. :func:`plan_groups`
+alone decides which groups are worth it: a group stacks only when it
+carries at least :data:`MIN_GROUP_SLOTS` sender slots, since below that
+the per-spec engine's span fast-forward beats one shared kernel. Per-spec
 divergence (timers, seeds, workload phases, fault windows) lives in
 per-run lanes inside the bank, so every spec's result is bit-identical
 to executing it alone through :class:`~repro.runner.backends.
@@ -50,6 +53,12 @@ BATCHABLE_OPTIONS = frozenset({"dt", "sample_interval", "engine"})
 #: the grid kernel over the plain vector engine.
 MIN_GROUP = 2
 
+#: Fewest sender slots (one sender in one lane; a spec counts its
+#: largest scenario) a group needs to stack. The measured crossover:
+#: below it each spec's own span fast-forward skips more ticks than
+#: the shared grid kernel saves, so small grids run spec by spec.
+MIN_GROUP_SLOTS = 256
+
 
 def batchable_spec(spec: RunSpec) -> bool:
     """Whether ``spec`` is a candidate for grid batching.
@@ -84,27 +93,32 @@ def _group_key(spec: RunSpec) -> Tuple[float, float]:
     return (float(options.get("dt", DEFAULT_DT)), float(spec.duration))
 
 
+def _sender_slots(spec: RunSpec) -> int:
+    """Grid-lane sender slots ``spec`` occupies (its widest wave)."""
+    return max(len(scenario.senders) for scenario in spec.scenarios)
+
+
 def plan_groups(
     indexed: Sequence[Tuple[int, RunSpec]],
 ) -> List[List[int]]:
-    """Partition ``(index, spec)`` pairs into batchable groups.
+    """Partition ``(index, spec)`` pairs into groups worth stacking.
 
-    Returns lists of indices, each of size >= :data:`MIN_GROUP`, in
-    first-seen order; unbatchable specs and singleton groups are left
-    out (they run on the per-spec path).
+    Returns lists of indices in first-seen order, each of at least
+    :data:`MIN_GROUP` specs and :data:`MIN_GROUP_SLOTS` sender slots;
+    unbatchable specs and groups below either floor are left out (they
+    run on the per-spec path).
     """
     buckets: Dict[Tuple[float, float], List[int]] = {}
-    order: List[Tuple[float, float]] = []
+    slots: Dict[Tuple[float, float], int] = {}
     for index, spec in indexed:
         if not batchable_spec(spec):
             continue
         key = _group_key(spec)
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(index)
+        buckets.setdefault(key, []).append(index)
+        slots[key] = slots.get(key, 0) + _sender_slots(spec)
     return [
-        buckets[key] for key in order if len(buckets[key]) >= MIN_GROUP
+        group for key, group in buckets.items()
+        if len(group) >= MIN_GROUP and slots[key] >= MIN_GROUP_SLOTS
     ]
 
 

@@ -16,9 +16,11 @@ The contract that makes parallelism safe to adopt everywhere:
 
 Runner-level instruments on the caller's session: counters
 ``runner.specs``, ``runner.executed``, ``runner.cache.hits``,
-``runner.cache.misses``. Worker wall-clock lands in the *span log*
-(path ``runner.worker/<label>``) — spans are the session's wall-clock
-surface, excluded from the deterministic metrics snapshot.
+``runner.cache.misses``, ``runner.batched``. Worker wall-clock lands in
+the *span log* — path ``runner.worker/<label>`` per executed spec, or
+``runner.worker/grid[<n>]:<first label>`` once per stacked group of
+``n`` specs — spans are the session's wall-clock surface, excluded
+from the deterministic metrics snapshot.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..telemetry.session import Telemetry, resolve, use
-from ..telemetry.spans import Span
+from ..telemetry.spans import Span, SpanLog
 from . import backends as _backends
 from .cache import ResultCache
 from .spec import RunResult, RunSpec, safe_content_hash
@@ -54,12 +56,6 @@ class RunnerConfig:
     jobs: int = 1
     cache: bool = False
     cache_dir: Path = field(default_factory=_default_cache_dir)
-    #: Default for ``run_many(batch=None)``: drivers that want grid
-    #: batching opt in per call site, so the ambient default stays off.
-    batch: bool = False
-    #: CLI override (``--batch`` / ``--no-batch``): when set it wins
-    #: over both the ambient default and the per-call argument.
-    batch_override: Optional[bool] = None
 
 
 _config = RunnerConfig()
@@ -114,7 +110,7 @@ def run_many(
     cache: Optional[bool] = None,
     cache_dir: Optional[Path] = None,
     telemetry: Optional[Telemetry] = None,
-    batch: Optional[bool] = None,
+    batch: bool = True,
 ) -> List[RunResult]:
     """Execute ``specs`` and return their results in spec order.
 
@@ -128,12 +124,10 @@ def run_many(
         cache_dir: Cache root; ``None`` takes the ambient config.
         telemetry: Session to merge worker telemetry into; ``None``
             resolves to the ambient session.
-        batch: Whether to stack compatible cache-miss specs into
-            batched grid runs (:mod:`repro.runner.grid`) before
-            falling back to the pool; ``None`` takes the ambient
-            config, and ``RunnerConfig.batch_override`` (the CLI's
-            ``--batch``/``--no-batch``) wins over both. Batched
-            results are bit-identical to per-spec execution.
+        batch: Whether cache misses may stack into grid runs;
+            :func:`repro.runner.grid.plan_groups` decides which groups
+            are large enough to gain. ``False`` forces the per-spec
+            path, the reference stacked results are bit-identical to.
 
     Specs that fail to pickle (ad-hoc gate closures) silently fall back
     to in-process execution — same results, no fan-out.
@@ -142,9 +136,6 @@ def run_many(
     jobs = config.jobs if jobs is None else jobs
     cache_enabled = config.cache if cache is None else cache
     root = Path(cache_dir) if cache_dir is not None else config.cache_dir
-    batch_enabled = config.batch if batch is None else batch
-    if config.batch_override is not None:
-        batch_enabled = config.batch_override
     session = resolve(telemetry)
 
     specs = list(specs)
@@ -153,7 +144,9 @@ def run_many(
 
     results: List[Optional[RunResult]] = [None] * len(specs)
     states: List[Optional[Dict[str, Any]]] = [None] * len(specs)
-    seconds: List[Optional[float]] = [None] * len(specs)
+    # ``(name, wall seconds)`` of the worker span merged at an index:
+    # a per-spec run's own, a stacked group's at its first spec.
+    worker_spans: List[Optional[Tuple[str, float]]] = [None] * len(specs)
     hits = 0
 
     pending: List[int] = []
@@ -170,23 +163,34 @@ def run_many(
         else:
             pending.append(index)
 
-    # Grid tier: stack compatible cache misses into batched runs. A
-    # group that turns out not to be batchable mid-build falls back to
-    # the per-spec path below — results are bit-identical either way,
-    # so batching is purely a wall-clock decision.
+    # Grid tier: stack the cache-miss groups plan_groups judges large
+    # enough to gain. A group that turns out not to be batchable
+    # mid-build falls back to the per-spec path below — results are
+    # bit-identical either way, so stacking is purely a wall-clock
+    # decision.
     batched: set = set()
-    if batch_enabled and len(pending) >= 2:
+    if batch and len(pending) >= 2:
         from . import grid as _grid
 
         for group in _grid.plan_groups(
             [(i, specs[i]) for i in pending]
         ):
-            outcome = _grid.execute_batched([specs[i] for i in group])
+            # The span log is the sanctioned wall-clock surface
+            # (DET002); a throwaway log times the group.
+            with SpanLog().span("execute") as span:
+                outcome = _grid.execute_batched(
+                    [specs[i] for i in group]
+                )
             if outcome is None:
                 continue
             for index, (result, state) in zip(group, outcome):
                 results[index] = result
                 states[index] = state
+            first = specs[group[0]]
+            worker_spans[group[0]] = (
+                f"grid[{len(group)}]:{first.label or first.backend}",
+                span.duration,
+            )
             batched.update(group)
 
     pool_pending = [i for i in pending if i not in batched]
@@ -210,7 +214,8 @@ def run_many(
         ):
             results[index] = result
             states[index] = state
-            seconds[index] = elapsed
+            spec = specs[index]
+            worker_spans[index] = (spec.label or spec.backend, elapsed)
 
     # Merge telemetry and populate the cache in spec order.
     executed = set(pending)
@@ -218,12 +223,12 @@ def run_many(
         state = states[index]
         if state:
             session.merge_worker_state(state)
-        if seconds[index] is not None and session.enabled:
+        if worker_spans[index] is not None and session.enabled:
             # Wall-clock belongs in the span log, never in metrics:
             # the metrics snapshot must stay deterministic per seed.
-            name = spec.label or spec.backend
+            name, elapsed = worker_spans[index]
             span = Span(name, f"runner.worker/{name}", depth=1)
-            span.duration = seconds[index]
+            span.duration = elapsed
             session.spans.completed.append(span)
         if (
             store is not None

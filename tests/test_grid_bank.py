@@ -8,8 +8,9 @@ The metamorphic suite below checks that over randomized grids (mixed
 seeds x timers x fault schedules) and over the batch sizes that stress
 the lane machinery: 1 (degenerate), 2 (minimal), odd, and a wide 64.
 
-The runner half pins the integration contract: ``run_many(batch=True)``
-is byte-identical to ``batch=False`` (results *and* cache entries), a
+The runner half pins the integration contract: a grid that reaches
+``MIN_GROUP_SLOTS`` stacks and is byte-identical to ``batch=False``
+(results *and* cache entries), a grid below it runs spec by spec, a
 fully cached grid never touches the process pool, and the grouping
 screen only admits specs the bank can actually represent.
 """
@@ -28,6 +29,7 @@ from repro.cc.dcqcn import (
     OnOffDcqcnJob,
 )
 from repro.cc.grid_bank import GridBank, grid_compatible, run_grid
+from repro.experiments import sweep
 from repro.faults import (
     InjectionSchedule,
     LinkFailure,
@@ -46,6 +48,7 @@ from repro.runner.grid import (
     DEFAULT_DT,
     DEFAULT_ENGINE,
     MIN_GROUP,
+    MIN_GROUP_SLOTS,
     batchable_spec,
     execute_batched,
     plan_groups,
@@ -221,25 +224,21 @@ class TestGridBankMetamorphic:
         assert GridBank.build(sims) is None
 
 
-def fluid_specs(n=4, duration=DURATION, seed=0, ragged=False):
+def lineup(timer_j1, senders):
+    """J1 on ``timer_j1`` plus ``senders - 1`` default-timer peers."""
+    return (SenderSpec(name="J1", timer=timer_j1),) + tuple(
+        SenderSpec(name=f"J{s}", timer=DEFAULT_TIMER)
+        for s in range(2, senders + 1)
+    )
+
+
+def fluid_specs(n=4, duration=DURATION, seed=0, ragged=False, senders=2):
     """A batchable fluid grid at test scale (coarse dt option)."""
     specs = []
     for k in range(n):
         scenarios = [
-            ScenarioSpec(
-                "fair",
-                (
-                    SenderSpec(name="J1", timer=DEFAULT_TIMER),
-                    SenderSpec(name="J2", timer=DEFAULT_TIMER),
-                ),
-            ),
-            ScenarioSpec(
-                "unfair",
-                (
-                    SenderSpec(name="J1", timer=AGGRESSIVE_TIMER),
-                    SenderSpec(name="J2", timer=DEFAULT_TIMER),
-                ),
-            ),
+            ScenarioSpec("fair", lineup(DEFAULT_TIMER, senders)),
+            ScenarioSpec("unfair", lineup(AGGRESSIVE_TIMER, senders)),
         ]
         if ragged and k % 2 == 1:
             scenarios = scenarios[:1]
@@ -256,6 +255,15 @@ def fluid_specs(n=4, duration=DURATION, seed=0, ragged=False):
     return specs
 
 
+def floor_specs(n=4, **kwargs):
+    """``n`` specs with just enough senders to reach ``MIN_GROUP_SLOTS``.
+
+    The runner stacks only grids at or above the slot floor, so the
+    runner-tier tests use this shape to exercise the stacked path.
+    """
+    return fluid_specs(n, senders=-(-MIN_GROUP_SLOTS // n), **kwargs)
+
+
 def canonical(results):
     """Canonical JSON of results — the byte-identity yardstick."""
     return json.dumps(
@@ -265,17 +273,21 @@ def canonical(results):
 
 
 class TestRunnerGridTier:
-    """run_many(batch=True) == run_many(batch=False), byte for byte."""
+    """run_many(batch=True) == run_many(batch=False), byte for byte.
+
+    :func:`floor_specs` grids reach ``MIN_GROUP_SLOTS``, so the runner
+    stacks them; the sweep artifact's grid stays below it.
+    """
 
     @pytest.mark.parametrize("ragged", [False, True])
     def test_batched_matches_per_spec(self, ragged):
-        specs = fluid_specs(ragged=ragged)
+        specs = floor_specs(ragged=ragged)
         batched = run_many(specs, batch=True, cache=False)
         solo = run_many(specs, batch=False, cache=False)
         assert canonical(batched) == canonical(solo)
 
     def test_batched_telemetry_matches_per_spec(self):
-        specs = fluid_specs(n=2)
+        specs = floor_specs(n=2)
 
         def run(batch):
             session = Telemetry(name="grid-test")
@@ -295,7 +307,7 @@ class TestRunnerGridTier:
         ]
 
     def test_cache_entries_byte_identical_across_paths(self, tmp_path):
-        specs = fluid_specs(n=2)
+        specs = floor_specs(n=2)
         run_many(specs, batch=True, cache=True,
                  cache_dir=tmp_path / "a")
         run_many(specs, batch=False, cache=True,
@@ -316,7 +328,7 @@ class TestRunnerGridTier:
             ), rel
 
     def test_cache_round_trip(self, tmp_path):
-        specs = fluid_specs(n=3)
+        specs = floor_specs(n=3)
         first = run_many(specs, batch=True, cache=True,
                          cache_dir=tmp_path)
         second = run_many(specs, batch=True, cache=True,
@@ -329,7 +341,7 @@ class TestRunnerGridTier:
         """Satellite regression: a 100%-hit grid spawns zero workers."""
         from repro.runner import parallel
 
-        specs = fluid_specs(n=3)
+        specs = floor_specs(n=3)
         run_many(specs, batch=True, cache=True, cache_dir=tmp_path)
 
         class PoolBomb:
@@ -349,7 +361,7 @@ class TestRunnerGridTier:
         )
 
     def test_batched_specs_are_cached_for_later_hits(self, tmp_path):
-        specs = fluid_specs(n=2)
+        specs = floor_specs(n=2)
         session = Telemetry(name="grid-test")
         with use(session):
             run_many(specs, batch=True, cache=True,
@@ -358,6 +370,69 @@ class TestRunnerGridTier:
                      cache_dir=tmp_path)
         assert int(session.counter("runner.cache.hits").value) == 2
         assert int(session.counter("runner.batched").value) == 2
+
+    def test_sweep_fluid_grid_runs_spec_by_spec(self):
+        """The sweep artifact's 2-sender grid sits below the floor."""
+        specs = sweep.fluid_grid_specs((0, 1, 2, 3), duration=0.01)
+        session = Telemetry(name="grid-test")
+        with use(session):
+            run_many(specs, cache=False)
+        assert int(session.counter("runner.executed").value) == 4
+        assert int(session.counter("runner.batched").value) == 0
+
+    def test_grid_just_above_floor_stacks(self):
+        n = 4
+        specs = fluid_specs(n, senders=MIN_GROUP_SLOTS // n + 1)
+        session = Telemetry(name="grid-test")
+        with use(session):
+            stacked = run_many(specs, cache=False)
+        assert int(session.counter("runner.batched").value) == n
+        assert canonical(stacked) == canonical(
+            run_many(specs, batch=False, cache=False)
+        )
+
+    def _mixed_grid(self):
+        """Two stackable groups (split by dt) plus one per-spec run."""
+        group_a = floor_specs(n=2)
+        group_b = [
+            spec.replace(label=f"other-dt-{k}", options=(("dt", DT * 2),))
+            for k, spec in enumerate(floor_specs(n=2, seed=1))
+        ]
+        solo = [
+            spec.replace(label="solo")
+            for spec in fluid_specs(n=1, duration=DURATION * 2, seed=2)
+        ]
+        return group_a + group_b + solo
+
+    def test_one_worker_span_per_stacked_group(self):
+        session = Telemetry(name="grid-test")
+        with use(session):
+            run_many(self._mixed_grid(), cache=False)
+        spans = [
+            span for span in session.spans.completed
+            if span.path.startswith("runner.worker/")
+        ]
+        assert [span.path for span in spans] == [
+            "runner.worker/grid[2]:grid-test-0",
+            "runner.worker/grid[2]:other-dt-0",
+            "runner.worker/solo",
+        ]
+        assert all(span.duration > 0 for span in spans)
+        assert int(session.counter("runner.batched").value) == 4
+
+    def test_group_spans_leave_metrics_snapshot_unchanged(self):
+        specs = self._mixed_grid()
+
+        def snapshot(batch):
+            session = Telemetry(name="grid-test")
+            with use(session):
+                run_many(specs, batch=batch, cache=False)
+            return session.registry.snapshot()
+
+        stacked, per_spec = snapshot(True), snapshot(False)
+        assert stacked["counters"].pop("runner.batched") == 4
+        assert per_spec["counters"].pop("runner.batched") == 0
+        assert stacked == per_spec
 
 
 class TestGroupingScreen:
@@ -401,14 +476,14 @@ class TestGroupingScreen:
         )
 
     def test_groups_split_by_dt_and_duration(self):
-        base = fluid_specs(n=2)
+        base = floor_specs(n=2)
         other_dt = [
             spec.replace(options=(("dt", DT * 2),))
-            for spec in fluid_specs(n=2, seed=1)
+            for spec in floor_specs(n=2, seed=1)
         ]
         other_duration = [
             spec.replace(duration=DURATION * 2)
-            for spec in fluid_specs(n=1, seed=2)
+            for spec in floor_specs(n=1, seed=2)
         ]
         indexed = list(
             enumerate(base + other_dt + other_duration)
@@ -416,6 +491,20 @@ class TestGroupingScreen:
         groups = plan_groups(indexed)
         assert groups == [[0, 1], [2, 3]]
         assert MIN_GROUP == 2  # the singleton stayed on the solo path
+
+    def test_slot_floor(self):
+        """A group stacks from ``MIN_GROUP_SLOTS`` sender slots on, and
+        a spec counts its largest scenario, not the sum of them."""
+        half = MIN_GROUP_SLOTS // 2
+        rest = MIN_GROUP_SLOTS - half
+        [wide] = fluid_specs(n=1, senders=half)
+        [narrow] = fluid_specs(n=1, seed=1, senders=rest - 1)
+        assert plan_groups([(0, wide), (1, narrow)]) == []
+        widened = narrow.replace(scenarios=(
+            narrow.scenarios[0],
+            ScenarioSpec("wide", lineup(DEFAULT_TIMER, rest)),
+        ))
+        assert plan_groups([(0, wide), (1, widened)]) == [[0, 1]]
 
     def test_execute_batched_falls_back_on_scalar_engine(self):
         # The declarative screen catches this earlier in run_many;

@@ -4,12 +4,19 @@ This is the merge gate the PR establishes: every invariant rule passes
 on ``src/repro`` with an *empty* baseline, so any regression — a stray
 ``time.time()``, an inline ``* 1e-3``, a float ``==`` — fails CI here
 and in the workflow's lint job.
+
+Linting the package tree takes seconds, so it happens few times: one
+shared serial report (:func:`package_report`) backs the cleanliness and
+jobs-parity tests, and the output-format tests run the CLI on a small
+clean tree instead.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.cli import main as experiments_main
@@ -21,8 +28,30 @@ from repro.lint.cli import main as lint_main
 PACKAGE_DIR = Path(repro.__file__).resolve().parent
 
 
-def test_package_tree_is_lint_clean():
-    report = lint_paths([str(PACKAGE_DIR)])
+@pytest.fixture(scope="session")
+def package_report():
+    """One serial lint of the package tree, shared across tests."""
+    return lint_paths([str(PACKAGE_DIR)])
+
+
+@pytest.fixture
+def clean_tree(tmp_path):
+    """A small lint-clean package for the CLI output-format tests."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        '"""A clean package."""\n', encoding="utf-8"
+    )
+    (package / "rates.py").write_text(
+        "def share(rate, total):\n"
+        "    return rate / total if total > 0 else 0.0\n",
+        encoding="utf-8",
+    )
+    return package
+
+
+def test_package_tree_is_lint_clean(package_report):
+    report = package_report
     rendered = "\n".join(f.render() for f in report.findings)
     assert report.ok, f"lint findings on src/repro:\n{rendered}"
     # Sanity: the walk actually visited the tree.
@@ -37,21 +66,21 @@ def test_committed_baseline_is_empty():
     assert len(Baseline.load(path)) == 0
 
 
-def test_lint_cli_exits_zero_on_package(capsys):
-    assert lint_main([str(PACKAGE_DIR)]) == 0
+def test_lint_cli_exits_zero_on_package(clean_tree, capsys):
+    assert lint_main([str(clean_tree)]) == 0
     out = capsys.readouterr().out
     assert "clean" in out
 
 
-def test_lint_cli_json_mode(capsys):
-    assert lint_main([str(PACKAGE_DIR), "--format", "json"]) == 0
+def test_lint_cli_json_mode(clean_tree, capsys):
+    assert lint_main([str(clean_tree), "--format", "json"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["summary"]["total"] == 0
     assert document["findings"] == []
 
 
-def test_experiments_cli_mounts_lint_subcommand(capsys):
-    assert experiments_main(["lint", str(PACKAGE_DIR)]) == 0
+def test_experiments_cli_mounts_lint_subcommand(clean_tree, capsys):
+    assert experiments_main(["lint", str(clean_tree)]) == 0
     assert "clean" in capsys.readouterr().out
 
 
@@ -98,14 +127,14 @@ def test_semantic_pass_clean_on_package_tree():
     assert report.ok, f"semantic findings on src/repro:\n{rendered}"
 
 
-def test_jobs_parity_on_package_tree():
-    serial = lint_paths([str(PACKAGE_DIR)], jobs=1)
+def test_jobs_parity_on_package_tree(package_report):
+    serial = package_report
     parallel = lint_paths([str(PACKAGE_DIR)], jobs=4)
     assert serial.to_dict() == parallel.to_dict()
 
 
-def test_lint_cli_sarif_mode(capsys):
-    assert lint_main([str(PACKAGE_DIR), "--format", "sarif"]) == 0
+def test_lint_cli_sarif_mode(clean_tree, capsys):
+    assert lint_main([str(clean_tree), "--format", "sarif"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["version"] == "2.1.0"
     run = document["runs"][0]

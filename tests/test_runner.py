@@ -380,6 +380,52 @@ class TestCache:
         assert store.clear() == 2
         assert store.stats()["entries"] == 0
 
+    def test_concurrent_writers_of_one_spec(self, tmp_path, monkeypatch):
+        """A second writer landing between a write and its rename.
+
+        Two processes sharing a cache that miss the same spec both
+        stage and rename an entry for one hash. The interleaving is
+        forced deterministically: the first writer's rename runs a
+        whole second ``put`` before it proceeds.
+        """
+        import pathlib
+
+        spec = small_phase_specs(n_iterations=5)[0]
+        [result] = run_many([spec], cache=False)
+        content_hash = spec.content_hash()
+        store = ResultCache(tmp_path)
+        original = pathlib.Path.replace
+        renames = []
+        nested = []
+
+        def interleaved(self, target):
+            renames.append(self.name)
+            if len(renames) == 1:
+                nested.append(store.put(spec, content_hash, result, {}))
+            return original(self, target)
+
+        monkeypatch.setattr(pathlib.Path, "replace", interleaved)
+        assert store.put(spec, content_hash, result, {})
+        assert nested == [True], "the second writer never ran"
+        entry = store.get(content_hash)
+        assert entry is not None
+        assert canonical([entry.result]) == canonical([result])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{content_hash}.json"
+        ]
+
+    def test_clear_removes_leftover_staging_files(self, tmp_path):
+        run_many(
+            small_phase_specs(n_iterations=5),
+            cache=True,
+            cache_dir=tmp_path,
+        )
+        (tmp_path / "abc.json.123.0.tmp").write_text("{", encoding="utf-8")
+        (tmp_path / "abc.tmp").write_text("{", encoding="utf-8")
+        store = ResultCache(tmp_path)
+        assert store.clear() == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunnerConfig:
     def test_default_is_serial_uncached(self):
