@@ -32,7 +32,6 @@ from .errors import (
     GeometryError,
     CompatibilityError,
     PlacementError,
-    CalibrationError,
 )
 from .units import gbps, mbps, ms, us, seconds, to_gbps, to_milliseconds
 from .net import (
@@ -129,7 +128,7 @@ __all__ = [
     # errors
     "ReproError", "ConfigError", "SimulationError", "TopologyError",
     "RoutingError", "AllocationError", "WorkloadError", "GeometryError",
-    "CompatibilityError", "PlacementError", "CalibrationError",
+    "CompatibilityError", "PlacementError",
     # units
     "gbps", "mbps", "ms", "us", "seconds", "to_gbps", "to_milliseconds",
     # net

@@ -12,10 +12,11 @@ and writes every completed iteration into one canonical
 :class:`~repro.core.timeline.JobTimeline`. The drivers differ only in
 *when* they advance the machine:
 
-* Event-driven tiers (:class:`repro.net.phasesim.PhaseLevelSimulator`,
-  the runner's ``engine`` backend) call the transition methods from
-  scheduled events; methods return the next phase's duration or byte
-  budget so the caller can schedule the follow-up event.
+* The event-driven tier (:class:`repro.net.phasesim.PhaseLevelSimulator`,
+  behind the runner's ``phase`` and ``cluster`` backends) calls the
+  transition methods from scheduled events; methods return the next
+  phase's duration or byte budget so the caller can schedule the
+  follow-up event.
 * Fixed-step fluid tiers (:class:`repro.cc.dcqcn.DcqcnFluidSimulator`,
   :class:`repro.cc.aimd.AimdFluidSimulator`) wrap the machine in
   :class:`OnOffSource`, which polls it every ``dt`` and spawns a fresh

@@ -46,7 +46,3 @@ class CompatibilityError(ReproError):
 
 class PlacementError(ReproError):
     """Raised when the scheduler cannot place a job on the cluster."""
-
-
-class CalibrationError(ReproError):
-    """Raised when profile calibration cannot match a target."""

@@ -247,18 +247,6 @@ def run_policies(
     return outcomes
 
 
-@dataclass
-class LargeScaleOutcome:
-    """One policy's result on the many-job cluster."""
-
-    policy_name: str
-    mean_slowdown: float
-    max_slowdown: float
-    mixed_links: int
-    placed: int
-    rejected: int
-
-
 def run_large_scale(
     n_racks: int = 10,
     hosts_per_rack: int = 2,

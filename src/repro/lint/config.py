@@ -41,14 +41,8 @@ DEFAULT_LAYERS: Tuple[Tuple[str, ...], ...] = (
 #: Packages importable from (and into) any layer.
 DEFAULT_CROSS_CUTTING: Tuple[str, ...] = ("telemetry", "io")
 
-#: Substream templates shared across components on purpose.
-DEFAULT_SHARED_STREAMS: Mapping[str, str] = {
-    "job:{}": (
-        "cross-tier bit-equivalence: the engine backend must draw the "
-        "same per-job substream as PhaseLevelSimulator so fidelity "
-        "tiers replay identical randomness"
-    ),
-}
+#: Substream templates shared across components on purpose (none).
+DEFAULT_SHARED_STREAMS: Mapping[str, str] = {}
 
 #: Substream name prefixes owned by one component.
 DEFAULT_STREAM_OWNERS: Mapping[str, str] = {

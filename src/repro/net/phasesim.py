@@ -9,8 +9,8 @@ so phase completions are computed *exactly*; there is no time-stepping
 error. This is the engine behind Table 1, Figure 1d and Figure 2.
 
 The on-off state machine itself lives in
-:class:`repro.core.lifecycle.JobLifecycle`, shared with the fluid and
-engine tiers; this module drives it from scheduled events and adds the
+:class:`repro.core.lifecycle.JobLifecycle`, shared with the fluid
+tiers; this module drives it from scheduled events and adds the
 network: routed flows, the share policy, and the fluid rate allocator.
 
 The sliding effect the paper describes needs no special code: with a
@@ -49,7 +49,7 @@ from ..telemetry.trace import (
 from .flows import Flow
 from .fluid import FluidAllocator
 from .routing import Router
-from .topology import Topology
+from .topology import Link, Topology
 
 if TYPE_CHECKING:  # imported lazily to avoid a package import cycle
     from ..cc.base import SharePolicy
@@ -260,6 +260,8 @@ class PhaseLevelSimulator:
         self._rates: Dict[JobRun, float] = {}
         self._last_progress_update = 0.0
         self._link_loads: Dict[str, StepFunction] = {}
+        #: Pre-fault capacity of every link a fault schedule touches.
+        self._base_capacities: Dict[Link, float] = {}
         self._tick_event = None
 
     # ------------------------------------------------------------------
@@ -372,46 +374,41 @@ class PhaseLevelSimulator:
         events (rate changes, failures, PFC storms — the latter degrade
         to transient failures in this tier, which has no PFC model)
         become boundary callbacks that mutate the named link's capacity
-        and trigger a reallocation; job events and latency spikes become
-        lifecycle warps. Link names must exist in the topology; job
-        events naming unknown jobs are ignored (a schedule may span more
-        jobs than one placement runs).
+        and trigger a reallocation; :meth:`run` puts every faulted
+        link's base capacity back when it returns, even when ``until``
+        ends the run inside a fault window. Job events and latency
+        spikes become lifecycle warps. Link names must exist in the
+        topology (:class:`~repro.errors.TopologyError` otherwise, before
+        any event is armed); job events naming unknown jobs are ignored
+        (a schedule may span more jobs than one placement runs).
         """
         if schedule is None or schedule.is_empty:
             return
-        known = {link.name for link in self.topology.links}
-        for name in schedule.link_names():
-            if name not in known:
-                raise ConfigError(
-                    f"fault schedule names unknown link {name!r}"
-                )
+        links = {
+            name: self.topology.link_by_name(name)
+            for name in schedule.link_names()
+        }
         for event in schedule.events:
             if not isinstance(event, CAPACITY_EVENT_TYPES):
                 continue
-            # Directed topologies may reuse a name per direction; the
-            # fault hits every link carrying it.
-            targets = [
-                link for link in self.topology.links
-                if link.name == event.link
-            ]
-            for link in targets:
-                base = link.capacity
-                faulted = (
-                    base * event.factor
-                    if isinstance(event, RateChange)
-                    else 0.0
-                )
-                # priority=-1: capacity flips before any same-time job
-                # event sees the link, mirroring the fluid tiers where
-                # the window starts at the tick boundary.
-                self._sim.schedule_at(
-                    event.start, self._apply_link_fault,
-                    link, faulted, event.kind, "start", priority=-1,
-                )
-                self._sim.schedule_at(
-                    event.end, self._apply_link_fault,
-                    link, base, event.kind, "end", priority=-1,
-                )
+            link = links[event.link]
+            base = self._base_capacities.setdefault(link, link.capacity)
+            faulted = (
+                base * event.factor
+                if isinstance(event, RateChange)
+                else 0.0
+            )
+            # priority=-1: capacity flips before any same-time job
+            # event sees the link, mirroring the fluid tiers where
+            # the window starts at the tick boundary.
+            self._sim.schedule_at(
+                event.start, self._apply_link_fault,
+                link, faulted, event.kind, "start", priority=-1,
+            )
+            self._sim.schedule_at(
+                event.end, self._apply_link_fault,
+                link, base, event.kind, "end", priority=-1,
+            )
         for run in self._jobs:
             link_names = sorted({
                 link.name for flow in run.flows for link in flow.links
@@ -452,7 +449,11 @@ class PhaseLevelSimulator:
         )
         for run in self._jobs:
             self._sim.schedule_at(run.start_offset, self._begin_iteration, run)
-        end_time = self._sim.run(until=until)
+        try:
+            end_time = self._sim.run(until=until)
+        finally:
+            for link, capacity in self._base_capacities.items():
+                link.capacity = capacity
         return SimulationResult(
             jobs={run.job_id: run for run in self._jobs},
             link_loads=self._link_loads,

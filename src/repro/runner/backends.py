@@ -1,15 +1,11 @@
 """The backend registry: one ``execute(spec) -> RunResult`` protocol.
 
-Built-in backends adapt the library's three simulators:
+Built-in backends adapt the library's simulators:
 
 * ``phase``  — :class:`repro.net.phasesim.PhaseLevelSimulator`, the exact
   event-driven phase model behind Table 1 / Figures 1d and 2.
 * ``fluid``  — :class:`repro.cc.dcqcn.DcqcnFluidSimulator`, the
   microsecond-scale DCQCN state machine (Figures 1b/1c, cross-fidelity).
-* ``engine`` — a deliberately small on-off model driven directly by
-  :class:`repro.sim.engine.Simulator`: one shared bottleneck, weighted
-  proportional sharing, no routing. The cheapest fidelity tier, useful
-  for sanity-checking the phase backend and for very large sweeps.
 * ``cluster`` — :class:`repro.scheduler.simulation.ClusterSimulation`
   over a declarative list of placements (the scheduler experiments).
 * ``service`` — :class:`repro.scheduler.service.ClusterService` over a
@@ -24,21 +20,13 @@ the experiment module still resolve its backend.
 from __future__ import annotations
 
 import importlib
-from typing import Dict, List, Mapping, Optional, Protocol, Tuple
+from typing import Dict, List, Protocol
 
-from ..errors import ConfigError, SimulationError
-from ..faults.events import RateChange
-from ..faults.runtime import build_warp, emit_fault_events
-from ..net.phasesim import (
-    JobRun,
-    PhaseLevelSimulator,
-    SimulationResult,
-)
+from ..errors import ConfigError
+from ..net.phasesim import PhaseLevelSimulator, SimulationResult
 from ..net.routing import Router
 from ..net.topology import BOTTLENECK, Topology
-from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams
-from ..sim.trace import StepFunction
 from ..units import gbps
 from ..workloads.profiles import EFFECTIVE_BOTTLENECK
 from .spec import (
@@ -48,9 +36,10 @@ from .spec import (
     safe_content_hash,
 )
 
-def _reject_fabric_faults(spec: RunSpec, backend: str, remedy: str) -> None:
-    """Refuse fault schedules that address links a single-bottleneck run
-    does not have, naming the offending links and the multi-link path.
+def _reject_fabric_faults(spec: RunSpec) -> None:
+    """Refuse fault schedules that address links a single-bottleneck
+    fluid run does not have, naming the offending links and the
+    multi-link path.
 
     Only called on specs *without* a topology — with one, the schedule
     flows through to the fabric engines, which validate every link name
@@ -64,11 +53,11 @@ def _reject_fabric_faults(spec: RunSpec, backend: str, remedy: str) -> None:
     ]
     if bad:
         raise ConfigError(
-            f"{backend} backend without a topology models a single "
+            "fluid backend without a topology models a single "
             f"bottleneck named {BOTTLENECK!r}, but the fault "
             f"schedule targets link(s) {bad}; set RunSpec.topology "
-            f"(e.g. Topology.fat_tree) and {remedy} to run multi-link "
-            "fault schedules"
+            "(e.g. Topology.fat_tree) and give each sender a route "
+            "(SenderSpec.route) to run multi-link fault schedules"
         )
 
 
@@ -282,10 +271,7 @@ class FluidBackend:
         if spec.duration <= 0:
             raise ConfigError("fluid backend needs a positive duration")
         if spec.topology is None:
-            _reject_fabric_faults(
-                spec, self.name,
-                "give each sender a route (SenderSpec.route)",
-            )
+            _reject_fabric_faults(spec)
         capacity = spec.capacity or gbps(50)
         params = DcqcnParams(line_rate=capacity)
         streams = RandomStreams(spec.seed)
@@ -306,395 +292,6 @@ class FluidBackend:
             backend=self.name,
             label=spec.label,
             fluid=scenarios,
-        )
-
-
-# ---------------------------------------------------------------------------
-# engine
-# ---------------------------------------------------------------------------
-
-class _EngineJob:
-    """Book-keeping for one job inside the engine backend."""
-
-    __slots__ = ("run", "active", "weight")
-
-    def __init__(self, run: JobRun, weight: float) -> None:
-        self.run = run
-        self.active = False
-        self.weight = weight
-
-
-class EngineBackend:
-    """Low-fidelity on-off model over one bottleneck or a routed fabric.
-
-    Jobs alternate compute and communication. Without a topology,
-    communicating jobs split a single shared bottleneck proportionally
-    to their policy weight (plain :class:`~repro.cc.fair.FairSharing`
-    or :class:`~repro.cc.weighted.StaticWeighted`) — on a dumbbell this
-    is exactly the phase backend's allocation, at a fraction of the
-    cost. With ``spec.topology`` set, jobs become ECMP-routed flows
-    allocated by the weighted max-min
-    :class:`~repro.net.fluid.FluidAllocator`, so each job's rate is set
-    by its most constrained hop and faults may target any fabric link.
-    """
-
-    name = "engine"
-
-    def _weight(self, spec: RunSpec, job_id: str) -> float:
-        policy = spec.policy
-        if policy is None or policy.name == "fair":
-            return 1.0
-        weight_for_job = getattr(policy, "weight_for_job", None)
-        if weight_for_job is None:
-            raise ConfigError(
-                "engine backend supports fair or static-weighted "
-                f"policies, not {policy.name!r}"
-            )
-        return float(weight_for_job(job_id))
-
-    def _build_jobs(
-        self,
-        spec: RunSpec,
-        streams: RandomStreams,
-        routes: Mapping[str, Tuple[str, ...]],
-    ) -> List[_EngineJob]:
-        """Job book-keeping shared by both tiers; ``routes`` maps each
-        job to the link names its fault warp watches."""
-        offsets = spec.start_offsets_dict()
-        jobs: List[_EngineJob] = []
-        for job_spec in spec.jobs:
-            run = JobRun(
-                spec=job_spec,
-                flows=[],
-                n_iterations=spec.n_iterations,
-                start_offset=offsets.get(job_spec.job_id, 0.0),
-                gate=None,
-                rng=streams.get(f"job:{job_spec.job_id}"),
-            )
-            warp = build_warp(
-                spec.faults, job_spec.job_id, routes[job_spec.job_id]
-            )
-            if warp is not None:
-                run.lifecycle.warp = warp
-            jobs.append(
-                _EngineJob(run, self._weight(spec, job_spec.job_id))
-            )
-        return jobs
-
-    def execute(self, spec: RunSpec) -> RunResult:
-        if not spec.jobs:
-            raise ConfigError("engine backend needs job specs")
-        if spec.n_iterations < 1:
-            raise ConfigError("engine backend needs n_iterations >= 1")
-        if spec.topology is not None:
-            return self._execute_fabric(spec)
-        _reject_fabric_faults(
-            spec, self.name,
-            "options['placements'] = ((job_id, src_host, dst_host), ...)",
-        )
-        capacity = spec.capacity or EFFECTIVE_BOTTLENECK
-        # Mutable holder: fault boundary events rebind the bottleneck's
-        # effective capacity mid-run (closures below read cap[0]).
-        cap = [capacity]
-        streams = RandomStreams(spec.seed)
-        sim = Simulator()
-        load = StepFunction(0.0, name=f"load:{BOTTLENECK}")
-        jobs = self._build_jobs(
-            spec,
-            streams,
-            {job.job_id: (BOTTLENECK,) for job in spec.jobs},
-        )
-
-        active: List[_EngineJob] = []
-        rates: Dict[int, float] = {}
-        finish_events: Dict[int, object] = {}
-        last_update = [0.0]
-
-        def advance_progress() -> None:
-            dt = sim.now - last_update[0]
-            if dt > 0:
-                for job in active:
-                    job.run.lifecycle.credit(rates.get(id(job), 0.0) * dt)
-            last_update[0] = sim.now
-
-        def reallocate() -> None:
-            advance_progress()
-            total_weight = sum(job.weight for job in active)
-            total_rate = 0.0
-            for job in active:
-                rate = (
-                    cap[0] * job.weight / total_weight
-                    if total_weight > 0
-                    else 0.0
-                )
-                rates[id(job)] = rate
-                job.run.rate_trace.set(sim.now, rate)
-                total_rate += rate
-                event = finish_events.pop(id(job), None)
-                if event is not None:
-                    sim.cancel(event)
-                if rate > 0:
-                    remaining = job.run.lifecycle.remaining_bytes
-                    finish_events[id(job)] = sim.schedule(
-                        max(remaining, 0.0) / rate, finish_comm, job
-                    )
-            load.set(sim.now, total_rate)
-
-        def begin_iteration(job: _EngineJob) -> None:
-            compute_time = job.run.lifecycle.begin_iteration(sim.now)
-            sim.schedule(compute_time, begin_comm, job)
-
-        def begin_comm(job: _EngineJob) -> None:
-            job.run.lifecycle.begin_comm(sim.now)
-            job.active = True
-            active.append(job)
-            reallocate()
-
-        def finish_comm(job: _EngineJob) -> None:
-            finish_events.pop(id(job), None)
-            advance_progress()
-            run = job.run
-            active.remove(job)
-            job.active = False
-            rates.pop(id(job), None)
-            run.rate_trace.set(sim.now, 0.0)
-            if run.lifecycle.has_more_segments:
-                # Layer-wise allreduce: next sub-phase's compute gap.
-                compute_time = run.lifecycle.advance_segment(sim.now)
-                sim.schedule(compute_time, begin_comm, job)
-            else:
-                run.lifecycle.close_iteration(sim.now)
-                if not run.done:
-                    begin_iteration(job)
-            reallocate()
-
-        def apply_fault(value: float) -> None:
-            cap[0] = value
-            reallocate()
-
-        if spec.faults is not None:
-            from ..telemetry import session as _telemetry_session
-
-            emit_fault_events(
-                _telemetry_session.resolve(None), spec.faults
-            )
-            for event in spec.faults.capacity_events(BOTTLENECK):
-                if isinstance(event, RateChange):
-                    faulted = capacity * event.factor
-                else:
-                    # LinkFailure / PfcStorm both degrade to a dead span
-                    # in this tier (no PFC model to storm).
-                    faulted = 0.0
-                # priority=-1: the capacity flips before any same-time
-                # job event, mirroring the phase and fluid tiers.
-                sim.schedule_at(
-                    event.start, apply_fault, faulted, priority=-1
-                )
-                sim.schedule_at(
-                    event.end, apply_fault, capacity, priority=-1
-                )
-
-        for job in jobs:
-            sim.schedule_at(job.run.start_offset, begin_iteration, job)
-        end_time = sim.run(until=spec.until)
-
-        result = SimulationResult(
-            jobs={job.run.job_id: job.run for job in jobs},
-            link_loads={BOTTLENECK: load},
-            duration=end_time,
-        )
-        return RunResult(
-            spec_hash=safe_content_hash(spec),
-            backend=self.name,
-            label=spec.label,
-            phase=result,
-        )
-
-    def _execute_fabric(self, spec: RunSpec) -> RunResult:
-        """Multi-link tier: ECMP-routed flows over ``spec.topology``.
-
-        ``options["placements"]`` binds each job to its
-        ``(src_host, dst_host)`` endpoints; the route is resolved once
-        by deterministic ECMP (salted with the spec seed) and every
-        membership change re-runs the weighted max-min allocator over
-        the communicating flows. Fault capacity events rescale the
-        affected links for the duration of their window — link
-        capacities are restored afterwards even if the run raises.
-        """
-        from ..net.flows import Flow
-        from ..net.fluid import FluidAllocator
-        from ..net.routing import EcmpRouter
-
-        options = spec.options_dict()
-        placements = options.get("placements")
-        if not placements:
-            raise ConfigError(
-                "engine backend with a topology needs "
-                "options['placements'] = "
-                "((job_id, src_host, dst_host), ...)"
-            )
-        endpoints = {
-            str(job_id): (str(src), str(dst))
-            for job_id, src, dst in placements
-        }
-        missing = sorted(
-            job.job_id for job in spec.jobs
-            if job.job_id not in endpoints
-        )
-        if missing:
-            raise ConfigError(
-                f"placements are missing job(s) {missing}"
-            )
-        router = EcmpRouter(spec.topology, salt=spec.seed)
-        routes = {}
-        for job_spec in spec.jobs:
-            src, dst = endpoints[job_spec.job_id]
-            routes[job_spec.job_id] = tuple(
-                router.route(src, dst, job_spec.job_id)
-            )
-        fabric_links = {}
-        for job_spec in spec.jobs:
-            for link in routes[job_spec.job_id]:
-                fabric_links.setdefault(link.name, link)
-
-        streams = RandomStreams(spec.seed)
-        sim = Simulator()
-        loads = {
-            name: StepFunction(0.0, name=f"load:{name}")
-            for name in fabric_links
-        }
-        jobs = self._build_jobs(
-            spec,
-            streams,
-            {
-                job_id: tuple(link.name for link in links)
-                for job_id, links in routes.items()
-            },
-        )
-        allocator = FluidAllocator()
-
-        active: List[_EngineJob] = []
-        rates: Dict[int, float] = {}
-        finish_events: Dict[int, object] = {}
-        last_update = [0.0]
-
-        def advance_progress() -> None:
-            dt = sim.now - last_update[0]
-            if dt > 0:
-                for job in active:
-                    job.run.lifecycle.credit(
-                        rates.get(id(job), 0.0) * dt
-                    )
-            last_update[0] = sim.now
-
-        def reallocate() -> None:
-            advance_progress()
-            flows = [
-                Flow(
-                    flow_id=job.run.job_id,
-                    src=endpoints[job.run.job_id][0],
-                    dst=endpoints[job.run.job_id][1],
-                    links=list(routes[job.run.job_id]),
-                    weight=job.weight,
-                    job_id=job.run.job_id,
-                )
-                for job in active
-            ]
-            allocation = allocator.allocate(flows)
-            for job, flow in zip(active, flows):
-                rate = allocation.rate_of(flow)
-                rates[id(job)] = rate
-                job.run.rate_trace.set(sim.now, rate)
-                event = finish_events.pop(id(job), None)
-                if event is not None:
-                    sim.cancel(event)
-                if rate > 0:
-                    remaining = job.run.lifecycle.remaining_bytes
-                    finish_events[id(job)] = sim.schedule(
-                        max(remaining, 0.0) / rate, finish_comm, job
-                    )
-            for name, link in fabric_links.items():
-                loads[name].set(
-                    sim.now, allocation.link_loads.get(link, 0.0)
-                )
-
-        def begin_iteration(job: _EngineJob) -> None:
-            compute_time = job.run.lifecycle.begin_iteration(sim.now)
-            sim.schedule(compute_time, begin_comm, job)
-
-        def begin_comm(job: _EngineJob) -> None:
-            job.run.lifecycle.begin_comm(sim.now)
-            job.active = True
-            active.append(job)
-            reallocate()
-
-        def finish_comm(job: _EngineJob) -> None:
-            finish_events.pop(id(job), None)
-            advance_progress()
-            run = job.run
-            active.remove(job)
-            job.active = False
-            rates.pop(id(job), None)
-            run.rate_trace.set(sim.now, 0.0)
-            if run.lifecycle.has_more_segments:
-                compute_time = run.lifecycle.advance_segment(sim.now)
-                sim.schedule(compute_time, begin_comm, job)
-            else:
-                run.lifecycle.close_iteration(sim.now)
-                if not run.done:
-                    begin_iteration(job)
-            reallocate()
-
-        def apply_fault(link, value: float) -> None:
-            link.capacity = value
-            reallocate()
-
-        base_caps: Dict[str, float] = {}
-        if spec.faults is not None:
-            from ..telemetry import session as _telemetry_session
-
-            emit_fault_events(
-                _telemetry_session.resolve(None), spec.faults
-            )
-            for name in spec.faults.link_names():
-                # Unknown names raise TopologyError up front, before
-                # any event fires.
-                spec.topology.link_by_name(name)
-            for event in spec.faults.capacity_events():
-                link = spec.topology.link_by_name(event.link)
-                base_caps.setdefault(link.name, link.capacity)
-                if isinstance(event, RateChange):
-                    faulted = base_caps[link.name] * event.factor
-                else:
-                    # LinkFailure / PfcStorm both degrade to a dead
-                    # span in this tier (no PFC model to storm).
-                    faulted = 0.0
-                sim.schedule_at(
-                    event.start, apply_fault, link, faulted, priority=-1
-                )
-                sim.schedule_at(
-                    event.end, apply_fault, link,
-                    base_caps[link.name], priority=-1,
-                )
-
-        for job in jobs:
-            sim.schedule_at(job.run.start_offset, begin_iteration, job)
-        try:
-            end_time = sim.run(until=spec.until)
-        finally:
-            for name, capacity in base_caps.items():
-                spec.topology.link_by_name(name).capacity = capacity
-
-        result = SimulationResult(
-            jobs={job.run.job_id: job.run for job in jobs},
-            link_loads=loads,
-            duration=end_time,
-        )
-        return RunResult(
-            spec_hash=safe_content_hash(spec),
-            backend=self.name,
-            label=spec.label,
-            phase=result,
         )
 
 
@@ -792,6 +389,5 @@ class ServiceBackend:
 
 register(PhaseBackend.name, PhaseBackend(), replace=True)
 register(FluidBackend.name, FluidBackend(), replace=True)
-register(EngineBackend.name, EngineBackend(), replace=True)
 register(ClusterBackend.name, ClusterBackend(), replace=True)
 register(ServiceBackend.name, ServiceBackend(), replace=True)

@@ -143,10 +143,7 @@ def execute_batched(
     ]
     contexts = []
     for spec, session in zip(specs, sessions):
-        _reject_fabric_faults(
-            spec, "fluid",
-            "give each sender a route (SenderSpec.route)",
-        )
+        _reject_fabric_faults(spec)
         capacity = spec.capacity or gbps(50)
         contexts.append({
             "capacity": capacity,

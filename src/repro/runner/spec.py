@@ -98,9 +98,10 @@ class ScenarioSpec:
 class RunSpec:
     """One declarative simulation run.
 
-    Only the fields a backend consumes need to be set: phase/engine
-    runs use ``jobs``/``policy``/``n_iterations``/``gates``; fluid runs
-    use ``scenarios``/``duration``; custom backends read ``options``.
+    Only the fields a backend consumes need to be set: phase runs use
+    ``jobs``/``policy``/``n_iterations``/``gates`` (cluster runs
+    likewise, with the jobs in ``options["placements"]``); fluid runs use
+    ``scenarios``/``duration``; custom backends read ``options``.
 
     Attributes:
         backend: Registry name of the executing backend.
@@ -254,7 +255,7 @@ class RunResult:
     """What a backend produced for one :class:`RunSpec`.
 
     Exactly one payload area is populated, depending on the backend:
-    ``phase`` for phase/engine runs, ``fluid`` for fluid runs, ``data``
+    ``phase`` for phase runs, ``fluid`` for fluid runs, ``data``
     (plain JSON-able values) for custom backends.
     """
 
@@ -280,7 +281,7 @@ class RunResult:
     ) -> Dict[str, JobTimeline]:
         """Canonical per-job timelines, whatever the backend.
 
-        Phase/engine results read them from the simulation; fluid
+        Phase results read them from the simulation; fluid
         results need ``scenario`` unless the run had exactly one; data
         backends must have serialized a ``"timelines"`` entry.
         """

@@ -288,18 +288,6 @@ def phase_run(n_iterations=3):
     return execute(spec)
 
 
-def engine_run(n_iterations=3):
-    spec = RunSpec(
-        backend="engine",
-        seed=0,
-        jobs=(JobSpec("J1", ms(10), ms(5) * CAP),),
-        policy=FairSharing(),
-        n_iterations=n_iterations,
-        capacity=CAP,
-    )
-    return execute(spec)
-
-
 def fluid_run():
     spec = RunSpec(
         backend="fluid",
@@ -377,9 +365,6 @@ class TestSkipSemanticsAcrossTiers:
 
     def test_phase_backend(self):
         self.check(phase_run().timelines()["J1"])
-
-    def test_engine_backend(self):
-        self.check(engine_run().timelines()["J1"])
 
     def test_fluid_backend(self):
         self.check(fluid_run().timelines()["J1"])
@@ -481,19 +466,6 @@ class TestStarvedJobsAcrossTiers:
     def test_phase_backend(self):
         spec = RunSpec(
             backend="phase",
-            seed=0,
-            jobs=(JobSpec("J1", ms(10), ms(5) * CAP),),
-            policy=FairSharing(),
-            n_iterations=3,
-            capacity=CAP,
-            until=0.5,
-            faults=STARVE,
-        )
-        self.check_empty(execute(spec).timelines()["J1"])
-
-    def test_engine_backend(self):
-        spec = RunSpec(
-            backend="engine",
             seed=0,
             jobs=(JobSpec("J1", ms(10), ms(5) * CAP),),
             policy=FairSharing(),

@@ -13,6 +13,9 @@ inject a substream-name collision and DET004 must catch it.
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.lint import LintConfig, lint_paths, lint_sources
 from repro.lint.config import config_from_table, load_config
@@ -645,3 +648,15 @@ class TestDeterminism:
         assert serial.findings == parallel.findings
         assert serial.to_dict() == parallel.to_dict()
         assert serial.findings  # the fixture is intentionally dirty
+
+
+# ---------------------------------------------------------------- config
+
+
+class TestRepoConfig:
+    def test_compiled_defaults_mirror_repo_table(self):
+        # Interpreters without tomllib (and trees without a pyproject)
+        # fall back to LintConfig(); it must be the repo's own policy.
+        pytest.importorskip("tomllib")
+        package = Path(__file__).resolve().parents[1] / "src" / "repro"
+        assert load_config([str(package)]) == LintConfig()

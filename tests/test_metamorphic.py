@@ -209,14 +209,6 @@ class TestZeroEventScheduleIsIdentity:
                 n_iterations=6,
                 capacity=CAP,
             ),
-            "engine": RunSpec(
-                backend="engine",
-                seed=0,
-                jobs=tuple(_pair()),
-                policy=FairSharing(),
-                n_iterations=6,
-                capacity=CAP,
-            ),
             "fluid": RunSpec(
                 backend="fluid",
                 seed=7,
@@ -284,7 +276,7 @@ class TestZeroEventScheduleIsIdentity:
         assert sorted(self._specs()) == builtin
 
     @pytest.mark.parametrize(
-        "name", ["cluster", "engine", "fluid", "phase", "service"]
+        "name", ["cluster", "fluid", "phase", "service"]
     )
     def test_empty_schedule_bit_identical_to_none(self, name):
         import json

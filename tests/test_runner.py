@@ -13,7 +13,7 @@ import pytest
 
 from repro import io
 from repro.core.timeline import IterationSample, JobTimeline
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TopologyError
 from repro.experiments import sweep
 from repro.experiments.common import phase_spec
 from repro.faults import InjectionSchedule, LinkFailure, RateChange
@@ -38,7 +38,10 @@ from repro.runner import (
     safe_content_hash,
     using,
 )
+from repro.runner.backends import dumbbell_topology
 from repro.telemetry.session import Telemetry, use
+from repro.units import gbps, ms
+from repro.workloads.job import JobSpec
 from repro.workloads.profiles import (
     EFFECTIVE_BOTTLENECK,
     figure2_vgg19_pair,
@@ -73,6 +76,42 @@ def canonical(results):
         [io.run_result_to_dict(result) for result in results],
         sort_keys=True,
     )
+
+
+def fat_tree_cluster_spec(faults=None, until=None, n_iterations=8):
+    """Two cross-pod Figure 2 jobs on a k=4 fat tree: both routes climb
+    ``up_0_0_0`` and share it."""
+    j1, j2 = figure2_vgg19_pair(jitter=0.02)
+    return RunSpec(
+        backend="cluster",
+        seed=11,
+        policy=FairSharing(),
+        topology=Topology.fat_tree(4),
+        n_iterations=n_iterations,
+        until=until,
+        options=(
+            ("placements", (
+                (j1, ("h0_0_0", "h1_0_0")),
+                (j2, ("h0_0_1", "h1_0_1")),
+            )),
+            ("warmup_iterations", 1),
+        ),
+        faults=faults,
+    )
+
+
+def assert_run_leaves_spec_unchanged(spec, link_name):
+    """Executing ``spec`` leaves ``link_name`` at its base capacity and
+    the spec's content hash as it was, so a rerun repeats the first run
+    byte for byte."""
+    link = spec.topology.link_by_name(link_name)
+    base = link.capacity
+    before = spec.content_hash()
+    first = execute(spec)
+    assert link.capacity == base
+    assert spec.content_hash() == before
+    assert first.spec_hash == before
+    assert canonical([execute(spec)]) == canonical([first])
 
 
 class TestDeriveSeed:
@@ -124,7 +163,7 @@ class TestContentHash:
 class TestRegistry:
     def test_builtins_registered(self):
         names = backend_names()
-        for name in ("phase", "fluid", "engine", "cluster"):
+        for name in ("phase", "fluid", "cluster", "service"):
             assert name in names
 
     def test_unknown_backend_rejected(self):
@@ -167,20 +206,24 @@ class TestPhaseBackend:
                 direct.iteration_times(job.job_id).tolist()
             )
 
-
-class TestEngineBackend:
-    def test_agrees_with_phase_on_fair_dumbbell(self):
-        spec = small_phase_specs()[0]
-        phase = run_one(spec, cache=False).phase
-        engine = run_one(
-            spec.replace(backend="engine"), cache=False
-        ).phase
-        for job in spec.jobs:
-            assert engine.mean_iteration_time(job.job_id) == (
-                pytest.approx(
-                    phase.mean_iteration_time(job.job_id), rel=1e-12
-                )
-            )
+    def test_fault_window_open_at_until_leaves_spec_unchanged(self):
+        cap = gbps(42)
+        spec = RunSpec(
+            backend="phase",
+            jobs=(
+                JobSpec("J1", ms(10), ms(5) * cap),
+                JobSpec("J2", ms(10), ms(5) * cap),
+            ),
+            policy=FairSharing(),
+            n_iterations=30,
+            capacity=cap,
+            topology=dumbbell_topology(2, cap),
+            faults=InjectionSchedule(events=(
+                RateChange("L1", 0.2, 1.0, 0.5),
+            )),
+            until=0.3,
+        )
+        assert_run_leaves_spec_unchanged(spec, "L1")
 
 
 class TestTimelineSchema:
@@ -225,26 +268,18 @@ class TestTimelineSchema:
             assert rebuilt.to_rows() == timeline.to_rows()
 
     def test_phase_fluid_engine_share_schema(self):
-        spec = small_phase_specs(n_iterations=5)[0]
+        """Phase, fluid and cluster results share the timeline schema."""
         results = {
-            "phase": run_one(spec, cache=False),
-            "engine": run_one(
-                spec.replace(backend="engine"), cache=False
+            "phase": run_one(
+                small_phase_specs(n_iterations=5)[0], cache=False
             ),
             "fluid": run_one(self.fluid_spec(), cache=False),
+            "cluster": run_one(
+                fat_tree_cluster_spec(n_iterations=5), cache=False
+            ),
         }
         for result in results.values():
             self.check_schema(result.timelines())
-
-    def test_phase_and_engine_agree_structurally(self):
-        spec = small_phase_specs(n_iterations=5)[0]
-        phase = run_one(spec, cache=False).timelines()
-        engine = run_one(
-            spec.replace(backend="engine"), cache=False
-        ).timelines()
-        assert sorted(phase) == sorted(engine)
-        for job_id in phase:
-            assert len(phase[job_id]) == len(engine[job_id])
 
     def test_timelines_requires_scenario_when_ambiguous(self):
         spec = self.fluid_spec()
@@ -505,24 +540,6 @@ class TestFabricBackends:
             faults=faults,
         )
 
-    def _engine_fabric_spec(self, faults=None, n_iterations=8):
-        j1, j2 = figure2_vgg19_pair(jitter=0.02)
-        return RunSpec(
-            backend="engine",
-            seed=11,
-            jobs=(j1, j2),
-            policy=FairSharing(),
-            topology=Topology.fat_tree(4),
-            n_iterations=n_iterations,
-            options=(
-                ("placements", (
-                    (j1.job_id, "h0_0_0", "h1_0_0"),
-                    (j2.job_id, "h0_0_1", "h1_0_1"),
-                )),
-            ),
-            faults=faults,
-        )
-
     # -- fluid ---------------------------------------------------------
 
     def test_fluid_fabric_engines_agree(self):
@@ -585,85 +602,64 @@ class TestFabricBackends:
         assert "RunSpec.topology" in message
         assert "SenderSpec.route" in message
 
-    # -- engine --------------------------------------------------------
-
-    def test_engine_without_topology_rejects_fabric_faults(self):
-        faults = InjectionSchedule(events=(
-            LinkFailure("up_0_0_0", 0.001, 0.002),
-        ))
-        j1, j2 = figure2_vgg19_pair()
-        spec = RunSpec(
-            backend="engine", jobs=(j1, j2), policy=FairSharing(),
-            n_iterations=2, faults=faults,
-        )
-        with pytest.raises(ConfigError) as excinfo:
-            execute(spec)
-        message = str(excinfo.value)
-        assert "up_0_0_0" in message
-        assert "RunSpec.topology" in message
-        assert "placements" in message
+    # -- phase and cluster ---------------------------------------------
 
     def test_engine_fabric_needs_placements(self):
-        spec = self._engine_fabric_spec().replace(options=())
+        """The cluster backend refuses a topology without placements."""
+        spec = fat_tree_cluster_spec().replace(options=())
         with pytest.raises(ConfigError, match="placements"):
             execute(spec)
 
     def test_engine_fabric_runs_and_reports_link_loads(self):
-        result = execute(self._engine_fabric_spec())
-        for run in result.phase.jobs.values():
+        """Two cross-pod phase jobs on a fat tree finish and load their
+        shared uplink."""
+        j1, j2 = figure2_vgg19_pair(jitter=0.02)
+        sim = PhaseLevelSimulator(
+            Topology.fat_tree(4), FairSharing(), seed=11
+        )
+        runs = [
+            sim.add_job(j1, "h0_0_0", "h1_0_0", n_iterations=8),
+            sim.add_job(j2, "h0_0_1", "h1_0_1", n_iterations=8),
+        ]
+        result = sim.run()
+        for run in result.jobs.values():
             assert run.done
-        loads = result.phase.link_loads
-        for link in self.ROUTES["J1"]:
+        routes = [
+            {link.name for flow in run.flows for link in flow.links}
+            for run in runs
+        ]
+        loads = result.link_loads
+        for link in set.union(*routes):
             assert link in loads
+        assert "up_0_0_0" in set.intersection(*routes)
         assert max(
             value for _, value in loads["up_0_0_0"].breakpoints()
         ) > 0.0
 
-    def test_engine_fabric_agrees_with_single_bottleneck_on_dumbbell(self):
-        j1, j2 = figure2_vgg19_pair(jitter=0.02)
-        capacity = EFFECTIVE_BOTTLENECK
-        base = RunSpec(
-            backend="engine", seed=5, jobs=(j1, j2),
-            policy=FairSharing(), n_iterations=8, capacity=capacity,
-        )
-        dumbbell = Topology.dumbbell(
-            hosts_per_side=2,
-            host_capacity=capacity,
-            bottleneck_capacity=capacity,
-        )
-        fabric = base.replace(
-            topology=dumbbell,
-            options=(
-                ("placements", (
-                    (j1.job_id, "ha0", "hb0"),
-                    (j2.job_id, "ha1", "hb1"),
-                )),
-            ),
-        )
-        single = execute(base)
-        routed = execute(fabric)
-        for job_id in (j1.job_id, j2.job_id):
-            assert io.timeline_to_dict(
-                single.phase.timelines()[job_id]
-            ) == io.timeline_to_dict(routed.phase.timelines()[job_id])
-
     def test_engine_fabric_fault_slows_jobs_and_restores_capacity(self):
-        spec = self._engine_fabric_spec()
-        topology = spec.topology
-        base = topology.link_by_name("up_0_0_0").capacity
+        """A dip on the shared uplink slows both cluster jobs; the link
+        is back at base capacity after the run, also when ``until``
+        stops it inside the window."""
         faults = InjectionSchedule(events=(
             RateChange("up_0_0_0", 0.05, 1.0, 0.2),
         ))
+        spec = fat_tree_cluster_spec()
+        topology = spec.topology
+        base = topology.link_by_name("up_0_0_0").capacity
         clean = execute(spec)
         faulted = execute(spec.replace(faults=faults))
-        assert faulted.phase.duration > clean.phase.duration
+        for job_id, clean_ms in clean.data["iteration_ms"].items():
+            assert faulted.data["iteration_ms"][job_id] > clean_ms
         assert topology.link_by_name("up_0_0_0").capacity == base
+        assert_run_leaves_spec_unchanged(
+            fat_tree_cluster_spec(faults=faults, until=0.9), "up_0_0_0"
+        )
 
     def test_engine_fabric_rejects_unknown_fault_link(self):
-        from repro.errors import TopologyError
-
+        """A fault on a link the topology lacks raises TopologyError
+        naming it."""
         faults = InjectionSchedule(events=(
             LinkFailure("no_such_link", 0.01, 0.02),
         ))
         with pytest.raises(TopologyError, match="no_such_link"):
-            execute(self._engine_fabric_spec(faults=faults))
+            execute(fat_tree_cluster_spec(faults=faults))
