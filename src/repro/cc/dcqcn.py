@@ -42,7 +42,6 @@ from ..core.timeline import JobTimeline
 from ..errors import ConfigError, SimulationError
 from ..faults.events import InjectionSchedule  # simlint: disable=ARCH001 - CC tiers execute fault warps inline for bit-equivalence; shared types pending a layer move
 from ..faults.runtime import (  # simlint: disable=ARCH001 - same inversion as above
-    build_warp,
     emit_fault_events,
     single_link,
 )
@@ -52,7 +51,13 @@ from ..switches.ecn import RedEcnMarker
 from ..switches.queues import FluidQueue
 from ..telemetry import session as _telemetry_session
 from ..units import gbps, mbps
-from .link_engine import LinkFabric, build_fabric, run_scalar_fabric
+from .link_engine import (
+    LinkFabric,
+    build_fabric,
+    check_route,
+    install_fault_warps,
+    run_scalar_fabric,
+)
 
 if TYPE_CHECKING:
     from ..net.topology import Topology
@@ -411,30 +416,8 @@ class DcqcnFluidSimulator:
         self._register(source, route)
 
     def _register(self, source, route: Sequence[str]) -> None:
-        route = tuple(route)
-        if self.topology is None:
-            if route:
-                raise ConfigError(
-                    f"sender {source.name!r} carries a route but the "
-                    "simulator has no topology; pass topology= to "
-                    "DcqcnFluidSimulator to enable multi-link routes"
-                )
-            route = (self.fabric.names[0],)
-        else:
-            if not route:
-                raise ConfigError(
-                    f"sender {source.name!r} needs a route (tuple of "
-                    "link names) on a topology-backed simulator"
-                )
-            if len(set(route)) != len(route):
-                raise ConfigError(
-                    f"sender {source.name!r} route visits a link twice: "
-                    f"{route}"
-                )
-            for link_name in route:
-                self.topology.link_by_name(link_name)  # raises if unknown
+        self.routes.append(check_route(self, source.name, route))
         self.senders.append(source)
-        self.routes.append(route)
 
     def run(self, duration: float) -> DcqcnResult:
         """Simulate ``duration`` seconds and return sampled traces.
@@ -462,16 +445,8 @@ class DcqcnFluidSimulator:
         return run_scalar_fabric(self, duration)
 
     def _install_fault_warps(self) -> None:
-        """Attach per-job warps (stragglers, skew, latency spikes) once;
-        each job sees exactly the links its route traverses."""
-        if self.faults is None or self._fault_warps_installed:
-            return
-        self._fault_warps_installed = True
-        for sender, links in zip(self.senders, self.routes):
-            if isinstance(sender, OnOffSource):
-                warp = build_warp(self.faults, sender.name, links)
-                if warp is not None:
-                    sender.install_warp(warp)
+        """Attach per-job warps once (:func:`install_fault_warps`)."""
+        install_fault_warps(self, self.senders)
 
 
 def calibrate_timer_weights(

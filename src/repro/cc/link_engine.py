@@ -1,11 +1,12 @@
-"""Links of the fixed-step DCQCN fluid tier, and its scalar oracle.
+"""Links of the fixed-step fluid tiers, and DCQCN's scalar oracle.
 
-Every :class:`repro.cc.dcqcn.DcqcnFluidSimulator` run is a fabric: a
-:class:`LinkFabric` of named links, each running its own fluid queue
-with RED/ECN marking and PFC hysteresis, plus one route (a tuple of
-links) per sender. A sender reacts to its **most congested hop** — the
-maximum marking probability along its route, and a full stop while any
-route link is PFC-paused, failed or storming.
+Every :class:`repro.cc.dcqcn.DcqcnFluidSimulator` and
+:class:`repro.cc.aimd.AimdFluidSimulator` run is a fabric: a
+:class:`LinkFabric` of named links, each running its own fluid queue,
+plus one route (a tuple of links) per sender. A sender reacts to its
+**most congested hop** — under DCQCN the maximum marking probability
+along its route, under AIMD a drop on any route link — and stops while
+any route link is failed or storming (or, under DCQCN, PFC-paused).
 
 The single-bottleneck dumbbell is the 1-link case: one link, named
 after the link its fault schedule addresses (or
@@ -13,6 +14,8 @@ after the link its fault schedule addresses (or
 whose queue is the simulator's ``queue``, crossed by every sender. A
 ``topology=`` simulator instead interns the links its senders' routes
 name (resolved through a :class:`~repro.net.topology.Topology`).
+:func:`check_route`, :func:`install_fault_warps` and
+:func:`build_fabric` do this route plumbing for both tiers.
 
 :func:`run_scalar_fabric` is the dt-by-dt reference loop over live
 sender objects. It defines the semantics and is the oracle the
@@ -36,6 +39,7 @@ from ..faults.runtime import (  # simlint: disable=ARCH001 - CC tiers execute fa
     MODE_FREEZE,
     MODE_NORMAL,
     MODE_STORM,
+    build_warp,
     link_capacity_windows,
 )
 from ..sim.trace import TimeSeries
@@ -153,10 +157,56 @@ class _SampleBuffer:
                     )
 
 
-def build_fabric(sim) -> LinkFabric:
-    """Resolve a topology simulator's routes into a fabric."""
+def check_route(sim, name: str, route: Sequence[str]) -> Tuple[str, ...]:
+    """The validated route of source ``name`` on ``sim``.
+
+    A dumbbell source takes no route and crosses the one link; on a
+    ``topology=`` simulator the route must name distinct topology links.
+    """
+    route = tuple(route)
+    if sim.topology is None:
+        if route:
+            raise ConfigError(
+                f"sender {name!r} carries a route but the simulator has "
+                f"no topology; pass topology= to {type(sim).__name__} "
+                "to enable multi-link routes"
+            )
+        return (sim.fabric.names[0],)
+    if not route:
+        raise ConfigError(
+            f"sender {name!r} needs a route (tuple of link names) on a "
+            "topology-backed simulator"
+        )
+    if len(set(route)) != len(route):
+        raise ConfigError(
+            f"sender {name!r} route visits a link twice: {route}"
+        )
+    for link_name in route:
+        sim.topology.link_by_name(link_name)  # raises if unknown
+    return route
+
+
+def install_fault_warps(sim, sources: Sequence[object]) -> None:
+    """Attach per-job warps (stragglers, skew, latency spikes) once;
+    each on-off source sees exactly the links its route traverses."""
+    if sim.faults is None or sim._fault_warps_installed:
+        return
+    sim._fault_warps_installed = True
+    for source, links in zip(sources, sim.routes):
+        if isinstance(source, OnOffSource):
+            warp = build_warp(sim.faults, source.name, links)
+            if warp is not None:
+                source.install_warp(warp)
+
+
+def build_fabric(sim, max_occupancy: float = math.inf) -> LinkFabric:
+    """Resolve a topology simulator's routes into a fabric whose queues
+    hold at most ``max_occupancy`` bytes (drop-tail beyond)."""
     extra = () if sim.faults is None else tuple(sim.faults.link_names())
-    return LinkFabric.from_topology(sim.topology, sim.routes, extra_links=extra)
+    return LinkFabric.from_topology(
+        sim.topology, sim.routes, extra_links=extra,
+        max_occupancy=max_occupancy,
+    )
 
 
 def run_scalar_fabric(sim, duration: float):

@@ -25,9 +25,7 @@ from .runtime import (
     MODE_STORM,
     FabricWindow,
     JobWarp,
-    Window,
     build_warp,
-    capacity_windows,
     emit_fault_events,
     link_capacity_windows,
     quantize_tick,
@@ -51,9 +49,7 @@ __all__ = [
     "MODE_STORM",
     "FabricWindow",
     "JobWarp",
-    "Window",
     "build_warp",
-    "capacity_windows",
     "emit_fault_events",
     "link_capacity_windows",
     "quantize_tick",

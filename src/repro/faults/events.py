@@ -95,10 +95,12 @@ class LinkFailure:
 class PfcStorm:
     """A PFC pause storm on the link over ``[start, end)``.
 
-    In the DCQCN fluid tier this forces the PFC-paused step semantics
-    regardless of queue thresholds: senders idle while the queue drains
-    at capacity and ``pfc_pause_seconds`` accrues. Tiers without a PFC
-    model degrade it to a transient link failure.
+    In the fixed-step fluid tiers the senders routed across the link
+    idle while its queue drains at base capacity, whatever its
+    occupancy, and DCQCN accrues ``pfc_pause_seconds``; a
+    :class:`LinkFailure` instead holds the queue. The event-driven
+    tiers, which model no queues, degrade it to a transient link
+    failure.
     """
 
     link: str

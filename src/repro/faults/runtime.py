@@ -4,11 +4,12 @@ Two mechanisms cover every tier:
 
 * **Capacity windows** — fixed-step fluid tiers quantize the schedule's
   capacity-affecting link events onto the tick grid and partition the
-  run ``[0, steps)`` into :class:`Window` spans, each with a mode
-  (normal / freeze / storm) and an effective capacity. An empty schedule
-  yields a single normal window, so the unfaulted code path is
-  bit-identical to a schedule-free run. The event-driven tiers instead
-  schedule capacity mutations directly on the simulator clock.
+  run ``[0, steps)`` into :class:`FabricWindow` spans, in each of which
+  every link holds one mode (normal / freeze / storm) and an effective
+  capacity. An empty schedule yields a single all-normal window, so the
+  unfaulted code path is bit-identical to a schedule-free run. The
+  event-driven tiers instead schedule capacity mutations directly on
+  the simulator clock.
 * **Job warps** — per-job compute perturbations (stragglers, clock
   skew) and latency spikes compile into a :class:`JobWarp`, a picklable
   callable installed as :attr:`repro.core.lifecycle.JobLifecycle.warp`.
@@ -40,7 +41,7 @@ MODE_STORM = "storm"
 
 @dataclass(frozen=True)
 class Window:
-    """One span of ticks ``[start, end)`` under a single fault mode.
+    """One span of ticks ``[start, end)`` of one link under one mode.
 
     Attributes:
         start: First tick index of the span (inclusive).
@@ -83,46 +84,14 @@ def single_link(schedule: Optional[InjectionSchedule]) -> Optional[str]:
     return names[0]
 
 
-def capacity_windows(
-    schedule: Optional[InjectionSchedule],
-    steps: int,
-    dt: float,
-    base_capacity: float,
-) -> List[Window]:
-    """Partition ``[0, steps)`` into fault windows for a fixed-step run.
-
-    Event times are quantized with :func:`quantize_tick`; events that
-    collapse to zero ticks at this resolution are dropped (consistent
-    with the schedule-level zero-duration no-op rule). The returned
-    windows tile the whole run, and an empty schedule yields exactly one
-    ``MODE_NORMAL`` window at ``base_capacity``.
-    """
-    events = [] if schedule is None else schedule.capacity_events(
-        single_link(schedule)
-    )
-    spans = _event_spans(events, steps, dt, base_capacity)
-    windows: List[Window] = []
-    cursor = 0
-    for span in spans:
-        if span.start > cursor:
-            windows.append(Window(
-                cursor, span.start, MODE_NORMAL, base_capacity
-            ))
-        windows.append(span)
-        cursor = span.end
-    if cursor < steps or not windows:
-        windows.append(Window(cursor, steps, MODE_NORMAL, base_capacity))
-    return windows
-
-
 def _event_spans(
     events, steps: int, dt: float, base_capacity: float
 ) -> List[Window]:
     """One link's capacity events quantized into sorted mode spans.
 
-    The shared per-link half of :func:`capacity_windows` and
-    :func:`link_capacity_windows`: gap tiling (and, for the multi-link
-    variant, cross-link boundary merging) happens in the callers.
+    Events that collapse to zero ticks at this resolution are dropped
+    (consistent with the schedule-level zero-duration no-op rule);
+    :func:`link_capacity_windows` merges the spans of every link.
     """
     spans: List[Window] = []
     for event in events:
@@ -167,12 +136,12 @@ def link_capacity_windows(
 ) -> List[FabricWindow]:
     """Partition ``[0, steps)`` into per-link fault windows.
 
-    The multi-link generalization of :func:`capacity_windows`:
     ``capacities`` maps every fabric link name to its base capacity, the
     schedule may address any subset of them, and the returned windows
-    merge all scheduled links' quantized boundaries so that within one
-    window every link holds a single mode. An empty schedule yields one
-    all-normal window — the unfaulted path stays bit-identical.
+    tile the run and merge all scheduled links' quantized boundaries
+    (:func:`quantize_tick`) so that within one window every link holds a
+    single mode. An empty schedule yields one all-normal window — the
+    unfaulted path stays bit-identical.
 
     Raises :class:`~repro.errors.ConfigError` when the schedule targets
     a link outside ``capacities``.

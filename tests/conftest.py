@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cc.fair import FairSharing
@@ -74,3 +77,29 @@ def fair_policy():
 def unfair_policy():
     """2:1 static unfairness, J1 more aggressive."""
     return StaticWeighted.from_aggressiveness_order(["J1", "J2"])
+
+
+@pytest.fixture
+def result_digest():
+    """sha256 of a fluid result's rate series and timelines.
+
+    The payload is canonical JSON over plain floats (``tolist()`` and
+    ``to_rows()``), so a pinned digest is exact yet independent of how
+    numpy prints arrays.
+    """
+
+    def digest(result):
+        payload = {
+            "rates": [
+                [name, series.times.tolist(), series.values.tolist()]
+                for name, series in result.rate_series.items()
+            ],
+            "timelines": [
+                [name, timeline.to_rows()]
+                for name, timeline in result.timelines.items()
+            ],
+        }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    return digest

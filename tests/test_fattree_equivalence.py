@@ -12,7 +12,7 @@ also be exactly the 1-link fabric, since both run on these engines.
 import numpy as np
 import pytest
 
-from repro.cc.aimd import AimdFluidSimulator
+from repro.cc.aimd import AimdFluidSimulator, AimdParams
 from repro.cc.dcqcn import (
     AGGRESSIVE_TIMER,
     DEFAULT_TIMER,
@@ -29,7 +29,7 @@ from repro.faults import (
     RateChange,
     Straggler,
 )
-from repro.net.topology import Topology
+from repro.net.topology import BOTTLENECK, Topology
 from repro.units import gbps, kib, mbps
 
 # Three jobs on a k=4 fat tree, all converging on pod 1's downlinks so
@@ -123,22 +123,20 @@ def _dcqcn(engine, faults, pfc=False):
     return sim, jobs, rngs
 
 
-def _aimd(engine, faults):
+def _aimd(faults):
     sim = AimdFluidSimulator(
-        buffer_bytes=kib(64), dt=1e-3, sample_interval=5e-3,
-        engine=engine, faults=faults,
+        buffer_bytes=kib(64), dt=1e-3, sample_interval=5e-3, faults=faults,
         topology=Topology.fat_tree(4, host_capacity=mbps(400)),
     )
-    jobs = []
     for index, name in enumerate(sorted(ROUTES)):
-        jobs.append(sim.add_job(
+        sim.add_job(
             name,
             compute_time=0.11,
             comm_bytes=0.13 * mbps(400),
             start_offset=index * 0.03,
             route=ROUTES[name],
-        ))
-    return sim, jobs
+        )
+    return sim
 
 
 class TestDcqcnFabricEquivalence:
@@ -317,22 +315,81 @@ class TestDumbbellIsOneLinkFabric:
             assert rng_b.random() == rng_f.random()
 
 
+def _aimd_one_link(schedule, link, fabric, long_lived):
+    """The same AIMD run as a dumbbell or as a 1-link fabric."""
+    capacity = gbps(1)
+    sim = AimdFluidSimulator(
+        capacity=capacity,
+        buffer_bytes=kib(16),
+        faults=ONE_LINK_SCHEDULES[schedule](link),
+        topology=(
+            Topology.dumbbell(1, capacity, bottleneck_name=link)
+            if fabric else None
+        ),
+    )
+    route = (link,) if fabric else ()
+    params = AimdParams(
+        line_rate=capacity, increase_rate=capacity / 0.002, min_rate=mbps(50)
+    )
+    if long_lived:
+        sim.add_sender("bg", params, route=route)
+    for index in range(2):
+        sim.add_job(
+            f"J{index + 1}",
+            compute_time=0.0011,
+            comm_bytes=0.0013 * capacity,
+            params=params,
+            start_offset=index * 0.0003,
+            route=route,
+        )
+    return sim
+
+
+class TestAimdDumbbellIsOneLinkFabric:
+    """An AIMD dumbbell run equals the same run over a 1-link
+    ``Topology`` whose every source routes over that link: rate series,
+    timelines and drop-tail losses. The link is ``BOTTLENECK`` (``L1``)
+    or ``spine``; a dumbbell under a clean schedule names its link
+    ``BOTTLENECK`` either way."""
+
+    @pytest.mark.parametrize(
+        "long_lived", [False, True], ids=["jobs", "jobs+bg"]
+    )
+    @pytest.mark.parametrize("link", [BOTTLENECK, "spine"])
+    @pytest.mark.parametrize("schedule", sorted(ONE_LINK_SCHEDULES))
+    def test_bit_identical(self, schedule, link, long_lived):
+        args = (schedule, link)
+        bell = _aimd_one_link(*args, False, long_lived)
+        fab = _aimd_one_link(*args, True, long_lived)
+        left = bell.run(0.025)
+        right = fab.run(0.025)
+        _series_equal(left, right)
+        assert list(left.timelines) == ["J1", "J2"]
+        assert left.timelines.keys() == right.timelines.keys()
+        for name, timeline in left.timelines.items():
+            assert len(timeline) > 0
+            assert timeline.to_rows() == right.timelines[name].to_rows()
+        # The buffer is small enough that the run exercises the loss cut.
+        dropped = fab.fabric.queues[0].dropped_bytes
+        assert dropped > 0
+        assert bell.queue.dropped_bytes == dropped
+        assert bell.queue.occupancy == fab.fabric.queues[0].occupancy
+
+
 class TestAimdFabricEquivalence:
+    """AIMD's fabric loop reproduces, bit for bit, the output its former
+    scalar and vector engines agreed on. The fault windows close before
+    the first burst starts (0.11 s), so every schedule pins the clean
+    run; ``TestAimdDumbbellIsOneLinkFabric`` covers windows that hit
+    traffic."""
+
+    PIN = "2edffafb2def34b4c4e84be8607b5fa71730973cb6970779a8a8c69bacd51ad7"
+
     @pytest.mark.parametrize(
         "name", ["clean", "rate-dip", "link-failure", "pfc-storm"]
     )
-    def test_bit_identical(self, name):
-        faults = SCHEDULES[name]
-        sim_s, jobs_s = _aimd("scalar", faults)
-        sim_v, jobs_v = _aimd("vector", faults)
-        result_s = sim_s.run(4.0)
-        result_v = sim_v.run(4.0)
-        _series_equal(result_s, result_v)
-        for job_s, job_v in zip(jobs_s, jobs_v):
-            assert (
-                repr(job_s.timeline.__dict__)
-                == repr(job_v.timeline.__dict__)
-            )
+    def test_bit_identical(self, name, result_digest):
+        assert result_digest(_aimd(SCHEDULES[name]).run(4.0)) == self.PIN
 
 
 class TestRouteValidation:

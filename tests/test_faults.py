@@ -29,7 +29,7 @@ from repro.faults import (
     RateChange,
     Straggler,
     build_warp,
-    capacity_windows,
+    link_capacity_windows,
     single_link,
 )
 from repro.runner import RunSpec, ScenarioSpec, SenderSpec, run_many
@@ -132,40 +132,47 @@ class TestRuntimeHelpers:
         with pytest.raises(ConfigError):
             single_link(schedule)
 
+    @staticmethod
+    def _l1_windows(schedule, steps, capacity):
+        """``(start, end, mode, capacity)`` of link ``L1`` per window."""
+        return [
+            (w.start, w.end) + w.modes.get("L1", (MODE_NORMAL, capacity))
+            for w in link_capacity_windows(
+                schedule, steps, 10e-6, {"L1": capacity}
+            )
+        ]
+
     def test_windows_tile_the_run(self):
         schedule = InjectionSchedule(events=(
             RateChange("L1", 0.001, 0.002, 0.5),
             LinkFailure("L1", 0.004, 0.005),
             PfcStorm("L1", 0.007, 0.008),
         ))
-        windows = capacity_windows(schedule, 1000, 10e-6, 100.0)
-        assert windows[0].start == 0
-        assert windows[-1].end == 1000
+        windows = self._l1_windows(schedule, 1000, 100.0)
+        assert windows[0][0] == 0
+        assert windows[-1][1] == 1000
         for left, right in zip(windows, windows[1:]):
-            assert left.end == right.start
-        modes = [w.mode for w in windows]
+            assert left[1] == right[0]
+        modes = [w[2] for w in windows]
         assert modes == [
             MODE_NORMAL, MODE_NORMAL, MODE_NORMAL, MODE_FREEZE,
             MODE_NORMAL, MODE_STORM, MODE_NORMAL,
         ]
-        assert windows[1].capacity == pytest.approx(50.0)
-        assert windows[3].capacity == 0.0
-        assert windows[5].capacity == 100.0
+        assert windows[1][3] == pytest.approx(50.0)
+        assert windows[3][3] == 0.0
+        assert windows[5][3] == 100.0
 
     def test_empty_schedule_yields_one_normal_window(self):
         for schedule in (None, InjectionSchedule()):
-            windows = capacity_windows(schedule, 500, 10e-6, 42.0)
-            assert len(windows) == 1
-            assert windows[0].start == 0 and windows[0].end == 500
-            assert windows[0].mode == MODE_NORMAL
-            assert windows[0].capacity == 42.0
+            windows = self._l1_windows(schedule, 500, 42.0)
+            assert windows == [(0, 500, MODE_NORMAL, 42.0)]
 
     def test_sub_tick_events_collapse_to_noops(self):
         schedule = InjectionSchedule(
             events=(RateChange("L1", 0.0000101, 0.0000102, 0.5),)
         )
-        windows = capacity_windows(schedule, 100, 10e-6, 1.0)
-        assert len(windows) == 1 and windows[0].mode == MODE_NORMAL
+        windows = self._l1_windows(schedule, 100, 1.0)
+        assert len(windows) == 1 and windows[0][2] == MODE_NORMAL
 
     def test_job_warp_application_order(self):
         warp = JobWarp(

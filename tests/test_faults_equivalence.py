@@ -11,7 +11,7 @@ the same number of random draws (so downstream randomness is unshifted).
 import numpy as np
 import pytest
 
-from repro.cc.aimd import AimdFluidSimulator, AimdParams, OnOffAimdJob
+from repro.cc.aimd import AimdFluidSimulator
 from repro.cc.dcqcn import (
     AGGRESSIVE_TIMER,
     DEFAULT_TIMER,
@@ -97,21 +97,19 @@ def _dcqcn(engine, faults):
     return sim, jobs, rngs
 
 
-def _aimd(engine, faults):
+def _aimd(faults):
     sim = AimdFluidSimulator(
-        capacity=mbps(400), dt=1e-3, sample_interval=5e-3,
-        engine=engine, faults=faults,
+        capacity=mbps(400), dt=1e-3, sample_interval=5e-3, faults=faults,
     )
-    jobs = []
     for index in range(3):
         # The AIMD tier is jitter-free: no RNG to track.
-        jobs.append(sim.add_job(
+        sim.add_job(
             f"J{index + 1}",
             compute_time=0.11,
             comm_bytes=0.13 * mbps(400),
             start_offset=index * 0.03,
-        ))
-    return sim, jobs
+        )
+    return sim
 
 
 class TestDcqcnFaultEquivalence:
@@ -156,21 +154,29 @@ class TestDcqcnFaultEquivalence:
 
 
 class TestAimdFaultEquivalence:
+    """AIMD's one tick loop reproduces, bit for bit, the output its
+    former scalar and span engines agreed on under each schedule. The
+    three link schedules close before the first burst starts (0.11 s),
+    so they pin the clean run; ``TestAimdDumbbellIsOneLinkFabric`` in
+    ``test_fattree_equivalence.py`` covers windows that hit traffic."""
+
+    PINS = {
+        "rate-spike": "b51412e34f3c930c85e40e520f2cf1e1"
+        "f8fd8307f84c023647bd5e214deec689",
+        "link-failure": "b51412e34f3c930c85e40e520f2cf1e1"
+        "f8fd8307f84c023647bd5e214deec689",
+        "pfc-storm": "b51412e34f3c930c85e40e520f2cf1e1"
+        "f8fd8307f84c023647bd5e214deec689",
+        "job-warps": "ea9b837580750a8213a086b74f0ca711"
+        "17cb8a34581f0058ae1e83c1eb05fec6",
+    }
+
     @pytest.mark.parametrize(
         "name", ["rate-spike", "link-failure", "pfc-storm", "job-warps"]
     )
-    def test_bit_identical_under_faults(self, name):
-        faults = SCHEDULES[name]
-        sim_s, jobs_s = _aimd("scalar", faults)
-        sim_v, jobs_v = _aimd("vector", faults)
-        result_s = sim_s.run(4.0)
-        result_v = sim_v.run(4.0)
-        _series_equal(result_s, result_v)
-        for job_s, job_v in zip(jobs_s, jobs_v):
-            assert (
-                repr(job_s.timeline.__dict__)
-                == repr(job_v.timeline.__dict__)
-            )
+    def test_bit_identical_under_faults(self, name, result_digest):
+        result = _aimd(SCHEDULES[name]).run(4.0)
+        assert result_digest(result) == self.PINS[name]
 
 
 class TestFaultedVsCleanDiffer:

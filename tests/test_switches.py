@@ -160,3 +160,15 @@ class TestAimd:
     def test_bad_decrease_factor_rejected(self):
         with pytest.raises(ConfigError):
             AimdParams(decrease_factor=1.0)
+
+    @pytest.mark.parametrize(
+        "min_rate", [gbps(2), 0.0, -1.0],
+        ids=["above-line-rate", "zero", "negative"],
+    )
+    def test_min_rate_outside_line_rate_rejected(self, min_rate):
+        # A floor above the line rate would lift a cut sender past its
+        # NIC: on a 0.5 Gbps link it sampled at twice its line rate.
+        with pytest.raises(ConfigError, match="min_rate"):
+            AimdParams(line_rate=gbps(1), min_rate=min_rate)
+        floor = AimdParams(line_rate=gbps(1), min_rate=gbps(1)).min_rate
+        assert floor == gbps(1)
