@@ -44,7 +44,6 @@ from ..faults.runtime import (  # simlint: disable=ARCH001 - CC tiers execute fa
 )
 from ..sim.trace import TimeSeries
 from ..switches.queues import FluidQueue
-from ..telemetry.trace import KIND_CC_RATE
 
 
 class LinkFabric:
@@ -119,13 +118,13 @@ class LinkFabric:
 class _SampleBuffer:
     """Sample rows ``(time, per-sender rates, per-link occupancies)``.
 
-    The loops append rows and the :class:`TimeSeries` objects (and any
-    telemetry events) materialize once at the end, so disabled-telemetry
-    runs pay no per-sample branch in the inner loop. The headline
-    ``queue_series`` is the cross-link elementwise maximum — the most
-    congested hop at each sample, mirroring what the senders react to.
-    Per-link series are emitted only when ``per_link`` is set (topology
-    runs; a dumbbell result carries none).
+    The loops append rows and the :class:`TimeSeries` objects materialize
+    once at the end. The samples live only in the result: its
+    ``rate_series`` is the one copy, so no trace record repeats them. The
+    headline ``queue_series`` is the cross-link elementwise maximum — the
+    most congested hop at each sample, mirroring what the senders react
+    to. Per-link series are emitted only when ``per_link`` is set
+    (topology runs; a dumbbell result carries none).
     """
 
     def __init__(self, link_names: Sequence[str], per_link: bool) -> None:
@@ -133,7 +132,7 @@ class _SampleBuffer:
         self.per_link = per_link
         self.rows: List[tuple] = []
 
-    def flush(self, result, names, telemetry) -> None:
+    def flush(self, result, names) -> None:
         """Materialize the buffered rows into ``result``."""
         times = [row[0] for row in self.rows]
         for column, name in enumerate(names):
@@ -149,12 +148,6 @@ class _SampleBuffer:
         result.queue_series = TimeSeries.from_arrays(
             "queue", times, [max(row[2]) for row in self.rows]
         )
-        if telemetry.enabled:
-            for time, rates, _occs in self.rows:
-                for name, rate in zip(names, rates):
-                    telemetry.event(
-                        KIND_CC_RATE, t=time, sender=name, rate=rate
-                    )
 
 
 def check_route(sim, name: str, route: Sequence[str]) -> Tuple[str, ...]:
@@ -294,7 +287,7 @@ def run_scalar_fabric(sim, duration: float):
                     [queue.occupancy for queue in queues],
                 ))
     fabric.restore()
-    samples.flush(result, [s.name for s in sim.senders], sim.telemetry)
+    samples.flush(result, [s.name for s in sim.senders])
     if sim.telemetry.enabled:
         sim.telemetry.counter("cc.steps").inc(steps)
         cnp_counter = sim.telemetry.counter("cc.cnps")

@@ -1549,7 +1549,7 @@ class SenderBank:
         sim = self.sim
         result = DcqcnResult(duration=duration)
         names = [obj.name for obj in self.objs]
-        self.samples.flush(result, names, sim.telemetry)
+        self.samples.flush(result, names)
         if sim.telemetry.enabled:
             sim.telemetry.counter("cc.steps").inc(self.steps)
             cnp_counter = sim.telemetry.counter("cc.cnps")

@@ -11,11 +11,11 @@ Each cell of the sweep (arrival rate x placement policy) is one
 ``service``-backend :class:`~repro.runner.spec.RunSpec` — deterministic,
 content-hashed, cacheable — executed through :func:`repro.runner.
 run_many`. Placement latency is wall-clock and therefore *not* part of
-the run result: it flows into the ambient telemetry session's
-``service.place_ms`` histogram, which :func:`main` reports when samples
-exist. Cached re-runs replay the worker telemetry captured at execution
-time, so the reported latency always describes the run that actually
-computed the results.
+the run result or of its cached telemetry: each attempt is a
+``service.place`` span, which ``run_many`` appends to the ambient
+session's span log and :func:`main` reports when spans exist. A cache
+hit replays no spans, so a fully cached re-run reports no latency rather
+than a latency measured by some earlier process.
 """
 
 from __future__ import annotations
@@ -23,9 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence
 
+import numpy as np
+
 from ..analysis.report import ascii_table
 from ..runner import RunSpec, run_many
 from ..telemetry import current
+from ..units import to_milliseconds
 
 #: The placement policies the sweep compares.
 POLICIES = ("random", "consolidated", "compatibility-aware")
@@ -135,19 +138,23 @@ def report(outcomes: Sequence[OnlineOutcome]) -> str:
 
 
 def placement_latency_line() -> str:
-    """P99 placement latency from the ambient telemetry session.
+    """P50/p99 placement latency from the ambient session's span log.
 
-    Wall-clock latency never enters run results; the histogram holds the
-    samples observed when the specs executed (replayed from the cached
-    worker telemetry on a cache hit), or nothing when telemetry is off.
+    Wall-clock latency never enters run results or the cache; the
+    ``service.place`` spans are those of the specs this process executed,
+    so there are none when every spec was a cache hit or telemetry is off.
     """
-    histogram = current().histogram("service.place_ms")
-    if histogram.count == 0:
+    latencies_ms = [
+        to_milliseconds(span.duration)
+        for span in current().spans.completed
+        if span.name == "service.place"
+    ]
+    if not latencies_ms:
         return "placement latency: - (cache hits or telemetry off)"
+    p50, p99 = np.percentile(latencies_ms, [50, 99])
     return (
-        f"placement latency: p50 {histogram.percentile(50):.3f} ms, "
-        f"p99 {histogram.percentile(99):.3f} ms "
-        f"over {histogram.count} placements"
+        f"placement latency: p50 {p50:.3f} ms, p99 {p99:.3f} ms "
+        f"over {len(latencies_ms)} placements"
     )
 
 

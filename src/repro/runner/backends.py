@@ -375,8 +375,10 @@ class ServiceBackend:
     topology recipe; :func:`repro.scheduler.service.run_service_spec`
     builds the cluster, streams the arrivals through a
     :class:`~repro.scheduler.service.ClusterService` and returns plain
-    counts/rates/records — wall-clock placement latency goes only to
-    telemetry, never into the (cacheable) result data.
+    counts/rates/records. Wall-clock placement latency goes only to the
+    span log (``service.place`` spans, which :func:`~repro.runner.
+    run_many` grafts under ``runner.worker/<label>/``), never into the
+    cacheable result data or the cached telemetry.
     """
 
     name = "service"

@@ -32,7 +32,12 @@ from .spec import RunResult, RunSpec
 #: v4: fabric runs — sender routes in specs, per-link queue series in
 #: fluid results; pre-fabric entries lack the link series and must not
 #: be replayed for topology-backed specs.
-CACHE_VERSION = 4
+#: v5: the stored telemetry no longer carries a trace record per DES
+#: dispatch or per fluid rate sample (the ``sim.events`` counter and the
+#: fluid ``rate_series`` hold those numbers), nor any wall-clock
+#: histogram, so two runs of one spec write the same bytes; v4 entries
+#: would replay the deleted kinds.
+CACHE_VERSION = 5
 
 #: Staging files are ``<entry>.<pid>.<n>.tmp``, ``n`` counting writes
 #: across every cache in the process: unique per write, so writers

@@ -19,8 +19,10 @@ Runner-level instruments on the caller's session: counters
 ``runner.cache.misses``, ``runner.batched``. Worker wall-clock lands in
 the *span log* — path ``runner.worker/<label>`` per executed spec, or
 ``runner.worker/grid[<n>]:<first label>`` once per stacked group of
-``n`` specs — spans are the session's wall-clock surface, excluded
-from the deterministic metrics snapshot.
+``n`` specs, with the spans the worker opened (``service.place``,
+``solve_rotations``, ...) nested under it. Spans are the session's
+wall-clock surface, excluded from the deterministic metrics snapshot and
+never cached: a cache hit replays no worker spans.
 """
 
 from __future__ import annotations
@@ -78,21 +80,39 @@ def using(config: RunnerConfig) -> Iterator[RunnerConfig]:
         _config = previous
 
 
-def _execute_spec(spec: RunSpec) -> Tuple[RunResult, Dict[str, Any], float]:
+def _execute_spec(
+    spec: RunSpec,
+) -> Tuple[RunResult, Dict[str, Any], List[Span]]:
     """Run one spec under a fresh telemetry session (pool entry point).
 
     Returns the result, the session's transportable state, and the
-    worker's wall-clock seconds. Top-level so it pickles.
+    worker's completed spans, rooted at one ``execute`` span timing the
+    whole spec. Top-level so it pickles.
     """
     session = Telemetry(name=spec.label or spec.backend)
     # The span log is the one sanctioned wall-clock surface (DET002):
-    # worker wall time is measured as a span on the worker's own
-    # session and shipped back as a plain float (worker_state() never
-    # transports spans, so nothing is double-counted on merge).
+    # the spans travel next to worker_state(), never inside it, so the
+    # state the cache stores stays free of wall-clock time.
     with use(session):
-        with session.spans.span("execute") as span:
+        with session.spans.span("execute"):
             result = _backends.execute(spec)
-    return result, session.worker_state(), span.duration
+    return result, session.worker_state(), session.spans.completed
+
+
+def _graft_spans(session: Telemetry, name: str, spans: List[Span]) -> None:
+    """Append a worker's spans under ``runner.worker/<name>``.
+
+    The worker's ``execute`` root becomes ``runner.worker/<name>`` and
+    every span nested in it keeps its path below that root.
+    """
+    root = f"runner.worker/{name}"
+    for span in spans:
+        nested = span.path[len("execute"):]
+        span.path = root + nested
+        if not nested:
+            span.name = name
+        span.depth += 1
+        session.spans.completed.append(span)
 
 
 def _specs_pickle(specs: Sequence[RunSpec]) -> bool:
@@ -144,9 +164,11 @@ def run_many(
 
     results: List[Optional[RunResult]] = [None] * len(specs)
     states: List[Optional[Dict[str, Any]]] = [None] * len(specs)
-    # ``(name, wall seconds)`` of the worker span merged at an index:
-    # a per-spec run's own, a stacked group's at its first spec.
-    worker_spans: List[Optional[Tuple[str, float]]] = [None] * len(specs)
+    # ``(name, spans)`` of the worker merged at an index: a per-spec
+    # run's own, a stacked group's at its first spec.
+    worker_spans: List[Optional[Tuple[str, List[Span]]]] = (
+        [None] * len(specs)
+    )
     hits = 0
 
     pending: List[int] = []
@@ -177,7 +199,8 @@ def run_many(
         ):
             # The span log is the sanctioned wall-clock surface
             # (DET002); a throwaway log times the group.
-            with SpanLog().span("execute") as span:
+            log = SpanLog()
+            with log.span("execute"):
                 outcome = _grid.execute_batched(
                     [specs[i] for i in group]
                 )
@@ -189,7 +212,7 @@ def run_many(
             first = specs[group[0]]
             worker_spans[group[0]] = (
                 f"grid[{len(group)}]:{first.label or first.backend}",
-                span.duration,
+                log.completed,
             )
             batched.update(group)
 
@@ -209,13 +232,11 @@ def run_many(
                 )
         else:
             outcomes = [_execute_spec(specs[i]) for i in pool_pending]
-        for index, (result, state, elapsed) in zip(
-            pool_pending, outcomes
-        ):
+        for index, (result, state, spans) in zip(pool_pending, outcomes):
             results[index] = result
             states[index] = state
             spec = specs[index]
-            worker_spans[index] = (spec.label or spec.backend, elapsed)
+            worker_spans[index] = (spec.label or spec.backend, spans)
 
     # Merge telemetry and populate the cache in spec order.
     executed = set(pending)
@@ -226,10 +247,7 @@ def run_many(
         if worker_spans[index] is not None and session.enabled:
             # Wall-clock belongs in the span log, never in metrics:
             # the metrics snapshot must stay deterministic per seed.
-            name, elapsed = worker_spans[index]
-            span = Span(name, f"runner.worker/{name}", depth=1)
-            span.duration = elapsed
-            session.spans.completed.append(span)
+            _graft_spans(session, *worker_spans[index])
         if (
             store is not None
             and index in executed

@@ -18,8 +18,8 @@ Every decision produces an :class:`AdmissionRecord`; the aggregate
 :class:`ServiceStats` carries the admission rate, compatibility rate and
 a slowdown proxy (1 + the fraction of the job's own circle colliding
 with its neighbours' live phases). Placement latency is wall-clock and
-therefore flows only into telemetry histograms (``service.place_ms``),
-never into result data — runs stay byte-deterministic.
+therefore lives only in the span log (one ``service.place`` span per
+attempt), never in result data or metrics — runs stay byte-deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from ..core.compatibility import CompatibilityChecker
 from ..core.incremental import IncrementalCompatibilityEngine
 from ..errors import PlacementError, SimulationError
 from ..telemetry import session as _telemetry_session
-from ..units import to_milliseconds
 from ..workloads.traces import JobArrival
 from .cluster import ClusterState
 from .placement import CompatibilityAwarePlacement, PlacementPolicy
@@ -270,19 +269,14 @@ class ClusterService:
         self._seq += 1
 
     def _try_place(self, arrival: JobArrival) -> Optional[List[str]]:
-        """One placement attempt, timed into the latency histogram."""
-        telemetry = _telemetry_session.current()
-        with telemetry.span("service.place") as span:
+        """One placement attempt, timed as a ``service.place`` span."""
+        with _telemetry_session.current().span("service.place"):
             try:
                 hosts = self.policy.place(
                     self.cluster, arrival.spec, arrival.n_workers
                 )
             except PlacementError:
                 hosts = None
-        if telemetry.enabled:
-            telemetry.histogram("service.place_ms").observe(
-                to_milliseconds(span.duration)
-            )
         return hosts
 
     def _handle_arrival(

@@ -13,7 +13,6 @@ from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
 from ..telemetry import session as _telemetry_session
-from ..telemetry.trace import KIND_DISPATCH
 from .events import Event, EventQueue
 
 #: Relative tolerance used when comparing simulation times.
@@ -27,8 +26,8 @@ class Simulator:
         telemetry: Optional :class:`repro.telemetry.Telemetry` session.
             ``None`` inherits the ambient session (disabled unless a
             ``telemetry.use(...)`` block or run recorder is active).
-            When enabled, every dispatched event is recorded to the
-            trace and counted in the metrics registry.
+            When enabled, every dispatched event is counted in the
+            metrics registry (``sim.events``); dispatches are not traced.
     """
 
     def __init__(
@@ -125,12 +124,6 @@ class Simulator:
         self._events_executed += 1
         if self.telemetry.enabled:
             self._event_counter.inc()
-            self.telemetry.event(
-                KIND_DISPATCH,
-                t=event.time,
-                fn=getattr(event.fn, "__qualname__", type(event.fn).__name__),
-                priority=event.priority,
-            )
         event.fn(*event.args)
         return True
 

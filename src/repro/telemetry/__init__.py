@@ -24,9 +24,7 @@ from .metrics import Counter, Gauge, Histogram, Registry
 from .session import NULL, NullTelemetry, Telemetry, current, resolve, use
 from .spans import NULL_SPAN, Span, SpanLog
 from .trace import (
-    KIND_CC_RATE,
     KIND_COMM,
-    KIND_DISPATCH,
     KIND_ITERATION,
     KIND_PHASE,
     KIND_PLACEMENT,
@@ -52,9 +50,7 @@ __all__ = [
     "SpanLog",
     "TraceRecord",
     "TraceRecorder",
-    "KIND_CC_RATE",
     "KIND_COMM",
-    "KIND_DISPATCH",
     "KIND_ITERATION",
     "KIND_PHASE",
     "KIND_PLACEMENT",

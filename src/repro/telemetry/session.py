@@ -89,10 +89,13 @@ class Telemetry:
     def worker_state(self) -> dict:
         """Everything a worker process ships back to its parent session.
 
-        Carries the lossless registry state plus the full trace payload.
-        Span timings are wall-clock and per-process, so they are *not*
-        transported; the runner records worker wall time in the parent
-        session's span log instead.
+        Carries the lossless registry state plus the full trace payload,
+        and nothing wall-clock: the result cache stores this state, so
+        two runs of one spec must produce the same bytes. Spans are
+        wall-clock and per-process, so they are *not* part of it; the
+        runner ships a worker's completed spans next to this state and
+        appends them to the parent session's span log under
+        ``runner.worker/<label>/``.
         """
         from .trace import TraceRecord  # noqa: F401 - documents the payload
 

@@ -4,16 +4,19 @@ Covers the event loop (departures before arrivals, bounded queue with
 deterministic retries), the cluster-wide admission audit (including the
 fixture where it *disagrees* with the legacy per-link audit), the empty
 ``ClusterReport`` guard, and the ``service`` runner backend's determinism
-across worker counts plus cacheability.
+across worker counts plus cacheability: byte-identical cache entries, and
+placement latency read from worker spans rather than cached telemetry.
 """
 
 import math
+import re
 from typing import List, Sequence
 
 import pytest
 
 from repro.core.compatibility import CompatibilityChecker
 from repro.errors import PlacementError, SimulationError
+from repro.experiments.online import placement_latency_line
 from repro.net.routing import Router
 from repro.net.topology import Topology
 from repro.runner import RunSpec, run_many
@@ -26,6 +29,7 @@ from repro.scheduler.placement import (
 )
 from repro.scheduler.service import ClusterService
 from repro.scheduler.simulation import ClusterReport
+from repro.telemetry import Telemetry, use
 from repro.units import gbps, ms
 from repro.workloads.job import JobSpec
 from repro.workloads.traces import JobArrival, poisson_arrivals
@@ -374,6 +378,50 @@ class TestServiceBackend:
         second = run_many(specs, jobs=1, cache=True, cache_dir=tmp_path)
         assert first[0].data == second[0].data
         assert first[0].spec_hash == specs[0].content_hash()
+
+    def test_cache_entries_byte_identical_across_runs(self, tmp_path):
+        # Wall-clock placement latency must stay out of the cached
+        # telemetry, or two runs of one spec write different bytes.
+        specs = _service_specs(seeds=(7,))
+        for name in ("a", "b"):
+            run_many(specs, jobs=1, cache=True, cache_dir=tmp_path / name)
+        entries = {
+            name: {
+                path.name: path.read_bytes()
+                for path in sorted((tmp_path / name).glob("*.json"))
+            }
+            for name in ("a", "b")
+        }
+        assert entries["a"] and entries["a"] == entries["b"]
+
+    def test_placement_latency_from_worker_spans(self, tmp_path):
+        specs = _service_specs(seeds=(7,))
+
+        def run():
+            session = Telemetry(name="service-test")
+            with use(session):
+                run_many(specs, jobs=1, cache=True, cache_dir=tmp_path)
+                return session, placement_latency_line()
+
+        cold, line = run()
+        spans = [
+            span for span in cold.spans.completed
+            if span.name == "service.place"
+        ]
+        assert spans
+        assert all(
+            span.path == "runner.worker/svc-7/service.place"
+            for span in spans
+        )
+        assert re.fullmatch(
+            rf"placement latency: p50 \S+ ms, p99 \S+ ms "
+            rf"over {len(spans)} placements",
+            line,
+        )
+        # A cache hit replays results and telemetry but no wall clock.
+        warm, line = run()
+        assert int(warm.counter("runner.cache.hits").value) == 1
+        assert line == "placement latency: - (cache hits or telemetry off)"
 
     def test_trace_process_round_trips_jobspecs(self):
         from repro.workloads.traces import arrival_to_row

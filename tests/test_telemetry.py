@@ -7,9 +7,11 @@ the run recorder + CLI stats/trace commands.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import io
+from repro.cc.dcqcn import DcqcnFluidSimulator, DcqcnParams
 from repro.cc.fair import FairSharing
 from repro.cli import main as cli_main
 from repro.errors import ConfigError
@@ -32,6 +34,7 @@ from repro.telemetry.runs import (
     stats_report,
     trace_report,
 )
+from repro.units import gbps
 
 
 class TestCounters:
@@ -235,14 +238,15 @@ class TestDisabledPath:
         assert len(NULL.trace) == 0
 
     def test_enabled_simulator_traces_dispatches(self):
+        # Dispatches are counted, not traced: the counter is the one
+        # copy of that number.
         telemetry = Telemetry()
         sim = Simulator(telemetry=telemetry)
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         sim.run()
-        dispatches = telemetry.trace.of_kind("sim.dispatch")
-        assert [r.t for r in dispatches] == [1.0, 2.0]
         assert telemetry.counter("sim.events").value == 2
+        assert len(telemetry.trace) == 0
 
 
 class TestPhasesimInstrumentation:
@@ -257,7 +261,7 @@ class TestPhasesimInstrumentation:
         assert kinds["job.comm"] == 4
         assert kinds["job.phase"] >= 8  # compute + comm per iteration
         assert kinds["rate.change"] > 0
-        assert kinds["sim.dispatch"] > 0
+        assert "sim.dispatch" not in kinds
 
     def test_comm_records_carry_flow_bytes(self, simple_pair):
         telemetry = Telemetry()
@@ -269,6 +273,24 @@ class TestPhasesimInstrumentation:
         expected = 2 * simple_pair[0].comm_bytes
         assert totals["flow:J1:0"] == pytest.approx(expected)
         assert totals["flow:J2:0"] == pytest.approx(expected)
+
+
+class TestFluidInstrumentation:
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_dcqcn_counts_steps_and_keeps_rates_in_result(self, engine):
+        # Fluid rate samples live only in the result's rate_series; the
+        # session counts the work and traces nothing.
+        telemetry = Telemetry()
+        sim = DcqcnFluidSimulator(
+            capacity=gbps(10), engine=engine, telemetry=telemetry
+        )
+        for k, name in enumerate(("a", "b", "c")):
+            sim.add_sender(name, DcqcnParams(), np.random.default_rng(k))
+        result = sim.run(0.01)
+        assert telemetry.counter("cc.steps").value > 0
+        assert len(telemetry.trace) == 0
+        assert sorted(result.rate_series) == ["a", "b", "c"]
+        assert all(len(series) > 0 for series in result.rate_series.values())
 
 
 class TestRunRecorder:
