@@ -1,19 +1,20 @@
-"""Perf guard: multi-link fabric vector engine vs the scalar reference.
+"""Perf guard: multi-link fabric sender bank vs the scalar oracle.
 
 Runs the fat-tree rotation workload (three DCQCN jobs on converging
 six-hop routes, see :mod:`repro.experiments.fattree`) through
-``DcqcnFluidSimulator`` with both fabric engines, asserts every rate
+``DcqcnFluidSimulator.run`` (the sender bank, "vector") and through
+the scalar oracle ``run_scalar_fabric`` ("scalar"), asserts every rate
 series, per-link queue series and iteration timeline is identical, and
-guards the speedup the vectorized ``SenderBank`` must deliver over
-the dt-by-dt scalar fabric loop. CI runs this as the fat-tree smoke leg
-and fails on any divergence.
+guards the speedup the ``SenderBank`` must deliver over the dt-by-dt
+scalar fabric loop. CI runs this as the fat-tree smoke leg and fails on
+any divergence.
 """
 
 import time
 
 import numpy as np
 
-from conftest import print_report
+from conftest import print_report, run_dcqcn
 
 from repro.cc.dcqcn import (
     DEFAULT_TIMER,
@@ -25,9 +26,9 @@ from repro.experiments.fattree import FAT_TREE_K, ROTATION_ROUTES
 from repro.net.topology import Topology
 from repro.units import gbps
 
-#: Wall-clock factor the vector fabric engine must beat the scalar
-#: fabric loop by on the three-job rotation workload (measured ~2.1x;
-#: margin absorbs CI noise).
+#: Wall-clock factor the sender bank must beat the scalar fabric loop
+#: by on the three-job rotation workload (measured ~2.1x; margin
+#: absorbs CI noise).
 MIN_SPEEDUP = 1.4
 
 _DURATION = 0.6
@@ -38,7 +39,6 @@ def _run(engine: str):
     sim = DcqcnFluidSimulator(
         capacity=_CAPACITY,
         dt=10e-6,
-        engine=engine,
         topology=Topology.fat_tree(FAT_TREE_K, host_capacity=_CAPACITY),
     )
     params = DcqcnParams(line_rate=_CAPACITY)
@@ -55,13 +55,13 @@ def _run(engine: str):
         sim.add_source(job, route=ROTATION_ROUTES[name])
         jobs.append(job)
     start = time.perf_counter()
-    result = sim.run(_DURATION)
+    result = run_dcqcn(sim, engine, _DURATION)
     elapsed = time.perf_counter() - start
     return result, jobs, elapsed
 
 
 def test_fattree_fabric_speedup(benchmark):
-    """Vector fabric engine is bit-identical to scalar and faster."""
+    """The fabric bank is bit-identical to the oracle and faster."""
     scalar_time = min(_run("scalar")[2] for _ in range(2))
     result_s, jobs_s, _ = _run("scalar")
 
@@ -72,7 +72,7 @@ def test_fattree_fabric_speedup(benchmark):
     )
 
     # Divergence check: every sampled series — per sender and per fabric
-    # link — and every timeline must be byte-identical across engines.
+    # link — and every timeline must be byte-identical across loops.
     for name in result_s.rate_series:
         assert np.array_equal(
             result_s.rate_series[name].times,

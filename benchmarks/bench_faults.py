@@ -2,7 +2,7 @@
 
 An empty :class:`~repro.faults.InjectionSchedule` collapses to a single
 NORMAL capacity window and must take the exact clean-run code path, so
-attaching one to the vectorized DCQCN engine may cost at most
+attaching one to a DCQCN run (the sender bank) may cost at most
 :data:`MAX_OVERHEAD` wall-clock overhead versus ``faults=None`` — and
 must stay bit-identical to it. A faulted run is timed alongside for the
 artifact record (window boundaries truncate the span fast-forward, so
@@ -24,8 +24,8 @@ from repro.cc.dcqcn import (
 from repro.faults import InjectionSchedule, LinkFailure, RateChange
 from repro.units import gbps
 
-#: Max wall-clock ratio (empty schedule / no schedule) on the vector
-#: engine. The empty schedule is the same code path; the margin only
+#: Max wall-clock ratio (empty schedule / no schedule) on the sender
+#: bank. The empty schedule is the same code path; the margin only
 #: absorbs timer noise.
 MAX_OVERHEAD = 1.10
 
@@ -39,9 +39,7 @@ _FAULTED = InjectionSchedule(events=(
 
 
 def _run(faults):
-    sim = DcqcnFluidSimulator(
-        capacity=gbps(50), dt=10e-6, engine="vector", faults=faults
-    )
+    sim = DcqcnFluidSimulator(capacity=gbps(50), dt=10e-6, faults=faults)
     params = DcqcnParams(line_rate=gbps(50))
     jobs = []
     for index in range(2):
@@ -100,7 +98,7 @@ def test_faults(benchmark):
     benchmark.extra_info["max_overhead"] = MAX_OVERHEAD
 
     print_report(
-        "Fault runtime overhead (DCQCN vector engine, "
+        "Fault runtime overhead (DCQCN sender bank, "
         f"{_DURATION:g}s simulated)",
         "\n".join([
             f"faults=None            : {clean_time * 1e3:8.1f} ms",

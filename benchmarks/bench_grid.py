@@ -1,14 +1,14 @@
-"""Perf guard: batched grid execution vs per-run vector execution.
+"""Perf guard: batched grid execution vs per-run execution.
 
 Stacks a 64-point sweep grid — 64 DCQCN runs of 32 senders each on a
 persistently congested 1 Gbps bottleneck, with per-run staggered CNP
 intervals and alternating rate-increase timers — into one
-:class:`repro.cc.grid_bank.GridBank` via :func:`repro.cc.grid_bank.
-run_grid`, asserts every run's rate series, queue series and final RNG
-stream position is bit-identical to running the 64 simulators one at a
-time, and guards the wall-clock speedup the stacked kernel must deliver
-over the per-run vector loop. CI runs this as the grid smoke leg and
-fails on any divergence.
+:class:`repro.cc.grid_bank.GridBank` (``GridBank.build(sims).run``),
+asserts every run's rate series, queue series and final RNG stream
+position is bit-identical to running the 64 simulators one at a time
+(``sim.run``), and guards the wall-clock speedup the stacked kernel
+must deliver over the per-run sender bank. CI runs this as the grid
+smoke leg and fails on any divergence.
 """
 
 import time
@@ -24,11 +24,11 @@ from repro.cc.dcqcn import (
     DcqcnParams,
     RedEcnMarker,
 )
-from repro.cc.grid_bank import run_grid
+from repro.cc.grid_bank import GridBank
 from repro.units import gbps
 
 #: Wall-clock factor the stacked grid kernel must beat 64 sequential
-#: vector runs by (measured ~9.9x; margin absorbs CI noise). The
+#: runs by (measured ~9.9x; margin absorbs CI noise). The
 #: issue's acceptance floor for batched sweep grids.
 MIN_SPEEDUP = 4.0
 
@@ -51,7 +51,6 @@ def _build_grid():
         sim = DcqcnFluidSimulator(
             capacity=_CAPACITY,
             marker=RedEcnMarker(pmax=1.0),
-            engine="vector",
         )
         run_rngs = []
         for s in range(_SENDERS):
@@ -80,7 +79,9 @@ def _sequential(sims):
 
 def _batched(sims):
     start = time.perf_counter()
-    traces = run_grid(sims, _DURATION)
+    grid = GridBank.build(sims)
+    assert grid is not None
+    traces = grid.run(_DURATION)
     return traces, time.perf_counter() - start
 
 
@@ -126,7 +127,7 @@ def test_grid_bank_speedup(benchmark):
     benchmark.extra_info["runs"] = _RUNS
     benchmark.extra_info["senders_per_run"] = _SENDERS
     print_report(
-        "grid bank — stacked sweep grid vs per-run vector execution",
+        "grid bank — stacked sweep grid vs per-run execution",
         f"grid points: {_RUNS} runs x {_SENDERS} senders\n"
         f"sequential: {sequential_time:.3f}s\n"
         f"batched:    {grid_time:.3f}s\n"

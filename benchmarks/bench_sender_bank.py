@@ -1,21 +1,22 @@
-"""Perf guard: vectorized DCQCN sender bank vs the scalar reference.
+"""Perf guard: DCQCN sender bank vs the scalar oracle.
 
 Runs the paper's two-job on-off workload (Figure 1's shape) through
-``DcqcnFluidSimulator`` with both engines, asserts the traces and
-timelines are identical, and guards the speedup the vector engine
-(span advancement + idle fast-forward, see docs/PERF.md) must deliver.
-CI runs this as its perf smoke leg and fails on any divergence.
+``DcqcnFluidSimulator.run`` (the sender bank, "vector") and through the
+scalar oracle ``run_scalar_fabric`` ("scalar"), asserts the traces and
+timelines are identical, and guards the speedup the bank (span
+advancement + idle fast-forward, see docs/PERF.md) must deliver. CI
+runs this as its perf smoke leg and fails on any divergence.
 
-A second bench records both engines' seconds at the bank sizes at the
+A second bench records both loops' seconds at the bank sizes at the
 ends of the range — two long-lived senders and 32 — without a floor,
-so the history shows where the vector engine's lead comes from.
+so the history shows where the bank's lead comes from.
 """
 
 import time
 
 import numpy as np
 
-from conftest import print_report
+from conftest import print_report, run_dcqcn
 
 from repro.cc.dcqcn import (
     AGGRESSIVE_TIMER,
@@ -26,15 +27,15 @@ from repro.cc.dcqcn import (
 )
 from repro.units import gbps
 
-#: Wall-clock factor engine="vector" must beat engine="scalar" by on the
-#: two-job on-off workload (measured ~4.5x; margin absorbs CI noise).
+#: Wall-clock factor the sender bank must beat the scalar oracle by on
+#: the two-job on-off workload (measured ~4.5x; margin absorbs CI noise).
 MIN_SPEEDUP = 3.0
 
 _DURATION = 1.2
 
 
 def _run(engine: str):
-    sim = DcqcnFluidSimulator(capacity=gbps(50), dt=10e-6, engine=engine)
+    sim = DcqcnFluidSimulator(capacity=gbps(50), dt=10e-6)
     params = DcqcnParams(line_rate=gbps(50))
     jobs = []
     for index in range(2):
@@ -49,13 +50,13 @@ def _run(engine: str):
         sim.add_source(job)
         jobs.append(job)
     start = time.perf_counter()
-    result = sim.run(_DURATION)
+    result = run_dcqcn(sim, engine, _DURATION)
     elapsed = time.perf_counter() - start
     return result, jobs, elapsed
 
 
 def test_sender_bank_speedup(benchmark):
-    """Vector engine is bit-identical to scalar and >= MIN_SPEEDUP faster."""
+    """The bank is bit-identical to the oracle and >= MIN_SPEEDUP faster."""
     scalar_time = min(_run("scalar")[2] for _ in range(2))
     result_s, jobs_s, _ = _run("scalar")
 
@@ -66,7 +67,7 @@ def test_sender_bank_speedup(benchmark):
     )
 
     # Divergence check: every sampled series and every timeline must be
-    # byte-identical across engines — this is what CI fails on.
+    # byte-identical across the two loops — this is what CI fails on.
     for name in result_s.rate_series:
         assert np.array_equal(
             result_s.rate_series[name].times,
@@ -102,7 +103,7 @@ _SIZES = {"long2": (2, 0.3), "long32": (32, 0.05)}
 
 
 def _run_long(engine: str, n_senders: int, duration: float):
-    sim = DcqcnFluidSimulator(capacity=gbps(50), dt=10e-6, engine=engine)
+    sim = DcqcnFluidSimulator(capacity=gbps(50), dt=10e-6)
     params = DcqcnParams(line_rate=gbps(50))
     for index in range(n_senders):
         timer = AGGRESSIVE_TIMER if index % 2 == 0 else DEFAULT_TIMER
@@ -112,12 +113,12 @@ def _run_long(engine: str, n_senders: int, duration: float):
             np.random.default_rng(100 + index),
         )
     start = time.perf_counter()
-    result = sim.run(duration)
+    result = run_dcqcn(sim, engine, duration)
     return result, time.perf_counter() - start
 
 
 def test_sender_bank_sizes(benchmark):
-    """Both engines' seconds for a 2-sender and a 32-sender bank."""
+    """Both loops' seconds for a 2-sender and a 32-sender bank."""
     lines = []
     for name, (n_senders, duration) in _SIZES.items():
         result_s, scalar_time = _run_long("scalar", n_senders, duration)

@@ -22,6 +22,23 @@ import re
 
 import pytest
 
+from repro.cc.dcqcn import DcqcnFluidSimulator
+from repro.cc.link_engine import run_scalar_fabric
+
+#: The two ways to run a DCQCN simulator that the perf guards time
+#: against each other (the same map as ``tests/conftest.py``): the
+#: scalar oracle and the simulator's own run through the sender bank.
+DCQCN_RUNS = {
+    "scalar": run_scalar_fabric,
+    "vector": DcqcnFluidSimulator.run,
+}
+
+
+def run_dcqcn(sim, engine, duration):
+    """Run DCQCN simulator ``sim`` for ``duration`` seconds the
+    ``engine`` way (a :data:`DCQCN_RUNS` key)."""
+    return DCQCN_RUNS[engine](sim, duration)
+
 
 def print_report(title: str, body: str) -> None:
     """Print an experiment report block (visible with ``-s``)."""

@@ -25,9 +25,10 @@ simulator uses as static weights.
 
 :class:`DcqcnFluidSimulator` runs these senders over links: a dumbbell
 is the 1-link fabric, a ``topology=`` run the links its routes name.
-Both engines live beside this module — the scalar reference
-:func:`repro.cc.link_engine.run_scalar_fabric` and the vectorized
-:class:`repro.cc.sender_bank.SenderBank` — so each is written once.
+:meth:`DcqcnFluidSimulator.run` runs them on the
+:class:`repro.cc.sender_bank.SenderBank`; the scalar reference
+:func:`repro.cc.link_engine.run_scalar_fabric` is the test oracle the
+bank is pinned against.
 """
 
 from __future__ import annotations
@@ -41,23 +42,14 @@ from ..core.lifecycle import JobLifecycle, OnOffSource
 from ..core.timeline import JobTimeline
 from ..errors import ConfigError, SimulationError
 from ..faults.events import InjectionSchedule  # simlint: disable=ARCH001 - CC tiers execute fault warps inline for bit-equivalence; shared types pending a layer move
-from ..faults.runtime import (  # simlint: disable=ARCH001 - same inversion as above
-    emit_fault_events,
-    single_link,
-)
+from ..faults.runtime import single_link  # simlint: disable=ARCH001 - same inversion as above
 from ..net.topology import BOTTLENECK
 from ..sim.trace import TimeSeries
 from ..switches.ecn import RedEcnMarker
 from ..switches.queues import FluidQueue
 from ..telemetry import session as _telemetry_session
 from ..units import gbps, mbps
-from .link_engine import (
-    LinkFabric,
-    build_fabric,
-    check_route,
-    install_fault_warps,
-    run_scalar_fabric,
-)
+from .link_engine import LinkFabric, check_route, prepare_run, scalar_loop
 
 if TYPE_CHECKING:
     from ..net.topology import Topology
@@ -66,6 +58,8 @@ if TYPE_CHECKING:
 DEFAULT_TIMER = 125e-6
 #: The more aggressive timer used for J1 in the paper's Figure 1c.
 AGGRESSIVE_TIMER = 100e-6
+#: Default fixed step of :class:`DcqcnFluidSimulator`, seconds.
+DEFAULT_DT = 5e-6
 
 
 @dataclass(frozen=True)
@@ -271,7 +265,8 @@ class OnOffDcqcnJob(OnOffSource):
 
 @dataclass
 class DcqcnResult:
-    """Output of a fine-grained DCQCN run.
+    """Output of a fine-grained DCQCN run, and of one fluid-backend
+    scenario (:attr:`repro.runner.RunResult.fluid`).
 
     Attributes:
         rate_series: Per-sender sending-rate samples (bytes/s).
@@ -296,6 +291,22 @@ class DcqcnResult:
         if name not in self.timelines:
             raise SimulationError(f"no timeline recorded for {name!r}")
         return self.timelines[name]
+
+    def iteration_times(self, name: str, skip: int = 0) -> np.ndarray:
+        """Durations of ``name``'s completed iterations, seconds.
+
+        Unknown names yield an empty array (a plain long-lived sender
+        completes no iterations).
+        """
+        timeline = self.timelines.get(name)
+        if timeline is None:
+            return np.asarray([], dtype=float)
+        return timeline.iteration_times(skip)
+
+    def iterations(self, name: str) -> int:
+        """Completed iterations of ``name``."""
+        timeline = self.timelines.get(name)
+        return 0 if timeline is None else len(timeline)
 
     def mean_iteration_time(self, name: str, skip: int = 0) -> float:
         """Mean iteration time of one on-off job, seconds."""
@@ -346,22 +357,16 @@ class DcqcnFluidSimulator:
         self,
         capacity: float = gbps(50),
         marker: Optional[RedEcnMarker] = None,
-        dt: float = 5e-6,
+        dt: float = DEFAULT_DT,
         sample_interval: float = 250e-6,
         pfc_pause_threshold: Optional[float] = None,
         pfc_resume_threshold: Optional[float] = None,
         telemetry: Optional["_telemetry_session.Telemetry"] = None,
-        engine: str = "vector",
         faults: Optional[InjectionSchedule] = None,
         topology: Optional["Topology"] = None,
     ) -> None:
         if dt <= 0 or sample_interval < dt:
             raise ConfigError("need dt > 0 and sample_interval >= dt")
-        if engine not in ("scalar", "vector"):
-            raise ConfigError(
-                f"engine must be 'scalar' or 'vector', got {engine!r}"
-            )
-        self.engine = engine
         self.faults = faults
         self._fault_warps_installed = False
         self.topology = topology
@@ -422,31 +427,22 @@ class DcqcnFluidSimulator:
     def run(self, duration: float) -> DcqcnResult:
         """Simulate ``duration`` seconds and return sampled traces.
 
-        With ``engine="vector"`` (the default) the run goes through the
-        :class:`repro.cc.sender_bank.SenderBank` — batched sender
-        updates, deterministic span advancement and idle/PFC/fault
-        fast-forward — which produces bit-identical traces. Source types
-        the bank does not recognize fall back to the scalar reference
-        :func:`repro.cc.link_engine.run_scalar_fabric` automatically;
-        ``engine="scalar"`` forces it.
+        The run goes through the :class:`repro.cc.sender_bank.SenderBank`
+        — batched sender updates, deterministic span advancement and
+        idle fast-forward — whose traces are bit-identical to the scalar
+        oracle :func:`repro.cc.link_engine.run_scalar_fabric`. When the
+        bank cannot represent the run (a source type other than
+        :class:`DcqcnSender` and :class:`OnOffDcqcnJob`, or a marker
+        other than a plain :class:`~repro.switches.ecn.RedEcnMarker`),
+        the scalar loop runs instead.
         """
-        if not self.senders:
-            raise SimulationError("add at least one sender before run()")
-        self._install_fault_warps()
-        emit_fault_events(self.telemetry, self.faults)
-        if self.fabric is None:
-            self.fabric = build_fabric(self)
-        if self.engine == "vector":
-            from .sender_bank import SenderBank
+        from .sender_bank import SenderBank
 
-            bank = SenderBank.build(self)
-            if bank is not None:
-                return bank.run(duration)
-        return run_scalar_fabric(self, duration)
-
-    def _install_fault_warps(self) -> None:
-        """Attach per-job warps once (:func:`install_fault_warps`)."""
-        install_fault_warps(self, self.senders)
+        prepare_run(self)
+        bank = SenderBank.build(self)
+        if bank is None:
+            return scalar_loop(self, duration)
+        return bank.run(duration)
 
 
 def calibrate_timer_weights(
@@ -456,7 +452,6 @@ def calibrate_timer_weights(
     warmup: float = 0.05,
     seed: int = 0,
     params: Optional[DcqcnParams] = None,
-    engine: str = "vector",
 ) -> Dict[float, float]:
     """Measure the share weight each increase-timer value earns.
 
@@ -470,7 +465,7 @@ def calibrate_timer_weights(
     if len(timers) < 2:
         raise ConfigError("calibration needs at least two timer values")
     base = params if params is not None else DcqcnParams(line_rate=capacity)
-    sim = DcqcnFluidSimulator(capacity=capacity, engine=engine)
+    sim = DcqcnFluidSimulator(capacity=capacity)
     rng_root = np.random.default_rng(seed)
     names = []
     for index, timer in enumerate(timers):

@@ -4,16 +4,17 @@
 :class:`repro.cc.dcqcn.DcqcnFluidSimulator` runs — a sweep grid of
 seeds x timers x workloads — into one structure-of-arrays simulation
 with state shaped ``(runs, senders)``. Each run keeps its own
-:class:`repro.cc.sender_bank.SenderBank` (the within-run vector
-engine over the run's one link), and the grid reuses that machinery
-wholesale: the shared :class:`TimerCache` wrap schedules, the
-deterministic span fast-forward, the idle/fault-window bulk advances,
-and the chunked :class:`UniformChunks` RNG draws.
+:class:`repro.cc.sender_bank.SenderBank` (the within-run engine over
+the run's one link), and the grid reuses that machinery wholesale: the
+shared :class:`TimerCache` wrap schedules, the deterministic span
+fast-forward, the idle fast-forward, the per-tick kernel of faulted
+windows and the chunked :class:`UniformChunks` RNG draws.
 
 The contract is the same as the sender bank's, one level up: every
 run's observable output — rate/queue series, ``timelines()``, final
 sender state, RNG stream positions — is **bit-identical** to executing
-that simulator alone through ``engine="vector"``. Three properties
+that simulator alone through
+:meth:`~repro.cc.dcqcn.DcqcnFluidSimulator.run`. Three properties
 make that possible:
 
 * **Per-run lane control flow.** Each lane runs its bank's own
@@ -22,9 +23,10 @@ make that possible:
   yields every stochastic stretch; a solo run serves those with
   ``_tick_run``, the grid serves them with the shared kernel. Spans,
   bulk idles and fault windows still execute on the lane's own bank;
-  only the stochastic tick-by-tick stretches are stacked. Span/probe boundaries are pure cost decisions in the sender
-  bank (every committed quantity is bit-identical to per-tick
-  stepping), so the grid is free to cut them differently.
+  only the stochastic tick-by-tick stretches are stacked. Span/probe
+  boundaries are pure cost decisions in the sender bank (every
+  committed quantity is bit-identical to per-tick stepping), so the
+  grid is free to cut them differently.
 * **Masked per-tick kernel.** The stacked tick replays the per-slot
   scalar sequence with ``(runs, senders)`` array ops whose operands
   are neutralized on inactive slots (``dt`` contribution 0.0,
@@ -36,14 +38,19 @@ make that possible:
   lane's slot order. Per-tick arrivals fold via ``cumsum`` (sequential
   adds; the interleaved 0.0 of inactive slots are exact no-ops).
 * **Writeback/reload sync.** Whenever a lane needs its bank's Python
-  machinery (span probe, activation, completion, bulk window) the
+  machinery (span probe, activation, completion, fault window) the
   kernel writes its rows back into the bank lists, runs the original
   code, and reloads — so there is exactly one source of truth at any
   time and no grid-side reimplementation of the event logic.
 
-Lanes must not share numpy generators (draw interleaving across runs
-would change stream positions); :meth:`GridBank.build` rejects such
-grids. Sharing *within* a lane is fine — slot order is preserved.
+:meth:`GridBank.build` is the one entry point: it returns a grid, or
+``None`` when any simulator breaks a lane rule (see
+:func:`_lane_bank`), the time steps differ, or two lanes share a numpy
+generator (draw interleaving across runs would change stream
+positions; sharing *within* a lane is fine — slot order is
+preserved). The runner decides which specs to stack
+(:func:`repro.runner.grid.plan_groups`) and runs them spec by spec when
+``build`` says no.
 
 One caveat when driving this directly with a single ambient telemetry
 session: per-lane counters and series are identical to solo runs, but
@@ -58,9 +65,8 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SimulationError
-from ..faults.runtime import emit_fault_events  # simlint: disable=ARCH001 - the grid engine emits fault events inline, same inversion as sender_bank
 from .dcqcn import DcqcnFluidSimulator, DcqcnResult
+from .link_engine import prepare_run
 from .sender_bank import (
     SenderBank,
     TickRequest,
@@ -72,35 +78,26 @@ from .sender_bank import (
 _NEVER = 1 << 62
 
 
-def grid_compatible(sim) -> bool:
-    """Whether ``sim`` can ride in a :class:`GridBank` lane.
-
-    The batchability rules: a plain :class:`DcqcnFluidSimulator`
-    (no subclass), single bottleneck (no topology, so one link), no
-    PFC, the vector engine not overridden, at least one sender, and
-    every source and marker type inside the sender bank's fast-path set.
-    """
-    return _lane_bank(sim) is not None
-
-
 def _lane_bank(sim) -> Optional[SenderBank]:
-    """A fresh :class:`SenderBank` for ``sim``, or ``None`` if any
-    batchability rule fails. Building a bank only snapshots state —
-    it never mutates the simulator — so probing is side-effect free."""
+    """A fresh :class:`SenderBank` for ``sim``, or ``None`` if ``sim``
+    cannot ride in a :class:`GridBank` lane.
+
+    The lane rules: a plain :class:`DcqcnFluidSimulator` (no subclass),
+    single bottleneck (no topology, so one link), no PFC, at least one
+    sender, and a bank (:meth:`SenderBank.build` accepts every source
+    and the marker). Building a bank only snapshots state — it never
+    mutates the simulator — so probing is side-effect free.
+    """
     if type(sim) is not DcqcnFluidSimulator:
         return None
     if sim.topology is not None:
         return None
     if sim.pfc_pause_threshold is not None:
         return None
-    if sim.engine != "vector":
-        return None
     if not sim.senders:
         return None
     bank = SenderBank.build(sim)
     if bank is None:
-        return None
-    if not bank._red_marker:
         return None
     # The grid clamps rates with maximum-then-minimum, which matches
     # the scalar if/elif only while the floor sits at or below the
@@ -109,34 +106,6 @@ def _lane_bank(sim) -> Optional[SenderBank]:
         if floor > line:
             return None
     return bank
-
-
-def run_grid(sims: Sequence, duration: float) -> List[DcqcnResult]:
-    """Run ``sims`` for ``duration`` seconds, stacking every compatible
-    same-``dt`` subset into one :class:`GridBank` and executing the
-    rest (AIMD simulators, custom sources, scalar-forced engines,
-    PFC/topology configs) individually. Results come back in input
-    order, bit-identical to ``[sim.run(duration) for sim in sims]``."""
-    sims = list(sims)
-    results: List[Optional[DcqcnResult]] = [None] * len(sims)
-    by_dt: Dict[float, List[Tuple[int, SenderBank]]] = {}
-    for index, sim in enumerate(sims):
-        bank = _lane_bank(sim)
-        if bank is not None:
-            by_dt.setdefault(sim.dt, []).append((index, bank))
-    for lanes in by_dt.values():
-        indices = [index for index, _bank in lanes]
-        grid = GridBank._stack(
-            [sims[i] for i in indices], [bank for _i, bank in lanes]
-        )
-        if grid is None:
-            continue
-        for i, trace in zip(indices, grid.run(duration)):
-            results[i] = trace
-    for index, sim in enumerate(sims):
-        if results[index] is None:
-            results[index] = sim.run(duration)
-    return results
 
 
 class _Lane:
@@ -265,17 +234,10 @@ class GridBank:
     @classmethod
     def build(cls, sims: Sequence) -> Optional["GridBank"]:
         """A grid for ``sims``, or ``None`` if any simulator breaks a
-        batchability rule (see :func:`grid_compatible`), the time steps
-        differ, or two lanes share a numpy generator."""
+        lane rule (see :func:`_lane_bank`), the time steps differ, or
+        two lanes share a numpy generator."""
         sims = list(sims)
-        return cls._stack(sims, [_lane_bank(sim) for sim in sims])
-
-    @classmethod
-    def _stack(
-        cls, sims: Sequence, banks: Sequence[Optional[SenderBank]]
-    ) -> Optional["GridBank"]:
-        """:meth:`build` over lane banks already built by
-        ``_lane_bank`` (``None`` marks an incompatible simulator)."""
+        banks = [_lane_bank(sim) for sim in sims]
         if not sims or any(bank is None for bank in banks):
             return None
         dt0 = sims[0].dt
@@ -301,7 +263,7 @@ class GridBank:
                 bank._tcaches[(bank.timer[k], dt0)]
                 for k in range(len(bank.objs))
             ]
-        return cls(list(sims), list(banks))
+        return cls(sims, banks)
 
     # ------------------------------------------------------------------
     # Run loop
@@ -309,17 +271,12 @@ class GridBank:
 
     def run(self, duration: float) -> List[DcqcnResult]:
         """Simulate every lane for ``duration`` seconds; same contract
-        as ``[sim.run(duration) for sim in sims]`` with the vector
-        engine, including the fault-event emission and final sender
-        writeback each solo run performs."""
+        as ``[sim.run(duration) for sim in sims]``, including the
+        preparation (:func:`~repro.cc.link_engine.prepare_run`) and
+        final sender writeback each solo run performs."""
         self._lanes = []
         for r, (sim, bank) in enumerate(zip(self.sims, self.banks)):
-            if not sim.senders:
-                raise SimulationError(
-                    "add at least one sender before run()"
-                )
-            sim._install_fault_warps()
-            emit_fault_events(sim.telemetry, sim.faults)
+            prepare_run(sim)
             lane = _Lane(r, sim, bank)
             lane.gen = bank.drive(duration)
             self._sev[r] = bank.samples_every
@@ -329,7 +286,7 @@ class GridBank:
         self._kernel()
         # The kernel appends sample rows as array views to keep the hot
         # loop cheap; normalize them to the plain lists the bank's
-        # bulk/span paths append before handing off to _finish.
+        # idle/span paths append before handing off to _finish.
         for bank in self.banks:
             rows = bank.samples.rows
             for idx, row in enumerate(rows):

@@ -17,11 +17,14 @@ name (resolved through a :class:`~repro.net.topology.Topology`).
 :func:`check_route`, :func:`install_fault_warps` and
 :func:`build_fabric` do this route plumbing for both tiers.
 
-:func:`run_scalar_fabric` is the dt-by-dt reference loop over live
-sender objects. It defines the semantics and is the oracle the
-vectorized :class:`repro.cc.sender_bank.SenderBank` is pinned against
-bit-for-bit (series, per-link queue series, timelines and RNG stream
-positions; see ``tests/test_fattree_equivalence.py``).
+:func:`run_scalar_fabric` is DCQCN's dt-by-dt reference loop over live
+sender objects, with the same contract as
+:meth:`repro.cc.dcqcn.DcqcnFluidSimulator.run`. It defines the
+semantics and is the test oracle the
+:class:`repro.cc.sender_bank.SenderBank` is pinned against bit for bit
+(series, per-link queue series, timelines, RNG stream positions and
+telemetry; see ``tests/test_fattree_equivalence.py``).
+:func:`prepare_run` is the one preparation every DCQCN loop shares.
 
 Fault schedules may target any named link:
 :func:`repro.faults.runtime.link_capacity_windows` merges the per-link
@@ -34,12 +37,13 @@ import math
 from typing import Dict, List, Sequence, Tuple
 
 from ..core.lifecycle import OnOffSource
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..faults.runtime import (  # simlint: disable=ARCH001 - CC tiers execute fault windows inline for bit-equivalence; shared types pending a layer move
     MODE_FREEZE,
     MODE_NORMAL,
     MODE_STORM,
     build_warp,
+    emit_fault_events,
     link_capacity_windows,
 )
 from ..sim.trace import TimeSeries
@@ -202,8 +206,38 @@ def build_fabric(sim, max_occupancy: float = math.inf) -> LinkFabric:
     )
 
 
+def prepare_run(sim) -> None:
+    """Ready a DCQCN simulator for a run, before either loop starts.
+
+    Checks that it has senders, attaches the per-job fault warps
+    (once), records the schedule's fault windows in the telemetry
+    trace and resolves a topology simulator's fabric.
+    :meth:`~repro.cc.dcqcn.DcqcnFluidSimulator.run`,
+    :func:`run_scalar_fabric` and
+    :meth:`~repro.cc.grid_bank.GridBank.run` all call it.
+    """
+    if not sim.senders:
+        raise SimulationError("add at least one sender before run()")
+    install_fault_warps(sim, sim.senders)
+    emit_fault_events(sim.telemetry, sim.faults)
+    if sim.fabric is None:
+        sim.fabric = build_fabric(sim)
+
+
 def run_scalar_fabric(sim, duration: float):
-    """The dt-by-dt reference loop; defines the semantics.
+    """Run DCQCN simulator ``sim`` through the scalar oracle.
+
+    Same contract as
+    :meth:`~repro.cc.dcqcn.DcqcnFluidSimulator.run`, which returns the
+    identical result through the sender bank.
+    """
+    prepare_run(sim)
+    return scalar_loop(sim, duration)
+
+
+def scalar_loop(sim, duration: float):
+    """The dt-by-dt reference loop over a prepared simulator; defines
+    the semantics.
 
     Per tick, in order: (1) per-link PFC hysteresis on normal-mode
     links; (2) per-link marking probability; (3) senders in insertion

@@ -1,7 +1,7 @@
 """Vectorized sender bank for the fixed-step DCQCN engine.
 
-:class:`SenderBank` is the ``engine="vector"`` engine of
-:class:`repro.cc.dcqcn.DcqcnFluidSimulator`. It holds every sender's
+:class:`SenderBank` is the engine behind
+:meth:`repro.cc.dcqcn.DcqcnFluidSimulator.run`. It holds every sender's
 DCQCN rate-machine state (current/target rate, alpha, byte/timer
 accumulators, increase-stage counters, CNP gating clocks) in
 structure-of-arrays form and advances the whole bank over the
@@ -11,7 +11,7 @@ senders incidence, of which the single-bottleneck dumbbell is the
 sender's generator (:class:`UniformChunks`). Four mechanisms make it
 fast while keeping every observable output (rate series, queue series,
 job timelines, bytes/remaining, CNP counts, RNG stream position)
-*bit-identical* to the scalar reference
+*bit-identical* to the scalar oracle
 :func:`repro.cc.link_engine.run_scalar_fabric`:
 
 * **Deterministic span advancement** — a tick is deterministic when no
@@ -31,18 +31,18 @@ job timelines, bytes/remaining, CNP counts, RNG stream position)
   drain-clamp episode applied in closed form (arrivals are
   nondecreasing between CNPs, so at most one clamp episode exists), and
   the span is cut at the earliest violation across all links.
-* **Idle / PFC / fault-window fast-forward** — when every source is
-  computing (or done) the clock jumps to the earliest next burst start
-  exposed by :class:`repro.core.lifecycle.OnOffSource` deadlines; when
-  every link is PFC-paused it jumps to the earliest resume tick on the
-  closed-form queue drains; a fault window in which every link is
-  failed or storming is one closed-form bulk advance. All synthesize
-  the skipped sample rows exactly.
+* **Idle fast-forward** — when every source is computing (or done)
+  the clock jumps to the earliest next burst start exposed by
+  :class:`repro.core.lifecycle.OnOffSource` deadlines, the queues
+  drain in closed form and the skipped sample rows are synthesized
+  exactly.
 * **One per-tick kernel** — stochastic ticks (a queue above ``kmin``
   with a CNP-eligible sender) run a single flat pass over the bank with
-  hoisted locals and an inlined queue/marker update. Blocking and the
-  marking maximum of each distinct multi-link route are computed once
-  per tick, not per sender; a 1-link route reads its link directly.
+  hoisted locals and an inlined queue/RED-marker update. Blocking and
+  the marking maximum of each distinct multi-link route are computed
+  once per tick, not per sender; a 1-link route reads its link
+  directly. PFC pauses and fault windows with a failed or storming
+  link run through this kernel too.
 * **One control loop, two servers** — :meth:`SenderBank.drive` is the
   window/span loop as a generator that yields each stochastic stretch:
   a solo :meth:`SenderBank.run` serves it with :meth:`_tick_run`, and
@@ -50,11 +50,17 @@ job timelines, bytes/remaining, CNP counts, RNG stream position)
   multi-run kernel.
 
 Randomness stays DET001-clean: chunks are drawn from the same
-generators the scalar engine would use, and :meth:`UniformChunks.rewind`
+generators the scalar oracle would use, and :meth:`UniformChunks.rewind`
 repositions each generator to the exact state the equivalent sequence
 of scalar ``rng.random()`` calls would have left, so callers that reuse
 a generator after ``run()`` (e.g. the runner's fluid backend running
 several scenarios over shared streams) observe identical draws.
+
+:meth:`SenderBank.build` accepts :class:`repro.cc.dcqcn.DcqcnSender`
+and :class:`repro.cc.dcqcn.OnOffDcqcnJob` sources under a plain
+:class:`repro.switches.ecn.RedEcnMarker` (exact types, no subclasses)
+and returns ``None`` for anything else, which the simulator then runs
+through the scalar loop.
 
 One documented deviation: senders pinned at line rate (``rate`` and
 ``target_rate`` both at ``line_rate``) have increase events that are
@@ -63,7 +69,7 @@ stage counters are dead state until the next CNP resets them. Spans
 therefore fold those accumulators without the wrap-around while-loops.
 Every externally observable quantity is still bit-identical; only the
 private ``_byte_accum``/``_timer_accum``/``_*_stage`` fields of a
-line-pinned sender may differ from the scalar engine's at the instant
+line-pinned sender may differ from the scalar oracle's at the instant
 ``run()`` returns, and they re-converge on the next CNP.
 """
 
@@ -71,7 +77,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -298,39 +304,6 @@ class TimerCache:
             self._extend(p)
         return self.t_at[p]
 
-    def next_event(self, p: int) -> int:
-        """Smallest phase ``q > p`` whose tick wraps the timer.
-
-        The tick *index* that wraps is ``q - 1`` relative to the reset:
-        phase ``q`` is the first tick start that observes the wrap.
-        """
-        t_at = self.t_at
-        if p >= len(t_at):
-            self._extend(p)
-            t_at = self.t_at
-        est = p + int((self._T - t_at[p]) / self._dt) - 2
-        q = est if est > p else p + 1
-        stages = self.stages
-        if q >= len(stages):
-            self._extend(q)
-            stages = self.stages
-        base = stages[p]
-        while True:
-            if q >= len(stages):
-                self._extend(q)
-                stages = self.stages
-            if stages[q] > base:
-                return q
-            q += 1
-
-    def wraps_at(self, q: int) -> int:
-        """How many times the timer wraps on the tick ending at ``q``."""
-        stages = self.stages
-        if q >= len(stages):
-            self._extend(q)
-            stages = self.stages
-        return stages[q] - stages[q - 1]
-
 
 class _Plan:
     """One sender's planned CNP-free evolution.
@@ -453,8 +426,7 @@ class SenderBank:
         self._tcaches: Dict[Tuple[float, float], TimerCache] = {}
         # Earliest pending activation tick (-1 = recompute lazily).
         self._act_min = -1
-        # Fast-path capability flags, resolved once in build().
-        self._red_marker = False
+        # RED marker and PFC parameters, resolved once in build().
         self._kmin = 0.0
         self._kmax = 0.0
         self._pmax = 0.0
@@ -468,8 +440,11 @@ class SenderBank:
     @classmethod
     def build(cls, sim) -> Optional["SenderBank"]:
         """A bank for ``sim``'s sources over ``sim.fabric``, or ``None``
-        if any source type is outside the vector engine's supported set
-        (custom sources fall back to the scalar reference loop)."""
+        if the marker or any source type is outside the bank's supported
+        set (such runs take the scalar loop)."""
+        marker = sim.marker
+        if type(marker) is not RedEcnMarker:
+            return None
         for source in sim.senders:
             if type(source) is not DcqcnSender and (
                 type(source) is not OnOffDcqcnJob
@@ -486,21 +461,18 @@ class SenderBank:
             and not bank.active[k]
             and not bank.objs[k].lifecycle.done
         ]
-        marker = sim.marker
-        if type(marker) is RedEcnMarker:
-            bank._red_marker = True
-            bank._kmin = marker.kmin
-            bank._kmax = marker.kmax
-            bank._pmax = marker.pmax
-            # Same operands as the per-call ``kmax - kmin`` inside
-            # marking_probability, so the cached span is bit-identical.
-            bank._mspan = marker.kmax - marker.kmin
+        bank._kmin = marker.kmin
+        bank._kmax = marker.kmax
+        bank._pmax = marker.pmax
+        # Same operands as the per-call ``kmax - kmin`` inside
+        # marking_probability, so the cached span is bit-identical.
+        bank._mspan = marker.kmax - marker.kmin
         bank._has_pfc = sim.pfc_pause_threshold is not None
         return bank
 
     def _stream_for(self, rng: np.random.Generator) -> UniformChunks:
         # Senders sharing one generator must share one chunk buffer so
-        # the draw order within a tick matches the scalar engine.
+        # the draw order within a tick matches the scalar oracle.
         stream = self._streams_by_rng.get(id(rng))
         if stream is None:
             stream = UniformChunks(rng)
@@ -604,7 +576,7 @@ class SenderBank:
         """Set up a ``duration``-second run and return its control loop.
 
         The loop partitions the run into fault windows and advances
-        each by span fast-forward and the closed-form bulk advances. It
+        each by span fast-forward and the idle fast-forward. It
         yields ``(tick, stop, retry_at)`` for every stochastic stretch:
         the caller steps ticks from ``tick`` (at least one, at most up
         to ``stop``; stopping before ``retry_at`` wastes no span probe)
@@ -634,11 +606,9 @@ class SenderBank:
                 MODE_STORM not in fabric.modes
             ):
                 yield from self._normal_window(window.start, window.end)
-            elif MODE_NORMAL not in fabric.modes:
-                self._bulk_blocked(window.start, window.end)
             else:
-                # Some links blocked, some not: blocking is per route,
-                # so spans would be invalid; fault windows are short.
+                # A failed or storming link blocks its routes, so spans
+                # would be invalid; fault windows are short.
                 self._tick_run(window.start, window.end, fast_exit=False)
         fabric.restore()
 
@@ -649,23 +619,16 @@ class SenderBank:
         i = start
         retry_at = start
         retry_gap = TICK_RETRY
-        n_links = len(self.fabric.queues)
         while i < steps:
-            if self._has_pfc:
-                n_paused = self._pfc_hysteresis()
-                if n_paused == n_links:
-                    i = self._bulk_pause(i, steps)
-                    retry_gap = TICK_RETRY
-                    continue
-                if n_paused:
-                    # Some routes are blocked: the per-tick kernel owns
-                    # pause accrual and resume; probe again shortly.
-                    end = i + 4 * TICK_RETRY
-                    if end > steps:
-                        end = steps
-                    i = self._tick_run(i, end, fast_exit=False)
-                    retry_gap = TICK_RETRY
-                    continue
+            if self._has_pfc and self._pfc_hysteresis():
+                # Paused links block their routes: the per-tick kernel
+                # owns pause accrual and resume; probe again shortly.
+                end = i + 4 * TICK_RETRY
+                if end > steps:
+                    end = steps
+                i = self._tick_run(i, end, fast_exit=False)
+                retry_gap = TICK_RETRY
+                continue
             if self._n_active == 0:
                 nxt = self._next_activation()
                 if nxt is None or nxt > i:
@@ -688,26 +651,23 @@ class SenderBank:
                     retry_gap *= 2
             i = yield (i, steps, retry_at)
 
-    def _pfc_hysteresis(self) -> int:
+    def _pfc_hysteresis(self) -> bool:
         """Idempotent start-of-tick PFC hysteresis on every (normal)
-        link; returns how many links are paused."""
+        link; returns whether any link is paused."""
         sim = self.sim
         pause_threshold = sim.pfc_pause_threshold
         resume_threshold = sim.pfc_resume_threshold
         paused = self.fabric.paused
-        n_paused = 0
         for link, queue in enumerate(self.fabric.queues):
             occupancy = queue.occupancy
             if not paused[link] and occupancy >= pause_threshold:
                 paused[link] = True
             elif paused[link] and occupancy <= resume_threshold:
                 paused[link] = False
-            if paused[link]:
-                n_paused += 1
-        return n_paused
+        return any(paused)
 
     # ------------------------------------------------------------------
-    # Idle / PFC / fault-window fast-forward
+    # Idle fast-forward
     # ------------------------------------------------------------------
 
     def _next_activation(self) -> Optional[int]:
@@ -723,100 +683,35 @@ class SenderBank:
                 best = tick
         return best
 
-    def _drain_trajs(self, span: int) -> List[np.ndarray]:
-        """Every link's occupancy over ``span`` ticks without arrivals:
-        the closed-form clamped drain, held flat on a failed link."""
-        dt = self.sim.dt
-        trajs = []
-        for link, queue in enumerate(self.fabric.queues):
-            if self.fabric.modes[link] == MODE_FREEZE:
-                trajs.append(np.full(span + 1, queue.occupancy))
-            else:
-                trajs.append(clamp_drain(fold_traj(
-                    queue.occupancy, (0.0 - queue.capacity) * dt, span
-                )))
-        return trajs
-
-    def _commit_drain(
-        self, i: int, span: int, trajs: Sequence[np.ndarray],
-        rates: List[float],
-    ) -> None:
-        """Land every queue at ``trajs[.][span]`` and synthesize the
-        sample rows of ticks ``[i, i + span)`` with senders at ``rates``."""
-        dt = self.sim.dt
-        for queue, traj in zip(self.fabric.queues, trajs):
-            queue.occupancy = float(traj[span])
-        rows = self.samples.rows
-        for j in sample_ticks(i, i + span, self.samples_every):
-            u = j - i + 1
-            rows.append((
-                (j + 1) * dt, list(rates), [float(t[u]) for t in trajs]
-            ))
-
-    def _held_rates(self) -> List[float]:
-        """The sample row of senders that hold their rates."""
-        return [
-            self.rate[k] if self.active[k] else 0.0
-            for k in range(len(self.objs))
-        ]
-
-    def _accrue_pause(self, n_links: int, span: int) -> None:
-        """``span`` ticks of pause time on ``n_links`` links: the
-        per-tick ``+= dt`` of every such link, folded in order."""
-        sim = self.sim
-        sim.pfc_pause_seconds = fold_last(
-            sim.pfc_pause_seconds, sim.dt, n_links * span
-        )
-
     def _bulk_idle(self, i: int, end: int) -> None:
         """Fast-forward ticks where every source computes or is done.
 
-        No link is PFC-paused on entry (checked by the caller after the
-        hysteresis update) and occupancies only fall while draining, so
-        no pause can begin mid-stretch.
+        Every link is in normal mode and none is PFC-paused on entry
+        (checked by the caller after the hysteresis update), and
+        occupancies only fall while draining, so no pause can begin
+        mid-stretch: each queue follows the closed-form clamped drain
+        and the skipped sample rows show every sender at rate 0.
         """
         span = end - i
-        if span > 0:
-            self._commit_drain(
-                i, span, self._drain_trajs(span), [0.0] * len(self.objs)
-            )
-
-    def _bulk_pause(self, i: int, steps: int) -> int:
-        """Fast-forward a stretch where every link is PFC-paused;
-        returns the first tick at which some link resumes.
-
-        Every sender is blocked (no bytes, no marks, no clock advance in
-        its state machine, activations deferred) and every queue drains
-        at capacity, so each resume tick sits on a closed-form
-        trajectory.
-        """
+        if span <= 0:
+            return
         dt = self.sim.dt
-        resume = self.sim.pfc_resume_threshold
-        horizon = steps - i
-        for queue in self.fabric.queues:
-            estimate = int(
-                (queue.occupancy - resume) / (queue.capacity * dt)
-            ) + 2 * (SPAN_MARGIN + 2)
-            horizon = min(horizon, max(estimate, 1))
-        trajs = self._drain_trajs(horizon)
-        span = horizon
-        for traj in trajs:
-            crossing = np.nonzero(traj[1:span + 1] <= resume)[0]
-            if crossing.size:
-                span = int(crossing[0]) + 1
-        self._accrue_pause(len(trajs), span)
-        self._commit_drain(i, span, trajs, self._held_rates())
-        return i + span
-
-    def _bulk_blocked(self, i: int, end: int) -> None:
-        """A fault window in which every link is failed or storming:
-        senders hold, storming queues drain and accrue pause time,
-        failed queues hold."""
-        span = end - i
-        self._accrue_pause(self.fabric.modes.count(MODE_STORM), span)
-        self._commit_drain(
-            i, span, self._drain_trajs(span), self._held_rates()
-        )
+        queues = self.fabric.queues
+        trajs = [
+            clamp_drain(fold_traj(
+                queue.occupancy, (0.0 - queue.capacity) * dt, span
+            ))
+            for queue in queues
+        ]
+        for queue, traj in zip(queues, trajs):
+            queue.occupancy = float(traj[span])
+        rows = self.samples.rows
+        n = len(self.objs)
+        for j in sample_ticks(i, i + span, self.samples_every):
+            u = j - i + 1
+            rows.append((
+                (j + 1) * dt, [0.0] * n, [float(t[u]) for t in trajs]
+            ))
 
     # ------------------------------------------------------------------
     # Deterministic spans
@@ -1015,10 +910,6 @@ class SenderBank:
         across all links. Returns the number of ticks advanced (0 if no
         profitable span exists).
         """
-        if not self._red_marker:
-            # Unknown marker shape: we cannot bound where its
-            # probability becomes positive along the queue trajectory.
-            return 0
         sim = self.sim
         dt = sim.dt
         kmin = self._kmin
@@ -1282,23 +1173,6 @@ class SenderBank:
         if not lifecycle.done:
             self._idle_live.append(k)
 
-    def _increase_event(self, k: int) -> None:
-        fast = self.fast_rounds[k]
-        in_fast = self.b_st[k] < fast and self.t_st[k] < fast
-        past_both = self.b_st[k] >= fast and self.t_st[k] >= fast
-        target = self.target[k]
-        if in_fast:
-            pass
-        elif past_both:
-            target += self.rhai[k]
-        else:
-            target += self.rai[k]
-        line = self.line[k]
-        if target > line:
-            target = line
-        self.target[k] = target
-        self.rate[k] = (target + self.rate[k]) / 2.0
-
     def _tick_run(self, start: int, stop: int, fast_exit: bool = True) -> int:
         """Step ticks ``[start, stop)`` through the exact per-tick
         kernel of :func:`repro.cc.link_engine.run_scalar_fabric`,
@@ -1306,9 +1180,9 @@ class SenderBank:
         tick *not* stepped.
 
         ``fast_exit`` (normal windows only) returns control early when
-        the bank goes fully idle or every link is PFC-paused, so the
-        caller's fast-forwards take over; faulted windows must keep
-        stepping the queues and pause accounting.
+        the bank goes fully idle, so the caller's idle fast-forward
+        takes over; faulted windows and PFC pauses must keep stepping
+        the queues and pause accounting.
         """
         sim = self.sim
         dt = sim.dt
@@ -1325,12 +1199,10 @@ class SenderBank:
         has_pfc = self._has_pfc
         pause_threshold = sim.pfc_pause_threshold
         resume_threshold = sim.pfc_resume_threshold
-        red = self._red_marker
         kmin = self._kmin
         kmax = self._kmax
         pmax = self._pmax
         mspan = self._mspan
-        marker = sim.marker
         n = len(self.objs)
         active = self.active
         rate = self.rate
@@ -1347,6 +1219,9 @@ class SenderBank:
         min_rate = self.min_rate
         line = self.line
         target = self.target
+        fast_rounds = self.fast_rounds
+        rai = self.rai
+        rhai = self.rhai
         objs = self.objs
         t_ph = self.t_ph
         byte_counter = self.byte_counter
@@ -1368,12 +1243,10 @@ class SenderBank:
             now = i * dt
             # Gate table: a link's marking probability, or None while
             # it blocks its senders (failed, storming or PFC-paused).
-            n_blocked = 0
             for link in range(n_links):
                 arrivals[link] = 0.0
                 if modes[link] != MODE_NORMAL:
                     p_gate[link] = None
-                    n_blocked += 1
                     continue
                 occq = queues[link].occupancy
                 if has_pfc:
@@ -1383,19 +1256,13 @@ class SenderBank:
                         paused[link] = False
                     if paused[link]:
                         p_gate[link] = None
-                        n_blocked += 1
                         continue
-                if red:
-                    if occq <= kmin:
-                        p_gate[link] = 0.0
-                    elif occq >= kmax:
-                        p_gate[link] = 1.0
-                    else:
-                        p_gate[link] = pmax * (occq - kmin) / mspan
+                if occq <= kmin:
+                    p_gate[link] = 0.0
+                elif occq >= kmax:
+                    p_gate[link] = 1.0
                 else:
-                    p_gate[link] = marker.marking_probability(occq)
-            if n_blocked == n_links and fast_exit and i > start:
-                return i
+                    p_gate[link] = pmax * (occq - kmin) / mspan
             for gate, route in multi:
                 p_mark = 0.0
                 for link in route:
@@ -1473,7 +1340,10 @@ class SenderBank:
                     while ba >= limit:
                         ba -= limit
                         b_st[k] += 1
-                        self._increase_event(k)
+                        rate[k], target[k] = _apply_increase(
+                            rate[k], target[k], b_st[k], t_st[k],
+                            fast_rounds[k], rai[k], rhai[k], line[k],
+                        )
                 b_acc[k] = ba
                 ta = t_acc[k] + dt
                 limit = timer[k]
@@ -1481,7 +1351,10 @@ class SenderBank:
                     while ta >= limit:
                         ta -= limit
                         t_st[k] += 1
-                        self._increase_event(k)
+                        rate[k], target[k] = _apply_increase(
+                            rate[k], target[k], b_st[k], t_st[k],
+                            fast_rounds[k], rai[k], rhai[k], line[k],
+                        )
                 t_acc[k] = ta
                 t_ph[k] += 1
                 nd = next_decay[k]

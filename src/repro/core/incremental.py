@@ -206,11 +206,6 @@ class IncrementalCompatibilityEngine:
             for members in sorted(self._members.values())
         ]
 
-    def component_of(self, job_id: str) -> Tuple[str, ...]:
-        """Sorted members of the component containing ``job_id``."""
-        self._require(job_id)
-        return self._members[self._cid_of[job_id]]
-
     def stats(self) -> Dict[str, int]:
         """Deterministic solver-reuse counters."""
         return dict(self._stats)

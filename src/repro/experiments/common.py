@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from ..cc.base import SharePolicy
 from ..errors import ConfigError
 from ..net.phasesim import Gate, SimulationResult
-from ..net.topology import BOTTLENECK, Topology
+from ..net.topology import BOTTLENECK
 from ..runner import RunSpec, freeze_mapping, run_many
 from ..telemetry import Telemetry
 from ..workloads.job import JobSpec
@@ -24,29 +24,9 @@ from ..workloads.profiles import EFFECTIVE_BOTTLENECK
 __all__ = [
     "BOTTLENECK",  # re-exported from repro.net.topology (single home)
     "PairedRun",
-    "dumbbell_for",
     "phase_spec",
     "run_jobs",
 ]
-
-
-def dumbbell_for(
-    n_jobs: int,
-    capacity: float = EFFECTIVE_BOTTLENECK,
-) -> Topology:
-    """A dumbbell with one host pair per job and bottleneck ``L1``.
-
-    Host NICs match the bottleneck capacity so that ``L1`` is the only
-    point of contention, as in the paper's testbed.
-    """
-    if n_jobs < 1:
-        raise ConfigError("need at least one job")
-    return Topology.dumbbell(
-        hosts_per_side=n_jobs,
-        host_capacity=capacity,
-        bottleneck_capacity=capacity,
-        bottleneck_name=BOTTLENECK,
-    )
 
 
 def phase_spec(

@@ -94,7 +94,6 @@ def _spec(
     dt: float,
     seed: int,
     label: str = "crossfidelity",
-    engine: str = "vector",
 ) -> RunSpec:
     """Both scenarios in one fluid spec (they share random streams)."""
     return RunSpec(
@@ -103,7 +102,7 @@ def _spec(
         seed=seed,
         capacity=gbps(50),
         duration=duration,
-        options=(("dt", dt), ("engine", engine)),
+        options=(("dt", dt),),
         scenarios=(
             ScenarioSpec(
                 "fair",
@@ -141,10 +140,9 @@ def run(
     dt: float = 10e-6,
     skip: int = 3,
     seed: int = 5,
-    engine: str = "vector",
 ) -> CrossFidelityResult:
     """Run both scenarios at fine granularity and summarize."""
-    [result] = run_many([_spec(duration, dt, seed, engine=engine)])
+    [result] = run_many([_spec(duration, dt, seed)])
     return _summarize(result, skip)
 
 
@@ -161,7 +159,6 @@ def dt_sweep(
     duration: float = 1.2,
     skip: int = 1,
     seed: int = 5,
-    engine: str = "vector",
 ) -> List[DtSweepPoint]:
     """The fair/unfair comparison at several fluid time steps.
 
@@ -170,11 +167,7 @@ def dt_sweep(
     runner exists for.
     """
     specs = [
-        _spec(
-            duration, dt, seed,
-            label=f"crossfidelity-dt-{dt:g}",
-            engine=engine,
-        )
+        _spec(duration, dt, seed, label=f"crossfidelity-dt-{dt:g}")
         for dt in dts
     ]
     results = run_many(specs)

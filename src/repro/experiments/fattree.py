@@ -283,7 +283,7 @@ def rotation_spec(
             ScenarioSpec(name="aligned", senders=senders(False)),
             ScenarioSpec(name="staggered", senders=senders(True)),
         ),
-        options=(("dt", 10e-6), ("engine", "vector")),
+        options=(("dt", 10e-6),),
     )
 
 
@@ -300,7 +300,7 @@ def run_rotation(seed: int = 0) -> List[RotationOutcome]:
             )
         worst = max(
             float(series.values.max())
-            for series in scenario.trace.link_queue_series.values()
+            for series in scenario.link_queue_series.values()
         )
         outcomes.append(
             RotationOutcome(

@@ -103,8 +103,8 @@ def bandwidth_experiment(
         ),
     )
     [result] = run_many([spec])
-    fair_trace = result.scenario("fair").trace
-    unfair_trace = result.scenario("unfair").trace
+    fair_trace = result.scenario("fair")
+    unfair_trace = result.scenario("unfair")
     return BandwidthResult(
         fair_gbps={
             name: to_gbps(fair_trace.mean_rate(name, start=warmup))

@@ -26,7 +26,7 @@ from ..cc.weighted import StaticWeighted
 from ..net.phasesim import SimulationResult
 from ..runner import run_many
 from ..workloads.profiles import EFFECTIVE_BOTTLENECK, figure2_vgg19_pair
-from .common import BOTTLENECK, phase_spec
+from .common import phase_spec
 
 #: The paper's Figure 2b time anchors, seconds.
 PAPER_ANCHORS = {
@@ -68,15 +68,6 @@ class Figure2Result:
         job = result.jobs[job_id]
         return utilization_series(
             job.rate_trace, self.capacity, 0.0, end, n_samples
-        )
-
-    def link_utilization(
-        self, scenario: str, end: float = 1.3, n_samples: int = 400
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Total bottleneck utilization over time."""
-        result = self.fair if scenario == "fair" else self.unfair
-        return utilization_series(
-            result.link_loads[BOTTLENECK], self.capacity, 0.0, end, n_samples
         )
 
     def slide_convergence(self, tolerance: float = 0.05):

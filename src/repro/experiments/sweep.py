@@ -253,7 +253,7 @@ def fluid_grid(
     for replication, result in zip(seeds, results):
         shares = {}
         for scenario in ("fair", "unfair"):
-            trace = result.scenario(scenario).trace
+            trace = result.scenario(scenario)
             j1 = trace.mean_rate("J1", start=warmup)
             j2 = trace.mean_rate("J2", start=warmup)
             shares[scenario] = j1 / (j1 + j2)

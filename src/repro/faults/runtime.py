@@ -14,8 +14,8 @@ Two mechanisms cover every tier:
   skew) and latency spikes compile into a :class:`JobWarp`, a picklable
   callable installed as :attr:`repro.core.lifecycle.JobLifecycle.warp`.
   Every tier calls the lifecycle's transition methods at identical
-  simulation times, so warping inside the lifecycle keeps the scalar
-  and vector engines bit-for-bit aligned.
+  simulation times, so warping inside the lifecycle keeps DCQCN's
+  sender bank and scalar oracle bit-for-bit aligned.
 """
 
 from __future__ import annotations

@@ -87,11 +87,6 @@ class ModuleContext:
             return self.module_parts[1:]
         return self.module_parts
 
-    def in_subpackage(self, *names: str) -> bool:
-        """Whether the module sits under any of the given subpackages."""
-        parts = self.package_parts
-        return bool(parts) and parts[0] in names
-
     # ------------------------------------------------------------------
     # Import-alias resolution
     # ------------------------------------------------------------------

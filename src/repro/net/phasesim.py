@@ -58,12 +58,8 @@ if TYPE_CHECKING:  # imported lazily to avoid a package import cycle
 #: Residual bytes below which a communication phase counts as finished.
 _BYTES_EPSILON = 1.0
 
-#: Backwards-compatible name for the canonical per-iteration record.
-IterationRecord = IterationSample
-
 __all__ = [
     "Gate",
-    "IterationRecord",
     "IterationSample",
     "JobRun",
     "JobState",

@@ -27,7 +27,6 @@ from .parallel import (
     using,
 )
 from .spec import (
-    FluidScenarioResult,
     RunResult,
     RunSpec,
     ScenarioSpec,
@@ -40,7 +39,6 @@ from .spec import (
 __all__ = [
     "Backend",
     "CacheEntry",
-    "FluidScenarioResult",
     "ResultCache",
     "RunResult",
     "RunSpec",

@@ -29,12 +29,13 @@ from ..net.topology import BOTTLENECK, Topology
 from ..sim.rng import RandomStreams
 from ..units import gbps
 from ..workloads.profiles import EFFECTIVE_BOTTLENECK
-from .spec import (
-    FluidScenarioResult,
-    RunResult,
-    RunSpec,
-    safe_content_hash,
-)
+from .spec import RunResult, RunSpec, safe_content_hash
+
+#: The spec options the fluid backend reads, each passed to
+#: :class:`~repro.cc.dcqcn.DcqcnFluidSimulator` under the same name; a
+#: fluid spec carrying any other option is refused.
+FLUID_OPTIONS = frozenset({"dt", "sample_interval", "pfc_pause_threshold"})
+
 
 def _reject_fabric_faults(spec: RunSpec) -> None:
     """Refuse fault schedules that address links a single-bottleneck
@@ -187,35 +188,30 @@ def build_fluid_scenario_sim(
     streams: RandomStreams,
     capacity: float,
 ):
-    """Construct the simulator and on-off jobs for one scenario of a
-    fluid spec.
+    """Construct the simulator, senders and on-off jobs for one
+    scenario of a fluid spec.
 
     Shared by :class:`FluidBackend` and the batched grid tier
     (:mod:`repro.runner.grid`) so both paths build byte-identical
     simulations: same constructor arguments, same stream lookups in the
-    same order, same sender/job wiring. Returns ``(sim, jobs)`` where
-    ``jobs`` maps sender names to their :class:`OnOffDcqcnJob`.
+    same order, same sender/job wiring. Raises :class:`ConfigError` when
+    the spec carries an option outside :data:`FLUID_OPTIONS`.
     """
     from ..cc.dcqcn import DcqcnFluidSimulator, OnOffDcqcnJob
 
     options = spec.options_dict()
-    sim_kwargs = {"capacity": capacity}
+    unknown = sorted(set(options) - FLUID_OPTIONS)
+    if unknown:
+        raise ConfigError(
+            f"fluid backend does not read option(s) {unknown}; "
+            f"accepted: {sorted(FLUID_OPTIONS)}"
+        )
+    sim_kwargs = {"capacity": capacity, **options}
     if spec.topology is not None:
         sim_kwargs["topology"] = spec.topology
-    if "dt" in options:
-        sim_kwargs["dt"] = options["dt"]
-    if "sample_interval" in options:
-        sim_kwargs["sample_interval"] = options["sample_interval"]
-    if "engine" in options:
-        sim_kwargs["engine"] = options["engine"]
-    if "pfc_pause_threshold" in options:
-        sim_kwargs["pfc_pause_threshold"] = options[
-            "pfc_pause_threshold"
-        ]
     if spec.faults is not None:
         sim_kwargs["faults"] = spec.faults
     sim = DcqcnFluidSimulator(**sim_kwargs)
-    jobs: Dict[str, OnOffDcqcnJob] = {}
     for sender in scenario.senders:
         rng = streams.get(sender.stream or f"dcqcn:{sender.name}")
         sender_params = params.with_timer(sender.timer)
@@ -240,9 +236,8 @@ def build_fluid_scenario_sim(
                 comm_bytes=sender.comm_bytes,
                 start_offset=sender.start_offset,
             )
-            jobs[sender.name] = job
             sim.add_source(job, route=sender.route)
-    return sim, jobs
+    return sim
 
 
 class FluidBackend:
@@ -275,18 +270,12 @@ class FluidBackend:
         capacity = spec.capacity or gbps(50)
         params = DcqcnParams(line_rate=capacity)
         streams = RandomStreams(spec.seed)
-        scenarios: Dict[str, FluidScenarioResult] = {}
-        for scenario in spec.scenarios:
-            sim, jobs = build_fluid_scenario_sim(
+        scenarios = {
+            scenario.name: build_fluid_scenario_sim(
                 spec, scenario, params, streams, capacity
-            )
-            trace = sim.run(spec.duration)
-            scenarios[scenario.name] = FluidScenarioResult(
-                trace=trace,
-                timelines={
-                    name: job.timeline for name, job in jobs.items()
-                },
-            )
+            ).run(spec.duration)
+            for scenario in spec.scenarios
+        }
         return RunResult(
             spec_hash=safe_content_hash(spec),
             backend=self.name,

@@ -12,11 +12,11 @@ per-run lanes inside the bank, so every spec's result is bit-identical
 to executing it alone through :class:`~repro.runner.backends.
 FluidBackend` — including the telemetry each spec's session records.
 
-Specs whose scenarios the bank cannot represent (custom sources, PFC
-thresholds, routed fabrics, scalar-engine requests) simply stay on the
-per-spec path: every function here returns ``None`` rather than raise
-when a group turns out not to be batchable, and ``run_many`` falls
-back to the pool for exactly those specs.
+Specs whose scenarios the bank cannot represent (PFC thresholds,
+routed fabrics) simply stay on the per-spec path: every function here
+returns ``None`` rather than raise when a group turns out not to be
+batchable, and ``run_many`` falls back to the pool for exactly those
+specs.
 
 Raggedness: a spec may carry several scenarios, run in order over one
 shared :class:`~repro.sim.rng.RandomStreams`. The group executes in
@@ -29,28 +29,22 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..cc.dcqcn import DEFAULT_DT
 from ..telemetry.session import Telemetry, use
 from ..units import gbps
-from .backends import _reject_fabric_faults, build_fluid_scenario_sim
-from .spec import (
-    FluidScenarioResult,
-    RunResult,
-    RunSpec,
-    safe_content_hash,
+from .backends import (
+    FLUID_OPTIONS,
+    _reject_fabric_faults,
+    build_fluid_scenario_sim,
 )
+from .spec import RunResult, RunSpec, safe_content_hash
 
-#: Simulator defaults mirrored from ``DcqcnFluidSimulator`` so a spec
-#: that spells an option explicitly groups with one that relies on the
-#: default. Values are asserted against the simulator in the tests.
-DEFAULT_DT = 5e-6
-DEFAULT_ENGINE = "vector"
-
-#: The only options a batchable spec may carry: everything else (PFC
-#: thresholds, placements, ...) has no grid-lane representation.
-BATCHABLE_OPTIONS = frozenset({"dt", "sample_interval", "engine"})
+#: The only options a batchable spec may carry: the fluid backend's own
+#: options minus PFC thresholds, which have no grid-lane representation.
+BATCHABLE_OPTIONS = FLUID_OPTIONS - {"pfc_pause_threshold"}
 
 #: Smallest group worth stacking — a single spec gains nothing from
-#: the grid kernel over the plain vector engine.
+#: the grid kernel over its own sender bank.
 MIN_GROUP = 2
 
 #: Fewest sender slots (one sender in one lane; a spec counts its
@@ -64,10 +58,8 @@ def batchable_spec(spec: RunSpec) -> bool:
     """Whether ``spec`` is a candidate for grid batching.
 
     This is the cheap declarative screen; the engine-level authority is
-    :meth:`repro.cc.grid_bank.GridBank.build` (the
-    :func:`~repro.cc.grid_bank.grid_compatible` rules) on the built
-    simulators, and :func:`execute_batched` still falls back when that
-    rejects.
+    :meth:`repro.cc.grid_bank.GridBank.build` on the built simulators,
+    and :func:`execute_batched` still falls back when that rejects.
     """
     if spec.backend != "fluid":
         return False
@@ -78,8 +70,6 @@ def batchable_spec(spec: RunSpec) -> bool:
     options = spec.options_dict()
     if not set(options) <= BATCHABLE_OPTIONS:
         return False
-    if options.get("engine", DEFAULT_ENGINE) != DEFAULT_ENGINE:
-        return False
     for scenario in spec.scenarios:
         for sender in scenario.senders:
             if sender.route:
@@ -88,7 +78,8 @@ def batchable_spec(spec: RunSpec) -> bool:
 
 
 def _group_key(spec: RunSpec) -> Tuple[float, float]:
-    """Specs stack only when they share a tick size and a horizon."""
+    """Specs stack only when they share a tick size and a horizon; a
+    spec without a ``dt`` option runs at the simulator's default."""
     options = spec.options_dict()
     return (float(options.get("dt", DEFAULT_DT)), float(spec.duration))
 
@@ -164,25 +155,17 @@ def execute_batched(
                     from ..sim.rng import RandomStreams
 
                     ctx["streams"] = RandomStreams(spec.seed)
-                sim, jobs = build_fluid_scenario_sim(
+                sim = build_fluid_scenario_sim(
                     spec, scenario, ctx["params"], ctx["streams"],
                     ctx["capacity"],
                 )
-            entries.append((i, scenario, sim, jobs))
+            entries.append((i, scenario, sim))
         grid = GridBank.build([entry[2] for entry in entries])
         if grid is None:
             return None
         traces = grid.run(specs[entries[0][0]].duration)
-        for (i, scenario, _sim, jobs), trace in zip(entries, traces):
-            contexts[i]["scenarios"][scenario.name] = (
-                FluidScenarioResult(
-                    trace=trace,
-                    timelines={
-                        name: job.timeline
-                        for name, job in jobs.items()
-                    },
-                )
-            )
+        for (i, scenario, _sim), trace in zip(entries, traces):
+            contexts[i]["scenarios"][scenario.name] = trace
     outcome: List[Tuple[RunResult, Dict[str, Any]]] = []
     for spec, session, ctx in zip(specs, sessions, contexts):
         result = RunResult(

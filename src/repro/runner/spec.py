@@ -21,8 +21,6 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
 from ..core.lifecycle import Gate
 from ..core.timeline import JobTimeline
 from ..errors import ConfigError
@@ -204,58 +202,13 @@ def safe_content_hash(spec: RunSpec) -> str:
         return ""
 
 
-@dataclass
-class FluidScenarioResult:
-    """One fluid-backend scenario's outcome.
-
-    Bundles the sampled rate/queue traces with the on-off jobs'
-    canonical timelines (plain long-lived senders have none).
-    """
-
-    trace: "DcqcnResult"
-    timelines: Dict[str, JobTimeline] = field(default_factory=dict)
-
-    def timeline(self, name: str) -> JobTimeline:
-        """One on-off job's canonical timeline."""
-        try:
-            return self.timelines[name]
-        except KeyError:
-            raise ConfigError(
-                f"scenario has no timeline for {name!r} "
-                f"(has {sorted(self.timelines)})"
-            ) from None
-
-    def iteration_times(self, name: str, skip: int = 0) -> np.ndarray:
-        """Durations of ``name``'s completed iterations, seconds.
-
-        Unknown names yield an empty array (a plain long-lived sender
-        completes no iterations).
-        """
-        timeline = self.timelines.get(name)
-        if timeline is None:
-            return np.asarray([], dtype=float)
-        return timeline.iteration_times(skip)
-
-    def iterations(self, name: str) -> int:
-        """Completed iterations of ``name``."""
-        timeline = self.timelines.get(name)
-        return 0 if timeline is None else len(timeline)
-
-    def mean_iteration_time(self, name: str, skip: int = 0) -> float:
-        """Mean iteration time of one on-off job, seconds."""
-        return self.timeline(name).mean_iteration_time(skip)
-
-    def median_iteration_time(self, name: str, skip: int = 0) -> float:
-        """Median iteration time of one on-off job, seconds."""
-        return self.timeline(name).median_iteration_time(skip)
-
-
 @dataclass(frozen=True)
 class RunResult:
     """What a backend produced for one :class:`RunSpec`.
 
     Exactly one payload area is populated, depending on the backend:
-    ``phase`` for phase runs, ``fluid`` for fluid runs, ``data``
+    ``phase`` for phase runs, ``fluid`` for fluid runs (each scenario's
+    :class:`~repro.cc.dcqcn.DcqcnResult` by scenario name), ``data``
     (plain JSON-able values) for custom backends.
     """
 
@@ -263,11 +216,11 @@ class RunResult:
     backend: str
     label: str = ""
     phase: Optional[SimulationResult] = None
-    fluid: Dict[str, FluidScenarioResult] = field(default_factory=dict)
+    fluid: Dict[str, "DcqcnResult"] = field(default_factory=dict)
     data: Dict[str, Any] = field(default_factory=dict)
 
-    def scenario(self, name: str) -> FluidScenarioResult:
-        """One fluid scenario by name."""
+    def scenario(self, name: str) -> "DcqcnResult":
+        """One fluid scenario's result by name."""
         try:
             return self.fluid[name]
         except KeyError:

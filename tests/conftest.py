@@ -5,15 +5,51 @@ import json
 
 import pytest
 
+from repro.cc.dcqcn import DcqcnFluidSimulator, DcqcnParams
 from repro.cc.fair import FairSharing
+from repro.cc.link_engine import run_scalar_fabric
 from repro.cc.weighted import StaticWeighted
 from repro.core.circle import JobCircle
 from repro.net.topology import Topology
+from repro.runner.backends import build_fluid_scenario_sim
+from repro.sim.rng import RandomStreams
 from repro.units import gbps, ms
 from repro.workloads.job import JobSpec
 
 #: A small capacity that keeps byte counts readable in tests.
 CAPACITY = gbps(42)
+
+#: The two ways to run a DCQCN simulator that the equivalence suites
+#: compare, by the case ID they parametrize over: the scalar oracle and
+#: the simulator's own run, which goes through the sender bank.
+DCQCN_RUNS = {
+    "scalar": run_scalar_fabric,
+    "vector": DcqcnFluidSimulator.run,
+}
+
+
+def run_dcqcn(sim, engine, duration):
+    """Run DCQCN simulator ``sim`` for ``duration`` seconds the
+    ``engine`` way (a :data:`DCQCN_RUNS` key)."""
+    return DCQCN_RUNS[engine](sim, duration)
+
+
+def run_fluid_spec(spec, engine):
+    """Every scenario of fluid ``spec`` run the ``engine`` way on the
+    simulators the fluid backend builds, keyed by scenario name."""
+    capacity = spec.capacity or gbps(50)
+    params = DcqcnParams(line_rate=capacity)
+    streams = RandomStreams(spec.seed)
+    return {
+        scenario.name: run_dcqcn(
+            build_fluid_scenario_sim(
+                spec, scenario, params, streams, capacity
+            ),
+            engine,
+            spec.duration,
+        )
+        for scenario in spec.scenarios
+    }
 
 
 @pytest.fixture(autouse=True)

@@ -1,16 +1,20 @@
-"""Cross-engine bit-equivalence of the multi-link fabric tier.
+"""Bank/oracle bit-equivalence of the multi-link fabric tier.
 
-The fabric tier's two engines — the scalar reference
-(:func:`repro.cc.link_engine.run_scalar_fabric`) and the vectorized
-:class:`repro.cc.sender_bank.SenderBank` — must agree exactly: same
-sampled rate series, same per-link queue series, same timelines and the
-same number of random draws, on clean runs and under fault schedules
-that target *different* links of the same fabric. The dumbbell must
-also be exactly the 1-link fabric, since both run on these engines.
+The fabric tier's two loops — the scalar oracle
+(:func:`repro.cc.link_engine.run_scalar_fabric`, the ``scalar`` cases)
+and :meth:`DcqcnFluidSimulator.run` through the
+:class:`repro.cc.sender_bank.SenderBank` (the ``vector`` cases) — must
+agree exactly: same sampled rate series, same per-link queue series,
+same timelines and the same number of random draws, on clean runs and
+under fault schedules that target *different* links of the same fabric.
+The dumbbell must also be exactly the 1-link fabric, since both run on
+these loops.
 """
 
 import numpy as np
 import pytest
+
+from conftest import run_dcqcn
 
 from repro.cc.aimd import AimdFluidSimulator, AimdParams
 from repro.cc.dcqcn import (
@@ -95,10 +99,9 @@ def _series_equal(left, right):
             assert np.array_equal(series.values, other.values), name
 
 
-def _dcqcn(engine, faults, pfc=False):
+def _dcqcn(faults, pfc=False):
     sim = DcqcnFluidSimulator(
         dt=10e-6,
-        engine=engine,
         faults=faults,
         topology=Topology.fat_tree(4),
         pfc_pause_threshold=200 * kib(1) if pfc else None,
@@ -143,10 +146,10 @@ class TestDcqcnFabricEquivalence:
     @pytest.mark.parametrize("name", sorted(SCHEDULES))
     def test_bit_identical(self, name):
         faults = SCHEDULES[name]
-        sim_s, jobs_s, rngs_s = _dcqcn("scalar", faults)
-        sim_v, jobs_v, rngs_v = _dcqcn("vector", faults)
-        result_s = sim_s.run(0.05)
-        result_v = sim_v.run(0.05)
+        sim_s, jobs_s, rngs_s = _dcqcn(faults)
+        sim_v, jobs_v, rngs_v = _dcqcn(faults)
+        result_s = run_dcqcn(sim_s, "scalar", 0.05)
+        result_v = run_dcqcn(sim_v, "vector", 0.05)
         assert set(result_s.link_queue_series)  # fabric series exist
         _series_equal(result_s, result_v)
         for job_s, job_v in zip(jobs_s, jobs_v):
@@ -164,10 +167,10 @@ class TestDcqcnFabricEquivalence:
     @pytest.mark.parametrize("name", ["clean", "pfc-storm"])
     def test_bit_identical_with_pfc(self, name):
         faults = SCHEDULES[name]
-        sim_s, _, rngs_s = _dcqcn("scalar", faults, pfc=True)
-        sim_v, _, rngs_v = _dcqcn("vector", faults, pfc=True)
-        result_s = sim_s.run(0.05)
-        result_v = sim_v.run(0.05)
+        sim_s, _, rngs_s = _dcqcn(faults, pfc=True)
+        sim_v, _, rngs_v = _dcqcn(faults, pfc=True)
+        result_s = run_dcqcn(sim_s, "scalar", 0.05)
+        result_v = run_dcqcn(sim_v, "vector", 0.05)
         _series_equal(result_s, result_v)
         assert sim_s.pfc_pause_seconds == sim_v.pfc_pause_seconds
         for rng_s, rng_v in zip(rngs_s, rngs_v):
@@ -176,25 +179,25 @@ class TestDcqcnFabricEquivalence:
             )
 
     def test_storm_accrues_pause_time(self):
-        sim_s, _, _ = _dcqcn("scalar", SCHEDULES["pfc-storm"])
-        sim_v, _, _ = _dcqcn("vector", SCHEDULES["pfc-storm"])
-        sim_s.run(0.05)
-        sim_v.run(0.05)
+        sim_s, _, _ = _dcqcn(SCHEDULES["pfc-storm"])
+        sim_v, _, _ = _dcqcn(SCHEDULES["pfc-storm"])
+        run_dcqcn(sim_s, "scalar", 0.05)
+        run_dcqcn(sim_v, "vector", 0.05)
         assert sim_s.pfc_pause_seconds > 0.0
         assert sim_s.pfc_pause_seconds == sim_v.pfc_pause_seconds
 
     def test_capacity_restored_after_run(self):
         for engine in ("scalar", "vector"):
-            sim, _, _ = _dcqcn(engine, SCHEDULES["everything"])
-            sim.run(0.05)
+            sim, _, _ = _dcqcn(SCHEDULES["everything"])
+            run_dcqcn(sim, engine, 0.05)
             for queue, base in zip(
                 sim.fabric.queues, sim.fabric.base_caps
             ):
                 assert queue.capacity == base
 
     def test_faulted_run_differs_from_clean(self):
-        sim_clean, _, _ = _dcqcn("vector", None)
-        sim_fault, _, _ = _dcqcn("vector", SCHEDULES["everything"])
+        sim_clean, _, _ = _dcqcn(None)
+        sim_fault, _, _ = _dcqcn(SCHEDULES["everything"])
         clean = sim_clean.run(0.05)
         faulted = sim_fault.run(0.05)
         assert not np.array_equal(
@@ -202,7 +205,7 @@ class TestDcqcnFabricEquivalence:
         )
 
     def test_shared_links_actually_congest(self):
-        sim, _, _ = _dcqcn("vector", None)
+        sim, _, _ = _dcqcn(None)
         result = sim.run(0.05)
         # Three 50 Gbps flows converge on the pod-1 downlinks: the
         # shared hops must queue, private host uplinks must not.
@@ -231,13 +234,12 @@ ONE_LINK_SCHEDULES = {
 }
 
 
-def _one_link(engine, schedule, link, fabric, pfc, onoff, n_senders):
+def _one_link(schedule, link, fabric, pfc, onoff, n_senders):
     """The same DCQCN run as a dumbbell or as a 1-link fabric."""
     faults = ONE_LINK_SCHEDULES[schedule](link)
     sim = DcqcnFluidSimulator(
         capacity=gbps(50),
         dt=10e-6,
-        engine=engine,
         faults=faults,
         topology=(
             Topology.dumbbell(bottleneck_name=link) if fabric else None
@@ -271,8 +273,9 @@ def _one_link(engine, schedule, link, fabric, pfc, onoff, n_senders):
 
 class TestDumbbellIsOneLinkFabric:
     """A dumbbell run equals the same run over a 1-link ``Topology``:
-    series, timelines, pause time and RNG stream positions, in both
-    engines — the equivalence that lets one engine serve both."""
+    series, timelines, pause time and RNG stream positions, through
+    both the oracle and the bank — the equivalence that lets one loop
+    serve both."""
 
     @pytest.mark.parametrize("n_senders", [2, 5])
     @pytest.mark.parametrize("onoff", [True, False], ids=["onoff", "long"])
@@ -288,15 +291,14 @@ class TestDumbbellIsOneLinkFabric:
         self._check(engine, schedule, "spine", True, True, 2)
 
     def _check(self, engine, schedule, link, pfc, onoff, n_senders):
-        args = (engine, schedule, link)
         bell, bell_jobs, bell_rngs = _one_link(
-            *args, False, pfc, onoff, n_senders
+            schedule, link, False, pfc, onoff, n_senders
         )
         fab, fab_jobs, fab_rngs = _one_link(
-            *args, True, pfc, onoff, n_senders
+            schedule, link, True, pfc, onoff, n_senders
         )
-        left = bell.run(0.025)
-        right = fab.run(0.025)
+        left = run_dcqcn(bell, engine, 0.025)
+        right = run_dcqcn(fab, engine, 0.025)
         assert not left.link_queue_series
         assert list(right.link_queue_series) == [link]
         assert np.array_equal(
@@ -426,7 +428,7 @@ class TestRouteValidation:
         faults = InjectionSchedule(events=(
             LinkFailure("no_such_link", 0.01, 0.02),
         ))
-        sim, _, _ = _dcqcn("vector", faults)
+        sim, _, _ = _dcqcn(faults)
         with pytest.raises(TopologyError, match="no_such_link"):
             sim.run(0.01)
 
@@ -436,8 +438,8 @@ class TestRouteValidation:
         faults = InjectionSchedule(events=(
             LinkFailure("up_1_1_1", 0.01, 0.02),
         ))
-        clean_sim, _, _ = _dcqcn("vector", None)
-        fault_sim, _, _ = _dcqcn("vector", faults)
+        clean_sim, _, _ = _dcqcn(None)
+        fault_sim, _, _ = _dcqcn(faults)
         clean = clean_sim.run(0.05)
         faulted = fault_sim.run(0.05)
         for name in clean.rate_series:

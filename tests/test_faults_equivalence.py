@@ -1,15 +1,18 @@
-"""Cross-engine bit-equivalence of the fluid tiers *under* injection.
+"""Bank/oracle bit-equivalence of the fluid tiers *under* injection.
 
-PR 4/5 pinned the vector engines as bit-identical to the scalar
-reference on clean runs. Fault windows add three new code paths —
-normal windows at a scaled capacity, freeze spans and storm spans, plus
-the span fast-forward truncating at every window boundary — and each
-must preserve the guarantee: same sampled series, same timelines, and
-the same number of random draws (so downstream randomness is unshifted).
+:meth:`DcqcnFluidSimulator.run` (the sender bank) is bit-identical to
+the scalar oracle :func:`repro.cc.link_engine.run_scalar_fabric` on
+clean runs. Fault windows add three cases — normal windows at a scaled
+capacity, failed-link (freeze) windows and storm windows, plus the span
+fast-forward truncating at every window boundary — and each must
+preserve the guarantee: same sampled series, same timelines, and the
+same number of random draws (so downstream randomness is unshifted).
 """
 
 import numpy as np
 import pytest
+
+from conftest import run_dcqcn
 
 from repro.cc.aimd import AimdFluidSimulator
 from repro.cc.dcqcn import (
@@ -73,10 +76,8 @@ def _series_equal(left, right):
         )
 
 
-def _dcqcn(engine, faults):
-    sim = DcqcnFluidSimulator(
-        capacity=gbps(50), dt=10e-6, engine=engine, faults=faults
-    )
+def _dcqcn(faults):
+    sim = DcqcnFluidSimulator(capacity=gbps(50), dt=10e-6, faults=faults)
     params = DcqcnParams(line_rate=gbps(50))
     jobs, rngs = [], []
     for index, timer in enumerate(
@@ -116,10 +117,10 @@ class TestDcqcnFaultEquivalence:
     @pytest.mark.parametrize("name", sorted(SCHEDULES))
     def test_bit_identical_under_faults(self, name):
         faults = SCHEDULES[name]
-        sim_s, jobs_s, rngs_s = _dcqcn("scalar", faults)
-        sim_v, jobs_v, rngs_v = _dcqcn("vector", faults)
-        result_s = sim_s.run(0.05)
-        result_v = sim_v.run(0.05)
+        sim_s, jobs_s, rngs_s = _dcqcn(faults)
+        sim_v, jobs_v, rngs_v = _dcqcn(faults)
+        result_s = run_dcqcn(sim_s, "scalar", 0.05)
+        result_v = run_dcqcn(sim_v, "vector", 0.05)
         _series_equal(result_s, result_v)
         for job_s, job_v in zip(jobs_s, jobs_v):
             assert (
@@ -135,10 +136,10 @@ class TestDcqcnFaultEquivalence:
 
     def test_pfc_pause_counter_matches(self):
         faults = SCHEDULES["pfc-storm"]
-        sim_s, _, _ = _dcqcn("scalar", faults)
-        sim_v, _, _ = _dcqcn("vector", faults)
-        sim_s.run(0.05)
-        sim_v.run(0.05)
+        sim_s, _, _ = _dcqcn(faults)
+        sim_v, _, _ = _dcqcn(faults)
+        run_dcqcn(sim_s, "scalar", 0.05)
+        run_dcqcn(sim_v, "vector", 0.05)
         # The storm forcibly accrues pause time in both engines.
         assert sim_s.pfc_pause_seconds > 0.0
         assert sim_s.pfc_pause_seconds == sim_v.pfc_pause_seconds
@@ -146,9 +147,9 @@ class TestDcqcnFaultEquivalence:
     def test_capacity_restored_after_run(self):
         faults = SCHEDULES["everything"]
         for engine in ("scalar", "vector"):
-            sim, _, _ = _dcqcn(engine, faults)
+            sim, _, _ = _dcqcn(faults)
             base = sim.capacity
-            sim.run(0.05)
+            run_dcqcn(sim, engine, 0.05)
             assert sim.capacity == base
             assert sim.queue.capacity == base
 
@@ -183,10 +184,8 @@ class TestFaultedVsCleanDiffer:
     """Sanity: the perturbations actually change the dynamics."""
 
     def test_dcqcn_faulted_run_differs_from_clean(self):
-        sim_clean, jobs_clean, _ = _dcqcn("vector", None)
-        sim_fault, jobs_fault, _ = _dcqcn(
-            "vector", SCHEDULES["everything"]
-        )
+        sim_clean, jobs_clean, _ = _dcqcn(None)
+        sim_fault, jobs_fault, _ = _dcqcn(SCHEDULES["everything"])
         clean = sim_clean.run(0.05)
         faulted = sim_fault.run(0.05)
         assert not np.array_equal(

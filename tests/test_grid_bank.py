@@ -1,9 +1,9 @@
 """Grid-bank tests: batched multi-scenario execution is bit-identical.
 
-The tentpole guarantee: stacking N compatible DCQCN runs into one
+The core guarantee: stacking N compatible DCQCN runs into one
 :class:`repro.cc.grid_bank.GridBank` must reproduce each run's solo
-vector execution *bit for bit* — sampled rate/queue series, job
-timelines, and the RNG stream positions every generator is left at.
+``sim.run`` *bit for bit* — sampled rate/queue series, job timelines,
+and the RNG stream positions every generator is left at.
 The metamorphic suite below checks that over randomized grids (mixed
 seeds x timers x fault schedules) and over the batch sizes that stress
 the lane machinery: 1 (degenerate), 2 (minimal), odd, and a wide 64.
@@ -28,7 +28,7 @@ from repro.cc.dcqcn import (
     DcqcnParams,
     OnOffDcqcnJob,
 )
-from repro.cc.grid_bank import GridBank, grid_compatible, run_grid
+from repro.cc.grid_bank import GridBank
 from repro.experiments import sweep
 from repro.faults import (
     InjectionSchedule,
@@ -45,14 +45,13 @@ from repro.runner import (
     run_many,
 )
 from repro.runner.grid import (
-    DEFAULT_DT,
-    DEFAULT_ENGINE,
     MIN_GROUP,
     MIN_GROUP_SLOTS,
     batchable_spec,
     execute_batched,
     plan_groups,
 )
+from repro.switches.ecn import RedEcnMarker
 from repro.telemetry.session import Telemetry, use
 from repro.units import gbps
 
@@ -91,9 +90,7 @@ def _build_run(index, grid_seed):
     rng = np.random.default_rng(1000 * grid_seed + index)
     faults = SCHEDULES[int(rng.integers(len(SCHEDULES)))]
     capacity = gbps(50)
-    sim = DcqcnFluidSimulator(
-        capacity=capacity, dt=DT, engine="vector", faults=faults
-    )
+    sim = DcqcnFluidSimulator(capacity=capacity, dt=DT, faults=faults)
     params = DcqcnParams(line_rate=capacity)
     jobs, rngs = {}, []
     n_senders = 2 + int(rng.integers(2))
@@ -157,9 +154,9 @@ class TestGridBankMetamorphic:
         solo = _build_grid(n_runs, grid_seed=n_runs)
         twin = _build_grid(n_runs, grid_seed=n_runs)
         solo_traces = [sim.run(DURATION) for sim, _, _ in solo]
-        grid_traces = run_grid(
-            [sim for sim, _, _ in twin], DURATION
-        )
+        grid = GridBank.build([sim for sim, _, _ in twin])
+        assert grid is not None
+        grid_traces = grid.run(DURATION)
         for (_, jobs_s, rngs_s), trace_s, (_, jobs_b, rngs_b), trace_b in zip(
             solo, solo_traces, twin, grid_traces
         ):
@@ -167,56 +164,32 @@ class TestGridBankMetamorphic:
                 (trace_s, jobs_s, rngs_s), (trace_b, jobs_b, rngs_b)
             )
 
-    def test_mixed_dt_grid_partitions_by_tick(self):
-        """run_grid stacks per-dt subsets and still matches solo."""
-        coarse = [_build_run(i, grid_seed=5) for i in range(2)]
-        fine_sim = DcqcnFluidSimulator(
-            capacity=gbps(50), dt=DT / 2, engine="vector"
-        )
-        fine_sim.add_sender(
-            "J1",
-            DcqcnParams(line_rate=gbps(50)),
-            np.random.default_rng(99),
-        )
-        twin_coarse = [_build_run(i, grid_seed=5) for i in range(2)]
-        twin_fine = DcqcnFluidSimulator(
-            capacity=gbps(50), dt=DT / 2, engine="vector"
-        )
-        twin_fine.add_sender(
-            "J1",
-            DcqcnParams(line_rate=gbps(50)),
-            np.random.default_rng(99),
-        )
-        solo_traces = [sim.run(DURATION) for sim, _, _ in coarse]
-        solo_traces.append(fine_sim.run(DURATION))
-        grid_traces = run_grid(
-            [sim for sim, _, _ in twin_coarse] + [twin_fine], DURATION
-        )
-        for trace_s, trace_b in zip(solo_traces, grid_traces):
-            for name, series in trace_s.rate_series.items():
-                other = trace_b.rate_series[name]
-                assert np.array_equal(series.values, other.values)
-
     def test_grid_compatible_rejects_special_configs(self):
-        scalar = DcqcnFluidSimulator(dt=DT, engine="scalar")
-        assert not grid_compatible(scalar)
-        pfc = DcqcnFluidSimulator(dt=DT, pfc_pause_threshold=1e6)
-        assert not grid_compatible(pfc)
+        def with_sender(sim):
+            sim.add_sender(
+                "J1",
+                DcqcnParams(line_rate=gbps(50)),
+                np.random.default_rng(1),
+            )
+            return sim
+
+        class OtherMarker(RedEcnMarker):
+            pass
+
+        pfc = with_sender(DcqcnFluidSimulator(dt=DT, pfc_pause_threshold=1e6))
+        assert GridBank.build([pfc]) is None
+        marked = with_sender(DcqcnFluidSimulator(dt=DT, marker=OtherMarker()))
+        assert GridBank.build([marked]) is None
         plain = DcqcnFluidSimulator(dt=DT)
-        assert not grid_compatible(plain)  # no senders yet
-        plain.add_sender(
-            "J1",
-            DcqcnParams(line_rate=gbps(50)),
-            np.random.default_rng(1),
-        )
-        assert grid_compatible(plain)
+        assert GridBank.build([plain]) is None  # no senders yet
+        assert GridBank.build([with_sender(plain)]) is not None
 
     def test_build_rejects_shared_rng(self):
         """One generator feeding two lanes cannot be interleaved."""
         shared = np.random.default_rng(3)
         sims = []
         for _ in range(2):
-            sim = DcqcnFluidSimulator(dt=DT, engine="vector")
+            sim = DcqcnFluidSimulator(dt=DT)
             sim.add_sender(
                 "J1", DcqcnParams(line_rate=gbps(50)), shared
             )
@@ -445,15 +418,6 @@ class TestRunnerGridTier:
 class TestGroupingScreen:
     """plan_groups only admits what the bank can represent."""
 
-    def test_defaults_mirror_simulator(self):
-        import inspect
-
-        signature = inspect.signature(DcqcnFluidSimulator.__init__)
-        assert signature.parameters["dt"].default == DEFAULT_DT
-        assert (
-            signature.parameters["engine"].default == DEFAULT_ENGINE
-        )
-
     def test_rejects_non_fluid_and_special_specs(self):
         fluid = fluid_specs(n=1)[0]
         assert batchable_spec(fluid)
@@ -514,10 +478,11 @@ class TestGroupingScreen:
         assert plan_groups([(0, wide), (1, widened)]) == [[0, 1]]
 
     def test_execute_batched_falls_back_on_scalar_engine(self):
-        # The declarative screen catches this earlier in run_many;
-        # execute_batched itself must also refuse gracefully.
+        # The declarative screen keeps PFC specs out of run_many's
+        # groups; execute_batched itself must also refuse them
+        # gracefully, because GridBank.build rejects PFC lanes.
         specs = [
-            spec.replace(options=(("dt", DT), ("engine", "scalar")))
+            spec.replace(options=(("dt", DT), ("pfc_pause_threshold", 1e6)))
             for spec in fluid_specs(n=2)
         ]
         assert execute_batched(specs) is None

@@ -13,6 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import run_fluid_spec
+
+from repro import io
 from repro.cc.aimd import AimdFluidSimulator, AimdParams
 from repro.cc.fair import FairSharing
 from repro.core.lifecycle import JobLifecycle, JobState, OnOffSource
@@ -477,7 +480,7 @@ class TestStarvedJobsAcrossTiers:
             seed=0,
             capacity=gbps(50),
             duration=0.03,
-            options=(("dt", 20e-6), ("engine", engine)),
+            options=(("dt", 20e-6),),
             scenarios=(
                 ScenarioSpec(
                     "only",
@@ -493,7 +496,15 @@ class TestStarvedJobsAcrossTiers:
             ),
             faults=STARVE,
         )
-        self.check_empty(execute(spec).timelines()["J1"])
+        result = execute(spec)
+        self.check_empty(result.timelines()["J1"])
+        # The runner's result is what the scalar oracle and the bank
+        # produce on the simulator the fluid backend builds.
+        reference = run_fluid_spec(spec, engine)["only"]
+        self.check_empty(reference.timeline("J1"))
+        assert io.dcqcn_result_to_dict(
+            result.scenario("only")
+        ) == io.dcqcn_result_to_dict(reference)
 
     # "scalar": the job is the dead link's only source; "vector": it
     # shares the link with backlogged plain senders, which must hold

@@ -11,6 +11,8 @@ import pickle
 
 import pytest
 
+from conftest import run_fluid_spec
+
 from repro import io
 from repro.core.timeline import IterationSample, JobTimeline
 from repro.errors import ConfigError, TopologyError
@@ -293,6 +295,41 @@ class TestTimelineSchema:
         self.check_schema(result.timelines(scenario="again"))
 
 
+class TestFluidOptions:
+    """The fluid backend refuses option names it does not read."""
+
+    def spec(self, options):
+        return RunSpec(
+            backend="fluid",
+            seed=0,
+            duration=0.005,
+            options=options,
+            scenarios=(
+                ScenarioSpec("only", (SenderSpec("a", 125e-6),)),
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "option",
+        [("sample_intervall", 1e-3), ("engine", "scalar")],
+        ids=["misspelled", "engine"],
+    )
+    def test_unread_option_raises(self, option):
+        with pytest.raises(ConfigError) as excinfo:
+            run_many([self.spec((option,))], cache=False)
+        message = str(excinfo.value)
+        assert option[0] in message
+        for accepted in ("dt", "sample_interval", "pfc_pause_threshold"):
+            assert accepted in message
+
+    def test_accepted_options_are_applied(self):
+        [result] = run_many(
+            [self.spec((("dt", 10e-6), ("sample_interval", 1e-3)))],
+            cache=False,
+        )
+        assert len(result.scenario("only").rate_series["a"]) == 5
+
+
 class TestRunMany:
     def test_results_in_spec_order(self):
         results = run_many(small_phase_specs(), cache=False)
@@ -522,7 +559,7 @@ class TestFabricBackends:
         ),
     }
 
-    def _fluid_spec(self, engine, faults=None):
+    def _fluid_spec(self, faults=None):
         senders = tuple(
             SenderSpec(
                 name=name,
@@ -540,36 +577,35 @@ class TestFabricBackends:
             topology=Topology.fat_tree(4),
             duration=0.02,
             scenarios=(ScenarioSpec(name="fabric", senders=senders),),
-            options=(("dt", 10e-6), ("engine", engine)),
+            options=(("dt", 10e-6),),
             faults=faults,
         )
 
     # -- fluid ---------------------------------------------------------
 
     def test_fluid_fabric_engines_agree(self):
-        scalar = execute(self._fluid_spec("scalar"))
-        vector = execute(self._fluid_spec("vector"))
-        docs = []
-        for result in (scalar, vector):
-            document = io.run_result_to_dict(result)
-            # The engine choice rides in options, so the spec hashes
-            # (correctly) differ; the payloads must not.
-            document.pop("spec_hash")
-            docs.append(json.dumps(document, sort_keys=True))
-        assert docs[0] == docs[1]
-        trace = vector.scenario("fabric").trace
-        assert "core_1_0_0_rev" in trace.link_queue_series
+        # The runner's result (the bank) equals the scalar oracle run
+        # on the simulators the fluid backend builds.
+        spec = self._fluid_spec()
+        result = execute(spec)
+        oracle = run_fluid_spec(spec, "scalar")
+        assert list(result.fluid) == list(oracle) == ["fabric"]
+        assert io.dcqcn_result_to_dict(
+            result.scenario("fabric")
+        ) == io.dcqcn_result_to_dict(oracle["fabric"])
+        scenario = result.scenario("fabric")
+        assert "core_1_0_0_rev" in scenario.link_queue_series
 
     def test_fluid_fabric_honours_multilink_faults(self):
         faults = InjectionSchedule(events=(
             LinkFailure("up_0_0_0", 0.005, 0.008),
         ))
-        clean = execute(self._fluid_spec("vector"))
-        faulted = execute(self._fluid_spec("vector", faults=faults))
+        clean = execute(self._fluid_spec())
+        faulted = execute(self._fluid_spec(faults=faults))
         assert canonical([clean]) != canonical([faulted])
 
     def test_fabric_spec_round_trips_and_caches(self, tmp_path):
-        spec = self._fluid_spec("vector")
+        spec = self._fluid_spec()
         assert spec.cacheable()
         clone = io.run_spec_from_dict(io.run_spec_to_dict(spec))
         assert clone.content_hash() == spec.content_hash()

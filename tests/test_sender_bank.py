@@ -1,15 +1,19 @@
-"""Vector/scalar engine equivalence for the fixed-step CC simulators.
+"""Sender-bank/scalar-oracle equivalence for the fixed-step CC simulators.
 
-The vectorized :class:`repro.cc.sender_bank.SenderBank` is required to
-be *bit-identical* to the dt-by-dt scalar reference — same sampled
-series, same random draws, same timelines — which is a stronger
-guarantee than the shared ``repro.floats`` tolerances the rest of the
-suite uses. These tests pin that, plus the sample-grid alignment, the
-engine-selection plumbing and the AIMD tier's exact output.
+:meth:`DcqcnFluidSimulator.run` (the ``vector`` cases, which go through
+:class:`repro.cc.sender_bank.SenderBank`) is required to be
+*bit-identical* to the dt-by-dt scalar oracle
+:func:`repro.cc.link_engine.run_scalar_fabric` (the ``scalar`` cases) —
+same sampled series, same random draws, same timelines — which is a
+stronger guarantee than the shared ``repro.floats`` tolerances the rest
+of the suite uses. These tests pin that, plus the sample-grid alignment,
+the bank's fallback rule and the AIMD tier's exact output.
 """
 
 import numpy as np
 import pytest
+
+from conftest import run_dcqcn
 
 from repro.cc.aimd import AimdFluidSimulator, AimdParams
 from repro.cc.dcqcn import (
@@ -19,8 +23,9 @@ from repro.cc.dcqcn import (
     DcqcnParams,
     OnOffDcqcnJob,
 )
+from repro.cc.link_engine import run_scalar_fabric
 from repro.cc.sender_bank import SenderBank
-from repro.errors import ConfigError
+from repro.switches.ecn import RedEcnMarker
 from repro.units import gbps, kib, mbps
 
 
@@ -33,8 +38,8 @@ def _assert_identical(result_scalar, result_vector):
         assert np.array_equal(series.values, other.values), name
 
 
-def _onoff_sim(engine, timers, seed0=10, duration_bytes=0.05 * gbps(42)):
-    sim = DcqcnFluidSimulator(capacity=gbps(50), dt=10e-6, engine=engine)
+def _onoff_sim(timers, seed0=10, duration_bytes=0.05 * gbps(42)):
+    sim = DcqcnFluidSimulator(capacity=gbps(50), dt=10e-6)
     params = DcqcnParams(line_rate=gbps(50))
     jobs = []
     for index, timer in enumerate(timers):
@@ -61,10 +66,10 @@ class TestDcqcnEquivalence:
         ids=["fair", "unfair"],
     )
     def test_onoff_bit_identical(self, timers):
-        sim_s, jobs_s = _onoff_sim("scalar", timers)
-        sim_v, jobs_v = _onoff_sim("vector", timers)
-        result_s = sim_s.run(0.5)
-        result_v = sim_v.run(0.5)
+        sim_s, jobs_s = _onoff_sim(timers)
+        sim_v, jobs_v = _onoff_sim(timers)
+        result_s = run_dcqcn(sim_s, "scalar", 0.5)
+        result_v = run_dcqcn(sim_v, "vector", 0.5)
         _assert_identical(result_s, result_v)
         assert np.array_equal(
             result_s.queue_series.values, result_v.queue_series.values
@@ -80,7 +85,7 @@ class TestDcqcnEquivalence:
     def test_long_lived_senders_bit_identical(self):
         results = {}
         for engine in ("scalar", "vector"):
-            sim = DcqcnFluidSimulator(capacity=gbps(50), engine=engine)
+            sim = DcqcnFluidSimulator(capacity=gbps(50))
             params = DcqcnParams()
             sim.add_sender(
                 "fast",
@@ -92,7 +97,7 @@ class TestDcqcnEquivalence:
                 params.with_timer(DEFAULT_TIMER),
                 np.random.default_rng(2),
             )
-            results[engine] = sim.run(0.08)
+            results[engine] = run_dcqcn(sim, engine, 0.08)
         _assert_identical(results["scalar"], results["vector"])
         assert np.array_equal(
             results["scalar"].queue_series.values,
@@ -102,7 +107,7 @@ class TestDcqcnEquivalence:
     def test_finite_sender_completion(self):
         results = {}
         for engine in ("scalar", "vector"):
-            sim = DcqcnFluidSimulator(capacity=gbps(50), engine=engine)
+            sim = DcqcnFluidSimulator(capacity=gbps(50))
             sim.add_sender(
                 "bulk",
                 DcqcnParams(),
@@ -112,7 +117,7 @@ class TestDcqcnEquivalence:
             sim.add_sender(
                 "bg", DcqcnParams(), np.random.default_rng(4)
             )
-            results[engine] = sim.run(0.02)
+            results[engine] = run_dcqcn(sim, engine, 0.02)
         _assert_identical(results["scalar"], results["vector"])
 
     def test_pfc_pause_bit_identical(self):
@@ -120,7 +125,6 @@ class TestDcqcnEquivalence:
         for engine in ("scalar", "vector"):
             sim = DcqcnFluidSimulator(
                 capacity=gbps(50),
-                engine=engine,
                 pfc_pause_threshold=kib(150),
                 pfc_resume_threshold=kib(100),
             )
@@ -130,7 +134,7 @@ class TestDcqcnEquivalence:
                     DcqcnParams(),
                     np.random.default_rng(20 + index),
                 )
-            results[engine] = sim.run(0.05)
+            results[engine] = run_dcqcn(sim, engine, 0.05)
         _assert_identical(results["scalar"], results["vector"])
         assert np.array_equal(
             results["scalar"].queue_series.values,
@@ -142,14 +146,14 @@ class TestDcqcnEquivalence:
         # scalar oracle.
         results = {}
         for engine in ("scalar", "vector"):
-            sim = DcqcnFluidSimulator(capacity=gbps(50), engine=engine)
+            sim = DcqcnFluidSimulator(capacity=gbps(50))
             for index in range(40):
                 sim.add_sender(
                     f"s{index:02d}",
                     DcqcnParams(),
                     np.random.default_rng(100 + index),
                 )
-            results[engine] = sim.run(0.01)
+            results[engine] = run_dcqcn(sim, engine, 0.01)
         _assert_identical(results["scalar"], results["vector"])
 
     def test_custom_source_falls_back_to_scalar(self):
@@ -161,11 +165,40 @@ class TestDcqcnEquivalence:
             def step(self, now, dt, marking_probability):
                 return self.rate * dt
 
-        sim = DcqcnFluidSimulator(capacity=gbps(50), engine="vector")
+        sim = DcqcnFluidSimulator(capacity=gbps(50))
         sim.add_source(ConstantSource())
         assert SenderBank.build(sim) is None
         result = sim.run(0.002)  # runs via the scalar reference loop
         assert result.mean_rate("const") == pytest.approx(mbps(200))
+
+    def test_marker_subclass_falls_back_to_scalar(self):
+        # The bank inlines RED's ramp, so a marker with another
+        # marking law must take the scalar loop, and sim.run must then
+        # equal the oracle bit for bit.
+        class SteeperMarker(RedEcnMarker):
+            def marking_probability(self, occupancy):
+                return min(1.0, 2.0 * super().marking_probability(occupancy))
+
+        def build():
+            sim = DcqcnFluidSimulator(
+                capacity=gbps(50), marker=SteeperMarker()
+            )
+            rngs = [np.random.default_rng(30 + index) for index in range(3)]
+            for index, rng in enumerate(rngs):
+                sim.add_sender(f"s{index}", DcqcnParams(), rng)
+            return sim, rngs
+
+        sim_s, rngs_s = build()
+        sim_v, rngs_v = build()
+        assert SenderBank.build(sim_v) is None
+        result_s = run_scalar_fabric(sim_s, 0.02)
+        result_v = sim_v.run(0.02)
+        _assert_identical(result_s, result_v)
+        assert np.array_equal(
+            result_s.queue_series.values, result_v.queue_series.values
+        )
+        for rng_s, rng_v in zip(rngs_s, rngs_v):
+            assert rng_s.bit_generator.state == rng_v.bit_generator.state
 
 
 class TestSampleGrid:
@@ -178,10 +211,9 @@ class TestSampleGrid:
                 capacity=gbps(50),
                 dt=5e-6,
                 sample_interval=250e-6,
-                engine=engine,
             )
             sim.add_sender("a", DcqcnParams(), np.random.default_rng(0))
-            result = sim.run(0.01)
+            result = run_dcqcn(sim, engine, 0.01)
             times = result.rate_series["a"].times
             expected = np.arange(1, len(times) + 1) * 250e-6
             assert len(times) == 40
@@ -195,15 +227,6 @@ class TestSampleGrid:
         expected = np.arange(1, len(times) + 1) * 500e-6
         assert len(times) == 20
         assert np.allclose(times, expected, rtol=0.0, atol=1e-12)
-
-
-class TestEngineSelection:
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ConfigError):
-            DcqcnFluidSimulator(engine="simd")
-
-    def test_default_engine_is_vector(self):
-        assert DcqcnFluidSimulator().engine == "vector"
 
 
 class TestAimdEquivalence:

@@ -10,6 +10,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import run_dcqcn
+
 from repro import io
 from repro.cc.dcqcn import DcqcnFluidSimulator, DcqcnParams
 from repro.cc.fair import FairSharing
@@ -17,6 +19,7 @@ from repro.cli import main as cli_main
 from repro.errors import ConfigError
 from repro.experiments import ablations
 from repro.experiments.common import run_jobs
+from repro.faults import InjectionSchedule, LinkFailure, PfcStorm
 from repro.sim.engine import Simulator
 from repro.telemetry import (
     NULL,
@@ -281,16 +284,40 @@ class TestFluidInstrumentation:
         # Fluid rate samples live only in the result's rate_series; the
         # session counts the work and traces nothing.
         telemetry = Telemetry()
-        sim = DcqcnFluidSimulator(
-            capacity=gbps(10), engine=engine, telemetry=telemetry
-        )
+        sim = DcqcnFluidSimulator(capacity=gbps(10), telemetry=telemetry)
         for k, name in enumerate(("a", "b", "c")):
             sim.add_sender(name, DcqcnParams(), np.random.default_rng(k))
-        result = sim.run(0.01)
+        result = run_dcqcn(sim, engine, 0.01)
         assert telemetry.counter("cc.steps").value > 0
         assert len(telemetry.trace) == 0
         assert sorted(result.rate_series) == ["a", "b", "c"]
         assert all(len(series) > 0 for series in result.rate_series.values())
+
+    def test_faulted_dumbbell_telemetry_same_on_oracle_and_bank(self):
+        # Both loops share one preparation, so the oracle records the
+        # fault windows and counters exactly as sim.run does.
+        faults = InjectionSchedule(events=(
+            LinkFailure("L1", 0.002, 0.003),
+            PfcStorm("L1", 0.005, 0.006),
+        ))
+        sessions = {}
+        for engine in ("scalar", "vector"):
+            telemetry = Telemetry()
+            sim = DcqcnFluidSimulator(
+                capacity=gbps(10), telemetry=telemetry, faults=faults
+            )
+            for k, name in enumerate(("a", "b")):
+                sim.add_sender(name, DcqcnParams(), np.random.default_rng(k))
+            run_dcqcn(sim, engine, 0.01)
+            sessions[engine] = telemetry
+        scalar, vector = sessions["scalar"], sessions["vector"]
+        assert scalar.registry.snapshot() == vector.registry.snapshot()
+        assert scalar.counter("cc.steps").value > 0
+        assert scalar.counter("cc.cnps").value > 0
+        for telemetry in (scalar, vector):
+            assert [record.kind for record in telemetry.trace.records] == [
+                "fault.window", "fault.window",
+            ]
 
 
 class TestRunRecorder:
