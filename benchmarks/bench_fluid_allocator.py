@@ -1,11 +1,13 @@
 """Microbenchmark: weighted max-min progressive filling.
 
-The allocator runs inside the event-driven tiers' innermost
-reallocation loop, so its fill-round cost is a direct multiplier on
-every phase-level experiment. This pins the cost of a mixed workload —
-many flows, shared bottlenecks, several priority classes and rate caps
-— after the per-link active-weight sums were deduplicated to one
-computation per fill round.
+The allocator runs inside the phase simulator's innermost reallocation
+loop, so its per-call cost is a direct multiplier on every phase-level
+experiment. These two cases are wider than the calls that loop makes
+(1-5 flows over 3-16 links): a mixed workload of many flows, shared
+bottlenecks, two priority classes and rate caps, and 64 six-hop flows
+over a fat tree. Both time the fill over dense link indices; its
+results are pinned bit for bit to the dict-keyed reference in
+``tests/test_net_fluid.py``.
 """
 
 from conftest import print_report

@@ -20,7 +20,7 @@ its cap during filling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import AllocationError
 from .flows import Flow
@@ -60,26 +60,65 @@ class FluidAllocator:
         Flows with a higher ``priority`` value are allocated first and see
         the full link capacities; each lower class sees what remains.
         Within a class the split is weighted max-min fair.
+
+        Links are merged by ``Link`` equality (their ``(src, dst)``
+        endpoints) in first-seen order, and a merged link keeps the
+        capacity of the first object seen. They are then numbered, and
+        the filling runs over plain lists indexed by those numbers: a
+        ``Link`` hashes in Python code, and the calls the phase simulator
+        makes are small enough (a few flows over a few links) that
+        hashing, not arithmetic, dominated them.
+
+        Raises:
+            AllocationError: if a ``flow_id`` appears more than once, if
+                a flow has neither a path nor a cap, or if a link ends up
+                oversubscribed.
         """
-        allocation = Allocation()
         if not flows:
-            return allocation
+            return Allocation()
 
-        residual: Dict[Link, float] = {}
+        index: Dict[Link, int] = {}
+        links: List[Link] = []
+        paths: List[List[int]] = []
         for flow in flows:
+            path = []
             for link in flow.links:
-                residual.setdefault(link, link.capacity)
+                j = index.setdefault(link, len(links))
+                if j == len(links):
+                    links.append(link)
+                path.append(j)
+            paths.append(path)
+        residual = [link.capacity for link in links]
 
+        rates = [0.0] * len(flows)
+        order: List[int] = []
         for priority in sorted({f.priority for f in flows}, reverse=True):
-            class_flows = [f for f in flows if f.priority == priority]
-            class_rates = self._weighted_max_min(class_flows, residual)
-            for flow, rate in class_rates.items():
-                allocation.rates[flow] = rate
-                for link in flow.links:
-                    residual[link] = max(0.0, residual[link] - rate)
+            members = [
+                i for i, flow in enumerate(flows) if flow.priority == priority
+            ]
+            self._weighted_max_min(flows, members, paths, residual, rates)
+            for i in members:
+                rate = rates[i]
+                # A path that lists a link twice subtracts twice.
+                for j in paths[i]:
+                    residual[j] = max(0.0, residual[j] - rate)
+            order += members
 
-        for link in residual:
-            allocation.link_loads[link] = link.capacity - residual[link]
+        allocation = Allocation(
+            rates={flows[i]: rates[i] for i in order},
+            link_loads={
+                link: link.capacity - left
+                for link, left in zip(links, residual)
+            },
+        )
+        if len(allocation.rates) < len(flows):
+            seen = set()
+            for flow in flows:
+                if flow.flow_id in seen:
+                    raise AllocationError(
+                        f"flow {flow.flow_id!r} appears more than once"
+                    )
+                seen.add(flow.flow_id)
         self._check(allocation)
         return allocation
 
@@ -90,61 +129,68 @@ class FluidAllocator:
     @staticmethod
     def _weighted_max_min(
         flows: Sequence[Flow],
-        capacities: Mapping[Link, float],
-    ) -> Dict[Flow, float]:
-        """Progressive filling of one priority class.
+        members: List[int],
+        paths: List[List[int]],
+        capacities: List[float],
+        rates: List[float],
+    ) -> None:
+        """Progressive filling of one priority class, written into ``rates``.
 
+        ``members`` are the indices into ``flows`` of the class, in flow
+        order; ``paths`` holds each flow's link indices and
+        ``capacities`` each link's residual at the start of the class.
         Every unfrozen flow grows at ``weight * theta``; at each step we
-        find the smallest ``theta`` increment that saturates a link or hits
-        a flow's rate cap, freeze the affected flows, and repeat.
+        find the smallest ``theta`` increment that saturates a link or
+        hits a flow's rate cap, freeze the affected flows, and repeat.
 
-        Path membership (``link in flow.links``) is resolved once up front
-        into a link -> flow-index incidence map; the fill rounds then touch
-        only incident flows, which keeps wide fabrics (hundreds of links,
-        long paths) out of the O(links x flows x path-length) trap. The
-        incidence lists preserve flow order, so the per-link weight sums
-        accumulate in the same order as the naive scan and the resulting
-        rates are bit-identical.
+        Only links that some member crosses take part: the others carry
+        no active weight, so they never bound the step or freeze a flow.
+        They are visited in link-index order and each one's incident
+        members in flow order, once per flow however often its path lists
+        the link. The per-link weight stays a ``sum()`` over the unfrozen
+        incident members: from Python 3.12 on ``sum()`` of floats is
+        compensated, so a hand-written ``+=`` loop would round
+        differently there.
         """
-        rates: Dict[Flow, float] = {flow: 0.0 for flow in flows}
-        remaining = {link: cap for link, cap in capacities.items()}
+        n = len(members)
+        weights = [flows[i].weight for i in members]
+        caps = [flows[i].rate_cap for i in members]
+        by_link: List[List[int]] = [[] for _ in capacities]
+        for k, i in enumerate(members):
+            for j in paths[i]:
+                incident = by_link[j]
+                if not incident or incident[-1] != k:
+                    incident.append(k)
+        incident_of = [incident for incident in by_link if incident]
+        remaining = [
+            cap for cap, incident in zip(capacities, by_link) if incident
+        ]
+        # Saturation is relative to the residual at the start of the
+        # class, not to the nominal capacity.
+        saturated = [cap * _REL_EPS for cap in remaining]
+        filled = [0.0] * n
 
-        # One pass over every flow's path: per-link incident flow indices
-        # (deduplicated, in flow order) and per-flow membership sets.
-        incident: Dict[Link, List[int]] = {link: [] for link in remaining}
-        for index, flow in enumerate(flows):
-            on_path: set[Link] = set()
-            for link in flow.links:
-                if link in incident and link not in on_path:
-                    incident[link].append(index)
-                    on_path.add(link)
-
-        frozen = [False] * len(flows)
+        frozen = [False] * n
         n_frozen = 0
-        while n_frozen < len(flows):
-            active = [i for i in range(len(flows)) if not frozen[i]]
-            # Per-link active weight, computed once per fill round and
-            # reused when subtracting usage below.
-            active_weight: Dict[Link, float] = {}
-            for link in remaining:
-                active_weight[link] = sum(
-                    flows[i].weight for i in incident[link] if not frozen[i]
-                )
+        while n_frozen < n:
+            active = [k for k in range(n) if not frozen[k]]
+            active_weight = [
+                sum([weights[k] for k in incident if not frozen[k]])
+                for incident in incident_of
+            ]
             # Smallest theta increment that saturates some constraint.
             best_delta: Optional[float] = None
-            for link, cap in remaining.items():
-                weight = active_weight[link]
+            for cap, weight in zip(remaining, active_weight):
                 if weight <= 0:
                     continue
                 delta = cap / weight
                 if best_delta is None or delta < best_delta:
                     best_delta = delta
-            for i in active:
-                flow = flows[i]
-                if flow.rate_cap is None:
+            for k in active:
+                cap = caps[k]
+                if cap is None:
                     continue
-                headroom = flow.rate_cap - rates[flow]
-                delta = headroom / flow.weight
+                delta = (cap - filled[k]) / weights[k]
                 if best_delta is None or delta < best_delta:
                     best_delta = delta
             if best_delta is None:
@@ -156,33 +202,33 @@ class FluidAllocator:
                 )
             best_delta = max(best_delta, 0.0)
 
-            for i in active:
-                rates[flows[i]] += flows[i].weight * best_delta
-            for link in remaining:
-                used = best_delta * active_weight[link]
-                remaining[link] = max(0.0, remaining[link] - used)
+            for k in active:
+                filled[k] += weights[k] * best_delta
+            remaining = [
+                max(0.0, cap - best_delta * weight)
+                for cap, weight in zip(remaining, active_weight)
+            ]
 
             # Freeze flows on saturated links or at their caps.
             newly_frozen: set[int] = set()
-            for i in active:
-                flow = flows[i]
-                if flow.rate_cap is not None and (
-                    rates[flow] >= flow.rate_cap * (1 - _REL_EPS)
-                ):
-                    rates[flow] = min(rates[flow], flow.rate_cap)
-                    newly_frozen.add(i)
-            for link, cap in remaining.items():
-                if cap <= capacities[link] * _REL_EPS:
-                    for i in incident[link]:
-                        if not frozen[i]:
-                            newly_frozen.add(i)
+            for k in active:
+                cap = caps[k]
+                if cap is not None and filled[k] >= cap * (1 - _REL_EPS):
+                    filled[k] = min(filled[k], cap)
+                    newly_frozen.add(k)
+            for cap, floor, incident in zip(remaining, saturated, incident_of):
+                if cap <= floor:
+                    for k in incident:
+                        if not frozen[k]:
+                            newly_frozen.add(k)
             if not newly_frozen:
                 # Numerical safety net: freeze everything rather than spin.
                 newly_frozen = set(active)
-            for i in sorted(newly_frozen):
-                frozen[i] = True
+            for k in sorted(newly_frozen):
+                frozen[k] = True
             n_frozen += len(newly_frozen)
-        return rates
+        for k, i in enumerate(members):
+            rates[i] = filled[k]
 
     @staticmethod
     def _check(allocation: Allocation) -> None:

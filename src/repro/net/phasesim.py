@@ -105,6 +105,9 @@ class JobRun:
             rng=rng,
         )
         self.rate_trace = StepFunction(0.0, name=f"rate:{spec.job_id}")
+        #: The simulator's link-load slot of each link of each flow, in
+        #: path order, repeats included: the job's rate adds to each.
+        self.load_slots: List[int] = []
         self._finish_event = None
 
     @property
@@ -231,14 +234,13 @@ class PhaseLevelSimulator:
         topology: Topology,
         policy: "SharePolicy",
         router: Optional[Router] = None,
-        allocator: Optional[FluidAllocator] = None,
         seed: int = 0,
         telemetry: Optional["_telemetry_session.Telemetry"] = None,
     ) -> None:
         self.topology = topology
         self.policy = policy
         self.router = router if router is not None else Router(topology)
-        self.allocator = allocator if allocator is not None else FluidAllocator()
+        self.allocator = FluidAllocator()
         self._streams = RandomStreams(seed)
         self.telemetry = _telemetry_session.resolve(telemetry)
         self._sim = Simulator(telemetry=self.telemetry)
@@ -255,7 +257,11 @@ class PhaseLevelSimulator:
         self._active: List[JobRun] = []
         self._rates: Dict[JobRun, float] = {}
         self._last_progress_update = 0.0
-        self._link_loads: Dict[str, StepFunction] = {}
+        #: One load slot per link name, in first-registered order: the
+        #: link's load series and the last load written to it.
+        self._load_slot: Dict[str, int] = {}
+        self._load_series: List[StepFunction] = []
+        self._load_written: List[float] = []
         #: Pre-fault capacity of every link a fault schedule touches.
         self._base_capacities: Dict[Link, float] = {}
         self._tick_event = None
@@ -356,9 +362,14 @@ class PhaseLevelSimulator:
         self._jobs.append(run)
         for flow in flows:
             for link in flow.links:
-                self._link_loads.setdefault(
-                    link.name, StepFunction(0.0, name=f"load:{link.name}")
-                )
+                slot = self._load_slot.get(link.name)
+                if slot is None:
+                    slot = self._load_slot[link.name] = len(self._load_series)
+                    self._load_series.append(
+                        StepFunction(0.0, name=f"load:{link.name}")
+                    )
+                    self._load_written.append(0.0)
+                run.load_slots.append(slot)
         return run
 
     def install_faults(
@@ -452,7 +463,10 @@ class PhaseLevelSimulator:
                 link.capacity = capacity
         return SimulationResult(
             jobs={run.job_id: run for run in self._jobs},
-            link_loads=self._link_loads,
+            link_loads={
+                name: self._load_series[slot]
+                for name, slot in self._load_slot.items()
+            },
             duration=end_time,
         )
 
@@ -633,18 +647,27 @@ class PhaseLevelSimulator:
             # rate == 0 (starved by a higher priority class): no event; the
             # next state change will reallocate and reschedule.
 
-        self._record_link_loads(now, allocation)
+        self._record_link_loads(now)
         self._manage_tick()
 
-    def _record_link_loads(self, now: float, allocation) -> None:
-        loads: Dict[str, float] = {name: 0.0 for name in self._link_loads}
+    def _record_link_loads(self, now: float) -> None:
+        """Write each link's total load where it changed.
+
+        Loads add up in active-job order, then path order, as the rates
+        cross each link. A load equal to the last one written would be a
+        no-op ``set`` (it skips an unchanged value, and at the same
+        instant overwrites with an equal one), so it is not written.
+        """
+        loads = [0.0] * len(self._load_series)
         for run in self._active:
             rate = self._rates.get(run, 0.0)
-            for flow in run.flows:
-                for link in flow.links:
-                    loads[link.name] += rate
-        for name, load in loads.items():
-            self._link_loads[name].set(now, load)
+            for slot in run.load_slots:
+                loads[slot] += rate
+        written = self._load_written
+        for slot, load in enumerate(loads):
+            if load != written[slot]:
+                written[slot] = load
+                self._load_series[slot].set(now, load)
 
     def _manage_tick(self) -> None:
         """Keep a periodic reallocation tick alive for adaptive policies."""

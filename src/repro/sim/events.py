@@ -2,9 +2,11 @@
 
 Events are ordered by ``(time, priority, sequence)``. The sequence number
 breaks ties deterministically in FIFO order, which makes simulations
-reproducible regardless of heap internals. Cancellation is lazy: a cancelled
-event stays in the heap and is skipped when popped, which keeps both
-``cancel`` and ``push`` O(log n) amortized.
+reproducible regardless of heap internals. The heap holds
+``(time, priority, seq, event)`` tuples, so its sifts compare tuples in
+C; ``seq`` is unique, so a comparison never reaches the event itself.
+Cancellation is lazy: a cancelled event stays in the heap and is skipped
+when popped, which keeps both ``cancel`` and ``push`` O(log n) amortized.
 """
 
 from __future__ import annotations
@@ -49,13 +51,6 @@ class Event:
         """Mark the event so the queue skips it when popped."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.fn, "__name__", repr(self.fn))
@@ -66,7 +61,7 @@ class EventQueue:
     """Min-heap of pending events with lazy cancellation."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -85,8 +80,9 @@ class EventQueue:
         priority: int = 0,
     ) -> Event:
         """Schedule ``fn(*args)`` at absolute ``time`` and return the event."""
-        event = Event(time, priority, next(self._counter), fn, args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, fn, args)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
 
@@ -107,7 +103,7 @@ class EventQueue:
             SimulationError: if the queue has no live events.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if not event.cancelled:
                 self._live -= 1
                 event.executed = True
@@ -116,10 +112,10 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the earliest live event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
         if self._heap:
-            return self._heap[0].time
+            return self._heap[0][0]
         return None
 
     def clear(self) -> None:

@@ -1,10 +1,13 @@
 """Fluid-allocator tests: max-min, weights, priorities, caps, invariants."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.errors import AllocationError, ConfigError
 from repro.net.flows import Flow
-from repro.net.fluid import FluidAllocator
+from repro.net.fluid import _REL_EPS, Allocation, FluidAllocator
 from repro.net.topology import Link
 from repro.units import gbps
 
@@ -184,6 +187,31 @@ class TestFlowValidation:
         assert not f.traverses(Link("x", "y", 1.0, name="other"))
 
 
+class TestDuplicateFlows:
+    """A repeated ``flow_id`` is rejected, not folded into one rate."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda link: [_flow("f", [link])] * 2,
+            lambda link: [
+                _flow("f", [link], weight=1.0),
+                _flow("f", [link], weight=2.0),
+            ],
+            lambda link: [
+                _flow("g", [link]),
+                _flow("f", [link], priority=1),
+                _flow("f", [link], priority=0),
+            ],
+        ],
+        ids=["same-object", "equal-ids", "across-classes"],
+    )
+    def test_repeated_flow_id_rejected(self, make):
+        link = Link("a", "b", 100.0, name="L1")
+        with pytest.raises(AllocationError, match="flow 'f' appears more"):
+            FluidAllocator().allocate(make(link))
+
+
 class TestFabricIncidence:
     """Multi-hop paths on fat-tree-shaped incidence (ISSUE 9 satellite)."""
 
@@ -251,3 +279,251 @@ class TestFabricIncidence:
         alloc = FluidAllocator().allocate([f_dead, f_live])
         assert alloc.rate_of(f_dead) == 0.0
         assert alloc.rate_of(f_live) == pytest.approx(gbps(10))
+
+
+# ----------------------------------------------------------------------
+# Exact oracle: the dict-keyed progressive filling
+# ----------------------------------------------------------------------
+
+
+def _reference_allocate(flows):
+    """The dict-keyed fill that ``FluidAllocator.allocate`` must match.
+
+    Residuals, remaining capacities, incidence and active weights are
+    keyed by ``Link`` (merged by ``(src, dst)`` equality, first-seen
+    order and capacity), and rates by ``Flow``. The allocator fills over
+    dense link indices instead; every rate, link load, key order and
+    error message must come out identical, bit for bit. The one
+    intended difference: this fill folds a repeated ``flow_id`` into
+    one rate, which the allocator rejects, so corpus ids are unique.
+    """
+    allocation = Allocation()
+    if not flows:
+        return allocation
+
+    residual = {}
+    for flow in flows:
+        for link in flow.links:
+            residual.setdefault(link, link.capacity)
+
+    for priority in sorted({f.priority for f in flows}, reverse=True):
+        class_flows = [f for f in flows if f.priority == priority]
+        class_rates = _reference_weighted_max_min(class_flows, residual)
+        for flow, rate in class_rates.items():
+            allocation.rates[flow] = rate
+            for link in flow.links:
+                residual[link] = max(0.0, residual[link] - rate)
+
+    for link in residual:
+        allocation.link_loads[link] = link.capacity - residual[link]
+    for link, load in allocation.link_loads.items():
+        if load > link.capacity * (1 + 1e-6):
+            raise AllocationError(
+                f"link {link.name} oversubscribed: "
+                f"{load:.6g} > {link.capacity:.6g}"
+            )
+    return allocation
+
+
+def _reference_weighted_max_min(flows, capacities):
+    """Progressive filling of one priority class, keyed by link."""
+    rates = {flow: 0.0 for flow in flows}
+    remaining = {link: cap for link, cap in capacities.items()}
+
+    incident = {link: [] for link in remaining}
+    for index, flow in enumerate(flows):
+        on_path = set()
+        for link in flow.links:
+            if link in incident and link not in on_path:
+                incident[link].append(index)
+                on_path.add(link)
+
+    frozen = [False] * len(flows)
+    n_frozen = 0
+    while n_frozen < len(flows):
+        active = [i for i in range(len(flows)) if not frozen[i]]
+        active_weight = {}
+        for link in remaining:
+            active_weight[link] = sum(
+                flows[i].weight for i in incident[link] if not frozen[i]
+            )
+        best_delta = None
+        for link, cap in remaining.items():
+            weight = active_weight[link]
+            if weight <= 0:
+                continue
+            delta = cap / weight
+            if best_delta is None or delta < best_delta:
+                best_delta = delta
+        for i in active:
+            flow = flows[i]
+            if flow.rate_cap is None:
+                continue
+            headroom = flow.rate_cap - rates[flow]
+            delta = headroom / flow.weight
+            if best_delta is None or delta < best_delta:
+                best_delta = delta
+        if best_delta is None:
+            raise AllocationError("flows without links must carry a rate_cap")
+        best_delta = max(best_delta, 0.0)
+
+        for i in active:
+            rates[flows[i]] += flows[i].weight * best_delta
+        for link in remaining:
+            used = best_delta * active_weight[link]
+            remaining[link] = max(0.0, remaining[link] - used)
+
+        newly_frozen = set()
+        for i in active:
+            flow = flows[i]
+            if flow.rate_cap is not None and (
+                rates[flow] >= flow.rate_cap * (1 - _REL_EPS)
+            ):
+                rates[flow] = min(rates[flow], flow.rate_cap)
+                newly_frozen.add(i)
+        for link, cap in remaining.items():
+            if cap <= capacities[link] * _REL_EPS:
+                for i in incident[link]:
+                    if not frozen[i]:
+                        newly_frozen.add(i)
+        if not newly_frozen:
+            newly_frozen = set(active)
+        for i in sorted(newly_frozen):
+            frozen[i] = True
+        n_frozen += len(newly_frozen)
+    return rates
+
+
+#: Capacities drawn for corpus links: shared values make ties and equal
+#: splits common; ``None`` draws a random one.
+_CAPACITIES = (gbps(10), gbps(25), gbps(42), 100.0, 3.0, None)
+
+#: Weights drawn for corpus flows; ``None`` draws a random one.
+_WEIGHTS = (1.0, 1.0, 2.0, 0.5, 3.0, None)
+
+
+def _corpus_case(rng):
+    """One random allocation input.
+
+    A handful of nodes keeps endpoint collisions frequent, so distinct
+    ``Link`` objects with equal endpoints (and different capacities)
+    share paths. Paths may list a link twice, some links are failed
+    (capacity 0) and a few have a negative capacity, which only the
+    oversubscription check catches. Flows fall into 1-3 priority
+    classes; some carry binding caps and some have no path (capped, or
+    rarely uncapped, which is an error).
+    """
+    nodes = [f"n{i}" for i in range(rng.randint(2, 4))]
+    pool = []
+    for index in range(rng.randint(1, 8)):
+        capacity = rng.choice(_CAPACITIES) or rng.uniform(1.0, 1e3)
+        link = Link(
+            rng.choice(nodes), rng.choice(nodes), capacity, name=f"l{index}"
+        )
+        draw = rng.random()
+        if draw < 0.08:
+            link.capacity = 0.0
+        elif draw < 0.1:
+            link.capacity = -rng.uniform(1.0, 10.0)
+        pool.append(link)
+    n_classes = rng.randint(1, 3)
+    flows = []
+    for index in range(rng.randint(1, 6)):
+        links = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        cap = None
+        if not links or rng.random() < 0.3:
+            cap = rng.choice(
+                (rng.uniform(0.5, 50.0), rng.uniform(1.0, 2e3), gbps(5))
+            )
+        if not links and rng.random() < 0.05:
+            cap = None
+        flows.append(
+            Flow(
+                flow_id=f"f{index}", src="s", dst="d", links=links,
+                weight=rng.choice(_WEIGHTS) or rng.uniform(0.1, 4.0),
+                priority=rng.randrange(n_classes), rate_cap=cap,
+                job_id=f"j{index}",
+            )
+        )
+    return flows
+
+
+def _outcome(allocate, flows):
+    """Everything one call produced, in a form ``==`` compares exactly.
+
+    Floats go through ``float.hex`` so that even the sign of a zero must
+    match; keys go through ``id`` so that ``link_loads`` must be keyed by
+    the first-seen ``Link`` object of each endpoint pair.
+    """
+    try:
+        allocation = allocate(flows)
+    except AllocationError as exc:
+        return ("error", str(exc))
+    return (
+        "ok",
+        [
+            (id(flow), float(rate).hex())
+            for flow, rate in allocation.rates.items()
+        ],
+        [
+            (id(link), float(load).hex())
+            for link, load in allocation.link_loads.items()
+        ],
+    )
+
+
+def _features(flows):
+    """Which identity rules one corpus case exercises."""
+    links = [link for flow in flows for link in flow.links]
+    objects = {id(link): link for link in links}
+    return {
+        "twin_links": len(objects) > len(set(links)),
+        "repeated_in_path": any(
+            len(set(flow.links)) < len(flow.links) for flow in flows
+        ),
+        "zero_capacity": any(link.capacity == 0.0 for link in links),
+        "classes_3": len({flow.priority for flow in flows}) == 3,
+        "capped_pathless": any(
+            not flow.links and flow.rate_cap is not None for flow in flows
+        ),
+        "flow_sharing_4": any(
+            sum(link in flow.links for flow in flows) >= 4 for link in links
+        ),
+    }
+
+
+class TestExactOracle:
+    """The allocator equals the dict-keyed fill bit for bit."""
+
+    N_CASES = 6000
+
+    def test_seeded_corpus_matches_reference(self):
+        rng = random.Random(20261017)
+        seen = Counter()
+        for case in range(self.N_CASES):
+            flows = _corpus_case(rng)
+            expected = _outcome(_reference_allocate, flows)
+            assert _outcome(FluidAllocator().allocate, flows) == expected, (
+                f"case {case}"
+            )
+            if expected[0] == "ok":
+                seen["ok"] += 1
+            elif "without links" in expected[1]:
+                seen["pathless_error"] += 1
+            else:
+                seen["oversubscribed_error"] += 1
+            for feature, present in _features(flows).items():
+                seen[feature] += present
+        # Every identity rule and both error messages are exercised.
+        assert seen["ok"] >= self.N_CASES // 2
+        assert seen["pathless_error"] >= 20, seen
+        assert seen["oversubscribed_error"] >= 20, seen
+        for feature in _features([]):
+            assert seen[feature] >= 100, (feature, seen)
+
+    def test_fabric_flows_match_reference(self):
+        flows = TestFabricIncidence()._fabric_flows()[1]
+        for count in range(1, len(flows) + 1):
+            assert _outcome(FluidAllocator().allocate, flows[:count]) == (
+                _outcome(_reference_allocate, flows[:count])
+            )
