@@ -68,9 +68,19 @@ class ClusterState:
         # The rack grouping is static (the topology doesn't change under
         # a live cluster) but queried on every placement decision.
         self._racks: Dict[str, List[str]] = {}
+        self._rack_of: Dict[str, str] = {}
         for host in topology.hosts():
             rack = topology.rack_of(host.name) or "_norack"
             self._racks.setdefault(rack, []).append(host.name)
+            self._rack_of[host.name] = rack
+        # The free-capacity index: free GPUs per rack and in total, kept
+        # in step with ``_free`` by ``place`` and ``remove`` so that a
+        # placement decision starts from counts, not from host lists.
+        self._rack_free: Dict[str, int] = {
+            rack: gpus_per_host * len(hosts)
+            for rack, hosts in self._racks.items()
+        }
+        self._total_free = gpus_per_host * len(self._free)
 
     # ------------------------------------------------------------------
     # Capacity queries
@@ -85,7 +95,24 @@ class ClusterState:
 
     def total_free_gpus(self) -> int:
         """Free GPU slots across the cluster."""
-        return sum(self._free.values())
+        return self._total_free
+
+    def free_gpus_by_rack(self) -> Dict[str, int]:
+        """Free GPU slots per rack, in rack order, full racks left out."""
+        return {rack: free for rack, free in self._rack_free.items() if free}
+
+    def rack_slots(self, rack: str, count: int) -> List[str]:
+        """The first ``count`` free GPU slots of ``rack``.
+
+        A rack's slots are its hosts in insertion order, each repeated by
+        its free GPU count; a prefix takes hosts greedily in that order.
+        """
+        slots: List[str] = []
+        for host in self._racks[rack]:
+            if len(slots) >= count:
+                break
+            slots += [host] * min(self._free[host], count - len(slots))
+        return slots
 
     def hosts_by_rack(self) -> Dict[str, List[str]]:
         """Hosts grouped by their ToR (rack), insertion-ordered."""
@@ -115,6 +142,8 @@ class ClusterState:
                 )
         for host, count in demand.items():
             self._free[host] -= count
+            self._rack_free[self._rack_of[host]] -= count
+        self._total_free -= len(hosts)
         first, last = hosts[0], hosts[-1]
         links: List[Link] = []
         if first != last:
@@ -141,6 +170,8 @@ class ClusterState:
             raise PlacementError(f"job {job_id!r} not placed")
         for host in job.hosts:
             self._free[host] += 1
+            self._rack_free[self._rack_of[host]] += 1
+        self._total_free += len(job.hosts)
 
     # ------------------------------------------------------------------
     # Sharing queries

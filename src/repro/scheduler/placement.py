@@ -12,6 +12,11 @@ Three policies span the design space the paper discusses:
   must cross racks, prefer uplinks where the set of jobs it would share
   with remains fully compatible; otherwise maximize the compatibility
   score (minimize unavoidable overlap).
+
+All three decide from the cluster's free-GPU counts: a request for more
+workers than the cluster has free GPUs is refused before any host list
+is built, and a feasible one ranks racks by their counts and builds only
+the slot lists it returns or scores (docs/PERF.md, "Online service").
 """
 
 from __future__ import annotations
@@ -24,6 +29,57 @@ from ..errors import PlacementError
 from ..sim.rng import RandomStreams
 from ..workloads.job import JobSpec
 from .cluster import ClusterState
+
+
+def _check_fits(cluster: ClusterState, spec: JobSpec, n_workers: int) -> None:
+    """Refuse a request no placement can satisfy.
+
+    Once the cluster's free total covers the request, every policy finds
+    hosts (a greedy spread over the racks always fits), so this is the
+    only refusal, and it needs no host list.
+    """
+    if n_workers < 1:
+        raise PlacementError(
+            f"{spec.job_id}: needs at least one worker, got {n_workers}"
+        )
+    free = cluster.total_free_gpus()
+    if n_workers > free:
+        raise PlacementError(
+            f"{spec.job_id}: {n_workers} workers > {free} free GPUs"
+        )
+
+
+def _smallest_fitting_rack(
+    free_by_rack: Dict[str, int], n_workers: int
+) -> Optional[str]:
+    """The rack with the fewest free GPUs that still holds the job, the
+    earlier rack on a tie; None when no single rack does."""
+    return min(
+        (rack for rack, free in free_by_rack.items() if free >= n_workers),
+        key=free_by_rack.__getitem__,
+        default=None,
+    )
+
+
+def _fullest_first(free_by_rack: Dict[str, int]) -> List[str]:
+    """Racks by descending free GPUs, rack order on ties."""
+    return sorted(free_by_rack, key=lambda rack: -free_by_rack[rack])
+
+
+def _greedy_spread(
+    cluster: ClusterState,
+    racks: Sequence[str],
+    free_by_rack: Dict[str, int],
+    n_workers: int,
+) -> List[str]:
+    """Fill ``racks`` in order until the job fits."""
+    hosts: List[str] = []
+    for rack in racks:
+        take = min(n_workers - len(hosts), free_by_rack[rack])
+        hosts += cluster.rack_slots(rack, take)
+        if len(hosts) == n_workers:
+            break
+    return hosts
 
 
 class PlacementPolicy(abc.ABC):
@@ -41,20 +97,6 @@ class PlacementPolicy(abc.ABC):
             PlacementError: when the job cannot be placed.
         """
 
-    @staticmethod
-    def _slots_by_rack(cluster: ClusterState) -> Dict[str, List[str]]:
-        """Free GPU slots per rack as repeated host names."""
-        slots: Dict[str, List[str]] = {}
-        for rack, hosts in cluster.hosts_by_rack().items():
-            rack_slots = [
-                host
-                for host in hosts
-                for _ in range(cluster.free_gpus(host))
-            ]
-            if rack_slots:
-                slots[rack] = rack_slots
-        return slots
-
 
 class RandomPlacement(PlacementPolicy):
     """Uniformly random free GPU slots."""
@@ -67,15 +109,12 @@ class RandomPlacement(PlacementPolicy):
     def place(
         self, cluster: ClusterState, spec: JobSpec, n_workers: int
     ) -> List[str]:
+        _check_fits(cluster, spec, n_workers)
         slots = [
             host
-            for rack_slots in self._slots_by_rack(cluster).values()
-            for host in rack_slots
+            for rack, free in cluster.free_gpus_by_rack().items()
+            for host in cluster.rack_slots(rack, free)
         ]
-        if len(slots) < n_workers:
-            raise PlacementError(
-                f"{spec.job_id}: {n_workers} workers > {len(slots)} free GPUs"
-            )
         picked = list(
             self._rng.choice(len(slots), size=n_workers, replace=False)
         )
@@ -96,25 +135,15 @@ class ConsolidatedPlacement(PlacementPolicy):
     def place(
         self, cluster: ClusterState, spec: JobSpec, n_workers: int
     ) -> List[str]:
-        slots_by_rack = self._slots_by_rack(cluster)
+        _check_fits(cluster, spec, n_workers)
+        free_by_rack = cluster.free_gpus_by_rack()
         # A single rack that fits wins outright.
-        for rack in sorted(
-            slots_by_rack, key=lambda r: len(slots_by_rack[r])
-        ):
-            if len(slots_by_rack[rack]) >= n_workers:
-                return slots_by_rack[rack][:n_workers]
+        rack = _smallest_fitting_rack(free_by_rack, n_workers)
+        if rack is not None:
+            return cluster.rack_slots(rack, n_workers)
         # Otherwise greedily take the fullest racks.
-        hosts: List[str] = []
-        for rack in sorted(
-            slots_by_rack, key=lambda r: -len(slots_by_rack[r])
-        ):
-            take = min(n_workers - len(hosts), len(slots_by_rack[rack]))
-            hosts.extend(slots_by_rack[rack][:take])
-            if len(hosts) == n_workers:
-                return hosts
-        raise PlacementError(
-            f"{spec.job_id}: {n_workers} workers > "
-            f"{cluster.total_free_gpus()} free GPUs"
+        return _greedy_spread(
+            cluster, _fullest_first(free_by_rack), free_by_rack, n_workers
         )
 
 
@@ -169,22 +198,16 @@ class CompatibilityAwarePlacement(PlacementPolicy):
     def place(
         self, cluster: ClusterState, spec: JobSpec, n_workers: int
     ) -> List[str]:
-        slots_by_rack = self._slots_by_rack(cluster)
+        _check_fits(cluster, spec, n_workers)
+        free_by_rack = cluster.free_gpus_by_rack()
         # Rack-local placement shares no uplinks: always safe.
-        for rack in sorted(
-            slots_by_rack, key=lambda r: len(slots_by_rack[r])
-        ):
-            if len(slots_by_rack[rack]) >= n_workers:
-                return slots_by_rack[rack][:n_workers]
+        rack = _smallest_fitting_rack(free_by_rack, n_workers)
+        if rack is not None:
+            return cluster.rack_slots(rack, n_workers)
 
         candidates = self._cross_rack_candidates(
-            slots_by_rack, n_workers
+            cluster, free_by_rack, n_workers
         )
-        if not candidates:
-            raise PlacementError(
-                f"{spec.job_id}: {n_workers} workers > "
-                f"{cluster.total_free_gpus()} free GPUs"
-            )
         best_hosts: Optional[List[str]] = None
         best_key: Optional[Tuple[int, float]] = None
         for hosts in candidates:
@@ -203,34 +226,31 @@ class CompatibilityAwarePlacement(PlacementPolicy):
 
     def _cross_rack_candidates(
         self,
-        slots_by_rack: Dict[str, List[str]],
+        cluster: ClusterState,
+        free_by_rack: Dict[str, int],
         n_workers: int,
     ) -> List[List[str]]:
         """Rack pairs (then greedy multi-rack) that fit the job."""
-        racks = sorted(slots_by_rack, key=lambda r: -len(slots_by_rack[r]))
+        racks = _fullest_first(free_by_rack)
         candidates: List[List[str]] = []
         for i, first in enumerate(racks):
+            take_first = min(n_workers, free_by_rack[first])
             for second in racks[i + 1:]:
-                total = len(slots_by_rack[first]) + len(slots_by_rack[second])
-                if total < n_workers:
-                    continue
-                take_first = min(n_workers, len(slots_by_rack[first]))
-                hosts = (
-                    slots_by_rack[first][:take_first]
-                    + slots_by_rack[second][: n_workers - take_first]
+                # Racks come fullest first: once a pair falls short, so
+                # does every later pair of this row.
+                if free_by_rack[first] + free_by_rack[second] < n_workers:
+                    break
+                candidates.append(
+                    cluster.rack_slots(first, take_first)
+                    + cluster.rack_slots(second, n_workers - take_first)
                 )
-                candidates.append(hosts)
                 if len(candidates) >= self.max_candidates:
                     return candidates
         if not candidates:
             # Fall back to a greedy spread over many racks.
-            hosts = []
-            for rack in racks:
-                take = min(n_workers - len(hosts), len(slots_by_rack[rack]))
-                hosts.extend(slots_by_rack[rack][:take])
-                if len(hosts) == n_workers:
-                    candidates.append(hosts)
-                    break
+            candidates.append(
+                _greedy_spread(cluster, racks, free_by_rack, n_workers)
+            )
         return candidates
 
     def _score(

@@ -178,7 +178,11 @@ class ClusterService:
                 :class:`CompatibilityAwarePlacement` without an engine is
                 wired to this service's engine so candidate scoring uses
                 cached feasible sets instead of per-link solver calls.
-            checker: Circle profiler shared with the engine.
+            checker: Circle profiler shared with the engine. Without
+                ``checker`` and ``engine``, a
+                :class:`CompatibilityAwarePlacement` lends its own, so
+                candidates are scored, and admissions audited, on
+                circles profiled at the policy's bandwidth.
             engine: Incremental compatibility engine (constructed from
                 ``checker``/``seed`` when omitted).
             queue_limit: Bounded admission queue; 0 rejects immediately.
@@ -189,6 +193,10 @@ class ClusterService:
         self.cluster = cluster
         self.policy = policy
         if engine is None:
+            if checker is None and isinstance(
+                policy, CompatibilityAwarePlacement
+            ):
+                checker = policy.checker
             engine = IncrementalCompatibilityEngine(
                 checker=checker, seed=seed
             )
@@ -210,17 +218,31 @@ class ClusterService:
         self._active: Dict[str, float] = {}
         self._retry_time: Optional[float] = None
         self._now = 0.0
+        # The latest time the service has run to: the last event
+        # processed or the last ``until``, whichever is later.
+        self._clock = 0.0
 
     # ------------------------------------------------------------------
     # Event intake
     # ------------------------------------------------------------------
 
     def submit(self, arrival: JobArrival) -> None:
-        """Schedule one arrival event."""
+        """Schedule one arrival event.
+
+        The arrival may not lie behind the time the service has already
+        run to (an arrival at exactly that time is accepted).
+        """
         if arrival.time < 0:
             raise SimulationError("arrival time must be >= 0")
         if arrival.lifetime <= 0:
             raise SimulationError("arrival lifetime must be > 0")
+        if arrival.n_workers < 1:
+            raise SimulationError("arrival n_workers must be >= 1")
+        if arrival.time < self._clock:
+            raise SimulationError(
+                f"arrival {arrival.spec.job_id!r} at {arrival.time} s is "
+                f"behind the service clock ({self._clock} s)"
+            )
         self._push(arrival.time, EVENT_ARRIVAL, arrival)
 
     def submit_all(self, arrivals: Sequence[JobArrival]) -> None:
@@ -245,6 +267,9 @@ class ClusterService:
                 self._handle_departure(time, payload)
             else:
                 self._handle_retry(time)
+        self._clock = max(
+            self._clock, self._now if until is None else until
+        )
         self.stats.horizon = until if until is not None else self._now
         return self.stats
 

@@ -120,6 +120,18 @@ class TestPlacementPolicies:
         with pytest.raises(PlacementError):
             RandomPlacement().place(_cluster(n_racks=1), _job("j"), 100)
 
+    @pytest.mark.parametrize(
+        "policy",
+        [RandomPlacement(), ConsolidatedPlacement(),
+         CompatibilityAwarePlacement()],
+        ids=lambda policy: policy.name,
+    )
+    def test_nonpositive_worker_counts_refused(self, policy):
+        cluster = _cluster()
+        for n_workers in (0, -3):
+            with pytest.raises(PlacementError, match="at least one worker"):
+                policy.place(cluster, _job("j"), n_workers)
+
     def test_consolidated_prefers_single_rack(self):
         cluster = _cluster()
         hosts = ConsolidatedPlacement().place(cluster, _job("j"), 6)

@@ -8,6 +8,7 @@ across worker counts plus cacheability: byte-identical cache entries, and
 placement latency read from worker spans rather than cached telemetry.
 """
 
+import dataclasses
 import math
 import re
 from typing import List, Sequence
@@ -212,10 +213,63 @@ class TestServiceEventLoop:
             service.submit(
                 JobArrival(time=0.0, spec=spec, n_workers=2, lifetime=0.0)
             )
+        for n_workers in (0, -3):
+            with pytest.raises(SimulationError, match="n_workers"):
+                service.submit(
+                    JobArrival(
+                        time=0.0, spec=spec, n_workers=n_workers,
+                        lifetime=1.0,
+                    )
+                )
+        assert service.run().records == []
         with pytest.raises(SimulationError):
             ClusterService(
                 cluster, ConsolidatedPlacement(), queue_limit=-1
             )
+
+    def test_arrival_behind_the_clock_rejected(self):
+        arrivals = poisson_arrivals(
+            8, seed=3, mean_interarrival_s=20.0, mean_lifetime_s=600.0
+        )
+        service = ClusterService(
+            _cluster(n_racks=4), ConsolidatedPlacement(), queue_limit=4
+        )
+        service.submit_all(arrivals[3:])
+        service.run(until=arrivals[-1].time)
+        with pytest.raises(SimulationError, match="behind the service"):
+            service.submit(arrivals[0])
+        # An arrival at exactly the clock is accepted, and every record
+        # stays in time order.
+        service.submit(
+            dataclasses.replace(arrivals[0], time=arrivals[-1].time)
+        )
+        times = [record.time for record in service.run().records]
+        assert times == sorted(times)
+
+    def test_clock_includes_the_last_until(self):
+        service = ClusterService(_cluster(), ConsolidatedPlacement())
+        service.run(until=50.0)
+        spec = _job("x", 300, 100)
+        with pytest.raises(SimulationError, match="behind the service"):
+            service.submit(
+                JobArrival(time=49.0, spec=spec, n_workers=2, lifetime=1.0)
+            )
+        service.submit(
+            JobArrival(time=50.0, spec=spec, n_workers=2, lifetime=1.0)
+        )
+        assert [r.outcome for r in service.run().records] == ["admitted"]
+
+    def test_engine_profiles_with_the_policy_checker(self):
+        checker = CompatibilityChecker(capacity=gbps(10))
+        policy = CompatibilityAwarePlacement(checker=checker)
+        service = ClusterService(_cluster(), policy)
+        assert service.engine.checker is checker
+        assert policy.engine is service.engine
+        spec = _job("x", 300, 100)
+        assert service.engine.circle(spec) == checker.circle(spec)
+        assert service.engine.circle(spec) != (
+            CompatibilityChecker().circle(spec)
+        )
 
 
 class TestClusterWideAudit:
