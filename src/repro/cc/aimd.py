@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from ..core.lifecycle import JobLifecycle, OnOffSource
 from ..core.timeline import JobTimeline
 from ..errors import ConfigError, SimulationError
-from ..faults.events import InjectionSchedule  # simlint: disable=ARCH001 - CC tiers execute fault warps inline for bit-equivalence; shared types pending a layer move
-from ..faults.runtime import (  # simlint: disable=ARCH001 - same inversion as above
+from ..faults.events import InjectionSchedule
+from ..faults.runtime import (
     MODE_FREEZE,
     MODE_NORMAL,
     link_capacity_windows,

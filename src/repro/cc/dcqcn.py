@@ -41,8 +41,8 @@ import numpy as np
 from ..core.lifecycle import JobLifecycle, OnOffSource
 from ..core.timeline import JobTimeline
 from ..errors import ConfigError, SimulationError
-from ..faults.events import InjectionSchedule  # simlint: disable=ARCH001 - CC tiers execute fault warps inline for bit-equivalence; shared types pending a layer move
-from ..faults.runtime import single_link  # simlint: disable=ARCH001 - same inversion as above
+from ..faults.events import InjectionSchedule
+from ..faults.runtime import single_link
 from ..net.topology import BOTTLENECK
 from ..sim.trace import TimeSeries
 from ..switches.ecn import RedEcnMarker

@@ -38,7 +38,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..core.lifecycle import OnOffSource
 from ..errors import ConfigError, SimulationError
-from ..faults.runtime import (  # simlint: disable=ARCH001 - CC tiers execute fault windows inline for bit-equivalence; shared types pending a layer move
+from ..faults.runtime import (
     MODE_FREEZE,
     MODE_NORMAL,
     MODE_STORM,

@@ -82,7 +82,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..core.lifecycle import OnOffSource
-from ..faults.runtime import (  # simlint: disable=ARCH001 - vectorized bank replays fault warps inline for bit-equivalence with the scalar tiers
+from ..faults.runtime import (
     MODE_FREEZE,
     MODE_NORMAL,
     MODE_STORM,

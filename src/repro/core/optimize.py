@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -424,44 +424,30 @@ class _OverlapEvaluator:
         return int(widths[over].sum())
 
 
-def annealing_search(
+def _anneal(
     circles: Sequence[JobCircle],
-    capacity: int = 1,
-    iterations: Optional[int] = None,
-    restarts: int = 4,
-    seed: int = 0,
+    cost: Callable[[Dict[str, int]], int],
+    perimeter: int,
+    iterations: int,
+    restarts: int,
+    seed: int,
+    method: str,
 ) -> SolverOutcome:
-    """Simulated annealing over integer rotations.
+    """Simulated annealing over integer rotations, minimizing ``cost``.
 
-    Minimizes the number of ticks covered by more than ``capacity`` jobs.
-    Works for any coverage capacity (the generalization the paper sketches
-    for GPU multi-tenancy) and for instances too large for exact search.
-    ``iterations`` defaults to a budget scaled inversely with the tiled
-    arc count, keeping one call around a hundred milliseconds even on
-    unified circles with thousands of arcs.
+    Each restart draws a random start and walks ``iterations`` steps,
+    rotating one job per step by a fine or a coarse shift and accepting
+    by the Metropolis rule under a linearly cooling temperature. Stops at
+    the first zero-cost assignment.
     """
-    if capacity < 1:
-        raise CompatibilityError(f"capacity must be >= 1, got {capacity}")
-    unified = UnifiedCircle(circles)
-    evaluator = _OverlapEvaluator(circles)
-    if iterations is None:
-        total_arcs = sum(
-            len(circle.comm.intervals)
-            * (unified.perimeter // circle.perimeter)
-            for circle in circles
-        )
-        iterations = max(600, min(4000, 1_000_000 // max(total_arcs, 1)))
     rng = np.random.default_rng(seed)
     job_ids = [circle.job_id for circle in circles]
     periods = {circle.job_id: circle.perimeter for circle in circles}
-
-    def cost(rotations: Dict[str, int]) -> int:
-        return evaluator.cost(rotations, capacity)
-
     best_rotations = {job_id: 0 for job_id in job_ids}
     best_cost = cost(best_rotations)
     nodes = 1
-    for restart in range(restarts):
+    temperature_scale = max(perimeter // 10, 1)
+    for _restart in range(restarts):
         if best_cost == 0:
             break
         current = {
@@ -469,7 +455,6 @@ def annealing_search(
             for job_id in job_ids
         }
         current_cost = cost(current)
-        temperature_scale = max(unified.perimeter // 10, 1)
         for step in range(iterations):
             nodes += 1
             temperature = temperature_scale * (1.0 - step / iterations) + 1e-9
@@ -499,8 +484,42 @@ def annealing_search(
         rotations=best_rotations,
         overlap=best_cost,
         complete=False,
-        method="annealing",
+        method=method,
         nodes=nodes,
+    )
+
+
+def annealing_search(
+    circles: Sequence[JobCircle],
+    capacity: int = 1,
+    iterations: Optional[int] = None,
+    restarts: int = 4,
+    seed: int = 0,
+) -> SolverOutcome:
+    """Simulated annealing over integer rotations.
+
+    Minimizes the number of ticks covered by more than ``capacity`` jobs.
+    Works for any coverage capacity (the generalization the paper sketches
+    for GPU multi-tenancy) and for instances too large for exact search.
+    ``iterations`` defaults to a budget scaled inversely with the tiled
+    arc count, keeping one call around a hundred milliseconds even on
+    unified circles with thousands of arcs.
+    """
+    if capacity < 1:
+        raise CompatibilityError(f"capacity must be >= 1, got {capacity}")
+    evaluator = _OverlapEvaluator(circles)
+    perimeter = evaluator.perimeter
+    if iterations is None:
+        total_arcs = _tiled_arc_estimate(circles, perimeter)
+        iterations = max(600, min(4000, 1_000_000 // max(total_arcs, 1)))
+    return _anneal(
+        circles,
+        lambda rotations: evaluator.cost(rotations, capacity),
+        perimeter,
+        iterations,
+        restarts,
+        seed,
+        method="annealing",
     )
 
 
@@ -574,51 +593,16 @@ def solve_fractional(
     if capacity <= 0:
         raise CompatibilityError(f"capacity must be > 0, got {capacity}")
     unified = UnifiedCircle(circles)
-    rng = np.random.default_rng(seed)
-    job_ids = [circle.job_id for circle in circles]
-    periods = {circle.job_id: circle.perimeter for circle in circles}
-
-    def cost(rotations: Dict[str, int]) -> int:
-        return unified.fractional_overlap_ticks(rotations, capacity)
-
-    best_rotations = {job_id: 0 for job_id in job_ids}
-    best_cost = cost(best_rotations)
-    nodes = 1
-    for _restart in range(restarts):
-        if best_cost == 0:
-            break
-        current = {
-            job_id: int(rng.integers(periods[job_id])) for job_id in job_ids
-        }
-        current_cost = cost(current)
-        scale = max(unified.perimeter // 10, 1)
-        for step in range(iterations):
-            nodes += 1
-            temperature = scale * (1.0 - step / iterations) + 1e-9
-            job_id = job_ids[int(rng.integers(len(job_ids)))]
-            period = periods[job_id]
-            if rng.random() < 0.5:
-                shift = int(rng.integers(1, max(period // 20, 2)))
-            else:
-                shift = int(rng.integers(period))
-            candidate = dict(current)
-            candidate[job_id] = (current[job_id] + shift) % period
-            candidate_cost = cost(candidate)
-            if candidate_cost <= current_cost or rng.random() < np.exp(
-                (current_cost - candidate_cost) / temperature
-            ):
-                current, current_cost = candidate, candidate_cost
-                if current_cost < best_cost:
-                    best_rotations, best_cost = dict(current), current_cost
-                    if best_cost == 0:
-                        break
-    return SolverOutcome(
-        found=best_cost == 0,
-        rotations=best_rotations,
-        overlap=best_cost,
-        complete=False,
+    return _anneal(
+        circles,
+        lambda rotations: unified.fractional_overlap_ticks(
+            rotations, capacity
+        ),
+        unified.perimeter,
+        iterations,
+        restarts,
+        seed,
         method="fractional-annealing",
-        nodes=nodes,
     )
 
 

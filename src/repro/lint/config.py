@@ -31,10 +31,10 @@ from ..errors import ConfigError
 #: The repo's layer DAG, lowest layer first (see DESIGN.md).
 DEFAULT_LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("units", "errors", "floats"),
-    ("sim", "net", "core"),
+    ("sim", "net", "core", "faults"),
     ("cc", "mechanisms", "switches"),
     ("workloads", "scheduler"),
-    ("faults", "runner"),
+    ("runner",),
     ("analysis", "experiments", "cli", "lint"),
 )
 

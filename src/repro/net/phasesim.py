@@ -29,12 +29,12 @@ import numpy as np
 from ..core.lifecycle import Gate, JobLifecycle, JobState
 from ..core.timeline import IterationSample, JobTimeline
 from ..errors import ConfigError, SimulationError, WorkloadError
-from ..faults.events import (  # simlint: disable=ARCH001 - phase sim applies injection schedules directly; fault event types pending a layer move
+from ..faults.events import (
     CAPACITY_EVENT_TYPES,
     InjectionSchedule,
     RateChange,
 )
-from ..faults.runtime import build_warp  # simlint: disable=ARCH001 - same inversion as above
+from ..faults.runtime import build_warp
 from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams
 from ..sim.trace import StepFunction
@@ -94,8 +94,8 @@ class JobRun:
         #: have one per hop, moving in lockstep (synchronous collective).
         self.flows = flows
         #: The primary flow (handed to policy hooks); plain attribute
-        #: for the same hot-path reason as ``job_id``. The engine
-        #: backend runs flowless jobs, hence the ``None`` fallback.
+        #: for the same hot-path reason as ``job_id``. ``None`` for the
+        #: flowless result containers ``io.job_run_from_dict`` builds.
         self.flow = flows[0] if flows else None
         self.lifecycle = JobLifecycle.for_spec(
             spec,
@@ -148,47 +148,6 @@ class JobRun:
     def start_offset(self) -> float:
         """Simulation time of the first compute phase."""
         return self.lifecycle.start_offset
-
-    @property
-    def gate(self) -> Optional[Gate]:
-        """The job's admission gate, if any."""
-        return self.lifecycle.gate
-
-    @property
-    def segment_index(self) -> int:
-        """Index of the current sub-phase within the iteration."""
-        return self.lifecycle.segment_index
-
-    @property
-    def n_segments(self) -> int:
-        """Sub-phases per iteration (1 for the classic on-off job)."""
-        return self.lifecycle.n_segments
-
-    @property
-    def comm_sent(self) -> float:
-        """Bytes credited toward the current communication segment."""
-        return self.lifecycle.comm_sent
-
-    @property
-    def compute_factor(self) -> float:
-        """This iteration's multiplicative compute jitter."""
-        return self.lifecycle.compute_factor
-
-    def iteration_times(self, skip: int = 0) -> np.ndarray:
-        """Durations of completed iterations, seconds."""
-        return self.lifecycle.timeline.iteration_times(skip)
-
-    def sample_compute_factor(self) -> float:
-        """Per-iteration multiplicative compute jitter (1.0 when none)."""
-        return self.lifecycle.sample_compute_factor()
-
-    def segment_compute_time(self) -> float:
-        """Jittered compute time of the current segment."""
-        return self.lifecycle.segment_compute_time()
-
-    def segment_comm_bytes(self) -> float:
-        """Communication bytes of the current segment."""
-        return self.lifecycle.segment_comm_bytes()
 
 
 @dataclass
@@ -249,9 +208,6 @@ class PhaseLevelSimulator:
         )
         self._iteration_counter = self.telemetry.counter(
             "phasesim.iterations"
-        )
-        self._iteration_histogram = self.telemetry.histogram(
-            "phasesim.iteration_seconds"
         )
         self._jobs: List[JobRun] = []
         self._active: List[JobRun] = []
@@ -555,7 +511,6 @@ class PhaseLevelSimulator:
         sample = lifecycle.close_iteration(now)
         if self.telemetry.enabled:
             self._iteration_counter.inc()
-            self._iteration_histogram.observe(sample.duration)
             self.telemetry.event(
                 KIND_ITERATION,
                 t=now,

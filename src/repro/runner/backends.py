@@ -11,6 +11,9 @@ Built-in backends adapt the library's simulators:
 * ``service`` — :class:`repro.scheduler.service.ClusterService` over a
   declarative arrival process (the online scheduling experiments).
 
+Each built-in backend refuses a spec carrying an option it does not
+read (:func:`_read_options`).
+
 Experiment modules may :func:`register` additional backends (e.g. the
 population-sweep point evaluator). A spec's ``backend_module`` names the
 module to import before lookup, so worker processes that never imported
@@ -20,7 +23,7 @@ the experiment module still resolve its backend.
 from __future__ import annotations
 
 import importlib
-from typing import Dict, List, Protocol
+from typing import Any, Dict, FrozenSet, List, Protocol
 
 from ..errors import ConfigError
 from ..net.phasesim import PhaseLevelSimulator, SimulationResult
@@ -35,6 +38,25 @@ from .spec import RunResult, RunSpec, safe_content_hash
 #: :class:`~repro.cc.dcqcn.DcqcnFluidSimulator` under the same name; a
 #: fluid spec carrying any other option is refused.
 FLUID_OPTIONS = frozenset({"dt", "sample_interval", "pfc_pause_threshold"})
+
+#: The spec options the cluster backend reads.
+CLUSTER_OPTIONS = frozenset({
+    "placements", "gpus_per_host", "flow_model", "warmup_iterations",
+    "stagger",
+})
+
+
+def _read_options(spec: RunSpec, accepted: FrozenSet[str]) -> Dict[str, Any]:
+    """``spec``'s options as a dict, refusing any its backend does not
+    read: an unread option would only split the cache."""
+    options = spec.options_dict()
+    unknown = sorted(set(options) - accepted)
+    if unknown:
+        raise ConfigError(
+            f"{spec.backend} backend does not read option(s) {unknown}; "
+            f"accepted: {sorted(accepted)}"
+        )
+    return options
 
 
 def _reject_fabric_faults(spec: RunSpec) -> None:
@@ -145,6 +167,7 @@ class PhaseBackend:
     name = "phase"
 
     def execute(self, spec: RunSpec) -> RunResult:
+        _read_options(spec, frozenset())
         if not spec.jobs:
             raise ConfigError("phase backend needs job specs")
         if spec.policy is None:
@@ -199,13 +222,7 @@ def build_fluid_scenario_sim(
     """
     from ..cc.dcqcn import DcqcnFluidSimulator, OnOffDcqcnJob
 
-    options = spec.options_dict()
-    unknown = sorted(set(options) - FLUID_OPTIONS)
-    if unknown:
-        raise ConfigError(
-            f"fluid backend does not read option(s) {unknown}; "
-            f"accepted: {sorted(FLUID_OPTIONS)}"
-        )
+    options = _read_options(spec, FLUID_OPTIONS)
     sim_kwargs = {"capacity": capacity, **options}
     if spec.topology is not None:
         sim_kwargs["topology"] = spec.topology
@@ -309,7 +326,7 @@ class ClusterBackend:
             raise ConfigError("cluster backend needs an explicit topology")
         if spec.policy is None:
             raise ConfigError("cluster backend needs a share policy")
-        options = spec.options_dict()
+        options = _read_options(spec, CLUSTER_OPTIONS)
         placements = options.get("placements")
         if not placements:
             raise ConfigError("cluster backend needs placements")
@@ -373,8 +390,9 @@ class ServiceBackend:
     name = "service"
 
     def execute(self, spec: RunSpec) -> RunResult:
-        from ..scheduler.service import run_service_spec
+        from ..scheduler.service import SERVICE_OPTIONS, run_service_spec
 
+        _read_options(spec, SERVICE_OPTIONS)
         return run_service_spec(spec)
 
 

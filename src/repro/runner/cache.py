@@ -36,7 +36,10 @@ from .spec import RunResult, RunSpec
 #: dispatch or per fluid rate sample (the ``sim.events`` counter and the
 #: fluid ``rate_series`` hold those numbers), nor any wall-clock
 #: histogram, so two runs of one spec write the same bytes; v4 entries
-#: would replay the deleted kinds.
+#: would replay the deleted kinds. Older v5 entries also carry the empty
+#: ``gauges`` and the ``histograms`` blocks of a since-deleted registry
+#: layout; ``Registry.merge_state`` reads counters only, so both
+#: layouts replay the same counters.
 CACHE_VERSION = 5
 
 #: Staging files are ``<entry>.<pid>.<n>.tmp``, ``n`` counting writes

@@ -431,10 +431,21 @@ class ClusterService:
 # Runner integration (the ``service`` backend's worker-side entry point)
 # ---------------------------------------------------------------------------
 
+#: The spec options :func:`run_service_spec` reads; the ``service``
+#: backend refuses any other.
+SERVICE_OPTIONS = frozenset({
+    "arrival_process", "n_arrivals", "mean_interarrival_s",
+    "mean_lifetime_s", "lifetime_model", "pareto_shape", "trace",
+    "placement", "max_candidates", "topology", "n_racks",
+    "hosts_per_rack", "fat_tree_k", "gpus_per_host", "queue_limit",
+})
+
+
 def run_service_spec(spec) -> "Any":
     """Execute one ``service`` :class:`repro.runner.spec.RunSpec`.
 
-    Options (all plain data, so specs hash and cache):
+    Options (all plain data, so specs hash and cache), exactly
+    :data:`SERVICE_OPTIONS`:
 
     * ``arrival_process`` — ``"poisson"`` (default) or ``"trace"``.
     * ``n_arrivals`` / ``mean_interarrival_s`` / ``mean_lifetime_s`` /
@@ -447,10 +458,10 @@ def run_service_spec(spec) -> "Any":
       ``"leaf-spine"`` (default; shaped by ``n_racks`` /
       ``hosts_per_rack``) or ``"fat-tree"`` (shaped by ``fat_tree_k``).
     * ``gpus_per_host`` — GPUs per host in the built cluster.
-    * ``cluster_level`` — have the compatibility-aware policy demand the
-      §5 cluster-wide unified-circle audit (one rotation per job across
-      *all* its links) rather than per-link checks.
     * ``queue_limit`` — admission queue bound.
+
+    The compatibility-aware policy scores candidates with the service's
+    incremental engine, which is cluster-level by construction.
     """
     from ..net.topology import Topology
     from ..runner.spec import (  # simlint: disable=ARCH001 - lazy import; the online service reuses RunResult for its report format by design
@@ -496,7 +507,6 @@ def run_service_spec(spec) -> "Any":
         policy = CompatibilityAwarePlacement(
             checker=checker,
             max_candidates=int(options.get("max_candidates", 16)),
-            cluster_level=bool(options.get("cluster_level", False)),
         )
     else:
         raise SimulationError(f"unknown placement policy {placement!r}")

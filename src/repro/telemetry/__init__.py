@@ -1,9 +1,9 @@
-"""Telemetry: metrics, simulation traces and wall-clock profiling.
+"""Telemetry: counters, simulation traces and wall-clock profiling.
 
 Three recording surfaces behind one :class:`Telemetry` session:
 
-* **Metrics** (:mod:`~repro.telemetry.metrics`) — named counters, gauges
-  and histograms in a :class:`Registry`.
+* **Counters** (:mod:`~repro.telemetry.metrics`) — named deterministic
+  counters in a :class:`Registry`, replayed from the result cache.
 * **Trace** (:mod:`~repro.telemetry.trace`) — typed simulation-event
   records (phase transitions, rate changes, placements) carrying only
   simulation time, so seeded runs trace byte-identically.
@@ -20,7 +20,7 @@ Disabled telemetry is the :data:`NULL` singleton — every operation is a
 no-op, so the default (unrecorded) simulator paths stay fast.
 """
 
-from .metrics import Counter, Gauge, Histogram, Registry
+from .metrics import Counter, Registry
 from .session import NULL, NullTelemetry, Telemetry, current, resolve, use
 from .spans import NULL_SPAN, Span, SpanLog
 from .trace import (
@@ -36,8 +36,6 @@ from .trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "Registry",
     "NULL",
     "NullTelemetry",

@@ -1,20 +1,20 @@
-"""Named instruments: counters, gauges and histograms.
+"""Named counters.
 
-A :class:`Registry` hands out instruments by name so independent
-subsystems can share one metrics namespace without passing objects
-around. Instruments are plain attribute-slot objects — incrementing a
-counter is one float add — because they sit on simulator hot paths
-(every event dispatch, every reallocation).
+A :class:`Registry` hands out counters by name so independent subsystems
+can share one metrics namespace without passing objects around. A
+counter is a plain attribute-slot object — incrementing it is one float
+add — because counters sit on simulator hot paths (every event dispatch,
+every reallocation).
 
-When telemetry is disabled the *null* variants are used instead: they
-accept the same calls and do nothing, so instrumented code never needs
-an ``if enabled`` guard around metric updates (guards are still worth
-it around trace-record construction, which allocates).
+When telemetry is disabled the :class:`NullCounter` is used instead: it
+accepts the same calls and does nothing, so instrumented code never
+needs an ``if enabled`` guard around counter updates (guards are still
+worth it around trace-record construction, which allocates).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from ..errors import ConfigError
 
@@ -35,99 +35,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A value that can move both ways (queue depth, active flows)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Replace the gauge's value."""
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (may be negative)."""
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Subtract ``amount``."""
-        self.value -= amount
-
-
-class Histogram:
-    """A distribution of observed values (kept exactly, not binned).
-
-    The library's runs are small enough that storing raw observations is
-    cheaper than getting bin edges wrong; percentiles are computed on
-    demand from a sorted copy.
-    """
-
-    __slots__ = ("name", "_values")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._values: List[float] = []
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self._values.append(float(value))
-
-    @property
-    def count(self) -> int:
-        """Number of observations."""
-        return len(self._values)
-
-    @property
-    def sum(self) -> float:
-        """Sum of all observations."""
-        return sum(self._values)
-
-    @property
-    def mean(self) -> float:
-        """Mean observation (0.0 when empty)."""
-        return self.sum / self.count if self._values else 0.0
-
-    @property
-    def min(self) -> float:
-        """Smallest observation (0.0 when empty)."""
-        return min(self._values) if self._values else 0.0
-
-    @property
-    def max(self) -> float:
-        """Largest observation (0.0 when empty)."""
-        return max(self._values) if self._values else 0.0
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0 <= q <= 100), linear interpolation."""
-        if not 0 <= q <= 100:
-            raise ConfigError(f"percentile {q} outside [0, 100]")
-        if not self._values:
-            return 0.0
-        ordered = sorted(self._values)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = (q / 100.0) * (len(ordered) - 1)
-        lower = int(position)
-        upper = min(lower + 1, len(ordered) - 1)
-        fraction = position - lower
-        return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
-
-    def to_dict(self) -> Dict[str, float]:
-        """Summary statistics for manifests."""
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-        }
-
-
 class NullCounter(Counter):
     """Counter that ignores updates (shared by disabled telemetry)."""
 
@@ -137,122 +44,41 @@ class NullCounter(Counter):
         pass
 
 
-class NullGauge(Gauge):
-    """Gauge that ignores updates."""
-
-    __slots__ = ()
-
-    def set(self, value: float) -> None:  # noqa: D102 - no-op
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:  # noqa: D102 - no-op
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:  # noqa: D102 - no-op
-        pass
-
-
-class NullHistogram(Histogram):
-    """Histogram that ignores observations."""
-
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:  # noqa: D102 - no-op
-        pass
-
-
 class Registry:
-    """Create-or-get store of named instruments.
+    """Create-or-get store of named counters.
 
     Names are free-form dotted strings (``"sim.events"``,
     ``"phasesim.reallocations"``). Asking for the same name twice returns
-    the same instrument; asking for a name already used by a *different*
-    instrument kind is an error — silent aliasing would corrupt both.
+    the same counter.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         """The counter called ``name``, created on first use."""
-        self._check_free(name, self._counters)
         if name not in self._counters:
             self._counters[name] = Counter(name)
         return self._counters[name]
 
-    def gauge(self, name: str) -> Gauge:
-        """The gauge called ``name``, created on first use."""
-        self._check_free(name, self._gauges)
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
-
-    def histogram(self, name: str) -> Histogram:
-        """The histogram called ``name``, created on first use."""
-        self._check_free(name, self._histograms)
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name)
-        return self._histograms[name]
-
-    def _check_free(self, name: str, own: Dict[str, Any]) -> None:
-        for table in (self._counters, self._gauges, self._histograms):
-            if table is not own and name in table:
-                raise ConfigError(
-                    f"instrument name {name!r} already used by a "
-                    f"different kind"
-                )
-
     def snapshot(self) -> Dict[str, Any]:
-        """All instrument values, sorted by name (deterministic)."""
-        return {
-            "counters": {
-                name: self._counters[name].value
-                for name in sorted(self._counters)
-            },
-            "gauges": {
-                name: self._gauges[name].value
-                for name in sorted(self._gauges)
-            },
-            "histograms": {
-                name: self._histograms[name].to_dict()
-                for name in sorted(self._histograms)
-            },
-        }
+        """``{"counters": {name: value}}``, sorted by name.
 
-    def state(self) -> Dict[str, Any]:
-        """Raw transportable state (histograms keep every observation).
-
-        Unlike :meth:`snapshot` — which summarizes histograms — this is
-        lossless, so a worker process can ship its registry to the parent
-        and :meth:`merge_state` can fold it in without bias.
+        The one export: run manifests carry it, and worker processes ship
+        it to their parent for :meth:`merge_state`.
         """
         return {
             "counters": {
                 name: self._counters[name].value
                 for name in sorted(self._counters)
-            },
-            "gauges": {
-                name: self._gauges[name].value
-                for name in sorted(self._gauges)
-            },
-            "histograms": {
-                name: list(self._histograms[name]._values)
-                for name in sorted(self._histograms)
             },
         }
 
     def merge_state(self, state: Dict[str, Any]) -> None:
-        """Fold a :meth:`state` dict from another registry into this one.
+        """Add the counters of another registry's :meth:`snapshot`.
 
-        Counters add, gauges take the incoming value (last write wins),
-        histograms extend with the incoming observations.
+        Any other key is ignored, so cache entries written when the
+        registry also held gauges and histograms replay the same counters.
         """
         for name, value in state.get("counters", {}).items():
             self.counter(name).value += float(value)
-        for name, value in state.get("gauges", {}).items():
-            self.gauge(name).set(float(value))
-        for name, values in state.get("histograms", {}).items():
-            histogram = self.histogram(name)
-            histogram._values.extend(float(v) for v in values)

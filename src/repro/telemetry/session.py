@@ -1,10 +1,10 @@
 """The telemetry session facade and the ambient current session.
 
 A :class:`Telemetry` object bundles the three recording surfaces —
-metric registry, simulation-event trace, wall-clock span log — behind
+counter registry, simulation-event trace, wall-clock span log — behind
 one handle that instrumented code can treat uniformly:
 
-* ``tel.counter("sim.events").inc()`` — metrics
+* ``tel.counter("sim.events").inc()`` — counters
 * ``tel.event("job.phase", t=now, job="J1", state="comm")`` — trace
 * ``with tel.span("solve_rotations"):`` — profiling
 
@@ -25,15 +25,7 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Iterator, Optional
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    NullCounter,
-    NullGauge,
-    NullHistogram,
-    Registry,
-)
+from .metrics import Counter, NullCounter, Registry
 from .spans import NULL_SPAN, SpanLog
 from .trace import TraceRecorder
 
@@ -50,19 +42,11 @@ class Telemetry:
         self.trace = TraceRecorder()
         self.spans = SpanLog()
 
-    # -- metrics -------------------------------------------------------
+    # -- counters ------------------------------------------------------
 
     def counter(self, name: str) -> Counter:
         """Named counter from this session's registry."""
         return self.registry.counter(name)
-
-    def gauge(self, name: str) -> Gauge:
-        """Named gauge from this session's registry."""
-        return self.registry.gauge(name)
-
-    def histogram(self, name: str) -> Histogram:
-        """Named histogram from this session's registry."""
-        return self.registry.histogram(name)
 
     # -- trace ---------------------------------------------------------
 
@@ -79,7 +63,7 @@ class Telemetry:
     # -- export --------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Metrics + span timings + trace summary (no trace payload)."""
+        """Counters + span timings + trace summary (no trace payload)."""
         data = self.registry.snapshot()
         data["spans"] = self.spans.timings()
         data["events"] = len(self.trace)
@@ -89,25 +73,23 @@ class Telemetry:
     def worker_state(self) -> dict:
         """Everything a worker process ships back to its parent session.
 
-        Carries the lossless registry state plus the full trace payload,
-        and nothing wall-clock: the result cache stores this state, so
-        two runs of one spec must produce the same bytes. Spans are
-        wall-clock and per-process, so they are *not* part of it; the
+        Carries the registry snapshot (every counter) plus the full trace
+        payload, and nothing wall-clock: the result cache stores this
+        state, so two runs of one spec must produce the same bytes. Spans
+        are wall-clock and per-process, so they are *not* part of it; the
         runner ships a worker's completed spans next to this state and
         appends them to the parent session's span log under
         ``runner.worker/<label>/``.
         """
-        from .trace import TraceRecord  # noqa: F401 - documents the payload
-
         return {
-            "registry": self.registry.state(),
+            "registry": self.registry.snapshot(),
             "trace": [record.to_dict() for record in self.trace],
         }
 
     def merge_worker_state(self, state: dict) -> None:
         """Fold a :meth:`worker_state` dict into this session.
 
-        Metrics merge into the registry; trace records append in the
+        Counters add into the registry; trace records append in the
         order given (the runner calls this in spec order, so merged
         traces are deterministic regardless of worker scheduling).
         No-op on disabled sessions.
@@ -127,20 +109,12 @@ class NullTelemetry(Telemetry):
     enabled = False
 
     _COUNTER = NullCounter("null")
-    _GAUGE = NullGauge("null")
-    _HISTOGRAM = NullHistogram("null")
 
     def __init__(self) -> None:
         super().__init__(name="null")
 
     def counter(self, name: str) -> Counter:
         return self._COUNTER
-
-    def gauge(self, name: str) -> Gauge:
-        return self._GAUGE
-
-    def histogram(self, name: str) -> Histogram:
-        return self._HISTOGRAM
 
     def event(self, kind: str, t: float, **fields: Any) -> None:
         pass

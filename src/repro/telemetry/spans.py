@@ -6,8 +6,8 @@ records a slash-separated *path* (``"experiment.table1/solve_rotations"``),
 so profiles keep their call structure without a tracing dependency.
 
 Span timings are wall-clock and therefore *excluded* from the simulation
-trace (which must be deterministic); they are reported through the run
-manifest and the registry snapshot instead.
+trace (which must be deterministic); they are reported through
+``Telemetry.snapshot()``, and so in the run manifest, instead.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from repro.core.optimize import (
     greedy_search,
     pair_compatible,
     solve,
+    solve_fractional,
 )
 from repro.core.unified import UnifiedCircle
 from repro.errors import CompatibilityError
@@ -317,3 +318,211 @@ class TestSolveFacade:
             outcome = solve(circles, seed=1)
             if outcome.found:
                 _verify_rotations(circles, outcome.rotations)
+
+
+# The two annealing bodies as they stood before they were folded into
+# one loop: the reference the shared loop must reproduce exactly.
+
+def _reference_annealing_search(
+    circles, capacity=1, iterations=None, restarts=4, seed=0
+):
+    import numpy as np
+
+    from repro.core.optimize import SolverOutcome, _OverlapEvaluator
+
+    unified = UnifiedCircle(circles)
+    evaluator = _OverlapEvaluator(circles)
+    if iterations is None:
+        total_arcs = sum(
+            len(circle.comm.intervals)
+            * (unified.perimeter // circle.perimeter)
+            for circle in circles
+        )
+        iterations = max(600, min(4000, 1_000_000 // max(total_arcs, 1)))
+    rng = np.random.default_rng(seed)
+    job_ids = [circle.job_id for circle in circles]
+    periods = {circle.job_id: circle.perimeter for circle in circles}
+
+    def cost(rotations):
+        return evaluator.cost(rotations, capacity)
+
+    best_rotations = {job_id: 0 for job_id in job_ids}
+    best_cost = cost(best_rotations)
+    nodes = 1
+    for restart in range(restarts):
+        if best_cost == 0:
+            break
+        current = {
+            job_id: int(rng.integers(periods[job_id]))
+            for job_id in job_ids
+        }
+        current_cost = cost(current)
+        temperature_scale = max(unified.perimeter // 10, 1)
+        for step in range(iterations):
+            nodes += 1
+            temperature = temperature_scale * (1.0 - step / iterations) + 1e-9
+            job_id = job_ids[int(rng.integers(len(job_ids)))]
+            period = periods[job_id]
+            if rng.random() < 0.5:
+                shift = int(rng.integers(1, max(period // 20, 2)))
+            else:
+                shift = int(rng.integers(period))
+            candidate = dict(current)
+            candidate[job_id] = (current[job_id] + shift) % period
+            candidate_cost = cost(candidate)
+            accept = candidate_cost <= current_cost or (
+                rng.random()
+                < np.exp((current_cost - candidate_cost) / temperature)
+            )
+            if accept:
+                current, current_cost = candidate, candidate_cost
+                if current_cost < best_cost:
+                    best_rotations, best_cost = dict(current), current_cost
+                    if best_cost == 0:
+                        break
+    return SolverOutcome(
+        found=best_cost == 0,
+        rotations=best_rotations,
+        overlap=best_cost,
+        complete=False,
+        method="annealing",
+        nodes=nodes,
+    )
+
+
+def _reference_solve_fractional(
+    circles, capacity=1.0, iterations=5000, restarts=4, seed=0
+):
+    import numpy as np
+
+    from repro.core.optimize import SolverOutcome
+
+    unified = UnifiedCircle(circles)
+    rng = np.random.default_rng(seed)
+    job_ids = [circle.job_id for circle in circles]
+    periods = {circle.job_id: circle.perimeter for circle in circles}
+
+    def cost(rotations):
+        return unified.fractional_overlap_ticks(rotations, capacity)
+
+    best_rotations = {job_id: 0 for job_id in job_ids}
+    best_cost = cost(best_rotations)
+    nodes = 1
+    for _restart in range(restarts):
+        if best_cost == 0:
+            break
+        current = {
+            job_id: int(rng.integers(periods[job_id])) for job_id in job_ids
+        }
+        current_cost = cost(current)
+        scale = max(unified.perimeter // 10, 1)
+        for step in range(iterations):
+            nodes += 1
+            temperature = scale * (1.0 - step / iterations) + 1e-9
+            job_id = job_ids[int(rng.integers(len(job_ids)))]
+            period = periods[job_id]
+            if rng.random() < 0.5:
+                shift = int(rng.integers(1, max(period // 20, 2)))
+            else:
+                shift = int(rng.integers(period))
+            candidate = dict(current)
+            candidate[job_id] = (current[job_id] + shift) % period
+            candidate_cost = cost(candidate)
+            if candidate_cost <= current_cost or rng.random() < np.exp(
+                (current_cost - candidate_cost) / temperature
+            ):
+                current, current_cost = candidate, candidate_cost
+                if current_cost < best_cost:
+                    best_rotations, best_cost = dict(current), current_cost
+                    if best_cost == 0:
+                        break
+    return SolverOutcome(
+        found=best_cost == 0,
+        rotations=best_rotations,
+        overlap=best_cost,
+        complete=False,
+        method="fractional-annealing",
+        nodes=nodes,
+    )
+
+
+def _oracle_cases(count=64):
+    """Seeded instances of 2-4 circles on small unified perimeters, some
+    with two comm arcs, each with a demand for the fractional solver."""
+    import numpy as np
+
+    rng = np.random.default_rng(2024)
+    cases = []
+    for index in range(count):
+        circles = []
+        for k in range(2 + index % 3):
+            period = int(rng.choice([30, 40, 60, 80, 120]))
+            comm = int(rng.integers(2, period // 2 + 2))
+            demand = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
+            if k % 2 and comm >= 4:
+                first = comm // 2
+                arcs = [(0, first), (period // 2, comm - first)]
+                circle = JobCircle.from_arcs(
+                    f"j{k}", period, arcs, demand=demand
+                )
+            else:
+                circle = JobCircle.from_phases(
+                    f"j{k}", period - comm, comm, demand=demand
+                )
+            circles.append(circle)
+        cases.append(pytest.param(index, circles, id=f"case{index}"))
+    return cases
+
+
+def _fields(outcome):
+    return (
+        outcome.found,
+        outcome.rotations,
+        outcome.overlap,
+        outcome.method,
+        outcome.nodes,
+    )
+
+
+class TestAnnealingLoopOracle:
+    """``annealing_search`` and ``solve_fractional`` draw, move, accept
+    and report exactly as their separate pre-refactor bodies did."""
+
+    @pytest.mark.parametrize("index,circles", _oracle_cases())
+    def test_annealing_search_matches_reference(self, index, circles):
+        capacity = 1 + index % 2
+        # ``None`` takes the default budget (600+ steps): a few cases.
+        iterations = None if index % 16 == 0 else (12, 40, 150)[index % 3]
+        kwargs = dict(
+            capacity=capacity,
+            iterations=iterations,
+            restarts=1 + index % 4,
+            seed=index,
+        )
+        assert _fields(annealing_search(circles, **kwargs)) == _fields(
+            _reference_annealing_search(circles, **kwargs)
+        )
+
+    @pytest.mark.parametrize("index,circles", _oracle_cases())
+    def test_solve_fractional_matches_reference(self, index, circles):
+        capacity = (1.0, 0.75)[index % 2]
+        iterations = (8, 30, 90)[index % 3]
+        kwargs = dict(
+            capacity=capacity,
+            iterations=iterations,
+            restarts=1 + index % 4,
+            seed=index,
+        )
+        assert _fields(solve_fractional(circles, **kwargs)) == _fields(
+            _reference_solve_fractional(circles, **kwargs)
+        )
+
+    def test_cases_reach_every_branch(self):
+        # Not all trivially solvable: some cases must run their budgets
+        # out, or the oracle would only compare the first draws.
+        outcomes = [
+            annealing_search(case.values[1], iterations=12, seed=index)
+            for index, case in enumerate(_oracle_cases())
+        ]
+        assert any(outcome.found for outcome in outcomes)
+        assert any(not outcome.found for outcome in outcomes)

@@ -330,6 +330,52 @@ class TestFluidOptions:
         assert len(result.scenario("only").rate_series["a"]) == 5
 
 
+class TestUnreadOptions:
+    """The phase, cluster and service backends refuse option names they
+    do not read, as the fluid backend does: an unread option would only
+    give the same run a second cache key."""
+
+    ACCEPTED = {
+        "phase": [],
+        "cluster": [
+            "flow_model", "gpus_per_host", "placements", "stagger",
+            "warmup_iterations",
+        ],
+        "service": [
+            "arrival_process", "fat_tree_k", "gpus_per_host",
+            "hosts_per_rack", "lifetime_model", "max_candidates",
+            "mean_interarrival_s", "mean_lifetime_s", "n_arrivals",
+            "n_racks", "pareto_shape", "placement", "queue_limit",
+            "topology", "trace",
+        ],
+    }
+
+    @staticmethod
+    def spec(backend):
+        if backend == "phase":
+            return small_phase_specs(n_iterations=2)[0]
+        if backend == "cluster":
+            return fat_tree_cluster_spec(n_iterations=2)
+        return RunSpec(
+            backend="service", seed=0, options=(("n_arrivals", 5),)
+        )
+
+    @pytest.mark.parametrize("backend", ["phase", "cluster", "service"])
+    def test_unread_option_raises(self, backend):
+        spec = self.spec(backend)
+        [good] = run_many([spec], cache=False)
+        assert good.backend == backend
+        bad = spec.replace(
+            options=spec.options + (("cluster_levle", True),)
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            run_many([bad], cache=False)
+        message = str(excinfo.value)
+        assert f"{backend} backend" in message
+        assert "cluster_levle" in message
+        assert f"accepted: {self.ACCEPTED[backend]}" in message
+
+
 class TestRunMany:
     def test_results_in_spec_order(self):
         results = run_many(small_phase_specs(), cache=False)
@@ -417,6 +463,46 @@ class TestCache:
         executed = traced()
         assert executed  # two empty traces would match trivially
         assert traced() == executed
+
+    def test_entry_with_gauges_and_histograms_replays(self, tmp_path):
+        """A v5 entry written when the registry also exported gauges and
+        histograms replays the counters and trace of a fresh run, which
+        is why dropping those instruments kept ``CACHE_VERSION`` at 5."""
+        spec = small_phase_specs(n_iterations=5)[0]
+
+        def recorded(cache):
+            session = Telemetry(name="runner-test")
+            run_many(
+                [spec], cache=cache, cache_dir=tmp_path, telemetry=session
+            )
+            counters = {
+                name: value
+                for name, value in session.registry.snapshot()[
+                    "counters"
+                ].items()
+                if not name.startswith("runner.")
+            }
+            return counters, [r.to_dict() for r in session.trace.records]
+
+        fresh = recorded(cache=False)
+        run_many([spec], cache=True, cache_dir=tmp_path)
+        path = ResultCache(tmp_path).path_for(spec.content_hash())
+        document = json.loads(path.read_text(encoding="utf-8"))
+        telemetry = document["telemetry"]
+        telemetry["registry"]["gauges"] = {}
+        telemetry["registry"]["histograms"] = {
+            "phasesim.iteration_seconds": [
+                record["fields"]["duration"]
+                for record in telemetry["trace"]
+                if record["kind"] == "job.iteration"
+            ],
+        }
+        path.write_text(json.dumps(document, sort_keys=True),
+                        encoding="utf-8")
+        replayed = recorded(cache=True)
+        assert ResultCache(tmp_path).get(spec.content_hash()) is not None
+        assert fresh[0]["phasesim.iterations"] == 10
+        assert replayed == fresh
 
     def test_entry_round_trips_through_io(self, tmp_path):
         spec = small_phase_specs(n_iterations=10)[0]

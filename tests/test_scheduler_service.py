@@ -16,7 +16,7 @@ from typing import List, Sequence
 import pytest
 
 from repro.core.compatibility import CompatibilityChecker
-from repro.errors import PlacementError, SimulationError
+from repro.errors import ConfigError, PlacementError, SimulationError
 from repro.experiments.online import placement_latency_line
 from repro.net.routing import Router
 from repro.net.topology import Topology
@@ -526,8 +526,16 @@ class TestFatTreeService:
         [result] = run_many([self._spec()], jobs=1, cache=False)
         assert result.data["admitted"] > 0
 
-    def test_cluster_level_audit_is_deterministic(self):
-        spec = self._spec(cluster_level=True)
+    def test_cluster_level_option_refused(self):
+        # The service's engine scores candidates cluster-wide already;
+        # the option was never read and only split the cache.
+        with pytest.raises(ConfigError, match="cluster_level"):
+            run_many(
+                [self._spec(cluster_level=True)], jobs=1, cache=False
+            )
+
+    def test_fat_tree_service_is_deterministic(self):
+        spec = self._spec()
         assert spec.cacheable()
         [first] = run_many([spec], jobs=1, cache=False)
         [second] = run_many([spec], jobs=1, cache=False)

@@ -1,10 +1,11 @@
 """Unit tests for the telemetry subsystem.
 
-Covers the instruments (counters, gauges, histograms), span nesting,
-JSONL round-trips, the disabled (NULL) path, the ambient session, and
-the run recorder + CLI stats/trace commands.
+Covers the counter registry, span nesting, JSONL round-trips, the
+disabled (NULL) path, the ambient session, and the run recorder + CLI
+stats/trace commands.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -57,46 +58,6 @@ class TestCounters:
     def test_counter_rejects_negative(self):
         with pytest.raises(ConfigError):
             Registry().counter("x").inc(-1)
-
-    def test_kind_collision_rejected(self):
-        registry = Registry()
-        registry.counter("x")
-        with pytest.raises(ConfigError):
-            registry.gauge("x")
-
-
-class TestGauges:
-    def test_gauge_moves_both_ways(self):
-        gauge = Registry().gauge("depth")
-        gauge.set(5)
-        gauge.inc()
-        gauge.dec(3)
-        assert gauge.value == 3
-
-
-class TestHistograms:
-    def test_summary_statistics(self):
-        histogram = Registry().histogram("h")
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.observe(value)
-        assert histogram.count == 4
-        assert histogram.sum == 10.0
-        assert histogram.mean == 2.5
-        assert histogram.min == 1.0
-        assert histogram.max == 4.0
-        assert histogram.percentile(50) == 2.5
-        assert histogram.percentile(0) == 1.0
-        assert histogram.percentile(100) == 4.0
-
-    def test_empty_histogram_is_zero(self):
-        histogram = Registry().histogram("h")
-        assert histogram.count == 0
-        assert histogram.mean == 0.0
-        assert histogram.percentile(50) == 0.0
-
-    def test_bad_percentile_rejected(self):
-        with pytest.raises(ConfigError):
-            Registry().histogram("h").percentile(101)
 
     def test_snapshot_is_sorted(self):
         registry = Registry()
@@ -203,8 +164,6 @@ class TestJsonlRoundTrip:
 class TestDisabledPath:
     def test_null_accepts_everything(self):
         NULL.counter("x").inc()
-        NULL.gauge("x").set(1)
-        NULL.histogram("x").observe(1)
         NULL.event("kind", t=0.0, a=1)
         with NULL.span("s") as span:
             pass
@@ -265,6 +224,19 @@ class TestPhasesimInstrumentation:
         assert kinds["job.phase"] >= 8  # compute + comm per iteration
         assert kinds["rate.change"] > 0
         assert "sim.dispatch" not in kinds
+
+    def test_registry_exports_counters_only(self, simple_pair):
+        # One export form: the manifest and the worker state both carry
+        # {"counters": {...}} and nothing else from the registry.
+        telemetry = Telemetry()
+        run_jobs(
+            list(simple_pair), FairSharing(), n_iterations=2,
+            telemetry=telemetry,
+        )
+        snapshot = telemetry.registry.snapshot()
+        assert list(snapshot) == ["counters"]
+        assert snapshot["counters"]["phasesim.iterations"] == 4
+        assert telemetry.worker_state()["registry"] == snapshot
 
     def test_comm_records_carry_flow_bytes(self, simple_pair):
         telemetry = Telemetry()
@@ -332,6 +304,31 @@ class TestRunRecorder:
         assert manifest["events"] == len(records) > 0
         assert manifest["failed"] is False
         assert "phasesim.iterations" in manifest["counters"]
+
+    def test_iteration_times_live_in_the_trace(self, tmp_path, simple_pair):
+        # The manifest carries counters only; every iteration duration
+        # is a job.iteration record, equal to the result's timeline.
+        specs = [
+            dataclasses.replace(spec, compute_jitter=0.05)
+            for spec in simple_pair
+        ]
+        with RunRecorder("demo", runs_dir=tmp_path) as recorder:
+            result = run_jobs(specs, FairSharing(), n_iterations=4, seed=3)
+        manifest = io.load_manifest(recorder.run_dir / "manifest.json")
+        assert "gauges" not in manifest
+        assert "histograms" not in manifest
+        traced = {}
+        for record in io.load_trace(recorder.run_dir / "trace.jsonl"):
+            if record.kind == "job.iteration":
+                traced.setdefault(record.fields["job"], []).append(
+                    record.fields["duration"]
+                )
+        expected = {
+            job_id: timeline.iteration_times().tolist()
+            for job_id, timeline in result.timelines().items()
+        }
+        assert traced == expected
+        assert len(set(expected["J1"])) > 1  # jitter reached the run
 
     def test_failed_run_still_recorded(self, tmp_path):
         with pytest.raises(RuntimeError):

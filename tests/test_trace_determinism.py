@@ -47,7 +47,7 @@ class TestTraceDeterminism:
         )
 
     def test_same_seed_identical_snapshot(self, capacity):
-        # Counters and histograms must agree too (spans are wall-clock
+        # Counters and event counts must agree too (spans are wall-clock
         # and so are excluded from this comparison).
         specs = jittered_pair(capacity)
         first = traced_run(specs, FairSharing(), seed=3)
