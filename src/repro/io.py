@@ -31,7 +31,7 @@ from .mechanisms.flow_scheduling import PeriodicGate
 from .net.phasesim import JobRun, SimulationResult
 from .net.topology import NodeKind, Topology
 from .sim.trace import StepFunction, TimeSeries
-from .telemetry.trace import TraceRecord
+from .telemetry.trace import TraceRecord, decode_record, encode_record
 from .workloads.job import JobSpec
 
 #: Format tag embedded in every document.
@@ -180,28 +180,33 @@ def load_workload(path: Union[str, Path]) -> List[JobSpec]:
 # Telemetry traces (JSONL) and run manifests
 # ---------------------------------------------------------------------------
 
+#: First line of every trace document.
+_TRACE_HEADER = json.dumps(
+    {"type": "trace", "version": FORMAT_VERSION},
+    sort_keys=True,
+    separators=(",", ":"),
+)
+
+
+def trace_lines_to_jsonl(lines: Sequence[str]) -> str:
+    """A trace document from encoded records: the header line, then
+    one :func:`~repro.telemetry.trace.encode_record` line per record."""
+    return "\n".join([_TRACE_HEADER, *lines]) + "\n"
+
+
 def trace_to_jsonl(records: Sequence[TraceRecord]) -> str:
     """Serialize trace records to JSONL text.
 
     The first line is a header carrying the format version; each further
-    line is one record. Keys are sorted and separators fixed so that two
+    line is one record, encoded by
+    :func:`~repro.telemetry.trace.encode_record` (sorted keys, fixed
+    separators) exactly as a recorder encodes it at emit time, so two
     identical traces serialize to byte-identical text — the determinism
     tests depend on this.
     """
-    lines = [
-        json.dumps(
-            {"type": "trace", "version": FORMAT_VERSION},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for record in records:
-        lines.append(
-            json.dumps(
-                record.to_dict(), sort_keys=True, separators=(",", ":")
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return trace_lines_to_jsonl(
+        [encode_record(r.kind, r.t, r.fields) for r in records]
+    )
 
 
 def trace_from_jsonl(text: str) -> List[TraceRecord]:
@@ -223,11 +228,9 @@ def trace_from_jsonl(text: str) -> List[TraceRecord]:
     records: List[TraceRecord] = []
     for number, line in enumerate(lines[1:], start=2):
         try:
-            records.append(TraceRecord.from_dict(json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"trace line {number} is not valid JSON: {exc}"
-            ) from exc
+            records.append(decode_record(line))
+        except ConfigError as exc:
+            raise ConfigError(f"trace line {number}: {exc}") from exc
     return records
 
 

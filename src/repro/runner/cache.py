@@ -9,7 +9,9 @@ exactly as a fresh execution would.
 
 Everything round-trips through :mod:`repro.io`; a spec whose payload the
 codecs cannot express (ad-hoc gate closures, non-JSON option values) is
-simply never cached — the runner executes it every time.
+simply never cached — the runner executes it every time. The stored
+trace is the worker session's encoded lines, which the cache writes and
+reads as plain strings and never decodes.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ from .spec import RunResult, RunSpec
 #: dispatch or per fluid rate sample (the ``sim.events`` counter and the
 #: fluid ``rate_series`` hold those numbers), nor any wall-clock
 #: histogram, so two runs of one spec write the same bytes; v4 entries
-#: would replay the deleted kinds. Older v5 entries also carry the empty
-#: ``gauges`` and the ``histograms`` blocks of a since-deleted registry
-#: layout; ``Registry.merge_state`` reads counters only, so both
-#: layouts replay the same counters.
-CACHE_VERSION = 5
+#: would replay the deleted kinds.
+#: v6: the stored trace is the session's encoded JSONL lines (one string
+#: per record, exactly the bytes ``trace.jsonl`` holds) plus per-kind
+#: counts, passed through undecoded; v5 entries hold record dicts and
+#: self-heal as misses.
+CACHE_VERSION = 6
 
 #: Staging files are ``<entry>.<pid>.<n>.tmp``, ``n`` counting writes
 #: across every cache in the process: unique per write, so writers
@@ -57,6 +60,42 @@ class CacheEntry:
     telemetry: Dict[str, Any]
 
 
+def _mergeable(telemetry: Any) -> bool:
+    """Whether a stored worker state has the shape ``worker_state()``
+    gives: a ``{"counters": {name: number}}`` registry, a list of trace
+    lines (strings), and per-kind counts (positive ints under non-empty
+    kinds) that sum to the line count.
+
+    The lines themselves are not parsed; entries are written whole by
+    one atomic rename, and decoding them is the cost the stored form
+    exists to avoid.
+    """
+    if not isinstance(telemetry, dict):
+        return False
+    registry = telemetry.get("registry", {})
+    lines = telemetry.get("trace", [])
+    kinds = telemetry.get("event_kinds", {})
+    if not (
+        isinstance(registry, dict)
+        and isinstance(lines, list)
+        and isinstance(kinds, dict)
+    ):
+        return False
+    counters = registry.get("counters", {})
+    return (
+        isinstance(counters, dict)
+        and all(
+            isinstance(value, (int, float)) for value in counters.values()
+        )
+        and all(isinstance(line, str) for line in lines)
+        and all(
+            kind and type(count) is int and count > 0
+            for kind, count in kinds.items()
+        )
+        and sum(kinds.values()) == len(lines)
+    )
+
+
 class ResultCache:
     """Content-addressed store of run results under one directory."""
 
@@ -71,7 +110,9 @@ class ResultCache:
         """The stored entry for ``content_hash``, or ``None`` on a miss.
 
         A corrupt or stale-schema file counts as a miss and is removed,
-        so a broken cache heals itself instead of wedging runs.
+        so a broken cache heals itself instead of wedging runs. So does
+        a telemetry block the session could not merge (see
+        :func:`_mergeable`).
         """
         path = self.path_for(content_hash)
         try:
@@ -83,12 +124,16 @@ class ResultCache:
             path.unlink(missing_ok=True)
             return None
         try:
-            if document.get("cache_version") != CACHE_VERSION:
+            if not isinstance(document, dict) or (
+                document.get("cache_version") != CACHE_VERSION
+            ):
                 raise ConfigError("cache schema mismatch")
             from .. import io
 
             result = io.run_result_from_dict(document["result"])
             telemetry = document.get("telemetry", {})
+            if not _mergeable(telemetry):
+                raise ConfigError("malformed cached telemetry")
         except (ConfigError, KeyError, TypeError, ValueError):
             path.unlink(missing_ok=True)
             return None

@@ -85,8 +85,9 @@ class RunRecorder:
         from .. import io
 
         assert self.run_dir is not None and self._started is not None
-        io.save_trace(
-            self.telemetry.trace.records, self.run_dir / TRACE_NAME
+        # The session holds each record as its encoded line already.
+        (self.run_dir / TRACE_NAME).write_text(
+            io.trace_lines_to_jsonl(self.telemetry.trace.lines)
         )
         manifest = {
             "artifact": self.artifact,

@@ -12,6 +12,12 @@ Disabled telemetry is the :data:`NULL` singleton: ``enabled`` is False,
 every call is a no-op, and nothing is ever allocated, so always-on
 instrumentation costs one attribute check on hot paths.
 
+The trace is held as encoded JSONL lines (:mod:`repro.telemetry.trace`):
+:meth:`Telemetry.worker_state` ships them with their per-kind counts,
+and :meth:`Telemetry.merge_worker_state` appends them as they are, so a
+record is encoded once, in the session that emitted it, and no step
+between the emit and the run's ``trace.jsonl`` decodes it.
+
 Most components accept an explicit ``telemetry=`` argument; components
 that cannot (placement policies, the solver facade) use the *ambient*
 session — :func:`current` returns whatever session the innermost
@@ -63,7 +69,11 @@ class Telemetry:
     # -- export --------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Counters + span timings + trace summary (no trace payload)."""
+        """Counters + span timings + trace summary (no trace payload).
+
+        ``events`` and ``event_kinds`` are the recorder's line count and
+        per-kind counts; no line is decoded.
+        """
         data = self.registry.snapshot()
         data["spans"] = self.spans.timings()
         data["events"] = len(self.trace)
@@ -73,34 +83,39 @@ class Telemetry:
     def worker_state(self) -> dict:
         """Everything a worker process ships back to its parent session.
 
-        Carries the registry snapshot (every counter) plus the full trace
-        payload, and nothing wall-clock: the result cache stores this
-        state, so two runs of one spec must produce the same bytes. Spans
-        are wall-clock and per-process, so they are *not* part of it; the
-        runner ships a worker's completed spans next to this state and
-        appends them to the parent session's span log under
-        ``runner.worker/<label>/``.
+        Carries the registry snapshot (every counter), the trace as its
+        encoded lines (``trace``, one string per record) and their
+        per-kind counts (``event_kinds``), and nothing wall-clock: the
+        result cache stores this state, so two runs of one spec must
+        produce the same bytes. Spans are wall-clock and per-process,
+        so they are *not* part of it; the runner ships a worker's
+        completed spans next to this state and appends them to the
+        parent session's span log under ``runner.worker/<label>/``.
         """
         return {
             "registry": self.registry.snapshot(),
-            "trace": [record.to_dict() for record in self.trace],
+            "trace": self.trace.lines,
+            "event_kinds": self.trace.counts_by_kind(),
         }
 
     def merge_worker_state(self, state: dict) -> None:
         """Fold a :meth:`worker_state` dict into this session.
 
-        Counters add into the registry; trace records append in the
-        order given (the runner calls this in spec order, so merged
+        Counters add into the registry; trace lines append in the order
+        given, undecoded (the runner calls this in spec order, so merged
         traces are deterministic regardless of worker scheduling).
         No-op on disabled sessions.
+
+        Raises:
+            ConfigError: when the kind counts do not sum to the number
+                of trace lines.
         """
         if not self.enabled:
             return
-        from .trace import TraceRecord
-
         self.registry.merge_state(state.get("registry", {}))
-        for data in state.get("trace", []):
-            self.trace.append(TraceRecord.from_dict(data))
+        self.trace.extend(
+            state.get("trace", []), state.get("event_kinds", {})
+        )
 
 
 class NullTelemetry(Telemetry):

@@ -21,11 +21,20 @@ in the result's ``rate_series``. ``rate.change`` stays, for two reasons:
   points of their ``rate_trace``.
 * It backs ``repro-experiments trace <run> --kind rate.change``, and a
   run directory holds no results that view could be rebuilt from.
+
+A record's one stored form is its JSONL line (:func:`encode_record`):
+:meth:`TraceRecorder.emit` encodes each record once, and the worker
+state, the result cache and the run's ``trace.jsonl`` carry that line
+as it is. :class:`TraceRecord` is the decoded view, built only when
+something asks for records (:attr:`TraceRecorder.records`, iteration,
+:meth:`TraceRecorder.of_kind`, :func:`repro.io.load_trace`); its fields
+then hold JSON types (a tuple comes back as a list).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+import json
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..errors import ConfigError
 
@@ -56,7 +65,7 @@ class TraceRecord:
         self.fields: Dict[str, Any] = dict(fields) if fields else {}
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form used by the JSONL codec in :mod:`repro.io`."""
+        """Plain-data form: the object a record's JSONL line holds."""
         return {"kind": self.kind, "t": self.t, "fields": self.fields}
 
     @classmethod
@@ -85,42 +94,118 @@ class TraceRecord:
         return f"TraceRecord({self.kind!r}, t={self.t:.9f}, {inner})"
 
 
+#: The one encoder of trace records: sorted keys, compact separators.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def encode_record(kind: str, t: float, fields: Mapping[str, Any]) -> str:
+    """The JSONL line of one record: ``{"fields":{...},"kind":...,"t":...}``.
+
+    Keys are sorted and separators compact, and ``t`` goes through
+    ``float()`` first, so identical records encode to identical bytes.
+
+    Raises:
+        ConfigError: on an empty kind, or on a field JSON cannot encode
+            (the message names the kind and the field).
+    """
+    if not isinstance(kind, str) or not kind:
+        raise ConfigError("trace record needs a non-empty string kind")
+    t = float(t)
+    try:
+        return _ENCODER.encode({"fields": fields, "kind": kind, "t": t})
+    except (TypeError, ValueError) as exc:
+        culprit = next(
+            (name for name in fields if not _encodes(fields[name])), None
+        )
+        raise ConfigError(
+            f"trace record {kind!r}: field {culprit!r} cannot be encoded "
+            f"as JSON ({exc})"
+        ) from exc
+
+
+def _encodes(value: Any) -> bool:
+    try:
+        _ENCODER.encode(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def decode_record(line: str) -> TraceRecord:
+    """The record one :func:`encode_record` line holds.
+
+    Raises:
+        ConfigError: on a line that is not JSON or not a record.
+    """
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"not valid JSON: {exc}") from exc
+    return TraceRecord.from_dict(data)
+
+
 class TraceRecorder:
-    """Append-only collector of :class:`TraceRecord`."""
+    """Append-only collector of encoded trace records.
+
+    Holds each record as its JSONL line plus a count per kind, so the
+    record count and :meth:`counts_by_kind` never decode a line.
+    """
 
     def __init__(self) -> None:
-        self._records: List[TraceRecord] = []
+        self._lines: List[str] = []
+        self._kinds: Dict[str, int] = {}
 
     def emit(self, kind: str, t: float, **fields: Any) -> None:
-        """Record one event at simulation time ``t``."""
-        self._records.append(TraceRecord(kind, t, fields))
+        """Record one event at simulation time ``t``.
 
-    def append(self, record: TraceRecord) -> None:
-        """Append an already built record (used by the JSONL loader)."""
-        self._records.append(record)
+        Raises:
+            ConfigError: see :func:`encode_record`.
+        """
+        self._lines.append(encode_record(kind, t, fields))
+        self._kinds[kind] = self._kinds.get(kind, 0) + 1
+
+    def extend(self, lines: Sequence[str], kinds: Mapping[str, int]) -> None:
+        """Append another recorder's :attr:`lines` and its
+        :meth:`counts_by_kind` (a merged worker's trace).
+
+        Raises:
+            ConfigError: when the counts do not sum to the line count.
+        """
+        total = sum(kinds.values())
+        if total != len(lines):
+            raise ConfigError(
+                f"trace kind counts sum to {total}, not to the "
+                f"{len(lines)} lines"
+            )
+        self._lines.extend(lines)
+        for kind, count in kinds.items():
+            self._kinds[kind] = self._kinds.get(kind, 0) + count
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._lines)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return map(decode_record, self._lines)
+
+    @property
+    def lines(self) -> List[str]:
+        """The encoded records, in emission order."""
+        return list(self._lines)
 
     @property
     def records(self) -> List[TraceRecord]:
-        """The recorded events, in emission order."""
-        return list(self._records)
+        """The recorded events, decoded, in emission order."""
+        return list(self)
 
     def counts_by_kind(self) -> Dict[str, int]:
         """Number of records per kind, sorted by kind name."""
-        counts: Dict[str, int] = {}
-        for record in self._records:
-            counts[record.kind] = counts.get(record.kind, 0) + 1
-        return {kind: counts[kind] for kind in sorted(counts)}
+        return {kind: self._kinds[kind] for kind in sorted(self._kinds)}
 
     def of_kind(self, kind: str) -> List[TraceRecord]:
-        """All records of one kind, in emission order."""
-        return [record for record in self._records if record.kind == kind]
+        """All records of one kind, decoded, in emission order."""
+        return [record for record in self if record.kind == kind]
 
     def clear(self) -> None:
         """Drop every recorded event."""
-        self._records.clear()
+        self._lines.clear()
+        self._kinds.clear()

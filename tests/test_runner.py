@@ -102,6 +102,43 @@ def fat_tree_cluster_spec(faults=None, until=None, n_iterations=8):
     )
 
 
+#: Two cross-pod on-off senders on a k=4 fat tree, sharing ``up_0_0_0``.
+FABRIC_ROUTES = {
+    "J1": (
+        "h0_0_0->edge0_0", "up_0_0_0", "core_0_0_0",
+        "core_1_0_0_rev", "up_1_0_0_rev", "edge1_0->h1_0_0",
+    ),
+    "J2": (
+        "h0_0_1->edge0_0", "up_0_0_0", "core_0_0_0",
+        "core_1_0_0_rev", "up_1_0_0_rev", "edge1_0->h1_0_1",
+    ),
+}
+
+
+def fat_tree_fluid_spec(faults=None):
+    """The on-off DCQCN pair of :data:`FABRIC_ROUTES` as a fluid spec."""
+    senders = tuple(
+        SenderSpec(
+            name=name,
+            timer=125e-6,
+            compute_time=0.0011,
+            comm_bytes=0.0013 * 50e9,
+            start_offset=index * 0.0003,
+            route=FABRIC_ROUTES[name],
+        )
+        for index, name in enumerate(sorted(FABRIC_ROUTES))
+    )
+    return RunSpec(
+        backend="fluid",
+        seed=3,
+        topology=Topology.fat_tree(4),
+        duration=0.02,
+        scenarios=(ScenarioSpec(name="fabric", senders=senders),),
+        options=(("dt", 10e-6),),
+        faults=faults,
+    )
+
+
 def assert_run_leaves_spec_unchanged(spec, link_name):
     """Executing ``spec`` leaves ``link_name`` at its base capacity and
     the spec's content hash as it was, so a rerun repeats the first run
@@ -416,6 +453,24 @@ class TestRunMany:
         assert all(r.phase is not None for r in results)
 
 
+def recorded_run(spec, **run_options):
+    """What one ``run_many([spec])`` leaves in a fresh session: the
+    engine counters (``runner.*`` left out), the encoded and the
+    decoded trace, and the cache hits."""
+    session = Telemetry(name="runner-test")
+    run_many([spec], telemetry=session, **run_options)
+    counters = session.registry.snapshot()["counters"]
+    return {
+        "counters": {
+            name: value for name, value in counters.items()
+            if not name.startswith("runner.")
+        },
+        "lines": session.trace.lines,
+        "trace": session.trace.records,
+        "hits": counters["runner.cache.hits"],
+    }
+
+
 class TestCache:
     def test_hit_replays_identical_result(self, tmp_path):
         specs = small_phase_specs(n_iterations=10)
@@ -464,45 +519,98 @@ class TestCache:
         assert executed  # two empty traces would match trivially
         assert traced() == executed
 
-    def test_entry_with_gauges_and_histograms_replays(self, tmp_path):
-        """A v5 entry written when the registry also exported gauges and
-        histograms replays the counters and trace of a fresh run, which
-        is why dropping those instruments kept ``CACHE_VERSION`` at 5."""
+    def test_v5_entry_heals_as_miss(self, tmp_path):
+        """An entry in the v5 layout (one dict per trace record, no kind
+        counts) is a miss that removes itself; the re-executed run
+        records the counters and trace of a fresh one."""
         spec = small_phase_specs(n_iterations=5)[0]
-
-        def recorded(cache):
-            session = Telemetry(name="runner-test")
-            run_many(
-                [spec], cache=cache, cache_dir=tmp_path, telemetry=session
-            )
-            counters = {
-                name: value
-                for name, value in session.registry.snapshot()[
-                    "counters"
-                ].items()
-                if not name.startswith("runner.")
-            }
-            return counters, [r.to_dict() for r in session.trace.records]
-
-        fresh = recorded(cache=False)
+        store = ResultCache(tmp_path)
+        path = store.path_for(spec.content_hash())
+        fresh = recorded_run(spec, cache=False)
         run_many([spec], cache=True, cache_dir=tmp_path)
-        path = ResultCache(tmp_path).path_for(spec.content_hash())
         document = json.loads(path.read_text(encoding="utf-8"))
         telemetry = document["telemetry"]
-        telemetry["registry"]["gauges"] = {}
-        telemetry["registry"]["histograms"] = {
-            "phasesim.iteration_seconds": [
-                record["fields"]["duration"]
-                for record in telemetry["trace"]
-                if record["kind"] == "job.iteration"
-            ],
-        }
-        path.write_text(json.dumps(document, sort_keys=True),
-                        encoding="utf-8")
-        replayed = recorded(cache=True)
-        assert ResultCache(tmp_path).get(spec.content_hash()) is not None
-        assert fresh[0]["phasesim.iterations"] == 10
-        assert replayed == fresh
+        document["cache_version"] = 5
+        telemetry["trace"] = [json.loads(line) for line in telemetry["trace"]]
+        del telemetry["event_kinds"]
+        v5 = json.dumps(document, sort_keys=True)
+
+        path.write_text(v5, encoding="utf-8")
+        assert store.get(spec.content_hash()) is None
+        assert not path.exists()
+
+        path.write_text(v5, encoding="utf-8")
+        healed = recorded_run(spec, cache=True, cache_dir=tmp_path)
+        assert healed.pop("hits") == fresh.pop("hits") == 0
+        assert healed == fresh
+        assert fresh["counters"]["phasesim.iterations"] == 10
+        assert fresh["trace"]
+        entry = store.get(spec.content_hash())
+        assert entry is not None
+        assert entry.telemetry["trace"] == fresh["lines"]
+
+    @pytest.mark.parametrize("corrupt", [
+        # The trace of the v5 layout's shape with an empty kind.
+        lambda doc: doc["telemetry"].update(trace=[{"kind": ""}]),
+        lambda doc: doc["telemetry"].update(trace="not a list"),
+        lambda doc: doc["telemetry"]["trace"].__setitem__(0, 7),
+        lambda doc: doc["telemetry"].pop("event_kinds", None),
+        lambda doc: doc["telemetry"].update(event_kinds={
+            "job.phase": len(doc["telemetry"]["trace"]) + 1,
+        }),
+        lambda doc: doc["telemetry"].update(event_kinds={
+            "": len(doc["telemetry"]["trace"]),
+        }),
+        lambda doc: doc["telemetry"].update(event_kinds={
+            "job.phase": float(len(doc["telemetry"]["trace"])),
+        }),
+        lambda doc: doc["telemetry"].update(event_kinds={
+            "job.phase": len(doc["telemetry"]["trace"]) + 2,
+            "rate.change": -2,
+        }),
+        lambda doc: doc["telemetry"].update(event_kinds=[]),
+        lambda doc: doc["telemetry"]["registry"]["counters"].update(
+            {"phasesim.iterations": "many"}
+        ),
+        lambda doc: doc["telemetry"].update(registry=[]),
+        lambda doc: doc.update(telemetry=[]),
+    ], ids=[
+        "record-with-empty-kind", "trace-not-a-list", "line-not-a-string",
+        "kind-counts-missing", "kind-counts-off-by-one", "empty-kind",
+        "count-not-an-int", "negative-count", "kind-counts-not-a-dict",
+        "counter-not-a-number", "registry-not-a-dict",
+        "telemetry-not-a-dict",
+    ])
+    def test_malformed_telemetry_heals_as_miss(self, tmp_path, corrupt):
+        """A stored telemetry block the session could not merge is a
+        miss that removes itself, instead of failing every later run."""
+        spec = small_phase_specs(n_iterations=5)[0]
+        store = ResultCache(tmp_path)
+        path = store.path_for(spec.content_hash())
+        fresh = recorded_run(spec, cache=False)
+        run_many([spec], cache=True, cache_dir=tmp_path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(document)
+        broken = json.dumps(document, sort_keys=True)
+
+        path.write_text(broken, encoding="utf-8")
+        assert store.get(spec.content_hash()) is None
+        assert not path.exists()
+
+        path.write_text(broken, encoding="utf-8")
+        healed = recorded_run(spec, cache=True, cache_dir=tmp_path)
+        assert healed.pop("hits") == fresh.pop("hits") == 0
+        assert healed == fresh
+        assert store.get(spec.content_hash()) is not None
+
+    def test_entry_that_is_not_an_object_heals_as_miss(self, tmp_path):
+        spec = small_phase_specs(n_iterations=5)[0]
+        run_many([spec], cache=True, cache_dir=tmp_path)
+        store = ResultCache(tmp_path)
+        path = store.path_for(spec.content_hash())
+        path.write_text("[]", encoding="utf-8")
+        assert store.get(spec.content_hash()) is None
+        assert not path.exists()
 
     def test_entry_round_trips_through_io(self, tmp_path):
         spec = small_phase_specs(n_iterations=10)[0]
@@ -589,6 +697,44 @@ class TestCache:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestEncodedTraceIdentity:
+    """A session's encoded trace and its event counts are the same
+    however the runs were served: executed with the cache off, executed
+    into a cold cache, replayed from the warm cache, or executed in a
+    pool of two workers."""
+
+    def test_every_path_merges_the_same_lines(self, tmp_path):
+        specs = [
+            *small_phase_specs(n_iterations=5),
+            fat_tree_fluid_spec(faults=InjectionSchedule(events=(
+                LinkFailure("up_0_0_0", 0.005, 0.008),
+            ))),
+            fat_tree_cluster_spec(n_iterations=4),
+        ]
+
+        def traced(**run_options):
+            session = Telemetry(name="identity")
+            run_many(specs, telemetry=session, **run_options)
+            snapshot = session.snapshot()
+            hits = session.counter("runner.cache.hits").value
+            return (
+                session.trace.lines, snapshot["events"],
+                snapshot["event_kinds"], hits,
+            )
+
+        off = traced(cache=False)
+        cold = traced(cache=True, cache_dir=tmp_path)
+        warm = traced(cache=True, cache_dir=tmp_path)
+        pooled = traced(cache=False, jobs=2)
+        lines, events, kinds, _ = off
+        assert {"fault.window", "job.phase", "rate.change",
+                "scheduler.place"} <= set(kinds)
+        assert events == len(lines) == sum(kinds.values())
+        assert cold[3] == 0 and warm[3] == len(specs)
+        for served in (cold, warm, pooled):
+            assert served[:3] == off[:3]
+
+
 class TestRunnerConfig:
     def test_default_is_serial_uncached(self):
         config = current_config()
@@ -634,45 +780,12 @@ class TestSweepNaN:
 class TestFabricBackends:
     """The runner's multi-link tier: routed specs over a topology."""
 
-    ROUTES = {
-        "J1": (
-            "h0_0_0->edge0_0", "up_0_0_0", "core_0_0_0",
-            "core_1_0_0_rev", "up_1_0_0_rev", "edge1_0->h1_0_0",
-        ),
-        "J2": (
-            "h0_0_1->edge0_0", "up_0_0_0", "core_0_0_0",
-            "core_1_0_0_rev", "up_1_0_0_rev", "edge1_0->h1_0_1",
-        ),
-    }
-
-    def _fluid_spec(self, faults=None):
-        senders = tuple(
-            SenderSpec(
-                name=name,
-                timer=125e-6,
-                compute_time=0.0011,
-                comm_bytes=0.0013 * 50e9,
-                start_offset=index * 0.0003,
-                route=self.ROUTES[name],
-            )
-            for index, name in enumerate(sorted(self.ROUTES))
-        )
-        return RunSpec(
-            backend="fluid",
-            seed=3,
-            topology=Topology.fat_tree(4),
-            duration=0.02,
-            scenarios=(ScenarioSpec(name="fabric", senders=senders),),
-            options=(("dt", 10e-6),),
-            faults=faults,
-        )
-
     # -- fluid ---------------------------------------------------------
 
     def test_fluid_fabric_engines_agree(self):
         # The runner's result (the bank) equals the scalar oracle run
         # on the simulators the fluid backend builds.
-        spec = self._fluid_spec()
+        spec = fat_tree_fluid_spec()
         result = execute(spec)
         oracle = run_fluid_spec(spec, "scalar")
         assert list(result.fluid) == list(oracle) == ["fabric"]
@@ -686,12 +799,12 @@ class TestFabricBackends:
         faults = InjectionSchedule(events=(
             LinkFailure("up_0_0_0", 0.005, 0.008),
         ))
-        clean = execute(self._fluid_spec())
-        faulted = execute(self._fluid_spec(faults=faults))
+        clean = execute(fat_tree_fluid_spec())
+        faulted = execute(fat_tree_fluid_spec(faults=faults))
         assert canonical([clean]) != canonical([faulted])
 
     def test_fabric_spec_round_trips_and_caches(self, tmp_path):
-        spec = self._fluid_spec()
+        spec = fat_tree_fluid_spec()
         assert spec.cacheable()
         clone = io.run_spec_from_dict(io.run_spec_to_dict(spec))
         assert clone.content_hash() == spec.content_hash()

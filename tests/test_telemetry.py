@@ -123,10 +123,123 @@ class TestTrace:
     def test_empty_kind_rejected(self):
         with pytest.raises(ConfigError):
             TraceRecord("", 0.0)
+        recorder = TraceRecorder()
+        with pytest.raises(ConfigError):
+            recorder.emit("", 0.0)
+        assert len(recorder) == 0 and recorder.counts_by_kind() == {}
 
     def test_malformed_dict_rejected(self):
         with pytest.raises(ConfigError):
             TraceRecord.from_dict({"t": 1.0})
+
+
+#: ``(kind, t, fields)`` of assorted shapes: integer and numpy times,
+#: unsorted and nested keys, tuples, numpy floats, non-finite floats,
+#: non-ASCII text, booleans, None and big integers.
+MIXED_RECORDS = [
+    ("job.phase", 0, {"job": "J1", "state": "comm", "iteration": 3}),
+    ("rate.change", np.float64(0.1) + 0.2, {"rate": np.float64(5.25e9),
+                                            "flow": "flow:J1:0"}),
+    ("scheduler.place", 0.0, {"hosts": ("h0", "h1"), "links": [],
+                              "cross_rack": True}),
+    ("x.nested", 1e-9, {"z": {"b": 1, "a": [None, 2 ** 70]},
+                        "a": float("nan"), "m": float("-inf")}),
+    ("x.text", 2.5, {"name": "Jöb \"7\"\n", "empty": ""}),
+]
+
+
+class TestEncodedTrace:
+    """The recorder holds each record as its JSONL line."""
+
+    def test_line_is_the_sorted_compact_dict_encoding(self):
+        recorder = TraceRecorder()
+        for kind, t, fields in MIXED_RECORDS:
+            recorder.emit(kind, t, **fields)
+        assert recorder.lines == [
+            json.dumps(
+                TraceRecord(kind, t, fields).to_dict(),
+                sort_keys=True, separators=(",", ":"),
+            )
+            for kind, t, fields in MIXED_RECORDS
+        ]
+
+    def test_records_decode_to_json_types(self):
+        recorder = TraceRecorder()
+        for kind, t, fields in MIXED_RECORDS:
+            recorder.emit(kind, t, **fields)
+        records = recorder.records
+        assert [r.kind for r in records] == [k for k, _, _ in MIXED_RECORDS]
+        assert [r.t for r in records] == [
+            float(t) for _, t, _ in MIXED_RECORDS
+        ]
+        assert all(type(r.t) is float for r in records)
+        assert records[0].fields == {
+            "job": "J1", "state": "comm", "iteration": 3,
+        }
+        assert type(records[1].fields["rate"]) is float
+        assert records[2].fields["hosts"] == ["h0", "h1"]
+        assert records[3].fields["z"] == {"a": [None, 2 ** 70], "b": 1}
+        assert np.isnan(records[3].fields["a"])
+        assert records[4].fields["name"] == 'Jöb "7"\n'
+        assert list(recorder) == records
+        assert recorder.of_kind("x.text") == [records[4]]
+
+    def test_counts_match_decoded_records_after_merges(self):
+        session = Telemetry()
+        workers = [Telemetry() for _ in range(3)]
+        for index, (kind, t, fields) in enumerate(MIXED_RECORDS):
+            workers[index % 3].event(kind, t, **fields)
+            workers[index % 2].event(kind, t + 1.0, **fields)
+        session.event("job.phase", 0.0, job="J0")
+        session.merge_worker_state(workers[0].worker_state())
+        session.event("rate.change", 9.0, rate=1.0)
+        session.merge_worker_state(workers[1].worker_state())
+        session.merge_worker_state(workers[2].worker_state())
+        session.merge_worker_state(Telemetry().worker_state())
+        recount = {}
+        for record in session.trace.records:
+            recount[record.kind] = recount.get(record.kind, 0) + 1
+        assert session.trace.counts_by_kind() == dict(sorted(recount.items()))
+        snapshot = session.snapshot()
+        assert snapshot["event_kinds"] == session.trace.counts_by_kind()
+        assert snapshot["events"] == len(session.trace) == 2 + sum(
+            len(worker.trace) for worker in workers
+        )
+        assert session.trace.lines == (
+            ['{"fields":{"job":"J0"},"kind":"job.phase","t":0.0}']
+            + workers[0].trace.lines
+            + ['{"fields":{"rate":1.0},"kind":"rate.change","t":9.0}']
+            + workers[1].trace.lines + workers[2].trace.lines
+        )
+
+    def test_worker_state_ships_lines_and_counts(self):
+        session = Telemetry()
+        session.event("job.phase", 0.5, job="J1")
+        session.event("job.phase", 0.7, job="J2")
+        state = session.worker_state()
+        assert state["trace"] == session.trace.lines
+        assert all(isinstance(line, str) for line in state["trace"])
+        assert state["event_kinds"] == {"job.phase": 2}
+        state["trace"].append("changed")
+        assert len(session.trace) == 2  # the state holds a copy
+
+    def test_merge_refuses_counts_that_miss_lines(self):
+        state = Telemetry().worker_state()
+        state["trace"] = ['{"fields":{},"kind":"x","t":0.0}']
+        with pytest.raises(ConfigError, match="sum to 0"):
+            Telemetry().merge_worker_state(state)
+
+    def test_unencodable_field_refused_at_emit(self):
+        recorder = TraceRecorder()
+        recorder.emit("job.phase", 0.0, job="J1", iteration=3)
+        with pytest.raises(ConfigError) as excinfo:
+            recorder.emit(
+                "job.phase", 1.0, job="J1", iteration=np.int64(3)
+            )
+        assert "'job.phase'" in str(excinfo.value)
+        assert "'iteration'" in str(excinfo.value)
+        assert len(recorder) == 1
+        assert recorder.counts_by_kind() == {"job.phase": 1}
 
 
 class TestJsonlRoundTrip:
@@ -338,6 +451,21 @@ class TestRunRecorder:
         manifest = io.load_manifest(recorder.run_dir / "manifest.json")
         assert manifest["failed"] is True
         assert manifest["events"] == 1
+
+    def test_unencodable_field_fails_at_the_call(self, tmp_path):
+        # The emit raises inside the run, so the run directory still
+        # gets its trace and manifest, marked failed.
+        with pytest.raises(ConfigError, match="'n'"):
+            with RunRecorder("bad", runs_dir=tmp_path) as recorder:
+                current().event("x", t=0.0, n=3)
+                current().event("x", t=1.0, n=np.int64(3))
+        manifest = io.load_manifest(recorder.run_dir / "manifest.json")
+        assert manifest["failed"] is True
+        assert manifest["events"] == 1
+        assert manifest["event_kinds"] == {"x": 1}
+        assert io.load_trace(recorder.run_dir / "trace.jsonl") == [
+            TraceRecord("x", 0.0, {"n": 3})
+        ]
 
     def test_resolve_run_picks_latest(self, tmp_path, simple_pair):
         for _ in range(2):
