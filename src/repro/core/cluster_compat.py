@@ -13,6 +13,10 @@ the same exact feasible-set machinery, intersecting each job's feasible
 rotations against *only the jobs it actually shares links with* — jobs in
 different parts of the fabric do not constrain each other, and
 independent connected components are solved independently.
+
+No step tiles past :func:`repro.core.optimize.solve`'s budget: the DFS
+works from pairwise gcd-reduced feasible sets, and a link past the
+budget is audited pair by pair.
 """
 
 from __future__ import annotations
@@ -24,11 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..errors import CompatibilityError
 from .arcs import ArcSet
 from .circle import JobCircle
-from .optimize import (
-    annealing_search,
-    exact_pair_feasible_rotations,
-    feasible_rotations,
-)
+from .optimize import exact_pair_feasible_rotations, within_tiling_budget
 from .unified import UnifiedCircle, unified_perimeter
 
 
@@ -40,7 +40,9 @@ class ClusterCompatibilityResult:
         compatible: A rotation per job exists such that no link ever
             carries two communicating jobs at once.
         rotations: The certificate (or best effort), ticks per job.
-        overlap_ticks: Residual per-link overlap summed over links.
+        overlap_ticks: Residual per-link overlap summed over links; a
+            lower bound when some violated link is past the tiling
+            budget (see :meth:`ClusterCompatibilityProblem.audit_links`).
         violated_links: Links that still see simultaneous communication
             under ``rotations``.
         components: Jobs grouped by constraint-graph connected component.
@@ -186,7 +188,8 @@ class ClusterCompatibilityProblem:
         ``component`` must list the member job ids (sorted order is the
         canonical form produced by :meth:`components`). A ``None`` return
         means no zero-overlap rotation assignment was found (the DFS and
-        the annealing fallback both missed).
+        the annealing fallback both missed; past the tiling budget the
+        annealing fallback, which tiles every link, is not tried).
         """
         circles = [self._circles[job_id] for job_id in component]
         if len(circles) == 1:
@@ -202,7 +205,6 @@ class ClusterCompatibilityProblem:
             if feasible.is_empty:
                 return None
 
-        perimeter = unified_perimeter(circles)
         # Order jobs most-constrained first (degree, then comm length).
         order = sorted(
             component,
@@ -213,7 +215,7 @@ class ClusterCompatibilityProblem:
         )
         nodes = 0
 
-        def dfs(depth: int, placed: Dict[str, ArcSet],
+        def dfs(depth: int,
                 partial: Dict[str, int]) -> Optional[Dict[str, int]]:
             nonlocal nodes
             if depth == len(order):
@@ -224,29 +226,34 @@ class ClusterCompatibilityProblem:
             circle = self._circles[job_id]
             feasible = ArcSet(circle.perimeter, [(0, circle.perimeter)])
             for neighbour in self.neighbours(job_id):
-                arcs = placed.get(neighbour)
-                if arcs is None:
+                if neighbour not in partial:
                     continue
+                # The rotations avoiding a placed neighbour, from the
+                # pair's gcd circle tiled up to this job's own period:
+                # the same set as against the neighbour tiled onto the
+                # component's LCM circle, which is never built.
+                pair = exact_pair_feasible_rotations(
+                    self._circles[neighbour], circle
+                )
                 feasible = feasible.intersection(
-                    feasible_rotations(arcs, circle, perimeter)
+                    pair.rotate(partial[neighbour]).tile(circle.perimeter)
                 )
                 if feasible.is_empty:
                     return None
             for delta in [start for start, _ in feasible.intervals]:
                 nodes += 1
                 partial[job_id] = delta
-                placed[job_id] = circle.rotate(delta).tiled_comm(perimeter)
-                result = dfs(depth + 1, placed, partial)
+                result = dfs(depth + 1, partial)
                 if result is not None:
                     return result
                 del partial[job_id]
-                del placed[job_id]
             return None
 
-        found = dfs(0, {}, {})
+        found = dfs(0, {})
         if found is not None:
             return found, "dfs"
-
+        if not within_tiling_budget(circles, unified_perimeter(circles)):
+            return None
         # Fall back to annealing with the *link-aware* cost.
         return self._anneal_component(component, seed)
 
@@ -305,6 +312,14 @@ class ClusterCompatibilityProblem:
         fewer than two sharers can never overlap). Returns
         ``(total_overlap, violated_link_names)`` with the violated list
         in sorted link order.
+
+        A link within the tiling budget is tiled and measured exactly.
+        Past it, the link is violated exactly when some pair of its jobs
+        collides at their relative rotation modulo the gcd of their
+        periods (at capacity 1 a link overlaps if and only if a pair
+        does). Its overlap is then the utilization excess over
+        ``len(jobs) - 1`` (an overlapping tick carries at most that much
+        excess), so the total is a lower bound.
         """
         total = 0
         violated: List[str] = []
@@ -314,10 +329,22 @@ class ClusterCompatibilityProblem:
                 continue
             circles = [self._circles[job_id] for job_id in jobs]
             unified = UnifiedCircle(circles)
-            overlap = unified.overlap_ticks(
-                {job_id: rotations.get(job_id, 0) for job_id in jobs}
-            )
-            if overlap > 0:
+            link_rotations = {
+                job_id: rotations.get(job_id, 0) for job_id in jobs
+            }
+            if within_tiling_budget(circles, unified.perimeter):
+                overlap = unified.overlap_ticks(link_rotations)
+                clash = overlap > 0
+            else:
+                excess = unified.total_comm_ticks() - unified.perimeter
+                overlap = max(0, -(-excess // (len(jobs) - 1)))
+                clash = any(
+                    not exact_pair_feasible_rotations(a, b).contains(
+                        link_rotations[b.job_id] - link_rotations[a.job_id]
+                    )
+                    for a, b in itertools.combinations(circles, 2)
+                )
+            if clash:
                 violated.append(link)
             total += overlap
         return total, violated

@@ -64,6 +64,16 @@ def _tiled_arc_estimate(circles: Sequence[JobCircle], perimeter: int) -> int:
     )
 
 
+def within_tiling_budget(
+    circles: Sequence[JobCircle], perimeter: int
+) -> bool:
+    """Whether tiling ``circles`` onto ``perimeter`` stays within
+    :data:`MAX_TILED_ARCS_FOR_SEARCH` arcs."""
+    return (
+        _tiled_arc_estimate(circles, perimeter) <= MAX_TILED_ARCS_FOR_SEARCH
+    )
+
+
 def _overlap_or_bound(
     unified: UnifiedCircle,
     rotations: Dict[str, int],
@@ -74,8 +84,7 @@ def _overlap_or_bound(
     The bound is the utilization excess ``total_comm - capacity * P``
     (never negative), which every rotation assignment must exceed.
     """
-    estimate = _tiled_arc_estimate(unified.circles, unified.perimeter)
-    if estimate <= MAX_TILED_ARCS_FOR_SEARCH:
+    if within_tiling_budget(unified.circles, unified.perimeter):
         return unified.overlap_ticks(rotations, capacity=capacity)
     return max(
         0, unified.total_comm_ticks() - capacity * unified.perimeter
@@ -730,10 +739,7 @@ def _solve(
                 if complete.found or complete.complete:
                     return complete
 
-    if (
-        _tiled_arc_estimate(circles, unified.perimeter)
-        > MAX_TILED_ARCS_FOR_SEARCH
-    ):
+    if not within_tiling_budget(circles, unified.perimeter):
         # Tiling alone would dominate; tell the caller to coarsen the
         # profiling granularity (the paper's sector discretization) rather
         # than silently burning minutes.

@@ -45,9 +45,10 @@ from ..scheduler.placement import (
 )
 from ..sim.rng import RandomStreams
 from ..telemetry import current
-from ..units import gbps, ms
+from ..units import gbps
 from ..workloads.job import JobSpec
 from ..workloads.profiles import EFFECTIVE_BOTTLENECK
+from .scheduler_exp import count_mixed_links, type_a_job, type_b_job
 
 #: Fat-tree arity for the placement study (16 hosts, 96 directed links).
 FAT_TREE_K = 4
@@ -70,30 +71,6 @@ ROTATION_ROUTES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def type_a_job(job_id: str, n_workers: int) -> JobSpec:
-    """Compute-heavy job: 250 ms compute + 50 ms communication."""
-    return JobSpec(
-        job_id=job_id,
-        model_name="wideresnet",
-        batch_size=800,
-        compute_time=ms(250),
-        comm_bytes=ms(50) * EFFECTIVE_BOTTLENECK,
-        n_workers=n_workers,
-    )
-
-
-def type_b_job(job_id: str, n_workers: int) -> JobSpec:
-    """Comm-heavier job: 150 ms compute + 110 ms communication."""
-    return JobSpec(
-        job_id=job_id,
-        model_name="vgg19",
-        batch_size=1200,
-        compute_time=ms(150),
-        comm_bytes=ms(110) * EFFECTIVE_BOTTLENECK,
-        n_workers=n_workers,
-    )
-
-
 @dataclass
 class FabricOutcome:
     """One placement policy's result on the fat-tree cluster."""
@@ -104,16 +81,6 @@ class FabricOutcome:
     cluster_compatible: bool
     mean_slowdown: float
     max_slowdown: float
-
-
-def _mixed_links(cluster: ClusterState) -> int:
-    """Fabric links carrying both a type-A and a type-B job."""
-    mixed = 0
-    for jobs in cluster.link_sharing().values():
-        kinds = {job_id[0] for job_id in jobs}
-        if "A" in kinds and "B" in kinds:
-            mixed += 1
-    return mixed
 
 
 def _cluster_audit(cluster: ClusterState) -> bool:
@@ -198,7 +165,7 @@ def run_placement(
         prepared.append((
             policy,
             len(placements),
-            _mixed_links(cluster),
+            count_mixed_links(cluster),
             _cluster_audit(cluster),
         ))
     results = run_many(specs)

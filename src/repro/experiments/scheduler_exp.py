@@ -184,11 +184,10 @@ class PolicyOutcome:
         return self.report.max_slowdown
 
 
-def _mixed_links(cluster: ClusterState) -> int:
-    """Uplinks carrying both a type-A and a type-B job."""
+def count_mixed_links(cluster: ClusterState) -> int:
+    """Links carrying both a type-A and a type-B job."""
     mixed = 0
-    for sharers in cluster.link_sharing().items():
-        link_name, jobs = sharers
+    for jobs in cluster.link_sharing().values():
         kinds = {job_id[0] for job_id in jobs}
         if "A" in kinds and "B" in kinds:
             mixed += 1
@@ -226,7 +225,7 @@ def run_policies(
                 label=f"scheduler-{policy.name}",
             )
         )
-        prepared.append((policy, _mixed_links(cluster), racks))
+        prepared.append((policy, count_mixed_links(cluster), racks))
     results = run_many(specs)
     outcomes: List[PolicyOutcome] = []
     for (policy, mixed, racks), run_result in zip(prepared, results):
@@ -305,7 +304,7 @@ def run_large_scale(
                 label=f"scheduler-large-{policy.name}",
             )
         )
-        prepared.append((policy, _mixed_links(cluster), len(placements)))
+        prepared.append((policy, count_mixed_links(cluster), len(placements)))
     results = run_many(specs)
     outcomes: List[PolicyOutcome] = []
     for (policy, mixed, placed), run_result in zip(prepared, results):

@@ -508,7 +508,7 @@ def timeline_from_dict(data: Dict[str, Any]) -> JobTimeline:
 
 
 def job_run_to_dict(run: JobRun) -> Dict[str, Any]:
-    """Serialize a completed job run (flows/gate/rng are not carried)."""
+    """Serialize a completed job run (flow/gate/rng are not carried)."""
     return {
         "spec": job_spec_to_dict(run.spec),
         "n_iterations": run.n_iterations,
@@ -520,10 +520,10 @@ def job_run_to_dict(run: JobRun) -> Dict[str, Any]:
 
 
 def job_run_from_dict(data: Dict[str, Any]) -> JobRun:
-    """Deserialize a job run (as a result container: no flows, no rng)."""
+    """Deserialize a job run (as a result container: no flow, no rng)."""
     run = JobRun(
         spec=job_spec_from_dict(data["spec"]),
-        flows=[],
+        flow=None,
         n_iterations=int(data["n_iterations"]),
         start_offset=float(data["start_offset"]),
         gate=None,

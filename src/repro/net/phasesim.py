@@ -11,7 +11,8 @@ error. This is the engine behind Table 1, Figure 1d and Figure 2.
 The on-off state machine itself lives in
 :class:`repro.core.lifecycle.JobLifecycle`, shared with the fluid
 tiers; this module drives it from scheduled events and adds the
-network: routed flows, the share policy, and the fluid rate allocator.
+network: one routed flow per job, the share policy, and the fluid rate
+allocator.
 
 The sliding effect the paper describes needs no special code: with a
 weighted (unfair) policy, the favoured job's communication phase ends
@@ -22,7 +23,7 @@ the jobs' phases interleave — exactly the Figure 2b dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -73,14 +74,14 @@ class JobRun:
     """Runtime state of one job inside the simulator.
 
     Thin shell around the shared :class:`JobLifecycle`: it adds what is
-    network-specific — the routed flows and the rate trace — and
+    network-specific — the routed flow and the rate trace — and
     delegates every lifecycle question to the state machine.
     """
 
     def __init__(
         self,
         spec: JobSpec,
-        flows: List[Flow],
+        flow: Optional[Flow],
         n_iterations: int,
         start_offset: float,
         gate: Optional[Gate],
@@ -90,13 +91,11 @@ class JobRun:
         #: Plain attribute (not a delegating property): it is read in
         #: the simulator's per-event telemetry paths.
         self.job_id = spec.job_id
-        #: The job's flows. Classic jobs have one; ring-allreduce jobs
-        #: have one per hop, moving in lockstep (synchronous collective).
-        self.flows = flows
-        #: The primary flow (handed to policy hooks); plain attribute
-        #: for the same hot-path reason as ``job_id``. ``None`` for the
-        #: flowless result containers ``io.job_run_from_dict`` builds.
-        self.flow = flows[0] if flows else None
+        #: The job's one routed flow, first worker to last; plain
+        #: attribute for the same hot-path reason as ``job_id``.
+        #: ``None`` for the flowless result containers
+        #: ``io.job_run_from_dict`` builds.
+        self.flow = flow
         self.lifecycle = JobLifecycle.for_spec(
             spec,
             n_iterations=n_iterations,
@@ -105,7 +104,7 @@ class JobRun:
             rng=rng,
         )
         self.rate_trace = StepFunction(0.0, name=f"rate:{spec.job_id}")
-        #: The simulator's link-load slot of each link of each flow, in
+        #: The simulator's link-load slot of each link of the flow, in
         #: path order, repeats included: the job's rate adds to each.
         self.load_slots: List[int] = []
         self._finish_event = None
@@ -235,7 +234,7 @@ class PhaseLevelSimulator:
         start_offset: float = 0.0,
         gate: Optional[Gate] = None,
     ) -> JobRun:
-        """Register a job whose traffic flows ``src -> dst``.
+        """Register a job whose traffic is one flow ``src -> dst``.
 
         Args:
             spec: The job's phase profile.
@@ -244,88 +243,45 @@ class PhaseLevelSimulator:
             n_iterations: Iterations to run before the job stops.
             start_offset: Simulation time of the first compute phase.
             gate: Optional flow-scheduling gate (§4, direction iii).
+
+        Raises:
+            ConfigError: If the route crosses no link (``src == dst``).
         """
-        return self._register(
-            spec, [(src, dst)], n_iterations, start_offset, gate
-        )
-
-    def add_ring_job(
-        self,
-        spec: JobSpec,
-        worker_hosts: Sequence[str],
-        n_iterations: int,
-        start_offset: float = 0.0,
-        gate: Optional[Gate] = None,
-    ) -> JobRun:
-        """Register a ring-allreduce job across ``worker_hosts``.
-
-        One flow is created per ring hop between *distinct* hosts
-        (including the closing hop back to the first worker). Ring
-        allreduce is synchronous: every hop carries the same bytes and
-        the collective advances at the rate of the slowest hop, which is
-        exactly how the simulator treats the job's flows.
-        """
-        hosts = list(worker_hosts)
-        if len(hosts) < 2:
-            raise ConfigError("a ring job needs at least two workers")
-        pairs = []
-        ring = hosts + [hosts[0]]
-        for a, b in zip(ring, ring[1:]):
-            if a != b:
-                pairs.append((a, b))
-        if not pairs:
-            raise ConfigError("ring workers must span at least two hosts")
-        return self._register(
-            spec, pairs, n_iterations, start_offset, gate
-        )
-
-    def _register(
-        self,
-        spec: JobSpec,
-        endpoints: Sequence[tuple],
-        n_iterations: int,
-        start_offset: float,
-        gate: Optional[Gate],
-    ) -> JobRun:
         if n_iterations < 1:
             raise WorkloadError("n_iterations must be >= 1")
         if start_offset < 0:
             raise ConfigError("start_offset must be >= 0")
         if any(run.job_id == spec.job_id for run in self._jobs):
             raise ConfigError(f"duplicate job id {spec.job_id!r}")
-        flows: List[Flow] = []
-        for index, (src, dst) in enumerate(endpoints):
-            links = self.router.route(
-                src, dst, flow_label=f"{spec.job_id}:{index}"
-            )
-            flows.append(
-                Flow(
-                    flow_id=f"flow:{spec.job_id}:{index}",
-                    src=src,
-                    dst=dst,
-                    links=links,
-                    job_id=spec.job_id,
-                )
+        links = self.router.route(src, dst, flow_label=f"{spec.job_id}:0")
+        if not links:
+            raise ConfigError(
+                f"job {spec.job_id!r}: route {src} -> {dst} crosses no link"
             )
         run = JobRun(
             spec=spec,
-            flows=flows,
+            flow=Flow(
+                flow_id=f"flow:{spec.job_id}:0",
+                src=src,
+                dst=dst,
+                links=links,
+                job_id=spec.job_id,
+            ),
             n_iterations=n_iterations,
             start_offset=start_offset,
             gate=gate,
             rng=self._streams.get(f"job:{spec.job_id}"),
         )
         self._jobs.append(run)
-        for flow in flows:
-            for link in flow.links:
-                slot = self._load_slot.get(link.name)
-                if slot is None:
-                    slot = self._load_slot[link.name] = len(self._load_series)
-                    self._load_series.append(
-                        StepFunction(0.0, name=f"load:{link.name}")
-                    )
-                    self._load_written.append(0.0)
-                run.load_slots.append(slot)
+        for link in links:
+            slot = self._load_slot.get(link.name)
+            if slot is None:
+                slot = self._load_slot[link.name] = len(self._load_series)
+                self._load_series.append(
+                    StepFunction(0.0, name=f"load:{link.name}")
+                )
+                self._load_written.append(0.0)
+            run.load_slots.append(slot)
         return run
 
     def install_faults(
@@ -373,9 +329,7 @@ class PhaseLevelSimulator:
                 link, base, event.kind, "end", priority=-1,
             )
         for run in self._jobs:
-            link_names = sorted({
-                link.name for flow in run.flows for link in flow.links
-            })
+            link_names = sorted({link.name for link in run.flow.links})
             warp = build_warp(schedule, run.job_id, link_names)
             if warp is not None:
                 run.lifecycle.warp = warp
@@ -407,9 +361,7 @@ class PhaseLevelSimulator:
         """
         if not self._jobs:
             raise SimulationError("add at least one job before run()")
-        self.policy.prepare(
-            [flow for run in self._jobs for flow in run.flows]
-        )
+        self.policy.prepare([run.flow for run in self._jobs])
         for run in self._jobs:
             self._sim.schedule_at(run.start_offset, self._begin_iteration, run)
         try:
@@ -474,8 +426,7 @@ class PhaseLevelSimulator:
                 state=JobState.COMM.value,
                 segment=run.lifecycle.segment_index,
             )
-        for flow in run.flows:
-            flow.progress = 0.0
+        run.flow.progress = 0.0
         self.policy.on_phase_start(run.flow)
         self._active.append(run)
         self._reallocate()
@@ -545,37 +496,20 @@ class PhaseLevelSimulator:
         flows: List[Flow] = []
         for run in self._active:
             lifecycle = run.lifecycle
-            progress = min(
+            flow = run.flow
+            flow.progress = min(
                 lifecycle.comm_sent / lifecycle.comm_budget, 1.0
             )
-            for flow in run.flows:
-                flow.progress = progress
-                flow.weight = self.policy.weight_of(flow)
-                flow.priority = self.policy.priority_of(flow)
-                flow.rate_cap = None  # reset any prior lockstep cap
-                flows.append(flow)
+            flow.weight = self.policy.weight_of(flow)
+            flow.priority = self.policy.priority_of(flow)
+            flows.append(flow)
 
         allocation = self.allocator.allocate(flows)
-
-        def job_rate(run: JobRun) -> float:
-            # Synchronous collectives advance at the slowest hop.
-            return min(allocation.rate_of(flow) for flow in run.flows)
-
-        if any(len(run.flows) > 1 for run in self._active):
-            # Lockstep redistribution: cap every hop of a multi-flow job
-            # at its slowest hop's rate and re-allocate once, so flows
-            # sharing links with the bottleneck hop reclaim the slack.
-            for run in self._active:
-                rate = job_rate(run)
-                if rate > 0:
-                    for flow in run.flows:
-                        flow.rate_cap = rate
-            allocation = self.allocator.allocate(flows)
 
         # Update rates and reschedule each active job's completion.
         self._realloc_counter.inc()
         for run in self._active:
-            rate = job_rate(run)
+            rate = allocation.rate_of(run.flow)
             if self.telemetry.enabled and rate != self._rates.get(run):
                 self.telemetry.event(
                     KIND_RATE,

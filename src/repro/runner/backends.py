@@ -41,8 +41,7 @@ FLUID_OPTIONS = frozenset({"dt", "sample_interval", "pfc_pause_threshold"})
 
 #: The spec options the cluster backend reads.
 CLUSTER_OPTIONS = frozenset({
-    "placements", "gpus_per_host", "flow_model", "warmup_iterations",
-    "stagger",
+    "placements", "gpus_per_host", "warmup_iterations",
 })
 
 
@@ -341,14 +340,12 @@ class ClusterBackend:
             cluster,
             reference_capacity=spec.capacity or gbps(42),
             seed=spec.seed,
-            flow_model=options.get("flow_model", "aggregate"),
         )
         report = simulation.run(
             spec.policy,
             n_iterations=spec.n_iterations,
             warmup_iterations=int(options.get("warmup_iterations", 10)),
             until=spec.until,
-            stagger=float(options.get("stagger", 0.005)),
             gates=spec.gates_dict() or None,
             faults=spec.faults,
         )

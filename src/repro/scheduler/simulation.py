@@ -70,7 +70,6 @@ class ClusterSimulation:
         cluster: ClusterState,
         reference_capacity: float = gbps(42),
         seed: int = 0,
-        flow_model: str = "aggregate",
     ) -> None:
         """Create the simulation.
 
@@ -78,20 +77,10 @@ class ClusterSimulation:
             cluster: The placed cluster.
             reference_capacity: Bandwidth used for solo-time baselines.
             seed: Simulation seed.
-            flow_model: ``"aggregate"`` models each job as one flow from
-                its first to its last worker; ``"ring"`` creates one flow
-                per ring hop between the job's distinct hosts (synchronous
-                ring allreduce — the collective advances at the slowest
-                hop).
         """
-        if flow_model not in ("aggregate", "ring"):
-            raise SimulationError(
-                f"unknown flow model {flow_model!r}"
-            )
         self.cluster = cluster
         self.reference_capacity = reference_capacity
         self.seed = seed
-        self.flow_model = flow_model
 
     def run(
         self,
@@ -105,9 +94,10 @@ class ClusterSimulation:
     ) -> ClusterReport:
         """Simulate all placed jobs under ``policy``.
 
+        Each job runs as one flow from its first to its last worker.
         Jobs that never leave their rack still run through the simulator
-        (their flows cross only host links), so rack-local contention on a
-        shared host NIC is captured too.
+        (their flow crosses only host links), so rack-local contention on
+        a shared host NIC is captured too.
 
         ``stagger`` offsets each job's start by a few milliseconds (job
         *i* starts at ``i * stagger``): real jobs never start in perfect
@@ -143,19 +133,11 @@ class ClusterSimulation:
                 # Single-host job: no network phase to simulate.
                 local_jobs.append(job.job_id)
                 continue
-            if self.flow_model == "ring":
-                distinct_hosts = list(dict.fromkeys(job.hosts))
-                sim.add_ring_job(
-                    job.spec, distinct_hosts, n_iterations=n_iterations,
-                    start_offset=index * stagger,
-                    gate=gates.get(job.job_id),
-                )
-            else:
-                sim.add_job(
-                    job.spec, src, dst, n_iterations=n_iterations,
-                    start_offset=index * stagger,
-                    gate=gates.get(job.job_id),
-                )
+            sim.add_job(
+                job.spec, src, dst, n_iterations=n_iterations,
+                start_offset=index * stagger,
+                gate=gates.get(job.job_id),
+            )
         sim.install_faults(faults)
         report = ClusterReport(policy_name=policy.name)
         result = sim.run(until=until) if len(local_jobs) < len(jobs) else None

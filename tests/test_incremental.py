@@ -10,10 +10,12 @@ from scratch.
 
 import pytest
 
+from repro.core.arcs import ArcSet
 from repro.core.circle import JobCircle
 from repro.core.cluster_compat import ClusterCompatibilityProblem
 from repro.core.compatibility import CompatibilityChecker
 from repro.core.incremental import IncrementalCompatibilityEngine
+from repro.core.optimize import MAX_TILED_ARCS_FOR_SEARCH
 from repro.errors import CompatibilityError
 from repro.sim.rng import RandomStreams
 from repro.units import gbps
@@ -103,6 +105,67 @@ class TestEngineBasics:
         checker = CompatibilityChecker(coverage_capacity=2)
         with pytest.raises(CompatibilityError):
             IncrementalCompatibilityEngine(checker=checker)
+
+
+class TestTilingBudget:
+    """A link whose jobs would tile past ``MAX_TILED_ARCS_FOR_SEARCH``
+    arcs onto their LCM circle is audited pair by pair, and the component
+    DFS builds no LCM circle: nothing tiles past the budget."""
+
+    @pytest.fixture
+    def bounded_tiling(self, monkeypatch):
+        tile = ArcSet.tile
+
+        def bounded(arcs, new_perimeter):
+            count = len(arcs.intervals) * (new_perimeter // arcs.perimeter)
+            if count > MAX_TILED_ARCS_FOR_SEARCH:
+                raise AssertionError(f"tiled {count} arcs past the budget")
+            return tile(arcs, new_perimeter)
+
+        monkeypatch.setattr(ArcSet, "tile", bounded)
+
+    @staticmethod
+    def coprime_circles():
+        """Three 100-tick arcs on prime periods: every pair collides, and
+        the shared LCM circle is 1,019,050,649 ticks."""
+        return [
+            JobCircle.from_phases(job_id, period - 100, 100)
+            for job_id, period in (("a", 997), ("b", 1009), ("c", 1013))
+        ]
+
+    def test_problem_reports_the_shared_link(self, bounded_tiling):
+        circles = self.coprime_circles()
+        problem = ClusterCompatibilityProblem.from_assignments(
+            circles, {circle.job_id: ["L"] for circle in circles}
+        )
+        result = problem.solve()
+        assert not result.compatible
+        assert result.violated_links == ["L"]
+
+    def test_engine_admits_every_job(self, bounded_tiling):
+        engine = IncrementalCompatibilityEngine()
+        verdicts = [
+            engine.add(circle, ["L"]) for circle in self.coprime_circles()
+        ]
+        assert [v.compatible for v in verdicts] == [True, False, False]
+        assert verdicts[-1].violated_links == ("L",)
+        assert engine.live_audit()[1] == ["L"]
+        assert_matches_scratch(engine)
+
+    def test_pairwise_compatible_jobs_are_still_solved(self, bounded_tiling):
+        # Periods 400 * {293, 307, 311}: every pair fits on its 400-tick
+        # gcd circle, but the three tile 276,551 arcs onto their LCM.
+        circles = [
+            JobCircle.from_phases(job_id, 400 * prime - 100, 100)
+            for job_id, prime in (("a", 293), ("b", 307), ("c", 311))
+        ]
+        engine = IncrementalCompatibilityEngine()
+        for circle in circles:
+            assert engine.add(circle, ["L"]).compatible
+        result = engine.solve()
+        assert (result.compatible, result.method) == (True, "dfs")
+        assert result.violated_links == []
+        assert_matches_scratch(engine)
 
 
 class TestIncrementalBehaviour:

@@ -270,6 +270,15 @@ class TestValidation:
         with pytest.raises(SimulationError):
             PhaseLevelSimulator(_dumbbell(), FairSharing()).run()
 
+    def test_same_host_route_rejected(self):
+        # A route that crosses no link has no network phase: the job is
+        # refused at registration, by name, instead of failing inside
+        # the allocator once the run starts.
+        sim = PhaseLevelSimulator(_dumbbell(), FairSharing())
+        with pytest.raises(ConfigError, match="'J'"):
+            sim.add_job(_job("J"), "ha0", "ha0", n_iterations=1)
+        assert sim.add_job(_job("K"), "ha0", "hb0", n_iterations=1)
+
     def test_negative_offset_rejected(self):
         sim = PhaseLevelSimulator(_dumbbell(), FairSharing())
         with pytest.raises(ConfigError):

@@ -1,119 +1,11 @@
-"""Tests for ring-allreduce multi-flow jobs and the PFC switch model."""
+"""Tests for the PFC switch model."""
 
 import numpy as np
 import pytest
 
 from repro.cc.dcqcn import DcqcnFluidSimulator, DcqcnParams
-from repro.cc.fair import FairSharing
-from repro.cc.weighted import StaticWeighted
 from repro.errors import ConfigError
-from repro.net.phasesim import PhaseLevelSimulator
-from repro.net.topology import Topology
-from repro.units import gbps, kib, ms
-from repro.workloads.job import JobSpec
-
-CAP = gbps(42)
-
-
-def _leaf_spine(n_racks=3):
-    return Topology.leaf_spine(
-        n_racks=n_racks, hosts_per_rack=2, n_spines=1,
-        host_capacity=CAP, uplink_capacity=CAP,
-    )
-
-
-class TestRingJobs:
-    def test_solo_ring_runs_at_full_rate(self):
-        sim = PhaseLevelSimulator(_leaf_spine(), FairSharing())
-        spec = JobSpec("ring", ms(100), ms(50) * CAP, n_workers=3)
-        run = sim.add_ring_job(
-            spec, ["h0_0", "h1_0", "h2_0"], n_iterations=4
-        )
-        result = sim.run()
-        assert len(run.flows) == 3
-        np.testing.assert_allclose(
-            result.iteration_times("ring"), ms(150), rtol=1e-9
-        )
-
-    def test_ring_advances_at_slowest_hop(self):
-        # A narrow uplink on one hop throttles the whole collective.
-        topo = Topology.leaf_spine(
-            n_racks=2, hosts_per_rack=2, n_spines=1,
-            host_capacity=CAP, uplink_capacity=CAP,
-        )
-        # Shrink one direction of rack 1's uplink to half capacity.
-        narrow = topo.link("tor1", "spine0")
-        narrow.capacity = CAP / 2
-        sim = PhaseLevelSimulator(topo, FairSharing())
-        spec = JobSpec("ring", ms(100), ms(50) * CAP, n_workers=2)
-        sim.add_ring_job(spec, ["h0_0", "h1_0"], n_iterations=3)
-        result = sim.run()
-        # The h1->h0 hop is capped at CAP/2, so comm takes 100 ms.
-        np.testing.assert_allclose(
-            result.iteration_times("ring"), ms(200), rtol=1e-9
-        )
-
-    def test_two_rings_share_the_common_uplink(self):
-        sim = PhaseLevelSimulator(_leaf_spine(2), FairSharing())
-        a = JobSpec("ra", ms(100), ms(50) * CAP, n_workers=2)
-        b = JobSpec("rb", ms(100), ms(50) * CAP, n_workers=2)
-        sim.add_ring_job(a, ["h0_0", "h1_0"], n_iterations=6)
-        sim.add_ring_job(b, ["h0_1", "h1_1"], n_iterations=6)
-        result = sim.run()
-        for job in ("ra", "rb"):
-            np.testing.assert_allclose(
-                result.iteration_times(job), ms(200), rtol=1e-9
-            )
-
-    def test_unfairness_interleaves_ring_jobs_too(self):
-        def build(policy):
-            sim = PhaseLevelSimulator(_leaf_spine(2), policy)
-            a = JobSpec("ra", ms(210), ms(90) * CAP, n_workers=2)
-            b = JobSpec("rb", ms(210), ms(90) * CAP, n_workers=2)
-            sim.add_ring_job(a, ["h0_0", "h1_0"], n_iterations=25)
-            sim.add_ring_job(b, ["h0_1", "h1_1"], n_iterations=25)
-            return sim.run()
-
-        fair = build(FairSharing())
-        unfair = build(
-            StaticWeighted.from_aggressiveness_order(["ra", "rb"])
-        )
-        for job in ("ra", "rb"):
-            assert unfair.mean_iteration_time(job, skip=10) < (
-                fair.mean_iteration_time(job, skip=10)
-            )
-        # Steady state reaches solo speed (compatible pair).
-        assert unfair.mean_iteration_time("ra", skip=15) == pytest.approx(
-            ms(300), rel=0.02
-        )
-
-    def test_ring_bytes_conserved(self):
-        sim = PhaseLevelSimulator(_leaf_spine(), FairSharing())
-        spec = JobSpec("ring", ms(100), ms(50) * CAP, n_workers=3)
-        run = sim.add_ring_job(
-            spec, ["h0_0", "h1_0", "h2_0"], n_iterations=3
-        )
-        result = sim.run()
-        for record in run.records:
-            moved = run.rate_trace.integrate(record.comm_start, record.end)
-            assert moved == pytest.approx(spec.comm_bytes, rel=1e-6)
-
-    def test_ring_needs_two_distinct_hosts(self):
-        sim = PhaseLevelSimulator(_leaf_spine(), FairSharing())
-        spec = JobSpec("ring", ms(100), ms(50) * CAP)
-        with pytest.raises(ConfigError):
-            sim.add_ring_job(spec, ["h0_0"], n_iterations=1)
-        with pytest.raises(ConfigError):
-            sim.add_ring_job(spec, ["h0_0", "h0_0"], n_iterations=1)
-
-    def test_same_host_pairs_skipped(self):
-        sim = PhaseLevelSimulator(_leaf_spine(), FairSharing())
-        spec = JobSpec("ring", ms(100), ms(50) * CAP)
-        run = sim.add_ring_job(
-            spec, ["h0_0", "h0_0", "h1_0"], n_iterations=1
-        )
-        # h0_0 -> h0_0 skipped; h0_0 -> h1_0 and h1_0 -> h0_0 remain.
-        assert len(run.flows) == 2
+from repro.units import gbps, kib
 
 
 class TestPfc:

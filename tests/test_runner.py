@@ -374,10 +374,7 @@ class TestUnreadOptions:
 
     ACCEPTED = {
         "phase": [],
-        "cluster": [
-            "flow_model", "gpus_per_host", "placements", "stagger",
-            "warmup_iterations",
-        ],
+        "cluster": ["gpus_per_host", "placements", "warmup_iterations"],
         "service": [
             "arrival_process", "fat_tree_k", "gpus_per_host",
             "hosts_per_rack", "lifetime_model", "max_candidates",
@@ -864,7 +861,7 @@ class TestFabricBackends:
         for run in result.jobs.values():
             assert run.done
         routes = [
-            {link.name for flow in run.flows for link in flow.links}
+            {link.name for link in run.flow.links}
             for run in runs
         ]
         loads = result.link_loads

@@ -265,21 +265,6 @@ class TestClusterSimulation:
         with pytest.raises(SimulationError):
             ClusterSimulation(_cluster()).run(FairSharing())
 
-    def test_ring_flow_model(self):
-        cluster = _cluster(n_racks=3)
-        spec = JobSpec("ring", ms(100), ms(50) * CAP, n_workers=3)
-        cluster.place(spec, ["h0_0", "h1_0", "h2_0"])
-        report = ClusterSimulation(
-            cluster, reference_capacity=CAP, flow_model="ring"
-        ).run(FairSharing(), n_iterations=20)
-        # Solo ring on an uncontended fabric runs at dedicated speed.
-        assert report.slowdown["ring"] == pytest.approx(1.0, rel=1e-6)
-
-    def test_unknown_flow_model_rejected(self):
-        from repro.errors import SimulationError
-        with pytest.raises(SimulationError):
-            ClusterSimulation(_cluster(), flow_model="mesh")
-
 
 class TestDynamicReplay:
     def test_arrival_schedule_shape(self):
