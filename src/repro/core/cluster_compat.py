@@ -317,9 +317,9 @@ class ClusterCompatibilityProblem:
         Past it, the link is violated exactly when some pair of its jobs
         collides at their relative rotation modulo the gcd of their
         periods (at capacity 1 a link overlaps if and only if a pair
-        does). Its overlap is then the utilization excess over
-        ``len(jobs) - 1`` (an overlapping tick carries at most that much
-        excess), so the total is a lower bound.
+        does). Its overlap is then
+        :meth:`UnifiedCircle.overlap_lower_bound`, so the total is a
+        lower bound.
         """
         total = 0
         violated: List[str] = []
@@ -336,8 +336,7 @@ class ClusterCompatibilityProblem:
                 overlap = unified.overlap_ticks(link_rotations)
                 clash = overlap > 0
             else:
-                excess = unified.total_comm_ticks() - unified.perimeter
-                overlap = max(0, -(-excess // (len(jobs) - 1)))
+                overlap = unified.overlap_lower_bound()
                 clash = any(
                     not exact_pair_feasible_rotations(a, b).contains(
                         link_rotations[b.job_id] - link_rotations[a.job_id]

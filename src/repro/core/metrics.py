@@ -14,8 +14,13 @@ import numpy as np
 
 from ..errors import CompatibilityError
 from .circle import JobCircle
-from .optimize import annealing_search, exact_pair_feasible_rotations, solve
-from .unified import UnifiedCircle
+from .optimize import (
+    annealing_search,
+    exact_pair_feasible_rotations,
+    solve,
+    within_tiling_budget,
+)
+from .unified import UnifiedCircle, unified_perimeter
 
 
 def overlap_ticks(
@@ -38,14 +43,15 @@ def min_overlap(
     """Best-effort minimum overlap and the rotations achieving it.
 
     Exact when the solver proves compatibility (overlap 0); otherwise an
-    upper bound from annealing — good enough for ranking placements. For
-    instances whose tiling exceeds the search budget the solver's analytic
-    lower bound is returned instead.
+    upper bound from annealing — good enough for ranking placements.
+    Past the tiling budget nothing anneals: the solver's overlap, there
+    :meth:`UnifiedCircle.overlap_lower_bound`, is returned with its
+    all-zero rotations.
     """
     outcome = solve(circles, capacity=capacity, seed=seed)
-    if outcome.found:
-        return 0, dict(outcome.rotations)
-    if outcome.method == "instance-too-large":
+    if outcome.found or not within_tiling_budget(
+        circles, unified_perimeter(circles)
+    ):
         return outcome.overlap, dict(outcome.rotations)
     refined = annealing_search(circles, capacity=capacity, seed=seed)
     if refined.overlap < outcome.overlap:

@@ -79,16 +79,12 @@ def _overlap_or_bound(
     rotations: Dict[str, int],
     capacity: int,
 ) -> int:
-    """Exact overlap when tiling is affordable, else an analytic bound.
-
-    The bound is the utilization excess ``total_comm - capacity * P``
-    (never negative), which every rotation assignment must exceed.
-    """
+    """Overlap of ``rotations`` when tiling is affordable; past the
+    tiling budget, :meth:`UnifiedCircle.overlap_lower_bound`, which no
+    rotation assignment can beat."""
     if within_tiling_budget(unified.circles, unified.perimeter):
         return unified.overlap_ticks(rotations, capacity=capacity)
-    return max(
-        0, unified.total_comm_ticks() - capacity * unified.perimeter
-    )
+    return unified.overlap_lower_bound(capacity)
 
 
 @dataclass
@@ -364,21 +360,29 @@ def greedy_search(circles: Sequence[JobCircle]) -> SolverOutcome:
 class _OverlapEvaluator:
     """Fast repeated evaluation of overlap cost under rotations.
 
-    Tiles every job once at rotation zero and, per query, shifts the
+    Tiles every job once at rotation zero and, per sweep, shifts the
     cached interval endpoints and sweeps them with vectorized numpy — a
     rotated tiling equals the tiling rotated, so no re-tiling is needed.
+
+    A sweep runs once per *relative state*: the capacity and each job's
+    rotation relative to the first job's, modulo the job's own period.
+    Rotating every job by the same amount rotates the whole unified
+    circle, and a job's tiling repeats every own period, so the integer
+    overlap depends on nothing else. Each state's cost is kept for the
+    evaluator's lifetime (one :func:`annealing_search` call): at most one
+    entry per :meth:`cost` call.
     """
 
     def __init__(self, circles: Sequence[JobCircle]) -> None:
         self._unified = UnifiedCircle(circles)
         perimeter = self._unified.perimeter
         tiled = self._unified.tiled()
-        self._starts: Dict[str, np.ndarray] = {}
-        self._ends: Dict[str, np.ndarray] = {}
-        for job_id, arcset in tiled.items():
+        self._periods: List[Tuple[str, int]] = []
+        self._arcs: List[Tuple[np.ndarray, np.ndarray]] = []
+        for circle in self._unified.circles:
             # Join the split-at-zero pair back into one modular interval
             # so a rotation never changes the interval count.
-            intervals = list(arcset.intervals)
+            intervals = list(tiled[circle.job_id].intervals)
             if (
                 len(intervals) >= 2
                 and intervals[0][0] == 0
@@ -387,12 +391,14 @@ class _OverlapEvaluator:
                 first = intervals.pop(0)
                 last = intervals.pop()
                 intervals.append((last[0], perimeter + first[1]))
-            self._starts[job_id] = np.asarray(
-                [s for s, _ in intervals], dtype=np.int64
+            self._periods.append((circle.job_id, circle.perimeter))
+            self._arcs.append(
+                (
+                    np.asarray([s for s, _ in intervals], dtype=np.int64),
+                    np.asarray([e for _, e in intervals], dtype=np.int64),
+                )
             )
-            self._ends[job_id] = np.asarray(
-                [e for _, e in intervals], dtype=np.int64
-            )
+        self._costs: Dict[Tuple[int, ...], int] = {}
 
     @property
     def perimeter(self) -> int:
@@ -400,15 +406,27 @@ class _OverlapEvaluator:
         return self._unified.perimeter
 
     def cost(self, rotations: Dict[str, int], capacity: int) -> int:
-        """Ticks covered by more than ``capacity`` jobs."""
+        """Ticks covered by more than ``capacity`` jobs (a missing job
+        rotates by 0)."""
+        anchor = rotations.get(self._periods[0][0], 0)
+        state = (capacity,) + tuple(
+            (rotations.get(job_id, 0) - anchor) % period
+            for job_id, period in self._periods
+        )
+        cost = self._costs.get(state)
+        if cost is None:
+            cost = self._costs[state] = self._sweep(state[1:], capacity)
+        return cost
+
+    def _sweep(self, shifts: Sequence[int], capacity: int) -> int:
+        """Overlap ticks with each job rotated by its entry of ``shifts``."""
         perimeter = self._unified.perimeter
         starts_list = []
         ends_list = []
         base_count = 0
-        for job_id, starts in self._starts.items():
-            delta = rotations.get(job_id, 0)
-            s = (starts + delta) % perimeter
-            e = (self._ends[job_id] + delta) % perimeter
+        for (starts, ends), shift in zip(self._arcs, shifts):
+            s = (starts + shift) % perimeter
+            e = (ends + shift) % perimeter
             # Intervals that wrap contribute +1 at position 0.
             base_count += int(np.count_nonzero(e <= s))
             starts_list.append(s)
@@ -511,8 +529,12 @@ def annealing_search(
     Works for any coverage capacity (the generalization the paper sketches
     for GPU multi-tenancy) and for instances too large for exact search.
     ``iterations`` defaults to a budget scaled inversely with the tiled
-    arc count, keeping one call around a hundred milliseconds even on
-    unified circles with thousands of arcs.
+    arc count: 4,000 steps per restart up to 250 arcs, 600 from about
+    1,700 arcs. A sweep's cost grows with the arcs, and only a new
+    relative state pays one (see :class:`_OverlapEvaluator`). On a
+    2-vCPU Xeon host a call that runs its budget out takes 0.1 to 0.35 s
+    for two jobs at 2 to 2,006 arcs, whose states repeat, but 11 s for
+    three jobs at 30,191 arcs, whose 2,405 calls hold 2,141 states.
     """
     if capacity < 1:
         raise CompatibilityError(f"capacity must be >= 1, got {capacity}")

@@ -152,6 +152,20 @@ class UnifiedCircle:
             for circle in self.circles
         )
 
+    def overlap_lower_bound(self, capacity: int = 1) -> int:
+        """Fewest overlap ticks any rotations can reach, from utilization.
+
+        A tick covered by ``c > capacity`` jobs holds ``c - capacity <=
+        jobs - capacity`` ticks of the excess ``total_comm - capacity *
+        P``, so at least ``ceil(excess / (jobs - capacity))`` ticks
+        overlap. 0 when the jobs fit, which they always do when there are
+        no more of them than ``capacity``.
+        """
+        excess = self.total_comm_ticks() - capacity * self.perimeter
+        if excess <= 0:
+            return 0
+        return -(-excess // (len(self.circles) - capacity))
+
     def utilization_lower_bound(self) -> float:
         """Total demanded comm time over the unified period, as a fraction.
 

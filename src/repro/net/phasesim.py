@@ -369,6 +369,15 @@ class PhaseLevelSimulator:
         finally:
             for link, capacity in self._base_capacities.items():
                 link.capacity = capacity
+            # Events left queued past the horizon, and the tick and
+            # finish handles, hold bound methods of this simulator: a
+            # cycle only the cyclic GC would free. The simulator is
+            # single-use (this method schedules every job's first
+            # iteration), so drop them.
+            self._sim.drop_pending()
+            self._tick_event = None
+            for run in self._jobs:
+                run._finish_event = None
         return SimulationResult(
             jobs={run.job_id: run for run in self._jobs},
             link_loads={

@@ -168,6 +168,10 @@ class Simulator:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
 
+    def drop_pending(self) -> None:
+        """Drop every pending event; the clock stays where it is."""
+        self._queue.clear()
+
     def reset(self) -> None:
         """Clear all pending events and rewind the clock to zero."""
         if self._running:

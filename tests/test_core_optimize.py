@@ -321,17 +321,17 @@ class TestSolveFacade:
 
 
 # The two annealing bodies as they stood before they were folded into
-# one loop: the reference the shared loop must reproduce exactly.
+# one loop: the reference the shared loop must reproduce exactly. Both
+# score with ``UnifiedCircle``'s own sweeps, not the solvers' evaluators.
 
 def _reference_annealing_search(
     circles, capacity=1, iterations=None, restarts=4, seed=0
 ):
     import numpy as np
 
-    from repro.core.optimize import SolverOutcome, _OverlapEvaluator
+    from repro.core.optimize import SolverOutcome
 
     unified = UnifiedCircle(circles)
-    evaluator = _OverlapEvaluator(circles)
     if iterations is None:
         total_arcs = sum(
             len(circle.comm.intervals)
@@ -344,7 +344,7 @@ def _reference_annealing_search(
     periods = {circle.job_id: circle.perimeter for circle in circles}
 
     def cost(rotations):
-        return evaluator.cost(rotations, capacity)
+        return unified.overlap_ticks(rotations, capacity=capacity)
 
     best_rotations = {job_id: 0 for job_id in job_ids}
     best_cost = cost(best_rotations)
@@ -526,3 +526,182 @@ class TestAnnealingLoopOracle:
         ]
         assert any(outcome.found for outcome in outcomes)
         assert any(not outcome.found for outcome in outcomes)
+
+
+def _evaluator_cases(count=48):
+    """Seeded sets of 1-4 circles on small periods: one-arc, two-arc
+    (some wrapping past zero) and full-circle circles."""
+    import numpy as np
+
+    rng = np.random.default_rng(23)
+    cases = []
+    for index in range(count):
+        circles = []
+        for k in range(1 + index % 4):
+            period = int(rng.choice([6, 8, 10, 12, 15, 20, 30]))
+            shape = int(rng.choice([0, 0, 1, 1, 2]))
+            if shape == 2:
+                circle = JobCircle.from_phases(f"j{k}", 0, period)
+            elif shape == 1:
+                start = int(rng.integers(period))
+                arcs = [
+                    (start, int(rng.integers(1, period // 3 + 1))),
+                    (
+                        start + period // 2,
+                        int(rng.integers(1, period // 3 + 1)),
+                    ),
+                ]
+                circle = JobCircle.from_arcs(f"j{k}", period, arcs)
+            else:
+                comm = int(rng.integers(1, period))
+                circle = JobCircle.from_phases(f"j{k}", period - comm, comm)
+            circles.append(circle)
+        cases.append(pytest.param(index, circles, id=f"case{index}"))
+    return cases
+
+
+class TestOverlapEvaluatorOracle:
+    """``_OverlapEvaluator.cost`` equals ``UnifiedCircle.overlap_ticks``
+    for any rotations and capacity, however often one evaluator is asked
+    about the same relative state."""
+
+    @pytest.mark.parametrize("index,circles", _evaluator_cases())
+    def test_cost_matches_overlap_ticks(self, index, circles):
+        import numpy as np
+
+        from repro.core.optimize import _OverlapEvaluator
+
+        rng = np.random.default_rng(index)
+        unified = UnifiedCircle(circles)
+        evaluator = _OverlapEvaluator(circles)
+        periods = {circle.job_id: circle.perimeter for circle in circles}
+        queries = []
+        for _ in range(30):
+            # Negative, past-the-period and missing (read as 0) rotations;
+            # a key naming no job is ignored.
+            rotations = {
+                job_id: int(rng.integers(-3 * period, 3 * period))
+                for job_id, period in periods.items()
+                if rng.random() < 0.8
+            }
+            if rng.random() < 0.2:
+                rotations["ghost"] = 5
+            capacity = int(rng.integers(1, 4))
+            # The same relative state under a common shift plus whole
+            # periods per job, then the very same dict again.
+            shift = int(rng.integers(-unified.perimeter, unified.perimeter))
+            moved = {
+                job_id: rotations.get(job_id, 0)
+                + shift
+                + period * int(rng.integers(-2, 3))
+                for job_id, period in periods.items()
+            }
+            queries += [
+                (rotations, capacity),
+                (moved, capacity),
+                (rotations, capacity),
+            ]
+        # Revisit half of the states again, in a shuffled order.
+        order = rng.permutation(len(queries))
+        queries += [queries[i] for i in order[: len(queries) // 2]]
+        for rotations, capacity in queries:
+            assert evaluator.cost(rotations, capacity) == unified.overlap_ticks(
+                rotations, capacity=capacity
+            ), (rotations, capacity)
+
+    def test_cases_cover_every_shape(self):
+        circles = [c for case in _evaluator_cases() for c in case.values[1]]
+        assert {len(case.values[1]) for case in _evaluator_cases()} == {
+            1, 2, 3, 4,
+        }
+        assert any(c.comm.is_full for c in circles)
+        assert any(len(c.comm.intervals) == 2 for c in circles)
+
+    def test_overloaded_pair_sweeps_each_relative_state_once(
+        self, monkeypatch
+    ):
+        # The ablations' infeasible instance: two period-100 jobs, so
+        # their 16,005 cost calls hold at most 100 relative states.
+        from repro.core import optimize
+
+        sweeps = []
+        sweep = optimize._OverlapEvaluator._sweep
+
+        def counted(self, shifts, capacity):
+            sweeps.append(tuple(shifts))
+            return sweep(self, shifts, capacity)
+
+        monkeypatch.setattr(optimize._OverlapEvaluator, "_sweep", counted)
+        circles = [
+            JobCircle.from_phases("A", 40, 60),
+            JobCircle.from_phases("B", 40, 60),
+        ]
+        outcome = annealing_search(circles, seed=1)
+        assert (outcome.found, outcome.overlap, outcome.nodes) == (
+            False, 20, 16_001,
+        )
+        assert len(sweeps) == len(set(sweeps)) == 100
+
+
+def _brute_force_min_overlap(circles, capacity=1):
+    """Least overlap over every rotation (the first job held at 0)."""
+    import itertools
+
+    unified = UnifiedCircle(circles)
+    first, rest = circles[0], circles[1:]
+    return min(
+        unified.overlap_ticks(
+            {first.job_id: 0, **{
+                c.job_id: r for c, r in zip(rest, combo)
+            }},
+            capacity=capacity,
+        )
+        for combo in itertools.product(
+            *(range(c.perimeter) for c in rest)
+        )
+    )
+
+
+class TestOverlapLowerBound:
+    """Past the tiling budget ``solve`` reports the utilization excess
+    spread over the jobs beyond ``capacity``: no rotation beats it."""
+
+    def test_three_arcs_solve_below_their_true_minimum(self, monkeypatch):
+        from repro.core import optimize
+
+        monkeypatch.setattr(optimize, "MAX_TILED_ARCS_FOR_SEARCH", 0)
+        circles = [JobCircle.from_phases(job_id, 4, 6) for job_id in "abc"]
+        outcome = solve(circles)
+        assert outcome.method == "utilization-bound"
+        # Excess 18 - 10 = 8 over at most 2 extra jobs per tick.
+        assert outcome.overlap == 4
+        assert _brute_force_min_overlap(circles) == 6
+
+    def test_capacity_spreads_the_excess(self, monkeypatch):
+        from repro.core import optimize
+
+        monkeypatch.setattr(optimize, "MAX_TILED_ARCS_FOR_SEARCH", 0)
+        circles = [JobCircle.from_phases(job_id, 4, 6) for job_id in "abcd"]
+        # Excess 24 - 2 * 10 = 4 over at most 2 extra jobs per tick.
+        assert solve(circles, capacity=2).overlap == 2
+        assert _brute_force_min_overlap(circles, capacity=2) >= 2
+        # No more jobs than capacity: nothing can overlap.
+        assert UnifiedCircle(circles).overlap_lower_bound(capacity=4) == 0
+
+    def test_bound_never_exceeds_the_minimum(self):
+        import numpy as np
+
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            circles = []
+            for k in range(int(rng.integers(2, 4))):
+                period = int(rng.choice([4, 5, 6, 8, 10, 12]))
+                comm = int(rng.integers(1, period + 1))
+                circles.append(
+                    JobCircle.from_phases(f"j{k}", period - comm, comm)
+                )
+            capacity = int(rng.integers(1, 3))
+            bound = UnifiedCircle(circles).overlap_lower_bound(capacity)
+            assert 0 <= bound <= _brute_force_min_overlap(
+                circles, capacity
+            ), [(c.perimeter, c.comm_ticks) for c in circles]

@@ -211,6 +211,42 @@ class TestAblations:
         assert not points[0].found      # too coarse
         assert points[-1].found         # fine enough
 
+    def test_sector_sensitivity_rows_pinned(self):
+        rows = [
+            (p.steps_per_job, p.found, p.overlap, p.evaluations)
+            for p in ablations.sector_sensitivity()
+        ]
+        assert rows == [
+            (4, False, 5, 64),
+            (6, False, 4, 343),
+            (9, False, 2, 1000),
+            (12, True, 0, 963),
+            (18, True, 0, 132),
+            (24, True, 0, 216),
+            (36, True, 0, 779),
+            (60, True, 0, 3056),
+        ]
+
+    def test_solver_comparison_rows_pinned(self):
+        rows = [
+            (run.instance, run.solver, run.found, run.overlap, run.nodes)
+            for run in ablations.solver_comparison()
+        ]
+        assert rows == [
+            ("fig5 (feasible)", "backtracking", True, 0, 2),
+            ("fig5 (feasible)", "greedy", True, 0, 1),
+            ("fig5 (feasible)", "annealing", True, 0, 5),
+            ("fig5 (feasible)", "grid-36", True, 0, 11),
+            ("tight triple (feasible)", "backtracking", True, 0, 3),
+            ("tight triple (feasible)", "greedy", True, 0, 2),
+            ("tight triple (feasible)", "annealing", True, 0, 375),
+            ("tight triple (feasible)", "grid-36", True, 0, 779),
+            ("overloaded (infeasible)", "backtracking", False, 60, 2),
+            ("overloaded (infeasible)", "greedy", False, 20, 3),
+            ("overloaded (infeasible)", "annealing", False, 20, 16001),
+            ("overloaded (infeasible)", "grid-36", False, 20, 2500),
+        ]
+
     def test_solver_comparison_agrees_on_ground_truth(self):
         runs = ablations.solver_comparison()
         for run in runs:

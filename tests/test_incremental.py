@@ -15,7 +15,13 @@ from repro.core.circle import JobCircle
 from repro.core.cluster_compat import ClusterCompatibilityProblem
 from repro.core.compatibility import CompatibilityChecker
 from repro.core.incremental import IncrementalCompatibilityEngine
-from repro.core.optimize import MAX_TILED_ARCS_FOR_SEARCH
+from repro.core.metrics import compatibility_score, min_overlap
+from repro.core.optimize import (
+    MAX_TILED_ARCS_FOR_SEARCH,
+    solve,
+    within_tiling_budget,
+)
+from repro.core.unified import UnifiedCircle
 from repro.errors import CompatibilityError
 from repro.sim.rng import RandomStreams
 from repro.units import gbps
@@ -115,6 +121,7 @@ class TestTilingBudget:
     @pytest.fixture
     def bounded_tiling(self, monkeypatch):
         tile = ArcSet.tile
+        tiled = UnifiedCircle.tiled
 
         def bounded(arcs, new_perimeter):
             count = len(arcs.intervals) * (new_perimeter // arcs.perimeter)
@@ -122,7 +129,14 @@ class TestTilingBudget:
                 raise AssertionError(f"tiled {count} arcs past the budget")
             return tile(arcs, new_perimeter)
 
+        def bounded_unified(unified, rotations=None):
+            # Every job within the budget alone, all of them past it.
+            if not within_tiling_budget(unified.circles, unified.perimeter):
+                raise AssertionError("tiled a unified circle past the budget")
+            return tiled(unified, rotations)
+
         monkeypatch.setattr(ArcSet, "tile", bounded)
+        monkeypatch.setattr(UnifiedCircle, "tiled", bounded_unified)
 
     @staticmethod
     def coprime_circles():
@@ -166,6 +180,28 @@ class TestTilingBudget:
         assert (result.compatible, result.method) == (True, "dfs")
         assert result.violated_links == []
         assert_matches_scratch(engine)
+
+    def test_metrics_stop_at_the_solver_bound(self, bounded_tiling):
+        # Every pair of these collides, so ``solve`` stops at a pair and
+        # the metrics report its bound without annealing.
+        circles = self.coprime_circles()
+        clash = solve(circles)
+        assert clash.method == "pairwise(a,b)"
+        assert min_overlap(circles) == (clash.overlap, clash.rotations)
+        # Periods 200,003 and 200,009 tile 400,012 arcs onto their LCM
+        # circle. 150,000-tick arcs overload it, so ``solve`` stops at
+        # the utilization bound.
+        circles = [
+            JobCircle.from_phases(job_id, period - 150_000, 150_000)
+            for job_id, period in (("a", 200_003), ("b", 200_009))
+        ]
+        bound = solve(circles)
+        assert bound.method == "utilization-bound"
+        assert min_overlap(circles) == (bound.overlap, bound.rotations)
+        unified = UnifiedCircle(circles)
+        assert bound.overlap == unified.overlap_lower_bound()
+        total = unified.total_comm_ticks()
+        assert compatibility_score(circles) == 1.0 - bound.overlap / total
 
 
 class TestIncrementalBehaviour:

@@ -1,5 +1,8 @@
 """Phase-level simulator tests: solo runs, sharing, sliding, gates."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -252,6 +255,35 @@ class TestJitter:
         np.testing.assert_allclose(
             a.iteration_times("J"), b.iteration_times("J")
         )
+
+
+class TestRelease:
+    """A finished simulator is freed by reference counting alone, even
+    when its horizon leaves events queued."""
+
+    @pytest.mark.parametrize(
+        "make_policy",
+        [FairSharing, lambda: AdaptiveUnfair(reallocation_interval=ms(5))],
+        ids=["fair", "adaptive-tick"],
+    )
+    def test_freed_without_the_cyclic_gc(self, make_policy):
+        gc.disable()
+        try:
+            sim = PhaseLevelSimulator(_dumbbell(), make_policy())
+            sim.add_job(_job("J1"), "ha0", "hb0", n_iterations=100)
+            sim.add_job(
+                _job("J2"), "ha1", "hb1", n_iterations=100,
+                start_offset=ms(30),
+            )
+            # The horizon cuts both jobs mid-run: their next phase
+            # events (and the adaptive policy's tick) stay queued.
+            result = sim.run(until=ms(450))
+            released = weakref.ref(sim)
+            del sim
+            assert released() is None
+            assert result.jobs["J1"].records
+        finally:
+            gc.enable()
 
 
 class TestValidation:

@@ -119,6 +119,17 @@ class TestReset:
         assert sim.events_executed == 0
         assert sim.pending_events == 0
 
+    def test_drop_pending_keeps_the_clock(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(5.0, lambda: None)
+        sim.run(until=2.0)
+        sim.drop_pending()
+        assert sim.now == 2.0
+        assert sim.events_executed == 1
+        assert sim.pending_events == 0
+        assert sim.run() == 2.0
+
     def test_not_reentrant(self):
         sim = Simulator()
         errors = []
