@@ -44,13 +44,17 @@ def min_overlap(
 
     Exact when the solver proves compatibility (overlap 0); otherwise an
     upper bound from annealing — good enough for ranking placements.
-    Past the tiling budget nothing anneals: the solver's overlap, there
+    When the solver's own last resort was that annealing run (same
+    circles, capacity and seed) its outcome is returned as is. Past the
+    tiling budget nothing anneals: the solver's overlap, there
     :meth:`UnifiedCircle.overlap_lower_bound`, is returned with its
     all-zero rotations.
     """
     outcome = solve(circles, capacity=capacity, seed=seed)
-    if outcome.found or not within_tiling_budget(
-        circles, unified_perimeter(circles)
+    if (
+        outcome.found
+        or outcome.method == "annealing"
+        or not within_tiling_budget(circles, unified_perimeter(circles))
     ):
         return outcome.overlap, dict(outcome.rotations)
     refined = annealing_search(circles, capacity=capacity, seed=seed)

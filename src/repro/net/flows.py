@@ -10,6 +10,7 @@ control derives an effective weight from ``progress`` (§4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -26,7 +27,8 @@ class Flow:
         src: Source host name.
         dst: Destination host name.
         links: Directed links the flow traverses, in order.
-        weight: Relative share weight for weighted-fair policies (> 0).
+        weight: Relative share weight for weighted-fair policies
+            (finite, > 0).
         priority: Strict priority class; higher values are served first.
         rate_cap: Optional cap in bytes/s (e.g. sender NIC or app limit).
         job_id: Identifier of the training job this flow belongs to.
@@ -45,8 +47,11 @@ class Flow:
     progress: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ConfigError(f"flow {self.flow_id}: weight must be > 0")
+        if not 0.0 < self.weight < math.inf:  # also refuses NaN
+            raise ConfigError(
+                f"flow {self.flow_id}: weight must be finite and > 0, "
+                f"got {self.weight!r}"
+            )
         if self.rate_cap is not None and self.rate_cap <= 0:
             raise ConfigError(f"flow {self.flow_id}: rate_cap must be > 0")
         if not 0.0 <= self.progress <= 1.0:

@@ -19,8 +19,7 @@ its cap during filling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AllocationError
 from .flows import Flow
@@ -30,17 +29,55 @@ from .topology import Link
 _REL_EPS = 1e-9
 
 
-@dataclass
 class Allocation:
     """Result of one allocation round.
 
+    The rates are held in input order; the keyed views ``rates`` and
+    ``link_loads`` are built on first read and kept, so a caller that
+    reads ``flow_rates`` alone hashes no ``Flow`` or ``Link``.
+
     Attributes:
-        rates: Allocated rate per flow, bytes/s.
-        link_loads: Total allocated rate crossing each involved link.
+        flow_rates: Allocated rate of each flow passed to
+            :meth:`FluidAllocator.allocate`, bytes/s, in input order.
     """
 
-    rates: Dict[Flow, float] = field(default_factory=dict)
-    link_loads: Dict[Link, float] = field(default_factory=dict)
+    __slots__ = (
+        "flow_rates", "_flows", "_order", "_links", "_loads",
+        "_rates", "_link_loads",
+    )
+
+    def __init__(
+        self,
+        flows: Sequence[Flow] = (),
+        flow_rates: Sequence[float] = (),
+        order: Sequence[int] = (),
+        links: Sequence[Link] = (),
+        loads: Sequence[float] = (),
+    ) -> None:
+        self.flow_rates = flow_rates
+        self._flows = flows
+        self._order = order
+        self._links = links
+        self._loads = loads
+        self._rates: Optional[Dict[Flow, float]] = None
+        self._link_loads: Optional[Dict[Link, float]] = None
+
+    @property
+    def rates(self) -> Dict[Flow, float]:
+        """Allocated rate per flow, bytes/s: highest class first, then in
+        input order."""
+        if self._rates is None:
+            flows, rates = self._flows, self.flow_rates
+            self._rates = {flows[i]: rates[i] for i in self._order}
+        return self._rates
+
+    @property
+    def link_loads(self) -> Dict[Link, float]:
+        """Total allocated rate crossing each involved link, keyed by the
+        first-seen ``Link`` of each endpoint pair, in first-seen order."""
+        if self._link_loads is None:
+            self._link_loads = dict(zip(self._links, self._loads))
+        return self._link_loads
 
     def rate_of(self, flow: Flow) -> float:
         """Allocated rate for ``flow`` (0 if it was not in the round)."""
@@ -51,8 +88,86 @@ class Allocation:
         return self.link_loads.get(link, 0.0) / link.capacity
 
 
+#: One priority class: its members, each member's path (link indices),
+#: the index of each link some member crosses, and that link's incident
+#: members. Members are indices into the flows, in flow order.
+_Class = Tuple[List[int], List[List[int]], List[int], List[List[int]]]
+
+
+class _Structure:
+    """What an allocation derives from a flow set's objects, not values.
+
+    ``key`` lists, per flow, its identity, ``flow_id``, priority and path
+    length, then the identity of each link on its path; a call whose key
+    is equal may reuse everything here. The flows and path links are
+    held so that no identity in the key is reused by another object.
+    Capacities, weights and caps are not part of it: they are read on
+    every call.
+    """
+
+    __slots__ = ("key", "flows", "path_links", "links", "classes",
+                 "order", "duplicate")
+
+    def __init__(self, flows: Sequence[Flow], key: List[object]) -> None:
+        self.key = key
+        self.flows = tuple(flows)
+        self.path_links = [link for flow in flows for link in flow.links]
+        # Links merge by equality, (src, dst), in first-seen order.
+        index: Dict[Link, int] = {}
+        self.links: List[Link] = []
+        paths: List[List[int]] = []
+        for flow in flows:
+            path = []
+            for link in flow.links:
+                j = index.setdefault(link, len(self.links))
+                if j == len(self.links):
+                    self.links.append(link)
+                path.append(j)
+            paths.append(path)
+
+        self.classes: List[_Class] = []
+        self.order: List[int] = []
+        for priority in sorted({f.priority for f in flows}, reverse=True):
+            members = [
+                i for i, flow in enumerate(flows) if flow.priority == priority
+            ]
+            # Each member once per link, however often its path lists it.
+            by_link: List[List[int]] = [[] for _ in self.links]
+            for i in members:
+                for j in paths[i]:
+                    incident = by_link[j]
+                    if not incident or incident[-1] != i:
+                        incident.append(i)
+            crossed = [j for j, incident in enumerate(by_link) if incident]
+            self.classes.append((
+                members,
+                [paths[i] for i in members],
+                crossed,
+                [by_link[j] for j in crossed],
+            ))
+            self.order += members
+
+        self.duplicate: Optional[str] = None
+        seen = set()
+        for flow in flows:
+            if flow.flow_id in seen:
+                self.duplicate = flow.flow_id
+                break
+            seen.add(flow.flow_id)
+
+
 class FluidAllocator:
-    """Computes weighted max-min allocations with strict priorities."""
+    """Computes weighted max-min allocations with strict priorities.
+
+    The allocator keeps the structure of its last non-empty call and
+    reuses it for a call that passes the same ``Flow`` objects in the
+    same order, each with the same ``flow_id``, priority and ``Link``
+    objects (by identity) on its path: the phase simulator's
+    progress ticks re-solve one flow set with new weights many times.
+    """
+
+    def __init__(self) -> None:
+        self._structure: Optional[_Structure] = None
 
     def allocate(self, flows: Sequence[Flow]) -> Allocation:
         """Allocate rates to ``flows`` over their (shared) links.
@@ -67,7 +182,10 @@ class FluidAllocator:
         the filling runs over plain lists indexed by those numbers: a
         ``Link`` hashes in Python code, and the calls the phase simulator
         makes are small enough (a few flows over a few links) that
-        hashing, not arithmetic, dominated them.
+        hashing, not arithmetic, dominated them. The numbering, classes
+        and incidence are rebuilt only when the flow set's structure
+        changed (see the class docstring); capacities, weights and caps
+        are read on every call.
 
         Raises:
             AllocationError: if a ``flow_id`` appears more than once, if
@@ -77,50 +195,50 @@ class FluidAllocator:
         if not flows:
             return Allocation()
 
-        index: Dict[Link, int] = {}
-        links: List[Link] = []
-        paths: List[List[int]] = []
+        key: List[object] = []
         for flow in flows:
-            path = []
-            for link in flow.links:
-                j = index.setdefault(link, len(links))
-                if j == len(links):
-                    links.append(link)
-                path.append(j)
-            paths.append(path)
+            path = flow.links
+            key += (id(flow), flow.flow_id, flow.priority, len(path))
+            key += map(id, path)
+        structure = self._structure
+        if structure is None or structure.key != key:
+            structure = self._structure = _Structure(flows, key)
+
+        links = structure.links
         residual = [link.capacity for link in links]
-
+        weights = [flow.weight for flow in flows]
+        caps = [flow.rate_cap for flow in flows]
         rates = [0.0] * len(flows)
-        order: List[int] = []
-        for priority in sorted({f.priority for f in flows}, reverse=True):
-            members = [
-                i for i, flow in enumerate(flows) if flow.priority == priority
-            ]
-            self._weighted_max_min(flows, members, paths, residual, rates)
-            for i in members:
+        for members, paths, crossed, incident_of in structure.classes:
+            self._weighted_max_min(
+                members, incident_of, [residual[j] for j in crossed],
+                weights, caps, rates,
+            )
+            for i, path in zip(members, paths):
                 rate = rates[i]
-                # A path that lists a link twice subtracts twice.
-                for j in paths[i]:
-                    residual[j] = max(0.0, residual[j] - rate)
-            order += members
+                # A path that lists a link twice subtracts twice. The
+                # test is max(0.0, left), NaN and -0.0 included.
+                for j in path:
+                    left = residual[j] - rate
+                    residual[j] = left if left > 0.0 else 0.0
 
-        allocation = Allocation(
-            rates={flows[i]: rates[i] for i in order},
-            link_loads={
-                link: link.capacity - left
-                for link, left in zip(links, residual)
-            },
+        if structure.duplicate is not None:
+            raise AllocationError(
+                f"flow {structure.duplicate!r} appears more than once"
+            )
+        loads = []
+        for link, left in zip(links, residual):
+            capacity = link.capacity
+            load = capacity - left
+            if load > capacity * (1 + 1e-6):
+                raise AllocationError(
+                    f"link {link.name} oversubscribed: "
+                    f"{load:.6g} > {capacity:.6g}"
+                )
+            loads.append(load)
+        return Allocation(
+            structure.flows, rates, structure.order, links, loads
         )
-        if len(allocation.rates) < len(flows):
-            seen = set()
-            for flow in flows:
-                if flow.flow_id in seen:
-                    raise AllocationError(
-                        f"flow {flow.flow_id!r} appears more than once"
-                    )
-                seen.add(flow.flow_id)
-        self._check(allocation)
-        return allocation
 
     # ------------------------------------------------------------------
     # Internals
@@ -128,55 +246,38 @@ class FluidAllocator:
 
     @staticmethod
     def _weighted_max_min(
-        flows: Sequence[Flow],
-        members: List[int],
-        paths: List[List[int]],
-        capacities: List[float],
+        active: List[int],
+        incident_of: List[List[int]],
+        remaining: List[float],
+        weights: List[float],
+        caps: List[Optional[float]],
         rates: List[float],
     ) -> None:
         """Progressive filling of one priority class, written into ``rates``.
 
-        ``members`` are the indices into ``flows`` of the class, in flow
-        order; ``paths`` holds each flow's link indices and
-        ``capacities`` each link's residual at the start of the class.
-        Every unfrozen flow grows at ``weight * theta``; at each step we
-        find the smallest ``theta`` increment that saturates a link or
-        hits a flow's rate cap, freeze the affected flows, and repeat.
+        ``active`` lists the class's flows (indices into ``weights``,
+        ``caps`` and ``rates``, whose entries for them start at 0);
+        ``remaining`` holds the capacity left at the start of the class
+        on each link some member crosses, and ``incident_of`` that
+        link's members, in flow order. Every unfrozen flow grows at
+        ``weight * theta``; at each step we find the smallest ``theta``
+        increment that saturates a link or hits a flow's rate cap, freeze
+        the affected flows, and repeat.
 
-        Only links that some member crosses take part: the others carry
-        no active weight, so they never bound the step or freeze a flow.
-        They are visited in link-index order and each one's incident
-        members in flow order, once per flow however often its path lists
-        the link. The per-link weight stays a ``sum()`` over the unfrozen
-        incident members: from Python 3.12 on ``sum()`` of floats is
-        compensated, so a hand-written ``+=`` loop would round
-        differently there.
+        A link takes part while some unfrozen flow crosses it: once none
+        does it carries no active weight, so it can no longer bound the
+        step or freeze a flow, and it is dropped. The per-link weight
+        stays a ``sum()`` over the unfrozen incident flows in order:
+        from Python 3.12 on ``sum()`` of floats is compensated, so a
+        hand-written ``+=`` loop would round differently there.
         """
-        n = len(members)
-        weights = [flows[i].weight for i in members]
-        caps = [flows[i].rate_cap for i in members]
-        by_link: List[List[int]] = [[] for _ in capacities]
-        for k, i in enumerate(members):
-            for j in paths[i]:
-                incident = by_link[j]
-                if not incident or incident[-1] != k:
-                    incident.append(k)
-        incident_of = [incident for incident in by_link if incident]
-        remaining = [
-            cap for cap, incident in zip(capacities, by_link) if incident
-        ]
         # Saturation is relative to the residual at the start of the
         # class, not to the nominal capacity.
         saturated = [cap * _REL_EPS for cap in remaining]
-        filled = [0.0] * n
-
-        frozen = [False] * n
-        n_frozen = 0
-        while n_frozen < n:
-            active = [k for k in range(n) if not frozen[k]]
+        weight_at = weights.__getitem__
+        while True:
             active_weight = [
-                sum([weights[k] for k in incident if not frozen[k]])
-                for incident in incident_of
+                sum(map(weight_at, incident)) for incident in incident_of
             ]
             # Smallest theta increment that saturates some constraint.
             best_delta: Optional[float] = None
@@ -186,11 +287,11 @@ class FluidAllocator:
                 delta = cap / weight
                 if best_delta is None or delta < best_delta:
                     best_delta = delta
-            for k in active:
-                cap = caps[k]
+            for i in active:
+                cap = caps[i]
                 if cap is None:
                     continue
-                delta = (cap - filled[k]) / weights[k]
+                delta = (cap - rates[i]) / weights[i]
                 if best_delta is None or delta < best_delta:
                     best_delta = delta
             if best_delta is None:
@@ -200,42 +301,39 @@ class FluidAllocator:
                 raise AllocationError(
                     "flows without links must carry a rate_cap"
                 )
-            best_delta = max(best_delta, 0.0)
+            if best_delta < 0.0:
+                best_delta = 0.0
 
-            for k in active:
-                filled[k] += weights[k] * best_delta
-            remaining = [
-                max(0.0, cap - best_delta * weight)
-                for cap, weight in zip(remaining, active_weight)
-            ]
+            for i in active:
+                rates[i] += weights[i] * best_delta
 
-            # Freeze flows on saturated links or at their caps.
+            # Freeze flows at their caps or on saturated links.
             newly_frozen: set[int] = set()
-            for k in active:
-                cap = caps[k]
-                if cap is not None and filled[k] >= cap * (1 - _REL_EPS):
-                    filled[k] = min(filled[k], cap)
-                    newly_frozen.add(k)
-            for cap, floor, incident in zip(remaining, saturated, incident_of):
+            for i in active:
+                cap = caps[i]
+                if cap is not None and rates[i] >= cap * (1 - _REL_EPS):
+                    rates[i] = min(rates[i], cap)
+                    newly_frozen.add(i)
+            left_over = []
+            for cap, weight, floor, incident in zip(
+                remaining, active_weight, saturated, incident_of
+            ):
+                cap -= best_delta * weight
+                if not cap > 0.0:  # max(0.0, cap)
+                    cap = 0.0
+                left_over.append(cap)
                 if cap <= floor:
-                    for k in incident:
-                        if not frozen[k]:
-                            newly_frozen.add(k)
-            if not newly_frozen:
-                # Numerical safety net: freeze everything rather than spin.
-                newly_frozen = set(active)
-            for k in sorted(newly_frozen):
-                frozen[k] = True
-            n_frozen += len(newly_frozen)
-        for k, i in enumerate(members):
-            rates[i] = filled[k]
-
-    @staticmethod
-    def _check(allocation: Allocation) -> None:
-        """Assert no link is oversubscribed (guards against regressions)."""
-        for link, load in allocation.link_loads.items():
-            if load > link.capacity * (1 + 1e-6):
-                raise AllocationError(
-                    f"link {link.name} oversubscribed: "
-                    f"{load:.6g} > {link.capacity:.6g}"
-                )
+                    newly_frozen.update(incident)
+            if not newly_frozen or len(newly_frozen) == len(active):
+                # Everything froze, or (numerical safety net) nothing
+                # did and everything freezes rather than spin.
+                return
+            active = [i for i in active if i not in newly_frozen]
+            kept = []
+            for cap, floor, incident in zip(left_over, saturated, incident_of):
+                incident = [i for i in incident if i not in newly_frozen]
+                if incident:
+                    kept.append((cap, floor, incident))
+            remaining = [cap for cap, _, _ in kept]
+            saturated = [floor for _, floor, _ in kept]
+            incident_of = [incident for _, _, incident in kept]

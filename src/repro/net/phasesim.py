@@ -22,6 +22,7 @@ the jobs' phases interleave — exactly the Figure 2b dynamics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -502,6 +503,7 @@ class PhaseLevelSimulator:
         now = self._sim.now
         self._advance_progress(now)
 
+        policy = self.policy
         flows: List[Flow] = []
         for run in self._active:
             lifecycle = run.lifecycle
@@ -509,16 +511,24 @@ class PhaseLevelSimulator:
             flow.progress = min(
                 lifecycle.comm_sent / lifecycle.comm_budget, 1.0
             )
-            flow.weight = self.policy.weight_of(flow)
-            flow.priority = self.policy.priority_of(flow)
+            weight = policy.weight_of(flow)
+            if not 0.0 < weight < math.inf:  # also refuses NaN
+                raise ConfigError(
+                    f"policy {policy.name!r} gave job {run.job_id!r} "
+                    f"weight {weight!r}; share weights must be finite "
+                    f"and > 0"
+                )
+            flow.weight = weight
+            flow.priority = policy.priority_of(flow)
             flows.append(flow)
 
-        allocation = self.allocator.allocate(flows)
+        # Rates come back in the order of ``flows``, which is
+        # ``self._active``'s.
+        rates = self.allocator.allocate(flows).flow_rates
 
         # Update rates and reschedule each active job's completion.
         self._realloc_counter.inc()
-        for run in self._active:
-            rate = allocation.rate_of(run.flow)
+        for run, rate in zip(self._active, rates):
             if self.telemetry.enabled and rate != self._rates.get(run):
                 self.telemetry.event(
                     KIND_RATE,

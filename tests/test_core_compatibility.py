@@ -198,6 +198,33 @@ class TestMetrics:
         best, _ = min_overlap(circles)
         assert best >= 20  # 120 demand into a 100 period
 
+    def test_min_overlap_anneals_once(self, monkeypatch):
+        # solve's own last resort is the annealing run min_overlap
+        # would repeat with the same circles, capacity and seed.
+        from repro.core import metrics, optimize
+
+        calls = []
+        anneal = optimize.annealing_search
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return anneal(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "annealing_search", counting)
+        monkeypatch.setattr(metrics, "annealing_search", counting)
+        circles = [
+            JobCircle.from_phases("a", 2, 8),
+            JobCircle.from_phases("b", 8, 7),
+            JobCircle.from_phases("c", 4, 11),
+        ]
+        best, rotations = min_overlap(circles, capacity=2)
+        assert len(calls) == 1
+        assert best == 3
+        assert rotations == {"a": 7, "b": 9, "c": 3}
+        assert UnifiedCircle(circles).overlap_ticks(
+            rotations, capacity=2
+        ) == 3
+
     def test_score_range(self):
         compatible = [
             JobCircle.from_phases("a", 80, 20),

@@ -5,11 +5,15 @@ from collections import Counter
 
 import pytest
 
+from repro.cc.adaptive import AdaptiveUnfair
 from repro.errors import AllocationError, ConfigError
+from repro.net import fluid
 from repro.net.flows import Flow
 from repro.net.fluid import _REL_EPS, Allocation, FluidAllocator
-from repro.net.topology import Link
-from repro.units import gbps
+from repro.net.phasesim import PhaseLevelSimulator
+from repro.net.topology import Link, Topology
+from repro.units import gbps, ms
+from repro.workloads.job import JobSpec
 
 
 def _link(name="L1", capacity=gbps(42)):
@@ -165,6 +169,11 @@ class TestFlowValidation:
     def test_zero_weight_rejected(self):
         with pytest.raises(ConfigError):
             Flow(flow_id="f", src="a", dst="b", weight=0.0)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_nonfinite_weight_rejected(self, weight):
+        with pytest.raises(ConfigError, match="finite"):
+            Flow(flow_id="f", src="a", dst="b", weight=weight)
 
     def test_bad_progress_rejected(self):
         with pytest.raises(ConfigError):
@@ -527,3 +536,187 @@ class TestExactOracle:
             assert _outcome(FluidAllocator().allocate, flows[:count]) == (
                 _outcome(_reference_allocate, flows[:count])
             )
+
+    def test_reused_allocator_matches_reference(self):
+        """One allocator over calls that change values and structure.
+
+        Each step mutates the flows or the call, then the reused
+        allocator must equal the reference on that call.
+        """
+        a = Link("n0", "n1", gbps(25), name="a")
+        b = Link("n1", "n2", gbps(10), name="b")
+        c = Link("n2", "n3", gbps(40), name="c")
+        twin_b = Link("n1", "n2", gbps(5), name="twin-b")
+        f0 = _flow("f0", [a, b])
+        f1 = _flow("f1", [b, c], weight=2.0)
+        f2 = _flow("f2", [c], cap=gbps(3))
+        call = [f0, f1, f2]
+
+        def set_weights():
+            f0.weight, f1.weight, f2.weight = 3.0, 0.5, 1.25
+
+        def set_caps():
+            f0.rate_cap, f2.rate_cap = gbps(1), gbps(20)
+
+        def set_capacities():
+            b.capacity, c.capacity = gbps(2), 0.0
+
+        def restore_capacities():
+            b.capacity, c.capacity = gbps(10), gbps(40)
+
+        def mutate_path_in_place():
+            f1.links.append(a)
+
+        def swap_flows():
+            call[0], call[1] = call[1], call[0]
+
+        def change_priority():
+            f2.priority = 1
+
+        def swap_in_twin():
+            f1.links[0] = twin_b
+
+        def twin_first():
+            f0.links[:] = [twin_b, a]
+
+        def twin_capacity():
+            twin_b.capacity = gbps(7)
+
+        def uncap_pathless():
+            call.append(_flow("f3", []))
+
+        def cap_pathless():
+            call[-1].rate_cap = gbps(2)
+
+        def negative_capacity():
+            a.capacity = -1.0
+
+        def restore_a():
+            a.capacity = gbps(25)
+
+        def subset():
+            del call[1:]
+
+        def everything():
+            call[:] = [f0, f1, f2]
+
+        def clear():
+            call.clear()
+
+        def replace_flow():
+            # Another object with f0's id, path and priority.
+            call[0] = _flow("f0", f0.links, weight=7.0)
+
+        def duplicate_id():
+            f2.flow_id = "f0"
+
+        def restore_id():
+            f2.flow_id = "f2"
+
+        steps = [
+            lambda: None, lambda: None, set_weights, set_caps,
+            set_capacities, restore_capacities, mutate_path_in_place,
+            swap_flows, change_priority, lambda: None, swap_in_twin,
+            twin_first, twin_capacity, uncap_pathless, cap_pathless,
+            negative_capacity, restore_a, subset, everything, clear,
+            everything, replace_flow, everything, duplicate_id, restore_id,
+        ]
+        allocator = FluidAllocator()
+        for number, step in enumerate(steps):
+            step()
+            outcome = _outcome(allocator.allocate, call)
+            if step is duplicate_id:
+                # The reference folds a repeated id into one rate.
+                assert outcome == ("error", "flow 'f0' appears more than once")
+                continue
+            assert outcome == _outcome(_reference_allocate, call), number
+            assert outcome == _outcome(FluidAllocator().allocate, call)
+
+    def test_reused_allocator_random_walk_matches_reference(self):
+        """Seeded corpus cases, each re-allocated after random changes."""
+        rng = random.Random(20261018)
+        allocator = FluidAllocator()
+        for case in range(300):
+            flows = _corpus_case(rng)
+            pool = [link for flow in flows for link in flow.links]
+            for step in range(6):
+                flow = rng.choice(flows)
+                draw = rng.random()
+                if draw < 0.25:
+                    flow.weight = rng.choice(_WEIGHTS) or rng.uniform(0.1, 4.0)
+                elif draw < 0.4:
+                    flow.rate_cap = rng.choice((None, rng.uniform(1.0, 2e3)))
+                elif draw < 0.55 and pool:
+                    rng.choice(pool).capacity = rng.choice(
+                        (0.0, rng.uniform(1.0, 1e3))
+                    )
+                elif draw < 0.65:
+                    flow.priority = rng.randrange(3)
+                elif draw < 0.75:
+                    rng.shuffle(flows)
+                elif draw < 0.85 and flow.links:
+                    flow.links[rng.randrange(len(flow.links))] = Link(
+                        flow.links[0].src, flow.links[0].dst,
+                        rng.uniform(1.0, 1e3), name="swapped",
+                    )
+                if flow.rate_cap is None and not flow.links:
+                    flow.rate_cap = 1.0
+                assert _outcome(allocator.allocate, flows) == (
+                    _outcome(_reference_allocate, flows)
+                ), (case, step)
+
+
+class TestStructureReuse:
+    """The phase simulator's progress ticks reuse the allocator's
+    structure; it is built again only when the active flow set changes."""
+
+    def test_builds_only_when_the_active_flow_set_changes(self, monkeypatch):
+        builds = []
+
+        class Counting(fluid._Structure):
+            __slots__ = ()
+
+            def __init__(self, flows, key):
+                builds.append(len(flows))
+                super().__init__(flows, key)
+
+        monkeypatch.setattr(fluid, "_Structure", Counting)
+        capacity = gbps(42)
+        sim = PhaseLevelSimulator(
+            Topology.dumbbell(
+                hosts_per_side=3, host_capacity=capacity,
+                bottleneck_capacity=capacity,
+            ),
+            AdaptiveUnfair(),
+        )
+        phases = [(100, 100), (80, 120), (130, 60)]
+        for i, (compute, comm) in enumerate(phases):
+            spec = JobSpec(
+                job_id=f"J{i}", compute_time=ms(compute),
+                comm_bytes=ms(comm) * capacity,
+            )
+            sim.add_job(
+                spec, f"ha{i}", f"hb{i}", n_iterations=5,
+                start_offset=ms(7 * i),
+            )
+        flow_sets = []
+        allocate = sim.allocator.allocate
+
+        def recording(flows):
+            flow_sets.append([(id(flow), flow.priority) for flow in flows])
+            return allocate(flows)
+
+        sim.allocator.allocate = recording
+        result = sim.run()
+
+        assert all(run.done for run in result.jobs.values())
+        changes = 0
+        last = None
+        for flow_set in flow_sets:
+            if flow_set and flow_set != last:
+                changes += 1
+                last = flow_set
+        assert len(builds) == changes
+        assert changes > 10
+        # Most calls are progress ticks over an unchanged flow set.
+        assert len(flow_sets) > 10 * changes

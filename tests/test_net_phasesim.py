@@ -322,3 +322,43 @@ class TestValidation:
         result = _run([_job("J")], FairSharing(), n_iterations=2)
         with pytest.raises(SimulationError):
             result.mean_iteration_time("J", skip=10)
+
+
+class _FixedWeight(FairSharing):
+    """Fair sharing whose every weight is one given value."""
+
+    name = "fixed-weight"
+
+    def __init__(self, weight):
+        self.weight = weight
+
+    def weight_of(self, flow):
+        return self.weight
+
+
+class TestPolicyWeights:
+    """A share weight the allocator cannot use is refused by name.
+
+    On a bad weight the allocator used to fail with an unrelated
+    message (0 or below: "flows without links must carry a rate_cap"),
+    or to run on: a NaN weight gave a NaN rate and the run stopped with
+    no iteration done.
+    """
+
+    @pytest.mark.parametrize(
+        "weight", [0.0, -1.0, float("nan"), float("inf")],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_bad_weight_names_policy_job_and_weight(self, weight):
+        sim = PhaseLevelSimulator(_dumbbell(), _FixedWeight(weight))
+        sim.add_job(_job("J"), "ha0", "hb0", n_iterations=2)
+        with pytest.raises(ConfigError) as info:
+            sim.run()
+        message = str(info.value)
+        assert "'fixed-weight'" in message
+        assert "'J'" in message
+        assert repr(weight) in message
+
+    def test_finite_positive_weight_runs(self):
+        result = _run([_job("J")], _FixedWeight(2.5), n_iterations=2)
+        assert result.jobs["J"].iterations_done == 2
