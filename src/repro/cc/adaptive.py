@@ -25,6 +25,8 @@ periodic re-allocation.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ConfigError
 from ..net.flows import Flow
 from .base import SharePolicy
@@ -42,6 +44,14 @@ class AdaptiveUnfair(SharePolicy):
         base_weight: float = 1.0,
         reallocation_interval: float = 2e-3,
     ) -> None:
+        for name, value in (
+            ("gain", gain),
+            ("exponent", exponent),
+            ("base_weight", base_weight),
+            ("reallocation_interval", reallocation_interval),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if gain < 0:
             raise ConfigError(f"gain must be >= 0, got {gain}")
         if exponent <= 0:
@@ -50,6 +60,17 @@ class AdaptiveUnfair(SharePolicy):
             raise ConfigError(f"base_weight must be > 0, got {base_weight}")
         if reallocation_interval <= 0:
             raise ConfigError("reallocation_interval must be > 0")
+        # The weight grows with progress, so it peaks at progress 1.
+        try:
+            largest = base_weight * (1.0 + gain) ** exponent
+        except OverflowError:
+            largest = math.inf
+        if not math.isfinite(largest):
+            raise ConfigError(
+                f"weight base_weight * (1 + gain) ** exponent overflows "
+                f"at progress 1 (base_weight={base_weight}, gain={gain}, "
+                f"exponent={exponent})"
+            )
         self.gain = gain
         self.exponent = exponent
         self.base_weight = base_weight

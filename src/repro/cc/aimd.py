@@ -132,7 +132,8 @@ class OnOffAimdJob(OnOffSource):
         self.comm_bytes = comm_bytes
         lifecycle = JobLifecycle(
             job_id=name,
-            segments=((compute_time, comm_bytes),),
+            compute_time=compute_time,
+            comm_bytes=comm_bytes,
             start_offset=start_offset,
             warp=warp,
         )

@@ -1162,12 +1162,9 @@ class SenderBank:
         lifecycle = obj.lifecycle
         self.active[k] = False
         self._n_active -= 1
-        if lifecycle.has_more_segments:
-            obj._deadline = end + lifecycle.advance_segment(end)
-        else:
-            lifecycle.close_iteration(end)
-            if not lifecycle.done:
-                obj._deadline = end + lifecycle.begin_iteration(end)
+        lifecycle.close_iteration(end)
+        if not lifecycle.done:
+            obj._deadline = end + lifecycle.begin_iteration(end)
         self._act_tick[k] = None
         self._act_min = -1
         if not lifecycle.done:

@@ -11,6 +11,7 @@ fine-grained model (:func:`repro.cc.dcqcn.calibrate_timer_weights`) maps a
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping, Sequence
 
 from ..errors import ConfigError
@@ -29,10 +30,15 @@ class StaticWeighted(SharePolicy):
 
     def __init__(self, weights: Mapping[str, float], default: float = 1.0):
         for job_id, weight in weights.items():
-            if weight <= 0:
-                raise ConfigError(f"job {job_id}: weight must be > 0")
-        if default <= 0:
-            raise ConfigError("default weight must be > 0")
+            if not (math.isfinite(weight) and weight > 0):
+                raise ConfigError(
+                    f"job {job_id}: weight must be finite and > 0, "
+                    f"got {weight}"
+                )
+        if not (math.isfinite(default) and default > 0):
+            raise ConfigError(
+                f"default weight must be finite and > 0, got {default}"
+            )
         self._weights: Dict[str, float] = dict(weights)
         self._default = default
 

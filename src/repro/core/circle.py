@@ -81,8 +81,10 @@ class JobCircle:
         comm_arcs: Iterable[Tuple[int, int]],
         demand: float = 1.0,
     ) -> "JobCircle":
-        """Build a circle with arbitrary communication arcs (e.g. a job
-        with several bursts per iteration, as with layer-wise allreduce)."""
+        """Build a circle from any communication arcs on a
+        ``perimeter``-tick circle: general geometry beside the one-burst
+        circle :meth:`from_phases` builds. :func:`repro.io.circle_from_dict`
+        rebuilds every circle through it."""
         comm = ArcSet(perimeter, comm_arcs)
         if comm.is_empty:
             raise GeometryError(f"{job_id}: needs at least one comm arc")
@@ -94,15 +96,14 @@ class JobCircle:
         spec: JobSpec,
         capacity: float,
         ticks_per_second: int = DEFAULT_TICKS_PER_SECOND,
-        demand: float = 1.0,
     ) -> "JobCircle":
         """Quantize a :class:`JobSpec` profiled at ``capacity``.
 
         The communication arc length is the solo communication time — the
         duration the phase takes with the whole link, matching the paper's
-        profiling of jobs "in isolation in a dedicated cluster". Jobs
-        with fine-grained sub-phases (layer-wise allreduce) produce one
-        arc per communication burst.
+        profiling of jobs "in isolation in a dedicated cluster". The
+        circle has full demand; build a fractional one with
+        :meth:`from_phases`.
         """
         if ticks_per_second <= 0:
             raise GeometryError("ticks_per_second must be > 0")
@@ -111,30 +112,14 @@ class JobCircle:
         def to_ticks(time_s: float) -> int:
             return round(seconds_to_ticks(time_s) * scale)
 
-        segments = spec.effective_segments()
-        if len(segments) == 1:
-            compute_ticks = to_ticks(spec.compute_time)
-            comm_ticks = to_ticks(spec.solo_comm_time(capacity))
-            if comm_ticks == 0:
-                raise GeometryError(
-                    f"{spec.job_id}: communication phase vanishes at this "
-                    f"quantization; increase ticks_per_second"
-                )
-            return cls.from_phases(spec.job_id, compute_ticks, comm_ticks)
-
-        arcs = []
-        cursor = 0
-        for compute_s, comm_bytes in segments:
-            cursor += to_ticks(compute_s)
-            comm_ticks = to_ticks(comm_bytes / capacity)
-            if comm_ticks == 0:
-                raise GeometryError(
-                    f"{spec.job_id}: a communication burst vanishes at "
-                    f"this quantization; increase ticks_per_second"
-                )
-            arcs.append((cursor, comm_ticks))
-            cursor += comm_ticks
-        return cls.from_arcs(spec.job_id, cursor, arcs, demand=demand)
+        compute_ticks = to_ticks(spec.compute_time)
+        comm_ticks = to_ticks(spec.solo_comm_time(capacity))
+        if comm_ticks == 0:
+            raise GeometryError(
+                f"{spec.job_id}: communication phase vanishes at this "
+                f"quantization; increase ticks_per_second"
+            )
+        return cls.from_phases(spec.job_id, compute_ticks, comm_ticks)
 
     # ------------------------------------------------------------------
     # Queries

@@ -11,7 +11,7 @@ residual overlap when incompatible).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from ..errors import CompatibilityError
 from ..units import gbps
@@ -137,67 +137,6 @@ class CompatibilityChecker:
             certified=outcome.found or outcome.complete,
             method=outcome.method,
             job_ids=[circle.job_id for circle in circles],
-        )
-
-    def check_incremental(
-        self,
-        placed_circles: Sequence[JobCircle],
-        placed_rotations: Dict[str, int],
-        new_circle: JobCircle,
-    ) -> CompatibilityResult:
-        """Can a new job join WITHOUT re-rotating the running jobs?
-
-        An online scheduler often cannot re-phase jobs that are already
-        training (re-sliding costs iterations); this admits the newcomer
-        only if a rotation exists against the *fixed* placed arcs. The
-        exact feasible set comes from the same interval arithmetic as the
-        offline solver, so a positive answer carries a certificate and a
-        negative answer is a proof **for the fixed placement** (the jobs
-        may still be compatible if everyone re-rotates — check with
-        :meth:`check_circles`).
-        """
-        from .arcs import ArcSet
-        from .optimize import feasible_rotations
-        from .unified import UnifiedCircle
-
-        all_circles = list(placed_circles) + [new_circle]
-        unified = UnifiedCircle(all_circles)
-        placed = ArcSet(unified.perimeter)
-        for circle in placed_circles:
-            delta = placed_rotations.get(circle.job_id, 0)
-            placed = placed.union(
-                circle.rotate(delta).tiled_comm(unified.perimeter)
-            )
-        feasible = feasible_rotations(placed, new_circle, unified.perimeter)
-        rotations = {
-            circle.job_id: placed_rotations.get(circle.job_id, 0)
-            for circle in placed_circles
-        }
-        if feasible.is_empty:
-            rotations[new_circle.job_id] = 0
-            overlap = unified.overlap_ticks(
-                rotations, capacity=self.coverage_capacity
-            )
-            return CompatibilityResult(
-                compatible=False,
-                rotations=rotations,
-                overlap_ticks=overlap,
-                unified_perimeter=unified.perimeter,
-                utilization=unified.utilization_lower_bound(),
-                certified=True,
-                method="incremental-infeasible",
-                job_ids=[c.job_id for c in all_circles],
-            )
-        rotations[new_circle.job_id] = feasible.intervals[0][0]
-        return CompatibilityResult(
-            compatible=True,
-            rotations=rotations,
-            overlap_ticks=0,
-            unified_perimeter=unified.perimeter,
-            utilization=unified.utilization_lower_bound(),
-            certified=True,
-            method="incremental",
-            job_ids=[c.job_id for c in all_circles],
         )
 
     def rotation_seconds(

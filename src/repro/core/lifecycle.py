@@ -5,8 +5,8 @@ compute (no traffic), an optional gated wait, then a communication burst,
 repeated once per iteration (§2, Fig. 1–2). This module implements that
 cycle exactly once. :class:`JobLifecycle` owns the state transitions
 
-    IDLE → COMPUTE → (WAITING, when gated) → COMM
-         → next segment's COMPUTE/COMM … → iteration close → COMPUTE …
+    IDLE → COMPUTE → (WAITING, when gated) → COMM → iteration close
+         → COMPUTE …
 
 and writes every completed iteration into one canonical
 :class:`~repro.core.timeline.JobTimeline`. The drivers differ only in
@@ -31,7 +31,7 @@ semantics and warm-up ``skip`` behaviour come along for free.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class JobLifecycle:
 
     Args:
         job_id: The job's identifier (also the timeline's).
-        segments: The iteration's ``(compute seconds, comm bytes)``
-            sub-phases; one pair for the classic on-off job.
+        compute_time: Compute-phase duration of an iteration, seconds.
+        comm_bytes: Bytes of an iteration's communication burst.
         n_iterations: Iterations to run before the job stops; ``None``
             runs for as long as the driver keeps stepping (the fluid
             tiers' long-lived jobs).
@@ -72,7 +72,7 @@ class JobLifecycle:
         rng: Random generator for compute jitter (required when
             ``compute_jitter > 0``).
         compute_jitter: Std-dev of per-iteration compute noise as a
-            fraction of the segment compute time.
+            fraction of ``compute_time``.
         warp: Optional fault-injection hook ``warp(now, duration)``
             applied to every compute phase's duration (see
             :class:`repro.faults.JobWarp`). Must be deterministic.
@@ -81,7 +81,8 @@ class JobLifecycle:
     def __init__(
         self,
         job_id: str,
-        segments: Sequence[Tuple[float, float]],
+        compute_time: float,
+        comm_bytes: float,
         n_iterations: Optional[int] = None,
         start_offset: float = 0.0,
         gate: Optional[Gate] = None,
@@ -89,14 +90,10 @@ class JobLifecycle:
         compute_jitter: float = 0.0,
         warp: Optional[Callable[[float, float], float]] = None,
     ) -> None:
-        segments = tuple(segments)
-        if not segments:
-            raise ConfigError(f"{job_id}: a job needs at least one segment")
-        for compute_s, bytes_ in segments:
-            if compute_s < 0 or bytes_ <= 0:
-                raise ConfigError(
-                    f"{job_id}: need compute_time >= 0 and comm_bytes > 0"
-                )
+        if compute_time < 0 or comm_bytes <= 0:
+            raise ConfigError(
+                f"{job_id}: need compute_time >= 0 and comm_bytes > 0"
+            )
         if n_iterations is not None and n_iterations < 1:
             raise WorkloadError("n_iterations must be >= 1")
         if start_offset < 0:
@@ -106,6 +103,7 @@ class JobLifecycle:
                 f"{job_id}: compute_jitter needs a random generator"
             )
         self.job_id = job_id
+        self.compute_time = compute_time
         self.n_iterations = n_iterations
         self.start_offset = start_offset
         self.gate = gate
@@ -116,13 +114,11 @@ class JobLifecycle:
         self.iteration_start = 0.0
         self.comm_start = 0.0
         self.comm_sent = 0.0
-        self.segment_index = 0
         self.compute_factor = 1.0
-        #: Byte budget of the current segment — kept as a plain attribute
-        #: (updated on segment changes) because the event-driven tiers
-        #: read it in their innermost reallocation loops.
-        self.comm_budget = segments[0][1]
-        self._segments = segments
+        #: Byte budget of every burst — a plain attribute because the
+        #: event-driven tiers read it in their innermost reallocation
+        #: loops.
+        self.comm_budget = comm_bytes
         self._rng = rng
 
     @classmethod
@@ -137,7 +133,8 @@ class JobLifecycle:
         """Build the machine from a :class:`repro.workloads.job.JobSpec`."""
         return cls(
             job_id=spec.job_id,
-            segments=spec.effective_segments(),
+            compute_time=spec.compute_time,
+            comm_bytes=spec.comm_bytes,
             n_iterations=n_iterations,
             start_offset=start_offset,
             gate=gate,
@@ -160,26 +157,8 @@ class JobLifecycle:
         return len(self.timeline)
 
     @property
-    def n_segments(self) -> int:
-        """Sub-phases per iteration (1 for the classic on-off job)."""
-        return len(self._segments)
-
-    @property
-    def has_more_segments(self) -> bool:
-        """Whether the current iteration has sub-phases left."""
-        return self.segment_index + 1 < len(self._segments)
-
-    def segment_compute_time(self) -> float:
-        """Jittered compute time of the current segment."""
-        return self._segments[self.segment_index][0] * self.compute_factor
-
-    def segment_comm_bytes(self) -> float:
-        """Communication bytes of the current segment."""
-        return self.comm_budget
-
-    @property
     def remaining_bytes(self) -> float:
-        """Bytes of the current segment not yet credited as sent."""
+        """Bytes of the current burst not yet credited as sent."""
         return self.comm_budget - self.comm_sent
 
     def sample_compute_factor(self) -> float:
@@ -194,8 +173,9 @@ class JobLifecycle:
     # ------------------------------------------------------------------
 
     def phase_duration(self, now: float) -> float:
-        """The current compute phase's duration, warp applied."""
-        duration = self.segment_compute_time()
+        """The current compute phase's duration, jitter and warp
+        applied."""
+        duration = self.compute_time * self.compute_factor
         if self.warp is not None:
             duration = self.warp(now, duration)
         return duration
@@ -208,8 +188,6 @@ class JobLifecycle:
             )
         self.state = JobState.COMPUTE
         self.iteration_start = now
-        self.segment_index = 0
-        self.comm_budget = self._segments[0][1]
         self.compute_factor = self.sample_compute_factor()
         return self.phase_duration(now)
 
@@ -233,27 +211,15 @@ class JobLifecycle:
         self.state = JobState.WAITING
 
     def begin_comm(self, now: float) -> float:
-        """Enter COMM for the current segment; returns its byte budget."""
+        """Enter COMM; returns the burst's byte budget."""
         self.state = JobState.COMM
-        if self.segment_index == 0:
-            self.comm_start = now
+        self.comm_start = now
         self.comm_sent = 0.0
         return self.comm_budget
 
     def credit(self, sent_bytes: float) -> None:
-        """Credit bytes transferred toward the current segment."""
+        """Credit bytes transferred toward the current burst."""
         self.comm_sent += sent_bytes
-
-    def advance_segment(self, now: float) -> float:
-        """Move to the next sub-phase's COMPUTE; returns its duration."""
-        if not self.has_more_segments:
-            raise SimulationError(
-                f"job {self.job_id} has no further segments this iteration"
-            )
-        self.segment_index += 1
-        self.comm_budget = self._segments[self.segment_index][1]
-        self.state = JobState.COMPUTE
-        return self.phase_duration(now)
 
     def close_iteration(self, now: float) -> IterationSample:
         """Record the finished iteration; DONE when the budget is spent."""
@@ -312,11 +278,7 @@ class OnOffSource:
         compute factor was already sampled, so no random draws repeat.
         """
         lifecycle = self.lifecycle
-        if (
-            self._sender is not None
-            or len(lifecycle.timeline)
-            or lifecycle.segment_index
-        ):
+        if self._sender is not None or len(lifecycle.timeline):
             raise SimulationError(
                 f"{self.name}: cannot install a fault warp mid-run"
             )
@@ -362,10 +324,7 @@ class OnOffSource:
         if self._sender.done:
             end = now + dt
             self._sender = None
-            if lifecycle.has_more_segments:
-                self._deadline = end + lifecycle.advance_segment(end)
-            else:
-                lifecycle.close_iteration(end)
-                if not lifecycle.done:
-                    self._deadline = end + lifecycle.begin_iteration(end)
+            lifecycle.close_iteration(end)
+            if not lifecycle.done:
+                self._deadline = end + lifecycle.begin_iteration(end)
         return sent

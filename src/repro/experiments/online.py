@@ -67,7 +67,6 @@ def online_spec(
         label=f"online-{policy}-gap{mean_interarrival_s:g}",
         seed=seed,
         options=(
-            ("arrival_process", "poisson"),
             ("n_arrivals", n_arrivals),
             ("mean_interarrival_s", mean_interarrival_s),
             ("mean_lifetime_s", mean_lifetime_s),

@@ -44,7 +44,7 @@ FORMAT_VERSION = 1
 
 def job_spec_to_dict(spec: JobSpec) -> Dict[str, Any]:
     """Serialize a job spec to plain data."""
-    data: Dict[str, Any] = {
+    return {
         "version": FORMAT_VERSION,
         "job_id": spec.job_id,
         "compute_time": spec.compute_time,
@@ -54,18 +54,22 @@ def job_spec_to_dict(spec: JobSpec) -> Dict[str, Any]:
         "compute_jitter": spec.compute_jitter,
         "n_workers": spec.n_workers,
     }
-    if spec.segments:
-        data["segments"] = [list(segment) for segment in spec.segments]
-    return data
 
 
 def job_spec_from_dict(data: Dict[str, Any]) -> JobSpec:
     """Deserialize a job spec.
 
     Raises:
-        ConfigError: on a missing field or unknown format version.
+        ConfigError: on a missing field, an unknown format version, or a
+            ``segments`` key (several bursts per iteration): a job's
+            iteration is one compute phase and one burst.
     """
     _check_version(data)
+    if "segments" in data:
+        raise ConfigError(
+            f"job spec {data.get('job_id')!r}: the 'segments' key is not "
+            "supported; an iteration is one compute phase and one burst"
+        )
     try:
         return JobSpec(
             job_id=data["job_id"],
@@ -75,10 +79,6 @@ def job_spec_from_dict(data: Dict[str, Any]) -> JobSpec:
             batch_size=int(data.get("batch_size", 0)),
             compute_jitter=float(data.get("compute_jitter", 0.0)),
             n_workers=int(data.get("n_workers", 2)),
-            segments=tuple(
-                (float(c), float(b))
-                for c, b in data.get("segments", [])
-            ),
         )
     except KeyError as exc:
         raise ConfigError(f"missing field in job spec: {exc}") from exc

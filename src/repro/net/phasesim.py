@@ -434,7 +434,6 @@ class PhaseLevelSimulator:
                 t=self._sim.now,
                 job=run.job_id,
                 state=JobState.COMM.value,
-                segment=run.lifecycle.segment_index,
             )
         run.flow.progress = 0.0
         self.policy.on_phase_start(run.flow)
@@ -460,15 +459,8 @@ class PhaseLevelSimulator:
                 t=now,
                 job=run.job_id,
                 flow=run.flow.flow_id,
-                segment=lifecycle.segment_index,
                 bytes=lifecycle.comm_budget,
             )
-        if lifecycle.has_more_segments:
-            # More sub-phases this iteration (layer-wise allreduce).
-            compute_time = lifecycle.advance_segment(now)
-            self._sim.schedule(compute_time, self._finish_compute, run)
-            self._reallocate()
-            return
         sample = lifecycle.close_iteration(now)
         if self.telemetry.enabled:
             self._iteration_counter.inc()

@@ -43,7 +43,10 @@ from .spec import RunResult, RunSpec
 #: per record, exactly the bytes ``trace.jsonl`` holds) plus per-kind
 #: counts, passed through undecoded; v5 entries hold record dicts and
 #: self-heal as misses.
-CACHE_VERSION = 6
+#: v7: ``job.phase`` and ``job.comm`` trace records lose their
+#: ``segment`` field (always 0: an iteration is one burst), so v6
+#: entries would replay trace lines a fresh run no longer writes.
+CACHE_VERSION = 7
 
 #: Staging files are ``<entry>.<pid>.<n>.tmp``, ``n`` counting writes
 #: across every cache in the process: unique per write, so writers

@@ -26,7 +26,6 @@ from .placement import (
 )
 from .simulation import ClusterSimulation, ClusterReport
 from .events import JobArrival, arrival_schedule
-from .grouping import GroupingResult, LinkGroup, group_jobs
 from .service import AdmissionRecord, ClusterService, ServiceStats
 
 __all__ = [
@@ -40,9 +39,6 @@ __all__ = [
     "ClusterReport",
     "JobArrival",
     "arrival_schedule",
-    "GroupingResult",
-    "LinkGroup",
-    "group_jobs",
     "AdmissionRecord",
     "ClusterService",
     "ServiceStats",

@@ -434,10 +434,9 @@ class ClusterService:
 #: The spec options :func:`run_service_spec` reads; the ``service``
 #: backend refuses any other.
 SERVICE_OPTIONS = frozenset({
-    "arrival_process", "n_arrivals", "mean_interarrival_s",
-    "mean_lifetime_s", "lifetime_model", "pareto_shape", "trace",
-    "placement", "max_candidates", "topology", "n_racks",
-    "hosts_per_rack", "fat_tree_k", "gpus_per_host", "queue_limit",
+    "n_arrivals", "mean_interarrival_s", "mean_lifetime_s",
+    "lifetime_model", "placement", "n_racks", "hosts_per_rack",
+    "gpus_per_host", "queue_limit",
 })
 
 
@@ -447,16 +446,14 @@ def run_service_spec(spec) -> "Any":
     Options (all plain data, so specs hash and cache), exactly
     :data:`SERVICE_OPTIONS`:
 
-    * ``arrival_process`` — ``"poisson"`` (default) or ``"trace"``.
     * ``n_arrivals`` / ``mean_interarrival_s`` / ``mean_lifetime_s`` /
-      ``lifetime_model`` / ``pareto_shape`` — Poisson-process knobs.
-    * ``trace`` — list of arrival rows (see
-      :func:`repro.workloads.traces.trace_arrivals`) for trace mode.
+      ``lifetime_model`` — the Poisson arrival process
+      (:func:`repro.workloads.traces.poisson_arrivals`).
     * ``placement`` — ``"random"`` / ``"consolidated"`` /
-      ``"compatibility-aware"`` (+ ``max_candidates``).
-    * ``topology`` — fabric recipe when ``spec.topology`` is None:
-      ``"leaf-spine"`` (default; shaped by ``n_racks`` /
-      ``hosts_per_rack``) or ``"fat-tree"`` (shaped by ``fat_tree_k``).
+      ``"compatibility-aware"``.
+    * ``n_racks`` / ``hosts_per_rack`` — the leaf-spine fabric built
+      when ``spec.topology`` is None; any other fabric (a fat tree, say)
+      comes in as ``spec.topology``.
     * ``gpus_per_host`` — GPUs per host in the built cluster.
     * ``queue_limit`` — admission queue bound.
 
@@ -469,30 +466,18 @@ def run_service_spec(spec) -> "Any":
         safe_content_hash,
     )
     from ..units import gbps
-    from ..workloads.traces import poisson_arrivals, trace_arrivals
+    from ..workloads.traces import poisson_arrivals
     from .placement import ConsolidatedPlacement, RandomPlacement
 
     options = spec.options_dict()
     capacity = spec.capacity or gbps(42)
     topology = spec.topology
     if topology is None:
-        recipe = str(options.get("topology", "leaf-spine"))
-        if recipe == "leaf-spine":
-            topology = Topology.leaf_spine(
-                n_racks=int(options.get("n_racks", 8)),
-                hosts_per_rack=int(options.get("hosts_per_rack", 2)),
-                host_capacity=capacity,
-            )
-        elif recipe == "fat-tree":
-            topology = Topology.fat_tree(
-                k=int(options.get("fat_tree_k", 4)),
-                host_capacity=capacity,
-            )
-        else:
-            raise SimulationError(
-                f"unknown topology recipe {recipe!r} "
-                "(expected 'leaf-spine' or 'fat-tree')"
-            )
+        topology = Topology.leaf_spine(
+            n_racks=int(options.get("n_racks", 8)),
+            hosts_per_rack=int(options.get("hosts_per_rack", 2)),
+            host_capacity=capacity,
+        )
     cluster = ClusterState(
         topology, gpus_per_host=int(options.get("gpus_per_host", 4))
     )
@@ -504,32 +489,18 @@ def run_service_spec(spec) -> "Any":
     elif placement == "consolidated":
         policy = ConsolidatedPlacement()
     elif placement == "compatibility-aware":
-        policy = CompatibilityAwarePlacement(
-            checker=checker,
-            max_candidates=int(options.get("max_candidates", 16)),
-        )
+        policy = CompatibilityAwarePlacement(checker=checker)
     else:
         raise SimulationError(f"unknown placement policy {placement!r}")
 
-    process = str(options.get("arrival_process", "poisson"))
-    if process == "poisson":
-        arrivals = poisson_arrivals(
-            count=int(options.get("n_arrivals", 50)),
-            seed=spec.seed,
-            mean_interarrival_s=float(
-                options.get("mean_interarrival_s", 60.0)
-            ),
-            mean_lifetime_s=float(options.get("mean_lifetime_s", 600.0)),
-            lifetime_model=str(
-                options.get("lifetime_model", "exponential")
-            ),
-            pareto_shape=float(options.get("pareto_shape", 2.5)),
-            capacity=capacity,
-        )
-    elif process == "trace":
-        arrivals = trace_arrivals(options.get("trace", ()))
-    else:
-        raise SimulationError(f"unknown arrival process {process!r}")
+    arrivals = poisson_arrivals(
+        count=int(options.get("n_arrivals", 50)),
+        seed=spec.seed,
+        mean_interarrival_s=float(options.get("mean_interarrival_s", 60.0)),
+        mean_lifetime_s=float(options.get("mean_lifetime_s", 600.0)),
+        lifetime_model=str(options.get("lifetime_model", "exponential")),
+        capacity=capacity,
+    )
 
     service = ClusterService(
         cluster,

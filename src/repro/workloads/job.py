@@ -15,7 +15,6 @@ should achieve this.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
 
 from ..errors import WorkloadError
 from .allreduce import AllreduceAlgorithm, bytes_per_worker
@@ -35,13 +34,6 @@ class JobSpec:
         compute_jitter: Std-dev of per-iteration compute time as a fraction
             of ``compute_time`` (real jobs show a few percent of noise).
         n_workers: Number of data-parallel workers.
-        segments: Optional fine structure of the iteration as
-            ``(compute seconds, comm bytes)`` sub-phases — e.g. layer-wise
-            allreduce emits several bursts per iteration (the pipelining
-            the paper's §2 reviews). Empty means one compute phase
-            followed by one communication phase. When present,
-            ``compute_time`` and ``comm_bytes`` must equal the segment
-            sums (use :meth:`multi_phase`).
     """
 
     job_id: str
@@ -51,7 +43,6 @@ class JobSpec:
     batch_size: int = 0
     compute_jitter: float = 0.0
     n_workers: int = 2
-    segments: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.job_id:
@@ -66,47 +57,6 @@ class JobSpec:
             )
         if self.n_workers < 1:
             raise WorkloadError(f"{self.job_id}: n_workers must be >= 1")
-        if self.segments:
-            for compute_s, bytes_ in self.segments:
-                if compute_s < 0 or bytes_ <= 0:
-                    raise WorkloadError(
-                        f"{self.job_id}: segments need compute >= 0 and "
-                        f"comm bytes > 0"
-                    )
-            total_compute = sum(c for c, _ in self.segments)
-            total_bytes = sum(b for _, b in self.segments)
-            if abs(total_compute - self.compute_time) > 1e-9 or (
-                abs(total_bytes - self.comm_bytes) > 1e-3
-            ):
-                raise WorkloadError(
-                    f"{self.job_id}: segment sums must match compute_time "
-                    f"and comm_bytes (use JobSpec.multi_phase)"
-                )
-
-    @classmethod
-    def multi_phase(
-        cls,
-        job_id: str,
-        segments: Sequence[Tuple[float, float]],
-        **kwargs,
-    ) -> "JobSpec":
-        """Build a job from ``(compute seconds, comm bytes)`` sub-phases."""
-        segments = tuple(segments)
-        if not segments:
-            raise WorkloadError("multi_phase needs at least one segment")
-        return cls(
-            job_id=job_id,
-            compute_time=sum(c for c, _ in segments),
-            comm_bytes=sum(b for _, b in segments),
-            segments=segments,
-            **kwargs,
-        )
-
-    def effective_segments(self) -> Tuple[Tuple[float, float], ...]:
-        """The iteration's sub-phases (a single pair when unspecified)."""
-        if self.segments:
-            return self.segments
-        return ((self.compute_time, self.comm_bytes),)
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -8,24 +8,19 @@ circle. :func:`demand_trace` produces that signal for a
 
 The online cluster service (ROADMAP item 3) additionally needs *arrival
 processes*: streams of :class:`JobArrival` events feeding
-:class:`repro.scheduler.service.ClusterService`. Two generators cover the
-standard modelling choices:
-
-* :func:`poisson_arrivals` — Poisson arrivals with exponential, Pareto
-  (heavy-tailed, the empirical cluster-trace shape) or fixed lifetimes.
-  Iteration times are drawn from a small grid of whole-millisecond
-  periods so unified-circle LCMs stay exact and affordable — the same
-  profiling-granularity argument as
-  :class:`~repro.workloads.generator.WorkloadGenerator`.
-* :func:`trace_arrivals` — replay explicit rows (e.g. from a recorded
-  production trace), with :func:`arrival_to_row` as the inverse so
-  schedules round-trip through the runner's spec options.
+:class:`repro.scheduler.service.ClusterService`.
+:func:`poisson_arrivals` draws Poisson arrivals with exponential, Pareto
+(heavy-tailed, the empirical cluster-trace shape) or fixed lifetimes.
+Iteration times are drawn from a small grid of whole-millisecond periods
+so unified-circle LCMs stay exact and affordable — the same
+profiling-granularity argument as
+:class:`~repro.workloads.generator.WorkloadGenerator`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from ..errors import WorkloadError
 from ..sim.rng import RandomStreams
@@ -166,59 +161,3 @@ def poisson_arrivals(
             )
         )
     return arrivals
-
-
-Row = Mapping[str, Union[float, int, JobSpec]]
-
-
-def trace_arrivals(rows: Sequence[Row]) -> List[JobArrival]:
-    """Build an arrival schedule from explicit trace rows.
-
-    Each row is a mapping with ``time`` (seconds), ``lifetime``
-    (seconds), ``job`` (a :class:`JobSpec`) and optionally
-    ``n_workers`` (defaults to the spec's worker count). Rows may come
-    from a recorded production trace or from ``arrival_to_row``; the
-    result is sorted by ``(time, job_id)``.
-    """
-    arrivals: List[JobArrival] = []
-    for index, row in enumerate(rows):
-        try:
-            time = float(row["time"])
-            lifetime = float(row["lifetime"])
-            spec = row["job"]
-        except (KeyError, TypeError) as exc:
-            raise WorkloadError(
-                f"trace row {index} needs time/lifetime/job: {exc}"
-            ) from None
-        if not isinstance(spec, JobSpec):
-            raise WorkloadError(
-                f"trace row {index}: job must be a JobSpec, "
-                f"got {type(spec).__name__}"
-            )
-        if time < 0:
-            raise WorkloadError(f"trace row {index}: time must be >= 0")
-        if lifetime <= 0:
-            raise WorkloadError(f"trace row {index}: lifetime must be > 0")
-        n_workers = int(row.get("n_workers", spec.n_workers))
-        arrivals.append(
-            JobArrival(
-                time=time, spec=spec, n_workers=n_workers, lifetime=lifetime
-            )
-        )
-    arrivals.sort(key=lambda a: (a.time, a.spec.job_id))
-    return arrivals
-
-
-def arrival_to_row(arrival: JobArrival) -> Dict[str, Union[float, int, JobSpec]]:
-    """Inverse of :func:`trace_arrivals` for one arrival.
-
-    The ``job`` value is a :class:`JobSpec`, which the runner's option
-    codec serializes natively — so whole schedules can ride inside
-    ``RunSpec.options`` and hash/cache deterministically.
-    """
-    return {
-        "time": arrival.time,
-        "lifetime": arrival.lifetime,
-        "n_workers": arrival.n_workers,
-        "job": arrival.spec,
-    }

@@ -1,7 +1,10 @@
 """Share-policy tests: fair, weighted, adaptive, priority, factory."""
 
+import math
+
 import pytest
 
+from repro import io
 from repro.cc.adaptive import AdaptiveUnfair
 from repro.cc.factory import make_policy
 from repro.cc.fair import FairSharing
@@ -53,6 +56,16 @@ class TestStaticWeighted:
         with pytest.raises(ConfigError):
             StaticWeighted({"a": 0.0})
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_weight_rejected(self, weight):
+        with pytest.raises(ConfigError, match="job J: weight"):
+            StaticWeighted({"J": weight})
+        with pytest.raises(ConfigError, match="default weight"):
+            StaticWeighted({"J": 1.0}, default=weight)
+        document = {"kind": "static-weighted", "weights": {"J": weight}}
+        with pytest.raises(ConfigError):
+            io.policy_from_dict(document)
+
     def test_ratio_must_exceed_one(self):
         with pytest.raises(ConfigError):
             StaticWeighted.from_aggressiveness_order(["a", "b"], ratio=1.0)
@@ -90,6 +103,40 @@ class TestAdaptive:
             AdaptiveUnfair(exponent=0.0)
         with pytest.raises(ConfigError):
             AdaptiveUnfair(reallocation_interval=0.0)
+
+    @pytest.mark.parametrize(
+        "name", ["gain", "exponent", "base_weight", "reallocation_interval"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_params_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            AdaptiveUnfair(**{name: value})
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"gain": 10.0, "exponent": 1000.0},
+            {"base_weight": 1e308, "gain": 1.0, "exponent": 2.0},
+        ],
+    )
+    def test_overflowing_weight_rejected(self, params):
+        # The weight peaks at progress 1: base * (1 + gain) ** exponent.
+        with pytest.raises(ConfigError, match="overflows"):
+            AdaptiveUnfair(**params)
+        document = {
+            "kind": "adaptive-unfair",
+            "gain": 1.0,
+            "exponent": 1.0,
+            "base_weight": 1.0,
+            "reallocation_interval": 2e-3,
+            **params,
+        }
+        with pytest.raises(ConfigError, match="overflows"):
+            io.policy_from_dict(document)
+
+    def test_largest_finite_weight_accepted(self):
+        policy = AdaptiveUnfair(gain=10.0, exponent=100.0)
+        assert policy.weight_of(_flow("x", 1.0)) == 11.0 ** 100
 
 
 class TestPrioritySharing:

@@ -1,6 +1,8 @@
 """Tests for the congestion-free controller, JSON serialization, and
 bootstrap confidence intervals."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -142,12 +144,19 @@ class TestIo:
         )
         assert job_spec_from_dict(job_spec_to_dict(spec)) == spec
 
-    def test_multi_phase_spec_roundtrip(self):
-        spec = JobSpec.multi_phase(
-            "mp", [(ms(50), ms(20) * CAP), (ms(30), ms(15) * CAP)]
-        )
-        restored = job_spec_from_dict(job_spec_to_dict(spec))
-        assert restored.segments == spec.segments
+    def test_segments_key_refused(self, tmp_path):
+        # A document written for several bursts per iteration is refused,
+        # not flattened into one compute phase and one burst.
+        data = job_spec_to_dict(JobSpec("mp", ms(80), ms(35) * CAP))
+        data["segments"] = [
+            [ms(50), ms(20) * CAP], [ms(30), ms(15) * CAP]
+        ]
+        with pytest.raises(ConfigError, match="segments"):
+            job_spec_from_dict(data)
+        path = tmp_path / "workload.json"
+        path.write_text(json.dumps({"version": 1, "jobs": [data]}))
+        with pytest.raises(ConfigError, match="segments"):
+            load_workload(path)
 
     def test_circle_roundtrip(self):
         circle = JobCircle.from_arcs(
@@ -169,7 +178,7 @@ class TestIo:
     def test_workload_file_roundtrip(self, tmp_path):
         specs = [
             JobSpec("a", ms(100), ms(50) * CAP),
-            JobSpec.multi_phase("b", [(ms(10), 1e6), (ms(20), 2e6)]),
+            JobSpec("b", ms(30), 3e6, n_workers=4),
         ]
         path = tmp_path / "workload.json"
         save_workload(specs, path)

@@ -47,6 +47,15 @@ class TestJobCircle:
         with pytest.raises(GeometryError):
             JobCircle.from_job(spec, gbps(42), ticks_per_second=10)
 
+    def test_from_job_takes_no_demand(self):
+        # A spec's circle has full demand; a fractional one is built with
+        # ``from_phases(..., demand=)``.
+        spec = JobSpec("j", compute_time=0.1, comm_bytes=1e6)
+        circle = JobCircle.from_job(spec, 1e9, ticks_per_second=1000)
+        assert circle.demand == 1.0
+        with pytest.raises(TypeError):
+            JobCircle.from_job(spec, 1e9, ticks_per_second=1000, demand=0.5)
+
     def test_rotate_returns_new_circle(self):
         c = JobCircle.from_phases("j", 60, 40)
         rotated = c.rotate(10)

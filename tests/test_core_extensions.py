@@ -13,8 +13,6 @@ from repro.core.tuning import (
 )
 from repro.core.unified import UnifiedCircle
 from repro.errors import CompatibilityError, GeometryError
-from repro.units import gbps, ms
-from repro.workloads.job import JobSpec
 
 
 class TestClusterCompatibility:
@@ -239,40 +237,13 @@ class TestTuning:
 
 
 class TestMultiPhaseCircles:
-    def test_multi_phase_spec_builds_multi_arc_circle(self):
-        cap = gbps(42)
-        spec = JobSpec.multi_phase(
-            "mp",
-            [(ms(50), ms(20) * cap), (ms(30), ms(15) * cap)],
-        )
-        circle = JobCircle.from_job(spec, cap, ticks_per_second=1000)
-        assert circle.perimeter == 115
-        assert circle.comm.intervals == ((50, 70), (100, 115))
-
-    def test_segment_sums_validated(self):
-        cap = gbps(42)
-        with pytest.raises(Exception):
-            JobSpec(
-                "bad", compute_time=ms(100), comm_bytes=ms(50) * cap,
-                segments=((ms(10), ms(10) * cap),),
-            )
-
-    def test_effective_segments_single_phase(self):
-        spec = JobSpec("j", compute_time=0.1, comm_bytes=1e6)
-        assert spec.effective_segments() == ((0.1, 1e6),)
-
     def test_multi_phase_compatibility(self):
-        # Two jobs with interleaved bursts can be compatible even though
-        # single-arc equivalents of the same totals would not be.
-        cap = gbps(42)
-        a = JobSpec.multi_phase(
-            "a", [(ms(40), ms(30) * cap), (ms(40), ms(30) * cap)]
-        )
-        b = JobSpec.multi_phase(
-            "b", [(ms(40), ms(30) * cap), (ms(40), ms(30) * cap)]
-        )
+        # Circles with two bursts per iteration (general arc geometry,
+        # built with ``from_arcs``) interleave: each job's bursts fit in
+        # the other's gaps.
+        a = JobCircle.from_arcs("a", 140, [(40, 30), (110, 30)])
+        b = JobCircle.from_arcs("b", 140, [(40, 30), (110, 30)])
         from repro.core.compatibility import CompatibilityChecker
 
-        checker = CompatibilityChecker(capacity=cap)
-        result = checker.check([a, b])
+        result = CompatibilityChecker().check_circles([a, b])
         assert result.compatible

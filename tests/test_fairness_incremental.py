@@ -1,4 +1,4 @@
-"""Tests for fairness metrics and incremental compatibility checking."""
+"""Tests for the fairness metrics."""
 
 import pytest
 
@@ -10,8 +10,6 @@ from repro.analysis.fairness import (
 )
 from repro.cc.fair import FairSharing
 from repro.cc.weighted import StaticWeighted
-from repro.core.circle import JobCircle
-from repro.core.compatibility import CompatibilityChecker
 from repro.errors import SimulationError
 from repro.experiments.common import BOTTLENECK, run_jobs
 from repro.units import gbps, ms
@@ -104,71 +102,3 @@ class TestContentionMetrics:
             efficiency(result, BOTTLENECK, 0.0)
         with pytest.raises(SimulationError):
             efficiency(result, BOTTLENECK, CAP, start=5.0, end=1.0)
-
-
-class TestIncrementalCheck:
-    def _checker(self):
-        return CompatibilityChecker(capacity=CAP)
-
-    def test_newcomer_fits_fixed_placement(self):
-        checker = self._checker()
-        placed = [JobCircle.from_phases("a", 210, 90)]
-        new = JobCircle.from_phases("b", 210, 90)
-        result = checker.check_incremental(placed, {"a": 0}, new)
-        assert result.compatible
-        assert result.certified
-        assert result.method == "incremental"
-        # Certificate keeps the placed rotation untouched.
-        assert result.rotations["a"] == 0
-
-    def test_newcomer_rejected_when_gap_too_small(self):
-        checker = self._checker()
-        placed = [
-            JobCircle.from_phases("a", 100, 100),
-            JobCircle.from_phases("b", 100, 100),
-        ]
-        rotations = {"a": 0, "b": 100}  # arcs [100,200) and [0,100)
-        new = JobCircle.from_phases("c", 150, 50)
-        result = checker.check_incremental(placed, rotations, new)
-        assert not result.compatible
-        assert result.certified
-        assert result.overlap_ticks > 0
-
-    def test_incremental_stricter_than_offline(self):
-        # Offline re-rotation fits three 60-tick arcs in a 200 circle;
-        # with two jobs pinned adjacent, the incremental check still
-        # finds room — but pinning them to clip every gap below 60 makes
-        # the incremental check fail while offline succeeds.
-        checker = self._checker()
-        a = JobCircle.from_phases("a", 140, 60)
-        b = JobCircle.from_phases("b", 140, 60)
-        c = JobCircle.from_phases("c", 140, 60)
-        offline = checker.check_circles([a, b, c])
-        assert offline.compatible
-        # Pin a at [140, 200) and b at [40, 100): gaps are 40 and 40.
-        pinned = {"a": 0, "b": 100}
-        result = checker.check_incremental([a, b], pinned, c)
-        assert not result.compatible
-
-    def test_incremental_certificate_verifies(self):
-        from repro.core.unified import UnifiedCircle
-
-        checker = self._checker()
-        placed = [
-            JobCircle.from_phases("a", 300, 80),
-            JobCircle.from_phases("b", 300, 80),
-        ]
-        rotations = {"a": 0, "b": 100}
-        new = JobCircle.from_phases("c", 300, 80)
-        result = checker.check_incremental(placed, rotations, new)
-        assert result.compatible
-        unified = UnifiedCircle(placed + [new])
-        assert unified.overlap_ticks(result.rotations) == 0
-
-    def test_different_periods(self):
-        checker = self._checker()
-        placed = [JobCircle.from_phases("a", 30, 10)]  # period 40
-        new = JobCircle.from_phases("b", 50, 10)       # period 60
-        result = checker.check_incremental(placed, {"a": 0}, new)
-        assert result.compatible
-        assert result.unified_perimeter == 120

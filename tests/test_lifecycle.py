@@ -99,34 +99,26 @@ class TestJobTimeline:
 
 
 class TestJobLifecycle:
-    def test_rejects_empty_segments(self):
-        with pytest.raises(ConfigError):
-            JobLifecycle("J", segments=())
-
     def test_rejects_bad_segment(self):
         with pytest.raises(ConfigError):
-            JobLifecycle("J", segments=((-0.1, 100.0),))
+            JobLifecycle("J", -0.1, 100.0)
         with pytest.raises(ConfigError):
-            JobLifecycle("J", segments=((0.1, 0.0),))
+            JobLifecycle("J", 0.1, 0.0)
 
     def test_rejects_bad_iteration_budget(self):
         with pytest.raises(WorkloadError):
-            JobLifecycle("J", segments=((0.1, 100.0),), n_iterations=0)
+            JobLifecycle("J", 0.1, 100.0, n_iterations=0)
 
     def test_rejects_negative_offset(self):
         with pytest.raises(ConfigError):
-            JobLifecycle(
-                "J", segments=((0.1, 100.0),), start_offset=-1.0
-            )
+            JobLifecycle("J", 0.1, 100.0, start_offset=-1.0)
 
     def test_jitter_requires_rng(self):
         with pytest.raises(ConfigError):
-            JobLifecycle(
-                "J", segments=((0.1, 100.0),), compute_jitter=0.1
-            )
+            JobLifecycle("J", 0.1, 100.0, compute_jitter=0.1)
 
     def test_single_segment_walk(self):
-        lc = JobLifecycle("J", segments=((0.1, 100.0),), n_iterations=2)
+        lc = JobLifecycle("J", 0.1, 100.0, n_iterations=2)
         assert lc.begin_iteration(0.0) == pytest.approx(0.1)
         assert lc.state is JobState.COMPUTE
         assert lc.begin_comm(0.1) == pytest.approx(100.0)
@@ -147,27 +139,9 @@ class TestJobLifecycle:
         with pytest.raises(SimulationError):
             lc.begin_iteration(0.6)
 
-    def test_multi_segment_walk(self):
-        lc = JobLifecycle(
-            "J", segments=((0.1, 50.0), (0.05, 30.0)), n_iterations=1
-        )
-        lc.begin_iteration(0.0)
-        assert lc.n_segments == 2
-        assert lc.begin_comm(0.1) == pytest.approx(50.0)
-        assert lc.has_more_segments
-        assert lc.advance_segment(0.2) == pytest.approx(0.05)
-        assert not lc.has_more_segments
-        assert lc.begin_comm(0.25) == pytest.approx(30.0)
-        done_sample = lc.close_iteration(0.3)
-        # comm_start pins the iteration's *first* burst.
-        assert done_sample.comm_start == pytest.approx(0.1)
-        assert lc.done
-
     def test_gate_may_only_delay(self):
         lc = JobLifecycle(
-            "J",
-            segments=((0.1, 100.0),),
-            gate=lambda job_id, now: now - 1.0,
+            "J", 0.1, 100.0, gate=lambda job_id, now: now - 1.0
         )
         lc.begin_iteration(0.0)
         with pytest.raises(SimulationError, match="past time"):
@@ -175,9 +149,7 @@ class TestJobLifecycle:
 
     def test_gate_release_and_waiting(self):
         lc = JobLifecycle(
-            "J",
-            segments=((0.1, 100.0),),
-            gate=lambda job_id, now: now + 0.5,
+            "J", 0.1, 100.0, gate=lambda job_id, now: now + 0.5
         )
         lc.begin_iteration(0.0)
         assert lc.release_time(0.1) == pytest.approx(0.6)
@@ -185,16 +157,14 @@ class TestJobLifecycle:
         assert lc.state is JobState.WAITING
 
     def test_ungated_release_is_now(self):
-        lc = JobLifecycle("J", segments=((0.1, 100.0),))
+        lc = JobLifecycle("J", 0.1, 100.0)
         lc.begin_iteration(0.0)
         assert lc.release_time(0.25) == pytest.approx(0.25)
 
     def test_zero_jitter_never_touches_rng(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        lc = JobLifecycle(
-            "J", segments=((0.1, 100.0),), rng=rng, compute_jitter=0.0
-        )
+        lc = JobLifecycle("J", 0.1, 100.0, rng=rng, compute_jitter=0.0)
         assert lc.sample_compute_factor() == 1.0
         assert rng.bit_generator.state == before
 
@@ -202,7 +172,8 @@ class TestJobLifecycle:
         factors = {
             JobLifecycle(
                 "J",
-                segments=((0.1, 100.0),),
+                0.1,
+                100.0,
                 rng=np.random.default_rng(seed),
                 compute_jitter=0.2,
             ).sample_compute_factor()
@@ -211,13 +182,12 @@ class TestJobLifecycle:
         assert len(factors) == 4
         assert all(f >= 0.0 for f in factors)
 
-    def test_for_spec_uses_effective_segments(self):
+    def test_for_spec_reads_compute_time_and_bytes(self):
         spec = JobSpec("J", compute_time=0.1, comm_bytes=100.0)
         lc = JobLifecycle.for_spec(spec, n_iterations=3)
-        assert lc.n_segments == len(spec.effective_segments())
-        assert lc.segment_comm_bytes() == pytest.approx(
-            spec.effective_segments()[0][1]
-        )
+        assert lc.begin_iteration(0.0) == 0.1
+        assert lc.begin_comm(0.1) == 100.0
+        assert lc.n_iterations == 3
 
 
 class _ConstantRateSender:
@@ -239,9 +209,7 @@ class _ConstantRateSender:
 
 class TestOnOffSource:
     def source(self, n_iterations=2, rate=1000.0):
-        lifecycle = JobLifecycle(
-            "J", segments=((0.01, 10.0),), n_iterations=n_iterations
-        )
+        lifecycle = JobLifecycle("J", 0.01, 10.0, n_iterations=n_iterations)
         return OnOffSource(
             "J", lifecycle, lambda b: _ConstantRateSender(rate, b)
         )

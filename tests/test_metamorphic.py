@@ -249,7 +249,6 @@ class TestZeroEventScheduleIsIdentity:
                 seed=3,
                 capacity=CAP,
                 options=(
-                    ("arrival_process", "poisson"),
                     ("n_arrivals", 8),
                     ("mean_interarrival_s", 30.0),
                     ("mean_lifetime_s", 120.0),

@@ -1,103 +1,12 @@
-"""Multi-phase jobs in the phase-level simulator, and the on-off DCQCN
-cross-fidelity source."""
+"""The on-off DCQCN cross-fidelity source: one compute phase and one
+DCQCN burst per iteration on the fluid simulator."""
 
 import numpy as np
 import pytest
 
 from repro.cc.dcqcn import DcqcnFluidSimulator, DcqcnParams, OnOffDcqcnJob
-from repro.cc.fair import FairSharing
-from repro.cc.weighted import StaticWeighted
 from repro.errors import ConfigError
-from repro.net.phasesim import PhaseLevelSimulator
-from repro.net.topology import Topology
-from repro.units import gbps, ms
-from repro.workloads.job import JobSpec
-
-CAP = gbps(42)
-
-
-def _dumbbell(n=2):
-    return Topology.dumbbell(
-        hosts_per_side=n, host_capacity=CAP, bottleneck_capacity=CAP
-    )
-
-
-class TestMultiPhaseSimulation:
-    def test_solo_multi_phase_iteration_time(self):
-        spec = JobSpec.multi_phase(
-            "mp",
-            [(ms(50), ms(20) * CAP), (ms(30), ms(15) * CAP),
-             (ms(40), ms(10) * CAP)],
-        )
-        sim = PhaseLevelSimulator(_dumbbell(1), FairSharing())
-        sim.add_job(spec, "ha0", "hb0", n_iterations=4)
-        result = sim.run()
-        np.testing.assert_allclose(
-            result.iteration_times("mp"), ms(165), rtol=1e-9
-        )
-
-    def test_bytes_conserved_across_segments(self):
-        spec = JobSpec.multi_phase(
-            "mp", [(ms(50), ms(20) * CAP), (ms(30), ms(15) * CAP)]
-        )
-        sim = PhaseLevelSimulator(_dumbbell(1), FairSharing())
-        sim.add_job(spec, "ha0", "hb0", n_iterations=3)
-        result = sim.run()
-        run = result.jobs["mp"]
-        for record in run.records:
-            moved = run.rate_trace.integrate(record.start, record.end)
-            assert moved == pytest.approx(spec.comm_bytes, rel=1e-6)
-
-    def test_comm_start_is_first_burst(self):
-        spec = JobSpec.multi_phase(
-            "mp", [(ms(50), ms(20) * CAP), (ms(30), ms(15) * CAP)]
-        )
-        sim = PhaseLevelSimulator(_dumbbell(1), FairSharing())
-        sim.add_job(spec, "ha0", "hb0", n_iterations=1)
-        result = sim.run()
-        record = result.jobs["mp"].records[0]
-        assert record.comm_start == pytest.approx(ms(50))
-
-    def test_multi_phase_pair_shares_fairly(self):
-        mk = lambda name: JobSpec.multi_phase(
-            name, [(ms(60), ms(40) * CAP), (ms(60), ms(40) * CAP)]
-        )
-        sim = PhaseLevelSimulator(_dumbbell(2), FairSharing())
-        sim.add_job(mk("a"), "ha0", "hb0", n_iterations=10)
-        sim.add_job(mk("b"), "ha1", "hb1", n_iterations=10)
-        result = sim.run()
-        # Synchronized identical bursts at half rate: 60 + 80 per segment.
-        np.testing.assert_allclose(
-            result.iteration_times("a"), ms(280), rtol=1e-9
-        )
-
-    def test_multi_phase_pair_interleaves_under_unfairness(self):
-        mk = lambda name: JobSpec.multi_phase(
-            name, [(ms(60), ms(40) * CAP), (ms(60), ms(40) * CAP)]
-        )
-        fair = PhaseLevelSimulator(_dumbbell(2), FairSharing())
-        unfair = PhaseLevelSimulator(
-            _dumbbell(2), StaticWeighted.from_aggressiveness_order(["a", "b"])
-        )
-        for sim in (fair, unfair):
-            sim.add_job(mk("a"), "ha0", "hb0", n_iterations=25)
-            sim.add_job(mk("b"), "ha1", "hb1", n_iterations=25)
-        fair_result = fair.run()
-        unfair_result = unfair.run()
-        for job in ("a", "b"):
-            assert unfair_result.mean_iteration_time(job, skip=10) < (
-                fair_result.mean_iteration_time(job, skip=10)
-            )
-
-    def test_jitter_applies_to_all_segments(self):
-        spec = JobSpec.multi_phase(
-            "mp", [(ms(50), ms(20) * CAP), (ms(50), ms(20) * CAP)],
-            compute_jitter=0.05,
-        )
-        sim = PhaseLevelSimulator(_dumbbell(1), FairSharing(), seed=4)
-        sim.add_job(spec, "ha0", "hb0", n_iterations=30)
-        result = sim.run()
-        assert result.iteration_times("mp").std() > 0
+from repro.units import gbps
 
 
 class TestOnOffDcqcnJob:

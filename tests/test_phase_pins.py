@@ -32,17 +32,17 @@ from repro.workloads.job import JobSpec
 #: placements under the random, consolidated and compatibility-aware
 #: policies.
 SCHEDULER_PIN = (
-    "2af1eaf9e209779477260ec917661ceaa88e9b7d0a402af4d51328af5d34dc2b"
+    "79a441f419242c296dd5772c456b3e0a82061dd997fcdddd4d8132fe82912a81"
 )
 
 #: ``fattree.run_placement()``: the fat-tree placement study's clusters.
 FATTREE_PIN = (
-    "b416ec2917d2497d466766d1bee1a7b4abd351713aca2869afc062450a13f5d9"
+    "14072a0d0e68e67d07f9a5f4471d9be287175178c0108f6d60bd7e87fb413cd6"
 )
 
 #: :func:`gated_priority_spec` on the default dumbbell.
 PHASE_PIN = (
-    "d8e400ab4655659f7d53496504428114648d29b9f1f64295875688b79a394e69"
+    "7d280fcf70dd810169b0ff2bbf75b66428a8af90cd4b075510f4d2682b14a36c"
 )
 
 

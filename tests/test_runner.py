@@ -376,11 +376,9 @@ class TestUnreadOptions:
         "phase": [],
         "cluster": ["gpus_per_host", "placements", "warmup_iterations"],
         "service": [
-            "arrival_process", "fat_tree_k", "gpus_per_host",
-            "hosts_per_rack", "lifetime_model", "max_candidates",
+            "gpus_per_host", "hosts_per_rack", "lifetime_model",
             "mean_interarrival_s", "mean_lifetime_s", "n_arrivals",
-            "n_racks", "pareto_shape", "placement", "queue_limit",
-            "topology", "trace",
+            "n_racks", "placement", "queue_limit",
         ],
     }
 

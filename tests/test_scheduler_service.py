@@ -477,31 +477,10 @@ class TestServiceBackend:
         assert int(warm.counter("runner.cache.hits").value) == 1
         assert line == "placement latency: - (cache hits or telemetry off)"
 
-    def test_trace_process_round_trips_jobspecs(self):
-        from repro.workloads.traces import arrival_to_row
-
-        arrivals = poisson_arrivals(
-            8, seed=5, mean_interarrival_s=10.0, mean_lifetime_s=60.0
-        )
-        rows = tuple(arrival_to_row(a) for a in arrivals)
-        spec = RunSpec(
-            backend="service",
-            seed=5,
-            options=(
-                ("arrival_process", "trace"),
-                ("trace", rows),
-                ("placement", "consolidated"),
-                ("n_racks", 3),
-                ("hosts_per_rack", 1),
-            ),
-        )
-        assert spec.cacheable()
-        [result] = run_many([spec], jobs=1, cache=False)
-        assert result.data["submitted"] == 8
-
 
 class TestFatTreeService:
-    """The service backend on a three-tier fat-tree fabric."""
+    """The service backend on a three-tier fat-tree fabric, passed in as
+    ``RunSpec.topology``."""
 
     @staticmethod
     def _spec(seed=0, **extra):
@@ -510,8 +489,6 @@ class TestFatTreeService:
             "mean_interarrival_s": 15.0,
             "mean_lifetime_s": 120.0,
             "placement": "compatibility-aware",
-            "topology": "fat-tree",
-            "fat_tree_k": 4,
             "gpus_per_host": 4,
         }
         options.update(extra)
@@ -520,6 +497,7 @@ class TestFatTreeService:
             label=f"svc-fattree-{seed}",
             seed=seed,
             options=tuple(sorted(options.items())),
+            topology=Topology.fat_tree(k=4, host_capacity=CAP),
         )
 
     def test_fat_tree_recipe_places_jobs(self):
@@ -543,10 +521,13 @@ class TestFatTreeService:
         assert first.data["admitted"] > 0
 
     def test_unknown_topology_recipe_rejected(self):
-        with pytest.raises(SimulationError, match="topology recipe"):
-            run_many(
-                [self._spec(topology="torus")], jobs=1, cache=False
-            )
+        # The fabric comes in as ``RunSpec.topology``; the backend builds
+        # no fabric from a recipe name, so it refuses the option unread.
+        for recipe in ("fat-tree", "torus"):
+            with pytest.raises(ConfigError, match="'topology'"):
+                run_many(
+                    [self._spec(topology=recipe)], jobs=1, cache=False
+                )
 
     def test_compat_placement_on_fat_tree_cluster(self):
         topology = Topology.fat_tree(4, host_capacity=CAP)
