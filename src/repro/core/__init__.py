@@ -26,6 +26,7 @@ from .optimize import (
     solve,
     solve_fractional,
     exact_pair_feasible_rotations,
+    feasible_against,
     backtracking_search,
     greedy_search,
     annealing_search,
@@ -71,6 +72,7 @@ __all__ = [
     "solve",
     "solve_fractional",
     "exact_pair_feasible_rotations",
+    "feasible_against",
     "backtracking_search",
     "greedy_search",
     "annealing_search",

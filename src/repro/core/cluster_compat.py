@@ -9,9 +9,10 @@ link, the jobs sharing it never communicate simultaneously.
 This is strictly harder than the single-link problem: the constraint
 graph is per-link, but a job has one phase — it cannot rotate differently
 for different links. :class:`ClusterCompatibilityProblem` solves it with
-the same exact feasible-set machinery, intersecting each job's feasible
-rotations against *only the jobs it actually shares links with* — jobs in
-different parts of the fabric do not constrain each other, and
+the same exact feasible-set rule as the single-link solvers
+(:func:`repro.core.optimize.feasible_against`), intersecting each job's
+feasible rotations against *only the jobs it actually shares links with*
+— jobs in different parts of the fabric do not constrain each other, and
 independent connected components are solved independently.
 
 No step tiles past :func:`repro.core.optimize.solve`'s budget: the DFS
@@ -26,9 +27,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import CompatibilityError
-from .arcs import ArcSet
 from .circle import JobCircle
-from .optimize import exact_pair_feasible_rotations, within_tiling_budget
+from .optimize import (
+    _anneal,
+    exact_pair_feasible_rotations,
+    feasible_against,
+    within_tiling_budget,
+)
 from .unified import UnifiedCircle, unified_perimeter
 
 
@@ -126,14 +131,6 @@ class ClusterCompatibilityProblem:
             remaining -= component
         return components
 
-    def contended_links(self) -> Dict[str, Set[str]]:
-        """Links carrying two or more jobs."""
-        return {
-            link: jobs
-            for link, jobs in self._jobs_on.items()
-            if len(jobs) > 1
-        }
-
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
@@ -189,7 +186,10 @@ class ClusterCompatibilityProblem:
         canonical form produced by :meth:`components`). A ``None`` return
         means no zero-overlap rotation assignment was found (the DFS and
         the annealing fallback both missed; past the tiling budget the
-        annealing fallback, which tiles every link, is not tried).
+        annealing fallback, which tiles every link, is not tried). The
+        fallback is :func:`repro.core.optimize._anneal` with one restart,
+        scoring rotations by the overlap summed over the component's
+        links (:meth:`audit_links`).
         """
         circles = [self._circles[job_id] for job_id in component]
         if len(circles) == 1:
@@ -223,23 +223,14 @@ class ClusterCompatibilityProblem:
             if nodes > max_nodes:
                 return None
             job_id = order[depth]
-            circle = self._circles[job_id]
-            feasible = ArcSet(circle.perimeter, [(0, circle.perimeter)])
-            for neighbour in self.neighbours(job_id):
-                if neighbour not in partial:
-                    continue
-                # The rotations avoiding a placed neighbour, from the
-                # pair's gcd circle tiled up to this job's own period:
-                # the same set as against the neighbour tiled onto the
-                # component's LCM circle, which is never built.
-                pair = exact_pair_feasible_rotations(
-                    self._circles[neighbour], circle
-                )
-                feasible = feasible.intersection(
-                    pair.rotate(partial[neighbour]).tile(circle.perimeter)
-                )
-                if feasible.is_empty:
-                    return None
+            feasible = feasible_against(
+                self._circles[job_id],
+                [
+                    (self._circles[neighbour], partial[neighbour])
+                    for neighbour in sorted(self.neighbours(job_id))
+                    if neighbour in partial
+                ],
+            )
             for delta in [start for start, _ in feasible.intervals]:
                 nodes += 1
                 partial[job_id] = delta
@@ -252,51 +243,25 @@ class ClusterCompatibilityProblem:
         found = dfs(0, {})
         if found is not None:
             return found, "dfs"
-        if not within_tiling_budget(circles, unified_perimeter(circles)):
+        perimeter = unified_perimeter(circles)
+        if not within_tiling_budget(circles, perimeter):
             return None
         # Fall back to annealing with the *link-aware* cost.
-        return self._anneal_component(component, seed)
-
-    def _anneal_component(
-        self, component: Sequence[str], seed: int
-    ) -> Optional[Tuple[Dict[str, int], str]]:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        rotations = {job_id: 0 for job_id in component}
-        best = dict(rotations)
-        best_cost, _ = self._component_cost(component, rotations)
-        iterations = 3000
-        for step in range(iterations):
-            if best_cost == 0:
-                break
-            job_id = component[int(rng.integers(len(component)))]
-            period = self._circles[job_id].perimeter
-            candidate = dict(rotations)
-            candidate[job_id] = int(rng.integers(period))
-            cost, _ = self._component_cost(component, candidate)
-            temperature = max(
-                1e-9, (1.0 - step / iterations) * best_cost + 1e-9
-            )
-            if cost <= best_cost or rng.random() < np.exp(
-                (best_cost - cost) / temperature
-            ):
-                rotations = candidate
-                if cost < best_cost:
-                    best, best_cost = dict(candidate), cost
-        if best_cost == 0:
-            return best, "annealing"
-        return None
-
-    def _component_cost(
-        self, component: Sequence[str], rotations: Mapping[str, int]
-    ) -> Tuple[int, List[str]]:
         links = {
-            link
-            for job_id in component
-            for link in self._links_of[job_id]
+            link for job_id in component for link in self._links_of[job_id]
         }
-        return self.audit_links(links, rotations)
+        outcome = _anneal(
+            circles,
+            lambda rotations: self.audit_links(links, rotations)[0],
+            perimeter,
+            iterations=3000,
+            restarts=1,
+            seed=seed,
+            method="annealing",
+        )
+        if outcome.found:
+            return outcome.rotations, outcome.method
+        return None
 
     def _audit(
         self, rotations: Mapping[str, int]

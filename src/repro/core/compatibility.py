@@ -64,7 +64,6 @@ class CompatibilityChecker:
         self,
         capacity: float = gbps(42),
         ticks_per_second: int = 1000,
-        coverage_capacity: int = 1,
     ) -> None:
         """Create a checker.
 
@@ -74,16 +73,11 @@ class CompatibilityChecker:
             ticks_per_second: Geometry quantization. The default (1 tick =
                 1 ms) matches profiling granularity and keeps LCMs small;
                 raise it for sub-millisecond profiles.
-            coverage_capacity: Maximum jobs allowed to communicate in the
-                same sector (1 in the paper's formulation).
         """
         if ticks_per_second <= 0:
             raise CompatibilityError("ticks_per_second must be > 0")
-        if coverage_capacity < 1:
-            raise CompatibilityError("coverage_capacity must be >= 1")
         self.capacity = capacity
         self.ticks_per_second = ticks_per_second
-        self.coverage_capacity = coverage_capacity
 
     # ------------------------------------------------------------------
     # Circle construction
@@ -104,30 +98,19 @@ class CompatibilityChecker:
     # ------------------------------------------------------------------
 
     def check(
-        self,
-        specs: Sequence[JobSpec],
-        method: str = "auto",
-        seed: int = 0,
+        self, specs: Sequence[JobSpec], seed: int = 0
     ) -> CompatibilityResult:
         """Decide whether ``specs`` are fully compatible on one link."""
         if not specs:
             raise CompatibilityError("no jobs given")
-        return self.check_circles(self.circles(specs), method=method, seed=seed)
+        return self.check_circles(self.circles(specs), seed=seed)
 
     def check_circles(
-        self,
-        circles: Sequence[JobCircle],
-        method: str = "auto",
-        seed: int = 0,
+        self, circles: Sequence[JobCircle], seed: int = 0
     ) -> CompatibilityResult:
         """Decide compatibility for pre-built circles."""
         unified = UnifiedCircle(circles)
-        outcome: SolverOutcome = solve(
-            circles,
-            capacity=self.coverage_capacity,
-            method=method,
-            seed=seed,
-        )
+        outcome: SolverOutcome = solve(circles, seed=seed)
         return CompatibilityResult(
             compatible=outcome.found,
             rotations=dict(outcome.rotations),
@@ -138,12 +121,3 @@ class CompatibilityChecker:
             method=outcome.method,
             job_ids=[circle.job_id for circle in circles],
         )
-
-    def rotation_seconds(
-        self, result: CompatibilityResult
-    ) -> Dict[str, float]:
-        """Convert a result's rotations from ticks to seconds."""
-        return {
-            job_id: ticks / self.ticks_per_second
-            for job_id, ticks in result.rotations.items()
-        }

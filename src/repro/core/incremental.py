@@ -19,11 +19,11 @@ because re-sliding costs iterations.
 * **Fixed-rotation screen.** When every component an arrival touches is
   compatible under its live rotations, the newcomer's feasible set is the
   intersection of its exact pairwise feasible sets against each
-  link-sharing neighbour *at that neighbour's live rotation* (the
-  ``gcd``-circle trick from :func:`repro.core.optimize.
-  exact_pair_feasible_rotations`, so the cost never depends on the LCM).
-  A non-empty set admits the job with a certificate and **without
-  re-solving or re-phasing anything**.
+  link-sharing neighbour *at that neighbour's live rotation*
+  (:func:`repro.core.optimize.feasible_against`, which works on the
+  ``gcd`` circles, so the cost never depends on the LCM). A non-empty
+  set admits the job with a certificate and **without re-solving or
+  re-phasing anything**.
 
 :meth:`solve` assembles the canonical per-component solutions and is
 metamorphically equivalent to building a fresh
@@ -56,7 +56,7 @@ from .cluster_compat import (
     ClusterCompatibilityResult,
 )
 from .compatibility import CompatibilityChecker
-from .optimize import exact_pair_feasible_rotations
+from .optimize import feasible_against
 
 if TYPE_CHECKING:  # annotation-only; `core` must not load `workloads`
     from ..workloads.job import JobSpec
@@ -67,7 +67,7 @@ DEFAULT_CACHE_ENTRIES = 4096
 
 @dataclass(frozen=True)
 class AdmissionVerdict:
-    """Outcome of admitting (or probing) one job.
+    """Outcome of admitting one job.
 
     Attributes:
         job_id: The candidate job.
@@ -121,19 +121,13 @@ class IncrementalCompatibilityEngine:
 
         Args:
             checker: Builds circles from job specs (:meth:`circle`); its
-                profiling bandwidth and tick granularity apply. Coverage
-                capacity must be 1 (the paper's formulation — the exact
-                pairwise screen has no meaning for capacity > 1).
+                profiling bandwidth and tick granularity apply.
             seed: Seed forwarded to every component solve (annealing
                 fallback), mirroring ``ClusterCompatibilityProblem.solve``.
             max_nodes: DFS node budget per component solve.
             max_cache_entries: LRU bound on cached component solutions.
         """
         checker = checker if checker is not None else CompatibilityChecker()
-        if checker.coverage_capacity != 1:
-            raise CompatibilityError(
-                "incremental engine requires coverage_capacity == 1"
-            )
         if max_cache_entries < 1:
             raise CompatibilityError("max_cache_entries must be >= 1")
         self.checker = checker
@@ -213,18 +207,6 @@ class IncrementalCompatibilityEngine:
     # ------------------------------------------------------------------
     # Admission / departure
     # ------------------------------------------------------------------
-
-    def try_admit(
-        self, circle: JobCircle, links: Sequence[str]
-    ) -> AdmissionVerdict:
-        """Probe an admission without committing any state.
-
-        Component solves triggered by the probe still warm the canonical
-        cache, so a following :meth:`add` of the same job is cheap.
-        """
-        link_names, neighbours, touched = self._locate(circle, links)
-        verdict, _ = self._evaluate(circle, link_names, neighbours, touched)
-        return verdict
 
     def add(
         self, circle: JobCircle, links: Sequence[str]
@@ -483,23 +465,15 @@ class IncrementalCompatibilityEngine:
     def _screen(
         self, circle: JobCircle, neighbours: Sequence[str]
     ) -> ArcSet:
-        """Exact feasible rotations against fixed neighbour rotations.
-
-        Each neighbour constrains the candidate on the ``gcd`` of their
-        perimeters (:func:`exact_pair_feasible_rotations`), shifted by the
-        neighbour's live rotation and tiled up to the candidate's own
-        perimeter — never the LCM, so screening stays cheap.
-        """
-        period = circle.perimeter
-        feasible = ArcSet(period, [(0, period)])
-        for neighbour in neighbours:
-            other = self._circles[neighbour]
-            pair = exact_pair_feasible_rotations(other, circle)
-            shifted = pair.rotate(self._rotations.get(neighbour, 0))
-            feasible = feasible.intersection(shifted.tile(period))
-            if feasible.is_empty:
-                return feasible
-        return feasible
+        """Exact feasible rotations against the neighbours' live
+        rotations (:func:`feasible_against`)."""
+        return feasible_against(
+            circle,
+            [
+                (self._circles[neighbour], self._rotations.get(neighbour, 0))
+                for neighbour in neighbours
+            ],
+        )
 
     def _split(self, members: Sequence[str]) -> List[Tuple[str, ...]]:
         """Connected components among ``members`` (current link state)."""

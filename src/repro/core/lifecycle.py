@@ -31,6 +31,7 @@ semantics and warm-up ``skip`` behaviour come along for free.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,9 +91,14 @@ class JobLifecycle:
         compute_jitter: float = 0.0,
         warp: Optional[Callable[[float, float], float]] = None,
     ) -> None:
-        if compute_time < 0 or comm_bytes <= 0:
+        if not (
+            math.isfinite(compute_time)
+            and compute_time >= 0
+            and math.isfinite(comm_bytes)
+            and comm_bytes > 0
+        ):
             raise ConfigError(
-                f"{job_id}: need compute_time >= 0 and comm_bytes > 0"
+                f"{job_id}: need finite compute_time >= 0 and comm_bytes > 0"
             )
         if n_iterations is not None and n_iterations < 1:
             raise WorkloadError("n_iterations must be >= 1")

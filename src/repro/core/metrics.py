@@ -26,47 +26,40 @@ from .unified import UnifiedCircle, unified_perimeter
 def overlap_ticks(
     circles: Sequence[JobCircle],
     rotations: Mapping[str, int] | None = None,
-    capacity: int = 1,
 ) -> int:
-    """Overlap (ticks covered by more than ``capacity`` jobs) at given
-    rotations (all zero if omitted)."""
-    return UnifiedCircle(circles).overlap_ticks(
-        dict(rotations or {}), capacity=capacity
-    )
+    """Overlap (ticks covered by two or more jobs) at given rotations
+    (all zero if omitted)."""
+    return UnifiedCircle(circles).overlap_ticks(dict(rotations or {}))
 
 
 def min_overlap(
-    circles: Sequence[JobCircle],
-    capacity: int = 1,
-    seed: int = 0,
+    circles: Sequence[JobCircle], seed: int = 0
 ) -> Tuple[int, Dict[str, int]]:
     """Best-effort minimum overlap and the rotations achieving it.
 
     Exact when the solver proves compatibility (overlap 0); otherwise an
     upper bound from annealing — good enough for ranking placements.
     When the solver's own last resort was that annealing run (same
-    circles, capacity and seed) its outcome is returned as is. Past the
+    circles and seed) its outcome is returned as is. Past the
     tiling budget nothing anneals: the solver's overlap, there
     :meth:`UnifiedCircle.overlap_lower_bound`, is returned with its
     all-zero rotations.
     """
-    outcome = solve(circles, capacity=capacity, seed=seed)
+    outcome = solve(circles, seed=seed)
     if (
         outcome.found
         or outcome.method == "annealing"
         or not within_tiling_budget(circles, unified_perimeter(circles))
     ):
         return outcome.overlap, dict(outcome.rotations)
-    refined = annealing_search(circles, capacity=capacity, seed=seed)
+    refined = annealing_search(circles, seed=seed)
     if refined.overlap < outcome.overlap:
         return refined.overlap, dict(refined.rotations)
     return outcome.overlap, dict(outcome.rotations)
 
 
 def compatibility_score(
-    circles: Sequence[JobCircle],
-    capacity: int = 1,
-    seed: int = 0,
+    circles: Sequence[JobCircle], seed: int = 0
 ) -> float:
     """1 minus the fraction of communication time stuck in overlap.
 
@@ -79,7 +72,7 @@ def compatibility_score(
     total_comm = UnifiedCircle(circles).total_comm_ticks()
     if total_comm == 0:
         return 1.0
-    overlap, _ = min_overlap(circles, capacity=capacity, seed=seed)
+    overlap, _ = min_overlap(circles, seed=seed)
     return max(0.0, 1.0 - overlap / total_comm)
 
 

@@ -6,22 +6,29 @@ circle is discretized into sectors with a coverage cap per sector). This
 module implements that search exactly on the integer-tick circle, plus
 approximate solvers for large instances:
 
-* :func:`feasible_rotations` — given arcs already placed on the unified
-  circle, the **exact** set of rotations of the next job that avoid all
-  collisions, computed by interval arithmetic (no sampling).
 * :func:`exact_pair_feasible_rotations` — for two jobs, the feasible set of
   *relative* rotations reduced modulo ``gcd(P1, P2)``: because both tiled
   patterns are periodic, collisions only depend on the relative shift
   modulo the gcd of the periods. This makes pairwise checks O(arcs²) even
   when the LCM is astronomically large (e.g. Table 1 group 3).
+* :func:`feasible_against` — the **exact** set of rotations of one job
+  that avoid every job fixed at a given rotation: the intersection of
+  the pairwise sets, each tiled up to the job's own period. No step
+  builds the LCM circle. Every search that fixes jobs one at a time
+  uses it.
 * :func:`backtracking_search` — depth-first search placing one job at a
   time, choosing rotations from the exact feasible set (boundary
   candidates by default, every feasible tick in ``complete`` mode).
 * :func:`greedy_search` / :func:`annealing_search` /
   :func:`exhaustive_search` — heuristics and a brute-force grid for
-  comparison and for the coverage-capacity > 1 generalization.
+  comparison and for instances too large for exact search.
 * :func:`solve` — the facade with the escalation policy used by
   :class:`repro.core.compatibility.CompatibilityChecker`.
+
+Every solver here works at coverage capacity 1, the paper's formulation:
+a tick is overlap when two or more jobs communicate in it.
+:func:`solve_fractional` is the §5 multi-tenancy analogue, where jobs
+with fractional link demands may share a tick while their demands fit.
 """
 
 from __future__ import annotations
@@ -29,25 +36,25 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import CompatibilityError, GeometryError
+from ..errors import CompatibilityError
 from .arcs import ArcSet
 from .circle import JobCircle
 from .unified import UnifiedCircle
 
-#: Bail out of exact DFS when the placed union grows beyond this many
-#: intervals (keeps worst-case cost bounded; solve() then falls back).
+#: ``solve`` runs the exact DFS only on instances that tile at most this
+#: many arcs onto the unified circle; larger ones go to annealing.
 MAX_PLACED_INTERVALS = 20_000
 
 #: In ``complete`` candidate mode, refuse to enumerate feasible sets larger
 #: than this many ticks per level.
 MAX_COMPLETE_CANDIDATES = 200_000
 
-#: ``solve(method="auto")`` only escalates to the complete (proof-grade)
-#: DFS when the unified perimeter is at most this many ticks.
+#: ``solve`` only escalates to the complete (proof-grade) DFS when the
+#: unified perimeter is at most this many ticks.
 COMPLETE_SEARCH_MAX_PERIMETER = 5_000
 
 #: Above this many tiled arcs, even heuristic search (and exact overlap
@@ -75,16 +82,14 @@ def within_tiling_budget(
 
 
 def _overlap_or_bound(
-    unified: UnifiedCircle,
-    rotations: Dict[str, int],
-    capacity: int,
+    unified: UnifiedCircle, rotations: Dict[str, int]
 ) -> int:
     """Overlap of ``rotations`` when tiling is affordable; past the
     tiling budget, :meth:`UnifiedCircle.overlap_lower_bound`, which no
     rotation assignment can beat."""
     if within_tiling_budget(unified.circles, unified.perimeter):
-        return unified.overlap_ticks(rotations, capacity=capacity)
-    return unified.overlap_lower_bound(capacity)
+        return unified.overlap_ticks(rotations)
+    return unified.overlap_lower_bound()
 
 
 @dataclass
@@ -113,42 +118,6 @@ class SolverOutcome:
 # ---------------------------------------------------------------------------
 # Exact feasible-set computation
 # ---------------------------------------------------------------------------
-
-def feasible_rotations(
-    placed: ArcSet,
-    circle: JobCircle,
-    unified: int,
-) -> ArcSet:
-    """Exact rotations of ``circle`` avoiding all placed arcs.
-
-    ``placed`` lives on the unified circle of perimeter ``unified``; the
-    job's rotation is periodic in its own perimeter ``P``, so the result is
-    an :class:`ArcSet` on a circle of perimeter ``P`` whose covered points
-    are the *feasible* rotations.
-
-    For every placed interval ``[a1, a2)`` and every base communication
-    arc ``[b1, b2)`` of the job, a rotation ``d`` collides iff some tile
-    ``b + d + i*P`` intersects ``[a1, a2)``; since ``i*P mod unified``
-    ranges over all multiples of ``P``, this happens exactly when
-    ``d mod P`` lies in an interval of length ``lenA + lenB - 1`` starting
-    at ``a1 - b1 - lenB + 1``.
-    """
-    period = circle.perimeter
-    if unified % period != 0:
-        raise GeometryError(
-            f"unified perimeter {unified} not a multiple of {period}"
-        )
-    if placed.perimeter != unified:
-        raise GeometryError("placed arcs must live on the unified circle")
-    forbidden: List[Tuple[int, int]] = []
-    for a1, a2 in placed.intervals:
-        len_a = a2 - a1
-        for b1, b2 in circle.comm.intervals:
-            len_b = b2 - b1
-            start = (a1 - b1 - len_b + 1) % period
-            forbidden.append((start, len_a + len_b - 1))
-    return ArcSet(period, forbidden).complement()
-
 
 def exact_pair_feasible_rotations(
     first: JobCircle,
@@ -183,6 +152,33 @@ def pair_compatible(first: JobCircle, second: JobCircle) -> Optional[int]:
     return feasible.intervals[0][0]
 
 
+def feasible_against(
+    circle: JobCircle,
+    fixed: Iterable[Tuple[JobCircle, int]],
+) -> ArcSet:
+    """Exact rotations of ``circle`` that avoid every job in ``fixed``.
+
+    ``fixed`` pairs each other job with the rotation it is held at. The
+    result lives on the job's own perimeter ``P``: its covered points are
+    the rotations at which the job collides with none of them. Each fixed
+    job forbids, on the gcd circle of the two periods
+    (:func:`exact_pair_feasible_rotations`), the shifts relative to its
+    rotation that collide; that set, rotated by the job's rotation and
+    tiled up to ``P``, is the same set as against the fixed job tiled onto
+    the LCM circle, which is never built. A job collides with the fixed
+    jobs exactly when it collides with one of them, so the result is the
+    intersection of those sets, taken in job-id order.
+    """
+    period = circle.perimeter
+    feasible = ArcSet(period, [(0, period)])
+    for other, rotation in sorted(fixed, key=lambda pair: pair[0].job_id):
+        if feasible.is_empty:
+            break
+        pair = exact_pair_feasible_rotations(other, circle)
+        feasible = feasible.intersection(pair.rotate(rotation).tile(period))
+    return feasible
+
+
 # ---------------------------------------------------------------------------
 # Depth-first search over exact feasible sets
 # ---------------------------------------------------------------------------
@@ -191,19 +187,20 @@ def backtracking_search(
     circles: Sequence[JobCircle],
     max_nodes: int = 100_000,
     candidate_mode: str = "boundaries",
-    orders: Optional[int] = None,
 ) -> SolverOutcome:
     """DFS placing jobs one at a time from exact feasible rotation sets.
 
+    Tries every job order for up to 5 jobs, otherwise 6 deterministic
+    rotations of the order by decreasing communication length. Each level
+    takes its candidates from the rotations :func:`feasible_against`
+    leaves the job against the jobs already placed.
+
     Args:
-        circles: Jobs to place (coverage capacity 1 only).
+        circles: Jobs to place.
         max_nodes: Search-node budget across all orders.
         candidate_mode: ``"boundaries"`` tries the start of every feasible
             interval (fast, excellent in practice); ``"complete"`` tries
             every feasible tick, making a negative answer a proof.
-        orders: How many job orders to try (None = all permutations for up
-            to 5 jobs, otherwise 6 deterministic rotations of a size-sorted
-            order).
 
     Returns:
         A :class:`SolverOutcome`; ``complete`` is set when the search space
@@ -212,21 +209,19 @@ def backtracking_search(
     if candidate_mode not in ("boundaries", "complete"):
         raise CompatibilityError(f"unknown candidate mode {candidate_mode!r}")
     unified = UnifiedCircle(circles)
-    perimeter = unified.perimeter
     n = len(circles)
     if n == 0:
         raise CompatibilityError("no circles to place")
 
     ordered_indices: List[Tuple[int, ...]]
-    if orders is None and n <= 5:
+    if n <= 5:
         ordered_indices = list(itertools.permutations(range(n)))
     else:
         by_size = sorted(
             range(n), key=lambda i: -circles[i].comm.measure
         )
-        count = orders if orders is not None else 6
         ordered_indices = [
-            tuple(by_size[k:] + by_size[:k]) for k in range(min(count, n))
+            tuple(by_size[k:] + by_size[:k]) for k in range(min(6, n))
         ]
 
     nodes = 0
@@ -235,20 +230,19 @@ def backtracking_search(
     def dfs(
         order: Tuple[int, ...],
         depth: int,
-        placed: ArcSet,
         rotations: Dict[str, int],
     ) -> Optional[Dict[str, int]]:
         nonlocal nodes, truncated
         if depth == len(order):
             return dict(rotations)
-        if nodes >= max_nodes or len(placed.intervals) > MAX_PLACED_INTERVALS:
+        if nodes >= max_nodes:
             truncated = True
             return None
         circle = circles[order[depth]]
-        if placed.is_empty:
-            feasible = ArcSet(circle.perimeter, [(0, circle.perimeter)])
-        else:
-            feasible = feasible_rotations(placed, circle, perimeter)
+        placed = [circles[index] for index in order[:depth]]
+        feasible = feasible_against(
+            circle, [(other, rotations[other.job_id]) for other in placed]
+        )
         if feasible.is_empty:
             return None
         if candidate_mode == "boundaries":
@@ -268,16 +262,15 @@ def backtracking_search(
             if nodes > max_nodes:
                 truncated = True
                 return None
-            rotated = circle.rotate(delta).tiled_comm(perimeter)
             rotations[circle.job_id] = delta
-            result = dfs(order, depth + 1, placed.union(rotated), rotations)
+            result = dfs(order, depth + 1, rotations)
             if result is not None:
                 return result
             del rotations[circle.job_id]
         return None
 
     for order in ordered_indices:
-        found = dfs(order, 0, ArcSet(perimeter), {})
+        found = dfs(order, 0, {})
         if found is not None:
             full = {circle.job_id: found.get(circle.job_id, 0)
                     for circle in circles}
@@ -320,12 +313,15 @@ def greedy_search(circles: Sequence[JobCircle]) -> SolverOutcome:
     placed = ArcSet(perimeter)
     rotations: Dict[str, int] = {}
     nodes = 0
-    for circle in order:
+    for index, circle in enumerate(order):
         if placed.is_empty:
             rotations[circle.job_id] = 0
             placed = circle.tiled_comm(perimeter)
             continue
-        feasible = feasible_rotations(placed, circle, perimeter)
+        feasible = feasible_against(
+            circle,
+            [(other, rotations[other.job_id]) for other in order[:index]],
+        )
         nodes += 1
         if not feasible.is_empty:
             delta = feasible.intervals[0][0]
@@ -364,13 +360,13 @@ class _OverlapEvaluator:
     cached interval endpoints and sweeps them with vectorized numpy — a
     rotated tiling equals the tiling rotated, so no re-tiling is needed.
 
-    A sweep runs once per *relative state*: the capacity and each job's
-    rotation relative to the first job's, modulo the job's own period.
-    Rotating every job by the same amount rotates the whole unified
-    circle, and a job's tiling repeats every own period, so the integer
-    overlap depends on nothing else. Each state's cost is kept for the
-    evaluator's lifetime (one :func:`annealing_search` call): at most one
-    entry per :meth:`cost` call.
+    A sweep runs once per *relative state*: each job's rotation relative
+    to the first job's, modulo the job's own period. Rotating every job
+    by the same amount rotates the whole unified circle, and a job's
+    tiling repeats every own period, so the integer overlap depends on
+    nothing else. Each state's cost is kept for the evaluator's lifetime
+    (one :func:`annealing_search` call): at most one entry per
+    :meth:`cost` call.
     """
 
     def __init__(self, circles: Sequence[JobCircle]) -> None:
@@ -405,20 +401,20 @@ class _OverlapEvaluator:
         """Unified-circle perimeter."""
         return self._unified.perimeter
 
-    def cost(self, rotations: Dict[str, int], capacity: int) -> int:
-        """Ticks covered by more than ``capacity`` jobs (a missing job
-        rotates by 0)."""
+    def cost(self, rotations: Dict[str, int]) -> int:
+        """Ticks covered by two or more jobs (a missing job rotates
+        by 0)."""
         anchor = rotations.get(self._periods[0][0], 0)
-        state = (capacity,) + tuple(
+        state = tuple(
             (rotations.get(job_id, 0) - anchor) % period
             for job_id, period in self._periods
         )
         cost = self._costs.get(state)
         if cost is None:
-            cost = self._costs[state] = self._sweep(state[1:], capacity)
+            cost = self._costs[state] = self._sweep(state)
         return cost
 
-    def _sweep(self, shifts: Sequence[int], capacity: int) -> int:
+    def _sweep(self, shifts: Sequence[int]) -> int:
         """Overlap ticks with each job rotated by its entry of ``shifts``."""
         perimeter = self._unified.perimeter
         starts_list = []
@@ -447,7 +443,7 @@ class _OverlapEvaluator:
         counts = base_count + np.cumsum(deltas)
         # counts[i] is the coverage on [positions[i], positions[i+1]).
         widths = np.diff(positions)
-        over = counts[:-1] > capacity
+        over = counts[:-1] > 1
         return int(widths[over].sum())
 
 
@@ -461,6 +457,11 @@ def _anneal(
     method: str,
 ) -> SolverOutcome:
     """Simulated annealing over integer rotations, minimizing ``cost``.
+
+    The one annealing loop: :func:`annealing_search`,
+    :func:`solve_fractional` and the cluster solver's fallback after a
+    DFS miss (``ClusterCompatibilityProblem.solve_component``) each run
+    it with their own cost.
 
     Each restart draws a random start and walks ``iterations`` steps,
     rotating one job per step by a fine or a coarse shift and accepting
@@ -518,17 +519,14 @@ def _anneal(
 
 def annealing_search(
     circles: Sequence[JobCircle],
-    capacity: int = 1,
     iterations: Optional[int] = None,
     restarts: int = 4,
     seed: int = 0,
 ) -> SolverOutcome:
     """Simulated annealing over integer rotations.
 
-    Minimizes the number of ticks covered by more than ``capacity`` jobs.
-    Works for any coverage capacity (the generalization the paper sketches
-    for GPU multi-tenancy) and for instances too large for exact search.
-    ``iterations`` defaults to a budget scaled inversely with the tiled
+    Minimizes the number of ticks covered by two or more jobs, on
+    instances too large for exact search. ``iterations`` defaults to a budget scaled inversely with the tiled
     arc count: 4,000 steps per restart up to 250 arcs, 600 from about
     1,700 arcs. A sweep's cost grows with the arcs, and only a new
     relative state pays one (see :class:`_OverlapEvaluator`). On a
@@ -536,8 +534,6 @@ def annealing_search(
     for two jobs at 2 to 2,006 arcs, whose states repeat, but 11 s for
     three jobs at 30,191 arcs, whose 2,405 calls hold 2,141 states.
     """
-    if capacity < 1:
-        raise CompatibilityError(f"capacity must be >= 1, got {capacity}")
     evaluator = _OverlapEvaluator(circles)
     perimeter = evaluator.perimeter
     if iterations is None:
@@ -545,7 +541,7 @@ def annealing_search(
         iterations = max(600, min(4000, 1_000_000 // max(total_arcs, 1)))
     return _anneal(
         circles,
-        lambda rotations: evaluator.cost(rotations, capacity),
+        evaluator.cost,
         perimeter,
         iterations,
         restarts,
@@ -556,7 +552,6 @@ def annealing_search(
 
 def exhaustive_search(
     circles: Sequence[JobCircle],
-    capacity: int = 1,
     steps_per_job: int = 36,
     max_evaluations: int = 2_000_000,
 ) -> SolverOutcome:
@@ -567,8 +562,6 @@ def exhaustive_search(
     for cross-checking the exact solvers and for the sector-count ablation;
     exponential in the number of jobs.
     """
-    if capacity < 1:
-        raise CompatibilityError(f"capacity must be >= 1, got {capacity}")
     if steps_per_job < 1:
         raise CompatibilityError("steps_per_job must be >= 1")
     unified = UnifiedCircle(circles)
@@ -591,7 +584,7 @@ def exhaustive_search(
     for combo in itertools.product(*grids):
         nodes += 1
         rotations = dict(zip(job_ids, combo))
-        cost = unified.overlap_ticks(rotations, capacity=capacity)
+        cost = unified.overlap_ticks(rotations)
         if best_cost is None or cost < best_cost:
             best_cost, best_rotations = cost, rotations
             if best_cost == 0:
@@ -641,18 +634,13 @@ def solve_fractional(
 # Facade
 # ---------------------------------------------------------------------------
 
-def solve(
-    circles: Sequence[JobCircle],
-    capacity: int = 1,
-    method: str = "auto",
-    seed: int = 0,
-) -> SolverOutcome:
+def solve(circles: Sequence[JobCircle], seed: int = 0) -> SolverOutcome:
     """Decide compatibility and find rotations.
 
-    ``method="auto"`` escalates: utilization bound -> exact pairwise checks
-    (capacity 1) -> boundary DFS -> complete DFS (when affordable) ->
-    annealing. The outcome's ``complete`` flag records whether a negative
-    answer is proven.
+    Escalates: utilization bound -> exact pairwise checks -> exact pair
+    rotation (two jobs) -> boundary DFS -> complete DFS (when affordable)
+    -> annealing. The outcome's ``complete`` flag records whether a
+    negative answer is proven. ``seed`` drives the annealing fallback.
 
     Each invocation runs under a ``solve_rotations`` telemetry span and
     reports its outcome (method, nodes, verdict) to the ambient session.
@@ -662,7 +650,7 @@ def solve(
 
     telemetry = current()
     with telemetry.span("solve_rotations"):
-        outcome = _solve(circles, capacity=capacity, method=method, seed=seed)
+        outcome = _solve(circles, seed)
     if telemetry.enabled:
         telemetry.counter("solve.calls").inc()
         telemetry.counter("solve.nodes").inc(outcome.nodes)
@@ -679,27 +667,9 @@ def solve(
     return outcome
 
 
-def _solve(
-    circles: Sequence[JobCircle],
-    capacity: int,
-    method: str,
-    seed: int,
-) -> SolverOutcome:
+def _solve(circles: Sequence[JobCircle], seed: int) -> SolverOutcome:
     if not circles:
         raise CompatibilityError("no circles given")
-    if capacity < 1:
-        raise CompatibilityError(f"capacity must be >= 1, got {capacity}")
-
-    if method == "greedy":
-        return greedy_search(circles)
-    if method == "annealing":
-        return annealing_search(circles, capacity=capacity, seed=seed)
-    if method == "exhaustive":
-        return exhaustive_search(circles, capacity=capacity)
-    if method == "backtracking":
-        return backtracking_search(circles)
-    if method != "auto":
-        raise CompatibilityError(f"unknown method {method!r}")
 
     unified = UnifiedCircle(circles)
     if len(circles) == 1:
@@ -714,52 +684,49 @@ def _solve(
     zero_rotations = {circle.job_id: 0 for circle in circles}
 
     # Necessary condition: total communication must fit in the period.
-    if unified.total_comm_ticks() > capacity * unified.perimeter:
+    if unified.total_comm_ticks() > unified.perimeter:
         return SolverOutcome(
             found=False,
             rotations=zero_rotations,
-            overlap=_overlap_or_bound(unified, zero_rotations, capacity),
+            overlap=_overlap_or_bound(unified, zero_rotations),
             complete=True,
             method="utilization-bound",
         )
 
-    if capacity == 1:
-        # Exact pairwise screens (cheap even for huge LCMs).
-        for first, second in itertools.combinations(circles, 2):
-            if exact_pair_feasible_rotations(first, second).is_empty:
-                return SolverOutcome(
-                    found=False,
-                    rotations=zero_rotations,
-                    overlap=_overlap_or_bound(
-                        unified, zero_rotations, capacity
-                    ),
-                    complete=True,
-                    method=f"pairwise({first.job_id},{second.job_id})",
-                )
-        if len(circles) == 2:
-            first, second = circles
-            delta = pair_compatible(first, second)
-            # Pairwise screen above guarantees delta exists here.
+    # Exact pairwise screens (cheap even for huge LCMs).
+    for first, second in itertools.combinations(circles, 2):
+        if exact_pair_feasible_rotations(first, second).is_empty:
             return SolverOutcome(
-                found=True,
-                rotations={first.job_id: 0, second.job_id: int(delta)},
-                overlap=0,
+                found=False,
+                rotations=zero_rotations,
+                overlap=_overlap_or_bound(unified, zero_rotations),
                 complete=True,
-                method="exact-pair",
+                method=f"pairwise({first.job_id},{second.job_id})",
             )
-        tiled_arc_estimate = _tiled_arc_estimate(circles, unified.perimeter)
-        if tiled_arc_estimate <= MAX_PLACED_INTERVALS:
-            outcome = backtracking_search(circles)
-            if outcome.found:
-                return outcome
-            # A complete enumeration proves infeasibility but touches every
-            # feasible tick; only affordable on small unified circles.
-            if unified.perimeter <= COMPLETE_SEARCH_MAX_PERIMETER:
-                complete = backtracking_search(
-                    circles, candidate_mode="complete", max_nodes=500_000
-                )
-                if complete.found or complete.complete:
-                    return complete
+    if len(circles) == 2:
+        first, second = circles
+        delta = pair_compatible(first, second)
+        # Pairwise screen above guarantees delta exists here.
+        return SolverOutcome(
+            found=True,
+            rotations={first.job_id: 0, second.job_id: int(delta)},
+            overlap=0,
+            complete=True,
+            method="exact-pair",
+        )
+    tiled_arc_estimate = _tiled_arc_estimate(circles, unified.perimeter)
+    if tiled_arc_estimate <= MAX_PLACED_INTERVALS:
+        outcome = backtracking_search(circles)
+        if outcome.found:
+            return outcome
+        # A complete enumeration proves infeasibility but touches every
+        # feasible tick; only affordable on small unified circles.
+        if unified.perimeter <= COMPLETE_SEARCH_MAX_PERIMETER:
+            complete = backtracking_search(
+                circles, candidate_mode="complete", max_nodes=500_000
+            )
+            if complete.found or complete.complete:
+                return complete
 
     if not within_tiling_budget(circles, unified.perimeter):
         # Tiling alone would dominate; tell the caller to coarsen the
@@ -768,9 +735,8 @@ def _solve(
         return SolverOutcome(
             found=False,
             rotations=zero_rotations,
-            overlap=_overlap_or_bound(unified, zero_rotations, capacity),
+            overlap=_overlap_or_bound(unified, zero_rotations),
             complete=False,
             method="instance-too-large",
         )
-    outcome = annealing_search(circles, capacity=capacity, seed=seed)
-    return outcome
+    return annealing_search(circles, seed=seed)

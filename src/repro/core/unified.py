@@ -47,13 +47,6 @@ class UnifiedCircle:
         """Job ids in registration order."""
         return [circle.job_id for circle in self.circles]
 
-    def circle_of(self, job_id: str) -> JobCircle:
-        """Look up a member circle."""
-        for circle in self.circles:
-            if circle.job_id == job_id:
-                return circle
-        raise GeometryError(f"unknown job {job_id!r}")
-
     def tiled(
         self, rotations: Mapping[str, int] | None = None
     ) -> Dict[str, ArcSet]:
@@ -82,23 +75,15 @@ class UnifiedCircle:
         return ArcSet.coverage(list(self.tiled(rotations).values()))
 
     def overlap_ticks(
-        self,
-        rotations: Mapping[str, int] | None = None,
-        capacity: int = 1,
+        self, rotations: Mapping[str, int] | None = None
     ) -> int:
-        """Ticks of the unified circle where more than ``capacity`` jobs
+        """Ticks of the unified circle where two or more jobs
         communicate — the quantity the optimization drives to zero."""
         total = 0
         for start, end, count in self.coverage(rotations):
-            if count > capacity:
+            if count > 1:
                 total += end - start
         return total
-
-    def max_coverage(
-        self, rotations: Mapping[str, int] | None = None
-    ) -> int:
-        """Maximum number of simultaneously communicating jobs."""
-        return ArcSet.max_coverage(list(self.tiled(rotations).values()))
 
     def demand_coverage(
         self, rotations: Mapping[str, int] | None = None
@@ -152,19 +137,18 @@ class UnifiedCircle:
             for circle in self.circles
         )
 
-    def overlap_lower_bound(self, capacity: int = 1) -> int:
+    def overlap_lower_bound(self) -> int:
         """Fewest overlap ticks any rotations can reach, from utilization.
 
-        A tick covered by ``c > capacity`` jobs holds ``c - capacity <=
-        jobs - capacity`` ticks of the excess ``total_comm - capacity *
-        P``, so at least ``ceil(excess / (jobs - capacity))`` ticks
-        overlap. 0 when the jobs fit, which they always do when there are
-        no more of them than ``capacity``.
+        A tick covered by ``c >= 2`` jobs holds ``c - 1 <= jobs - 1``
+        ticks of the excess ``total_comm - P``, so at least
+        ``ceil(excess / (jobs - 1))`` ticks overlap. 0 when the jobs fit,
+        which one job always does.
         """
-        excess = self.total_comm_ticks() - capacity * self.perimeter
+        excess = self.total_comm_ticks() - self.perimeter
         if excess <= 0:
             return 0
-        return -(-excess // (len(self.circles) - capacity))
+        return -(-excess // (len(self.circles) - 1))
 
     def utilization_lower_bound(self) -> float:
         """Total demanded comm time over the unified period, as a fraction.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Union
 
@@ -56,11 +57,34 @@ def job_spec_to_dict(spec: JobSpec) -> Dict[str, Any]:
     }
 
 
+_REQUIRED = object()
+
+
+def _finite_field(
+    data: Dict[str, Any], key: str, default: Any = _REQUIRED
+) -> Union[int, float]:
+    """Number field ``key`` of a job spec document.
+
+    Raises:
+        KeyError: when the field is missing and has no ``default``.
+        ConfigError: naming the field, when its value is ``null``, not a
+            number, or not finite.
+    """
+    value = data[key] if default is _REQUIRED else data.get(key, default)
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ConfigError(
+            f"job spec {data.get('job_id')!r}: field {key!r} must be a "
+            f"finite number, got {value!r}"
+        )
+    return value
+
+
 def job_spec_from_dict(data: Dict[str, Any]) -> JobSpec:
     """Deserialize a job spec.
 
     Raises:
-        ConfigError: on a missing field, an unknown format version, or a
+        ConfigError: on a missing field, a number field that is ``null``,
+            not a number or not finite, an unknown format version, or a
             ``segments`` key (several bursts per iteration): a job's
             iteration is one compute phase and one burst.
     """
@@ -73,12 +97,14 @@ def job_spec_from_dict(data: Dict[str, Any]) -> JobSpec:
     try:
         return JobSpec(
             job_id=data["job_id"],
-            compute_time=float(data["compute_time"]),
-            comm_bytes=float(data["comm_bytes"]),
+            compute_time=float(_finite_field(data, "compute_time")),
+            comm_bytes=float(_finite_field(data, "comm_bytes")),
             model_name=data.get("model_name", ""),
-            batch_size=int(data.get("batch_size", 0)),
-            compute_jitter=float(data.get("compute_jitter", 0.0)),
-            n_workers=int(data.get("n_workers", 2)),
+            batch_size=int(_finite_field(data, "batch_size", 0)),
+            compute_jitter=float(
+                _finite_field(data, "compute_jitter", 0.0)
+            ),
+            n_workers=int(_finite_field(data, "n_workers", 2)),
         )
     except KeyError as exc:
         raise ConfigError(f"missing field in job spec: {exc}") from exc

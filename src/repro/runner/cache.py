@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ReproError
 from .spec import RunResult, RunSpec
 
 #: Schema version of cache entries; bumped when the layout changes.
@@ -114,8 +114,8 @@ class ResultCache:
 
         A corrupt or stale-schema file counts as a miss and is removed,
         so a broken cache heals itself instead of wedging runs. So does
-        a telemetry block the session could not merge (see
-        :func:`_mergeable`).
+        a stored result that fails to decode, and a telemetry block the
+        session could not merge (see :func:`_mergeable`).
         """
         path = self.path_for(content_hash)
         try:
@@ -137,7 +137,7 @@ class ResultCache:
             telemetry = document.get("telemetry", {})
             if not _mergeable(telemetry):
                 raise ConfigError("malformed cached telemetry")
-        except (ConfigError, KeyError, TypeError, ValueError):
+        except (AttributeError, KeyError, TypeError, ValueError, ReproError):
             path.unlink(missing_ok=True)
             return None
         return CacheEntry(result=result, telemetry=telemetry)

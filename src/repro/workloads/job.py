@@ -14,6 +14,7 @@ should achieve this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..errors import WorkloadError
@@ -47,10 +48,14 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.job_id:
             raise WorkloadError("job_id must be non-empty")
-        if self.compute_time < 0:
-            raise WorkloadError(f"{self.job_id}: compute_time must be >= 0")
-        if self.comm_bytes <= 0:
-            raise WorkloadError(f"{self.job_id}: comm_bytes must be > 0")
+        if not (math.isfinite(self.compute_time) and self.compute_time >= 0):
+            raise WorkloadError(
+                f"{self.job_id}: compute_time must be finite and >= 0"
+            )
+        if not (math.isfinite(self.comm_bytes) and self.comm_bytes > 0):
+            raise WorkloadError(
+                f"{self.job_id}: comm_bytes must be finite and > 0"
+            )
         if not 0.0 <= self.compute_jitter < 1.0:
             raise WorkloadError(
                 f"{self.job_id}: compute_jitter must be in [0, 1)"

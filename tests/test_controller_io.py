@@ -188,6 +188,28 @@ class TestIo:
         with pytest.raises(ConfigError):
             job_spec_from_dict({"version": 1})
 
+    @pytest.mark.parametrize("field,value", [
+        ("compute_time", None),
+        ("compute_time", "abc"),
+        ("compute_time", float("nan")),
+        ("comm_bytes", float("inf")),
+        ("n_workers", None),
+        ("batch_size", float("inf")),
+        ("compute_jitter", "0.01"),
+    ], ids=[
+        "null-compute", "string-compute", "nan-compute", "inf-bytes",
+        "null-workers", "inf-batch", "string-jitter",
+    ])
+    def test_bad_number_field_names_the_field(self, tmp_path, field, value):
+        data = job_spec_to_dict(JobSpec("a", ms(80), ms(35) * CAP))
+        data[field] = value
+        with pytest.raises(ConfigError, match=repr(field)):
+            job_spec_from_dict(data)
+        path = tmp_path / "workload.json"
+        path.write_text(json.dumps({"version": 1, "jobs": [data]}))
+        with pytest.raises(ConfigError, match=repr(field)):
+            load_workload(path)
+
     def test_unknown_version_rejected(self):
         with pytest.raises(ConfigError):
             job_spec_from_dict({"version": 99, "job_id": "x"})

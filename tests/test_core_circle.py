@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.arcs import ArcSet
 from repro.core.circle import JobCircle
 from repro.core.unified import UnifiedCircle, unified_perimeter
 from repro.errors import GeometryError
@@ -124,7 +125,8 @@ class TestUnifiedCircle:
         ]
         unified = UnifiedCircle(circles)
         assert unified.overlap_ticks({"b": 50}) == 0
-        assert unified.max_coverage({"b": 50}) == 1
+        tiled = unified.tiled({"b": 50}).values()
+        assert ArcSet.max_coverage(list(tiled)) == 1
 
     def test_overlap_ticks_full_collision(self):
         circles = [
@@ -133,15 +135,7 @@ class TestUnifiedCircle:
         ]
         unified = UnifiedCircle(circles)
         assert unified.overlap_ticks() == 20
-        assert unified.max_coverage() == 2
-
-    def test_capacity_two_tolerates_pairs(self):
-        circles = [
-            JobCircle.from_phases("a", 80, 20),
-            JobCircle.from_phases("b", 80, 20),
-        ]
-        unified = UnifiedCircle(circles)
-        assert unified.overlap_ticks(capacity=2) == 0
+        assert ArcSet.max_coverage(list(unified.tiled().values())) == 2
 
     def test_total_comm_ticks_counts_tiles(self):
         circles = [
@@ -158,13 +152,6 @@ class TestUnifiedCircle:
         assert UnifiedCircle(circles).utilization_lower_bound() == (
             pytest.approx(1.2)
         )
-
-    def test_circle_of_lookup(self):
-        circles = [JobCircle.from_phases("a", 10, 10)]
-        unified = UnifiedCircle(circles)
-        assert unified.circle_of("a") is circles[0]
-        with pytest.raises(GeometryError):
-            unified.circle_of("ghost")
 
     def test_job_ids_order(self):
         circles = [

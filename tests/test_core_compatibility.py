@@ -82,24 +82,9 @@ class TestChecker:
         )
         assert 0 < result.overlap_fraction <= 1
 
-    def test_rotation_seconds(self):
-        checker = CompatibilityChecker(capacity=CAP, ticks_per_second=1000)
-        result = checker.check([_spec("a", 30, 10), _spec("b", 50, 10)])
-        seconds = checker.rotation_seconds(result)
-        for job_id, ticks in result.rotations.items():
-            assert seconds[job_id] == pytest.approx(ticks / 1000)
-
-    def test_coverage_capacity_two(self):
-        checker = CompatibilityChecker(capacity=CAP, coverage_capacity=2)
-        # Two always-colliding jobs are fine when two may share.
-        result = checker.check([_spec("a", 100, 110), _spec("b", 100, 110)])
-        assert result.compatible
-
     def test_invalid_config_rejected(self):
         with pytest.raises(CompatibilityError):
             CompatibilityChecker(ticks_per_second=0)
-        with pytest.raises(CompatibilityError):
-            CompatibilityChecker(coverage_capacity=0)
 
     def test_table1_verdicts_match_paper(self):
         from repro.workloads.profiles import table1_groups
@@ -200,7 +185,7 @@ class TestMetrics:
 
     def test_min_overlap_anneals_once(self, monkeypatch):
         # solve's own last resort is the annealing run min_overlap
-        # would repeat with the same circles, capacity and seed.
+        # would repeat with the same circles and seed.
         from repro.core import metrics, optimize
 
         calls = []
@@ -212,18 +197,20 @@ class TestMetrics:
 
         monkeypatch.setattr(optimize, "annealing_search", counting)
         monkeypatch.setattr(metrics, "annealing_search", counting)
+        # Every pair of these fits and the three do not. Skipping the
+        # complete DFS, whose proof would settle so small an instance,
+        # leaves annealing as solve's last resort.
+        monkeypatch.setattr(optimize, "COMPLETE_SEARCH_MAX_PERIMETER", 0)
         circles = [
-            JobCircle.from_phases("a", 2, 8),
-            JobCircle.from_phases("b", 8, 7),
-            JobCircle.from_phases("c", 4, 11),
+            JobCircle.from_phases("a", 6, 2),
+            JobCircle.from_phases("b", 3, 1),
+            JobCircle.from_phases("c", 2, 2),
         ]
-        best, rotations = min_overlap(circles, capacity=2)
+        best, rotations = min_overlap(circles)
         assert len(calls) == 1
-        assert best == 3
-        assert rotations == {"a": 7, "b": 9, "c": 3}
-        assert UnifiedCircle(circles).overlap_ticks(
-            rotations, capacity=2
-        ) == 3
+        assert best == 1
+        assert rotations == {"a": 7, "b": 0, "c": 2}
+        assert UnifiedCircle(circles).overlap_ticks(rotations) == 1
 
     def test_score_range(self):
         compatible = [

@@ -89,17 +89,6 @@ class TestClusterCompatibility:
         with pytest.raises(CompatibilityError):
             ClusterCompatibilityProblem([circle, circle])
 
-    def test_contended_links(self):
-        circles = [
-            JobCircle.from_phases(j, 100, 20) for j in ("a", "b", "c")
-        ]
-        problem = ClusterCompatibilityProblem.from_assignments(
-            circles, {"a": ["L1", "L2"], "b": ["L1"], "c": ["L3"]}
-        )
-        contended = problem.contended_links()
-        assert set(contended) == {"L1"}
-        assert contended["L1"] == {"a", "b"}
-
     def test_different_periods_on_chain(self):
         circles = [
             JobCircle.from_phases("a", 30, 10),   # period 40

@@ -1,6 +1,8 @@
 """Solver tests: exact feasible sets, pairwise gcd reduction, DFS,
 heuristics, the facade's escalation and certificates."""
 
+import math
+
 import pytest
 
 from repro.core.arcs import ArcSet
@@ -10,7 +12,7 @@ from repro.core.optimize import (
     backtracking_search,
     exact_pair_feasible_rotations,
     exhaustive_search,
-    feasible_rotations,
+    feasible_against,
     greedy_search,
     pair_compatible,
     solve,
@@ -20,45 +22,79 @@ from repro.core.unified import UnifiedCircle
 from repro.errors import CompatibilityError
 
 
-def _verify_rotations(circles, rotations, capacity=1):
+def _verify_rotations(circles, rotations):
     """Ground-truth check: rotations must yield zero overlap."""
-    assert UnifiedCircle(circles).overlap_ticks(
-        rotations, capacity=capacity
-    ) == 0
+    assert UnifiedCircle(circles).overlap_ticks(rotations) == 0
+
+
+def _brute_force_feasible(circle, fixed):
+    """Rotations of ``circle`` at which it collides with no job of
+    ``fixed`` (``(circle, rotation)`` pairs), on the LCM circle."""
+    perimeter = math.lcm(circle.perimeter, *(c.perimeter for c, _ in fixed))
+    placed = ArcSet(perimeter)
+    for other, rotation in fixed:
+        placed = placed.union(other.rotate(rotation).tiled_comm(perimeter))
+    return [
+        not placed.intersects(circle.rotate(delta).tiled_comm(perimeter))
+        for delta in range(circle.perimeter)
+    ]
+
+
+def _multi_arc_circle(rng, job_id):
+    """A seeded circle of one to three comm arcs on a small period."""
+    period = int(rng.choice([6, 8, 10, 12, 15, 20, 24, 30]))
+    arcs = [
+        (int(rng.integers(period)), int(rng.integers(1, period // 3 + 1)))
+        for _ in range(int(rng.integers(1, 4)))
+    ]
+    return JobCircle.from_arcs(job_id, period, arcs)
 
 
 class TestFeasibleRotations:
+    """:func:`feasible_against` equals brute force over every rotation."""
+
     def test_matches_brute_force_same_period(self):
-        placed = ArcSet(100, [(20, 30)])
+        placed = JobCircle.from_arcs("p", 100, [(20, 30)])
         circle = JobCircle.from_phases("j", 80, 20)
-        feasible = feasible_rotations(placed, circle, 100)
+        feasible = feasible_against(circle, [(placed, 0)])
+        expected = _brute_force_feasible(circle, [(placed, 0)])
         for delta in range(100):
-            expected = not placed.intersects(
-                circle.rotate(delta).tiled_comm(100)
-            )
-            assert feasible.contains(delta) == expected, delta
+            assert feasible.contains(delta) == expected[delta], delta
 
     def test_matches_brute_force_tiled(self):
-        placed = ArcSet(120, [(10, 25), (70, 10)])
+        placed = JobCircle.from_arcs("p", 120, [(10, 25), (70, 10)])
         circle = JobCircle.from_phases("j", 30, 10)  # period 40, tiles x3
-        feasible = feasible_rotations(placed, circle, 120)
+        feasible = feasible_against(circle, [(placed, 0)])
+        expected = _brute_force_feasible(circle, [(placed, 0)])
         for delta in range(40):
-            expected = not placed.intersects(
-                circle.rotate(delta).tiled_comm(120)
-            )
-            assert feasible.contains(delta) == expected, delta
+            assert feasible.contains(delta) == expected[delta], delta
 
     def test_empty_placed_means_all_feasible(self):
         circle = JobCircle.from_phases("j", 30, 10)
-        feasible = feasible_rotations(ArcSet(120), circle, 120)
-        assert feasible.is_full
+        assert feasible_against(circle, []).is_full
 
-    def test_non_multiple_perimeter_rejected(self):
-        from repro.errors import GeometryError
-        with pytest.raises(GeometryError):
-            feasible_rotations(
-                ArcSet(100), JobCircle.from_phases("j", 30, 10), 100
-            )
+    def test_matches_brute_force_multi_arc_seeded(self):
+        # 1-4 fixed jobs of one to three arcs each, at random rotations,
+        # on periods that need not divide one another.
+        import numpy as np
+
+        rng = np.random.default_rng(26)
+        for case in range(300):
+            circle = _multi_arc_circle(rng, "j")
+            fixed = [
+                (
+                    _multi_arc_circle(rng, f"f{k}"),
+                    int(rng.integers(-60, 60)),
+                )
+                for k in range(1 + case % 4)
+            ]
+            feasible = feasible_against(circle, fixed)
+            assert feasible.perimeter == circle.perimeter
+            expected = _brute_force_feasible(circle, fixed)
+            for delta in range(circle.perimeter):
+                assert feasible.contains(delta) == expected[delta], (
+                    case, delta,
+                )
 
 
 class TestExactPair:
@@ -186,16 +222,6 @@ class TestAnnealing:
         assert outcome.found
         _verify_rotations(circles, outcome.rotations)
 
-    def test_capacity_two(self):
-        circles = [
-            JobCircle.from_phases("a", 40, 60),
-            JobCircle.from_phases("b", 40, 60),
-            JobCircle.from_phases("c", 70, 30),
-        ]
-        outcome = annealing_search(circles, capacity=2, seed=0)
-        assert outcome.found
-        _verify_rotations(circles, outcome.rotations, capacity=2)
-
     def test_deterministic_given_seed(self):
         circles = [
             JobCircle.from_phases("a", 70, 30),
@@ -204,10 +230,6 @@ class TestAnnealing:
         a = annealing_search(circles, seed=5)
         b = annealing_search(circles, seed=5)
         assert a.rotations == b.rotations
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(CompatibilityError):
-            annealing_search([JobCircle.from_phases("a", 10, 10)], capacity=0)
 
 
 class TestExhaustive:
@@ -289,13 +311,14 @@ class TestSolveFacade:
             JobCircle.from_phases("a", 70, 30),
             JobCircle.from_phases("b", 70, 30),
         ]
-        for method in ("greedy", "annealing", "exhaustive", "backtracking"):
-            outcome = solve(circles, method=method)
-            assert outcome.found, method
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(CompatibilityError):
-            solve([JobCircle.from_phases("a", 10, 10)], method="oracle")
+        for solver in (
+            greedy_search,
+            annealing_search,
+            exhaustive_search,
+            backtracking_search,
+        ):
+            outcome = solver(circles)
+            assert outcome.found, solver.__name__
 
     def test_empty_rejected(self):
         with pytest.raises(CompatibilityError):
@@ -325,7 +348,7 @@ class TestSolveFacade:
 # score with ``UnifiedCircle``'s own sweeps, not the solvers' evaluators.
 
 def _reference_annealing_search(
-    circles, capacity=1, iterations=None, restarts=4, seed=0
+    circles, iterations=None, restarts=4, seed=0
 ):
     import numpy as np
 
@@ -344,7 +367,7 @@ def _reference_annealing_search(
     periods = {circle.job_id: circle.perimeter for circle in circles}
 
     def cost(rotations):
-        return unified.overlap_ticks(rotations, capacity=capacity)
+        return unified.overlap_ticks(rotations)
 
     best_rotations = {job_id: 0 for job_id in job_ids}
     best_cost = cost(best_rotations)
@@ -490,11 +513,9 @@ class TestAnnealingLoopOracle:
 
     @pytest.mark.parametrize("index,circles", _oracle_cases())
     def test_annealing_search_matches_reference(self, index, circles):
-        capacity = 1 + index % 2
         # ``None`` takes the default budget (600+ steps): a few cases.
         iterations = None if index % 16 == 0 else (12, 40, 150)[index % 3]
         kwargs = dict(
-            capacity=capacity,
             iterations=iterations,
             restarts=1 + index % 4,
             seed=index,
@@ -562,8 +583,8 @@ def _evaluator_cases(count=48):
 
 class TestOverlapEvaluatorOracle:
     """``_OverlapEvaluator.cost`` equals ``UnifiedCircle.overlap_ticks``
-    for any rotations and capacity, however often one evaluator is asked
-    about the same relative state."""
+    for any rotations, however often one evaluator is asked about the
+    same relative state."""
 
     @pytest.mark.parametrize("index,circles", _evaluator_cases())
     def test_cost_matches_overlap_ticks(self, index, circles):
@@ -586,7 +607,8 @@ class TestOverlapEvaluatorOracle:
             }
             if rng.random() < 0.2:
                 rotations["ghost"] = 5
-            capacity = int(rng.integers(1, 4))
+            # A spare draw keeps each case's seeded queries stable.
+            rng.integers(1, 4)
             # The same relative state under a common shift plus whole
             # periods per job, then the very same dict again.
             shift = int(rng.integers(-unified.perimeter, unified.perimeter))
@@ -596,18 +618,14 @@ class TestOverlapEvaluatorOracle:
                 + period * int(rng.integers(-2, 3))
                 for job_id, period in periods.items()
             }
-            queries += [
-                (rotations, capacity),
-                (moved, capacity),
-                (rotations, capacity),
-            ]
+            queries += [rotations, moved, rotations]
         # Revisit half of the states again, in a shuffled order.
         order = rng.permutation(len(queries))
         queries += [queries[i] for i in order[: len(queries) // 2]]
-        for rotations, capacity in queries:
-            assert evaluator.cost(rotations, capacity) == unified.overlap_ticks(
-                rotations, capacity=capacity
-            ), (rotations, capacity)
+        for rotations in queries:
+            assert evaluator.cost(rotations) == unified.overlap_ticks(
+                rotations
+            ), rotations
 
     def test_cases_cover_every_shape(self):
         circles = [c for case in _evaluator_cases() for c in case.values[1]]
@@ -627,9 +645,9 @@ class TestOverlapEvaluatorOracle:
         sweeps = []
         sweep = optimize._OverlapEvaluator._sweep
 
-        def counted(self, shifts, capacity):
+        def counted(self, shifts):
             sweeps.append(tuple(shifts))
-            return sweep(self, shifts, capacity)
+            return sweep(self, shifts)
 
         monkeypatch.setattr(optimize._OverlapEvaluator, "_sweep", counted)
         circles = [
@@ -643,7 +661,7 @@ class TestOverlapEvaluatorOracle:
         assert len(sweeps) == len(set(sweeps)) == 100
 
 
-def _brute_force_min_overlap(circles, capacity=1):
+def _brute_force_min_overlap(circles):
     """Least overlap over every rotation (the first job held at 0)."""
     import itertools
 
@@ -654,7 +672,6 @@ def _brute_force_min_overlap(circles, capacity=1):
             {first.job_id: 0, **{
                 c.job_id: r for c, r in zip(rest, combo)
             }},
-            capacity=capacity,
         )
         for combo in itertools.product(
             *(range(c.perimeter) for c in rest)
@@ -664,7 +681,7 @@ def _brute_force_min_overlap(circles, capacity=1):
 
 class TestOverlapLowerBound:
     """Past the tiling budget ``solve`` reports the utilization excess
-    spread over the jobs beyond ``capacity``: no rotation beats it."""
+    spread over the jobs beyond the first: no rotation beats it."""
 
     def test_three_arcs_solve_below_their_true_minimum(self, monkeypatch):
         from repro.core import optimize
@@ -676,17 +693,6 @@ class TestOverlapLowerBound:
         # Excess 18 - 10 = 8 over at most 2 extra jobs per tick.
         assert outcome.overlap == 4
         assert _brute_force_min_overlap(circles) == 6
-
-    def test_capacity_spreads_the_excess(self, monkeypatch):
-        from repro.core import optimize
-
-        monkeypatch.setattr(optimize, "MAX_TILED_ARCS_FOR_SEARCH", 0)
-        circles = [JobCircle.from_phases(job_id, 4, 6) for job_id in "abcd"]
-        # Excess 24 - 2 * 10 = 4 over at most 2 extra jobs per tick.
-        assert solve(circles, capacity=2).overlap == 2
-        assert _brute_force_min_overlap(circles, capacity=2) >= 2
-        # No more jobs than capacity: nothing can overlap.
-        assert UnifiedCircle(circles).overlap_lower_bound(capacity=4) == 0
 
     def test_bound_never_exceeds_the_minimum(self):
         import numpy as np
@@ -700,8 +706,7 @@ class TestOverlapLowerBound:
                 circles.append(
                     JobCircle.from_phases(f"j{k}", period - comm, comm)
                 )
-            capacity = int(rng.integers(1, 3))
-            bound = UnifiedCircle(circles).overlap_lower_bound(capacity)
-            assert 0 <= bound <= _brute_force_min_overlap(
-                circles, capacity
-            ), [(c.perimeter, c.comm_ticks) for c in circles]
+            bound = UnifiedCircle(circles).overlap_lower_bound()
+            assert 0 <= bound <= _brute_force_min_overlap(circles), [
+                (c.perimeter, c.comm_ticks) for c in circles
+            ]

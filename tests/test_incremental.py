@@ -107,11 +107,6 @@ class TestEngineBasics:
         with pytest.raises(CompatibilityError):
             engine.remove("ghost")
 
-    def test_coverage_capacity_must_be_one(self):
-        checker = CompatibilityChecker(coverage_capacity=2)
-        with pytest.raises(CompatibilityError):
-            IncrementalCompatibilityEngine(checker=checker)
-
 
 class TestTilingBudget:
     """A link whose jobs would tile past ``MAX_TILED_ARCS_FOR_SEARCH``
@@ -205,14 +200,6 @@ class TestTilingBudget:
 
 
 class TestIncrementalBehaviour:
-    def test_try_admit_does_not_commit(self):
-        engine = IncrementalCompatibilityEngine()
-        engine.add(quarter_circle("a"), ["L0"])
-        verdict = engine.try_admit(quarter_circle("b"), ["L0"])
-        assert verdict.compatible
-        assert "b" not in engine
-        assert engine.components() == [["a"]]
-
     def test_untouched_components_served_from_cache(self):
         engine = IncrementalCompatibilityEngine()
         engine.add(quarter_circle("a"), ["L0"])

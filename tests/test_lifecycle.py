@@ -105,6 +105,16 @@ class TestJobLifecycle:
         with pytest.raises(ConfigError):
             JobLifecycle("J", 0.1, 0.0)
 
+    @pytest.mark.parametrize("compute_time,comm_bytes", [
+        (float("nan"), 100.0),
+        (float("inf"), 100.0),
+        (0.1, float("nan")),
+        (0.1, float("inf")),
+    ], ids=["nan-compute", "inf-compute", "nan-bytes", "inf-bytes"])
+    def test_rejects_non_finite_segment(self, compute_time, comm_bytes):
+        with pytest.raises(ConfigError, match="finite"):
+            JobLifecycle("J", compute_time, comm_bytes)
+
     def test_rejects_bad_iteration_budget(self):
         with pytest.raises(WorkloadError):
             JobLifecycle("J", 0.1, 100.0, n_iterations=0)

@@ -9,6 +9,8 @@ These pin down the algebra the whole reproduction rests on:
 * solver-claimed compatibility certificates always verify.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from repro.core.arcs import ArcSet
 from repro.core.circle import JobCircle
 from repro.core.optimize import (
     exact_pair_feasible_rotations,
-    feasible_rotations,
+    feasible_against,
     solve,
 )
 from repro.core.unified import UnifiedCircle
@@ -136,16 +138,18 @@ class TestFeasibilityProperties:
     @settings(max_examples=40, deadline=None)
     @given(arc_sets(perimeter=60), job_circles(max_period=30))
     def test_feasible_rotations_match_brute_force(self, placed, circle):
+        # ``placed`` is one fixed job's arcs, held at rotation 0. The
+        # job's period need not divide 60: both tile onto their LCM.
         circle = JobCircle.from_phases(
             "j", circle.perimeter - circle.comm_ticks, circle.comm_ticks
         )
-        if 60 % circle.perimeter != 0:
-            return  # tiling needs a divisor period
-        feasible = feasible_rotations(placed, circle, 60)
+        feasible = feasible_against(circle, [(JobCircle("p", placed), 0)])
+        unified = math.lcm(60, circle.perimeter)
+        tiled = placed.tile(unified)
         for delta in range(circle.perimeter):
-            rotated = circle.rotate(delta).tiled_comm(60)
+            rotated = circle.rotate(delta).tiled_comm(unified)
             assert feasible.contains(delta) == (
-                not placed.intersects(rotated)
+                not tiled.intersects(rotated)
             )
 
     @settings(max_examples=25, deadline=None)

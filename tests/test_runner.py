@@ -598,6 +598,33 @@ class TestCache:
         assert healed == fresh
         assert store.get(spec.content_hash()) is not None
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda jobs: jobs["J1"].update(spec=None),
+        lambda jobs: jobs["J1"]["spec"].update(compute_time=-1.0),
+    ], ids=["spec-null", "spec-refused-by-jobspec"])
+    def test_undecodable_result_heals_as_miss(self, tmp_path, corrupt):
+        """A stored result that fails to decode, with AttributeError
+        (a job ``spec`` of ``null``) or with a library error (a spec
+        ``JobSpec`` refuses), is a miss that removes itself."""
+        spec = small_phase_specs(n_iterations=5)[0]
+        store = ResultCache(tmp_path)
+        path = store.path_for(spec.content_hash())
+        fresh = recorded_run(spec, cache=False)
+        run_many([spec], cache=True, cache_dir=tmp_path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(document["result"]["phase"]["jobs"])
+        broken = json.dumps(document, sort_keys=True)
+
+        path.write_text(broken, encoding="utf-8")
+        assert store.get(spec.content_hash()) is None
+        assert not path.exists()
+
+        path.write_text(broken, encoding="utf-8")
+        healed = recorded_run(spec, cache=True, cache_dir=tmp_path)
+        assert healed.pop("hits") == fresh.pop("hits") == 0
+        assert healed == fresh
+        assert store.get(spec.content_hash()) is not None
+
     def test_entry_that_is_not_an_object_heals_as_miss(self, tmp_path):
         spec = small_phase_specs(n_iterations=5)[0]
         run_many([spec], cache=True, cache_dir=tmp_path)

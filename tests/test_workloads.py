@@ -132,6 +132,16 @@ class TestJobSpec:
         with pytest.raises(WorkloadError):
             JobSpec("j", 0.1, 1e6, n_workers=0)
 
+    @pytest.mark.parametrize("compute_time,comm_bytes", [
+        (float("nan"), 1e6),
+        (float("inf"), 1e6),
+        (0.1, float("inf")),
+        (0.1, float("nan")),
+    ], ids=["nan-compute", "inf-compute", "inf-bytes", "nan-bytes"])
+    def test_non_finite_refused(self, compute_time, comm_bytes):
+        with pytest.raises(WorkloadError, match="finite"):
+            JobSpec("a", compute_time, comm_bytes)
+
 
 class TestPaperProfiles:
     def test_figure3_vgg16_matches_paper(self):
