@@ -49,7 +49,6 @@ from .rotation import (
     communication_schedule,
 )
 from .metrics import (
-    overlap_ticks,
     min_overlap,
     compatibility_score,
     pairwise_compatibility_matrix,
@@ -89,7 +88,6 @@ __all__ = [
     "rotation_to_degrees",
     "degrees_to_rotation",
     "communication_schedule",
-    "overlap_ticks",
     "min_overlap",
     "compatibility_score",
     "pairwise_compatibility_matrix",

@@ -32,6 +32,7 @@ from .optimize import (
     _anneal,
     exact_pair_feasible_rotations,
     feasible_against,
+    within_annealing_budget,
     within_tiling_budget,
 )
 from .unified import UnifiedCircle, unified_perimeter
@@ -185,11 +186,11 @@ class ClusterCompatibilityProblem:
         ``component`` must list the member job ids (sorted order is the
         canonical form produced by :meth:`components`). A ``None`` return
         means no zero-overlap rotation assignment was found (the DFS and
-        the annealing fallback both missed; past the tiling budget the
-        annealing fallback, which tiles every link, is not tried). The
-        fallback is :func:`repro.core.optimize._anneal` with one restart,
-        scoring rotations by the overlap summed over the component's
-        links (:meth:`audit_links`).
+        the annealing fallback both missed; past the annealing bound the
+        fallback is not tried). The fallback is
+        :func:`repro.core.optimize._anneal` with one restart, scoring
+        rotations by the overlap summed over the component's links
+        (:meth:`audit_links`).
         """
         circles = [self._circles[job_id] for job_id in component]
         if len(circles) == 1:
@@ -244,7 +245,7 @@ class ClusterCompatibilityProblem:
         if found is not None:
             return found, "dfs"
         perimeter = unified_perimeter(circles)
-        if not within_tiling_budget(circles, perimeter):
+        if not within_annealing_budget(circles, perimeter):
             return None
         # Fall back to annealing with the *link-aware* cost.
         links = {
@@ -278,7 +279,7 @@ class ClusterCompatibilityProblem:
         ``(total_overlap, violated_link_names)`` with the violated list
         in sorted link order.
 
-        A link within the tiling budget is tiled and measured exactly.
+        A pair, or a link within the tiling budget, is measured exactly.
         Past it, the link is violated exactly when some pair of its jobs
         collides at their relative rotation modulo the gcd of their
         periods (at capacity 1 a link overlaps if and only if a pair

@@ -8,7 +8,7 @@ placement algorithms consult.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -18,18 +18,9 @@ from .optimize import (
     annealing_search,
     exact_pair_feasible_rotations,
     solve,
-    within_tiling_budget,
+    within_annealing_budget,
 )
 from .unified import UnifiedCircle, unified_perimeter
-
-
-def overlap_ticks(
-    circles: Sequence[JobCircle],
-    rotations: Mapping[str, int] | None = None,
-) -> int:
-    """Overlap (ticks covered by two or more jobs) at given rotations
-    (all zero if omitted)."""
-    return UnifiedCircle(circles).overlap_ticks(dict(rotations or {}))
 
 
 def min_overlap(
@@ -40,16 +31,17 @@ def min_overlap(
     Exact when the solver proves compatibility (overlap 0); otherwise an
     upper bound from annealing — good enough for ranking placements.
     When the solver's own last resort was that annealing run (same
-    circles and seed) its outcome is returned as is. Past the
-    tiling budget nothing anneals: the solver's overlap, there
-    :meth:`UnifiedCircle.overlap_lower_bound`, is returned with its
+    circles and seed) its outcome is returned as is. Three or more jobs
+    past :data:`~repro.core.optimize.MAX_TILED_ARCS_FOR_ANNEALING` are
+    not annealed: the solver's overlap (past the tiling budget,
+    :meth:`UnifiedCircle.overlap_lower_bound`) is returned with its
     all-zero rotations.
     """
     outcome = solve(circles, seed=seed)
     if (
         outcome.found
         or outcome.method == "annealing"
-        or not within_tiling_budget(circles, unified_perimeter(circles))
+        or not within_annealing_budget(circles, unified_perimeter(circles))
     ):
         return outcome.overlap, dict(outcome.rotations)
     refined = annealing_search(circles, seed=seed)

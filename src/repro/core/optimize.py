@@ -57,10 +57,15 @@ MAX_COMPLETE_CANDIDATES = 200_000
 #: unified perimeter is at most this many ticks.
 COMPLETE_SEARCH_MAX_PERIMETER = 5_000
 
-#: Above this many tiled arcs, even heuristic search (and exact overlap
-#: reporting) is skipped — the caller should profile at a coarser tick
+#: Above this many tiled arcs, three or more jobs are not scored exactly
+#: (a pair always is) — the caller should profile at a coarser tick
 #: granularity, which is precisely the paper's sector discretization.
 MAX_TILED_ARCS_FOR_SEARCH = 250_000
+
+#: Above this many tiled arcs, three or more jobs are not annealed: each
+#: new state sweeps every arc, and here :func:`annealing_search`'s step
+#: budget reaches its floor of 600 per restart (1,000,000 // 600).
+MAX_TILED_ARCS_FOR_ANNEALING = 1_666
 
 
 def _tiled_arc_estimate(circles: Sequence[JobCircle], perimeter: int) -> int:
@@ -74,19 +79,34 @@ def _tiled_arc_estimate(circles: Sequence[JobCircle], perimeter: int) -> int:
 def within_tiling_budget(
     circles: Sequence[JobCircle], perimeter: int
 ) -> bool:
-    """Whether tiling ``circles`` onto ``perimeter`` stays within
-    :data:`MAX_TILED_ARCS_FOR_SEARCH` arcs."""
+    """Whether ``circles`` on ``perimeter`` may be scored exactly: a
+    pair always, more within :data:`MAX_TILED_ARCS_FOR_SEARCH` arcs."""
     return (
-        _tiled_arc_estimate(circles, perimeter) <= MAX_TILED_ARCS_FOR_SEARCH
+        len(circles) <= 2
+        or _tiled_arc_estimate(circles, perimeter)
+        <= MAX_TILED_ARCS_FOR_SEARCH
+    )
+
+
+def within_annealing_budget(
+    circles: Sequence[JobCircle], perimeter: int
+) -> bool:
+    """Whether ``circles`` on ``perimeter`` may be annealed: a pair
+    always, more within :data:`MAX_TILED_ARCS_FOR_ANNEALING` arcs."""
+    return (
+        len(circles) <= 2
+        or _tiled_arc_estimate(circles, perimeter)
+        <= MAX_TILED_ARCS_FOR_ANNEALING
     )
 
 
 def _overlap_or_bound(
     unified: UnifiedCircle, rotations: Dict[str, int]
 ) -> int:
-    """Overlap of ``rotations`` when tiling is affordable; past the
-    tiling budget, :meth:`UnifiedCircle.overlap_lower_bound`, which no
-    rotation assignment can beat."""
+    """Overlap of ``rotations``, exact for a pair at any size and for
+    three or more jobs within the tiling budget; past it,
+    :meth:`UnifiedCircle.overlap_lower_bound`, which no rotation
+    assignment can beat."""
     if within_tiling_budget(unified.circles, unified.perimeter):
         return unified.overlap_ticks(rotations)
     return unified.overlap_lower_bound()
@@ -353,100 +373,6 @@ def greedy_search(circles: Sequence[JobCircle]) -> SolverOutcome:
     )
 
 
-class _OverlapEvaluator:
-    """Fast repeated evaluation of overlap cost under rotations.
-
-    Tiles every job once at rotation zero and, per sweep, shifts the
-    cached interval endpoints and sweeps them with vectorized numpy — a
-    rotated tiling equals the tiling rotated, so no re-tiling is needed.
-
-    A sweep runs once per *relative state*: each job's rotation relative
-    to the first job's, modulo the job's own period. Rotating every job
-    by the same amount rotates the whole unified circle, and a job's
-    tiling repeats every own period, so the integer overlap depends on
-    nothing else. Each state's cost is kept for the evaluator's lifetime
-    (one :func:`annealing_search` call): at most one entry per
-    :meth:`cost` call.
-    """
-
-    def __init__(self, circles: Sequence[JobCircle]) -> None:
-        self._unified = UnifiedCircle(circles)
-        perimeter = self._unified.perimeter
-        tiled = self._unified.tiled()
-        self._periods: List[Tuple[str, int]] = []
-        self._arcs: List[Tuple[np.ndarray, np.ndarray]] = []
-        for circle in self._unified.circles:
-            # Join the split-at-zero pair back into one modular interval
-            # so a rotation never changes the interval count.
-            intervals = list(tiled[circle.job_id].intervals)
-            if (
-                len(intervals) >= 2
-                and intervals[0][0] == 0
-                and intervals[-1][1] == perimeter
-            ):
-                first = intervals.pop(0)
-                last = intervals.pop()
-                intervals.append((last[0], perimeter + first[1]))
-            self._periods.append((circle.job_id, circle.perimeter))
-            self._arcs.append(
-                (
-                    np.asarray([s for s, _ in intervals], dtype=np.int64),
-                    np.asarray([e for _, e in intervals], dtype=np.int64),
-                )
-            )
-        self._costs: Dict[Tuple[int, ...], int] = {}
-
-    @property
-    def perimeter(self) -> int:
-        """Unified-circle perimeter."""
-        return self._unified.perimeter
-
-    def cost(self, rotations: Dict[str, int]) -> int:
-        """Ticks covered by two or more jobs (a missing job rotates
-        by 0)."""
-        anchor = rotations.get(self._periods[0][0], 0)
-        state = tuple(
-            (rotations.get(job_id, 0) - anchor) % period
-            for job_id, period in self._periods
-        )
-        cost = self._costs.get(state)
-        if cost is None:
-            cost = self._costs[state] = self._sweep(state)
-        return cost
-
-    def _sweep(self, shifts: Sequence[int]) -> int:
-        """Overlap ticks with each job rotated by its entry of ``shifts``."""
-        perimeter = self._unified.perimeter
-        starts_list = []
-        ends_list = []
-        base_count = 0
-        for (starts, ends), shift in zip(self._arcs, shifts):
-            s = (starts + shift) % perimeter
-            e = (ends + shift) % perimeter
-            # Intervals that wrap contribute +1 at position 0.
-            base_count += int(np.count_nonzero(e <= s))
-            starts_list.append(s)
-            ends_list.append(e)
-        all_starts = np.concatenate(starts_list)
-        all_ends = np.concatenate(ends_list)
-        positions = np.concatenate([all_starts, all_ends, [0, perimeter]])
-        deltas = np.concatenate(
-            [
-                np.ones(all_starts.size, dtype=np.int64),
-                -np.ones(all_ends.size, dtype=np.int64),
-                [0, 0],
-            ]
-        )
-        order = np.argsort(positions, kind="stable")
-        positions = positions[order]
-        deltas = deltas[order]
-        counts = base_count + np.cumsum(deltas)
-        # counts[i] is the coverage on [positions[i], positions[i+1]).
-        widths = np.diff(positions)
-        over = counts[:-1] > 1
-        return int(widths[over].sum())
-
-
 def _anneal(
     circles: Sequence[JobCircle],
     cost: Callable[[Dict[str, int]], int],
@@ -525,24 +451,23 @@ def annealing_search(
 ) -> SolverOutcome:
     """Simulated annealing over integer rotations.
 
-    Minimizes the number of ticks covered by two or more jobs, on
-    instances too large for exact search. ``iterations`` defaults to a budget scaled inversely with the tiled
+    Minimizes :meth:`UnifiedCircle.overlap_ticks`, the ticks covered by
+    two or more jobs, on instances too large for exact search.
+    ``iterations`` defaults to a budget scaled inversely with the tiled
     arc count: 4,000 steps per restart up to 250 arcs, 600 from about
-    1,700 arcs. A sweep's cost grows with the arcs, and only a new
-    relative state pays one (see :class:`_OverlapEvaluator`). On a
-    2-vCPU Xeon host a call that runs its budget out takes 0.1 to 0.35 s
-    for two jobs at 2 to 2,006 arcs, whose states repeat, but 11 s for
-    three jobs at 30,191 arcs, whose 2,405 calls hold 2,141 states.
+    1,700 arcs. Only a new relative state pays a score: a pair's is
+    closed-form on its gcd circle, but three or more jobs sweep their
+    tiled arcs, so ``solve`` anneals them only within
+    :data:`MAX_TILED_ARCS_FOR_ANNEALING`.
     """
-    evaluator = _OverlapEvaluator(circles)
-    perimeter = evaluator.perimeter
+    unified = UnifiedCircle(circles)
     if iterations is None:
-        total_arcs = _tiled_arc_estimate(circles, perimeter)
+        total_arcs = _tiled_arc_estimate(circles, unified.perimeter)
         iterations = max(600, min(4000, 1_000_000 // max(total_arcs, 1)))
     return _anneal(
         circles,
-        evaluator.cost,
-        perimeter,
+        unified.overlap_ticks,
+        unified.perimeter,
         iterations,
         restarts,
         seed,
@@ -728,10 +653,10 @@ def _solve(circles: Sequence[JobCircle], seed: int) -> SolverOutcome:
             if complete.found or complete.complete:
                 return complete
 
-    if not within_tiling_budget(circles, unified.perimeter):
-        # Tiling alone would dominate; tell the caller to coarsen the
-        # profiling granularity (the paper's sector discretization) rather
-        # than silently burning minutes.
+    if not within_annealing_budget(circles, unified.perimeter):
+        # Sweeping the tiled arcs on every step would dominate; tell the
+        # caller to coarsen the profiling granularity (the paper's sector
+        # discretization) rather than silently burning minutes.
         return SolverOutcome(
             found=False,
             rotations=zero_rotations,

@@ -67,14 +67,32 @@ def _finite_field(
 
     Raises:
         KeyError: when the field is missing and has no ``default``.
-        ConfigError: naming the field, when its value is ``null``, not a
-            number, or not finite.
+        ConfigError: naming the field, when its value is ``null``, a
+            boolean, not a number, or not finite.
     """
     value = data[key] if default is _REQUIRED else data.get(key, default)
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+    if not (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    ):
         raise ConfigError(
             f"job spec {data.get('job_id')!r}: field {key!r} must be a "
             f"finite number, got {value!r}"
+        )
+    return value
+
+
+def _text_field(
+    data: Dict[str, Any], key: str, default: Any = _REQUIRED
+) -> str:
+    """String field ``key`` of a job spec document: as
+    :func:`_finite_field`, refusing a value that is not a string."""
+    value = data[key] if default is _REQUIRED else data.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(
+            f"job spec {data.get('job_id')!r}: field {key!r} must be a "
+            f"string, got {value!r}"
         )
     return value
 
@@ -83,10 +101,12 @@ def job_spec_from_dict(data: Dict[str, Any]) -> JobSpec:
     """Deserialize a job spec.
 
     Raises:
-        ConfigError: on a missing field, a number field that is ``null``,
-            not a number or not finite, an unknown format version, or a
-            ``segments`` key (several bursts per iteration): a job's
-            iteration is one compute phase and one burst.
+        ConfigError: on a missing field, a ``job_id`` or ``model_name``
+            that is not a string, a number field that is ``null``, a
+            boolean, not a number or not finite, an unknown format
+            version, or a ``segments`` key (several bursts per
+            iteration): a job's iteration is one compute phase and one
+            burst.
     """
     _check_version(data)
     if "segments" in data:
@@ -96,10 +116,10 @@ def job_spec_from_dict(data: Dict[str, Any]) -> JobSpec:
         )
     try:
         return JobSpec(
-            job_id=data["job_id"],
+            job_id=_text_field(data, "job_id"),
             compute_time=float(_finite_field(data, "compute_time")),
             comm_bytes=float(_finite_field(data, "comm_bytes")),
-            model_name=data.get("model_name", ""),
+            model_name=_text_field(data, "model_name", ""),
             batch_size=int(_finite_field(data, "batch_size", 0)),
             compute_jitter=float(
                 _finite_field(data, "compute_jitter", 0.0)

@@ -10,6 +10,7 @@ from repro.cc.fair import FairSharing
 from repro.cc.link_engine import run_scalar_fabric
 from repro.cc.weighted import StaticWeighted
 from repro.core.circle import JobCircle
+from repro.core.unified import UnifiedCircle
 from repro.net.topology import Topology
 from repro.runner.backends import build_fluid_scenario_sim
 from repro.sim.rng import RandomStreams
@@ -50,6 +51,18 @@ def run_fluid_spec(spec, engine):
         )
         for scenario in spec.scenarios
     }
+
+
+def swept_overlap(circles, rotations=None):
+    """Ticks where two or more of ``circles`` communicate at
+    ``rotations``, from the coverage sweep over every job tiled onto
+    the LCM circle: the tests' oracle for
+    :meth:`UnifiedCircle.overlap_ticks`, which shares no code with it."""
+    return sum(
+        end - start
+        for start, end, n in UnifiedCircle(circles).coverage(rotations)
+        if n > 1
+    )
 
 
 @pytest.fixture(autouse=True)

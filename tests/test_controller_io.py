@@ -196,11 +196,30 @@ class TestIo:
         ("n_workers", None),
         ("batch_size", float("inf")),
         ("compute_jitter", "0.01"),
+        ("compute_time", True),
+        ("n_workers", True),
     ], ids=[
         "null-compute", "string-compute", "nan-compute", "inf-bytes",
-        "null-workers", "inf-batch", "string-jitter",
+        "null-workers", "inf-batch", "string-jitter", "bool-compute",
+        "bool-workers",
     ])
     def test_bad_number_field_names_the_field(self, tmp_path, field, value):
+        data = job_spec_to_dict(JobSpec("a", ms(80), ms(35) * CAP))
+        data[field] = value
+        with pytest.raises(ConfigError, match=repr(field)):
+            job_spec_from_dict(data)
+        path = tmp_path / "workload.json"
+        path.write_text(json.dumps({"version": 1, "jobs": [data]}))
+        with pytest.raises(ConfigError, match=repr(field)):
+            load_workload(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("job_id", 5),
+        ("job_id", ["x"]),
+        ("model_name", None),
+        ("model_name", 7),
+    ], ids=["int-id", "list-id", "null-model", "int-model"])
+    def test_bad_string_field_names_the_field(self, tmp_path, field, value):
         data = job_spec_to_dict(JobSpec("a", ms(80), ms(35) * CAP))
         data[field] = value
         with pytest.raises(ConfigError, match=repr(field)):

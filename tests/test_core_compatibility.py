@@ -8,7 +8,6 @@ from repro.core.compatibility import CompatibilityChecker
 from repro.core.metrics import (
     compatibility_score,
     min_overlap,
-    overlap_ticks,
     pairwise_compatibility_matrix,
 )
 from repro.core.rotation import (
@@ -163,8 +162,9 @@ class TestMetrics:
             JobCircle.from_phases("a", 80, 20),
             JobCircle.from_phases("b", 80, 20),
         ]
-        assert overlap_ticks(circles) == 20
-        assert overlap_ticks(circles, {"b": 50}) == 0
+        unified = UnifiedCircle(circles)
+        assert unified.overlap_ticks() == 20
+        assert unified.overlap_ticks({"b": 50}) == 0
 
     def test_min_overlap_compatible_is_zero(self):
         circles = [

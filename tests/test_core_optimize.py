@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from conftest import swept_overlap
+
 from repro.core.arcs import ArcSet
 from repro.core.circle import JobCircle
 from repro.core.optimize import (
@@ -24,7 +26,7 @@ from repro.errors import CompatibilityError
 
 def _verify_rotations(circles, rotations):
     """Ground-truth check: rotations must yield zero overlap."""
-    assert UnifiedCircle(circles).overlap_ticks(rotations) == 0
+    assert swept_overlap(circles, rotations) == 0
 
 
 def _brute_force_feasible(circle, fixed):
@@ -102,15 +104,15 @@ class TestExactPair:
         first = JobCircle.from_phases("a", 30, 10)   # period 40
         second = JobCircle.from_phases("b", 45, 15)  # period 60
         feasible = exact_pair_feasible_rotations(first, second)
-        unified = UnifiedCircle([first, second])
+        pair = [first, second]
         g = 20  # gcd(40, 60)
         for residue in range(g):
             brute = any(
-                unified.overlap_ticks({"b": delta}) == 0
+                swept_overlap(pair, {"b": delta}) == 0
                 for delta in range(residue, 60, g)
             )
             # All lifts of a residue are equivalent, so check one.
-            one_lift = unified.overlap_ticks({"b": residue}) == 0
+            one_lift = swept_overlap(pair, {"b": residue}) == 0
             assert feasible.contains(residue) == one_lift
             assert brute == one_lift
 
@@ -345,7 +347,7 @@ class TestSolveFacade:
 
 # The two annealing bodies as they stood before they were folded into
 # one loop: the reference the shared loop must reproduce exactly. Both
-# score with ``UnifiedCircle``'s own sweeps, not the solvers' evaluators.
+# score with the coverage sweeps, not with the solvers' scorer.
 
 def _reference_annealing_search(
     circles, iterations=None, restarts=4, seed=0
@@ -367,7 +369,7 @@ def _reference_annealing_search(
     periods = {circle.job_id: circle.perimeter for circle in circles}
 
     def cost(rotations):
-        return unified.overlap_ticks(rotations)
+        return swept_overlap(circles, rotations)
 
     best_rotations = {job_id: 0 for job_id in job_ids}
     best_cost = cost(best_rotations)
@@ -582,19 +584,16 @@ def _evaluator_cases(count=48):
 
 
 class TestOverlapEvaluatorOracle:
-    """``_OverlapEvaluator.cost`` equals ``UnifiedCircle.overlap_ticks``
-    for any rotations, however often one evaluator is asked about the
-    same relative state."""
+    """``UnifiedCircle.overlap_ticks`` equals the coverage sweep for any
+    rotations, however often one circle is asked about the same
+    relative state."""
 
     @pytest.mark.parametrize("index,circles", _evaluator_cases())
     def test_cost_matches_overlap_ticks(self, index, circles):
         import numpy as np
 
-        from repro.core.optimize import _OverlapEvaluator
-
         rng = np.random.default_rng(index)
         unified = UnifiedCircle(circles)
-        evaluator = _OverlapEvaluator(circles)
         periods = {circle.job_id: circle.perimeter for circle in circles}
         queries = []
         for _ in range(30):
@@ -623,8 +622,8 @@ class TestOverlapEvaluatorOracle:
         order = rng.permutation(len(queries))
         queries += [queries[i] for i in order[: len(queries) // 2]]
         for rotations in queries:
-            assert evaluator.cost(rotations) == unified.overlap_ticks(
-                rotations
+            assert unified.overlap_ticks(rotations) == swept_overlap(
+                circles, rotations
             ), rotations
 
     def test_cases_cover_every_shape(self):
@@ -640,16 +639,14 @@ class TestOverlapEvaluatorOracle:
     ):
         # The ablations' infeasible instance: two period-100 jobs, so
         # their 16,005 cost calls hold at most 100 relative states.
-        from repro.core import optimize
+        scores = []
+        pair_overlap = UnifiedCircle._pair_overlap
 
-        sweeps = []
-        sweep = optimize._OverlapEvaluator._sweep
+        def counted(self, shift):
+            scores.append(shift)
+            return pair_overlap(self, shift)
 
-        def counted(self, shifts):
-            sweeps.append(tuple(shifts))
-            return sweep(self, shifts)
-
-        monkeypatch.setattr(optimize._OverlapEvaluator, "_sweep", counted)
+        monkeypatch.setattr(UnifiedCircle, "_pair_overlap", counted)
         circles = [
             JobCircle.from_phases("A", 40, 60),
             JobCircle.from_phases("B", 40, 60),
@@ -658,17 +655,100 @@ class TestOverlapEvaluatorOracle:
         assert (outcome.found, outcome.overlap, outcome.nodes) == (
             False, 20, 16_001,
         )
-        assert len(sweeps) == len(set(sweeps)) == 100
+        assert len(scores) == len(set(scores)) == 100
+
+    def test_kept_states_are_capped(self, monkeypatch):
+        # Past ``MAX_KEPT_STATES`` a new state is scored, not kept: a
+        # revisit scores again, with the same result.
+        from repro.core import unified as unified_module
+
+        scores = []
+        pair_overlap = UnifiedCircle._pair_overlap
+
+        def counted(self, shift):
+            scores.append(shift)
+            return pair_overlap(self, shift)
+
+        monkeypatch.setattr(UnifiedCircle, "_pair_overlap", counted)
+        monkeypatch.setattr(unified_module, "MAX_KEPT_STATES", 3)
+        circles = [
+            JobCircle.from_phases("A", 40, 60),
+            JobCircle.from_phases("B", 40, 60),
+        ]
+        unified = UnifiedCircle(circles)
+        for _ in range(2):
+            for shift in range(10):
+                assert unified.overlap_ticks(
+                    {"B": shift}
+                ) == swept_overlap(circles, {"B": shift})
+        assert scores == list(range(10)) + list(range(3, 10))
+
+    def test_pair_formula_matches_the_sweep_seeded(self):
+        # 1,500 seeded pairs: one-arc, multi-arc and full-circle circles
+        # on periods that are coprime (gcd 1), equal, or share a factor;
+        # negative, past-the-period and missing rotations.
+        import numpy as np
+
+        rng = np.random.default_rng(27)
+        periods = (1, 5, 6, 7, 8, 9, 10, 12, 13, 15, 20, 24, 30)
+        shapes = set()
+        for _ in range(1_500):
+            pair = []
+            for job_id in "ab":
+                period = int(rng.choice(periods))
+                if pair and rng.random() < 0.25:
+                    period = pair[0].perimeter
+                shape = int(rng.integers(3))
+                if shape == 0:
+                    circle = JobCircle.from_phases(job_id, 0, period)
+                elif shape == 1:
+                    comm = int(rng.integers(1, period + 1))
+                    circle = JobCircle.from_phases(
+                        job_id, period - comm, comm
+                    )
+                else:
+                    arcs = [
+                        (
+                            int(rng.integers(-period, 2 * period)),
+                            int(rng.integers(1, period + 1)),
+                        )
+                        for _ in range(int(rng.integers(2, 4)))
+                    ]
+                    circle = JobCircle.from_arcs(job_id, period, arcs)
+                pair.append(circle)
+            first, second = pair
+            g = math.gcd(first.perimeter, second.perimeter)
+            shapes.add(("gcd 1", g == 1))
+            shapes.add(("equal", first.perimeter == second.perimeter))
+            for circle in pair:
+                shapes.add(("full", circle.comm.is_full))
+                shapes.add(("arcs", min(len(circle.comm.intervals), 2)))
+            rotations = {
+                circle.job_id: int(
+                    rng.integers(-3 * circle.perimeter, 3 * circle.perimeter)
+                )
+                for circle in pair
+                if rng.random() < 0.8
+            }
+            shapes.add(("missing", len(rotations) < 2))
+            assert UnifiedCircle(pair).overlap_ticks(
+                rotations
+            ) == swept_overlap(pair, rotations), (pair, rotations)
+        assert shapes == {
+            (kind, flag)
+            for kind in ("gcd 1", "equal", "full", "missing")
+            for flag in (False, True)
+        } | {("arcs", 1), ("arcs", 2)}
 
 
 def _brute_force_min_overlap(circles):
     """Least overlap over every rotation (the first job held at 0)."""
     import itertools
 
-    unified = UnifiedCircle(circles)
     first, rest = circles[0], circles[1:]
     return min(
-        unified.overlap_ticks(
+        swept_overlap(
+            circles,
             {first.job_id: 0, **{
                 c.job_id: r for c, r in zip(rest, combo)
             }},

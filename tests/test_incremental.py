@@ -16,11 +16,7 @@ from repro.core.cluster_compat import ClusterCompatibilityProblem
 from repro.core.compatibility import CompatibilityChecker
 from repro.core.incremental import IncrementalCompatibilityEngine
 from repro.core.metrics import compatibility_score, min_overlap
-from repro.core.optimize import (
-    MAX_TILED_ARCS_FOR_SEARCH,
-    solve,
-    within_tiling_budget,
-)
+from repro.core.optimize import MAX_TILED_ARCS_FOR_SEARCH, solve
 from repro.core.unified import UnifiedCircle
 from repro.errors import CompatibilityError
 from repro.sim.rng import RandomStreams
@@ -110,8 +106,9 @@ class TestEngineBasics:
 
 class TestTilingBudget:
     """A link whose jobs would tile past ``MAX_TILED_ARCS_FOR_SEARCH``
-    arcs onto their LCM circle is audited pair by pair, and the component
-    DFS builds no LCM circle: nothing tiles past the budget."""
+    arcs onto their LCM circle is audited pair by pair, a pair is scored
+    on its gcd circle, and the component DFS builds no LCM circle:
+    nothing tiles past the budget."""
 
     @pytest.fixture
     def bounded_tiling(self, monkeypatch):
@@ -126,8 +123,13 @@ class TestTilingBudget:
 
         def bounded_unified(unified, rotations=None):
             # Every job within the budget alone, all of them past it.
-            if not within_tiling_budget(unified.circles, unified.perimeter):
-                raise AssertionError("tiled a unified circle past the budget")
+            count = sum(
+                len(circle.comm.intervals)
+                * (unified.perimeter // circle.perimeter)
+                for circle in unified.circles
+            )
+            if count > MAX_TILED_ARCS_FOR_SEARCH:
+                raise AssertionError(f"tiled {count} arcs past the budget")
             return tiled(unified, rotations)
 
         monkeypatch.setattr(ArcSet, "tile", bounded)
@@ -183,20 +185,45 @@ class TestTilingBudget:
         clash = solve(circles)
         assert clash.method == "pairwise(a,b)"
         assert min_overlap(circles) == (clash.overlap, clash.rotations)
-        # Periods 200,003 and 200,009 tile 400,012 arcs onto their LCM
-        # circle. 150,000-tick arcs overload it, so ``solve`` stops at
-        # the utilization bound.
+        # Periods 200,003 and 200,009 would tile 400,012 arcs onto their
+        # LCM circle. 150,000-tick arcs overload it, so ``solve`` stops
+        # at the utilization bound, with the pair's exact overlap from
+        # its gcd circle: coprime periods put every tick of one arc
+        # against every tick of the other once.
         circles = [
             JobCircle.from_phases(job_id, period - 150_000, 150_000)
             for job_id, period in (("a", 200_003), ("b", 200_009))
         ]
         bound = solve(circles)
         assert bound.method == "utilization-bound"
+        assert bound.overlap == 150_000**2 == 22_500_000_000
         assert min_overlap(circles) == (bound.overlap, bound.rotations)
         unified = UnifiedCircle(circles)
-        assert bound.overlap == unified.overlap_lower_bound()
         total = unified.total_comm_ticks()
         assert compatibility_score(circles) == 1.0 - bound.overlap / total
+
+    def test_metrics_do_not_anneal_three_jobs_past_the_bound(
+        self, monkeypatch
+    ):
+        # Every pair of these collides; the three tile 30,191 arcs, past
+        # ``MAX_TILED_ARCS_FOR_ANNEALING``. ``solve`` stops at a pair with
+        # the exact overlap, and the metrics return that outcome rather
+        # than anneal.
+        from repro.core import optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("annealed three jobs past the bound")
+
+        monkeypatch.setattr(optimize, "_anneal", refuse)
+        circles = [
+            JobCircle.from_phases(job_id, period - 10, 10)
+            for job_id, period in (("a", 97), ("b", 101), ("c", 103))
+        ]
+        clash = solve(circles)
+        assert (clash.method, clash.overlap) == ("pairwise(a,b)", 28_100)
+        assert min_overlap(circles) == (clash.overlap, clash.rotations)
+        total = UnifiedCircle(circles).total_comm_ticks()
+        assert compatibility_score(circles) == 1.0 - clash.overlap / total
 
 
 class TestIncrementalBehaviour:

@@ -14,6 +14,8 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import swept_overlap
+
 from repro.core.arcs import ArcSet
 from repro.core.circle import JobCircle
 from repro.core.optimize import (
@@ -130,9 +132,8 @@ class TestFeasibilityProperties:
             "b", second.perimeter - second.comm_ticks, second.comm_ticks
         )
         feasible = exact_pair_feasible_rotations(first, second)
-        unified = UnifiedCircle([first, second])
         for delta in range(second.perimeter):
-            expected = unified.overlap_ticks({"b": delta}) == 0
+            expected = swept_overlap([first, second], {"b": delta}) == 0
             assert feasible.contains(delta) == expected
 
     @settings(max_examples=40, deadline=None)
@@ -164,9 +165,7 @@ class TestFeasibilityProperties:
         ]
         outcome = solve(circles, seed=0)
         if outcome.found:
-            assert UnifiedCircle(circles).overlap_ticks(
-                outcome.rotations
-            ) == 0
+            assert swept_overlap(circles, outcome.rotations) == 0
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(job_circles(max_period=40), min_size=2, max_size=3))
