@@ -47,6 +47,7 @@ class UnifiedCircle:
         self._periods = tuple(
             (circle.job_id, circle.perimeter) for circle in self.circles
         )
+        self._gcd = math.gcd(*(period for _, period in self._periods))
         self._overlaps: Dict[Tuple[int, ...], int] = {}  # per state
         # Each job's (start, length) arcs tiled at rotation 0.
         self._tiles: Optional[List[List[Tuple[int, int]]]] = None
@@ -96,7 +97,8 @@ class UnifiedCircle:
         the same amount rotates the whole circle, and a job's tiling
         repeats every own period, so the overlap depends only on the
         *relative state*: each job's rotation minus the first job's,
-        modulo its own period (a missing job rotates by 0). A state is
+        modulo its own period (a missing job rotates by 0); a pair's,
+        only on the shift modulo the gcd of its periods. A state is
         scored once and kept (up to :data:`MAX_KEPT_STATES`): a pair
         on its gcd circle (:meth:`_pair_overlap`), other job counts by
         one sweep of their tiled arcs (:meth:`_sweep`).
@@ -107,6 +109,8 @@ class UnifiedCircle:
             (rotations.get(job_id, 0) - anchor) % period
             for job_id, period in self._periods
         )
+        if len(state) == 2:
+            state = (0, state[1] % self._gcd)
         overlap = self._overlaps.get(state)
         if overlap is None:
             if len(self.circles) == 2:
@@ -127,7 +131,7 @@ class UnifiedCircle:
         length ``m``; a pair of arcs adds ``g*q_a*q_b + q_a*m_b +
         q_b*m_a`` plus the overlap of their short arcs on the ``g``
         circle."""
-        g = math.gcd(*(period for _, period in self._periods))
+        g = self._gcd
         # Each arc as (q, m, start mod g).
         first, second = (
             [

@@ -60,10 +60,20 @@ def job_spec_to_dict(spec: JobSpec) -> Dict[str, Any]:
 _REQUIRED = object()
 
 
+def _refusal(
+    data: Dict[str, Any], key: str, expected: str, value: Any
+) -> ConfigError:
+    """The error for field ``key`` of a document holding ``value``."""
+    return ConfigError(
+        f"{data.get('job_id')!r}: field {key!r} must be {expected}, "
+        f"got {value!r}"
+    )
+
+
 def _finite_field(
     data: Dict[str, Any], key: str, default: Any = _REQUIRED
 ) -> Union[int, float]:
-    """Number field ``key`` of a job spec document.
+    """Number field ``key`` of a document.
 
     Raises:
         KeyError: when the field is missing and has no ``default``.
@@ -76,24 +86,27 @@ def _finite_field(
         and not isinstance(value, bool)
         and math.isfinite(value)
     ):
-        raise ConfigError(
-            f"job spec {data.get('job_id')!r}: field {key!r} must be a "
-            f"finite number, got {value!r}"
-        )
+        raise _refusal(data, key, "a finite number", value)
     return value
 
 
 def _text_field(
     data: Dict[str, Any], key: str, default: Any = _REQUIRED
 ) -> str:
-    """String field ``key`` of a job spec document: as
-    :func:`_finite_field`, refusing a value that is not a string."""
+    """String field ``key`` of a document: as :func:`_finite_field`,
+    refusing a value that is not a string."""
     value = data[key] if default is _REQUIRED else data.get(key, default)
     if not isinstance(value, str):
-        raise ConfigError(
-            f"job spec {data.get('job_id')!r}: field {key!r} must be a "
-            f"string, got {value!r}"
-        )
+        raise _refusal(data, key, "a string", value)
+    return value
+
+
+def _integer(data: Dict[str, Any], key: str, value: Any) -> int:
+    """``value``, read from field ``key`` of ``data``, if it is an
+    integer; a boolean or any other value raises :class:`ConfigError`
+    naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _refusal(data, key, "an integer", value)
     return value
 
 
@@ -148,14 +161,35 @@ def circle_to_dict(circle: JobCircle) -> Dict[str, Any]:
 
 
 def circle_from_dict(data: Dict[str, Any]) -> JobCircle:
-    """Deserialize a circle."""
+    """Deserialize a circle.
+
+    Raises:
+        ConfigError: on a missing field, a ``job_id`` that is not a
+            string, ``comm_arcs`` that is not a list of ``[start,
+            length]`` pairs, a ``perimeter`` or arc bound that is not
+            an integer (a boolean included), a ``demand`` that is not a
+            finite number, or an unknown format version.
+    """
     _check_version(data)
     try:
+        arcs = data["comm_arcs"]
+        if not isinstance(arcs, list) or not all(
+            isinstance(arc, list) and len(arc) == 2 for arc in arcs
+        ):
+            raise _refusal(
+                data, "comm_arcs", "a list of [start, length] pairs", arcs
+            )
         return JobCircle.from_arcs(
-            data["job_id"],
-            int(data["perimeter"]),
-            [(int(s), int(length)) for s, length in data["comm_arcs"]],
-            demand=float(data.get("demand", 1.0)),
+            _text_field(data, "job_id"),
+            _integer(data, "perimeter", data["perimeter"]),
+            [
+                (
+                    _integer(data, "comm_arcs", start),
+                    _integer(data, "comm_arcs", length),
+                )
+                for start, length in arcs
+            ],
+            demand=float(_finite_field(data, "demand", 1.0)),
         )
     except KeyError as exc:
         raise ConfigError(f"missing field in circle: {exc}") from exc

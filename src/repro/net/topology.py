@@ -20,8 +20,6 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from ..errors import TopologyError
 from ..units import gbps
 
@@ -195,15 +193,6 @@ class Topology:
     def hosts(self) -> List[Node]:
         """All nodes of kind HOST."""
         return [n for n in self._nodes.values() if n.kind is NodeKind.HOST]
-
-    def graph(self) -> nx.DiGraph:
-        """Export as a :class:`networkx.DiGraph` (for routing)."""
-        graph = nx.DiGraph()
-        for node in self._nodes.values():
-            graph.add_node(node.name, kind=node.kind)
-        for (src, dst), link in self._links.items():
-            graph.add_edge(src, dst, capacity=link.capacity, link=link)
-        return graph
 
     def path_links(self, path: Iterable[str]) -> List[Link]:
         """Convert a node path into the list of directed links along it."""

@@ -30,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -223,6 +222,10 @@ def run_many(
             [specs[i] for i in pool_pending]
         )
         if pool_ok:
+            # Imported only here: it loads multiprocessing, which a
+            # serial run (the default) never needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(
                     pool.map(

@@ -162,9 +162,38 @@ class TestIo:
         circle = JobCircle.from_arcs(
             "c", 255, [(141, 100), (245, 10)], demand=0.7
         )
-        restored = circle_from_dict(circle_to_dict(circle))
+        text = json.dumps(circle_to_dict(circle))
+        restored = circle_from_dict(json.loads(text))
         assert restored.comm == circle.comm
         assert restored.demand == circle.demand
+        assert json.dumps(circle_to_dict(restored)) == text
+
+    @pytest.mark.parametrize("field,value", [
+        ("perimeter", None),
+        ("perimeter", "x"),
+        ("perimeter", 10.7),
+        ("perimeter", True),
+        ("demand", None),
+        ("job_id", 5),
+        ("arc_start", 1.5),
+        ("arc_length", True),
+        ("comm_arcs", None),
+        ("comm_arcs", [[2]]),
+    ], ids=[
+        "null-perimeter", "string-perimeter", "float-perimeter",
+        "bool-perimeter", "null-demand", "int-id", "float-arc-start",
+        "bool-arc-length", "null-arcs", "short-arc",
+    ])
+    def test_bad_circle_field_names_the_field(self, field, value):
+        data = circle_to_dict(JobCircle.from_arcs("c", 20, [(2, 5)]))
+        named = field
+        if field.startswith("arc_"):
+            named = "comm_arcs"
+            data["comm_arcs"][0][field == "arc_length"] = value
+        else:
+            data[field] = value
+        with pytest.raises(ConfigError, match=repr(named)):
+            circle_from_dict(data)
 
     def test_result_roundtrip(self):
         checker = CompatibilityChecker(capacity=CAP)

@@ -683,6 +683,27 @@ class TestOverlapEvaluatorOracle:
                 ) == swept_overlap(circles, {"B": shift})
         assert scores == list(range(10)) + list(range(3, 10))
 
+    def test_coprime_pair_scores_one_state(self, monkeypatch):
+        # Periods 200,003 and 200,009 have gcd 1, so every shift of the
+        # pair is one state: 150,000-tick arcs overlap 150,000**2 ticks.
+        scores = []
+        pair_overlap = UnifiedCircle._pair_overlap
+
+        def counted(self, shift):
+            scores.append(shift)
+            return pair_overlap(self, shift)
+
+        monkeypatch.setattr(UnifiedCircle, "_pair_overlap", counted)
+        unified = UnifiedCircle([
+            JobCircle.from_phases(job_id, period - 150_000, 150_000)
+            for job_id, period in (("a", 200_003), ("b", 200_009))
+        ])
+        for shift in range(0, 1_000 * 97, 97):
+            assert unified.overlap_ticks(
+                {"a": shift % 13, "b": shift}
+            ) == 150_000**2
+        assert len(scores) == 1
+
     def test_pair_formula_matches_the_sweep_seeded(self):
         # 1,500 seeded pairs: one-arc, multi-arc and full-circle circles
         # on periods that are coprime (gcd 1), equal, or share a factor;

@@ -319,7 +319,7 @@ class TestRunnerGridTier:
         self, tmp_path, monkeypatch
     ):
         """Satellite regression: a 100%-hit grid spawns zero workers."""
-        from repro.runner import parallel
+        import concurrent.futures
 
         specs = floor_specs(n=3)
         run_many(specs, batch=True, cache=True, cache_dir=tmp_path)
@@ -330,8 +330,9 @@ class TestRunnerGridTier:
                     "process pool opened on a fully cached run"
                 )
 
+        # ``run_many`` imports the pool class when it opens a pool.
         monkeypatch.setattr(
-            parallel, "ProcessPoolExecutor", PoolBomb
+            concurrent.futures, "ProcessPoolExecutor", PoolBomb
         )
         replayed = run_many(
             specs, jobs=4, batch=True, cache=True, cache_dir=tmp_path

@@ -1,8 +1,9 @@
-"""Topology tests: construction, lookups, builders."""
+"""Topology tests: construction, lookups, builders, links as routes."""
 
 import pytest
 
 from repro.errors import TopologyError
+from repro.net.routing import Router
 from repro.net.topology import Link, NodeKind, Topology
 from repro.units import gbps
 
@@ -174,15 +175,17 @@ class TestFatTree:
             Topology.fat_tree(0)
 
 
-class TestGraphExport:
-    def test_graph_has_all_edges(self):
+class TestLinksAsRoutes:
+    def test_every_link_is_a_one_hop_route(self):
         topo = Topology.dumbbell(hosts_per_side=2)
-        graph = topo.graph()
-        assert graph.number_of_nodes() == 6
+        assert len(topo.nodes) == 6
         # 4 host links + 1 bottleneck, both directions
-        assert graph.number_of_edges() == 10
+        assert len(topo.links) == 10
+        router = Router(topo)
+        for link in topo.links:
+            assert router.route(link.src, link.dst) == [link]
 
-    def test_edge_carries_link(self):
+    def test_switch_to_switch_route_is_the_bottleneck(self):
         topo = Topology.dumbbell()
-        graph = topo.graph()
-        assert graph.edges["S0", "S1"]["link"].name == "L1"
+        (link,) = Router(topo).route("S0", "S1")
+        assert link.name == "L1"
