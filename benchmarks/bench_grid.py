@@ -28,8 +28,11 @@ from repro.cc.grid_bank import GridBank
 from repro.units import gbps
 
 #: Wall-clock factor the stacked grid kernel must beat 64 sequential
-#: runs by (measured ~9.9x; margin absorbs CI noise). The
-#: issue's acceptance floor for batched sweep grids.
+#: runs by: the acceptance floor for batched sweep grids. Measured
+#: 4.03-4.65x (3 runs) on a 2-vCPU Xeon with Python 3.11.7 and numpy
+#: 2.4.6, so the margin is thin. This grid gates most CNP checks behind
+#: its staggered intervals, so the CNP pass is a smaller share of its
+#: kernel than of the ``grid-dense`` benchmark workload's.
 MIN_SPEEDUP = 4.0
 
 _RUNS = 64

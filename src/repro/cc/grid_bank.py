@@ -32,23 +32,30 @@ make that possible:
   are neutralized on inactive slots (``dt`` contribution 0.0,
   remaining ``inf`` on infinite senders, clamp bounds ``-inf/+inf``),
   so elementwise IEEE-754 ops land exactly where the scalar loop
-  would. Order-sensitive pieces — the CNP coin flips (scalar ``**``),
-  byte/timer wrap while-loops, alpha decay — run as exact scalar
-  fixups over ``np.nonzero`` hits in row-major order, matching each
-  lane's slot order. Per-tick arrivals fold via ``cumsum`` (sequential
-  adds; the interleaved 0.0 of inactive slots are exact no-ops).
+  would. The CNP coins of all eligible slots are flipped at once: each
+  slot reads the next draw of its own row in a draw table filled from
+  its stream, and only the miss probability runs as Python-float
+  ``**`` (numpy's power is not bit-identical to it). The byte/timer
+  wrap while-loops and the alpha decay run one vectorized round at a
+  time over the slots still looping. Per-tick arrivals fold via
+  ``cumsum`` (sequential adds; the interleaved 0.0 of inactive slots
+  are exact no-ops).
 * **Writeback/reload sync.** Whenever a lane needs its bank's Python
   machinery (span probe, activation, completion, fault window) the
   kernel writes its rows back into the bank lists, runs the original
   code, and reloads — so there is exactly one source of truth at any
-  time and no grid-side reimplementation of the event logic.
+  time and no grid-side reimplementation of the event logic. The draw
+  table is the exception the bank code never reads: a lane's unread
+  table draws go back to the front of their streams before bank code
+  that draws runs — the control loop of a lane with a fault schedule,
+  which steps faulted windows through ``_tick_run``, and the rewind of
+  every stream that ends the run.
 
 :meth:`GridBank.build` is the one entry point: it returns a grid, or
 ``None`` when any simulator breaks a lane rule (see
-:func:`_lane_bank`), the time steps differ, or two lanes share a numpy
-generator (draw interleaving across runs would change stream
-positions; sharing *within* a lane is fine — slot order is
-preserved). The runner decides which specs to stack
+:func:`_lane_bank`), the time steps differ, or two sender slots share
+a numpy generator (each slot's table row holds its own generator's
+next draws). The runner decides which specs to stack
 (:func:`repro.runner.grid.plan_groups`) and runs them spec by spec when
 ``build`` says no.
 
@@ -76,6 +83,10 @@ from .sender_bank import (
 
 #: Tick sentinel meaning "this lane never reaches that event".
 _NEVER = 1 << 62
+
+#: CNP draws a slot's table row holds: a row is refilled from its
+#: slot's stream once per this many coins, and costs 8 bytes a draw.
+DRAWS_PER_ROW = 256
 
 
 def _lane_bank(sim) -> Optional[SenderBank]:
@@ -114,7 +125,7 @@ class _Lane:
 
     __slots__ = (
         "r", "n", "sim", "bank", "queue", "gen", "job_lifec", "p_floor",
-        "p_line", "done",
+        "p_line", "done", "faulted",
     )
 
     def __init__(self, r: int, sim, bank: SenderBank) -> None:
@@ -122,6 +133,9 @@ class _Lane:
         self.n = len(bank.objs)
         self.sim = sim
         self.bank = bank
+        # Only a fault schedule gives the control loop windows it steps
+        # through _tick_run, the one place it draws.
+        self.faulted = sim.faults is not None
         self.queue = bank.fabric.queues[0]
         self.gen: Optional[Generator[TickRequest, int, None]] = None
         self.job_lifec = list(bank.lifec)
@@ -201,9 +215,12 @@ class GridBank:
         self._mspan = np.ones(R)
         self._ticking = np.zeros(R, dtype=bool)
         self._n_ticking = 0
-        # Chunked RNG stream per slot in row-major (lane, slot) order,
-        # for the scalar CNP draw loop.
-        self._slot_stream: List[Optional[object]] = []
+        # CNP draw table, one row per slot in row-major (lane, slot)
+        # order: slot f's next draws are _draws[f, _dpos[f]:], then its
+        # stream's own buffer, then its generator. A row is empty at
+        # _dpos == DRAWS_PER_ROW.
+        self._draws = np.empty((R * S, DRAWS_PER_ROW))
+        self._dpos = np.full(R * S, DRAWS_PER_ROW, dtype=np.int64)
         self._lanes: List[_Lane] = []
         for r, (sim, bank) in enumerate(zip(sims, banks)):
             n = len(bank.objs)
@@ -225,7 +242,6 @@ class GridBank:
             self._kmax[r] = bank._kmax
             self._pmax[r] = bank._pmax
             self._mspan[r] = bank._mspan
-            self._slot_stream += bank.stream + [None] * (S - n)
 
     # ------------------------------------------------------------------
     # Construction
@@ -235,23 +251,20 @@ class GridBank:
     def build(cls, sims: Sequence) -> Optional["GridBank"]:
         """A grid for ``sims``, or ``None`` if any simulator breaks a
         lane rule (see :func:`_lane_bank`), the time steps differ, or
-        two lanes share a numpy generator."""
+        two sender slots share a numpy generator."""
         sims = list(sims)
         banks = [_lane_bank(sim) for sim in sims]
         if not sims or any(bank is None for bank in banks):
             return None
         dt0 = sims[0].dt
-        seen_rngs: set = set()
-        for sim, bank in zip(sims, banks):
-            if sim.dt != dt0:
-                return None
-            lane_rngs = set(bank._streams_by_rng)
-            if lane_rngs & seen_rngs:
-                # A generator shared across lanes would interleave
-                # draws between runs; stream positions could not match
-                # solo execution.
-                return None
-            seen_rngs |= lane_rngs
+        if any(sim.dt != dt0 for sim in sims):
+            return None
+        # Each slot draws from its own table row, filled from its own
+        # generator; a shared generator would need the rows of its
+        # slots interleaved in draw order.
+        rngs = [id(stream._rng) for bank in banks for stream in bank.stream]
+        if len(set(rngs)) != len(rngs):
+            return None
         # One TimerCache per (timer, dt) for the whole grid: the
         # trajectory is a pure function of the key, so lanes share the
         # lazily-extended wrap schedules instead of rebuilding them.
@@ -284,6 +297,8 @@ class GridBank:
         for lane in self._lanes:
             self._advance(lane, first=True)
         self._kernel()
+        for lane in self._lanes:
+            self._handback(lane)
         # The kernel appends sample rows as array views to keep the hot
         # loop cheap; normalize them to the plain lists the bank's
         # idle/span paths append before handing off to _finish.
@@ -394,6 +409,17 @@ class GridBank:
                 lifecycle.comm_sent = float(self._cs[r, s])
         bank._n_active = int(self._nact[r])
         lane.queue.occupancy = float(self._occ[r])
+
+    def _handback(self, lane: _Lane) -> None:
+        """Return the unread draws of the lane's table rows to the
+        front of their streams, so bank code that draws (a faulted
+        window's ``_tick_run``, ``_finish``'s rewind) reads them next."""
+        base = lane.r * self._S
+        pos = self._dpos[base:base + lane.n]
+        stream = lane.bank.stream
+        for k in np.flatnonzero(pos < DRAWS_PER_ROW).tolist():
+            stream[k].untake(self._draws[base + k, pos[k]:])
+        pos[:] = DRAWS_PER_ROW
 
     def _retire_row(self, r: int) -> None:
         """Neutralize a finished lane so full-grid ops ignore it."""
@@ -574,6 +600,8 @@ class GridBank:
                     self._ticking[r] = False
                     self._n_ticking -= 1
                     self._writeback(lane)
+                    if lane.faulted:
+                        self._handback(lane)
                     self._advance(lane, int(iarr[r]))
 
     # ------------------------------------------------------------------
@@ -585,40 +613,34 @@ class GridBank:
     ) -> None:
         """Replay the scalar CNP block for every eligible slot.
 
-        The marking probability comes from the vectorized RED ramp
-        (elementwise IEEE ops, bit-identical to the scalar path), but
-        the coin itself uses Python-float ``**`` — the vectorized power
-        op is *not* bit-identical to the scalar one — and the inlined
-        chunk draw, in row-major order, exactly as ``_tick_run`` does.
-        The packet counts ``sent / mtu`` are elementwise divisions (IEEE,
-        so bit-identical to the scalar ones). The slots whose coin lands
-        then update as masked elementwise ops (same op sequence per
-        slot).
+        The marking probability comes from the vectorized RED ramp and
+        the packet counts ``sent / mtu`` are elementwise divisions (IEEE
+        ops, bit-identical to the scalar ones). Each slot's coin is the
+        next unread draw of its table row; one generator per slot makes
+        that the draw a solo run reads. The miss probability is
+        Python-float ``**`` — the vectorized power op is *not*
+        bit-identical to the scalar one. The slots whose coin lands then
+        update as masked elementwise ops (same op sequence per slot).
         """
         flat = np.flatnonzero(elig)
-        q_mark_l = (1.0 - p_mark)[flat // self._S].tolist()
-        packets_l = (
-            self._sent.ravel()[flat] / self._p_mtu.ravel()[flat]
-        ).tolist()
-        slot_stream = self._slot_stream
-        hits: List[int] = []
-        append_hit = hits.append
-        for f, q_mark, packets in zip(flat.tolist(), q_mark_l, packets_l):
-            p_hit = 1.0 - q_mark ** packets
-            stream = slot_stream[f]
-            pos = stream._pos
-            buf = stream._buf
-            if pos >= len(buf):
-                buf = stream.refill()
-                pos = 0
-            stream._pos = pos + 1
-            stream._consumed += 1
-            if buf[pos] < p_hit:
-                append_hit(f)
-        if not hits:
+        pos = self._dpos[flat]
+        empty = pos == DRAWS_PER_ROW
+        if empty.any():
+            for f in flat[empty].tolist():
+                r, k = divmod(f, self._S)
+                self._draws[f] = self.banks[r].stream[k].take(DRAWS_PER_ROW)
+            pos[empty] = 0
+        draws = self._draws[flat, pos]
+        self._dpos[flat] = pos + 1
+        q_mark = (1.0 - p_mark)[flat // self._S]
+        packets = self._sent.ravel()[flat] / self._p_mtu.ravel()[flat]
+        q_any = np.fromiter(
+            map(pow, q_mark.tolist(), packets.tolist()), float, flat.size
+        )
+        hf = flat[draws < 1.0 - q_any]
+        if not hf.size:
             return
         # Flat views: every state array is C-contiguous (runs, senders).
-        hf = np.asarray(hits)
         alpha = self._alpha.ravel()
         rate = self._rate.ravel()
         # a = (1 - g) * alpha + g; target parks at the pre-cut rate,

@@ -124,9 +124,12 @@ class UniformChunks:
     (numpy fills ``random(n)`` with the identical stream), but the
     generator call overhead is amortized over whole chunks. Chunks start
     small and double up to :attr:`MAX_CHUNK`, so a stream that draws a
-    few dozen times does not pay for thousands. :meth:`rewind` restores the
-    generator to the state the equivalent number of scalar draws would
-    have produced, discarding the unused tail of the final chunk.
+    few dozen times does not pay for thousands. :meth:`take` hands out a
+    block of the stream as an array and :meth:`untake` returns its
+    unread end, for a kernel that keeps its own table of draws.
+    :meth:`rewind` restores the generator to the state the equivalent
+    number of scalar draws would have produced, discarding the unused
+    tail of the final chunk.
     """
 
     __slots__ = ("_rng", "_chunk", "_buf", "_pos", "_consumed", "_state0")
@@ -151,6 +154,27 @@ class UniformChunks:
         if self._chunk < UniformChunks.MAX_CHUNK:
             self._chunk *= 2
         return self._buf
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` draws as an array, counted as consumed: the
+        unread buffer first, then fresh draws from the generator."""
+        pos = self._pos
+        head = self._buf[pos:pos + n]
+        self._pos = pos + len(head)
+        self._consumed += n
+        if len(head) == n:
+            return np.array(head)
+        if self._state0 is None:
+            self._state0 = self._rng.bit_generator.state
+        fresh = self._rng.random(n - len(head))
+        return np.concatenate((head, fresh)) if head else fresh
+
+    def untake(self, tail: np.ndarray) -> None:
+        """Give back ``tail``, the unread end of the last :meth:`take`
+        with no draw since: it is read next and no longer consumed."""
+        self._buf = tail.tolist() + self._buf[self._pos:]
+        self._pos = 0
+        self._consumed -= len(tail)
 
     def rewind(self) -> None:
         """Leave the generator exactly ``consumed`` scalar draws ahead."""

@@ -560,10 +560,29 @@ def time_series_to_dict(series: TimeSeries) -> Dict[str, Any]:
 
 
 def time_series_from_dict(data: Dict[str, Any]) -> TimeSeries:
-    """Deserialize an irregular time series."""
-    series = TimeSeries(name=data.get("name", ""))
-    series._times = [float(t) for t in data["times"]]
-    series._values = [float(v) for v in data["values"]]
+    """Deserialize an irregular time series.
+
+    Raises:
+        ConfigError: naming the series and the field, when ``times`` or
+            ``values`` is not a list, or the two lists differ in length.
+    """
+    name = data.get("name", "")
+    times = data["times"]
+    values = data["values"]
+    for key, column in (("times", times), ("values", values)):
+        if not isinstance(column, list):
+            raise ConfigError(
+                f"series {name!r}: field {key!r} must be a list, "
+                f"got {column!r}"
+            )
+    if len(times) != len(values):
+        raise ConfigError(
+            f"series {name!r}: field 'values' has {len(values)} "
+            f"entries but field 'times' has {len(times)}"
+        )
+    series = TimeSeries(name=name)
+    series._times = [float(t) for t in times]
+    series._values = [float(v) for v in values]
     return series
 
 

@@ -21,7 +21,6 @@ build single- and multi-module fixtures.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -255,6 +254,10 @@ def lint_paths(
     collected: List[Finding] = []
     indexes: List[ModuleIndex] = []
     if jobs > 1 and len(displays) > 1:
+        # Imported only here: it loads multiprocessing, which a serial
+        # run (the default) never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(
                 pool.map(

@@ -24,6 +24,7 @@ from repro.io import (
     result_from_dict,
     result_to_dict,
     save_workload,
+    time_series_from_dict,
 )
 from repro.mechanisms.controller import (
     CongestionFreeController,
@@ -194,6 +195,23 @@ class TestIo:
             data[field] = value
         with pytest.raises(ConfigError, match=repr(named)):
             circle_from_dict(data)
+
+    @pytest.mark.parametrize("field,value", [
+        ("values", [0.0, 1.0]),
+        ("times", [1.0]),
+        ("times", "12"),
+        ("values", {"3": 0, "4": 1}),
+        ("times", None),
+    ], ids=["long-values", "short-times", "string-times", "dict-values",
+            "null-times"])
+    def test_misshapen_series_names_the_series(self, field, value):
+        data = {"name": "queue", "times": [1.0, 2.0, 3.0],
+                "values": [0.0, 1.0, 0.5]}
+        assert time_series_from_dict(data).values.tolist() == [0, 1, 0.5]
+        data[field] = value
+        with pytest.raises(ConfigError, match=repr(field)) as refused:
+            time_series_from_dict(data)
+        assert "'queue'" in str(refused.value)
 
     def test_result_roundtrip(self):
         checker = CompatibilityChecker(capacity=CAP)

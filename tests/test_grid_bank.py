@@ -15,12 +15,14 @@ fully cached grid never touches the process pool, and the grouping
 screen only admits specs the bank can actually represent.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro import io
+from repro.cc import grid_bank
 from repro.cc.dcqcn import (
     AGGRESSIVE_TIMER,
     DEFAULT_TIMER,
@@ -29,6 +31,7 @@ from repro.cc.dcqcn import (
     OnOffDcqcnJob,
 )
 from repro.cc.grid_bank import GridBank
+from repro.cc.sender_bank import UniformChunks
 from repro.experiments import sweep
 from repro.faults import (
     InjectionSchedule,
@@ -196,6 +199,119 @@ class TestGridBankMetamorphic:
             sims.append(sim)
         assert GridBank.build(sims) is None
 
+    def test_build_rejects_rng_shared_within_a_lane(self):
+        """Each slot draws from its own table row, so two senders of one
+        lane may not share a generator either."""
+        shared = np.random.default_rng(3)
+        sim = DcqcnFluidSimulator(dt=DT)
+        for name in ("J1", "J2"):
+            sim.add_sender(name, DcqcnParams(line_rate=gbps(50)), shared)
+        assert GridBank.build([sim]) is None
+
+
+class TestDrawTable:
+    """The CNP draw table: rows far narrower than a run's draws, and
+    the take/untake handback the table rests on."""
+
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_narrow_rows_match_sequential(self, width, monkeypatch):
+        """Every stream crosses many refills, and unread draws go back
+        to their streams at each exit of a faulted lane and before the
+        final rewind; the grid still equals the solo runs."""
+        monkeypatch.setattr(grid_bank, "DRAWS_PER_ROW", width)
+        returned = []
+        untake = UniformChunks.untake
+
+        def counted(stream, tail):
+            returned.append(len(tail))
+            untake(stream, tail)
+
+        monkeypatch.setattr(UniformChunks, "untake", counted)
+        solo = _build_grid(64, grid_seed=width)
+        twin = _build_grid(64, grid_seed=width)
+        assert {sim.faults for sim, _, _ in twin} == set(SCHEDULES)
+        assert any(jobs for _, jobs, _ in twin)
+        solo_traces = [sim.run(DURATION) for sim, _, _ in solo]
+        grid = GridBank.build([sim for sim, _, _ in twin])
+        assert grid is not None
+        grid_traces = grid.run(DURATION)
+        for (_, jobs_s, rngs_s), trace_s, (_, jobs_b, rngs_b), trace_b in zip(
+            solo, solo_traces, twin, grid_traces
+        ):
+            _assert_bit_identical(
+                (trace_s, jobs_s, rngs_s), (trace_b, jobs_b, rngs_b)
+            )
+        assert sum(tail > 0 for tail in returned) > 64
+
+    def test_coin_uses_python_float_pow(self):
+        """A draw that lands between ``1 - q ** packets`` and numpy's
+        ``1 - np.power(q, packets)`` (1 ulp apart for some operands on
+        hosts whose numpy dispatches a vector ``pow``) flips the coin
+        the way the scalar kernel does."""
+        search = np.random.default_rng(0)
+        p_mark = search.uniform(0.01, 1.0, 4096)
+        sent = search.uniform(1e3, 6e4, 4096)
+        mtu = DcqcnParams().mtu
+        q, packets = 1.0 - p_mark, sent / mtu
+        exact = 1.0 - np.array([
+            a ** b for a, b in zip(q.tolist(), packets.tolist())
+        ])
+        vector = 1.0 - np.power(q, packets)
+        # Up to 60 operand pairs numpy rounds differently, plus a few it
+        # rounds the same way.
+        pick = np.concatenate((
+            np.flatnonzero(exact != vector)[:60], np.arange(4)
+        ))
+        runs = len(pick)
+        sims = []
+        for r in range(runs):
+            sim = DcqcnFluidSimulator(dt=DT)
+            sim.add_sender(
+                "J1", DcqcnParams(line_rate=gbps(50)),
+                np.random.default_rng(r),
+            )
+            sims.append(sim)
+        grid = GridBank.build(sims)
+        assert grid is not None
+        draws = np.minimum(exact, vector)[pick]
+        grid._sent[:, 0] = sent[pick]
+        grid._draws[:, 0] = draws
+        grid._dpos[:] = 0
+        elig = np.ones((runs, 1), dtype=bool)
+        grid._cnp_pass(elig, p_mark[pick], np.zeros(runs))
+        assert grid._cnps[:, 0].tolist() == (
+            draws < exact[pick]
+        ).astype(int).tolist()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_take_untake_replay_scalar_draws(self, seed):
+        """Seeded interleavings of the kernels' inline draw, ``take(n)``
+        and ``untake(tail)`` read the generator's own sequence, and
+        ``rewind`` leaves it where as many ``rng.random()`` calls do."""
+        plan = np.random.default_rng(seed)
+        rng = np.random.default_rng(100 + seed)
+        stream = UniformChunks(rng)
+        read = []
+        for _ in range(300):
+            op = int(plan.integers(3))
+            if op == 0:
+                # The inline draw of SenderBank._tick_run.
+                if stream._pos >= len(stream._buf):
+                    stream.refill()
+                read.append(stream._buf[stream._pos])
+                stream._pos += 1
+                stream._consumed += 1
+                continue
+            block = stream.take(int(plan.integers(1, 40)))
+            used = block.size if op == 1 else int(plan.integers(block.size))
+            read.extend(block[:used].tolist())
+            if used < block.size:
+                stream.untake(block[used:])
+        oracle = np.random.default_rng(100 + seed)
+        assert read == [oracle.random() for _ in read]
+        stream.rewind()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
 
 def lineup(timer_j1, senders):
     """J1 on ``timer_j1`` plus ``senders - 1`` default-timer peers."""
@@ -360,6 +476,27 @@ class TestRunnerGridTier:
             run_many(specs, cache=False)
         assert int(session.counter("runner.executed").value) == 4
         assert int(session.counter("runner.batched").value) == 0
+
+    def test_shared_stream_runs_spec_by_spec(self):
+        """A spec whose two senders share one stream cannot ride in a
+        lane: its group runs spec by spec, byte-identical to
+        ``batch=False``."""
+        specs = floor_specs()
+        first, second, *rest = specs[0].scenarios[0].senders
+        shared = tuple(
+            dataclasses.replace(sender, stream="shared")
+            for sender in (first, second)
+        )
+        specs[0] = specs[0].replace(scenarios=(
+            ScenarioSpec("fair", shared + tuple(rest)),
+        ) + specs[0].scenarios[1:])
+        session = Telemetry(name="grid-test")
+        with use(session):
+            stacked = run_many(specs, cache=False)
+        assert int(session.counter("runner.batched").value) == 0
+        assert canonical(stacked) == canonical(
+            run_many(specs, batch=False, cache=False)
+        )
 
     def test_grid_just_above_floor_stacks(self):
         n = 4

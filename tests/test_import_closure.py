@@ -4,9 +4,10 @@ Every process pays for the CLI's import closure at start-up: the CLI
 itself, each benchmark child and each pool worker. The closure's only
 package outside the standard library is numpy, and it leaves out the
 process pool (``concurrent.futures`` with ``multiprocessing``), which
-only a run with more than one job opens. A new module-level import of a
-third-party package, or of the pool, fails here; import it inside the
-function that needs it instead.
+only a run with more than one job opens. The linter's engine leaves the
+pool out too: only ``--jobs`` above 1 opens one. A new module-level
+import of a third-party package, or of the pool, fails here; import it
+inside the function that needs it instead.
 """
 
 import json
@@ -17,24 +18,27 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Prints the modules ``import repro.cli`` adds. Site hooks may load
+#: Prints the modules importing ``{module}`` adds. Site hooks may load
 #: packages before it runs, so only the difference counts.
 PROBE = """
 import json, sys
 before = set(sys.modules)
-import repro.cli
+import {module}
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
+#: The process pool's packages.
+POOL = {"concurrent", "multiprocessing"}
 
-def cli_import_closure():
-    """Top-level names of the modules ``import repro.cli`` adds."""
+
+def import_closure(module):
+    """Top-level names of the modules ``import <module>`` adds."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")])
     )
     completed = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", PROBE.format(module=module)],
         capture_output=True,
         text=True,
         env=env,
@@ -45,7 +49,7 @@ def cli_import_closure():
 
 
 def test_cli_imports_numpy_and_the_standard_library_only():
-    closure = cli_import_closure()
+    closure = import_closure("repro.cli")
     third_party = {
         name
         for name in closure
@@ -54,4 +58,8 @@ def test_cli_imports_numpy_and_the_standard_library_only():
         and not (name.startswith("__") and name.endswith("__"))
     }
     assert third_party == {"numpy"}
-    assert not closure & {"concurrent", "multiprocessing"}
+    assert not closure & POOL
+
+
+def test_lint_engine_leaves_the_pool_out():
+    assert not import_closure("repro.lint.engine") & POOL

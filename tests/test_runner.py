@@ -625,6 +625,34 @@ class TestCache:
         assert healed == fresh
         assert store.get(spec.content_hash()) is not None
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda series: series["values"].pop(),
+        lambda series: series.update(times="12"),
+        lambda series: series.update(values={"3": 0, "4": 1}),
+    ], ids=["one-value-short", "string-times", "dict-values"])
+    def test_misshapen_series_heals_as_miss(self, tmp_path, corrupt):
+        """A stored fluid series whose ``times`` and ``values`` are not
+        two lists of one length is a miss that removes itself."""
+        spec = RunSpec(
+            backend="fluid",
+            seed=0,
+            duration=0.002,
+            options=(("dt", 20e-6),),
+            scenarios=(ScenarioSpec("pair", (
+                SenderSpec("J1", 100e-6), SenderSpec("J2", 125e-6),
+            )),),
+        )
+        store = ResultCache(tmp_path)
+        path = store.path_for(spec.content_hash())
+        [fresh] = run_many([spec], cache=True, cache_dir=tmp_path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(document["result"]["fluid"]["pair"]["trace"]["queue_series"])
+        path.write_text(json.dumps(document, sort_keys=True), encoding="utf-8")
+        assert store.get(spec.content_hash()) is None
+        assert not path.exists()
+        [healed] = run_many([spec], cache=True, cache_dir=tmp_path)
+        assert canonical([healed]) == canonical([fresh])
+
     def test_entry_that_is_not_an_object_heals_as_miss(self, tmp_path):
         spec = small_phase_specs(n_iterations=5)[0]
         run_many([spec], cache=True, cache_dir=tmp_path)
