@@ -15,6 +15,11 @@ import numpy as np
 
 from ..errors import SimulationError
 
+#: Resamples whose medians one step takes. Only the index matrix spans
+#: every resample; the gathered values and ``np.median``'s partition
+#: copy exist for one block of rows at a time.
+MEDIAN_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -49,6 +54,24 @@ def _validate(samples: Sequence[float], n_resamples: int,
     return data
 
 
+def _resample_medians(
+    data: np.ndarray, rng: np.random.Generator, n_resamples: int
+) -> np.ndarray:
+    """Medians of ``n_resamples`` resamples of ``data`` with replacement.
+
+    The indices are one ``rng.integers`` draw of the whole
+    ``(n_resamples, data.size)`` matrix; each row's median is taken
+    within its block of :data:`MEDIAN_BLOCK_ROWS` rows, which is the
+    value a median over all rows at once gives it.
+    """
+    indices = rng.integers(0, data.size, size=(n_resamples, data.size))
+    medians = np.empty(n_resamples)
+    for start in range(0, n_resamples, MEDIAN_BLOCK_ROWS):
+        stop = start + MEDIAN_BLOCK_ROWS
+        medians[start:stop] = np.median(data[indices[start:stop]], axis=1)
+    return medians
+
+
 def bootstrap_median(
     samples: Sequence[float],
     n_resamples: int = 2000,
@@ -57,9 +80,9 @@ def bootstrap_median(
 ) -> ConfidenceInterval:
     """Percentile-bootstrap CI for the median of ``samples``."""
     data = _validate(samples, n_resamples, confidence)
-    rng = np.random.default_rng(seed)
-    indices = rng.integers(0, data.size, size=(n_resamples, data.size))
-    medians = np.median(data[indices], axis=1)
+    medians = _resample_medians(
+        data, np.random.default_rng(seed), n_resamples
+    )
     alpha = (1.0 - confidence) / 2.0
     return ConfidenceInterval(
         estimate=float(np.median(data)),
@@ -84,14 +107,8 @@ def bootstrap_median_ratio(
     num = _validate(numerator, n_resamples, confidence)
     den = _validate(denominator, n_resamples, confidence)
     rng = np.random.default_rng(seed)
-    num_medians = np.median(
-        num[rng.integers(0, num.size, size=(n_resamples, num.size))],
-        axis=1,
-    )
-    den_medians = np.median(
-        den[rng.integers(0, den.size, size=(n_resamples, den.size))],
-        axis=1,
-    )
+    num_medians = _resample_medians(num, rng, n_resamples)
+    den_medians = _resample_medians(den, rng, n_resamples)
     if (den_medians <= 0).any() or np.median(den) <= 0:
         raise SimulationError("denominator medians must be positive")
     ratios = num_medians / den_medians

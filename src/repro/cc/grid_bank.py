@@ -298,7 +298,7 @@ class GridBank:
             self._advance(lane, first=True)
         self._kernel()
         for lane in self._lanes:
-            self._handback(lane)
+            self._handback(lane, final=True)
         # The kernel appends sample rows as array views to keep the hot
         # loop cheap; normalize them to the plain lists the bank's
         # idle/span paths append before handing off to _finish.
@@ -410,15 +410,24 @@ class GridBank:
         bank._n_active = int(self._nact[r])
         lane.queue.occupancy = float(self._occ[r])
 
-    def _handback(self, lane: _Lane) -> None:
+    def _handback(self, lane: _Lane, final: bool = False) -> None:
         """Return the unread draws of the lane's table rows to the
         front of their streams, so bank code that draws (a faulted
-        window's ``_tick_run``, ``_finish``'s rewind) reads them next."""
+        window's ``_tick_run``) reads them next.
+
+        ``final``: the run is over, and ``_finish`` rewinds each stream
+        by its consumed count and drops its buffer, so the unread draws
+        only leave that count.
+        """
         base = lane.r * self._S
         pos = self._dpos[base:base + lane.n]
         stream = lane.bank.stream
-        for k in np.flatnonzero(pos < DRAWS_PER_ROW).tolist():
-            stream[k].untake(self._draws[base + k, pos[k]:])
+        if final:
+            for k, unread in enumerate((DRAWS_PER_ROW - pos).tolist()):
+                stream[k]._consumed -= unread
+        else:
+            for k in np.flatnonzero(pos < DRAWS_PER_ROW).tolist():
+                stream[k].untake(self._draws[base + k, pos[k]:])
         pos[:] = DRAWS_PER_ROW
 
     def _retire_row(self, r: int) -> None:

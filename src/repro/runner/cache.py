@@ -1,17 +1,25 @@
 """The on-disk result cache, keyed by spec content hash.
 
-Layout: one JSON document per cached run at
-``<root>/<content-hash>.json`` containing the serialized spec (for
-inspection), the serialized :class:`~repro.runner.spec.RunResult`, and
-the worker telemetry state captured when the run executed — so a cache
-hit replays the run's metrics and trace into the requesting session
-exactly as a fresh execution would.
+Layout: one JSON Lines file per cached run at ``<root>/<content-hash>.json``:
+every line is one JSON object, and every line ends with a newline.
 
-Everything round-trips through :mod:`repro.io`; a spec whose payload the
-codecs cannot express (ad-hoc gate closures, non-JSON option values) is
-simply never cached — the runner executes it every time. The stored
-trace is the worker session's encoded lines, which the cache writes and
-reads as plain strings and never decodes.
+* Line 1, the *header*, is one ``json.dumps(..., sort_keys=True)``
+  document: ``cache_version``, the serialized spec (for inspection), the
+  serialized :class:`~repro.runner.spec.RunResult`, and the worker
+  telemetry state captured when the run executed, less its trace: the
+  counter ``registry`` and the per-kind ``event_kinds`` counts.
+* Each further line is one trace line exactly as
+  ``worker_state()["trace"]`` holds it, which is also exactly what the
+  run's ``trace.jsonl`` holds, in emission order.
+
+So a cache hit replays the run's metrics and trace into the requesting
+session exactly as a fresh execution would. :meth:`ResultCache.put`
+joins the trace lines and :meth:`ResultCache.get` splits them: no line
+is escaped on write, and none is unescaped or parsed on read.
+
+Everything else round-trips through :mod:`repro.io`; a spec whose
+payload the codecs cannot express (ad-hoc gate closures, non-JSON option
+values) is simply never cached — the runner executes it every time.
 """
 
 from __future__ import annotations
@@ -46,7 +54,11 @@ from .spec import RunResult, RunSpec
 #: v7: ``job.phase`` and ``job.comm`` trace records lose their
 #: ``segment`` field (always 0: an iteration is one burst), so v6
 #: entries would replay trace lines a fresh run no longer writes.
-CACHE_VERSION = 7
+#: v8: an entry is JSON Lines: the document less ``telemetry.trace`` on
+#: line 1, then the trace lines themselves, one per line, instead of
+#: JSON strings inside the document; v7 entries (one JSON document)
+#: self-heal as misses.
+CACHE_VERSION = 8
 
 #: Staging files are ``<entry>.<pid>.<n>.tmp``, ``n`` counting writes
 #: across every cache in the process: unique per write, so writers
@@ -57,32 +69,29 @@ _staging = itertools.count()
 
 @dataclass
 class CacheEntry:
-    """One cache hit: the stored result plus its telemetry state."""
+    """One cache hit: the stored result plus its telemetry state (the
+    shape ``worker_state()`` gives, trace lines included)."""
 
     result: RunResult
     telemetry: Dict[str, Any]
 
 
-def _mergeable(telemetry: Any) -> bool:
-    """Whether a stored worker state has the shape ``worker_state()``
-    gives: a ``{"counters": {name: number}}`` registry, a list of trace
-    lines (strings), and per-kind counts (positive ints under non-empty
-    kinds) that sum to the line count.
+def _mergeable(telemetry: Any, n_lines: int) -> bool:
+    """Whether a header's telemetry block, followed by ``n_lines`` trace
+    lines, is what ``worker_state()`` gives less its ``trace``: a
+    ``{"counters": {name: number}}`` registry and per-kind counts
+    (positive ints under non-empty kinds) that sum to the line count.
 
-    The lines themselves are not parsed; entries are written whole by
-    one atomic rename, and decoding them is the cost the stored form
-    exists to avoid.
+    A block that still carries ``trace`` is refused: the lines live
+    after the header. The lines themselves are not parsed; entries are
+    written whole by one atomic rename, and decoding them is the cost
+    the stored form exists to avoid.
     """
-    if not isinstance(telemetry, dict):
+    if not isinstance(telemetry, dict) or "trace" in telemetry:
         return False
     registry = telemetry.get("registry", {})
-    lines = telemetry.get("trace", [])
     kinds = telemetry.get("event_kinds", {})
-    if not (
-        isinstance(registry, dict)
-        and isinstance(lines, list)
-        and isinstance(kinds, dict)
-    ):
+    if not (isinstance(registry, dict) and isinstance(kinds, dict)):
         return False
     counters = registry.get("counters", {})
     return (
@@ -90,12 +99,11 @@ def _mergeable(telemetry: Any) -> bool:
         and all(
             isinstance(value, (int, float)) for value in counters.values()
         )
-        and all(isinstance(line, str) for line in lines)
         and all(
             kind and type(count) is int and count > 0
             for kind, count in kinds.items()
         )
-        and sum(kinds.values()) == len(lines)
+        and sum(kinds.values()) == n_lines
     )
 
 
@@ -115,31 +123,36 @@ class ResultCache:
         A corrupt or stale-schema file counts as a miss and is removed,
         so a broken cache heals itself instead of wedging runs. So does
         a stored result that fails to decode, and a telemetry block the
-        session could not merge (see :func:`_mergeable`).
+        session could not merge (see :func:`_mergeable`): a header that
+        carries the trace, or trace lines one more or fewer than its
+        kind counts.
         """
         path = self.path_for(content_hash)
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                document = json.load(handle)
+            with path.open("r", encoding="utf-8", newline="\n") as handle:
+                header = json.loads(handle.readline())
+                lines = handle.read().split("\n")
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, OSError):
+        except (ValueError, OSError):
             path.unlink(missing_ok=True)
             return None
         try:
-            if not isinstance(document, dict) or (
-                document.get("cache_version") != CACHE_VERSION
+            # Every line ends with a newline, so the split ends with "".
+            if lines.pop() or not isinstance(header, dict) or (
+                header.get("cache_version") != CACHE_VERSION
             ):
                 raise ConfigError("cache schema mismatch")
             from .. import io
 
-            result = io.run_result_from_dict(document["result"])
-            telemetry = document.get("telemetry", {})
-            if not _mergeable(telemetry):
+            result = io.run_result_from_dict(header["result"])
+            telemetry = header.get("telemetry", {})
+            if not _mergeable(telemetry, len(lines)):
                 raise ConfigError("malformed cached telemetry")
         except (AttributeError, KeyError, TypeError, ValueError, ReproError):
             path.unlink(missing_ok=True)
             return None
+        telemetry["trace"] = lines
         return CacheEntry(result=result, telemetry=telemetry)
 
     def put(
@@ -149,25 +162,39 @@ class ResultCache:
         result: RunResult,
         telemetry: Dict[str, Any],
     ) -> bool:
-        """Store one executed run. Returns False when unserializable."""
+        """Store one executed run. Returns False when unserializable,
+        and when a trace line holds a newline (it would read back as
+        two lines)."""
         from .. import io
 
         try:
-            document = {
-                "cache_version": CACHE_VERSION,
-                "spec": io.run_spec_to_dict(spec),
-                "result": io.run_result_to_dict(result),
-                "telemetry": telemetry,
-            }
-            payload = json.dumps(document, sort_keys=True)
+            state = dict(telemetry)
+            lines = state.pop("trace", [])
+            header = json.dumps(
+                {
+                    "cache_version": CACHE_VERSION,
+                    "spec": io.run_spec_to_dict(spec),
+                    "result": io.run_result_to_dict(result),
+                    "telemetry": state,
+                },
+                sort_keys=True,
+            )
+            body = "\n".join(lines)
         except (ConfigError, TypeError, ValueError):
+            return False
+        if lines and body.count("\n") != len(lines) - 1:
             return False
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(content_hash)
         tmp = path.with_name(
             f"{path.name}.{os.getpid()}.{next(_staging)}.tmp"
         )
-        tmp.write_text(payload, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8", newline="\n") as handle:
+            handle.write(header)
+            handle.write("\n")
+            if lines:
+                handle.write(body)
+                handle.write("\n")
         tmp.replace(path)
         return True
 

@@ -294,7 +294,14 @@ class ClusterService:
         self._seq += 1
 
     def _try_place(self, arrival: JobArrival) -> Optional[List[str]]:
-        """One placement attempt, timed as a ``service.place`` span."""
+        """One placement attempt, timed as a ``service.place`` span.
+
+        A job that needs more GPUs than are free is refused here,
+        without a span or a policy call: each worker takes one GPU, and
+        every policy refuses exactly then, drawing nothing.
+        """
+        if arrival.n_workers > self.cluster.total_free_gpus():
+            return None
         with _telemetry_session.current().span("service.place"):
             try:
                 hosts = self.policy.place(

@@ -34,7 +34,10 @@ then hold JSON types (a tuple comes back as a list).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..errors import ConfigError
 
@@ -96,13 +99,68 @@ class TraceRecord:
 
 #: The one encoder of trace records: sorted keys, compact separators.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode = _ENCODER.encode
+
+#: Record shapes, ``(kind, field names)``, that keep a template; a
+#: shape met after this many encodes through :data:`_ENCODER` whole (a
+#: decoded trace can hold any field set).
+MAX_TEMPLATES = 256
+
+#: ``(kind, *field names)`` -> the record's text with a ``%s`` for each
+#: value (``%`` doubled elsewhere), and the field names in sorted order.
+_TEMPLATES: Dict[Tuple[str, ...], Tuple[str, Tuple[str, ...]]] = {}
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+#: Field values of these exact types are encoded inline, to the text
+#: :data:`_ENCODER` gives them; any other value (subclasses included)
+#: goes through :data:`_ENCODER`.
+_INLINE: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _template(
+    kind: str, fields: Mapping[str, Any]
+) -> Optional[Tuple[str, Tuple[str, ...]]]:
+    """The memoized template of a record shape, or ``None`` when the
+    memo is full or a field name is not exactly a ``str``."""
+    names = tuple(fields)
+    if len(_TEMPLATES) >= MAX_TEMPLATES or any(
+        type(name) is not str for name in names
+    ):
+        return None
+    order = tuple(sorted(names))
+    items = ",".join(_literal(name) + ":%s" for name in order)
+    text = '{"fields":{' + items + '},"kind":' + _literal(kind) + ',"t":%s}'
+    template = _TEMPLATES[(kind, *names)] = (text, order)
+    return template
+
+
+def _literal(text: str) -> str:
+    """``text`` as a JSON string inside a ``%`` template."""
+    return encode_basestring_ascii(text).replace("%", "%%")
 
 
 def encode_record(kind: str, t: float, fields: Mapping[str, Any]) -> str:
     """The JSONL line of one record: ``{"fields":{...},"kind":...,"t":...}``.
 
     Keys are sorted and separators compact, and ``t`` goes through
-    ``float()`` first, so identical records encode to identical bytes.
+    ``float()`` first, so identical records encode to identical bytes:
+    the text ``_ENCODER.encode({"fields": fields, "kind": kind, "t": t})``
+    gives. A record shape's text around its values is built once and
+    memoized (up to :data:`MAX_TEMPLATES` shapes); ``str``, ``int``,
+    ``bool``, ``None`` and ``float`` values are encoded inline.
 
     Raises:
         ConfigError: on an empty kind, or on a field JSON cannot encode
@@ -112,7 +170,17 @@ def encode_record(kind: str, t: float, fields: Mapping[str, Any]) -> str:
         raise ConfigError("trace record needs a non-empty string kind")
     t = float(t)
     try:
-        return _ENCODER.encode({"fields": fields, "kind": kind, "t": t})
+        template = _TEMPLATES.get((kind, *fields)) or _template(kind, fields)
+        if template is None:
+            return _encode({"fields": fields, "kind": kind, "t": t})
+        text, order = template
+        return text % (
+            *[
+                _INLINE.get(type(value), _encode)(value)
+                for value in map(fields.__getitem__, order)
+            ],
+            _float_text(t),
+        )
     except (TypeError, ValueError) as exc:
         culprit = next(
             (name for name in fields if not _encodes(fields[name])), None

@@ -2,10 +2,12 @@
 bootstrap confidence intervals."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.analysis import bootstrap
 from repro.analysis.bootstrap import (
     bootstrap_median,
     bootstrap_median_ratio,
@@ -320,3 +322,51 @@ class TestBootstrap:
             bootstrap_median([1.0], confidence=0.4)
         with pytest.raises(SimulationError):
             bootstrap_median_ratio([1.0], [0.0])
+
+    @pytest.mark.parametrize("n", [7, 10, 99, 100])
+    def test_row_blocks_give_the_one_shot_medians(self, n, monkeypatch):
+        """Medians taken over blocks of resample rows equal the medians
+        of the whole index matrix at once, bit for bit, with a block
+        size that does not divide ``n_resamples``."""
+        monkeypatch.setattr(bootstrap, "MEDIAN_BLOCK_ROWS", 7)
+        n_resamples, alpha = 100, 0.025
+        data = np.random.default_rng(n)
+        num = data.normal(0.32, 0.01, size=n)
+        den = data.normal(0.26, 0.01, size=n)
+
+        def one_shot(rng, values):
+            indices = rng.integers(0, n, size=(n_resamples, n))
+            return np.median(values[indices], axis=1)
+
+        def bits(*values):
+            return [float(value).hex() for value in values]
+
+        rng = np.random.default_rng(3)
+        ratios = one_shot(rng, num) / one_shot(rng, den)
+        ci = bootstrap_median_ratio(num, den, n_resamples, seed=3)
+        assert bits(ci.estimate, ci.low, ci.high) == bits(
+            np.median(num) / np.median(den),
+            np.quantile(ratios, alpha), np.quantile(ratios, 1 - alpha),
+        )
+        medians = one_shot(np.random.default_rng(4), num)
+        ci = bootstrap_median(num, n_resamples, seed=4)
+        assert bits(ci.estimate, ci.low, ci.high) == bits(
+            np.median(num),
+            np.quantile(medians, alpha), np.quantile(medians, 1 - alpha),
+        )
+
+    def test_peak_memory_stays_near_the_index_matrix(self):
+        """Figure 1d's bootstrap (990 samples a side, 2,000 resamples)
+        holds the index matrix plus one block of rows, not the gathered
+        values of every resample as well."""
+        data = np.random.default_rng(5)
+        fair = data.normal(0.32, 0.01, size=990)
+        unfair = data.normal(0.26, 0.01, size=990)
+        index_bytes = 2000 * 990 * 8
+        tracemalloc.start()
+        try:
+            bootstrap_median_ratio(fair, unfair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * index_bytes

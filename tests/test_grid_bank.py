@@ -243,6 +243,42 @@ class TestDrawTable:
             )
         assert sum(tail > 0 for tail in returned) > 64
 
+    def test_final_handback_only_uncounts(self, monkeypatch):
+        """At the end of a run the unread table draws only leave their
+        streams' consumed counts, since ``_finish``'s rewind drops the
+        buffers: no draw goes back through ``untake``. A fault-free grid
+        (no lane hands back at an exit) still equals its solo runs,
+        generator states included."""
+        taken = []
+        take = UniformChunks.take
+
+        def counted(stream, n):
+            taken.append(n)
+            return take(stream, n)
+
+        def refused(stream, tail):
+            raise AssertionError("untake at the end of a run")
+
+        monkeypatch.setattr(UniformChunks, "take", counted)
+        monkeypatch.setattr(UniformChunks, "untake", refused)
+        solo, twin = (
+            [run for run in _build_grid(32, grid_seed=9)
+             if run[0].faults is None]
+            for _ in range(2)
+        )
+        assert len(solo) >= 2
+        solo_traces = [sim.run(DURATION) for sim, _, _ in solo]
+        grid = GridBank.build([sim for sim, _, _ in twin])
+        assert grid is not None
+        grid_traces = grid.run(DURATION)
+        assert taken  # table rows were filled, so draws were left unread
+        for (_, jobs_s, rngs_s), trace_s, (_, jobs_b, rngs_b), trace_b in zip(
+            solo, solo_traces, twin, grid_traces
+        ):
+            _assert_bit_identical(
+                (trace_s, jobs_s, rngs_s), (trace_b, jobs_b, rngs_b)
+            )
+
     def test_coin_uses_python_float_pow(self):
         """A draw that lands between ``1 - q ** packets`` and numpy's
         ``1 - np.power(q, packets)`` (1 ulp apart for some operands on

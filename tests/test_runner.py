@@ -41,6 +41,7 @@ from repro.runner import (
     using,
 )
 from repro.runner.backends import dumbbell_topology
+from repro.runner.cache import CACHE_VERSION
 from repro.telemetry.session import Telemetry, use
 from repro.units import gbps, ms
 from repro.workloads.job import JobSpec
@@ -77,6 +78,23 @@ def canonical(results):
     return json.dumps(
         [io.run_result_to_dict(result) for result in results],
         sort_keys=True,
+    )
+
+
+def read_entry(path):
+    """A cache entry file as ``(header, lines)``: the JSON object on
+    its first line and the trace lines after it."""
+    header, *lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == "", "every line of an entry ends with a newline"
+    return json.loads(header), lines
+
+
+def write_entry(path, header, lines=()):
+    """Write ``header`` and trace ``lines`` in the entry layout: the
+    header as sorted-key JSON, then each line, every one newline-ended."""
+    text = json.dumps(header, sort_keys=True)
+    path.write_text(
+        "".join(f"{line}\n" for line in (text, *lines)), encoding="utf-8"
     )
 
 
@@ -523,10 +541,10 @@ class TestCache:
         path = store.path_for(spec.content_hash())
         fresh = recorded_run(spec, cache=False)
         run_many([spec], cache=True, cache_dir=tmp_path)
-        document = json.loads(path.read_text(encoding="utf-8"))
+        document, lines = read_entry(path)
         telemetry = document["telemetry"]
         document["cache_version"] = 5
-        telemetry["trace"] = [json.loads(line) for line in telemetry["trace"]]
+        telemetry["trace"] = [json.loads(line) for line in lines]
         del telemetry["event_kinds"]
         v5 = json.dumps(document, sort_keys=True)
 
@@ -544,37 +562,123 @@ class TestCache:
         assert entry is not None
         assert entry.telemetry["trace"] == fresh["lines"]
 
+    def test_v7_entry_heals_as_miss(self, tmp_path):
+        """An entry in the v7 layout (one JSON document, the trace lines
+        as strings under ``telemetry.trace``) is a miss that removes
+        itself, and the re-executed run stores the current layout."""
+        spec = small_phase_specs(n_iterations=5)[0]
+        store = ResultCache(tmp_path)
+        path = store.path_for(spec.content_hash())
+        fresh = recorded_run(spec, cache=False)
+        run_many([spec], cache=True, cache_dir=tmp_path)
+        current = path.read_bytes()
+        header, lines = read_entry(path)
+        assert lines and "trace" not in header["telemetry"]
+        header["cache_version"] = 7
+        header["telemetry"]["trace"] = lines
+        v7 = json.dumps(header, sort_keys=True)
+
+        path.write_text(v7, encoding="utf-8")
+        assert store.get(spec.content_hash()) is None
+        assert not path.exists()
+
+        path.write_text(v7, encoding="utf-8")
+        healed = recorded_run(spec, cache=True, cache_dir=tmp_path)
+        assert healed.pop("hits") == fresh.pop("hits") == 0
+        assert healed == fresh
+        assert path.read_bytes() == current
+        entry = store.get(spec.content_hash())
+        assert entry is not None
+        assert entry.telemetry["trace"] == fresh["lines"]
+
+    @pytest.mark.parametrize("n_lines", [0, 1, 5])
+    def test_entry_is_the_header_then_the_lines(self, tmp_path, n_lines):
+        """The entry file is the header line, then each trace line as
+        given, every line newline-ended; a hit hands the lines back as
+        the list ``worker_state()`` ships, beside the header's counts."""
+        spec = small_phase_specs(n_iterations=5)[0]
+        [result] = run_many([spec], cache=False)
+        lines = [
+            json.dumps({"fields": {"i": i}, "kind": "x.line", "t": 0.0},
+                       sort_keys=True, separators=(",", ":"))
+            for i in range(n_lines)
+        ]
+        kinds = {"x.line": n_lines} if n_lines else {}
+        state = {
+            "registry": {"counters": {"x.count": 2.0}},
+            "trace": lines,
+            "event_kinds": kinds,
+        }
+        store = ResultCache(tmp_path)
+        assert store.put(spec, "h", result, state)
+        text = store.path_for("h").read_text(encoding="utf-8")
+        assert text.count("\n") == 1 + n_lines
+        header, stored = read_entry(store.path_for("h"))
+        assert stored == lines
+        assert text == "".join(
+            f"{line}\n"
+            for line in (json.dumps(header, sort_keys=True), *lines)
+        )
+        assert header["cache_version"] == CACHE_VERSION
+        assert header["telemetry"] == {
+            "registry": {"counters": {"x.count": 2.0}},
+            "event_kinds": kinds,
+        }
+        entry = store.get("h")
+        assert entry is not None
+        assert entry.telemetry == state
+        assert state["trace"] is lines  # put leaves the state as it was
+
+    def test_line_holding_a_newline_is_never_cached(self, tmp_path):
+        """A trace line with a newline in it would read back as two
+        lines, so ``put`` refuses the spec instead of storing it."""
+        spec = small_phase_specs(n_iterations=5)[0]
+        [result] = run_many([spec], cache=False)
+        state = {
+            "registry": {"counters": {}},
+            "trace": ['{"kind":"x"}', '{"kind":\n"x"}'],
+            "event_kinds": {"x": 2},
+        }
+        store = ResultCache(tmp_path)
+        assert not store.put(spec, "h", result, state)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("corrupt", [
-        # The trace of the v5 layout's shape with an empty kind.
-        lambda doc: doc["telemetry"].update(trace=[{"kind": ""}]),
-        lambda doc: doc["telemetry"].update(trace="not a list"),
-        lambda doc: doc["telemetry"]["trace"].__setitem__(0, 7),
-        lambda doc: doc["telemetry"].pop("event_kinds", None),
-        lambda doc: doc["telemetry"].update(event_kinds={
-            "job.phase": len(doc["telemetry"]["trace"]) + 1,
+        # The first three ids name faults of a trace held as a JSON
+        # list; with the lines after the header they become a header
+        # that carries ``trace`` (v5 record dicts, or not a list) and a
+        # stray line that the kind counts do not cover.
+        lambda doc, lines: doc["telemetry"].update(trace=[{"kind": ""}]),
+        lambda doc, lines: doc["telemetry"].update(trace="not a list"),
+        lambda doc, lines: lines.append("7"),
+        lambda doc, lines: doc["telemetry"].pop("event_kinds", None),
+        lambda doc, lines: doc["telemetry"].update(event_kinds={
+            "job.phase": len(lines) + 1,
         }),
-        lambda doc: doc["telemetry"].update(event_kinds={
-            "": len(doc["telemetry"]["trace"]),
+        lambda doc, lines: doc["telemetry"].update(event_kinds={
+            "": len(lines),
         }),
-        lambda doc: doc["telemetry"].update(event_kinds={
-            "job.phase": float(len(doc["telemetry"]["trace"])),
+        lambda doc, lines: doc["telemetry"].update(event_kinds={
+            "job.phase": float(len(lines)),
         }),
-        lambda doc: doc["telemetry"].update(event_kinds={
-            "job.phase": len(doc["telemetry"]["trace"]) + 2,
+        lambda doc, lines: doc["telemetry"].update(event_kinds={
+            "job.phase": len(lines) + 2,
             "rate.change": -2,
         }),
-        lambda doc: doc["telemetry"].update(event_kinds=[]),
-        lambda doc: doc["telemetry"]["registry"]["counters"].update(
+        lambda doc, lines: doc["telemetry"].update(event_kinds=[]),
+        lambda doc, lines: doc["telemetry"]["registry"]["counters"].update(
             {"phasesim.iterations": "many"}
         ),
-        lambda doc: doc["telemetry"].update(registry=[]),
-        lambda doc: doc.update(telemetry=[]),
+        lambda doc, lines: doc["telemetry"].update(registry=[]),
+        lambda doc, lines: doc.update(telemetry=[]),
+        lambda doc, lines: lines.pop(),
+        lambda doc, lines: doc["telemetry"].update(trace=list(lines)),
     ], ids=[
         "record-with-empty-kind", "trace-not-a-list", "line-not-a-string",
         "kind-counts-missing", "kind-counts-off-by-one", "empty-kind",
         "count-not-an-int", "negative-count", "kind-counts-not-a-dict",
         "counter-not-a-number", "registry-not-a-dict",
-        "telemetry-not-a-dict",
+        "telemetry-not-a-dict", "one-line-too-few", "header-carries-trace",
     ])
     def test_malformed_telemetry_heals_as_miss(self, tmp_path, corrupt):
         """A stored telemetry block the session could not merge is a
@@ -584,15 +688,14 @@ class TestCache:
         path = store.path_for(spec.content_hash())
         fresh = recorded_run(spec, cache=False)
         run_many([spec], cache=True, cache_dir=tmp_path)
-        document = json.loads(path.read_text(encoding="utf-8"))
-        corrupt(document)
-        broken = json.dumps(document, sort_keys=True)
+        document, lines = read_entry(path)
+        corrupt(document, lines)
 
-        path.write_text(broken, encoding="utf-8")
+        write_entry(path, document, lines)
         assert store.get(spec.content_hash()) is None
         assert not path.exists()
 
-        path.write_text(broken, encoding="utf-8")
+        write_entry(path, document, lines)
         healed = recorded_run(spec, cache=True, cache_dir=tmp_path)
         assert healed.pop("hits") == fresh.pop("hits") == 0
         assert healed == fresh
@@ -611,15 +714,14 @@ class TestCache:
         path = store.path_for(spec.content_hash())
         fresh = recorded_run(spec, cache=False)
         run_many([spec], cache=True, cache_dir=tmp_path)
-        document = json.loads(path.read_text(encoding="utf-8"))
+        document, lines = read_entry(path)
         corrupt(document["result"]["phase"]["jobs"])
-        broken = json.dumps(document, sort_keys=True)
 
-        path.write_text(broken, encoding="utf-8")
+        write_entry(path, document, lines)
         assert store.get(spec.content_hash()) is None
         assert not path.exists()
 
-        path.write_text(broken, encoding="utf-8")
+        write_entry(path, document, lines)
         healed = recorded_run(spec, cache=True, cache_dir=tmp_path)
         assert healed.pop("hits") == fresh.pop("hits") == 0
         assert healed == fresh
@@ -645,9 +747,9 @@ class TestCache:
         store = ResultCache(tmp_path)
         path = store.path_for(spec.content_hash())
         [fresh] = run_many([spec], cache=True, cache_dir=tmp_path)
-        document = json.loads(path.read_text(encoding="utf-8"))
+        document, lines = read_entry(path)
         corrupt(document["result"]["fluid"]["pair"]["trace"]["queue_series"])
-        path.write_text(json.dumps(document, sort_keys=True), encoding="utf-8")
+        write_entry(path, document, lines)
         assert store.get(spec.content_hash()) is None
         assert not path.exists()
         [healed] = run_many([spec], cache=True, cache_dir=tmp_path)
@@ -678,6 +780,30 @@ class TestCache:
         store = ResultCache(tmp_path)
         path = store.path_for(spec.content_hash())
         path.write_text("{not json", encoding="utf-8")
+        assert store.get(spec.content_hash()) is None
+        assert not path.exists()
+
+    @pytest.mark.parametrize("text", [b"", b'{"cache_version": \xff}\n'],
+                             ids=["empty", "not-utf-8"])
+    def test_unreadable_entry_heals_as_miss(self, tmp_path, text):
+        spec = small_phase_specs(n_iterations=5)[0]
+        run_many([spec], cache=True, cache_dir=tmp_path)
+        store = ResultCache(tmp_path)
+        path = store.path_for(spec.content_hash())
+        path.write_bytes(text)
+        assert store.get(spec.content_hash()) is None
+        assert not path.exists()
+
+    def test_unterminated_last_line_heals_as_miss(self, tmp_path):
+        """An entry whose last trace line lacks its newline was not
+        written by ``put``: a miss that removes itself."""
+        spec = small_phase_specs(n_iterations=5)[0]
+        run_many([spec], cache=True, cache_dir=tmp_path)
+        store = ResultCache(tmp_path)
+        path = store.path_for(spec.content_hash())
+        text = path.read_text(encoding="utf-8")
+        assert text.count("\n") > 1 and text.endswith("\n")
+        path.write_text(text[:-1], encoding="utf-8")
         assert store.get(spec.content_hash()) is None
         assert not path.exists()
 

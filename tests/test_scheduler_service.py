@@ -99,6 +99,48 @@ class TestServiceEventLoop:
         ]
         assert stats.records[-1].attempt == 1
 
+    def test_job_wider_than_the_free_gpus_is_never_offered(self):
+        """A job needing more GPUs than are free is refused without a
+        policy call: on arrival and at a retry after a departure that
+        frees too few. Attempts still count once per retry, so the
+        admission carries the attempt it always did."""
+
+        class CountingPlacement(ConsolidatedPlacement):
+            def __init__(self):
+                super().__init__()
+                self.offers = []
+
+            def place(self, cluster, spec, n_workers):
+                self.offers.append((spec.job_id, cluster.total_free_gpus()))
+                return super().place(cluster, spec, n_workers)
+
+        policy = CountingPlacement()
+        service = ClusterService(
+            _cluster(n_racks=1, gpus=4), policy, queue_limit=4
+        )
+        small = _job("a", 300, 100, workers=2)
+        big = _job("big", 300, 100, workers=4)
+        service.submit_all([
+            JobArrival(time=0.0, spec=small, n_workers=2, lifetime=5.0),
+            JobArrival(
+                time=0.0, spec=small.with_id("b"), n_workers=2,
+                lifetime=10.0,
+            ),
+            JobArrival(time=1.0, spec=big, n_workers=4, lifetime=1.0),
+        ])
+        stats = service.run()
+        assert policy.offers == [("a", 4), ("b", 2), ("big", 4)]
+        outcomes = [
+            (r.outcome, r.job_id, r.time, r.attempt) for r in stats.records
+        ]
+        assert outcomes == [
+            ("admitted", "a", 0.0, 0),
+            ("admitted", "b", 0.0, 0),
+            ("queued", "big", 1.0, 0),
+            # a's departure at 5 s freed 2 GPUs: a retry, not an offer.
+            ("admitted", "big", 10.0, 2),
+        ]
+
     def test_equal_time_departure_processed_before_arrival(self):
         cluster = _cluster(n_racks=1, gpus=4)
         service = ClusterService(

@@ -31,6 +31,8 @@ from repro.telemetry import (
     current,
     use,
 )
+from repro.telemetry import trace as trace_module
+from repro.telemetry.trace import encode_record
 from repro.telemetry.runs import (
     RunRecorder,
     flow_bytes,
@@ -240,6 +242,99 @@ class TestEncodedTrace:
         assert "'iteration'" in str(excinfo.value)
         assert len(recorder) == 1
         assert recorder.counts_by_kind() == {"job.phase": 1}
+
+    def test_templates_encode_what_the_encoder_gives(self, monkeypatch):
+        """Seeded records of repeating shapes encode to the bytes of one
+        ``JSONEncoder(sort_keys=True, separators=(",", ":"))`` over the
+        whole record: text with quotes, escapes, ``%`` and non-ASCII,
+        ints of any size, signed zeros and non-finite floats, bools,
+        ``None``, numpy floats, tuples and nested dicts."""
+        monkeypatch.setattr(trace_module, "_TEMPLATES", {})
+        reference = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+        rng = np.random.default_rng(2024)
+        texts = ["", "a", "J1", 'say "hi"', "back\\slash", "100%", "%s",
+                 "%%d", "Jöb", "日本", "\u2028", "tab\tnew\nline", "\x00",
+                 "\U0001f600"]
+        floats = [0.0, -0.0, 1.5, -2.25e-308, 5e-324, 1.7976931348623157e308,
+                  float("nan"), float("inf"), float("-inf"), 0.1 + 0.2]
+
+        def value(depth=0):
+            pick = int(rng.integers(12 if depth < 2 else 9))
+            if pick == 0:
+                return texts[int(rng.integers(len(texts)))]
+            if pick == 1:
+                return int(rng.integers(-10**6, 10**6))
+            if pick == 2:
+                return (-1) ** int(rng.integers(2)) * 2 ** int(
+                    rng.integers(60, 200)
+                )
+            if pick == 3:
+                return floats[int(rng.integers(len(floats)))]
+            if pick == 4:
+                return float(rng.normal() * 10.0 ** rng.integers(-12, 12))
+            if pick == 5:
+                return bool(rng.integers(2))
+            if pick == 6:
+                return None
+            if pick == 7:
+                return np.float64(floats[int(rng.integers(len(floats)))])
+            if pick == 8:
+                return np.float64(rng.normal())
+            if pick == 9:
+                return tuple(value(depth + 1)
+                             for _ in range(int(rng.integers(3))))
+            if pick == 10:
+                return [value(depth + 1) for _ in range(int(rng.integers(3)))]
+            return {texts[int(rng.integers(len(texts)))]: value(depth + 1)
+                    for _ in range(int(rng.integers(3)))}
+
+        kinds = ["rate.change", "job.phase", "x.%s", "%d%%", "kïnd", "q\"k"]
+        names = ["rate", "job", "flow", "%", "%s", "a%%b", "ünï", '"q"', ""]
+        t_values = [0, 7, 1e-9, 0.1 + 0.2, np.float64(2.5), float("nan"),
+                    float("inf"), -0.0, True]
+        for _ in range(4000):
+            kind = kinds[int(rng.integers(len(kinds)))]
+            shape = rng.permutation(len(names))[:int(rng.integers(4))]
+            fields = {names[i]: value() for i in shape.tolist()}
+            t = t_values[int(rng.integers(len(t_values)))]
+            expected = reference.encode(
+                {"fields": fields, "kind": kind, "t": float(t)}
+            )
+            assert encode_record(kind, t, fields) == expected
+        assert 0 < len(trace_module._TEMPLATES) <= trace_module.MAX_TEMPLATES
+
+    def test_shapes_past_the_memo_bound_still_encode(self, monkeypatch):
+        """Once the memo holds ``MAX_TEMPLATES`` shapes, a new shape
+        encodes through the encoder whole and adds no template; so does
+        a record whose field names are not strings."""
+        monkeypatch.setattr(trace_module, "_TEMPLATES", {})
+        monkeypatch.setattr(trace_module, "MAX_TEMPLATES", 2)
+        reference = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+        for index in range(5):
+            fields = {f"f{index}": index, "g": [index, "x"]}
+            assert encode_record("x.shape", 1.0, fields) == reference.encode(
+                {"fields": fields, "kind": "x.shape", "t": 1.0}
+            )
+        assert len(trace_module._TEMPLATES) == 2
+        fields = {3: "three", 1: "one"}
+        assert encode_record("x.keys", 0.5, fields) == (
+            '{"fields":{"1":"one","3":"three"},"kind":"x.keys","t":0.5}'
+        )
+        assert len(trace_module._TEMPLATES) == 2
+
+    @pytest.mark.parametrize("bad", [
+        np.int64(3), {1, 2}, {"inner": object()}, (1, np.float32(0.5)),
+    ], ids=["numpy-int", "set", "nested-object", "tuple-of-float32"])
+    def test_unencodable_field_named_by_template_path(self, bad):
+        """A value JSON cannot encode raises ``ConfigError`` naming its
+        field, whether or not the record's shape has a template yet."""
+        shape = {"job": "J1", "value": 1.0}
+        encode_record("x.bad", 0.0, shape)
+        for _ in range(2):
+            with pytest.raises(ConfigError) as excinfo:
+                encode_record("x.bad", 0.0, {"job": "J1", "value": bad})
+            assert "'x.bad'" in str(excinfo.value)
+            assert "'value'" in str(excinfo.value)
 
 
 class TestJsonlRoundTrip:
