@@ -4,8 +4,9 @@
 Walks through the paper's §4 placement argument end to end: a fragmented
 leaf-spine cluster, an arriving job that must spill across racks, three
 placement policies, and the resulting slowdowns under the adaptive unfair
-congestion control. Then replays a dynamic Poisson arrival stream and
-audits how often each policy keeps every shared link fully compatible.
+congestion control. Then feeds a dynamic Poisson arrival stream to the
+online cluster service and audits how often each policy keeps every
+shared link fully compatible.
 
 Run:
     python examples/cluster_scheduling.py
@@ -23,7 +24,7 @@ from repro import (
     gbps,
 )
 from repro.experiments import scheduler_exp
-from repro.scheduler.events import arrival_schedule, replay
+from repro.scheduler import ClusterService
 
 CAPACITY = gbps(42)
 
@@ -35,7 +36,7 @@ def static_scenario() -> None:
     print()
 
 
-def dynamic_replay() -> None:
+def dynamic_arrivals() -> None:
     """Poisson arrivals against each policy: compatibility audit."""
     rows = []
     for policy in (
@@ -49,18 +50,22 @@ def dynamic_replay() -> None:
         )
         cluster = ClusterState(topology, gpus_per_host=4)
         generator = WorkloadGenerator(seed=11, capacity=CAPACITY)
-        arrivals = arrival_schedule(
-            generator, count=20, mean_interarrival_s=120,
-            mean_lifetime_s=600,
+        arrivals = generator.arrivals(
+            count=20, mean_interarrival_s=120, mean_lifetime_s=600
         )
-        stats = replay(
-            cluster, policy, arrivals,
+        # No admission queue: a job that does not fit is rejected. Run to
+        # the last arrival; jobs still running then stay placed.
+        service = ClusterService(
+            cluster, policy,
             checker=CompatibilityChecker(capacity=CAPACITY),
+            queue_limit=0,
         )
+        service.submit_all(arrivals)
+        stats = service.run(until=arrivals[-1].time)
         rows.append(
             (
                 policy.name,
-                stats.placed,
+                stats.admitted,
                 stats.rejected,
                 f"{stats.compatibility_rate:.0%}",
             )
@@ -74,7 +79,7 @@ def dynamic_replay() -> None:
 
 def main() -> None:
     static_scenario()
-    dynamic_replay()
+    dynamic_arrivals()
 
 
 if __name__ == "__main__":

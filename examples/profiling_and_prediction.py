@@ -15,11 +15,12 @@ Run:
 
 from repro import (
     CompatibilityChecker,
+    FairSharing,
     JobCircle,
     JobSpec,
+    StaticWeighted,
     ascii_table,
     gbps,
-    make_policy,
     ms,
 )
 from repro.analysis.circleplot import render_coverage_band
@@ -43,7 +44,7 @@ def main() -> None:
     topo = Topology.dumbbell(
         host_capacity=CAPACITY, bottleneck_capacity=CAPACITY
     )
-    sim = PhaseLevelSimulator(topo, make_policy("fair"))
+    sim = PhaseLevelSimulator(topo, FairSharing())
     run = sim.add_job(secret_spec, "ha0", "hb0", n_iterations=8)
     result = sim.run()
 
@@ -84,10 +85,10 @@ def main() -> None:
     speedup_predicted = unfairness_speedup_estimate(pair, CAPACITY)
 
     # --- 5. verify both in the simulator ------------------------------
-    fair = run_jobs(pair, make_policy("fair"), n_iterations=30,
+    fair = run_jobs(pair, FairSharing(), n_iterations=30,
                     capacity=CAPACITY)
     unfair = run_jobs(
-        pair, make_policy("weighted", order=["m1", "m2"]),
+        pair, StaticWeighted.from_aggressiveness_order(["m1", "m2"]),
         n_iterations=30, capacity=CAPACITY,
     )
     fair_measured = fair.mean_iteration_time("m1", skip=10)

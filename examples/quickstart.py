@@ -11,11 +11,13 @@ Run:
 """
 
 from repro import (
+    AdaptiveUnfair,
     CompatibilityChecker,
+    FairSharing,
     JobSpec,
+    StaticWeighted,
     ascii_table,
     gbps,
-    make_policy,
     ms,
     rotation_to_degrees,
 )
@@ -44,9 +46,10 @@ def main() -> None:
     # 2. Simulate fair vs unfair sharing of the bottleneck.
     rows = []
     for name, policy in [
-        ("fair", make_policy("fair")),
-        ("unfair 2:1", make_policy("weighted", order=[j1.job_id, j2.job_id])),
-        ("adaptive", make_policy("adaptive")),
+        ("fair", FairSharing()),
+        ("unfair 2:1",
+         StaticWeighted.from_aggressiveness_order([j1.job_id, j2.job_id])),
+        ("adaptive", AdaptiveUnfair()),
     ]:
         result = run_jobs(
             [j1, j2], policy, n_iterations=30, capacity=CAPACITY,

@@ -9,10 +9,7 @@ the simulators (:mod:`repro.net`, :mod:`repro.cc`), the three §4 mechanisms
 
 Quickstart::
 
-    from repro import (
-        CompatibilityChecker, JobSpec, PhaseLevelSimulator,
-        Topology, make_policy, gbps, ms,
-    )
+    from repro import CompatibilityChecker, JobSpec, gbps, ms
 
     j1 = JobSpec("j1", compute_time=ms(100), comm_bytes=ms(110) * gbps(42))
     j2 = JobSpec("j2", compute_time=ms(100), comm_bytes=ms(110) * gbps(42))
@@ -54,7 +51,6 @@ from .cc import (
     DcqcnParams,
     DcqcnFluidSimulator,
     calibrate_timer_weights,
-    make_policy,
 )
 from .workloads import (
     JobSpec,
@@ -87,9 +83,6 @@ from .core import (
     communication_schedule,
 )
 from .mechanisms import (
-    adaptive_policy,
-    timer_skew_policy,
-    aggressiveness_policy,
     PriorityAssigner,
     PeriodicGate,
     FlowSchedule,
@@ -137,7 +130,7 @@ __all__ = [
     # cc
     "SharePolicy", "FairSharing", "StaticWeighted", "AdaptiveUnfair",
     "PrioritySharing", "DcqcnParams", "DcqcnFluidSimulator",
-    "calibrate_timer_weights", "make_policy",
+    "calibrate_timer_weights",
     # workloads
     "JobSpec", "ModelSpec", "MODEL_ZOO", "WorkloadGenerator",
     "paper_profile", "figure2_vgg19_pair", "figure3_vgg16", "table1_groups",
@@ -150,7 +143,6 @@ __all__ = [
     "TuningSuggestion", "suggest_compute_scaling",
     "rotation_to_degrees", "communication_schedule",
     # mechanisms
-    "adaptive_policy", "timer_skew_policy", "aggressiveness_policy",
     "PriorityAssigner", "PeriodicGate", "FlowSchedule",
     "CongestionFreeController", "DeploymentPlan", "Mechanism",
     # telemetry

@@ -22,7 +22,6 @@ from .priority import PrioritySharing
 from .dcqcn import DcqcnParams, DcqcnSender, DcqcnFluidSimulator, calibrate_timer_weights
 from .sender_bank import SenderBank
 from .aimd import AimdParams, AimdFluidSimulator
-from .factory import make_policy
 
 __all__ = [
     "SharePolicy",
@@ -37,5 +36,4 @@ __all__ = [
     "SenderBank",
     "AimdParams",
     "AimdFluidSimulator",
-    "make_policy",
 ]

@@ -5,14 +5,15 @@ class first; during an overlap the high-priority job takes the whole link,
 which slides the lower-priority job's phase out of the way exactly like
 extreme unfairness — without any congestion-control change. The paper notes
 the priority values can be arbitrary as long as jobs sharing a link are
-compatible and priorities are unique.
+compatible and priorities are unique;
+:meth:`repro.mechanisms.priorities.PriorityAssigner.assign` gives each job
+a unique one under a switch's queue budget.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
-from ..errors import ConfigError
 from ..net.flows import Flow
 from .base import SharePolicy
 
@@ -25,14 +26,6 @@ class PrioritySharing(SharePolicy):
     def __init__(self, priorities: Mapping[str, int], default: int = 0):
         self._priorities: Dict[str, int] = dict(priorities)
         self._default = int(default)
-
-    @classmethod
-    def unique_for(cls, job_ids: Sequence[str]) -> "PrioritySharing":
-        """Assign each job a distinct priority, first job highest."""
-        if len(set(job_ids)) != len(job_ids):
-            raise ConfigError("job ids must be unique")
-        n = len(job_ids)
-        return cls({job_id: n - rank for rank, job_id in enumerate(job_ids)})
 
     def weight_of(self, flow: Flow) -> float:
         # Within a priority class (only possible for jobs that were not

@@ -70,22 +70,6 @@ class Figure2Result:
             job.rate_trace, self.capacity, 0.0, end, n_samples
         )
 
-    def slide_convergence(self, tolerance: float = 0.05):
-        """When do the unfair iteration times settle?
-
-        Because this workload's total communication demand slightly
-        exceeds its solo period, the slide ends in a bounded *limit
-        cycle* (the residual overlap rotates around the circle) rather
-        than a fixed point: expect convergence at a loose tolerance
-        (~15%) but not at a tight one. Fully compatible pairs converge to
-        an exact fixed point instead. Returns a
-        :class:`repro.analysis.convergence.Convergence`."""
-        from ..analysis.convergence import detect_convergence
-
-        return detect_convergence(
-            self.unfair.iteration_times("J1"), tolerance=tolerance
-        )
-
     def overlap_per_iteration(self, max_iterations: int = 6) -> List[float]:
         """Seconds both jobs communicate simultaneously, per J1 iteration.
 

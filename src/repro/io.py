@@ -1,11 +1,10 @@
 """JSON serialization for workloads, circles, results and telemetry.
 
-Lets operators exchange profiled workloads and verdicts between tools:
-job specs and circles round-trip losslessly (circles are integer data);
-compatibility results serialize with their certificates so a deployment
-can re-verify them before trusting them. Telemetry traces round-trip as
-JSONL (one record per line) so recorded runs can be summarized, diffed
-and replayed by the ``repro-experiments stats`` / ``trace`` commands.
+Lets operators exchange profiled workloads between tools: job specs and
+circles round-trip losslessly (circles are integer data). Telemetry
+traces round-trip as JSONL (one record per line) so recorded runs can be
+summarized, diffed and replayed by the ``repro-experiments stats`` /
+``trace`` commands.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .cc.fair import FairSharing
 from .cc.priority import PrioritySharing
 from .cc.weighted import StaticWeighted
 from .core.circle import JobCircle
-from .core.compatibility import CompatibilityResult
 from .core.lifecycle import JobState
 from .core.timeline import JobTimeline
 from .errors import ConfigError
@@ -196,43 +194,6 @@ def circle_from_dict(data: Dict[str, Any]) -> JobCircle:
 
 
 # ---------------------------------------------------------------------------
-# CompatibilityResult
-# ---------------------------------------------------------------------------
-
-def result_to_dict(result: CompatibilityResult) -> Dict[str, Any]:
-    """Serialize a compatibility verdict with its certificate."""
-    return {
-        "version": FORMAT_VERSION,
-        "compatible": result.compatible,
-        "rotations": dict(result.rotations),
-        "overlap_ticks": result.overlap_ticks,
-        "unified_perimeter": result.unified_perimeter,
-        "utilization": result.utilization,
-        "certified": result.certified,
-        "method": result.method,
-        "job_ids": list(result.job_ids),
-    }
-
-
-def result_from_dict(data: Dict[str, Any]) -> CompatibilityResult:
-    """Deserialize a compatibility verdict."""
-    _check_version(data)
-    try:
-        return CompatibilityResult(
-            compatible=bool(data["compatible"]),
-            rotations={k: int(v) for k, v in data["rotations"].items()},
-            overlap_ticks=int(data["overlap_ticks"]),
-            unified_perimeter=int(data["unified_perimeter"]),
-            utilization=float(data["utilization"]),
-            certified=bool(data["certified"]),
-            method=data["method"],
-            job_ids=list(data["job_ids"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing field in result: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
 # Files
 # ---------------------------------------------------------------------------
 
@@ -268,10 +229,27 @@ _TRACE_HEADER = json.dumps(
 )
 
 
+#: Lines per ``write`` in :func:`write_trace_lines`: a write holds one
+#: piece's text and its encoding, not the whole document's.
+TRACE_WRITE_LINES = 4096
+
+
 def trace_lines_to_jsonl(lines: Sequence[str]) -> str:
     """A trace document from encoded records: the header line, then
     one :func:`~repro.telemetry.trace.encode_record` line per record."""
     return "\n".join([_TRACE_HEADER, *lines]) + "\n"
+
+
+def write_trace_lines(
+    lines: Sequence[str], path: Union[str, Path]
+) -> None:
+    """Write :func:`trace_lines_to_jsonl`'s bytes to ``path``,
+    :data:`TRACE_WRITE_LINES` lines per ``write``."""
+    with Path(path).open("w") as handle:
+        handle.write(_TRACE_HEADER + "\n")
+        for start in range(0, len(lines), TRACE_WRITE_LINES):
+            piece = lines[start:start + TRACE_WRITE_LINES]
+            handle.write("\n".join(piece) + "\n")
 
 
 def trace_to_jsonl(records: Sequence[TraceRecord]) -> str:
@@ -318,7 +296,9 @@ def save_trace(
     records: Sequence[TraceRecord], path: Union[str, Path]
 ) -> None:
     """Write trace records to a JSONL file."""
-    Path(path).write_text(trace_to_jsonl(records))
+    write_trace_lines(
+        [encode_record(r.kind, r.t, r.fields) for r in records], path
+    )
 
 
 def load_trace(path: Union[str, Path]) -> List[TraceRecord]:

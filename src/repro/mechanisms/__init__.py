@@ -3,20 +3,17 @@
 Once compatible jobs are placed on a link, the provider must *create* the
 desirable side effect of unfairness. Three interchangeable ways:
 
-* :mod:`repro.mechanisms.unfair_cc` — deploy an (adaptively) unfair
-  congestion control; includes the calibration bridge that turns a DCQCN
-  timer skew into equivalent share weights.
+* an (adaptively) unfair congestion control — the share policies
+  :class:`~repro.cc.weighted.StaticWeighted` (with
+  :func:`~repro.cc.dcqcn.calibrate_timer_weights`, the bridge that turns a
+  DCQCN timer skew into equivalent share weights) and
+  :class:`~repro.cc.adaptive.AdaptiveUnfair`.
 * :mod:`repro.mechanisms.priorities` — assign unique switch priorities per
   job (limited priority queues handled explicitly).
 * :mod:`repro.mechanisms.flow_scheduling` — convert solver rotations into
   precise communication windows enforced by a gate.
 """
 
-from .unfair_cc import (
-    adaptive_policy,
-    timer_skew_policy,
-    aggressiveness_policy,
-)
 from .priorities import PriorityAssigner
 from .flow_scheduling import PeriodicGate, FlowSchedule
 from .controller import (
@@ -26,9 +23,6 @@ from .controller import (
 )
 
 __all__ = [
-    "adaptive_policy",
-    "timer_skew_policy",
-    "aggressiveness_policy",
     "PriorityAssigner",
     "PeriodicGate",
     "FlowSchedule",

@@ -15,7 +15,7 @@ meets first (see :meth:`Router._shortest_path`).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import RoutingError
 from .topology import Link, Topology
@@ -181,23 +181,3 @@ def _expand(
             if neighbour in other_side:
                 return next_fringe, neighbour
     return next_fringe, None
-
-
-def links_shared_by(
-    router: Router,
-    endpoints: Sequence[Tuple[str, str, str]],
-) -> Dict[Link, List[int]]:
-    """Map each link to the indices of the flows routed over it.
-
-    Args:
-        router: Router used to resolve each flow's path.
-        endpoints: ``(src, dst, flow_label)`` triples, one per flow.
-
-    Returns:
-        ``{link: [flow indices]}`` including only links carrying >= 1 flow.
-    """
-    sharing: Dict[Link, List[int]] = {}
-    for index, (src, dst, label) in enumerate(endpoints):
-        for link in router.route(src, dst, label):
-            sharing.setdefault(link, []).append(index)
-    return sharing

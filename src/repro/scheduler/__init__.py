@@ -13,8 +13,6 @@ provides:
 * :mod:`repro.scheduler.service` — the online cluster service: an
   event-driven scheduler over arrivals, departures and queued retries,
   backed by the incremental compatibility engine.
-* :mod:`repro.scheduler.events` — batch replay facade and arrival
-  schedules for queueing studies.
 """
 
 from .cluster import ClusterState, PlacedJob
@@ -25,7 +23,7 @@ from .placement import (
     CompatibilityAwarePlacement,
 )
 from .simulation import ClusterSimulation, ClusterReport
-from .events import JobArrival, arrival_schedule
+from ..workloads.traces import JobArrival
 from .service import AdmissionRecord, ClusterService, ServiceStats
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "ClusterSimulation",
     "ClusterReport",
     "JobArrival",
-    "arrival_schedule",
     "AdmissionRecord",
     "ClusterService",
     "ServiceStats",

@@ -86,8 +86,8 @@ class RunRecorder:
 
         assert self.run_dir is not None and self._started is not None
         # The session holds each record as its encoded line already.
-        (self.run_dir / TRACE_NAME).write_text(
-            io.trace_lines_to_jsonl(self.telemetry.trace.lines)
+        io.write_trace_lines(
+            self.telemetry.trace.lines, self.run_dir / TRACE_NAME
         )
         manifest = {
             "artifact": self.artifact,

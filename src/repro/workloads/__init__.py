@@ -21,7 +21,6 @@ from .models import ModelSpec, MODEL_ZOO, model
 from .allreduce import (
     AllreduceAlgorithm,
     bytes_per_worker,
-    allreduce_steps,
 )
 from .job import JobSpec
 from .profiles import (
@@ -39,7 +38,6 @@ from .scaling import (
     ScalingPoint,
     scaling_profile,
     self_compatibility_threshold,
-    sharing_capacity,
 )
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
     "model",
     "AllreduceAlgorithm",
     "bytes_per_worker",
-    "allreduce_steps",
     "JobSpec",
     "paper_profile",
     "figure2_vgg19_pair",
@@ -64,5 +61,4 @@ __all__ = [
     "ScalingPoint",
     "scaling_profile",
     "self_compatibility_threshold",
-    "sharing_capacity",
 ]

@@ -84,31 +84,3 @@ def bytes_per_worker(
         # Group leaders carry both phases; report the leader (bottleneck).
         return intra + inter
     raise WorkloadError(f"unsupported algorithm {algorithm}")
-
-
-def allreduce_steps(
-    n_workers: int,
-    algorithm: AllreduceAlgorithm = AllreduceAlgorithm.RING,
-) -> int:
-    """Number of communication steps (rounds) the algorithm takes."""
-    if n_workers < 1:
-        raise WorkloadError(f"n_workers must be >= 1, got {n_workers}")
-    if n_workers == 1:
-        return 0
-    n = n_workers
-    if algorithm is AllreduceAlgorithm.RING:
-        return 2 * (n - 1)
-    if algorithm is AllreduceAlgorithm.TREE:
-        return 2 * math.ceil(math.log2(n))
-    if algorithm is AllreduceAlgorithm.PARAMETER_SERVER:
-        return 2
-    if algorithm is AllreduceAlgorithm.BROADCAST:
-        return 1
-    if algorithm is AllreduceAlgorithm.HIERARCHICAL:
-        k = max(2, round(math.sqrt(n)))
-        n_groups = math.ceil(n / k)
-        steps = 2 * (k - 1)
-        if n_groups > 1:
-            steps += 2 * (n_groups - 1)
-        return steps
-    raise WorkloadError(f"unsupported algorithm {algorithm}")

@@ -2,9 +2,11 @@
 
 Generates populations of :class:`~repro.workloads.job.JobSpec` with
 realistic spreads of iteration time and communication fraction, seeded for
-reproducibility. Used by the placement benchmarks (§4's "placing compatible
-jobs on links") where the interesting statistic is how often a random
-pairing is compatible versus what a compatibility-aware scheduler finds.
+reproducibility, one by one or as a Poisson arrival stream
+(:meth:`WorkloadGenerator.arrivals`). Used by the placement benchmarks
+(§4's "placing compatible jobs on links") where the interesting statistic
+is how often a random pairing is compatible versus what a
+compatibility-aware scheduler finds.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from ..sim.rng import RandomStreams
 from ..units import gbps, milliseconds
 from .job import JobSpec
 from .models import MODEL_ZOO
+from .traces import JobArrival
 
 
 class WorkloadGenerator:
@@ -80,13 +83,30 @@ class WorkloadGenerator:
             raise WorkloadError(f"count must be >= 0, got {count}")
         return [self.job(f"{prefix}-{index}") for index in range(count)]
 
-    def arrival_times(
+    def arrivals(
         self,
         count: int,
-        mean_interarrival_s: float,
-    ) -> np.ndarray:
-        """Poisson-process arrival times for a dynamic-cluster experiment."""
+        mean_interarrival_s: float = 60.0,
+        mean_lifetime_s: float = 600.0,
+    ) -> List[JobArrival]:
+        """A Poisson arrival stream of random jobs ``dyn-0..``, each
+        staying ``mean_lifetime_s``, for a
+        :class:`~repro.scheduler.service.ClusterService`.
+
+        Draws every gap first, then the jobs in order.
+        """
         if mean_interarrival_s <= 0:
             raise WorkloadError("mean_interarrival_s must be > 0")
         gaps = self._rng.exponential(mean_interarrival_s, size=count)
-        return np.cumsum(gaps)
+        arrivals: List[JobArrival] = []
+        for index, time in enumerate(np.cumsum(gaps)):
+            spec = self.job(f"dyn-{index}")
+            arrivals.append(
+                JobArrival(
+                    time=float(time),
+                    spec=spec,
+                    n_workers=spec.n_workers,
+                    lifetime=mean_lifetime_s,
+                )
+            )
+        return arrivals

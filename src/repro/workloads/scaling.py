@@ -11,9 +11,10 @@ compatible. This module quantifies that lever from the model zoo:
   two instances of the same job become fully compatible (two equal
   periods interleave iff the communication fraction is at most 1/2,
   so the threshold is where compute time first reaches the solo
-  communication time);
-* :func:`sharing_capacity` — how many copies of a job a link can host at
-  dedicated speed (``floor(1 / comm_fraction)``).
+  communication time).
+
+Each :class:`ScalingPoint` also says how many copies of its job a link
+can host at dedicated speed (``floor(1 / comm_fraction)``).
 """
 
 from __future__ import annotations
@@ -121,17 +122,3 @@ def self_compatibility_threshold(
     if threshold > max_batch:
         return None
     return max(1, threshold)
-
-
-def sharing_capacity(
-    model_name: str,
-    batch_size: int,
-    n_workers: int = 8,
-    capacity: float = gbps(42),
-    algorithm: AllreduceAlgorithm = AllreduceAlgorithm.RING,
-) -> int:
-    """Copies of this job one link hosts at dedicated speed."""
-    point = scaling_profile(
-        model_name, [batch_size], n_workers, capacity, algorithm
-    )[0]
-    return point.sharing_capacity

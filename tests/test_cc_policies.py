@@ -1,4 +1,4 @@
-"""Share-policy tests: fair, weighted, adaptive, priority, factory."""
+"""Share-policy tests: fair, weighted, adaptive, priority."""
 
 import math
 
@@ -6,11 +6,11 @@ import pytest
 
 from repro import io
 from repro.cc.adaptive import AdaptiveUnfair
-from repro.cc.factory import make_policy
 from repro.cc.fair import FairSharing
 from repro.cc.priority import PrioritySharing
 from repro.cc.weighted import StaticWeighted
 from repro.errors import ConfigError
+from repro.mechanisms.priorities import PriorityAssigner
 from repro.net.flows import Flow
 
 
@@ -140,16 +140,6 @@ class TestAdaptive:
 
 
 class TestPrioritySharing:
-    def test_unique_for_gives_distinct_descending(self):
-        policy = PrioritySharing.unique_for(["a", "b", "c"])
-        ps = [policy.priority_for_job(j) for j in ("a", "b", "c")]
-        assert len(set(ps)) == 3
-        assert ps == sorted(ps, reverse=True)
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ConfigError):
-            PrioritySharing.unique_for(["a", "a"])
-
     def test_unknown_job_gets_default(self):
         policy = PrioritySharing({"a": 5}, default=1)
         assert policy.priority_of(_flow("stranger")) == 1
@@ -160,36 +150,26 @@ class TestPrioritySharing:
 
 
 class TestFactory:
-    def test_fair(self):
-        assert isinstance(make_policy("fair"), FairSharing)
+    """A policy from a job order (the classmethod for weights, the
+    assigner for unique priorities) or from its kind (the codec)."""
 
     def test_weighted_with_order(self):
-        policy = make_policy("weighted", order=["a", "b"])
+        policy = StaticWeighted.from_aggressiveness_order(["a", "b"])
         assert isinstance(policy, StaticWeighted)
         assert policy.weight_for_job("a") == 2.0
 
     def test_weighted_with_order_and_ratio(self):
-        policy = make_policy("weighted", order=["a", "b"], ratio=3.0)
+        policy = StaticWeighted.from_aggressiveness_order(["a", "b"], 3.0)
         assert policy.weight_for_job("a") == 3.0
 
     def test_weighted_with_weights(self):
-        policy = make_policy("weighted", weights={"a": 5.0})
+        policy = StaticWeighted({"a": 5.0})
         assert policy.weight_for_job("a") == 5.0
 
-    def test_weighted_order_and_weights_conflict(self):
-        with pytest.raises(ConfigError):
-            make_policy("weighted", order=["a"], weights={"a": 1.0})
-
-    def test_adaptive(self):
-        assert isinstance(make_policy("adaptive"), AdaptiveUnfair)
-
     def test_priority_with_order(self):
-        policy = make_policy("priority", order=["a", "b"])
+        policy = PriorityAssigner().assign(["a", "b"]).policy()
         assert isinstance(policy, PrioritySharing)
 
-    def test_case_insensitive(self):
-        assert isinstance(make_policy("  FAIR "), FairSharing)
-
     def test_unknown_rejected(self):
-        with pytest.raises(ConfigError):
-            make_policy("tcp-reno")
+        with pytest.raises(ConfigError, match="tcp-reno"):
+            io.policy_from_dict({"kind": "tcp-reno"})

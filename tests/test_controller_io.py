@@ -23,8 +23,6 @@ from repro.io import (
     job_spec_from_dict,
     job_spec_to_dict,
     load_workload,
-    result_from_dict,
-    result_to_dict,
     save_workload,
     time_series_from_dict,
 )
@@ -214,15 +212,6 @@ class TestIo:
         with pytest.raises(ConfigError, match=repr(field)) as refused:
             time_series_from_dict(data)
         assert "'queue'" in str(refused.value)
-
-    def test_result_roundtrip(self):
-        checker = CompatibilityChecker(capacity=CAP)
-        result = checker.check([
-            JobSpec("a", ms(210), ms(90) * CAP),
-            JobSpec("b", ms(210), ms(90) * CAP),
-        ])
-        restored = result_from_dict(result_to_dict(result))
-        assert restored == result
 
     def test_workload_file_roundtrip(self, tmp_path):
         specs = [

@@ -1,5 +1,7 @@
 """CompatibilityChecker facade, rotation conversions, and metrics tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.core.rotation import (
     rotation_to_degrees,
     rotation_to_seconds,
 )
+from repro.core.optimize import solve
 from repro.core.unified import UnifiedCircle
 from repro.errors import CompatibilityError, GeometryError
 from repro.units import gbps, ms
@@ -182,6 +185,61 @@ class TestMetrics:
         ]
         best, _ = min_overlap(circles)
         assert best >= 20  # 120 demand into a 100 period
+
+    def test_min_overlap_of_a_pair_is_exact(self):
+        # Against every shift of the pair's gcd circle, for seeded pairs
+        # the solver refuses (periods 2-59, 1-3 arcs each).
+        rng = np.random.default_rng(27)
+        refused = 0
+        while refused < 300:
+            circles = []
+            for job_id in ("a", "b"):
+                period = int(rng.integers(2, 60))
+                ends = np.sort(rng.choice(
+                    period, min(period, 2 * int(rng.integers(1, 4))),
+                    replace=False,
+                ))
+                arcs = [
+                    (int(start), int(end - start))
+                    for start, end in zip(ends[::2], ends[1::2])
+                ]
+                circles.append(JobCircle.from_arcs(job_id, period, arcs))
+            if solve(circles).found:
+                continue
+            refused += 1
+            unified = UnifiedCircle(circles)
+            g = math.gcd(circles[0].perimeter, circles[1].perimeter)
+            brute = min(
+                unified.overlap_ticks({"a": 0, "b": shift})
+                for shift in range(g)
+            )
+            best, rotations = min_overlap(circles)
+            assert best == brute, [c.comm.intervals for c in circles]
+            assert unified.overlap_ticks(rotations) == best
+
+    def test_min_overlap_of_a_pair_does_not_anneal(self, monkeypatch):
+        from repro.core import metrics, optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("annealed a pair")
+
+        monkeypatch.setattr(optimize, "annealing_search", refuse)
+        monkeypatch.setattr(metrics, "annealing_search", refuse)
+        # Periods 60 and 90 share a 30-tick gcd circle; 90 ticks of
+        # demand overload it, so the solver refuses the pair.
+        circles = [
+            JobCircle.from_phases("a", 20, 40),
+            JobCircle.from_phases("b", 40, 50),
+        ]
+        assert solve(circles).method == "utilization-bound"
+        unified = UnifiedCircle(circles)
+        brute = min(
+            unified.overlap_ticks({"a": 0, "b": shift})
+            for shift in range(30)
+        )
+        best, rotations = min_overlap(circles)
+        assert best == brute < unified.overlap_ticks()
+        assert unified.overlap_ticks(rotations) == best
 
     def test_min_overlap_anneals_once(self, monkeypatch):
         # solve's own last resort is the annealing run min_overlap

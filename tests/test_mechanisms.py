@@ -3,48 +3,42 @@
 import pytest
 
 from repro.cc.adaptive import AdaptiveUnfair
+from repro.cc.dcqcn import calibrate_timer_weights
 from repro.cc.weighted import StaticWeighted
 from repro.core.circle import JobCircle
 from repro.core.compatibility import CompatibilityChecker
 from repro.errors import ConfigError
 from repro.mechanisms.flow_scheduling import FlowSchedule, PeriodicGate
 from repro.mechanisms.priorities import PriorityAssigner
-from repro.mechanisms.unfair_cc import (
-    adaptive_policy,
-    aggressiveness_policy,
-    timer_skew_policy,
-)
 from repro.core.rotation import CommWindow
 from repro.units import gbps, ms
 from repro.workloads.job import JobSpec
 
 
 class TestUnfairCcBridge:
+    """§4(i) from the share policies and the timer calibration."""
+
     def test_adaptive_policy_defaults(self):
-        policy = adaptive_policy()
-        assert isinstance(policy, AdaptiveUnfair)
+        policy = AdaptiveUnfair()
         assert policy.gain == 1.0
 
     def test_aggressiveness_policy(self):
-        policy = aggressiveness_policy(["a", "b", "c"])
+        policy = StaticWeighted.from_aggressiveness_order(["a", "b", "c"])
         assert policy.weight_for_job("a") > policy.weight_for_job("b")
 
     def test_timer_skew_policy_orders_weights(self):
-        policy = timer_skew_policy(
-            {"fast": 100e-6, "slow": 125e-6},
-            calibration_duration=0.08,
-            seed=1,
+        timers = {"fast": 100e-6, "slow": 125e-6}
+        weight_by_timer = calibrate_timer_weights(
+            sorted(timers.values()), duration=0.08, seed=1
         )
-        assert isinstance(policy, StaticWeighted)
+        policy = StaticWeighted(
+            {job: weight_by_timer[timer] for job, timer in timers.items()}
+        )
         assert policy.weight_for_job("fast") > policy.weight_for_job("slow")
-
-    def test_timer_skew_single_timer_is_fair(self):
-        policy = timer_skew_policy({"a": 125e-6, "b": 125e-6})
-        assert policy.weight_for_job("a") == policy.weight_for_job("b")
 
     def test_timer_skew_empty_rejected(self):
         with pytest.raises(ConfigError):
-            timer_skew_policy({})
+            calibrate_timer_weights([])
 
 
 class TestPriorityAssigner:

@@ -174,7 +174,7 @@ class TestPriorityPolicy:
         specs = [_job("J1", 100, 100), _job("J2", 100, 100)]
         result = _run(
             specs,
-            PrioritySharing.unique_for(["J1", "J2"]),
+            PrioritySharing({"J1": 2, "J2": 1}),
             n_iterations=3,
         )
         # In the first iteration J1 owns the link; J2's comm waits.
@@ -262,14 +262,14 @@ class TestRelease:
     when its horizon leaves events queued."""
 
     @pytest.mark.parametrize(
-        "make_policy",
+        "build_policy",
         [FairSharing, lambda: AdaptiveUnfair(reallocation_interval=ms(5))],
         ids=["fair", "adaptive-tick"],
     )
-    def test_freed_without_the_cyclic_gc(self, make_policy):
+    def test_freed_without_the_cyclic_gc(self, build_policy):
         gc.disable()
         try:
-            sim = PhaseLevelSimulator(_dumbbell(), make_policy())
+            sim = PhaseLevelSimulator(_dumbbell(), build_policy())
             sim.add_job(_job("J1"), "ha0", "hb0", n_iterations=100)
             sim.add_job(
                 _job("J2"), "ha1", "hb1", n_iterations=100,

@@ -1,9 +1,9 @@
-"""Routing tests: shortest path, ECMP determinism, sharing maps."""
+"""Routing tests: shortest path and ECMP determinism."""
 
 import pytest
 
 from repro.errors import RoutingError
-from repro.net.routing import EcmpRouter, Router, links_shared_by
+from repro.net.routing import EcmpRouter, Router
 from repro.net.topology import Topology
 from repro.units import gbps
 
@@ -84,25 +84,3 @@ class TestEcmp:
         assert router.node_path("ha0", "hb0") == [
             "ha0", "S0", "S1", "hb0"
         ]
-
-
-class TestSharingMap:
-    def test_bottleneck_shared(self):
-        topo = Topology.dumbbell(hosts_per_side=2)
-        router = Router(topo)
-        sharing = links_shared_by(
-            router,
-            [("ha0", "hb0", "f0"), ("ha1", "hb1", "f1")],
-        )
-        bottleneck = topo.link("S0", "S1")
-        assert sharing[bottleneck] == [0, 1]
-
-    def test_host_links_not_shared(self):
-        topo = Topology.dumbbell(hosts_per_side=2)
-        router = Router(topo)
-        sharing = links_shared_by(
-            router,
-            [("ha0", "hb0", "f0"), ("ha1", "hb1", "f1")],
-        )
-        assert sharing[topo.link("ha0", "S0")] == [0]
-        assert sharing[topo.link("ha1", "S0")] == [1]

@@ -263,7 +263,8 @@ class TestSimulatorProperties:
     def test_bytes_conserved_and_iterations_complete(
         self, c1, m1, c2, m2, policy_name
     ):
-        from repro.cc.factory import make_policy
+        from repro.cc.fair import FairSharing
+        from repro.cc.weighted import StaticWeighted
         from repro.net.phasesim import PhaseLevelSimulator
         from repro.net.topology import Topology
         from repro.units import gbps, ms
@@ -275,9 +276,9 @@ class TestSimulatorProperties:
             JobSpec("J2", ms(c2), ms(m2) * cap),
         ]
         policy = (
-            make_policy("fair")
+            FairSharing()
             if policy_name == "fair"
-            else make_policy("weighted", order=["J1", "J2"])
+            else StaticWeighted.from_aggressiveness_order(["J1", "J2"])
         )
         topo = Topology.dumbbell(
             hosts_per_side=2, host_capacity=cap, bottleneck_capacity=cap

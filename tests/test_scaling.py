@@ -8,7 +8,6 @@ from repro.workloads.allreduce import AllreduceAlgorithm
 from repro.workloads.scaling import (
     scaling_profile,
     self_compatibility_threshold,
-    sharing_capacity,
 )
 
 CAP = gbps(42)
@@ -86,9 +85,8 @@ class TestThreshold:
 
 class TestSharingCapacity:
     def test_large_batch_hosts_many_copies(self):
-        small = sharing_capacity("resnet50", 128)
-        large = sharing_capacity("resnet50", 8192)
-        assert large > small
+        small, large = scaling_profile("resnet50", [128, 8192])
+        assert large.sharing_capacity > small.sharing_capacity
 
     def test_capacity_at_least_one(self):
-        assert sharing_capacity("bert", 1) >= 1
+        assert scaling_profile("bert", [1])[0].sharing_capacity >= 1

@@ -1,5 +1,5 @@
 """Scheduler tests: cluster state, placement policies, cluster simulation,
-dynamic replay."""
+dynamic arrivals."""
 
 import pytest
 
@@ -9,16 +9,17 @@ from repro.core.compatibility import CompatibilityChecker
 from repro.errors import PlacementError
 from repro.net.topology import Topology
 from repro.scheduler.cluster import ClusterState
-from repro.scheduler.events import JobArrival, arrival_schedule, replay
 from repro.scheduler.placement import (
     CompatibilityAwarePlacement,
     ConsolidatedPlacement,
     RandomPlacement,
 )
+from repro.scheduler.service import ClusterService
 from repro.scheduler.simulation import ClusterSimulation
 from repro.units import gbps, ms
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.job import JobSpec
+from repro.workloads.traces import JobArrival
 
 CAP = gbps(42)
 
@@ -267,9 +268,12 @@ class TestClusterSimulation:
 
 
 class TestDynamicReplay:
+    """Arrival streams through the service with no admission queue, run
+    to the last arrival."""
+
     def test_arrival_schedule_shape(self):
         gen = WorkloadGenerator(seed=3)
-        arrivals = arrival_schedule(gen, count=5, mean_interarrival_s=10)
+        arrivals = gen.arrivals(count=5, mean_interarrival_s=10)
         assert len(arrivals) == 5
         times = [a.time for a in arrivals]
         assert times == sorted(times)
@@ -277,14 +281,16 @@ class TestDynamicReplay:
     def test_replay_places_and_audits(self):
         cluster = _cluster(n_racks=4, hosts_per_rack=2, gpus=4)
         gen = WorkloadGenerator(seed=4)
-        arrivals = arrival_schedule(
-            gen, count=8, mean_interarrival_s=10, mean_lifetime_s=1e9
+        arrivals = gen.arrivals(
+            count=8, mean_interarrival_s=10, mean_lifetime_s=1e9
         )
-        stats = replay(
-            cluster, ConsolidatedPlacement(), arrivals,
-            checker=CompatibilityChecker(capacity=CAP),
+        service = ClusterService(
+            cluster, ConsolidatedPlacement(),
+            checker=CompatibilityChecker(capacity=CAP), queue_limit=0,
         )
-        assert stats.placed + stats.rejected == 8
+        service.submit_all(arrivals)
+        stats = service.run(until=arrivals[-1].time)
+        assert stats.admitted + stats.rejected == 8
         assert 0 <= stats.compatibility_rate <= 1
 
     def test_replay_departures_free_capacity(self):
@@ -297,6 +303,10 @@ class TestDynamicReplay:
                 lifetime=1.0,
             ),
         ]
-        stats = replay(cluster, ConsolidatedPlacement(), arrivals)
-        assert stats.placed == 2
+        service = ClusterService(
+            cluster, ConsolidatedPlacement(), queue_limit=0
+        )
+        service.submit_all(arrivals)
+        stats = service.run(until=arrivals[-1].time)
+        assert stats.admitted == 2
         assert stats.rejected == 0

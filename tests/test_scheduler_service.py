@@ -1,4 +1,4 @@
-"""Tests for the online cluster service and the replay shim.
+"""Tests for the online cluster service.
 
 Covers the event loop (departures before arrivals, bounded queue with
 deterministic retries), the cluster-wide admission audit (including the
@@ -22,7 +22,6 @@ from repro.net.routing import Router
 from repro.net.topology import Topology
 from repro.runner import RunSpec, run_many
 from repro.scheduler.cluster import ClusterState
-from repro.scheduler.events import replay
 from repro.scheduler.placement import (
     CompatibilityAwarePlacement,
     ConsolidatedPlacement,
@@ -364,14 +363,16 @@ class TestClusterWideAudit:
         plan, arrivals = self._fixture()
 
         cluster = _cluster(n_racks=4, gpus=4)
-        stats = replay(
-            cluster, FixedPlacement(plan), arrivals, checker=checker
+        service = ClusterService(
+            cluster, FixedPlacement(plan), checker=checker, queue_limit=0
         )
-        assert stats.placed == 3
+        service.submit_all(arrivals)
+        stats = service.run(until=arrivals[-1].time)
+        assert stats.admitted == 3
         # Cluster-wide: B makes {A, B} unsatisfiable, and C *joins* that
         # component, so only A's arrival was compatible.
-        assert stats.compatible_placements == 1
-        assert stats.incompatible_placements == 2
+        assert stats.compatible_admissions == 1
+        assert stats.incompatible_admissions == 2
 
         # Legacy audit of the same end state: C's own links are clean
         # (its only contended link carries the feasible pair {B, C}), so
@@ -403,6 +404,9 @@ class TestClusterWideAudit:
 
 
 class TestReplayShim:
+    """A batch replay on the service: no admission queue, run to the
+    last arrival."""
+
     def test_replay_matches_legacy_counters(self):
         cluster = _cluster(n_racks=1, gpus=4)
         spec = _job("short", 300, 100, workers=4)
@@ -415,8 +419,12 @@ class TestReplayShim:
                 lifetime=1.0,
             ),
         ]
-        stats = replay(cluster, ConsolidatedPlacement(), arrivals)
-        assert stats.placed == 2
+        service = ClusterService(
+            cluster, ConsolidatedPlacement(), queue_limit=0
+        )
+        service.submit_all(arrivals)
+        stats = service.run(until=arrivals[-1].time)
+        assert stats.admitted == 2
         assert stats.rejected == 0
         assert stats.compatibility_rate == 1.0
         # Like the legacy sweep, jobs outliving the last arrival stay.

@@ -7,6 +7,7 @@ stats/trace commands.
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -537,6 +538,26 @@ class TestRunRecorder:
         }
         assert traced == expected
         assert len(set(expected["J1"])) > 1  # jitter reached the run
+
+    def test_trace_is_written_in_pieces(self, tmp_path):
+        # 40,000 records (about 2.9 MB of text): writing them may hold a
+        # piece of the document, never the whole text or its encoding.
+        try:
+            with RunRecorder("bulk", runs_dir=tmp_path) as recorder:
+                telemetry = current()
+                for index in range(40_000):
+                    telemetry.event(
+                        "rate.change", t=index * 1e-3,
+                        flow=f"J{index % 7}", rate=index * 0.5,
+                    )
+                lines = recorder.telemetry.trace.lines
+                text = io.trace_lines_to_jsonl(lines)
+                tracemalloc.start()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (recorder.run_dir / "trace.jsonl").read_text() == text
+        assert peak < len(text) / 2
 
     def test_failed_run_still_recorded(self, tmp_path):
         with pytest.raises(RuntimeError):

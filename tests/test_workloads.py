@@ -6,7 +6,6 @@ from repro.errors import WorkloadError
 from repro.units import gbps, ms
 from repro.workloads.allreduce import (
     AllreduceAlgorithm,
-    allreduce_steps,
     bytes_per_worker,
 )
 from repro.workloads.generator import WorkloadGenerator
@@ -84,12 +83,6 @@ class TestAllreduce:
         h = bytes_per_worker(100.0, 16, AllreduceAlgorithm.HIERARCHICAL)
         b = bytes_per_worker(100.0, 16, AllreduceAlgorithm.BROADCAST)
         assert h < b
-
-    def test_steps_ring(self):
-        assert allreduce_steps(8, AllreduceAlgorithm.RING) == 14
-
-    def test_steps_tree_logarithmic(self):
-        assert allreduce_steps(8, AllreduceAlgorithm.TREE) == 6
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(WorkloadError):
@@ -226,8 +219,26 @@ class TestGenerator:
         assert len(set(ids)) == 10
 
     def test_arrival_times_increasing(self):
-        times = WorkloadGenerator(seed=2).arrival_times(10, 30.0)
+        arrivals = WorkloadGenerator(seed=2).arrivals(10, 30.0)
+        times = [arrival.time for arrival in arrivals]
         assert all(b > a for a, b in zip(times, times[1:]))
+
+    def test_arrivals_draw_every_gap_then_the_jobs(self):
+        # Every gap is drawn before the jobs dyn-0, dyn-1, ...; these
+        # values pin that order at seed 3.
+        arrivals = WorkloadGenerator(seed=3).arrivals(3, 10)
+        assert [
+            (a.time, a.spec.job_id, a.spec.compute_time, a.spec.comm_bytes,
+             a.n_workers, a.lifetime)
+            for a in arrivals
+        ] == [
+            (0.48629938266339406, "dyn-0", 0.2934812947802447,
+             1714223202.4037154, 4, 600.0),
+            (13.008075544454773, "dyn-1", 0.9377961352407806,
+             1371320289.9859018, 4, 600.0),
+            (20.621505702615366, "dyn-2", 0.21908691242320558,
+             934043709.7781708, 2, 600.0),
+        ]
 
     def test_bad_config_rejected(self):
         with pytest.raises(WorkloadError):
