@@ -85,7 +85,8 @@ class RunRecorder:
         from .. import io
 
         assert self.run_dir is not None and self._started is not None
-        # The session holds each record as its encoded line already.
+        # The session holds each record as its encoded line already, and
+        # hands over its own list of them: no copy.
         io.write_trace_lines(
             self.telemetry.trace.lines, self.run_dir / TRACE_NAME
         )

@@ -83,9 +83,9 @@ class Telemetry:
     def worker_state(self) -> dict:
         """Everything a worker process ships back to its parent session.
 
-        Carries the registry snapshot (every counter), the trace as its
-        encoded lines (``trace``, one string per record) and their
-        per-kind counts (``event_kinds``), and nothing wall-clock: the
+        Carries the registry snapshot (every counter), a copy of the
+        trace's encoded lines (``trace``, one string per record) and
+        their per-kind counts (``event_kinds``), and nothing wall-clock: the
         result cache stores this state, so two runs of one spec must
         produce the same bytes. Spans are wall-clock and per-process,
         so they are *not* part of it; the runner ships a worker's
@@ -94,7 +94,7 @@ class Telemetry:
         """
         return {
             "registry": self.registry.snapshot(),
-            "trace": self.trace.lines,
+            "trace": list(self.trace.lines),
             "event_kinds": self.trace.counts_by_kind(),
         }
 

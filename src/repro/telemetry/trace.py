@@ -256,9 +256,11 @@ class TraceRecorder:
         return map(decode_record, self._lines)
 
     @property
-    def lines(self) -> List[str]:
-        """The encoded records, in emission order."""
-        return list(self._lines)
+    def lines(self) -> Sequence[str]:
+        """The encoded records, in emission order: the recorder's own
+        list, not a copy, so later emits extend it. Read it; copy it to
+        keep or ship it."""
+        return self._lines
 
     @property
     def records(self) -> List[TraceRecord]:

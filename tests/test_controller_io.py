@@ -344,6 +344,39 @@ class TestBootstrap:
             np.quantile(medians, alpha), np.quantile(medians, 1 - alpha),
         )
 
+    def test_rank_counted_medians_are_np_medians(self, monkeypatch):
+        """Seeded property: each resample median counted from ranks has
+        the bits ``np.median`` gives the gathered row, for odd and even
+        sample counts, with and without ties, and with a last block of
+        rows shorter than the others."""
+        monkeypatch.setattr(bootstrap, "MEDIAN_BLOCK_ROWS", 16)
+        draw = np.random.default_rng(11)
+        for case in range(60):
+            n = int(draw.integers(1, 60))
+            n_resamples = int(draw.integers(10, 70))
+            if case % 2:
+                data = draw.integers(0, 4, size=n) * 0.25 + 0.1  # ties
+            else:
+                data = draw.normal(0.3, 0.05, size=n)
+            indices = np.random.default_rng(case).integers(
+                0, n, size=(n_resamples, n)
+            )
+            expected = np.median(data[indices], axis=1)
+            medians = bootstrap._resample_medians(
+                data, np.random.default_rng(case), n_resamples
+            )
+            assert medians.tobytes() == expected.tobytes(), (n, n_resamples)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        """A row that draws a NaN has a NaN ``np.median``, which a
+        median counted from ranks cannot give, so non-finite samples
+        are refused up front."""
+        with pytest.raises(SimulationError, match="finite"):
+            bootstrap_median([1.0, bad, 2.0])
+        with pytest.raises(SimulationError, match="finite"):
+            bootstrap_median_ratio([1.0, 2.0], [1.0, bad])
+
     def test_peak_memory_stays_near_the_index_matrix(self):
         """Figure 1d's bootstrap (990 samples a side, 2,000 resamples)
         holds the index matrix plus one block of rows, not the gathered

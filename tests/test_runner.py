@@ -5,11 +5,16 @@ must be byte-identical — results *and* telemetry trace — to ``jobs=1``,
 and a cache hit must replay exactly what the original execution stored.
 """
 
+import base64
+import copy
 import json
 import math
 import pickle
+import struct
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import run_fluid_spec
 
@@ -41,7 +46,11 @@ from repro.runner import (
     using,
 )
 from repro.runner.backends import dumbbell_topology
-from repro.runner.cache import CACHE_VERSION
+from repro.runner.cache import (
+    CACHE_VERSION,
+    pack_columns,
+    unpack_columns,
+)
 from repro.telemetry.session import Telemetry, use
 from repro.units import gbps, ms
 from repro.workloads.job import JobSpec
@@ -83,18 +92,34 @@ def canonical(results):
 
 def read_entry(path):
     """A cache entry file as ``(header, lines)``: the JSON object on
-    its first line and the trace lines after it."""
+    its first line, with its float columns put back into ``result``,
+    and the trace lines after it."""
     header, *lines = path.read_text(encoding="utf-8").split("\n")
     assert lines.pop() == "", "every line of an entry ends with a newline"
-    return json.loads(header), lines
+    header = json.loads(header)
+    header["result"] = unpack_columns(
+        header["result"], header.pop("columns"), header.pop("floats")
+    )
+    return header, lines
+
+
+def header_line(header):
+    """The first line of an entry for ``header`` as :func:`read_entry`
+    gives it: its result's float columns packed, as sorted-key JSON."""
+    result, columns, floats = pack_columns(header["result"])
+    return json.dumps(
+        {**header, "result": result, "columns": columns,
+         "floats": floats.decode("ascii")},
+        sort_keys=True,
+    )
 
 
 def write_entry(path, header, lines=()):
     """Write ``header`` and trace ``lines`` in the entry layout: the
-    header as sorted-key JSON, then each line, every one newline-ended."""
-    text = json.dumps(header, sort_keys=True)
+    header line, then each line, every one newline-ended."""
     path.write_text(
-        "".join(f"{line}\n" for line in (text, *lines)), encoding="utf-8"
+        "".join(f"{line}\n" for line in (header_line(header), *lines)),
+        encoding="utf-8",
     )
 
 
@@ -591,6 +616,35 @@ class TestCache:
         assert entry is not None
         assert entry.telemetry["trace"] == fresh["lines"]
 
+    def test_v8_entry_heals_as_miss(self, tmp_path):
+        """An entry in the v8 layout (the float columns as decimal JSON
+        inside ``result``, no ``columns`` or ``floats``) is a miss that
+        removes itself, and the re-executed run stores the current
+        layout."""
+        spec = small_phase_specs(n_iterations=5)[0]
+        store = ResultCache(tmp_path)
+        path = store.path_for(spec.content_hash())
+        fresh = recorded_run(spec, cache=False)
+        run_many([spec], cache=True, cache_dir=tmp_path)
+        current = path.read_bytes()
+        header, lines = read_entry(path)
+        assert lines
+        header["cache_version"] = 8
+        v8 = "".join(
+            f"{line}\n"
+            for line in (json.dumps(header, sort_keys=True), *lines)
+        )
+
+        path.write_text(v8, encoding="utf-8")
+        assert store.get(spec.content_hash()) is None
+        assert not path.exists()
+
+        path.write_text(v8, encoding="utf-8")
+        healed = recorded_run(spec, cache=True, cache_dir=tmp_path)
+        assert healed.pop("hits") == fresh.pop("hits") == 0
+        assert healed == fresh
+        assert path.read_bytes() == current
+
     @pytest.mark.parametrize("n_lines", [0, 1, 5])
     def test_entry_is_the_header_then_the_lines(self, tmp_path, n_lines):
         """The entry file is the header line, then each trace line as
@@ -616,8 +670,7 @@ class TestCache:
         header, stored = read_entry(store.path_for("h"))
         assert stored == lines
         assert text == "".join(
-            f"{line}\n"
-            for line in (json.dumps(header, sort_keys=True), *lines)
+            f"{line}\n" for line in (header_line(header), *lines)
         )
         assert header["cache_version"] == CACHE_VERSION
         assert header["telemetry"] == {
@@ -642,6 +695,54 @@ class TestCache:
         store = ResultCache(tmp_path)
         assert not store.put(spec, "h", result, state)
         assert list(tmp_path.iterdir()) == []
+
+    def test_trace_lines_are_written_in_pieces(self, tmp_path):
+        """Putting an entry holds one piece of its trace text at a time
+        (``io.TRACE_WRITE_LINES`` lines), never the whole text or its
+        encoding, and writes the same bytes as one write would."""
+        spec = small_phase_specs(n_iterations=5)[0]
+        [result] = run_many([spec], cache=False)
+        lines = [
+            json.dumps({"fields": {"i": i}, "kind": "x.line", "t": 0.0},
+                       sort_keys=True, separators=(",", ":"))
+            for i in range(40_000)
+        ]
+        state = {
+            "registry": {"counters": {}},
+            "trace": lines,
+            "event_kinds": {"x.line": len(lines)},
+        }
+        text = "".join(f"{line}\n" for line in lines)
+        store = ResultCache(tmp_path)
+        tracemalloc.start()
+        try:
+            assert store.put(spec, "h", result, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = store.path_for("h").read_text(encoding="utf-8")
+        assert written.partition("\n")[2] == text
+        assert peak < len(text) / 2
+
+    def test_newline_in_a_later_piece_leaves_no_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A line holding a newline in a piece after the first is
+        refused too, and the part-written staging file is removed."""
+        monkeypatch.setattr(io, "TRACE_WRITE_LINES", 2)
+        spec = small_phase_specs(n_iterations=5)[0]
+        [result] = run_many([spec], cache=False)
+        state = {
+            "registry": {"counters": {}},
+            "trace": ['{"kind":"x"}'] * 3 + ['{"kind":\n"x"}'],
+            "event_kinds": {"x": 4},
+        }
+        store = ResultCache(tmp_path)
+        assert not store.put(spec, "h", result, state)
+        assert list(tmp_path.iterdir()) == []
+        state["trace"][3] = '{"kind":"x"}'
+        assert store.put(spec, "h", result, state)
+        assert store.get("h").telemetry["trace"] == state["trace"]
 
     @pytest.mark.parametrize("corrupt", [
         # The first three ids name faults of a trace held as a JSON
@@ -871,6 +972,187 @@ class TestCache:
         store = ResultCache(tmp_path)
         assert store.clear() == 2
         assert list(tmp_path.iterdir()) == []
+
+
+#: Floats whose bits a column must keep: signed zeros, the smallest
+#: subnormal and others, infinities and the one NaN JSON can write.
+odd_floats = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan]
+)
+float_values = st.floats(allow_nan=False) | odd_floats
+scalars = (
+    st.none() | st.booleans() | st.integers() | float_values
+    | st.text(max_size=4)
+)
+leaves = (
+    scalars
+    | st.lists(float_values, min_size=1, max_size=6)
+    | st.lists(st.lists(float_values, min_size=2, max_size=2), min_size=1,
+               max_size=4)
+    | st.lists(scalars, max_size=4)
+)
+documents = st.dictionaries(
+    st.text(max_size=4),
+    st.recursive(
+        leaves,
+        lambda children: (
+            st.lists(children, max_size=4)
+            | st.dictionaries(st.text(max_size=4), children, max_size=4)
+        ),
+        max_leaves=12,
+    ),
+    max_size=5,
+)
+
+
+def same_document(a, b):
+    """Whether ``a`` and ``b`` are equal with the same type at every
+    node and the same bits in every float."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same_document, a, b))
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(
+            same_document(a[key], b[key]) for key in a
+        )
+    return a == b
+
+
+def float_columns_in(node):
+    """The non-empty lists of exact floats or of exact float pairs
+    anywhere under ``node``."""
+    if type(node) is dict:
+        return [c for value in node.values() for c in float_columns_in(value)]
+    if type(node) is not list:
+        return []
+    if node and (
+        all(type(item) is float for item in node)
+        or all(
+            type(item) is list and len(item) == 2
+            and all(type(value) is float for value in item)
+            for item in node
+        )
+    ):
+        return [node]
+    return [c for item in node for c in float_columns_in(item)]
+
+
+class TestFloatColumns:
+    """The cache's float-column codec, alone and inside entries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(documents)
+    def test_pack_then_unpack_gives_the_document_back(self, document):
+        original = copy.deepcopy(document)
+        skeleton, columns, packed = pack_columns(document)
+        assert same_document(document, original)  # pack changes nothing
+        assert float_columns_in(skeleton) == []
+        header = json.loads(json.dumps(
+            {"columns": columns, "floats": packed.decode("ascii"),
+             "result": skeleton},
+            sort_keys=True,
+        ))
+        unpacked = unpack_columns(
+            header["result"], header["columns"], header["floats"]
+        )
+        assert same_document(unpacked, original)
+        assert len(columns) == len(float_columns_in(original))
+
+    def test_columns_tile_little_endian_float64_bytes(self):
+        document = {
+            "a": [1.5, -0.0],
+            "b": {"points": [[0.0, 2.0], [1.0, 5e-324]]},
+            "rows": [[0, 1.5], [1, 2.5]],
+            "ints": [1, 2],
+        }
+        skeleton, columns, packed = pack_columns(document)
+        assert skeleton == {
+            "a": [], "b": {"points": []},
+            "rows": [[0, 1.5], [1, 2.5]], "ints": [1, 2],
+        }
+        assert skeleton["rows"] is document["rows"]  # shared, not copied
+        assert columns == [[["a"], 0, 2, 1], [["b", "points"], 2, 2, 2]]
+        assert base64.b64decode(packed) == struct.pack(
+            "<6d", 1.5, -0.0, 0.0, 2.0, 1.0, 5e-324
+        )
+
+    def test_entry_header_holds_no_float_column(self, tmp_path):
+        spec = small_phase_specs(n_iterations=5)[0]
+        [executed] = run_many([spec], cache=True, cache_dir=tmp_path)
+        path = ResultCache(tmp_path).path_for(spec.content_hash())
+        header = json.loads(path.read_text(encoding="utf-8").split("\n")[0])
+        assert float_columns_in(header["result"]) == []
+        assert header["columns"] and {c[3] for c in header["columns"]} == {2}
+        stored = struct.unpack(
+            f"<{len(base64.b64decode(header['floats'])) // 8}d",
+            base64.b64decode(header["floats"]),
+        )
+        assert sum(c[2] * c[3] for c in header["columns"]) == len(stored)
+        document, _ = read_entry(path)
+        assert document["result"] == io.run_result_to_dict(executed)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc.update(floats="!" + doc["floats"][1:]),
+        lambda doc: doc.update(floats=base64.b64encode(
+            base64.b64decode(doc["floats"])[:-1]
+        ).decode()),
+        lambda doc: doc.update(floats=base64.b64encode(
+            base64.b64decode(doc["floats"]) + bytes(8)
+        ).decode()),
+        lambda doc: doc["columns"][1].__setitem__(
+            1, doc["columns"][1][1] + 2
+        ),
+        lambda doc: doc["columns"][1].__setitem__(
+            1, doc["columns"][1][1] - 2
+        ),
+        lambda doc: doc["columns"][-1].__setitem__(
+            2, doc["columns"][-1][2] + 1
+        ),
+        lambda doc: doc["columns"][0].__setitem__(3, 3),
+        lambda doc: doc["columns"][0].__setitem__(3, 1.0),
+        lambda doc: doc["columns"][0].__setitem__(2, 0),
+        lambda doc: doc["columns"][0][0].pop(),
+        lambda doc: doc["columns"][0][0].__setitem__(-1, "nope"),
+        lambda doc: doc["columns"][0][0].append(3),
+        lambda doc: doc["columns"][0][0].insert(1, 0),
+        lambda doc: doc["columns"][1].__setitem__(0, doc["columns"][0][0]),
+        lambda doc: doc["columns"][0].__setitem__(0, []),
+        lambda doc: doc.update(columns={"abcd": 1}),
+        lambda doc: doc.pop("floats"),
+    ], ids=[
+        "floats-not-base64", "floats-not-whole-float64s",
+        "floats-left-over", "offset-leaves-a-gap", "offset-overlaps",
+        "column-past-the-floats", "width-3", "width-not-an-int",
+        "count-0", "path-ends-at-a-dict", "path-to-a-missing-key",
+        "path-index-out-of-range", "path-step-fits-no-container",
+        "two-columns-one-slot", "empty-path", "columns-not-a-list",
+        "floats-missing",
+    ])
+    def test_misplaced_columns_heal_as_miss(self, tmp_path, corrupt):
+        """Columns that do not tile the floats, or that a path cannot
+        place at an empty list, are a miss that removes the entry; the
+        re-executed run stores the entry a fresh one would."""
+        spec = small_phase_specs(n_iterations=5)[0]
+        store = ResultCache(tmp_path)
+        path = store.path_for(spec.content_hash())
+        run_many([spec], cache=True, cache_dir=tmp_path)
+        current = path.read_bytes()
+        header, rest = current.decode("utf-8").split("\n", 1)
+        document = json.loads(header)
+        assert len(document["columns"]) > 1
+        corrupt(document)
+
+        path.write_text(
+            json.dumps(document, sort_keys=True) + "\n" + rest,
+            encoding="utf-8",
+        )
+        assert store.get(spec.content_hash()) is None
+        assert not path.exists()
+        run_many([spec], cache=True, cache_dir=tmp_path)
+        assert path.read_bytes() == current
 
 
 class TestEncodedTraceIdentity:

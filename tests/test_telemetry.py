@@ -559,6 +559,23 @@ class TestRunRecorder:
         assert (recorder.run_dir / "trace.jsonl").read_text() == text
         assert peak < len(text) / 2
 
+    def test_exit_writes_the_recorders_own_lines(self, tmp_path):
+        # 60,000 short records: a copy of the line list alone (8 bytes a
+        # line) is more than writing one piece of them holds.
+        try:
+            with RunRecorder("bulk", runs_dir=tmp_path) as recorder:
+                telemetry = current()
+                for _ in range(60_000):
+                    telemetry.event("x", t=0.0)
+                lines = recorder.telemetry.trace.lines
+                text = io.trace_lines_to_jsonl(lines)
+                tracemalloc.start()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (recorder.run_dir / "trace.jsonl").read_text() == text
+        assert peak < 8 * len(lines)
+
     def test_failed_run_still_recorded(self, tmp_path):
         with pytest.raises(RuntimeError):
             with RunRecorder("boom", runs_dir=tmp_path) as recorder:
