@@ -29,12 +29,7 @@ from ..net.topology import BOTTLENECK
 from ..sim.trace import TimeSeries
 from ..switches.queues import FluidQueue
 from ..units import gbps, kib, mbps
-from .link_engine import (
-    LinkFabric,
-    build_fabric,
-    check_route,
-    install_fault_warps,
-)
+from .link_engine import LinkFabric, build_fabric, check_route
 
 if TYPE_CHECKING:
     from ..net.topology import Topology
@@ -125,7 +120,6 @@ class OnOffAimdJob(OnOffSource):
         compute_time: float,
         comm_bytes: float,
         start_offset: float = 0.0,
-        warp=None,
     ) -> None:
         self.params = params
         self.compute_time = compute_time
@@ -135,7 +129,6 @@ class OnOffAimdJob(OnOffSource):
             compute_time=compute_time,
             comm_bytes=comm_bytes,
             start_offset=start_offset,
-            warp=warp,
         )
         super().__init__(name, lifecycle, self._make_sender)
 
@@ -225,7 +218,6 @@ class AimdFluidSimulator:
         self.dt = dt
         self.sample_interval = sample_interval
         self.faults = faults
-        self._fault_warps_installed = False
         self.topology = topology
         self.fabric: Optional[LinkFabric] = None
         if topology is None:
@@ -285,7 +277,6 @@ class AimdFluidSimulator:
         if not self._senders and not self._jobs:
             raise SimulationError("add at least one sender before run()")
         sources = self._senders + self._jobs
-        install_fault_warps(self, sources)
         if self.fabric is None:
             self.fabric = build_fabric(self, max_occupancy=self.buffer_bytes)
         fabric = self.fabric

@@ -242,7 +242,6 @@ class OnOffDcqcnJob(OnOffSource):
         compute_time: float,
         comm_bytes: float,
         start_offset: float = 0.0,
-        warp=None,
     ) -> None:
         self.params = params
         self._rng = rng
@@ -253,7 +252,6 @@ class OnOffDcqcnJob(OnOffSource):
             compute_time=compute_time,
             comm_bytes=comm_bytes,
             start_offset=start_offset,
-            warp=warp,
         )
         super().__init__(name, lifecycle, self._make_sender)
 
@@ -369,7 +367,6 @@ class DcqcnFluidSimulator:
         if dt <= 0 or sample_interval < dt:
             raise ConfigError("need dt > 0 and sample_interval >= dt")
         self.faults = faults
-        self._fault_warps_installed = False
         self.topology = topology
         self.routes: List[Tuple[str, ...]] = []
         self.telemetry = _telemetry_session.resolve(telemetry)

@@ -14,8 +14,8 @@ after the link its fault schedule addresses (or
 whose queue is the simulator's ``queue``, crossed by every sender. A
 ``topology=`` simulator instead interns the links its senders' routes
 name (resolved through a :class:`~repro.net.topology.Topology`).
-:func:`check_route`, :func:`install_fault_warps` and
-:func:`build_fabric` do this route plumbing for both tiers.
+:func:`check_route` and :func:`build_fabric` do this route plumbing
+for both tiers.
 
 :func:`run_scalar_fabric` is DCQCN's dt-by-dt reference loop over live
 sender objects, with the same contract as
@@ -28,7 +28,8 @@ telemetry; see ``tests/test_fattree_equivalence.py``).
 
 Fault schedules may target any named link:
 :func:`repro.faults.runtime.link_capacity_windows` merges the per-link
-windows, and per-job warps see exactly the links on the job's route.
+windows, and a sender sees a fault only through the links on its
+route.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from ..faults.runtime import (
     MODE_FREEZE,
     MODE_NORMAL,
     MODE_STORM,
-    build_warp,
     emit_fault_events,
     link_capacity_windows,
 )
@@ -183,19 +183,6 @@ def check_route(sim, name: str, route: Sequence[str]) -> Tuple[str, ...]:
     return route
 
 
-def install_fault_warps(sim, sources: Sequence[object]) -> None:
-    """Attach per-job warps (stragglers, skew, latency spikes) once;
-    each on-off source sees exactly the links its route traverses."""
-    if sim.faults is None or sim._fault_warps_installed:
-        return
-    sim._fault_warps_installed = True
-    for source, links in zip(sources, sim.routes):
-        if isinstance(source, OnOffSource):
-            warp = build_warp(sim.faults, source.name, links)
-            if warp is not None:
-                source.install_warp(warp)
-
-
 def build_fabric(sim, max_occupancy: float = math.inf) -> LinkFabric:
     """Resolve a topology simulator's routes into a fabric whose queues
     hold at most ``max_occupancy`` bytes (drop-tail beyond)."""
@@ -209,16 +196,14 @@ def build_fabric(sim, max_occupancy: float = math.inf) -> LinkFabric:
 def prepare_run(sim) -> None:
     """Ready a DCQCN simulator for a run, before either loop starts.
 
-    Checks that it has senders, attaches the per-job fault warps
-    (once), records the schedule's fault windows in the telemetry
-    trace and resolves a topology simulator's fabric.
+    Checks that it has senders, records the schedule's fault windows
+    in the telemetry trace and resolves a topology simulator's fabric.
     :meth:`~repro.cc.dcqcn.DcqcnFluidSimulator.run`,
     :func:`run_scalar_fabric` and
     :meth:`~repro.cc.grid_bank.GridBank.run` all call it.
     """
     if not sim.senders:
         raise SimulationError("add at least one sender before run()")
-    install_fault_warps(sim, sim.senders)
     emit_fault_events(sim.telemetry, sim.faults)
     if sim.fabric is None:
         sim.fabric = build_fabric(sim)

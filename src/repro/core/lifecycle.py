@@ -26,6 +26,11 @@ New congestion-control mechanisms or fidelity tiers therefore plug in at
 a single point: drive a :class:`JobLifecycle` (or hand
 :class:`OnOffSource` a sender factory) and the timeline schema, gate
 semantics and warm-up ``skip`` behaviour come along for free.
+
+Injected faults (:mod:`repro.faults`) act on links, never on this
+machine: a job feels a failure or a capacity dip only through the rate
+its burst gets, so a compute phase always lasts ``compute_time`` times
+the iteration's jitter factor.
 """
 
 from __future__ import annotations
@@ -74,9 +79,6 @@ class JobLifecycle:
             ``compute_jitter > 0``).
         compute_jitter: Std-dev of per-iteration compute noise as a
             fraction of ``compute_time``.
-        warp: Optional fault-injection hook ``warp(now, duration)``
-            applied to every compute phase's duration (see
-            :class:`repro.faults.JobWarp`). Must be deterministic.
     """
 
     def __init__(
@@ -89,7 +91,6 @@ class JobLifecycle:
         gate: Optional[Gate] = None,
         rng: Optional[np.random.Generator] = None,
         compute_jitter: float = 0.0,
-        warp: Optional[Callable[[float, float], float]] = None,
     ) -> None:
         if not (
             math.isfinite(compute_time)
@@ -113,7 +114,6 @@ class JobLifecycle:
         self.n_iterations = n_iterations
         self.start_offset = start_offset
         self.gate = gate
-        self.warp = warp
         self.compute_jitter = compute_jitter
         self.state = JobState.IDLE
         self.timeline = JobTimeline(job_id)
@@ -178,14 +178,6 @@ class JobLifecycle:
     # Transitions
     # ------------------------------------------------------------------
 
-    def phase_duration(self, now: float) -> float:
-        """The current compute phase's duration, jitter and warp
-        applied."""
-        duration = self.compute_time * self.compute_factor
-        if self.warp is not None:
-            duration = self.warp(now, duration)
-        return duration
-
     def begin_iteration(self, now: float) -> float:
         """Enter COMPUTE for a fresh iteration; returns its compute time."""
         if self.done:
@@ -195,7 +187,7 @@ class JobLifecycle:
         self.state = JobState.COMPUTE
         self.iteration_start = now
         self.compute_factor = self.sample_compute_factor()
-        return self.phase_duration(now)
+        return self.compute_time * self.compute_factor
 
     def release_time(self, now: float) -> float:
         """The gate's earliest permitted communication start.
@@ -273,23 +265,6 @@ class OnOffSource:
         self._sender_factory = sender_factory
         self._sender: Optional[object] = None
         self._deadline = lifecycle.start_offset + lifecycle.begin_iteration(
-            lifecycle.start_offset
-        )
-
-    def install_warp(self, warp: Callable[[float, float], float]) -> None:
-        """Install a fault warp on a source that has not started yet.
-
-        The first compute deadline is fixed at construction, so a warp
-        attached afterwards must be applied to it retroactively — the
-        compute factor was already sampled, so no random draws repeat.
-        """
-        lifecycle = self.lifecycle
-        if self._sender is not None or len(lifecycle.timeline):
-            raise SimulationError(
-                f"{self.name}: cannot install a fault warp mid-run"
-            )
-        lifecycle.warp = warp
-        self._deadline = lifecycle.start_offset + lifecycle.phase_duration(
             lifecycle.start_offset
         )
 

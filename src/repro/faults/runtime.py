@@ -1,37 +1,26 @@
 """Adapters from an :class:`InjectionSchedule` into the simulators.
 
-Two mechanisms cover every tier:
+Every event is a link event, so one mechanism covers every tier: a
+scheduled change of what a link can carry.
 
 * **Capacity windows** — fixed-step fluid tiers quantize the schedule's
-  capacity-affecting link events onto the tick grid and partition the
-  run ``[0, steps)`` into :class:`FabricWindow` spans, in each of which
-  every link holds one mode (normal / freeze / storm) and an effective
-  capacity. An empty schedule yields a single all-normal window, so the
-  unfaulted code path is bit-identical to a schedule-free run. The
-  event-driven tiers instead schedule capacity mutations directly on
-  the simulator clock.
-* **Job warps** — per-job compute perturbations (stragglers, clock
-  skew) and latency spikes compile into a :class:`JobWarp`, a picklable
-  callable installed as :attr:`repro.core.lifecycle.JobLifecycle.warp`.
-  Every tier calls the lifecycle's transition methods at identical
-  simulation times, so warping inside the lifecycle keeps DCQCN's
-  sender bank and scalar oracle bit-for-bit aligned.
+  link events onto the tick grid and partition the run ``[0, steps)``
+  into :class:`FabricWindow` spans, in each of which every link holds
+  one mode (normal / freeze / storm) and an effective capacity. An
+  empty schedule yields a single all-normal window, so the unfaulted
+  code path is bit-identical to a schedule-free run.
+* **Clock events** — the event-driven tiers instead schedule the
+  capacity changes directly on the simulator clock
+  (:meth:`repro.net.phasesim.PhaseLevelSimulator.install_faults`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigError
-from .events import (
-    InjectionSchedule,
-    LatencySpike,
-    LinkFailure,
-    PfcStorm,
-    RateChange,
-    Straggler,
-)
+from .events import InjectionSchedule, LinkFailure, RateChange
 
 #: Window modes of the fixed-step tiers.
 MODE_NORMAL = "normal"
@@ -146,11 +135,7 @@ def link_capacity_windows(
     Raises :class:`~repro.errors.ConfigError` when the schedule targets
     a link outside ``capacities``.
     """
-    names = [] if schedule is None else [
-        name
-        for name in schedule.link_names()
-        if schedule.capacity_events(name)
-    ]
+    names = [] if schedule is None else schedule.link_names()
     unknown = [name for name in names if name not in capacities]
     if unknown:
         raise ConfigError(
@@ -184,75 +169,6 @@ def link_capacity_windows(
     return windows
 
 
-@dataclass(frozen=True)
-class JobWarp:
-    """Compiled per-job perturbations, applied inside the lifecycle.
-
-    Called as ``warp(now, duration)`` when a compute phase begins at
-    simulation time ``now`` with unperturbed duration ``duration``;
-    returns the perturbed duration (clamped at zero). Stragglers apply
-    multiplicatively and clock skews additively when the phase *begins*
-    inside their window; latency spikes add their extra seconds when the
-    subsequent communication phase (at ``now + duration``) would begin
-    inside theirs.
-    """
-
-    stragglers: Tuple[Tuple[float, float, float], ...] = ()
-    skews: Tuple[Tuple[float, float, float], ...] = ()
-    spikes: Tuple[Tuple[float, float, float], ...] = ()
-
-    def __call__(self, now: float, duration: float) -> float:
-        warped = duration
-        for start, end, factor in self.stragglers:
-            if start <= now < end:
-                warped *= factor
-        for start, end, offset in self.skews:
-            if start <= now < end:
-                warped += offset
-        if warped < 0.0:
-            warped = 0.0
-        for start, end, extra in self.spikes:
-            if start <= now + warped < end:
-                warped += extra
-        return warped
-
-
-def build_warp(
-    schedule: Optional[InjectionSchedule],
-    job: str,
-    links: Iterable[str] = (),
-) -> Optional[JobWarp]:
-    """Compile the schedule's perturbations of one job into a warp.
-
-    ``links`` names the links the job's traffic traverses; latency
-    spikes on those links delay the job's communication phases. Returns
-    ``None`` when nothing in the schedule touches the job, so callers
-    can skip installing a warp (and keep the unfaulted path untouched).
-    """
-    if schedule is None:
-        return None
-    link_set = set(links)
-    stragglers = []
-    skews = []
-    for event in schedule.job_events(job):
-        if isinstance(event, Straggler):
-            stragglers.append((event.start, event.end, event.factor))
-        else:
-            skews.append((event.start, event.end, event.offset))
-    spikes = [
-        (event.start, event.end, event.extra)
-        for event in schedule.latency_events()
-        if event.link in link_set
-    ]
-    if not (stragglers or skews or spikes):
-        return None
-    return JobWarp(
-        stragglers=tuple(stragglers),
-        skews=tuple(skews),
-        spikes=tuple(spikes),
-    )
-
-
 def emit_fault_events(telemetry, schedule: Optional[InjectionSchedule]) -> None:
     """Record every scheduled fault window into the telemetry trace."""
     if schedule is None or not telemetry.enabled:
@@ -260,13 +176,10 @@ def emit_fault_events(telemetry, schedule: Optional[InjectionSchedule]) -> None:
     from ..telemetry.trace import KIND_FAULT
 
     for event in schedule.events:
-        target = getattr(event, "link", None)
-        if target is None:
-            target = event.job
         telemetry.event(
             KIND_FAULT,
             t=event.start,
             fault=event.kind,
-            target=target,
+            target=event.link,
             end=event.end,
         )

@@ -59,19 +59,24 @@ _REQUIRED = object()
 
 
 def _refusal(
-    data: Dict[str, Any], key: str, expected: str, value: Any
+    data: Dict[str, Any], key: str, expected: str, value: Any,
+    name: Any = None,
 ) -> ConfigError:
-    """The error for field ``key`` of a document holding ``value``."""
+    """The error for field ``key`` of a document holding ``value``; the
+    message names the document ``name``, or by its ``job_id``."""
+    if name is None:
+        name = repr(data.get("job_id"))
     return ConfigError(
-        f"{data.get('job_id')!r}: field {key!r} must be {expected}, "
-        f"got {value!r}"
+        f"{name}: field {key!r} must be {expected}, got {value!r}"
     )
 
 
 def _finite_field(
-    data: Dict[str, Any], key: str, default: Any = _REQUIRED
+    data: Dict[str, Any], key: str, default: Any = _REQUIRED,
+    name: Any = None,
 ) -> Union[int, float]:
-    """Number field ``key`` of a document.
+    """Number field ``key`` of a document (named as in
+    :func:`_refusal`).
 
     Raises:
         KeyError: when the field is missing and has no ``default``.
@@ -84,18 +89,19 @@ def _finite_field(
         and not isinstance(value, bool)
         and math.isfinite(value)
     ):
-        raise _refusal(data, key, "a finite number", value)
+        raise _refusal(data, key, "a finite number", value, name)
     return value
 
 
 def _text_field(
-    data: Dict[str, Any], key: str, default: Any = _REQUIRED
+    data: Dict[str, Any], key: str, default: Any = _REQUIRED,
+    name: Any = None,
 ) -> str:
     """String field ``key`` of a document: as :func:`_finite_field`,
     refusing a value that is not a string."""
     value = data[key] if default is _REQUIRED else data.get(key, default)
     if not isinstance(value, str):
-        raise _refusal(data, key, "a string", value)
+        raise _refusal(data, key, "a string", value, name)
     return value
 
 
@@ -229,8 +235,8 @@ _TRACE_HEADER = json.dumps(
 )
 
 
-#: Lines per ``write`` in :func:`write_trace_lines`: a write holds one
-#: piece's text and its encoding, not the whole document's.
+#: Lines per ``write`` in :func:`write_lines`: a write holds one piece's
+#: text and its encoding, not the whole document's.
 TRACE_WRITE_LINES = 4096
 
 
@@ -240,16 +246,49 @@ def trace_lines_to_jsonl(lines: Sequence[str]) -> str:
     return "\n".join([_TRACE_HEADER, *lines]) + "\n"
 
 
+def write_lines(handle: Any, lines: Sequence[str]) -> None:
+    """Write ``lines`` to the text ``handle``, each newline-ended,
+    :data:`TRACE_WRITE_LINES` lines per ``write``.
+
+    Raises:
+        ConfigError: at the first piece holding a line that is not a
+            string or that holds a newline (it would read back as two
+            lines); the pieces before it are written.
+    """
+    for start in range(0, len(lines), TRACE_WRITE_LINES):
+        piece = lines[start:start + TRACE_WRITE_LINES]
+        try:
+            text = "\n".join(piece)
+            whole = text.count("\n") == len(piece) - 1
+        except TypeError:
+            whole = False
+        if not whole:
+            raise ConfigError(
+                f"lines {start}-{start + len(piece) - 1}: a line is not "
+                "a string or holds a newline"
+            )
+        handle.write(text)
+        handle.write("\n")
+
+
 def write_trace_lines(
     lines: Sequence[str], path: Union[str, Path]
 ) -> None:
-    """Write :func:`trace_lines_to_jsonl`'s bytes to ``path``,
-    :data:`TRACE_WRITE_LINES` lines per ``write``."""
-    with Path(path).open("w") as handle:
-        handle.write(_TRACE_HEADER + "\n")
-        for start in range(0, len(lines), TRACE_WRITE_LINES):
-            piece = lines[start:start + TRACE_WRITE_LINES]
-            handle.write("\n".join(piece) + "\n")
+    """Write :func:`trace_lines_to_jsonl`'s bytes to ``path`` through
+    :func:`write_lines`.
+
+    Raises:
+        ConfigError: when :func:`write_lines` refuses a line; no file
+            is left at ``path``.
+    """
+    path = Path(path)
+    try:
+        with path.open("w") as handle:
+            handle.write(_TRACE_HEADER + "\n")
+            write_lines(handle, lines)
+    except ConfigError:
+        path.unlink()
+        raise
 
 
 def trace_to_jsonl(records: Sequence[TraceRecord]) -> str:
@@ -458,16 +497,35 @@ def fault_event_to_dict(event: Any) -> Dict[str, Any]:
 
 
 def fault_event_from_dict(data: Dict[str, Any]) -> Any:
-    """Deserialize one kind-tagged fault event."""
+    """Deserialize one kind-tagged fault event.
+
+    Raises:
+        ConfigError: naming the event and the field, on a document that
+            is not an object, an unknown ``kind``, a missing field, a
+            ``link`` that is not a string, or a bound or factor that is
+            not a finite number (a boolean included).
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"a fault event must be an object, got {data!r}")
     kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in EVENT_KINDS:
+        raise ConfigError(
+            f"unknown fault event kind {kind!r}; known: "
+            f"{sorted(EVENT_KINDS)}"
+        )
+    cls = EVENT_KINDS[kind]
+    name = f"fault event {kind!r}"
     try:
-        cls = EVENT_KINDS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown fault event kind {kind!r}") from None
-    fields = {
-        field.name: data[field.name] for field in dataclasses.fields(cls)
-    }
-    return cls(**fields)
+        return cls(**{
+            field.name: (
+                _text_field(data, field.name, name=name)
+                if field.name == "link"
+                else _finite_field(data, field.name, name=name)
+            )
+            for field in dataclasses.fields(cls)
+        })
+    except KeyError as exc:
+        raise ConfigError(f"{name}: missing field {exc}") from None
 
 
 def injection_schedule_to_dict(
@@ -486,23 +544,31 @@ def injection_schedule_to_dict(
 def injection_schedule_from_dict(
     data: Dict[str, Any],
 ) -> InjectionSchedule:
-    """Deserialize a fault injection schedule (re-validates it)."""
+    """Deserialize a fault injection schedule (re-validates it).
+
+    Raises:
+        ConfigError: naming the field, on a document that is not an
+            object, a missing or non-list ``events``, a malformed event
+            (:func:`fault_event_from_dict`), a ``horizon`` that is
+            neither ``null`` nor a finite number, an unknown format
+            version, or a schedule :class:`InjectionSchedule` refuses.
+    """
+    name = "injection schedule"
+    if not isinstance(data, dict):
+        raise ConfigError(f"an {name} must be an object, got {data!r}")
     _check_version(data)
-    try:
-        return InjectionSchedule(
-            events=tuple(
-                fault_event_from_dict(entry)
-                for entry in data["events"]
-            ),
-            horizon=(
-                None if data.get("horizon") is None
-                else float(data["horizon"])
-            ),
-        )
-    except KeyError as exc:
-        raise ConfigError(
-            f"missing field in injection schedule: {exc}"
-        ) from exc
+    if "events" not in data:
+        raise ConfigError(f"missing field in {name}: 'events'")
+    events = data["events"]
+    if not isinstance(events, list):
+        raise _refusal(data, "events", "a list", events, name)
+    return InjectionSchedule(
+        events=tuple(fault_event_from_dict(entry) for entry in events),
+        horizon=(
+            None if data.get("horizon") is None
+            else float(_finite_field(data, "horizon", name=name))
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

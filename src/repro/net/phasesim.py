@@ -31,12 +31,7 @@ import numpy as np
 from ..core.lifecycle import Gate, JobLifecycle, JobState
 from ..core.timeline import IterationSample, JobTimeline
 from ..errors import ConfigError, SimulationError, WorkloadError
-from ..faults.events import (
-    CAPACITY_EVENT_TYPES,
-    InjectionSchedule,
-    RateChange,
-)
-from ..faults.runtime import build_warp
+from ..faults.events import InjectionSchedule, RateChange
 from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams
 from ..sim.trace import StepFunction
@@ -290,17 +285,16 @@ class PhaseLevelSimulator:
     ) -> None:
         """Arm an injection schedule on the simulator clock.
 
-        Call after every :meth:`add_job`, before :meth:`run`. Capacity
-        events (rate changes, failures, PFC storms — the latter degrade
-        to transient failures in this tier, which has no PFC model)
-        become boundary callbacks that mutate the named link's capacity
-        and trigger a reallocation; :meth:`run` puts every faulted
-        link's base capacity back when it returns, even when ``until``
-        ends the run inside a fault window. Job events and latency
-        spikes become lifecycle warps. Link names must exist in the
-        topology (:class:`~repro.errors.TopologyError` otherwise, before
-        any event is armed); job events naming unknown jobs are ignored
-        (a schedule may span more jobs than one placement runs).
+        Call after every :meth:`add_job`, before :meth:`run`. Each
+        event becomes two boundary callbacks that set the named link's
+        capacity and trigger a reallocation: a rate change scales it,
+        and a failure or a PFC storm zeroes it (this tier has no PFC
+        model, so a storm degrades to a transient failure). :meth:`run`
+        puts every faulted link's base capacity back when it returns,
+        even when ``until`` ends the run inside a fault window. Link
+        names must exist in the topology
+        (:class:`~repro.errors.TopologyError` otherwise, before any
+        event is armed).
         """
         if schedule is None or schedule.is_empty:
             return
@@ -309,8 +303,6 @@ class PhaseLevelSimulator:
             for name in schedule.link_names()
         }
         for event in schedule.events:
-            if not isinstance(event, CAPACITY_EVENT_TYPES):
-                continue
             link = links[event.link]
             base = self._base_capacities.setdefault(link, link.capacity)
             faulted = (
@@ -329,11 +321,6 @@ class PhaseLevelSimulator:
                 event.end, self._apply_link_fault,
                 link, base, event.kind, "end", priority=-1,
             )
-        for run in self._jobs:
-            link_names = sorted({link.name for link in run.flow.links})
-            warp = build_warp(schedule, run.job_id, link_names)
-            if warp is not None:
-                run.lifecycle.warp = warp
 
     def _apply_link_fault(
         self, link, capacity: float, kind: str, edge: str

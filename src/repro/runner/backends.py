@@ -25,7 +25,7 @@ from __future__ import annotations
 import importlib
 from typing import Any, Dict, FrozenSet, List, Protocol
 
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..net.phasesim import PhaseLevelSimulator, SimulationResult
 from ..net.routing import Router
 from ..net.topology import BOTTLENECK, Topology
@@ -42,6 +42,13 @@ FLUID_OPTIONS = frozenset({"dt", "sample_interval", "pfc_pause_threshold"})
 #: The spec options the cluster backend reads.
 CLUSTER_OPTIONS = frozenset({
     "placements", "gpus_per_host", "warmup_iterations",
+})
+
+#: The spec options the service backend reads.
+SERVICE_OPTIONS = frozenset({
+    "n_arrivals", "mean_interarrival_s", "mean_lifetime_s",
+    "lifetime_model", "placement", "n_racks", "hosts_per_rack",
+    "gpus_per_host", "queue_limit",
 })
 
 
@@ -373,24 +380,113 @@ class ClusterBackend:
 class ServiceBackend:
     """Adapter for the online cluster service.
 
-    The spec describes an arrival process (Poisson knobs or explicit
-    trace rows riding ``options``), a placement policy by name and a
-    topology recipe; :func:`repro.scheduler.service.run_service_spec`
-    builds the cluster, streams the arrivals through a
+    The spec describes a Poisson arrival process, a placement policy by
+    name and a topology recipe, all in ``options`` (plain data, so specs
+    hash and cache), exactly :data:`SERVICE_OPTIONS`:
+
+    * ``n_arrivals`` / ``mean_interarrival_s`` / ``mean_lifetime_s`` /
+      ``lifetime_model`` — the Poisson arrival process
+      (:func:`repro.workloads.traces.poisson_arrivals`).
+    * ``placement`` — ``"random"`` / ``"consolidated"`` /
+      ``"compatibility-aware"``.
+    * ``n_racks`` / ``hosts_per_rack`` — the leaf-spine fabric built
+      when ``spec.topology`` is None; any other fabric (a fat tree, say)
+      comes in as ``spec.topology``.
+    * ``gpus_per_host`` — GPUs per host in the built cluster.
+    * ``queue_limit`` — admission queue bound.
+
+    :meth:`execute` builds the cluster, streams the arrivals through a
     :class:`~repro.scheduler.service.ClusterService` and returns plain
-    counts/rates/records. Wall-clock placement latency goes only to the
-    span log (``service.place`` spans, which :func:`~repro.runner.
-    run_many` grafts under ``runner.worker/<label>/``), never into the
-    cacheable result data or the cached telemetry.
+    counts/rates/records. The compatibility-aware policy scores
+    candidates with the service's incremental engine, which is
+    cluster-level by construction. Wall-clock placement latency goes
+    only to the span log (``service.place`` spans, which
+    :func:`~repro.runner.run_many` grafts under
+    ``runner.worker/<label>/``), never into the cacheable result data
+    or the cached telemetry.
     """
 
     name = "service"
 
     def execute(self, spec: RunSpec) -> RunResult:
-        from ..scheduler.service import SERVICE_OPTIONS, run_service_spec
+        from ..core.compatibility import CompatibilityChecker
+        from ..scheduler.cluster import ClusterState
+        from ..scheduler.placement import (
+            CompatibilityAwarePlacement,
+            ConsolidatedPlacement,
+            PlacementPolicy,
+            RandomPlacement,
+        )
+        from ..scheduler.service import ClusterService
+        from ..workloads.traces import poisson_arrivals
 
-        _read_options(spec, SERVICE_OPTIONS)
-        return run_service_spec(spec)
+        options = _read_options(spec, SERVICE_OPTIONS)
+        capacity = spec.capacity or gbps(42)
+        topology = spec.topology
+        if topology is None:
+            topology = Topology.leaf_spine(
+                n_racks=int(options.get("n_racks", 8)),
+                hosts_per_rack=int(options.get("hosts_per_rack", 2)),
+                host_capacity=capacity,
+            )
+        cluster = ClusterState(
+            topology, gpus_per_host=int(options.get("gpus_per_host", 4))
+        )
+        checker = CompatibilityChecker(capacity=capacity)
+        placement = str(options.get("placement", "consolidated"))
+        policy: PlacementPolicy
+        if placement == "random":
+            policy = RandomPlacement(seed=spec.seed)
+        elif placement == "consolidated":
+            policy = ConsolidatedPlacement()
+        elif placement == "compatibility-aware":
+            policy = CompatibilityAwarePlacement(checker=checker)
+        else:
+            raise SimulationError(f"unknown placement policy {placement!r}")
+
+        arrivals = poisson_arrivals(
+            count=int(options.get("n_arrivals", 50)),
+            seed=spec.seed,
+            mean_interarrival_s=float(
+                options.get("mean_interarrival_s", 60.0)
+            ),
+            mean_lifetime_s=float(options.get("mean_lifetime_s", 600.0)),
+            lifetime_model=str(options.get("lifetime_model", "exponential")),
+            capacity=capacity,
+        )
+
+        service = ClusterService(
+            cluster,
+            policy,
+            checker=checker,
+            queue_limit=int(options.get("queue_limit", 16)),
+            seed=spec.seed,
+        )
+        service.submit_all(arrivals)
+        stats = service.run(until=spec.until)
+        return RunResult(
+            spec_hash=safe_content_hash(spec),
+            backend=self.name,
+            label=spec.label,
+            data={
+                "submitted": stats.submitted,
+                "admitted": stats.admitted,
+                "rejected": stats.rejected,
+                "queued": stats.queued,
+                "retry_admissions": stats.retry_admissions,
+                "departures": stats.departures,
+                "compatible_admissions": stats.compatible_admissions,
+                "incompatible_admissions": stats.incompatible_admissions,
+                "peak_concurrent": stats.peak_concurrent,
+                "peak_queue_depth": stats.peak_queue_depth,
+                "horizon": stats.horizon,
+                "admission_rate": stats.admission_rate,
+                "compatibility_rate": stats.compatibility_rate,
+                "mean_slowdown_proxy": stats.mean_slowdown_proxy,
+                "engine": service.engine.stats(),
+                "records": [record.to_dict() for record in stats.records],
+            },
+        )
 
 
 register(PhaseBackend.name, PhaseBackend(), replace=True)

@@ -250,25 +250,6 @@ def _mergeable(telemetry: Any, n_lines: int) -> bool:
     )
 
 
-def _write_lines(handle: Any, lines: List[str], per_write: int) -> bool:
-    """Write ``lines`` to ``handle``, each newline-ended, ``per_write``
-    lines per ``write``, so a write holds one piece's text and never
-    the whole trace's. False, with the lines before the piece written,
-    at a piece holding a line that is not a string or holds a newline.
-    """
-    for start in range(0, len(lines), per_write):
-        piece = lines[start:start + per_write]
-        try:
-            text = "\n".join(piece)
-        except TypeError:
-            return False
-        if text.count("\n") != len(piece) - 1:
-            return False
-        handle.write(text)
-        handle.write("\n")
-    return True
-
-
 class ResultCache:
     """Content-addressed store of run results under one directory."""
 
@@ -328,9 +309,10 @@ class ResultCache:
         result: RunResult,
         telemetry: Dict[str, Any],
     ) -> bool:
-        """Store one executed run. Returns False when unserializable,
-        and when a trace line holds a newline (it would read back as
-        two lines)."""
+        """Store one executed run. Returns False, leaving no file, when
+        unserializable, and when :func:`repro.io.write_lines` refuses a
+        trace line (not a string, or holding a newline, which would
+        read back as two lines)."""
         from .. import io
 
         try:
@@ -357,11 +339,12 @@ class ResultCache:
         tmp = path.with_name(
             f"{path.name}.{os.getpid()}.{next(_staging)}.tmp"
         )
-        with tmp.open("w", encoding="utf-8", newline="\n") as handle:
-            handle.write(header)
-            handle.write("\n")
-            whole = _write_lines(handle, lines, io.TRACE_WRITE_LINES)
-        if not whole:
+        try:
+            with tmp.open("w", encoding="utf-8", newline="\n") as handle:
+                handle.write(header)
+                handle.write("\n")
+                io.write_lines(handle, lines)
+        except ConfigError:
             tmp.unlink()
             return False
         tmp.replace(path)

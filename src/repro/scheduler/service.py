@@ -432,112 +432,3 @@ class ClusterService:
                 concurrent=len(self._active),
             )
         )
-
-
-# ---------------------------------------------------------------------------
-# Runner integration (the ``service`` backend's worker-side entry point)
-# ---------------------------------------------------------------------------
-
-#: The spec options :func:`run_service_spec` reads; the ``service``
-#: backend refuses any other.
-SERVICE_OPTIONS = frozenset({
-    "n_arrivals", "mean_interarrival_s", "mean_lifetime_s",
-    "lifetime_model", "placement", "n_racks", "hosts_per_rack",
-    "gpus_per_host", "queue_limit",
-})
-
-
-def run_service_spec(spec) -> "Any":
-    """Execute one ``service`` :class:`repro.runner.spec.RunSpec`.
-
-    Options (all plain data, so specs hash and cache), exactly
-    :data:`SERVICE_OPTIONS`:
-
-    * ``n_arrivals`` / ``mean_interarrival_s`` / ``mean_lifetime_s`` /
-      ``lifetime_model`` — the Poisson arrival process
-      (:func:`repro.workloads.traces.poisson_arrivals`).
-    * ``placement`` — ``"random"`` / ``"consolidated"`` /
-      ``"compatibility-aware"``.
-    * ``n_racks`` / ``hosts_per_rack`` — the leaf-spine fabric built
-      when ``spec.topology`` is None; any other fabric (a fat tree, say)
-      comes in as ``spec.topology``.
-    * ``gpus_per_host`` — GPUs per host in the built cluster.
-    * ``queue_limit`` — admission queue bound.
-
-    The compatibility-aware policy scores candidates with the service's
-    incremental engine, which is cluster-level by construction.
-    """
-    from ..net.topology import Topology
-    from ..runner.spec import (  # simlint: disable=ARCH001 - lazy import; the online service reuses RunResult for its report format by design
-        RunResult,
-        safe_content_hash,
-    )
-    from ..units import gbps
-    from ..workloads.traces import poisson_arrivals
-    from .placement import ConsolidatedPlacement, RandomPlacement
-
-    options = spec.options_dict()
-    capacity = spec.capacity or gbps(42)
-    topology = spec.topology
-    if topology is None:
-        topology = Topology.leaf_spine(
-            n_racks=int(options.get("n_racks", 8)),
-            hosts_per_rack=int(options.get("hosts_per_rack", 2)),
-            host_capacity=capacity,
-        )
-    cluster = ClusterState(
-        topology, gpus_per_host=int(options.get("gpus_per_host", 4))
-    )
-    checker = CompatibilityChecker(capacity=capacity)
-    placement = str(options.get("placement", "consolidated"))
-    policy: PlacementPolicy
-    if placement == "random":
-        policy = RandomPlacement(seed=spec.seed)
-    elif placement == "consolidated":
-        policy = ConsolidatedPlacement()
-    elif placement == "compatibility-aware":
-        policy = CompatibilityAwarePlacement(checker=checker)
-    else:
-        raise SimulationError(f"unknown placement policy {placement!r}")
-
-    arrivals = poisson_arrivals(
-        count=int(options.get("n_arrivals", 50)),
-        seed=spec.seed,
-        mean_interarrival_s=float(options.get("mean_interarrival_s", 60.0)),
-        mean_lifetime_s=float(options.get("mean_lifetime_s", 600.0)),
-        lifetime_model=str(options.get("lifetime_model", "exponential")),
-        capacity=capacity,
-    )
-
-    service = ClusterService(
-        cluster,
-        policy,
-        checker=checker,
-        queue_limit=int(options.get("queue_limit", 16)),
-        seed=spec.seed,
-    )
-    service.submit_all(arrivals)
-    stats = service.run(until=spec.until)
-    return RunResult(
-        spec_hash=safe_content_hash(spec),
-        backend="service",
-        label=spec.label,
-        data={
-            "submitted": stats.submitted,
-            "admitted": stats.admitted,
-            "rejected": stats.rejected,
-            "queued": stats.queued,
-            "retry_admissions": stats.retry_admissions,
-            "departures": stats.departures,
-            "compatible_admissions": stats.compatible_admissions,
-            "incompatible_admissions": stats.incompatible_admissions,
-            "peak_concurrent": stats.peak_concurrent,
-            "peak_queue_depth": stats.peak_queue_depth,
-            "horizon": stats.horizon,
-            "admission_rate": stats.admission_rate,
-            "compatibility_rate": stats.compatibility_rate,
-            "mean_slowdown_proxy": stats.mean_slowdown_proxy,
-            "engine": service.engine.stats(),
-            "records": [record.to_dict() for record in stats.records],
-        },
-    )

@@ -1,8 +1,10 @@
-"""What the README and docs/API.md show a reader holds for the code.
+"""What the README and the docs show a reader holds for the code.
 
 * The README's Quickstart block runs and prints what its comments say.
 * Every symbol docs/API.md marks ★ ("re-exported from the top-level
   ``repro`` package") resolves on ``repro``.
+* docs/FAULTS.md's event catalog lists exactly the event classes the
+  schedule codec knows.
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import re
 from pathlib import Path
 
 import repro
+from repro.faults import EVENT_KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,3 +47,12 @@ def test_every_starred_api_symbol_resolves_on_repro():
     assert len(names) > 40, names
     missing = [name for name in names if not hasattr(repro, name)]
     assert missing == [], "docs/API.md stars names repro does not export"
+
+
+def test_fault_catalog_names_exactly_the_codec_event_kinds():
+    text = (ROOT / "docs" / "FAULTS.md").read_text()
+    catalog = text.split("\n## Event catalog\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)\(", catalog, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(
+        cls.__name__ for cls in EVENT_KINDS.values()
+    )

@@ -27,11 +27,9 @@ from repro.cc.dcqcn import (
 from repro.errors import ConfigError, TopologyError
 from repro.faults import (
     InjectionSchedule,
-    LatencySpike,
     LinkFailure,
     PfcStorm,
     RateChange,
-    Straggler,
 )
 from repro.net.topology import BOTTLENECK, Topology
 from repro.units import gbps, kib, mbps
@@ -73,8 +71,6 @@ SCHEDULES = {
         RateChange("core_0_0_0", 0.004, 0.008, 0.5),
         PfcStorm("up_1_0_0_rev", 0.012, 0.015),
         LinkFailure("up_0_0_0", 0.02, 0.024),
-        Straggler("J2", 0.0, 0.05, 1.3),
-        LatencySpike("core_2_0_0", 0.02, 0.04, 0.0003),
     ), horizon=0.06),
 }
 
@@ -213,8 +209,8 @@ class TestDcqcnFabricEquivalence:
         assert result.link_queue_series["h0_0_0->edge0_0"].values.max() == 0
 
 
-#: Single-link schedules for the dumbbell ≡ 1-link-fabric check. Every
-#: window mode plus job warps; ``{link}`` is the bottleneck's name.
+#: Single-link schedules for the dumbbell ≡ 1-link-fabric check, one per
+#: window mode; ``{link}`` is the bottleneck's name.
 ONE_LINK_SCHEDULES = {
     "clean": lambda link: None,
     "rate-dip": lambda link: InjectionSchedule(events=(
@@ -226,10 +222,6 @@ ONE_LINK_SCHEDULES = {
     )),
     "pfc-storm": lambda link: InjectionSchedule(events=(
         PfcStorm(link, 0.0077, 0.0121),
-    )),
-    "straggler": lambda link: InjectionSchedule(events=(
-        Straggler("J1", 0.0, 0.02, 1.7),
-        LatencySpike(link, 0.008, 0.016, 0.0003),
     )),
 }
 

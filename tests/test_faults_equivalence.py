@@ -23,13 +23,10 @@ from repro.cc.dcqcn import (
     OnOffDcqcnJob,
 )
 from repro.faults import (
-    ClockSkew,
     InjectionSchedule,
-    LatencySpike,
     LinkFailure,
     PfcStorm,
     RateChange,
-    Straggler,
 )
 from repro.units import gbps, mbps
 
@@ -46,16 +43,10 @@ SCHEDULES = {
     "pfc-storm": InjectionSchedule(events=(
         PfcStorm("L1", 0.0077, 0.0121),
     )),
-    "job-warps": InjectionSchedule(events=(
-        Straggler("J1", 0.0, 0.02, 1.7),
-        ClockSkew("J2", 0.01, 0.03, 0.0004),
-        LatencySpike("L1", 0.02, 0.04, 0.0003),
-    )),
     "everything": InjectionSchedule(events=(
         RateChange("L1", 0.004, 0.008, 0.5),
         PfcStorm("L1", 0.012, 0.015),
         LinkFailure("L1", 0.02, 0.024),
-        Straggler("J2", 0.0, 0.05, 1.3),
     ), horizon=0.06),
 }
 
@@ -168,12 +159,10 @@ class TestAimdFaultEquivalence:
         "f8fd8307f84c023647bd5e214deec689",
         "pfc-storm": "b51412e34f3c930c85e40e520f2cf1e1"
         "f8fd8307f84c023647bd5e214deec689",
-        "job-warps": "ea9b837580750a8213a086b74f0ca711"
-        "17cb8a34581f0058ae1e83c1eb05fec6",
     }
 
     @pytest.mark.parametrize(
-        "name", ["rate-spike", "link-failure", "pfc-storm", "job-warps"]
+        "name", ["rate-spike", "link-failure", "pfc-storm"]
     )
     def test_bit_identical_under_faults(self, name, result_digest):
         result = _aimd(SCHEDULES[name]).run(4.0)

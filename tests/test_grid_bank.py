@@ -38,7 +38,6 @@ from repro.faults import (
     LinkFailure,
     PfcStorm,
     RateChange,
-    Straggler,
 )
 from repro.runner import (
     RunSpec,
@@ -76,7 +75,6 @@ SCHEDULES = (
     )),
     InjectionSchedule(events=(
         PfcStorm("L1", 0.0008, 0.0012),
-        Straggler("J1", 0.0, 0.003, 1.6),
     )),
 )
 

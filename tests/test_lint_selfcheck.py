@@ -23,6 +23,7 @@ from repro.cli import main as experiments_main
 from repro.lint import lint_paths
 from repro.lint.baseline import Baseline
 from repro.lint.cli import main as lint_main
+from repro.lint.suppress import is_suppressed, suppressions
 
 #: The installed package tree (works from any cwd, src layout or not).
 PACKAGE_DIR = Path(repro.__file__).resolve().parent
@@ -125,6 +126,20 @@ def test_semantic_pass_clean_on_package_tree():
     )
     rendered = "\n".join(f.render() for f in report.findings)
     assert report.ok, f"semantic findings on src/repro:\n{rendered}"
+
+
+def test_package_tree_waives_no_layer_rule():
+    """The layer DAG holds with no exception: no line of the package
+    suppresses ARCH001, by code or with a bare ``disable``."""
+    waived = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        table = suppressions(path.read_text(encoding="utf-8"))
+        waived += [
+            f"{path.relative_to(PACKAGE_DIR)}:{line}"
+            for line in sorted(table)
+            if is_suppressed(table, line, "ARCH001")
+        ]
+    assert waived == []
 
 
 def test_jobs_parity_on_package_tree(package_report):
