@@ -193,11 +193,17 @@ class JobLifecycle:
         """The gate's earliest permitted communication start.
 
         Returns ``now`` for ungated jobs. Raises when the gate answers
-        with a time in the past — gates may only delay.
+        with a NaN or infinite time, or a time in the past — gates may
+        only delay, and always release.
         """
         if self.gate is None:
             return now
         allowed = self.gate(self.job_id, now)
+        if not math.isfinite(allowed):
+            raise SimulationError(
+                f"gate for {self.job_id} returned {allowed!r}; a release "
+                f"time must be finite"
+            )
         if allowed < now - _GATE_SLACK:
             raise SimulationError(
                 f"gate for {self.job_id} returned a past time"

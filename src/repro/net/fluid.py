@@ -275,6 +275,12 @@ class FluidAllocator:
         # class, not to the nominal capacity.
         saturated = [cap * _REL_EPS for cap in remaining]
         weight_at = weights.__getitem__
+        # The cap checks walk only the flows that have a cap, in the
+        # order of ``active``; no phase-tier flow has one.
+        capped = (
+            [i for i in active if caps[i] is not None]
+            if caps.count(None) < len(caps) else []
+        )
         while True:
             active_weight = [
                 sum(map(weight_at, incident)) for incident in incident_of
@@ -287,11 +293,8 @@ class FluidAllocator:
                 delta = cap / weight
                 if best_delta is None or delta < best_delta:
                     best_delta = delta
-            for i in active:
-                cap = caps[i]
-                if cap is None:
-                    continue
-                delta = (cap - rates[i]) / weights[i]
+            for i in capped:
+                delta = (caps[i] - rates[i]) / weights[i]
                 if best_delta is None or delta < best_delta:
                     best_delta = delta
             if best_delta is None:
@@ -309,9 +312,9 @@ class FluidAllocator:
 
             # Freeze flows at their caps or on saturated links.
             newly_frozen: set[int] = set()
-            for i in active:
+            for i in capped:
                 cap = caps[i]
-                if cap is not None and rates[i] >= cap * (1 - _REL_EPS):
+                if rates[i] >= cap * (1 - _REL_EPS):
                     rates[i] = min(rates[i], cap)
                     newly_frozen.add(i)
             left_over = []
@@ -329,6 +332,8 @@ class FluidAllocator:
                 # did and everything freezes rather than spin.
                 return
             active = [i for i in active if i not in newly_frozen]
+            if capped:
+                capped = [i for i in capped if i not in newly_frozen]
             kept = []
             for cap, floor, incident in zip(left_over, saturated, incident_of):
                 incident = [i for i in incident if i not in newly_frozen]

@@ -204,9 +204,21 @@ class PhaseLevelSimulator:
         self._iteration_counter = self.telemetry.counter(
             "phasesim.iterations"
         )
+        # One bound emitter per hot record shape.
+        emitter = self.telemetry.emitter
+        self._emit_rate = emitter(KIND_RATE, "job", "flow", "rate")
+        self._emit_phase = emitter(KIND_PHASE, "job", "state")
+        self._emit_compute = emitter(KIND_PHASE, "job", "state", "iteration")
+        self._emit_comm = emitter(KIND_COMM, "job", "flow", "bytes")
+        self._emit_iteration = emitter(
+            KIND_ITERATION, "job", "index", "duration", "comm_duration"
+        )
         self._jobs: List[JobRun] = []
         self._active: List[JobRun] = []
         self._rates: Dict[JobRun, float] = {}
+        #: Whether a burst began or ended since link loads were last
+        #: written, so the active set (or its order) may have changed.
+        self._bursts_changed = False
         self._last_progress_update = 0.0
         #: One load slot per link name, in first-registered order: the
         #: link's load series and the last load written to it.
@@ -383,12 +395,11 @@ class PhaseLevelSimulator:
         lifecycle = run.lifecycle
         compute_time = lifecycle.begin_iteration(self._sim.now)
         if self.telemetry.enabled:
-            self.telemetry.event(
-                KIND_PHASE,
-                t=self._sim.now,
-                job=run.job_id,
-                state=JobState.COMPUTE.value,
-                iteration=len(lifecycle.timeline),
+            self._emit_compute(
+                self._sim.now,
+                run.job_id,
+                JobState.COMPUTE.value,
+                len(lifecycle.timeline),
             )
         self._sim.schedule(compute_time, self._finish_compute, run)
 
@@ -416,15 +427,11 @@ class PhaseLevelSimulator:
     def _begin_comm(self, run: JobRun) -> None:
         run.lifecycle.begin_comm(self._sim.now)
         if self.telemetry.enabled:
-            self.telemetry.event(
-                KIND_PHASE,
-                t=self._sim.now,
-                job=run.job_id,
-                state=JobState.COMM.value,
-            )
+            self._emit_phase(self._sim.now, run.job_id, JobState.COMM.value)
         run.flow.progress = 0.0
         self.policy.on_phase_start(run.flow)
         self._active.append(run)
+        self._bursts_changed = True
         self._reallocate()
 
     def _finish_comm(self, run: JobRun) -> None:
@@ -438,26 +445,22 @@ class PhaseLevelSimulator:
             return
         self.policy.on_phase_end(run.flow)
         self._active.remove(run)
+        self._bursts_changed = True
         self._rates.pop(run, None)
         run.rate_trace.set(now, 0.0)
         if self.telemetry.enabled:
-            self.telemetry.event(
-                KIND_COMM,
-                t=now,
-                job=run.job_id,
-                flow=run.flow.flow_id,
-                bytes=lifecycle.comm_budget,
+            self._emit_comm(
+                now, run.job_id, run.flow.flow_id, lifecycle.comm_budget
             )
         sample = lifecycle.close_iteration(now)
         if self.telemetry.enabled:
             self._iteration_counter.inc()
-            self.telemetry.event(
-                KIND_ITERATION,
-                t=now,
-                job=run.job_id,
-                index=sample.index,
-                duration=sample.duration,
-                comm_duration=sample.comm_duration,
+            self._emit_iteration(
+                now,
+                run.job_id,
+                sample.index,
+                sample.duration,
+                sample.comm_duration,
             )
         if lifecycle.state is not JobState.DONE:
             self._begin_iteration(run)
@@ -468,29 +471,56 @@ class PhaseLevelSimulator:
     # ------------------------------------------------------------------
 
     def _advance_progress(self, now: float) -> None:
-        """Credit bytes sent since the last rate change to each flow."""
+        """Credit bytes sent since the last rate change to each flow.
+
+        :meth:`_reallocate` runs the same loop inline.
+        """
         dt = now - self._last_progress_update
         if dt > 0:
             rates = self._rates
             for run in self._active:
                 # Inlined lifecycle.credit(): this runs once per active
-                # job per rate change — the simulator's hottest loop.
+                # job per rate change.
                 run.lifecycle.comm_sent += rates.get(run, 0.0) * dt
         self._last_progress_update = now
 
     def _reallocate(self) -> None:
+        """Re-solve the rates of the active jobs and reschedule their
+        completions and the adaptive tick.
+
+        Each active job's completion is cancelled and pushed again in
+        active order, then the tick, on every call, so each event's
+        ``(time, priority, seq)`` depends only on the rates. Two writes
+        that would change nothing are skipped. A job's ``rate_trace`` is
+        set only when its rate differs from the last one set
+        (``StepFunction.set`` ignores an equal value, and at the same
+        instant overwrites with an equal one; rates are never ``-0.0``).
+        Link loads are written only when a burst began or ended or a
+        rate moved: otherwise they are the same sums, in the same order,
+        as the last ones written.
+        """
         now = self._sim.now
-        self._advance_progress(now)
+        active = self._active
+        rates_of = self._rates
+        # Inlined _advance_progress(): credit the bytes each active job
+        # sent at its old rate (once per reallocation, the hottest loop).
+        dt = now - self._last_progress_update
+        if dt > 0:
+            for run in active:
+                run.lifecycle.comm_sent += rates_of.get(run, 0.0) * dt
+        self._last_progress_update = now
 
         policy = self.policy
+        weight_of = policy.weight_of
+        priority_of = policy.priority_of
         flows: List[Flow] = []
-        for run in self._active:
+        for run in active:
             lifecycle = run.lifecycle
             flow = run.flow
             flow.progress = min(
                 lifecycle.comm_sent / lifecycle.comm_budget, 1.0
             )
-            weight = policy.weight_of(flow)
+            weight = weight_of(flow)
             if not 0.0 < weight < math.inf:  # also refuses NaN
                 raise ConfigError(
                     f"policy {policy.name!r} gave job {run.job_id!r} "
@@ -498,7 +528,7 @@ class PhaseLevelSimulator:
                     f"and > 0"
                 )
             flow.weight = weight
-            flow.priority = policy.priority_of(flow)
+            flow.priority = priority_of(flow)
             flows.append(flow)
 
         # Rates come back in the order of ``flows``, which is
@@ -507,35 +537,53 @@ class PhaseLevelSimulator:
 
         # Update rates and reschedule each active job's completion.
         self._realloc_counter.inc()
-        for run, rate in zip(self._active, rates):
-            if self.telemetry.enabled and rate != self._rates.get(run):
-                self.telemetry.event(
-                    KIND_RATE,
-                    t=now,
-                    job=run.job_id,
-                    flow=run.flow.flow_id,
-                    rate=rate,
-                )
-            self._rates[run] = rate
-            run.rate_trace.set(now, rate)
+        sim = self._sim
+        finish_comm = self._finish_comm
+        tracing = self.telemetry.enabled
+        moved = self._bursts_changed
+        moving = False
+        for run, rate in zip(active, rates):
+            if rate != rates_of.get(run):
+                if tracing:
+                    self._emit_rate(now, run.job_id, run.flow.flow_id, rate)
+                rates_of[run] = rate
+                run.rate_trace.set(now, rate)
+                moved = True
+            if rate > 0:
+                moving = True
             if run._finish_event is not None:
-                self._sim.cancel(run._finish_event)
+                sim.cancel(run._finish_event)
                 run._finish_event = None
             lifecycle = run.lifecycle
             remaining = lifecycle.comm_budget - lifecycle.comm_sent
             if remaining <= _BYTES_EPSILON:
-                run._finish_event = self._sim.schedule(
-                    0.0, self._finish_comm, run
-                )
+                run._finish_event = sim.schedule(0.0, finish_comm, run)
             elif rate > 0:
-                run._finish_event = self._sim.schedule(
-                    remaining / rate, self._finish_comm, run
+                run._finish_event = sim.schedule(
+                    remaining / rate, finish_comm, run
                 )
             # rate == 0 (starved by a higher priority class): no event; the
             # next state change will reallocate and reschedule.
 
-        self._record_link_loads(now)
-        self._manage_tick()
+        if moved:
+            self._bursts_changed = False
+            self._record_link_loads(now)
+
+        # Keep a periodic reallocation tick alive for adaptive policies,
+        # only while some active job is actually moving: with every rate
+        # at zero (e.g. a failed link) progress cannot change, so a tick
+        # would reschedule itself forever and an unbounded run would
+        # never drain its event queue. Whatever external event revives a
+        # flow (fault boundary, phase change) reallocates and re-arms.
+        interval = policy.reallocation_interval
+        if interval is not None:
+            if self._tick_event is not None:
+                sim.cancel(self._tick_event)
+                self._tick_event = None
+            if moving:
+                self._tick_event = sim.schedule(
+                    interval, self._tick, priority=1
+                )
 
     def _record_link_loads(self, now: float) -> None:
         """Write each link's total load where it changed.
@@ -555,26 +603,6 @@ class PhaseLevelSimulator:
             if load != written[slot]:
                 written[slot] = load
                 self._load_series[slot].set(now, load)
-
-    def _manage_tick(self) -> None:
-        """Keep a periodic reallocation tick alive for adaptive policies."""
-        interval = self.policy.reallocation_interval
-        if interval is None:
-            return
-        if self._tick_event is not None:
-            self._sim.cancel(self._tick_event)
-            self._tick_event = None
-        # Only re-arm while some active job is actually moving: with
-        # every rate at zero (e.g. a failed link) progress cannot change,
-        # so a tick would reschedule itself forever and an unbounded run
-        # would never drain its event queue. Whatever external event revives a
-        # flow (fault boundary, phase change) reallocates and re-arms.
-        if self._active and any(
-            self._rates.get(run, 0.0) > 0.0 for run in self._active
-        ):
-            self._tick_event = self._sim.schedule(
-                interval, self._tick, priority=1
-            )
 
     def _tick(self) -> None:
         self._tick_event = None

@@ -9,6 +9,8 @@ machines — which the fluid models in this library need anyway.
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
@@ -75,11 +77,16 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
 
         Raises:
-            SimulationError: if ``delay`` is negative beyond tolerance.
+            SimulationError: if ``delay`` is negative beyond tolerance,
+                or NaN or infinite.
         """
-        if delay < -TIME_EPSILON:
-            raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        return self._queue.push(self._now + max(delay, 0.0), fn, args, priority)
+        if delay < 0.0:
+            if delay < -TIME_EPSILON:
+                raise SimulationError(
+                    f"cannot schedule in the past: delay={delay}"
+                )
+            delay = 0.0
+        return self._queue.push(self._now + delay, fn, args, priority)
 
     def schedule_at(
         self,
@@ -91,7 +98,8 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute ``time``.
 
         Raises:
-            SimulationError: if ``time`` precedes the current clock.
+            SimulationError: if ``time`` precedes the current clock, or
+                is NaN or infinite.
         """
         if time < self._now - TIME_EPSILON:
             raise SimulationError(
@@ -107,26 +115,6 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the single earliest event.
-
-        Returns:
-            ``True`` if an event ran, ``False`` if the queue was empty.
-        """
-        if not self._queue:
-            return False
-        event = self._queue.pop()
-        if event.time < self._now - TIME_EPSILON:
-            raise SimulationError(
-                f"event time {event.time} precedes clock {self._now}"
-            )
-        self._now = max(self._now, event.time)
-        self._events_executed += 1
-        if self.telemetry.enabled:
-            self._event_counter.inc()
-        event.fn(*event.args)
-        return True
-
     def run(
         self,
         until: Optional[float] = None,
@@ -139,24 +127,52 @@ class Simulator:
         on return even if the last event fired earlier, so utilization
         probes cover the full horizon.
 
+        The loop pops the queue's heap itself, one entry per event and
+        no call besides the event's own: it skips cancelled entries
+        (they count toward neither ``max_events`` nor ``sim.events``),
+        stops before an entry past ``until`` and after the event that
+        calls :meth:`stop`.
+
         Returns:
             The simulation time at which the run stopped.
+
+        Raises:
+            SimulationError: when re-entered from an event, or when an
+                event's time precedes the clock.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         self._stopped = False
+        queue = self._queue
+        heap = queue._heap
+        pop = heapq.heappop
+        horizon = math.inf if until is None else until + TIME_EPSILON
+        budget = math.inf if max_events is None else max_events
+        counter = self._event_counter if self.telemetry.enabled else None
         executed = 0
         try:
-            while self._queue and not self._stopped:
-                next_time = self._queue.peek_time()
-                if until is not None and next_time is not None and (
-                    next_time > until + TIME_EPSILON
-                ):
+            while heap and not self._stopped:
+                time, _, _, event = heap[0]
+                if event.cancelled:
+                    pop(heap)
+                    continue
+                if time > horizon or executed >= budget:
                     break
-                if max_events is not None and executed >= max_events:
-                    break
-                self.step()
+                pop(heap)
+                queue._live -= 1
+                event.executed = True
+                now = self._now
+                if time < now - TIME_EPSILON:
+                    raise SimulationError(
+                        f"event time {time} precedes clock {now}"
+                    )
+                if time > now:  # max(now, time), which keeps now on a tie
+                    self._now = time
+                self._events_executed += 1
+                if counter is not None:
+                    counter.inc()
+                event.fn(*event.args)
                 executed += 1
         finally:
             self._running = False

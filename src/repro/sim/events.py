@@ -7,12 +7,17 @@ reproducible regardless of heap internals. The heap holds
 C; ``seq`` is unique, so a comparison never reaches the event itself.
 Cancellation is lazy: a cancelled event stays in the heap and is skipped
 when popped, which keeps both ``cancel`` and ``push`` O(log n) amortized.
+A NaN time compares false both ways and would silently break the heap's
+order, so :meth:`EventQueue.push` refuses non-finite times.
+:meth:`repro.sim.engine.Simulator.run` pops the heap directly, with the
+same skip rule as :meth:`EventQueue.pop`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
@@ -79,7 +84,16 @@ class EventQueue:
         args: tuple = (),
         priority: int = 0,
     ) -> Event:
-        """Schedule ``fn(*args)`` at absolute ``time`` and return the event."""
+        """Schedule ``fn(*args)`` at absolute ``time`` and return the event.
+
+        Every event enters the heap here, so this is where a time that
+        would break the heap's order is refused.
+
+        Raises:
+            SimulationError: if ``time`` is NaN or infinite.
+        """
+        if not math.isfinite(time):
+            raise SimulationError(f"event time must be finite, got {time!r}")
         seq = next(self._counter)
         event = Event(time, priority, seq, fn, args)
         heapq.heappush(self._heap, (time, priority, seq, event))

@@ -99,19 +99,24 @@ class StepFunction:
         Setting a new value at an existing last breakpoint overwrites it,
         which lets callers update several quantities at one instant.
         """
-        if self._times and time < self._times[-1]:
-            raise SimulationError(
-                f"step function {self.name!r} set out of order: "
-                f"{time} after {self._times[-1]}"
-            )
-        if self._times and time == self._times[-1]:
-            self._values[-1] = float(value)
-            return
+        times = self._times
+        if times:
+            last = times[-1]
+            if time < last:
+                raise SimulationError(
+                    f"step function {self.name!r} set out of order: "
+                    f"{time} after {last}"
+                )
+            if time == last:
+                self._values[-1] = float(value)
+                return
+            current = self._values[-1]
+        else:
+            current = self._initial
         # Skip no-op transitions to keep the representation minimal.
-        current = self._values[-1] if self._values else self._initial
         if value == current:
             return
-        self._times.append(float(time))
+        times.append(float(time))
         self._values.append(float(value))
 
     def value_at(self, time: float) -> float:

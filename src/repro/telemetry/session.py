@@ -5,7 +5,9 @@ counter registry, simulation-event trace, wall-clock span log — behind
 one handle that instrumented code can treat uniformly:
 
 * ``tel.counter("sim.events").inc()`` — counters
-* ``tel.event("job.phase", t=now, job="J1", state="comm")`` — trace
+* ``tel.event("job.phase", t=now, job="J1", state="comm")`` — trace;
+  a hot path binds ``tel.emitter("job.phase", "job", "state")`` once
+  and calls it with ``(now, "J1", "comm")``
 * ``with tel.span("solve_rotations"):`` — profiling
 
 Disabled telemetry is the :data:`NULL` singleton: ``enabled`` is False,
@@ -29,7 +31,7 @@ instrumentation without signature churn.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .metrics import Counter, NullCounter, Registry
 from .spans import NULL_SPAN, SpanLog
@@ -59,6 +61,13 @@ class Telemetry:
     def event(self, kind: str, t: float, **fields: Any) -> None:
         """Record one simulation event (simulation time, no wall clock)."""
         self.trace.emit(kind, t, **fields)
+
+    def emitter(self, kind: str, *names: str) -> Callable[..., None]:
+        """A bound emitter for one record shape: calling it with
+        ``(t, *values)`` records what ``event(kind, t, **fields)`` would,
+        ``fields`` being ``names`` with ``values``
+        (:meth:`TraceRecorder.emitter`)."""
+        return self.trace.emitter(kind, *names)
 
     # -- spans ---------------------------------------------------------
 
@@ -134,8 +143,15 @@ class NullTelemetry(Telemetry):
     def event(self, kind: str, t: float, **fields: Any) -> None:
         pass
 
+    def emitter(self, kind: str, *names: str) -> Callable[..., None]:
+        return _discard
+
     def span(self, name: str):
         return NULL_SPAN
+
+
+def _discard(t: float, *values: Any) -> None:
+    """The disabled session's emitter: records nothing."""
 
 
 #: The shared disabled session. ``Simulator(telemetry=None)`` resolves to

@@ -25,8 +25,11 @@ in the result's ``rate_series``. ``rate.change`` stays, for two reasons:
 A record's one stored form is its JSONL line (:func:`encode_record`):
 :meth:`TraceRecorder.emit` encodes each record once, and the worker
 state, the result cache and the run's ``trace.jsonl`` carry that line
-as it is. :class:`TraceRecord` is the decoded view, built only when
-something asks for records (:attr:`TraceRecorder.records`, iteration,
+as it is. A hot path binds :meth:`TraceRecorder.emitter` once per
+record shape and passes the values alone; the emitter fills the same
+template :func:`encode_record` does, so both write the same bytes.
+:class:`TraceRecord` is the decoded view, built only when something
+asks for records (:attr:`TraceRecorder.records`, iteration,
 :meth:`TraceRecorder.of_kind`, :func:`repro.io.load_trace`); its fields
 then hold JSON types (a tuple comes back as a list).
 """
@@ -35,8 +38,10 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Tuple,
 )
 
 from ..errors import ConfigError
@@ -119,8 +124,8 @@ def _float_text(value: float) -> str:
 
 
 #: Field values of these exact types are encoded inline, to the text
-#: :data:`_ENCODER` gives them; any other value (subclasses included)
-#: goes through :data:`_ENCODER`.
+#: :data:`_ENCODER` gives them; a record holding any other value
+#: (subclasses included) goes through :data:`_ENCODER` whole.
 _INLINE: Dict[type, Callable[[Any], str]] = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -131,10 +136,11 @@ _INLINE: Dict[type, Callable[[Any], str]] = {
 
 
 def _template(
-    kind: str, fields: Mapping[str, Any]
+    kind: str, fields: Iterable[Any]
 ) -> Optional[Tuple[str, Tuple[str, ...]]]:
-    """The memoized template of a record shape, or ``None`` when the
-    memo is full or a field name is not exactly a ``str``."""
+    """The memoized template of a record shape (``fields`` iterates its
+    names), or ``None`` when the memo is full or a field name is not
+    exactly a ``str``."""
     names = tuple(fields)
     if len(_TEMPLATES) >= MAX_TEMPLATES or any(
         type(name) is not str for name in names
@@ -152,6 +158,24 @@ def _literal(text: str) -> str:
     return encode_basestring_ascii(text).replace("%", "%%")
 
 
+def _fill(text: str, values: Iterable[Any], t: float) -> str:
+    """A template's line for ``values`` (in its sorted field order) at
+    ``t``: the one fill :func:`encode_record` and every emitter share.
+
+    Raises:
+        KeyError: on a value whose type is not written inline.
+    """
+    return text % (
+        *[_INLINE[type(value)](value) for value in values],
+        _float_text(t),
+    )
+
+
+def _check_kind(kind: str) -> None:
+    if not isinstance(kind, str) or not kind:
+        raise ConfigError("trace record needs a non-empty string kind")
+
+
 def encode_record(kind: str, t: float, fields: Mapping[str, Any]) -> str:
     """The JSONL line of one record: ``{"fields":{...},"kind":...,"t":...}``.
 
@@ -159,28 +183,25 @@ def encode_record(kind: str, t: float, fields: Mapping[str, Any]) -> str:
     ``float()`` first, so identical records encode to identical bytes:
     the text ``_ENCODER.encode({"fields": fields, "kind": kind, "t": t})``
     gives. A record shape's text around its values is built once and
-    memoized (up to :data:`MAX_TEMPLATES` shapes); ``str``, ``int``,
-    ``bool``, ``None`` and ``float`` values are encoded inline.
+    memoized (up to :data:`MAX_TEMPLATES` shapes) and filled when every
+    value is a ``str``, ``int``, ``bool``, ``None`` or ``float``; a
+    record holding any other value goes through the encoder whole.
 
     Raises:
         ConfigError: on an empty kind, or on a field JSON cannot encode
             (the message names the kind and the field).
     """
-    if not isinstance(kind, str) or not kind:
-        raise ConfigError("trace record needs a non-empty string kind")
+    _check_kind(kind)
     t = float(t)
     try:
         template = _TEMPLATES.get((kind, *fields)) or _template(kind, fields)
-        if template is None:
-            return _encode({"fields": fields, "kind": kind, "t": t})
-        text, order = template
-        return text % (
-            *[
-                _INLINE.get(type(value), _encode)(value)
-                for value in map(fields.__getitem__, order)
-            ],
-            _float_text(t),
-        )
+        if template is not None:
+            text, order = template
+            try:
+                return _fill(text, map(fields.__getitem__, order), t)
+            except KeyError:  # a value not written inline
+                pass
+        return _encode({"fields": fields, "kind": kind, "t": t})
     except (TypeError, ValueError) as exc:
         culprit = next(
             (name for name in fields if not _encodes(fields[name])), None
@@ -231,6 +252,62 @@ class TraceRecorder:
         """
         self._lines.append(encode_record(kind, t, fields))
         self._kinds[kind] = self._kinds.get(kind, 0) + 1
+
+    def emitter(self, kind: str, *names: str) -> Callable[..., None]:
+        """A bound emitter for one record shape: ``kind`` with the fields
+        ``names``.
+
+        ``emitter(kind, *names)(t, *values)`` records what
+        ``emit(kind, t, **dict(zip(names, values)))`` records, byte for
+        byte, without building the fields. It fills the shape's
+        :func:`encode_record` template; a record holding a value the
+        template does not write inline, or one JSON cannot encode, takes
+        :func:`encode_record`'s path (and its ``ConfigError``).
+
+        Raises:
+            ConfigError: on an empty kind, or field names that are not
+                distinct strings, and from the emitter, on a value count
+                other than ``len(names)``.
+        """
+        _check_kind(kind)
+        if not all(isinstance(name, str) for name in names) or (
+            len(set(names)) != len(names)
+        ):
+            raise ConfigError(
+                f"trace record {kind!r}: field names must be distinct "
+                f"strings, got {names!r}"
+            )
+        lines, kinds = self._lines, self._kinds
+
+        def emit_through_encoder(t: float, *values: Any) -> None:
+            if len(values) != len(names):
+                raise ConfigError(
+                    f"trace record {kind!r}: {len(values)} values for "
+                    f"the fields {names!r}"
+                )
+            self.emit(kind, t, **dict(zip(names, values)))
+
+        template = _TEMPLATES.get((kind, *names)) or _template(kind, names)
+        if template is None:
+            return emit_through_encoder
+        text, order = template
+        # Values arrive in ``names`` order; the template takes them sorted.
+        pick = None if order == names else itemgetter(*map(names.index, order))
+
+        def emit(t: float, *values: Any) -> None:
+            if pick is not None and len(values) == len(names):
+                ordered = pick(values)
+            else:  # names already sorted, or a wrong count the fill refuses
+                ordered = values
+            try:
+                line = _fill(text, ordered, float(t))
+            except (KeyError, TypeError, ValueError):
+                emit_through_encoder(t, *values)
+                return
+            lines.append(line)
+            kinds[kind] = kinds.get(kind, 0) + 1
+
+        return emit
 
     def extend(self, lines: Sequence[str], kinds: Mapping[str, int]) -> None:
         """Append another recorder's :attr:`lines` and its

@@ -1,6 +1,7 @@
 """Phase-level simulator tests: solo runs, sharing, sliding, gates."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -237,6 +238,20 @@ class TestGates:
                 [_job("J")], FairSharing(), n_iterations=1,
                 gates={"J": lambda job, now: now - 1.0},
             )
+
+    @pytest.mark.parametrize("answer", [math.nan, math.inf])
+    def test_non_finite_gate_answer_rejected(self, answer):
+        """A NaN release compares false both ways, so unchecked it reads
+        as "release now" and both jobs run 3 iterations as if J1 had no
+        gate; an infinite one parks J1 past any horizon. The run is
+        bounded, so that an accepted answer ends it."""
+        sim = PhaseLevelSimulator(_dumbbell(2), FairSharing())
+        sim.add_job(_job("J1"), "ha0", "hb0", n_iterations=3,
+                    gate=lambda job, now: answer)
+        sim.add_job(_job("J2"), "ha1", "hb1", n_iterations=3)
+        with pytest.raises(SimulationError, match="J1") as excinfo:
+            sim.run(until=10.0)
+        assert "finite" in str(excinfo.value)
 
 
 class TestJitter:

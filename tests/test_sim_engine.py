@@ -1,9 +1,14 @@
-"""Simulator-loop tests: clock semantics, run bounds, stop/reset."""
+"""Simulator-loop tests: clock semantics, run bounds, stop/reset, and the
+dispatch contract of the loop that pops the heap itself."""
+
+import math
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
+from repro.sim.events import EventQueue
+from repro.telemetry import Telemetry
 
 
 class TestScheduling:
@@ -56,6 +61,27 @@ class TestScheduling:
         sim.run()
         assert seen == ["payload"]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_refused(self, bad):
+        """A NaN time compares false both ways, so in the heap it breaks
+        the order: after 2.0, NaN, 1.0 and 0.5 a run would raise "event
+        time 0.5 precedes clock 1.0". Every push refuses a non-finite
+        time, and the rest of the schedule runs in time order."""
+        sim = Simulator()
+        seen = []
+        sim.schedule(2.0, seen.append, 2.0)
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule(bad, seen.append, bad)
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule_at(bad, seen.append, bad)
+        with pytest.raises(SimulationError, match="finite"):
+            EventQueue().push(bad, seen.append, (bad,))
+        sim.schedule(1.0, seen.append, 1.0)
+        sim.schedule(0.5, seen.append, 0.5)
+        sim.run()
+        assert seen == [0.5, 1.0, 2.0]
+        assert sim.events_executed == 3
+
 
 class TestRunBounds:
     def test_until_advances_clock_even_without_events(self):
@@ -107,6 +133,69 @@ class TestRunBounds:
         sim.run()
         assert seen == []
         assert sim.pending_events == 0
+
+
+class TestDispatchContract:
+    """What :meth:`Simulator.run` promises for each heap entry it pops."""
+
+    def test_callback_cancels_a_later_pending_event(self):
+        sim = Simulator()
+        seen = []
+        later = sim.schedule(2.0, seen.append, "cancelled")
+        sim.schedule(1.0, lambda: (seen.append("first"), sim.cancel(later)))
+        sim.schedule(3.0, seen.append, "last")
+        assert sim.run() == 3.0
+        assert seen == ["first", "last"]
+        assert sim.events_executed == 2
+        assert sim.pending_events == 0
+
+    def test_schedule_at_the_current_instant(self):
+        """Events pushed for the current instant join the same-time
+        events by ``(priority, seq)``: one of a lower priority value
+        runs next, one of the same priority after those already queued,
+        and both before a higher priority value queued earlier."""
+        sim = Simulator()
+        seen = []
+
+        def spawn():
+            seen.append("spawn")
+            sim.schedule(0.0, seen.append, "now")
+            sim.schedule_at(sim.now, seen.append, "now, priority -1",
+                            priority=-1)
+
+        sim.schedule(1.0, spawn)
+        sim.schedule(1.0, seen.append, "queued, priority 0")
+        sim.schedule(1.0, seen.append, "queued, priority 1", priority=1)
+        sim.schedule(2.0, seen.append, "later")
+        sim.run()
+        assert seen == [
+            "spawn", "now, priority -1", "queued, priority 0", "now",
+            "queued, priority 1", "later",
+        ]
+        assert sim.now == 2.0
+
+    def test_counts_are_dispatched_events_only(self):
+        session = Telemetry()
+        sim = Simulator(telemetry=session)
+        events = [sim.schedule(float(t), lambda: None) for t in range(1, 7)]
+        for event in events[::2]:
+            sim.cancel(event)
+        sim.run()
+        assert sim.events_executed == 3
+        assert session.registry.snapshot()["counters"]["sim.events"] == 3.0
+
+    def test_max_events_skips_cancelled_entries_without_counting_them(self):
+        sim = Simulator()
+        seen = []
+        events = [sim.schedule(float(t), seen.append, t) for t in range(1, 7)]
+        sim.cancel(events[0])
+        sim.cancel(events[2])
+        sim.run(max_events=2)
+        assert seen == [2, 4]
+        assert sim.events_executed == 2
+        assert sim.pending_events == 2
+        sim.run(max_events=5)
+        assert seen == [2, 4, 5, 6]
 
 
 class TestReset:

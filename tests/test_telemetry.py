@@ -249,8 +249,13 @@ class TestEncodedTrace:
         ``JSONEncoder(sort_keys=True, separators=(",", ":"))`` over the
         whole record: text with quotes, escapes, ``%`` and non-ASCII,
         ints of any size, signed zeros and non-finite floats, bools,
-        ``None``, numpy floats, tuples and nested dicts."""
+        ``None``, numpy floats, tuples and nested dicts. A session's
+        emitter bound once per shape records the same lines and kind
+        counts as ``emit``."""
         monkeypatch.setattr(trace_module, "_TEMPLATES", {})
+        recorder = TraceRecorder()
+        session = Telemetry()
+        emitters = {}
         reference = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
         rng = np.random.default_rng(2024)
         texts = ["", "a", "J1", 'say "hi"', "back\\slash", "100%", "%s",
@@ -302,7 +307,15 @@ class TestEncodedTrace:
                 {"fields": fields, "kind": kind, "t": float(t)}
             )
             assert encode_record(kind, t, fields) == expected
+            recorder.emit(kind, t, **fields)
+            shape = (kind, *fields)
+            if shape not in emitters:
+                emitters[shape] = session.emitter(*shape)
+            emitters[shape](t, *fields.values())
+            assert session.trace.lines[-1] == expected
         assert 0 < len(trace_module._TEMPLATES) <= trace_module.MAX_TEMPLATES
+        assert session.trace.lines == recorder.lines
+        assert session.trace.counts_by_kind() == recorder.counts_by_kind()
 
     def test_shapes_past_the_memo_bound_still_encode(self, monkeypatch):
         """Once the memo holds ``MAX_TEMPLATES`` shapes, a new shape
@@ -328,7 +341,9 @@ class TestEncodedTrace:
     ], ids=["numpy-int", "set", "nested-object", "tuple-of-float32"])
     def test_unencodable_field_named_by_template_path(self, bad):
         """A value JSON cannot encode raises ``ConfigError`` naming its
-        field, whether or not the record's shape has a template yet."""
+        field, whether or not the record's shape has a template yet, and
+        the same error through a bound emitter, which then records
+        nothing."""
         shape = {"job": "J1", "value": 1.0}
         encode_record("x.bad", 0.0, shape)
         for _ in range(2):
@@ -336,6 +351,36 @@ class TestEncodedTrace:
                 encode_record("x.bad", 0.0, {"job": "J1", "value": bad})
             assert "'x.bad'" in str(excinfo.value)
             assert "'value'" in str(excinfo.value)
+        recorder = TraceRecorder()
+        for names, values in ((("job", "value"), ("J1", bad)),
+                              (("value", "job"), (bad, "J1"))):
+            with pytest.raises(ConfigError) as emitted:
+                recorder.emitter("x.bad", *names)(0.0, *values)
+            assert str(emitted.value) == str(excinfo.value)
+        assert len(recorder) == 0 and recorder.counts_by_kind() == {}
+
+    def test_emitter_refuses_a_wrong_shape(self):
+        """An empty kind, a repeated field name or one that is not a
+        string is refused when the emitter is bound; a value count other
+        than the field count is refused at the emit, whichever order the
+        names come in."""
+        recorder = TraceRecorder()
+        with pytest.raises(ConfigError):
+            recorder.emitter("", "job")
+        with pytest.raises(ConfigError):
+            recorder.emitter("x.twice", "job", "job")
+        with pytest.raises(ConfigError):
+            recorder.emitter("x.number", "job", 3)
+        for names in (("job", "rate"), ("rate", "job")):
+            emit = recorder.emitter("x.count", *names)
+            for values in (("J1",), ("J1", 1.0, 2.0)):
+                with pytest.raises(ConfigError, match="values"):
+                    emit(0.0, *values)
+        assert len(recorder) == 0
+        recorder.emitter("x.count", "rate", "job")(0.5, 2.0, "J1")
+        assert recorder.lines == [
+            '{"fields":{"job":"J1","rate":2.0},"kind":"x.count","t":0.5}'
+        ]
 
 
 class TestJsonlRoundTrip:
@@ -374,6 +419,7 @@ class TestDisabledPath:
     def test_null_accepts_everything(self):
         NULL.counter("x").inc()
         NULL.event("kind", t=0.0, a=1)
+        NULL.emitter("kind", "a")(0.0, 1)
         with NULL.span("s") as span:
             pass
         assert span.duration == 0.0
