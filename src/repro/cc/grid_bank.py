@@ -1,55 +1,50 @@
 """Batched multi-run grid engine: N simulations as one SoA kernel.
 
 :class:`GridBank` stacks N independent single-bottleneck
-:class:`repro.cc.dcqcn.DcqcnFluidSimulator` runs — a sweep grid of
-seeds x timers x workloads — into one structure-of-arrays simulation
-with state shaped ``(runs, senders)``. Each run keeps its own
+:class:`repro.cc.dcqcn.DcqcnFluidSimulator` runs of long-lived DCQCN
+senders — a sweep grid of seeds x timers — into one structure-of-arrays
+simulation with state shaped ``(runs, senders)``. Each run keeps its own
 :class:`repro.cc.sender_bank.SenderBank` (the within-run engine over
 the run's one link), and the grid reuses that machinery wholesale: the
 shared :class:`TimerCache` wrap schedules, the deterministic span
-fast-forward, the idle fast-forward, the per-tick kernel of faulted
-windows and the chunked :class:`UniformChunks` RNG draws.
+fast-forward and the chunked :class:`UniformChunks` RNG draws.
 
 The contract is the same as the sender bank's, one level up: every
-run's observable output — rate/queue series, ``timelines()``, final
-sender state, RNG stream positions — is **bit-identical** to executing
-that simulator alone through
-:meth:`~repro.cc.dcqcn.DcqcnFluidSimulator.run`. Three properties
-make that possible:
+run's observable output — rate/queue series, final sender state, RNG
+stream positions — is **bit-identical** to executing that simulator
+alone through :meth:`~repro.cc.dcqcn.DcqcnFluidSimulator.run`. Three
+properties make that possible:
 
 * **Per-run lane control flow.** Each lane runs its bank's own
-  control loop (:meth:`SenderBank.drive`) — fault-window partitioning,
-  the idle fast-forward, the span probe with its retry backoff — which
-  yields every stochastic stretch; a solo run serves those with
-  ``_tick_run``, the grid serves them with the shared kernel. Spans,
-  bulk idles and fault windows still execute on the lane's own bank;
-  only the stochastic tick-by-tick stretches are stacked. Span/probe
-  boundaries are pure cost decisions in the sender bank (every
-  committed quantity is bit-identical to per-tick stepping), so the
-  grid is free to cut them differently.
+  control loop (:meth:`SenderBank.drive`) — the span probe with its
+  retry backoff — which yields every stochastic stretch; a solo run
+  serves those with ``_tick_run``, the grid serves them with the shared
+  kernel. Spans still execute on the lane's own bank; only the
+  stochastic tick-by-tick stretches are stacked. Span/probe boundaries
+  are pure cost decisions in the sender bank (every committed quantity
+  is bit-identical to per-tick stepping), so the grid is free to cut
+  them differently.
 * **Masked per-tick kernel.** The stacked tick replays the per-slot
   scalar sequence with ``(runs, senders)`` array ops whose operands
-  are neutralized on inactive slots (``dt`` contribution 0.0,
-  remaining ``inf`` on infinite senders, clamp bounds ``-inf/+inf``),
-  so elementwise IEEE-754 ops land exactly where the scalar loop
-  would. The CNP coins of all eligible slots are flipped at once: each
-  slot reads the next draw of its own row in a draw table filled from
-  its stream, and only the miss probability runs as Python-float
-  ``**`` (numpy's power is not bit-identical to it). The byte/timer
-  wrap while-loops and the alpha decay run one vectorized round at a
-  time over the slots still looping. Per-tick arrivals fold via
-  ``cumsum`` (sequential adds; the interleaved 0.0 of inactive slots
-  are exact no-ops).
+  are neutralized on padding slots and finished lanes (``dt``
+  contribution 0.0, clamp bounds that cannot bind), so elementwise
+  IEEE-754 ops land exactly where the scalar loop would. The CNP coins
+  of all eligible slots are flipped at once: each slot reads the next
+  draw of its own row in a draw table filled from its stream, and only
+  the miss probability runs as Python-float ``**`` (numpy's power is
+  not bit-identical to it). The byte/timer wrap while-loops and the
+  alpha decay run one vectorized round at a time over the slots still
+  looping. Per-tick arrivals fold via ``cumsum`` (sequential adds; the
+  interleaved 0.0 of padding slots are exact no-ops).
 * **Writeback/reload sync.** Whenever a lane needs its bank's Python
-  machinery (span probe, activation, completion, fault window) the
-  kernel writes its rows back into the bank lists, runs the original
-  code, and reloads — so there is exactly one source of truth at any
-  time and no grid-side reimplementation of the event logic. The draw
-  table is the exception the bank code never reads: a lane's unread
-  table draws go back to the front of their streams before bank code
-  that draws runs — the control loop of a lane with a fault schedule,
-  which steps faulted windows through ``_tick_run``, and the rewind of
-  every stream that ends the run.
+  machinery (the span probe) the kernel writes its rows back into the
+  bank lists, runs the original code, and reloads — so there is
+  exactly one source of truth at any time and no grid-side
+  reimplementation of the bank's logic. The draw table is the
+  exception the bank code never reads, and needs no handback: spans
+  draw nothing, so rows stay live across a lane's exits, and at the end
+  of the run each row's unread draws only leave its stream's consumed
+  count, which ``_finish`` rewinds the stream by.
 
 :meth:`GridBank.build` is the one entry point: it returns a grid, or
 ``None`` when any simulator breaks a lane rule (see
@@ -58,12 +53,6 @@ a numpy generator (each slot's table row holds its own generator's
 next draws). The runner decides which specs to stack
 (:func:`repro.runner.grid.plan_groups`) and runs them spec by spec when
 ``build`` says no.
-
-One caveat when driving this directly with a single ambient telemetry
-session: per-lane counters and series are identical to solo runs, but
-the *interleaving* of fault events across lanes in the shared trace
-differs from running the sims back to back. The runner's batch tier
-gives every spec its own session, so recorded runs are exact.
 """
 
 from __future__ import annotations
@@ -72,17 +61,9 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dcqcn import DcqcnFluidSimulator, DcqcnResult
+from .dcqcn import DcqcnFluidSimulator, DcqcnResult, DcqcnSender
 from .link_engine import prepare_run
-from .sender_bank import (
-    SenderBank,
-    TickRequest,
-    TimerCache,
-    activation_tick,
-)
-
-#: Tick sentinel meaning "this lane never reaches that event".
-_NEVER = 1 << 62
+from .sender_bank import SenderBank, TickRequest, TimerCache
 
 #: CNP draws a slot's table row holds: a row is refilled from its
 #: slot's stream once per this many coins, and costs 8 bytes a draw.
@@ -94,19 +75,26 @@ def _lane_bank(sim) -> Optional[SenderBank]:
     cannot ride in a :class:`GridBank` lane.
 
     The lane rules: a plain :class:`DcqcnFluidSimulator` (no subclass),
-    single bottleneck (no topology, so one link), no PFC, at least one
-    sender, and a bank (:meth:`SenderBank.build` accepts every source
-    and the marker). Building a bank only snapshots state — it never
-    mutates the simulator — so probing is side-effect free.
+    single bottleneck (no topology, so one link), no PFC, no fault
+    schedule (not even an empty one), at least one sender, every sender
+    a long-lived :class:`DcqcnSender` (no on-off job, no finite
+    ``data_bytes``), and a bank (:meth:`SenderBank.build` accepts the
+    marker). So every slot of a lane sends from the first tick to the
+    last, and the lane's control loop only ever spans or yields ticks.
+    Building a bank only snapshots state — it never mutates the
+    simulator — so probing is side-effect free.
     """
     if type(sim) is not DcqcnFluidSimulator:
         return None
-    if sim.topology is not None:
+    if sim.topology is not None or sim.faults is not None:
         return None
     if sim.pfc_pause_threshold is not None:
         return None
     if not sim.senders:
         return None
+    for sender in sim.senders:
+        if type(sender) is not DcqcnSender or sender.remaining is not None:
+            return None
     bank = SenderBank.build(sim)
     if bank is None:
         return None
@@ -120,28 +108,17 @@ def _lane_bank(sim) -> Optional[SenderBank]:
 
 
 class _Lane:
-    """One run's slice of the grid: its simulator, bank, link queue and
-    the bank's control loop (:meth:`SenderBank.drive`)."""
+    """One run's slice of the grid: its bank, link queue and the bank's
+    control loop (:meth:`SenderBank.drive`)."""
 
-    __slots__ = (
-        "r", "n", "sim", "bank", "queue", "gen", "job_lifec", "p_floor",
-        "p_line", "done", "faulted",
-    )
+    __slots__ = ("r", "n", "bank", "queue", "gen")
 
-    def __init__(self, r: int, sim, bank: SenderBank) -> None:
+    def __init__(self, r: int, bank: SenderBank) -> None:
         self.r = r
         self.n = len(bank.objs)
-        self.sim = sim
         self.bank = bank
-        # Only a fault schedule gives the control loop windows it steps
-        # through _tick_run, the one place it draws.
-        self.faulted = sim.faults is not None
         self.queue = bank.fabric.queues[0]
         self.gen: Optional[Generator[TickRequest, int, None]] = None
-        self.job_lifec = list(bank.lifec)
-        self.p_floor = np.array(bank.min_rate, dtype=float)
-        self.p_line = np.array(bank.line, dtype=float)
-        self.done = False
 
 
 class GridBank:
@@ -153,7 +130,6 @@ class GridBank:
         self.dt = sims[0].dt
         R = len(sims)
         S = max(len(bank.objs) for bank in banks)
-        self._R = R
         self._S = S
         shape = (R, S)
         # Float state, (runs, senders). Padding columns are permanently
@@ -161,25 +137,22 @@ class GridBank:
         self._rate = np.zeros(shape)
         self._target = np.zeros(shape)
         self._alpha = np.zeros(shape)
-        self._rem = np.zeros(shape)
         self._bsent = np.zeros(shape)
         self._bacc = np.zeros(shape)
         self._tacc = np.zeros(shape)
         self._ncnp = np.zeros(shape)
         self._ndecay = np.full(shape, np.inf)
-        self._cs = np.zeros(shape)
-        self._dt_act = np.zeros(shape)
-        self._floor_eff = np.full(shape, -np.inf)
-        self._line_eff = np.full(shape, np.inf)
         self._sent = np.zeros(shape)
-        # Integer / boolean state.
+        # Integer state.
         self._bst = np.zeros(shape, dtype=np.int64)
         self._tst = np.zeros(shape, dtype=np.int64)
         self._tph = np.zeros(shape, dtype=np.int64)
         self._cnps = np.zeros(shape, dtype=np.int64)
+        # Active mask and per-tick dt operand: a lane's senders send from
+        # its first tick to its last, so both are set here and cleared
+        # only when the lane retires; padding slots stay inactive.
         self._act = np.zeros(shape, dtype=bool)
-        self._finite = np.zeros(shape, dtype=bool)
-        self._isjob = np.zeros(shape, dtype=bool)
+        self._dt_act = np.zeros(shape)
         # Static per-slot parameters (padding stays inf: never wraps,
         # never draws). Full (runs, senders) arrays so the hit/wrap/
         # decay fixups can gather them with fancy indexing.
@@ -199,14 +172,11 @@ class GridBank:
         self._elig = np.zeros(shape, dtype=bool)
         self._wrapb = np.zeros(shape, dtype=bool)
         self._decayb = np.zeros(shape, dtype=bool)
-        self._compb = np.zeros(shape, dtype=bool)
         # Per-lane state, (runs,).
         self._i = np.zeros(R, dtype=np.int64)
         self._end = np.zeros(R, dtype=np.int64)
         self._retry = np.zeros(R, dtype=np.int64)
         self._sev = np.ones(R, dtype=np.int64)
-        self._act_min = np.full(R, _NEVER, dtype=np.int64)
-        self._nact = np.zeros(R, dtype=np.int64)
         self._occ = np.zeros(R)
         self._cap = np.zeros(R)
         self._kmin = np.zeros(R)
@@ -222,10 +192,10 @@ class GridBank:
         self._draws = np.empty((R * S, DRAWS_PER_ROW))
         self._dpos = np.full(R * S, DRAWS_PER_ROW, dtype=np.int64)
         self._lanes: List[_Lane] = []
-        for r, (sim, bank) in enumerate(zip(sims, banks)):
+        for r, bank in enumerate(banks):
             n = len(bank.objs)
-            self._finite[r, :n] = bank.finite
-            self._isjob[r, :n] = bank.is_job
+            self._act[r, :n] = True
+            self._dt_act[r, :n] = self.dt
             self._p_B[r, :n] = bank.byte_counter
             self._p_T[r, :n] = bank.timer
             self._p_mtu[r, :n] = bank.mtu
@@ -238,6 +208,8 @@ class GridBank:
             self._p_rhai[r, :n] = bank.rhai
             self._p_fast[r, :n] = bank.fast_rounds
             self._p_line[r, :n] = bank.line
+            # No fault window ever scales the lane's one link.
+            self._cap[r] = bank.fabric.queues[0].capacity
             self._kmin[r] = bank._kmin
             self._kmax[r] = bank._kmax
             self._pmax[r] = bank._pmax
@@ -290,18 +262,24 @@ class GridBank:
         self._lanes = []
         for r, (sim, bank) in enumerate(zip(self.sims, self.banks)):
             prepare_run(sim)
-            lane = _Lane(r, sim, bank)
+            lane = _Lane(r, bank)
             lane.gen = bank.drive(duration)
             self._sev[r] = bank.samples_every
             self._lanes.append(lane)
         for lane in self._lanes:
             self._advance(lane, first=True)
         self._kernel()
+        # Every table draw counts as consumed. _finish rewinds each
+        # stream by its consumed count and drops its buffer, so a row's
+        # unread draws only leave that count.
         for lane in self._lanes:
-            self._handback(lane, final=True)
+            base = lane.r * self._S
+            unread = DRAWS_PER_ROW - self._dpos[base:base + lane.n]
+            for stream, count in zip(lane.bank.stream, unread.tolist()):
+                stream._consumed -= count
         # The kernel appends sample rows as array views to keep the hot
-        # loop cheap; normalize them to the plain lists the bank's
-        # idle/span paths append before handing off to _finish.
+        # loop cheap; normalize them to the plain lists the bank's span
+        # path appends before handing off to _finish.
         for bank in self.banks:
             rows = bank.samples.rows
             for idx, row in enumerate(rows):
@@ -326,7 +304,6 @@ class GridBank:
             else:
                 request = lane.gen.send(value)
         except StopIteration:
-            lane.done = True
             self._retire_row(lane.r)
             return
         i, end, retry_at = request
@@ -344,7 +321,7 @@ class GridBank:
     # ------------------------------------------------------------------
 
     def _load_row(self, lane: _Lane) -> None:
-        """Refresh lane ``r``'s rows from its bank and simulator."""
+        """Refresh lane ``r``'s rows from its bank and link queue."""
         r = lane.r
         n = lane.n
         bank = lane.bank
@@ -360,30 +337,10 @@ class GridBank:
         self._tst[r, :n] = bank.t_st
         self._tph[r, :n] = bank.t_ph
         self._cnps[r, :n] = bank.cnps
-        act_row = np.array(bank.active, dtype=bool)
-        self._act[r, :n] = act_row
-        # Infinite senders carry +inf here so the shared remaining
-        # clamp is an exact no-op; the placeholder 0.0 the bank stores
-        # is restored on writeback.
-        self._rem[r, :n] = np.where(
-            self._finite[r, :n], np.array(bank.remaining), np.inf
-        )
-        # Masked operands: inactive slots contribute dt 0.0 and clamp
-        # against -inf/+inf, so full-row ops cannot disturb them.
-        self._dt_act[r, :n] = np.where(act_row, self.dt, 0.0)
-        self._floor_eff[r, :n] = np.where(act_row, lane.p_floor, -np.inf)
-        self._line_eff[r, :n] = np.where(act_row, lane.p_line, np.inf)
-        for s, lifecycle in enumerate(lane.job_lifec):
-            if lifecycle is not None:
-                self._cs[r, s] = lifecycle.comm_sent
         self._occ[r] = lane.queue.occupancy
-        self._cap[r] = lane.queue.capacity
-        self._nact[r] = bank._n_active
-        nxt = bank._next_activation() if bank._idle_live else None
-        self._act_min[r] = _NEVER if nxt is None else nxt
 
     def _writeback(self, lane: _Lane) -> None:
-        """Write lane ``r``'s rows back into its bank and simulator so
+        """Write lane ``r``'s rows back into its bank and link queue so
         the original Python machinery sees exact current state."""
         r = lane.r
         n = lane.n
@@ -400,84 +357,18 @@ class GridBank:
         bank.t_st = self._tst[r, :n].tolist()
         bank.t_ph = self._tph[r, :n].tolist()
         bank.cnps = self._cnps[r, :n].tolist()
-        bank.active = self._act[r, :n].tolist()
-        bank.remaining = np.where(
-            self._finite[r, :n], self._rem[r, :n], 0.0
-        ).tolist()
-        for s, lifecycle in enumerate(lane.job_lifec):
-            if lifecycle is not None:
-                lifecycle.comm_sent = float(self._cs[r, s])
-        bank._n_active = int(self._nact[r])
         lane.queue.occupancy = float(self._occ[r])
 
-    def _handback(self, lane: _Lane, final: bool = False) -> None:
-        """Return the unread draws of the lane's table rows to the
-        front of their streams, so bank code that draws (a faulted
-        window's ``_tick_run``) reads them next.
-
-        ``final``: the run is over, and ``_finish`` rewinds each stream
-        by its consumed count and drops its buffer, so the unread draws
-        only leave that count.
-        """
-        base = lane.r * self._S
-        pos = self._dpos[base:base + lane.n]
-        stream = lane.bank.stream
-        if final:
-            for k, unread in enumerate((DRAWS_PER_ROW - pos).tolist()):
-                stream[k]._consumed -= unread
-        else:
-            for k in np.flatnonzero(pos < DRAWS_PER_ROW).tolist():
-                stream[k].untake(self._draws[base + k, pos[k]:])
-        pos[:] = DRAWS_PER_ROW
-
     def _retire_row(self, r: int) -> None:
-        """Neutralize a finished lane so full-grid ops ignore it."""
+        """Neutralize a finished lane so full-grid ops ignore it: its
+        slots send nothing, so they never draw or wrap."""
         if self._ticking[r]:
             self._ticking[r] = False
             self._n_ticking -= 1
         self._act[r, :] = False
         self._dt_act[r, :] = 0.0
-        self._rate[r, :] = 0.0
-        self._floor_eff[r, :] = -np.inf
-        self._line_eff[r, :] = np.inf
         self._occ[r] = 0.0
         self._cap[r] = 0.0
-        self._nact[r] = 0
-        self._act_min[r] = _NEVER
-
-    # ------------------------------------------------------------------
-    # Bank-side events (activation / completion)
-    # ------------------------------------------------------------------
-
-    def _run_activations(self, r: int) -> None:
-        """Replay ``_tick_run``'s activation block for lane ``r``."""
-        lane = self._lanes[r]
-        bank = lane.bank
-        i = int(self._i[r])
-        now = i * self.dt
-        self._writeback(lane)
-        for k in tuple(bank._idle_live):
-            tick = bank._act_tick[k]
-            if tick is None:
-                tick = activation_tick(bank.objs[k]._deadline, self.dt)
-                bank._act_tick[k] = tick
-            if i >= tick:
-                bank._activate(k, now)
-        self._load_row(lane)
-
-    def _run_completions(self, r: int, cols: List[int]) -> None:
-        """Replay the per-slot completion branch for lane ``r``."""
-        lane = self._lanes[r]
-        bank = lane.bank
-        now = int(self._i[r]) * self.dt
-        self._writeback(lane)
-        for k in cols:
-            if bank.is_job[k]:
-                bank._complete(k, now, self.dt)
-            else:
-                bank.active[k] = False
-                bank._n_active -= 1
-        self._load_row(lane)
 
     # ------------------------------------------------------------------
     # The stacked tick kernel
@@ -491,24 +382,17 @@ class GridBank:
         dt = self.dt
         rate = self._rate
         target = self._target
-        rem = self._rem
         bsent = self._bsent
         bacc = self._bacc
         tacc = self._tacc
         ncnp = self._ncnp
         ndecay = self._ndecay
-        cs = self._cs
         act = self._act
         sent = self._sent
         iarr = self._i
         occ_arr = self._occ
         while self._n_ticking:
             ticking = self._ticking
-            # Activation block: burst starts due at this tick.
-            due = ticking & (iarr >= self._act_min)
-            if due.any():
-                for r in np.nonzero(due)[0].tolist():
-                    self._run_activations(r)
             now = iarr * dt
             # RED marking probability per lane (same operand order as
             # the scalar marking_probability fast path).
@@ -519,13 +403,9 @@ class GridBank:
                 0.0,
                 np.where(occ_arr >= self._kmax, 1.0, ramp),
             )
-            # Per-slot send: rate * dt on active slots, clamped to the
-            # remaining bytes (inf on infinite senders = exact no-op).
+            # Per-slot send: rate * dt on active slots, 0.0 elsewhere.
             np.multiply(rate, self._dt_act, out=sent)
-            np.minimum(sent, rem, out=sent)
-            rem -= sent
             bsent += sent
-            cs += sent
             # CNP coin flips: scalar ``**`` and the inlined chunk draw,
             # in row-major (lane, slot) order — each lane's slot order,
             # and therefore each stream's draw order, matches solo.
@@ -556,32 +436,24 @@ class GridBank:
                 self._decay_pass(decay, now)
             # Rate/target clamps. Maximum-then-minimum equals the
             # scalar if/elif because build() guarantees floor <= line;
-            # inactive slots clamp against -inf/+inf (exact no-ops).
-            np.maximum(rate, self._floor_eff, out=rate)
-            np.minimum(rate, self._line_eff, out=rate)
-            np.minimum(target, self._line_eff, out=target)
+            # padding slots clamp 0.0 against 0.0 and +inf (no-ops).
+            np.maximum(rate, self._p_minrate, out=rate)
+            np.minimum(rate, self._p_line, out=rate)
+            np.minimum(target, self._p_line, out=target)
             # Queue: arrivals fold in slot order (cumsum is the exact
-            # sequential sum; inactive slots add 0.0).
+            # sequential sum; padding slots add 0.0).
             arrival = sent.cumsum(axis=1)[:, -1]
             net = arrival / dt - self._cap
             occ_next = occ_arr + net * dt
             occ_arr[...] = np.where(
                 (net < 0.0) & (occ_next <= 0.0), 0.0, occ_next
             )
-            # Completions (finite slots that just drained).
-            comp = self._compb
-            np.less_equal(rem, 0.0, out=comp)
-            comp &= act
-            if comp.any():
-                comp_r, comp_s = np.nonzero(comp)
-                for r in np.unique(comp_r).tolist():
-                    cols = comp_s[comp_r == r].tolist()
-                    self._run_completions(r, cols)
             iarr += ticking
-            # Sample rows land at tick boundaries, post-update.
+            # Sample rows land at tick boundaries, post-update; they
+            # keep views of one copy of the rates.
             due = ticking & (iarr % self._sev == 0)
             if due.any():
-                rates_now = np.where(act, rate, 0.0)
+                rates_now = rate.copy()
                 for r in np.nonzero(due)[0].tolist():
                     lane = self._lanes[r]
                     lane.bank.samples.rows.append((
@@ -589,8 +461,8 @@ class GridBank:
                         rates_now[r, : lane.n],
                         [float(occ_arr[r])],
                     ))
-            # Lane exits: window end, full idle, or a span-friendly
-            # probe gate past retry_at. The gate is a pure cost filter
+            # Lane exits: the run's end, or a span-friendly probe gate
+            # past retry_at. The gate is a pure cost filter
             # — the bank's _try_span remains the deterministic
             # authority — so a conservative miss only costs ticks.
             # Kernel iterations are shared across lanes, so a span only
@@ -599,9 +471,7 @@ class GridBank:
             # between-CNP spans the solo engine would take.
             gate = occ_arr <= kmin
             exits = ticking & (
-                (iarr >= self._end)
-                | (self._nact == 0)
-                | ((iarr >= self._retry) & gate)
+                (iarr >= self._end) | ((iarr >= self._retry) & gate)
             )
             if exits.any():
                 for r in np.nonzero(exits)[0].tolist():
@@ -609,8 +479,6 @@ class GridBank:
                     self._ticking[r] = False
                     self._n_ticking -= 1
                     self._writeback(lane)
-                    if lane.faulted:
-                        self._handback(lane)
                     self._advance(lane, int(iarr[r]))
 
     # ------------------------------------------------------------------

@@ -125,8 +125,9 @@ class UniformChunks:
     generator call overhead is amortized over whole chunks. Chunks start
     small and double up to :attr:`MAX_CHUNK`, so a stream that draws a
     few dozen times does not pay for thousands. :meth:`take` hands out a
-    block of the stream as an array and :meth:`untake` returns its
-    unread end, for a kernel that keeps its own table of draws.
+    block of the stream as an array, counted as consumed, for a kernel
+    that keeps its own table of draws; that kernel takes the block's
+    unread end out of ``_consumed`` before the stream rewinds.
     :meth:`rewind` restores the generator to the state the equivalent
     number of scalar draws would have produced, discarding the unused
     tail of the final chunk.
@@ -168,13 +169,6 @@ class UniformChunks:
             self._state0 = self._rng.bit_generator.state
         fresh = self._rng.random(n - len(head))
         return np.concatenate((head, fresh)) if head else fresh
-
-    def untake(self, tail: np.ndarray) -> None:
-        """Give back ``tail``, the unread end of the last :meth:`take`
-        with no draw since: it is read next and no longer consumed."""
-        self._buf = tail.tolist() + self._buf[self._pos:]
-        self._pos = 0
-        self._consumed -= len(tail)
 
     def rewind(self) -> None:
         """Leave the generator exactly ``consumed`` scalar draws ahead."""

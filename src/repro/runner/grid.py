@@ -2,21 +2,23 @@
 
 ``run_many`` partitions its cache misses into groups that one
 :class:`repro.cc.grid_bank.GridBank` can execute together — same
-backend, same ``dt``, same duration, single-bottleneck topology — and
-simulates each group as one structure-of-arrays run. :func:`plan_groups`
-alone decides which groups are worth it: a group stacks only when it
-carries at least :data:`MIN_GROUP_SLOTS` sender slots, since below that
-the per-spec engine's span fast-forward beats one shared kernel. Per-spec
-divergence (timers, seeds, workload phases, fault windows) lives in
-per-run lanes inside the bank, so every spec's result is bit-identical
-to executing it alone through :class:`~repro.runner.backends.
-FluidBackend` — including the telemetry each spec's session records.
+backend, same ``dt``, same duration, single-bottleneck topology,
+long-lived senders and no fault schedule — and simulates each group as
+one structure-of-arrays run. :func:`plan_groups` alone decides which
+groups are worth it: a group stacks only when it carries at least
+:data:`MIN_GROUP_SLOTS` sender slots, since below that the per-spec
+engine's span fast-forward beats one shared kernel. Per-spec divergence
+(timers, seeds, sender counts) lives in per-run lanes inside the bank,
+so every spec's result is bit-identical to executing it alone through
+:class:`~repro.runner.backends.FluidBackend` — including the telemetry
+each spec's session records.
 
 Specs whose scenarios the bank cannot represent (PFC thresholds,
-routed fabrics) simply stay on the per-spec path: every function here
-returns ``None`` rather than raise when a group turns out not to be
-batchable, and ``run_many`` falls back to the pool for exactly those
-specs.
+routed fabrics, on-off jobs, finite transfers, fault schedules) simply
+stay on the per-spec path, which is the grid's reference: every
+function here returns ``None`` rather than raise when a group turns out
+not to be batchable, and ``run_many`` falls back to the pool for
+exactly those specs.
 
 Raggedness: a spec may carry several scenarios, run in order over one
 shared :class:`~repro.sim.rng.RandomStreams`. The group executes in
@@ -32,11 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..cc.dcqcn import DEFAULT_DT
 from ..telemetry.session import Telemetry, use
 from ..units import gbps
-from .backends import (
-    FLUID_OPTIONS,
-    _reject_fabric_faults,
-    build_fluid_scenario_sim,
-)
+from .backends import FLUID_OPTIONS, build_fluid_scenario_sim
 from .spec import RunResult, RunSpec, safe_content_hash
 
 #: The only options a batchable spec may carry: the fluid backend's own
@@ -55,7 +53,9 @@ MIN_GROUP_SLOTS = 256
 
 
 def batchable_spec(spec: RunSpec) -> bool:
-    """Whether ``spec`` is a candidate for grid batching.
+    """Whether ``spec`` is a candidate for grid batching: a fluid spec
+    without a topology or a fault schedule whose senders are all
+    long-lived (no route, no ``compute_time``, no ``data_bytes``).
 
     This is the cheap declarative screen; the engine-level authority is
     :meth:`repro.cc.grid_bank.GridBank.build` on the built simulators,
@@ -63,7 +63,7 @@ def batchable_spec(spec: RunSpec) -> bool:
     """
     if spec.backend != "fluid":
         return False
-    if spec.topology is not None:
+    if spec.topology is not None or spec.faults is not None:
         return False
     if not spec.scenarios or spec.duration <= 0:
         return False
@@ -72,7 +72,9 @@ def batchable_spec(spec: RunSpec) -> bool:
         return False
     for scenario in spec.scenarios:
         for sender in scenario.senders:
-            if sender.route:
+            if sender.route or sender.compute_time is not None or (
+                sender.data_bytes is not None
+            ):
                 return False
     return True
 
@@ -133,8 +135,7 @@ def execute_batched(
         Telemetry(name=spec.label or spec.backend) for spec in specs
     ]
     contexts = []
-    for spec, session in zip(specs, sessions):
-        _reject_fabric_faults(spec)
+    for spec in specs:
         capacity = spec.capacity or gbps(50)
         contexts.append({
             "capacity": capacity,

@@ -115,13 +115,9 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Run events until the queue drains, the clock passes ``until``,
-        or ``max_events`` have executed — whichever comes first.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run events until the queue drains, the clock passes ``until``
+        or an event calls :meth:`stop` — whichever comes first.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         on return even if the last event fired earlier, so utilization
@@ -129,9 +125,8 @@ class Simulator:
 
         The loop pops the queue's heap itself, one entry per event and
         no call besides the event's own: it skips cancelled entries
-        (they count toward neither ``max_events`` nor ``sim.events``),
-        stops before an entry past ``until`` and after the event that
-        calls :meth:`stop`.
+        (they do not count toward ``sim.events``), stops before an entry
+        past ``until`` and after the event that calls :meth:`stop`.
 
         Returns:
             The simulation time at which the run stopped.
@@ -148,16 +143,14 @@ class Simulator:
         heap = queue._heap
         pop = heapq.heappop
         horizon = math.inf if until is None else until + TIME_EPSILON
-        budget = math.inf if max_events is None else max_events
         counter = self._event_counter if self.telemetry.enabled else None
-        executed = 0
         try:
             while heap and not self._stopped:
                 time, _, _, event = heap[0]
                 if event.cancelled:
                     pop(heap)
                     continue
-                if time > horizon or executed >= budget:
+                if time > horizon:
                     break
                 pop(heap)
                 queue._live -= 1
@@ -173,7 +166,6 @@ class Simulator:
                 if counter is not None:
                     counter.inc()
                 event.fn(*event.args)
-                executed += 1
         finally:
             self._running = False
         if until is not None and not self._stopped:

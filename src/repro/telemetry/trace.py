@@ -26,8 +26,9 @@ A record's one stored form is its JSONL line (:func:`encode_record`):
 :meth:`TraceRecorder.emit` encodes each record once, and the worker
 state, the result cache and the run's ``trace.jsonl`` carry that line
 as it is. A hot path binds :meth:`TraceRecorder.emitter` once per
-record shape and passes the values alone; the emitter fills the same
-template :func:`encode_record` does, so both write the same bytes.
+record shape and passes the values alone; the emitter fills a template
+of the text the encoder writes around the values, so both write the
+same bytes.
 :class:`TraceRecord` is the decoded view, built only when something
 asks for records (:attr:`TraceRecorder.records`, iteration,
 :meth:`TraceRecorder.of_kind`, :func:`repro.io.load_trace`); its fields
@@ -106,15 +107,6 @@ class TraceRecord:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _encode = _ENCODER.encode
 
-#: Record shapes, ``(kind, field names)``, that keep a template; a
-#: shape met after this many encodes through :data:`_ENCODER` whole (a
-#: decoded trace can hold any field set).
-MAX_TEMPLATES = 256
-
-#: ``(kind, *field names)`` -> the record's text with a ``%s`` for each
-#: value (``%`` doubled elsewhere), and the field names in sorted order.
-_TEMPLATES: Dict[Tuple[str, ...], Tuple[str, Tuple[str, ...]]] = {}
-
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -124,8 +116,8 @@ def _float_text(value: float) -> str:
 
 
 #: Field values of these exact types are encoded inline, to the text
-#: :data:`_ENCODER` gives them; a record holding any other value
-#: (subclasses included) goes through :data:`_ENCODER` whole.
+#: :data:`_ENCODER` gives them; an emitted record holding any other
+#: value (subclasses included) goes through :data:`_ENCODER` whole.
 _INLINE: Dict[type, Callable[[Any], str]] = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -136,21 +128,15 @@ _INLINE: Dict[type, Callable[[Any], str]] = {
 
 
 def _template(
-    kind: str, fields: Iterable[Any]
-) -> Optional[Tuple[str, Tuple[str, ...]]]:
-    """The memoized template of a record shape (``fields`` iterates its
-    names), or ``None`` when the memo is full or a field name is not
-    exactly a ``str``."""
-    names = tuple(fields)
-    if len(_TEMPLATES) >= MAX_TEMPLATES or any(
-        type(name) is not str for name in names
-    ):
-        return None
+    kind: str, names: Sequence[str]
+) -> Tuple[str, Tuple[str, ...]]:
+    """The template of a record shape: the record's text with a ``%s``
+    for each value (``%`` doubled elsewhere), and the field names in
+    sorted order."""
     order = tuple(sorted(names))
     items = ",".join(_literal(name) + ":%s" for name in order)
     text = '{"fields":{' + items + '},"kind":' + _literal(kind) + ',"t":%s}'
-    template = _TEMPLATES[(kind, *names)] = (text, order)
-    return template
+    return text, order
 
 
 def _literal(text: str) -> str:
@@ -160,7 +146,7 @@ def _literal(text: str) -> str:
 
 def _fill(text: str, values: Iterable[Any], t: float) -> str:
     """A template's line for ``values`` (in its sorted field order) at
-    ``t``: the one fill :func:`encode_record` and every emitter share.
+    ``t``.
 
     Raises:
         KeyError: on a value whose type is not written inline.
@@ -179,13 +165,11 @@ def _check_kind(kind: str) -> None:
 def encode_record(kind: str, t: float, fields: Mapping[str, Any]) -> str:
     """The JSONL line of one record: ``{"fields":{...},"kind":...,"t":...}``.
 
-    Keys are sorted and separators compact, and ``t`` goes through
-    ``float()`` first, so identical records encode to identical bytes:
-    the text ``_ENCODER.encode({"fields": fields, "kind": kind, "t": t})``
-    gives. A record shape's text around its values is built once and
-    memoized (up to :data:`MAX_TEMPLATES` shapes) and filled when every
-    value is a ``str``, ``int``, ``bool``, ``None`` or ``float``; a
-    record holding any other value goes through the encoder whole.
+    The line is ``_ENCODER.encode({"fields": fields, "kind": kind,
+    "t": t})``, with sorted keys and compact separators and ``t``
+    passed through ``float()`` first, so identical records encode to
+    identical bytes. The hot record shapes go through bound emitters
+    (:meth:`TraceRecorder.emitter`) instead, which write the same bytes.
 
     Raises:
         ConfigError: on an empty kind, or on a field JSON cannot encode
@@ -194,13 +178,6 @@ def encode_record(kind: str, t: float, fields: Mapping[str, Any]) -> str:
     _check_kind(kind)
     t = float(t)
     try:
-        template = _TEMPLATES.get((kind, *fields)) or _template(kind, fields)
-        if template is not None:
-            text, order = template
-            try:
-                return _fill(text, map(fields.__getitem__, order), t)
-            except KeyError:  # a value not written inline
-                pass
         return _encode({"fields": fields, "kind": kind, "t": t})
     except (TypeError, ValueError) as exc:
         culprit = next(
@@ -259,9 +236,9 @@ class TraceRecorder:
 
         ``emitter(kind, *names)(t, *values)`` records what
         ``emit(kind, t, **dict(zip(names, values)))`` records, byte for
-        byte, without building the fields. It fills the shape's
-        :func:`encode_record` template; a record holding a value the
-        template does not write inline, or one JSON cannot encode, takes
+        byte, without building the fields. It fills a template of the
+        shape's text, built here; a record holding a value the template
+        does not write inline, or one JSON cannot encode, takes
         :func:`encode_record`'s path (and its ``ConfigError``).
 
         Raises:
@@ -287,10 +264,7 @@ class TraceRecorder:
                 )
             self.emit(kind, t, **dict(zip(names, values)))
 
-        template = _TEMPLATES.get((kind, *names)) or _template(kind, names)
-        if template is None:
-            return emit_through_encoder
-        text, order = template
+        text, order = _template(kind, names)
         # Values arrive in ``names`` order; the template takes them sorted.
         pick = None if order == names else itemgetter(*map(names.index, order))
 

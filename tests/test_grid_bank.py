@@ -2,17 +2,20 @@
 
 The core guarantee: stacking N compatible DCQCN runs into one
 :class:`repro.cc.grid_bank.GridBank` must reproduce each run's solo
-``sim.run`` *bit for bit* — sampled rate/queue series, job timelines,
-and the RNG stream positions every generator is left at.
-The metamorphic suite below checks that over randomized grids (mixed
-seeds x timers x fault schedules) and over the batch sizes that stress
-the lane machinery: 1 (degenerate), 2 (minimal), odd, and a wide 64.
+``sim.run`` *bit for bit* — sampled rate/queue series, final sender
+state, and the RNG stream positions every generator is left at.
+The metamorphic suite below checks that over randomized grids of
+long-lived senders (mixed seeds x timers x sender counts) and over the
+batch sizes that stress the lane machinery: 1 (degenerate), 2
+(minimal), odd, and a wide 64.
 
 The runner half pins the integration contract: a grid that reaches
 ``MIN_GROUP_SLOTS`` stacks and is byte-identical to ``batch=False``
 (results *and* cache entries), a grid below it runs spec by spec, a
-fully cached grid never touches the process pool, and the grouping
-screen only admits specs the bank can actually represent.
+fully cached grid never touches the process pool, the grouping screen
+only admits specs the bank can actually represent (long-lived senders,
+no fault schedule), and the two shapes stacking was measured on plan as
+one group each.
 """
 
 import dataclasses
@@ -33,12 +36,7 @@ from repro.cc.dcqcn import (
 from repro.cc.grid_bank import GridBank
 from repro.cc.sender_bank import UniformChunks
 from repro.experiments import sweep
-from repro.faults import (
-    InjectionSchedule,
-    LinkFailure,
-    PfcStorm,
-    RateChange,
-)
+from repro.faults import InjectionSchedule, RateChange
 from repro.runner import (
     RunSpec,
     ScenarioSpec,
@@ -62,38 +60,22 @@ from repro.units import gbps
 DT = 10e-6
 DURATION = 0.004
 
-#: Fault schedules drawn by the randomized grids — every window mode
-#: (scaled capacity, freeze, storm) plus a clean control.
-SCHEDULES = (
-    None,
-    InjectionSchedule(events=(
-        RateChange("L1", 0.0007, 0.0013, 0.4),
-        RateChange("L1", 0.0021, 0.0029, 1.5),
-    )),
-    InjectionSchedule(events=(
-        LinkFailure("L1", 0.0011, 0.0017),
-    )),
-    InjectionSchedule(events=(
-        PfcStorm("L1", 0.0008, 0.0012),
-    )),
-)
-
 TIMERS = (DEFAULT_TIMER, AGGRESSIVE_TIMER)
 
 
 def _build_run(index, grid_seed):
-    """One randomized run: seed, timers, faults, and sender mix.
+    """One randomized run of long-lived senders: seed, timers and
+    sender count (2 or 3).
 
-    Returns ``(sim, jobs, rngs)`` like the fault-equivalence tests; the
-    draw is deterministic in ``(index, grid_seed)`` so the solo and
-    batched twins are built identically.
+    Returns ``(sim, rngs)``; the draw is deterministic in
+    ``(index, grid_seed)`` so the solo and batched twins are built
+    identically.
     """
     rng = np.random.default_rng(1000 * grid_seed + index)
-    faults = SCHEDULES[int(rng.integers(len(SCHEDULES)))]
     capacity = gbps(50)
-    sim = DcqcnFluidSimulator(capacity=capacity, dt=DT, faults=faults)
+    sim = DcqcnFluidSimulator(capacity=capacity, dt=DT)
     params = DcqcnParams(line_rate=capacity)
-    jobs, rngs = {}, []
+    rngs = []
     n_senders = 2 + int(rng.integers(2))
     for s in range(n_senders):
         timer = TIMERS[int(rng.integers(len(TIMERS)))]
@@ -101,31 +83,27 @@ def _build_run(index, grid_seed):
             int(rng.integers(1, 2**31))
         )
         rngs.append(sender_rng)
-        name = f"J{s + 1}"
-        if s % 2 == 0:
-            job = OnOffDcqcnJob(
-                name,
-                params.with_timer(timer),
-                sender_rng,
-                compute_time=0.0009,
-                comm_bytes=0.0011 * capacity,
-                start_offset=s * 0.0002,
-            )
-            sim.add_source(job)
-            jobs[name] = job
-        else:
-            sim.add_sender(name, params.with_timer(timer), sender_rng)
-    return sim, jobs, rngs
+        sim.add_sender(f"J{s + 1}", params.with_timer(timer), sender_rng)
+    return sim, rngs
 
 
 def _build_grid(n_runs, grid_seed):
     return [_build_run(i, grid_seed) for i in range(n_runs)]
 
 
+def _sender_state(sim):
+    """Each sender's public state after a run."""
+    return [
+        (sender.name, sender.rate, sender.target_rate, sender.alpha,
+         sender.bytes_sent, sender.cnps_received, sender.remaining)
+        for sender in sim.senders
+    ]
+
+
 def _assert_bit_identical(solo, batched):
     """Solo and batched twins agree on every observable surface."""
-    (trace_s, jobs_s, rngs_s) = solo
-    (trace_b, jobs_b, rngs_b) = batched
+    (trace_s, sim_s, rngs_s) = solo
+    (trace_b, sim_b, rngs_b) = batched
     assert set(trace_s.rate_series) == set(trace_b.rate_series)
     for name, series in trace_s.rate_series.items():
         other = trace_b.rate_series[name]
@@ -137,14 +115,26 @@ def _assert_bit_identical(solo, batched):
     assert np.array_equal(
         trace_s.queue_series.values, trace_b.queue_series.values
     )
-    assert set(jobs_s) == set(jobs_b)
-    for name in jobs_s:
-        assert (
-            repr(jobs_s[name].timeline.__dict__)
-            == repr(jobs_b[name].timeline.__dict__)
-        ), name
+    assert trace_s.timelines == trace_b.timelines == {}
+    assert _sender_state(sim_s) == _sender_state(sim_b)
     for rng_s, rng_b in zip(rngs_s, rngs_b):
         assert rng_s.bit_generator.state == rng_b.bit_generator.state
+
+
+def _assert_grid_matches_solo(solo, twin):
+    """Run ``solo`` one simulator at a time and ``twin`` as one grid;
+    return the grid."""
+    solo_traces = [sim.run(DURATION) for sim, _ in solo]
+    grid = GridBank.build([sim for sim, _ in twin])
+    assert grid is not None
+    grid_traces = grid.run(DURATION)
+    for (sim_s, rngs_s), trace_s, (sim_b, rngs_b), trace_b in zip(
+        solo, solo_traces, twin, grid_traces
+    ):
+        _assert_bit_identical(
+            (trace_s, sim_s, rngs_s), (trace_b, sim_b, rngs_b)
+        )
+    return grid
 
 
 class TestGridBankMetamorphic:
@@ -152,25 +142,19 @@ class TestGridBankMetamorphic:
 
     @pytest.mark.parametrize("n_runs", [1, 2, 3, 64])
     def test_batched_matches_sequential(self, n_runs):
-        solo = _build_grid(n_runs, grid_seed=n_runs)
-        twin = _build_grid(n_runs, grid_seed=n_runs)
-        solo_traces = [sim.run(DURATION) for sim, _, _ in solo]
-        grid = GridBank.build([sim for sim, _, _ in twin])
-        assert grid is not None
-        grid_traces = grid.run(DURATION)
-        for (_, jobs_s, rngs_s), trace_s, (_, jobs_b, rngs_b), trace_b in zip(
-            solo, solo_traces, twin, grid_traces
-        ):
-            _assert_bit_identical(
-                (trace_s, jobs_s, rngs_s), (trace_b, jobs_b, rngs_b)
-            )
+        _assert_grid_matches_solo(
+            _build_grid(n_runs, grid_seed=n_runs),
+            _build_grid(n_runs, grid_seed=n_runs),
+        )
 
     def test_grid_compatible_rejects_special_configs(self):
-        def with_sender(sim):
+        """A lane holds long-lived senders under no fault schedule, on
+        one link without PFC and under a plain RED marker."""
+        params = DcqcnParams(line_rate=gbps(50))
+
+        def with_sender(sim, **kwargs):
             sim.add_sender(
-                "J1",
-                DcqcnParams(line_rate=gbps(50)),
-                np.random.default_rng(1),
+                "J1", params, np.random.default_rng(1), **kwargs
             )
             return sim
 
@@ -181,9 +165,29 @@ class TestGridBankMetamorphic:
         assert GridBank.build([pfc]) is None
         marked = with_sender(DcqcnFluidSimulator(dt=DT, marker=OtherMarker()))
         assert GridBank.build([marked]) is None
+        finite = with_sender(DcqcnFluidSimulator(dt=DT), data_bytes=1e6)
+        assert GridBank.build([finite]) is None
+        for schedule in (
+            InjectionSchedule(events=()),
+            InjectionSchedule(events=(
+                RateChange("L1", 0.0007, 0.0013, 0.4),
+            )),
+        ):
+            faulted = with_sender(DcqcnFluidSimulator(dt=DT, faults=schedule))
+            assert GridBank.build([faulted]) is None
+        on_off = with_sender(DcqcnFluidSimulator(dt=DT))
+        on_off.add_source(OnOffDcqcnJob(
+            "J2", params, np.random.default_rng(2),
+            compute_time=0.0009, comm_bytes=1e6,
+        ))
+        assert GridBank.build([on_off]) is None
         plain = DcqcnFluidSimulator(dt=DT)
         assert GridBank.build([plain]) is None  # no senders yet
         assert GridBank.build([with_sender(plain)]) is not None
+        # One refused lane keeps the whole grid from building.
+        assert GridBank.build(
+            [with_sender(DcqcnFluidSimulator(dt=DT)), finite]
+        ) is None
 
     def test_build_rejects_shared_rng(self):
         """One generator feeding two lanes cannot be interleaved."""
@@ -209,44 +213,15 @@ class TestGridBankMetamorphic:
 
 class TestDrawTable:
     """The CNP draw table: rows far narrower than a run's draws, and
-    the take/untake handback the table rests on."""
+    the take-then-uncount the table rests on."""
 
     @pytest.mark.parametrize("width", [2, 5])
     def test_narrow_rows_match_sequential(self, width, monkeypatch):
-        """Every stream crosses many refills, and unread draws go back
-        to their streams at each exit of a faulted lane and before the
-        final rewind; the grid still equals the solo runs."""
+        """Every stream crosses many refills, and many rows still hold
+        unread draws when the run ends, which only leave their streams'
+        consumed counts before the rewind; the grid still equals the
+        solo runs, generator states included."""
         monkeypatch.setattr(grid_bank, "DRAWS_PER_ROW", width)
-        returned = []
-        untake = UniformChunks.untake
-
-        def counted(stream, tail):
-            returned.append(len(tail))
-            untake(stream, tail)
-
-        monkeypatch.setattr(UniformChunks, "untake", counted)
-        solo = _build_grid(64, grid_seed=width)
-        twin = _build_grid(64, grid_seed=width)
-        assert {sim.faults for sim, _, _ in twin} == set(SCHEDULES)
-        assert any(jobs for _, jobs, _ in twin)
-        solo_traces = [sim.run(DURATION) for sim, _, _ in solo]
-        grid = GridBank.build([sim for sim, _, _ in twin])
-        assert grid is not None
-        grid_traces = grid.run(DURATION)
-        for (_, jobs_s, rngs_s), trace_s, (_, jobs_b, rngs_b), trace_b in zip(
-            solo, solo_traces, twin, grid_traces
-        ):
-            _assert_bit_identical(
-                (trace_s, jobs_s, rngs_s), (trace_b, jobs_b, rngs_b)
-            )
-        assert sum(tail > 0 for tail in returned) > 64
-
-    def test_final_handback_only_uncounts(self, monkeypatch):
-        """At the end of a run the unread table draws only leave their
-        streams' consumed counts, since ``_finish``'s rewind drops the
-        buffers: no draw goes back through ``untake``. A fault-free grid
-        (no lane hands back at an exit) still equals its solo runs,
-        generator states included."""
         taken = []
         take = UniformChunks.take
 
@@ -254,28 +229,16 @@ class TestDrawTable:
             taken.append(n)
             return take(stream, n)
 
-        def refused(stream, tail):
-            raise AssertionError("untake at the end of a run")
-
         monkeypatch.setattr(UniformChunks, "take", counted)
-        monkeypatch.setattr(UniformChunks, "untake", refused)
-        solo, twin = (
-            [run for run in _build_grid(32, grid_seed=9)
-             if run[0].faults is None]
-            for _ in range(2)
-        )
-        assert len(solo) >= 2
-        solo_traces = [sim.run(DURATION) for sim, _, _ in solo]
-        grid = GridBank.build([sim for sim, _, _ in twin])
-        assert grid is not None
-        grid_traces = grid.run(DURATION)
-        assert taken  # table rows were filled, so draws were left unread
-        for (_, jobs_s, rngs_s), trace_s, (_, jobs_b, rngs_b), trace_b in zip(
-            solo, solo_traces, twin, grid_traces
-        ):
-            _assert_bit_identical(
-                (trace_s, jobs_s, rngs_s), (trace_b, jobs_b, rngs_b)
-            )
+        solo = _build_grid(64, grid_seed=width)
+        twin = _build_grid(64, grid_seed=width)
+        assert {
+            sender.params.timer for sim, _ in twin for sender in sim.senders
+        } == set(TIMERS)
+        assert {len(sim.senders) for sim, _ in twin} == {2, 3}
+        grid = _assert_grid_matches_solo(solo, twin)
+        assert set(taken) == {width} and len(taken) > 64 * width
+        assert int((grid._dpos < width).sum()) > 64
 
     def test_coin_uses_python_float_pow(self):
         """A draw that lands between ``1 - q ** packets`` and numpy's
@@ -318,29 +281,30 @@ class TestDrawTable:
         ).astype(int).tolist()
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_take_untake_replay_scalar_draws(self, seed):
-        """Seeded interleavings of the kernels' inline draw, ``take(n)``
-        and ``untake(tail)`` read the generator's own sequence, and
-        ``rewind`` leaves it where as many ``rng.random()`` calls do."""
+    def test_take_replays_scalar_draws(self, seed):
+        """Seeded interleavings of the kernels' inline draw and
+        ``take(n)`` read the generator's own sequence; once the unread
+        end of the last block leaves the consumed count, as the grid
+        uncounts its rows at the end of a run, ``rewind`` leaves the
+        generator where as many ``rng.random()`` calls do."""
         plan = np.random.default_rng(seed)
         rng = np.random.default_rng(100 + seed)
         stream = UniformChunks(rng)
         read = []
         for _ in range(300):
-            op = int(plan.integers(3))
-            if op == 0:
+            if plan.integers(2):
                 # The inline draw of SenderBank._tick_run.
                 if stream._pos >= len(stream._buf):
                     stream.refill()
                 read.append(stream._buf[stream._pos])
                 stream._pos += 1
                 stream._consumed += 1
-                continue
-            block = stream.take(int(plan.integers(1, 40)))
-            used = block.size if op == 1 else int(plan.integers(block.size))
-            read.extend(block[:used].tolist())
-            if used < block.size:
-                stream.untake(block[used:])
+            else:
+                read.extend(stream.take(int(plan.integers(1, 40))).tolist())
+        block = stream.take(int(plan.integers(1, 40)))
+        used = int(plan.integers(block.size))
+        read.extend(block[:used].tolist())
+        stream._consumed -= block.size - used
         oracle = np.random.default_rng(100 + seed)
         assert read == [oracle.random() for _ in read]
         stream.rewind()
@@ -532,6 +496,35 @@ class TestRunnerGridTier:
             run_many(specs, batch=False, cache=False)
         )
 
+    @pytest.mark.parametrize("refused", ["faulted", "on-off"])
+    def test_refused_lanes_run_spec_by_spec(self, refused):
+        """A floor-sized group of faulted specs, and one of specs with
+        an on-off sender, cannot ride in lanes: each runs spec by spec,
+        byte-identical to ``batch=False``."""
+        if refused == "faulted":
+            schedule = InjectionSchedule(events=(
+                RateChange("L1", 0.0007, 0.0013, 0.4),
+            ))
+            specs = [spec.replace(faults=schedule) for spec in floor_specs()]
+        else:
+            specs = [
+                spec.replace(scenarios=tuple(
+                    ScenarioSpec(scenario.name, (dataclasses.replace(
+                        scenario.senders[0], compute_time=0.0009,
+                        comm_bytes=0.0011 * gbps(50),
+                    ),) + scenario.senders[1:])
+                    for scenario in spec.scenarios
+                ))
+                for spec in floor_specs(seed=1)
+            ]
+        session = Telemetry(name="grid-test")
+        with use(session):
+            results = run_many(specs, cache=False)
+        assert int(session.counter("runner.batched").value) == 0
+        assert canonical(results) == canonical(
+            run_many(specs, batch=False, cache=False)
+        )
+
     def test_grid_just_above_floor_stacks(self):
         n = 4
         specs = fluid_specs(n, senders=MIN_GROUP_SLOTS // n + 1)
@@ -617,6 +610,58 @@ class TestGroupingScreen:
         assert not batchable_spec(
             fluid.replace(scenarios=(routed,))
         )
+        # A lane holds long-lived senders under no fault schedule.
+        sender = fluid.scenarios[0].senders[0]
+        for special in (
+            dataclasses.replace(
+                sender, compute_time=0.0009, comm_bytes=1e6
+            ),
+            dataclasses.replace(sender, data_bytes=1e6),
+        ):
+            assert not batchable_spec(fluid.replace(scenarios=(
+                fluid.scenarios[0],
+                ScenarioSpec("special", (special,)),
+            )))
+        for schedule in (
+            InjectionSchedule(events=()),
+            InjectionSchedule(events=(
+                RateChange("L1", 0.0007, 0.0013, 0.4),
+            )),
+        ):
+            assert not batchable_spec(fluid.replace(faults=schedule))
+
+    @pytest.mark.parametrize("shape", ["grid-dense", "sweep-128x2"])
+    def test_measured_stacking_shapes_plan_as_one_group(self, shape):
+        """The two shapes stacking was measured to win on each plan as
+        one group: the ``grid-dense`` lineup (64 one-scenario specs of 32
+        long-lived senders at 1 Gbps for 0.02 s) and the sweep's
+        128 x 2 grid at 0.15 s, each exactly at the slot floor or
+        above it."""
+        if shape == "grid-dense":
+            timers = (DEFAULT_TIMER, AGGRESSIVE_TIMER)
+            senders = tuple(
+                SenderSpec(
+                    name=f"J{s + 1}", timer=timers[s % 2] * (1 + 0.03 * s)
+                )
+                for s in range(32)
+            )
+            specs = [
+                RunSpec(
+                    backend="fluid",
+                    label=f"dense-{k}",
+                    seed=derive_seed(0, f"dense:{k}"),
+                    capacity=gbps(1),
+                    duration=0.02,
+                    scenarios=(ScenarioSpec("grid", senders),),
+                )
+                for k in range(64)
+            ]
+        else:
+            specs = sweep.fluid_grid_specs(range(128), 0.15)
+        assert all(batchable_spec(spec) for spec in specs)
+        assert plan_groups(list(enumerate(specs))) == [
+            list(range(len(specs)))
+        ]
 
     def test_groups_split_by_dt_and_duration(self):
         base = floor_specs(n=2)

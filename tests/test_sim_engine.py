@@ -102,13 +102,23 @@ class TestRunBounds:
         sim.run()
         assert seen == ["early", "late"]
 
-    def test_max_events(self):
+    def test_run_has_no_event_budget(self):
+        """``run`` takes no ``max_events``: a run that stopped on such a
+        budget moved the clock to ``until`` past pending events, so the
+        next run raised. Events at 1.0 and 2.0 both run before the clock
+        reaches ``until``, and a further run finds nothing behind it."""
         sim = Simulator()
         seen = []
-        for i in range(5):
-            sim.schedule(float(i + 1), seen.append, i)
-        sim.run(max_events=3)
-        assert seen == [0, 1, 2]
+        sim.schedule(1.0, seen.append, 1.0)
+        sim.schedule(2.0, seen.append, 2.0)
+        with pytest.raises(TypeError):
+            sim.run(until=5.0, max_events=1)
+        assert sim.now == 0.0 and seen == []
+        assert sim.run(until=5.0) == 5.0
+        assert seen == [1.0, 2.0]
+        assert sim.pending_events == 0
+        sim.run()
+        assert sim.now == 5.0
 
     def test_stop_from_event(self):
         sim = Simulator()
@@ -183,19 +193,6 @@ class TestDispatchContract:
         sim.run()
         assert sim.events_executed == 3
         assert session.registry.snapshot()["counters"]["sim.events"] == 3.0
-
-    def test_max_events_skips_cancelled_entries_without_counting_them(self):
-        sim = Simulator()
-        seen = []
-        events = [sim.schedule(float(t), seen.append, t) for t in range(1, 7)]
-        sim.cancel(events[0])
-        sim.cancel(events[2])
-        sim.run(max_events=2)
-        assert seen == [2, 4]
-        assert sim.events_executed == 2
-        assert sim.pending_events == 2
-        sim.run(max_events=5)
-        assert seen == [2, 4, 5, 6]
 
 
 class TestReset:

@@ -32,7 +32,6 @@ from repro.telemetry import (
     current,
     use,
 )
-from repro.telemetry import trace as trace_module
 from repro.telemetry.trace import encode_record
 from repro.telemetry.runs import (
     RunRecorder,
@@ -244,15 +243,15 @@ class TestEncodedTrace:
         assert len(recorder) == 1
         assert recorder.counts_by_kind() == {"job.phase": 1}
 
-    def test_templates_encode_what_the_encoder_gives(self, monkeypatch):
+    def test_templates_encode_what_the_encoder_gives(self):
         """Seeded records of repeating shapes encode to the bytes of one
         ``JSONEncoder(sort_keys=True, separators=(",", ":"))`` over the
         whole record: text with quotes, escapes, ``%`` and non-ASCII,
         ints of any size, signed zeros and non-finite floats, bools,
         ``None``, numpy floats, tuples and nested dicts. A session's
-        emitter bound once per shape records the same lines and kind
-        counts as ``emit``."""
-        monkeypatch.setattr(trace_module, "_TEMPLATES", {})
+        emitter bound once per shape, which fills the shape's template,
+        records the same lines and kind counts as ``emit``. Field names
+        that are not strings encode as the encoder writes them too."""
         recorder = TraceRecorder()
         session = Telemetry()
         emitters = {}
@@ -313,35 +312,20 @@ class TestEncodedTrace:
                 emitters[shape] = session.emitter(*shape)
             emitters[shape](t, *fields.values())
             assert session.trace.lines[-1] == expected
-        assert 0 < len(trace_module._TEMPLATES) <= trace_module.MAX_TEMPLATES
+        assert len(emitters) > 100
         assert session.trace.lines == recorder.lines
         assert session.trace.counts_by_kind() == recorder.counts_by_kind()
-
-    def test_shapes_past_the_memo_bound_still_encode(self, monkeypatch):
-        """Once the memo holds ``MAX_TEMPLATES`` shapes, a new shape
-        encodes through the encoder whole and adds no template; so does
-        a record whose field names are not strings."""
-        monkeypatch.setattr(trace_module, "_TEMPLATES", {})
-        monkeypatch.setattr(trace_module, "MAX_TEMPLATES", 2)
-        reference = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-        for index in range(5):
-            fields = {f"f{index}": index, "g": [index, "x"]}
-            assert encode_record("x.shape", 1.0, fields) == reference.encode(
-                {"fields": fields, "kind": "x.shape", "t": 1.0}
-            )
-        assert len(trace_module._TEMPLATES) == 2
         fields = {3: "three", 1: "one"}
         assert encode_record("x.keys", 0.5, fields) == (
             '{"fields":{"1":"one","3":"three"},"kind":"x.keys","t":0.5}'
         )
-        assert len(trace_module._TEMPLATES) == 2
 
     @pytest.mark.parametrize("bad", [
         np.int64(3), {1, 2}, {"inner": object()}, (1, np.float32(0.5)),
     ], ids=["numpy-int", "set", "nested-object", "tuple-of-float32"])
     def test_unencodable_field_named_by_template_path(self, bad):
         """A value JSON cannot encode raises ``ConfigError`` naming its
-        field, whether or not the record's shape has a template yet, and
+        field, whether or not a record of its shape encoded before, and
         the same error through a bound emitter, which then records
         nothing."""
         shape = {"job": "J1", "value": 1.0}
